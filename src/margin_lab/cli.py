@@ -16,10 +16,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -535,32 +533,30 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     return 1 if any(r.verdict != "pass" for r in reports) else 0
 
 
-def _bench_cell(method: str, gamma: float, epsilon: float | None,
-                loss: LossSpec, d: int, n: int, seed: int, max_steps: int,
-                eta_constant: float, eta_small: float) -> dict:
-    ds = gen_random_separable(d, n, gamma, seed=seed)
+def _bench_gd(ds: Dataset, method: str, gamma: float, epsilons: tuple,
+              loss: LossSpec, max_steps: int, mode: str, eta: float) -> list:
+    """One GD run that stops at the first passage below the smallest epsilon,
+    and a row per epsilon read off it; each row's wall_time is the time of
+    that run."""
     start = time.perf_counter()
-    if method == "perceptron":
-        run = run_perceptron(ds, cyclic_order(ds.n_rows, max_steps))
-        steps = "none" if run.separated_at is None else run.separated_at
-        result = {"epsilon": float(n), "epsilon_col": str(n), "steps": steps}
-    else:
-        if method == "constant":
-            mode, eta = "constant", eta_constant
-        elif method == "small-adaptive":
-            mode, eta = "adaptive", eta_small
-        else:
-            mode, eta = "adaptive", 4.0 * math.log(1.0 / epsilon) / gamma**2 + 4.0
-        traj = run_gd(ds, GDConfig(loss=loss.with_n(ds.n), eta=eta,
-                                   steps=max_steps, mode=mode))
-        target = math.log(epsilon)
-        hit = next((p.t for p in traj.points
-                    if p.t >= 1 and p.avg_risk.log_value <= target), None)
-        steps = "none" if hit is None else hit
-        result = {"epsilon": epsilon, "epsilon_col": _fmt(epsilon), "steps": steps}
-    result.update(method=method, gamma=gamma,
-                  wall_time=time.perf_counter() - start)
-    return result
+    traj = run_gd(ds, GDConfig(loss=loss.with_n(ds.n), eta=eta, steps=max_steps,
+                               mode=mode,
+                               target_log_avg_risk=math.log(min(epsilons))))
+    hits = [next((p.t for p in traj.points
+                  if p.t >= 1 and p.avg_risk.log_value <= math.log(eps)), None)
+            for eps in epsilons]
+    wall_time = time.perf_counter() - start
+    return [{"method": method, "gamma": gamma, "epsilon": eps,
+             "epsilon_col": _fmt(eps), "steps": hit, "wall_time": wall_time}
+            for eps, hit in zip(epsilons, hits)]
+
+
+def _bench_perceptron(ds: Dataset, gamma: float, max_steps: int) -> dict:
+    start = time.perf_counter()
+    run = run_perceptron(ds, cyclic_order(ds.n_rows, max_steps))
+    return {"method": "perceptron", "gamma": gamma, "epsilon": float(ds.n),
+            "epsilon_col": str(ds.n), "steps": run.separated_at,
+            "wall_time": time.perf_counter() - start}
 
 
 def cmd_bench(cfg: ExperimentConfig, out: Path, seed: int) -> int:
@@ -575,51 +571,37 @@ def cmd_bench(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     eta_constant = v.get("eta_constant", 1.0)
     eta_small = v.get("eta_small", 1.0)
 
-    cells = []
-    for method in methods:
-        for gamma in gammas:
+    # The constant and small-adaptive trajectories do not depend on epsilon,
+    # so one run per (method, gamma) serves every target. large-adaptive
+    # derives its eta from epsilon and runs once per target.
+    results = []
+    for gamma in gammas:
+        ds = gen_random_separable(d, n, gamma, seed=seed)
+        for method in methods:
             if method == "perceptron":
-                cells.append((method, gamma, None))
+                results.append(_bench_perceptron(ds, gamma, max_steps))
+            elif method == "large-adaptive":
+                for eps in epsilons:
+                    eta = 4.0 * math.log(1.0 / eps) / gamma**2 + 4.0
+                    results += _bench_gd(ds, method, gamma, (eps,), loss,
+                                         max_steps, "adaptive", eta)
             else:
-                cells.extend((method, gamma, eps) for eps in epsilons)
-
-    threads = _thread_count()
-
-    def run_cell(cell):
-        method, gamma, eps = cell
-        return _bench_cell(method, gamma, eps, loss, d, n, seed, max_steps,
-                           eta_constant, eta_small)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+                mode, eta = (("constant", eta_constant) if method == "constant"
+                             else ("adaptive", eta_small))
+                results += _bench_gd(ds, method, gamma, epsilons, loss,
+                                     max_steps, mode, eta)
 
     results.sort(key=lambda r: (r["method"], r["gamma"], r["epsilon"]))
     rows = [_provenance_line(cfg, seed), "method,gamma,epsilon,steps,wall_time"]
     for r in results:
         steps = r["steps"]
-        steps_col = f">{max_steps}" if steps == "none" else str(steps)
+        steps_col = f">{max_steps}" if steps is None else str(steps)
         rows.append(",".join([
             r["method"], _fmt(r["gamma"]), r["epsilon_col"], steps_col,
             f"{r['wall_time']:.6f}",
         ]))
     _write_text(out / "bench.csv", rows)
     return 0
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MARGIN_LAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(
-            [(0, f"MARGIN_LAB_THREADS must be an integer, got {raw!r}")]
-        ) from None
-    if threads < 1:
-        raise ConfigError([(0, f"MARGIN_LAB_THREADS must be >= 1, got {threads}")])
-    return threads
 
 
 # ---------------------------------------------------------------------------

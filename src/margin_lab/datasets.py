@@ -90,8 +90,9 @@ def validate(ds: Dataset, tol: float = 1e-12) -> ValidationReport:
 
     margins = ds.margins(ds.w_star)
     realized = float(margins.min())
-    margin_ok = realized >= ds.gamma - tol
-    checks.append(("certificate_margin", margin_ok, f"min margin {realized:.17g}"))
+    margin_ok = ds.gamma > 0.0 and realized >= ds.gamma - tol
+    checks.append(("certificate_margin", margin_ok,
+                   f"min margin {realized:.17g}, gamma {ds.gamma:.17g}"))
 
     if ds.weights is None:
         weights_ok = True
@@ -368,7 +369,18 @@ def save_dataset(ds: Dataset, path, comments: tuple = ()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _floats(tokens, path, what: str) -> list:
+    try:
+        return [float(v) for v in tokens]
+    except ValueError:
+        raise ValueError(f"{path}: non-numeric token in {what}") from None
+
+
 def load_dataset(path) -> Dataset:
+    """Read a dataset file and check it against the dataset contract.
+
+    Every malformed or contract-breaking file raises ValueError.
+    """
     with open(path) as fh:
         lines = [
             ln.rstrip("\n")
@@ -380,37 +392,48 @@ def load_dataset(path) -> Dataset:
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise ValueError(f"{path}: bad header line {lines[0]!r}")
-    version, n, d, gamma = m.group(1), int(m.group(2)), int(m.group(3)), float(m.group(4))
+    version, n, d = m.group(1), int(m.group(2)), int(m.group(3))
+    gamma = _floats([m.group(4)], path, "the header gamma")[0]
     weighted = version == "v1w"
-    if not lines[1].startswith("wstar: "):
+    if len(lines) < 2 or not lines[1].startswith("wstar: "):
         raise ValueError(f"{path}: missing wstar line")
-    w_star = np.array([float(v) for v in lines[1][len("wstar: "):].split()])
+    w_star = np.array(_floats(lines[1][len("wstar: "):].split(), path, "wstar"))
     if w_star.size != d:
         raise ValueError(f"{path}: wstar has {w_star.size} coords, header says d={d}")
+    if len(lines) < 3:
+        raise ValueError(f"{path}: no data rows")
 
     rows, labels, weights = [], [], []
-    for ln in lines[2:]:
+    head = 2 if weighted else 1
+    for i, ln in enumerate(lines[2:], start=1):
         parts = ln.split()
-        labels.append(float(parts[0]))
+        if len(parts) != head + d:
+            raise ValueError(
+                f"{path}: row {i} has {len(parts)} fields, expected {head + d}")
+        labels.append(_floats(parts[:1], path, f"row {i}")[0])
         if weighted:
-            weights.append(float(int(parts[1])))
-            coords = parts[2:]
-        else:
-            coords = parts[1:]
-        if len(coords) != d:
-            raise ValueError(f"{path}: row has {len(coords)} coords, expected {d}")
-        rows.append([float(v) for v in coords])
+            try:
+                weight = int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}: row {i} weight must be an integer") from None
+            if abs(weight) > 2**53:  # beyond it float sums lose integers
+                raise ValueError(f"{path}: row {i} weight exceeds 2^53")
+            weights.append(float(weight))
+        rows.append(_floats(parts[head:], path, f"row {i}"))
 
-    feats = np.asarray(rows, dtype=float)
-    labels = np.asarray(labels, dtype=float)
     ds = Dataset(
-        features=feats,
-        labels=labels,
+        features=np.asarray(rows, dtype=float).reshape(len(rows), d),
+        labels=np.asarray(labels, dtype=float),
         gamma=gamma,
         w_star=w_star,
         weights=np.asarray(weights) if weighted else None,
         metadata={"generator": "file", "path": str(path)},
     )
+    report = validate(ds)
+    if not report.ok:
+        broken = "; ".join(f"{name} ({detail})"
+                           for name, passed, detail in report.checks if not passed)
+        raise ValueError(f"{path}: breaks the dataset contract: {broken}")
     if ds.n != n:
         raise ValueError(f"{path}: header n={n} but rows sum to {ds.n}")
     return ds

@@ -211,6 +211,7 @@ class GDConfig:
     mode: str = "adaptive"  # "adaptive" | "constant"
     init: np.ndarray | None = None
     record_every: int = 1
+    target_log_avg_risk: float | None = None  # stop at the first t >= 1 at or below it
 
     def __post_init__(self):
         if self.mode not in ("adaptive", "constant"):
@@ -223,6 +224,8 @@ class GDConfig:
             raise ValueError(f"steps must be a nonnegative integer, got {self.steps!r}")
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
+        if self.target_log_avg_risk is not None and math.isnan(self.target_log_avg_risk):
+            raise ValueError("target_log_avg_risk must be a number or None, got nan")
 
 
 @dataclass(frozen=True)
@@ -263,6 +266,13 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     trajectory of iterates and running averages.
 
     Recording happens every record_every steps and always at the final step.
+    With config.target_log_avg_risk set, the run stops at the first t >= 1
+    whose averaged iterate has log risk at or below it, and records that
+    point even off the record_every grid, so points[-1].t is the number of
+    steps made. Every point it records is bit-identical to the same point of
+    the run without a target. The check evaluates the averaged risk at every
+    step, recorded or not.
+
     In constant mode a non-finite iterate stops the run and stamps
     diverged_at with the offending step index; adaptive mode cannot diverge
     (its step length is capped by eta times the loss's lipschitz_const).
@@ -276,6 +286,7 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     traj = Trajectory(config=config)
     wsum = w.copy()
     prev_log_risk = math.inf
+    target = config.target_log_avg_risk
 
     for t in range(config.steps + 1):
         r = risk(w, ds, loss)
@@ -284,15 +295,22 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
         if r.log_value == math.inf or math.isnan(r.log_value):
             traj.diverged_at = t
             break
-        if t % config.record_every == 0 or t == config.steps:
+        avg_r = None
+        passed = False
+        if target is not None and t >= 1:
+            avg_w = wsum / (t + 1)
+            avg_r = risk(avg_w, ds, loss)
+            passed = avg_r.log_value <= target
+        if passed or t % config.record_every == 0 or t == config.steps:
             if loss.kind == "hinge":
                 log_eta_t = math.log(config.eta)
             elif config.mode == "adaptive":
                 log_eta_t = log_adaptive_stepsize(loss, r, config.eta)
             else:
                 log_eta_t = math.log(config.eta)
-            avg_w = wsum / (t + 1)
-            avg_r = risk(avg_w, ds, loss)
+            if avg_r is None:
+                avg_w = wsum / (t + 1)
+                avg_r = risk(avg_w, ds, loss)
             traj.points.append(
                 TrajectoryPoint(
                     t=t,
@@ -309,7 +327,7 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
                 )
             )
         prev_log_risk = r.log_value
-        if t == config.steps:
+        if passed or t == config.steps:
             break
 
         if config.mode == "adaptive":

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -20,6 +21,9 @@ from margin_lab.cli import (
     parse_order_spec,
     parse_stepsize,
 )
+from margin_lab.datasets import gen_random_separable
+from margin_lab.descent import GDConfig, run_gd
+from margin_lab.losses import LOG
 from margin_lab.online import cyclic_order, run_perceptron
 
 RUN_CFG = (
@@ -225,6 +229,32 @@ class TestExitCodes:
         assert "missing required key" in err
 
 
+_HEAD = "margin-lab-dataset v1 n=2 d=2 gamma=0.5\n"
+_HEAD_W = "margin-lab-dataset v1w n=3 d=2 gamma=0.5\n"
+_WSTAR = "wstar: 1 0\n"
+_ROWS = "+1 0.6 0\n-1 -0.6 0.1\n"
+
+# name -> (file body, words the error message must carry)
+BAD_DATASET_FILES = {
+    "header-only": (_HEAD, "missing wstar"),
+    "no-wstar": (_HEAD + _ROWS, "missing wstar"),
+    "no-rows": (_HEAD + _WSTAR, "no data rows"),
+    "short-row": (_HEAD + _WSTAR + "+1 0.6\n-1 -0.6 0.1\n", "row 1 has 2 fields"),
+    "label-only-weighted-row": (_HEAD_W + _WSTAR + "+1\n-1 1 -0.6 0.1\n",
+                                "row 1 has 1 fields"),
+    "non-numeric-feature": (_HEAD + _WSTAR + "+1 abc 0\n-1 -0.6 0.1\n", "non-numeric"),
+    "non-numeric-weight": (_HEAD_W + _WSTAR + "+1 two 0.6 0\n-1 1 -0.6 0.1\n",
+                           "weight must be an integer"),
+    "label-2": (_HEAD + _WSTAR + "2 0.6 0\n-1 -0.6 0.1\n", "labels_pm1"),
+    "row-norm-5": (_HEAD + _WSTAR + "+1 5 0\n-1 -0.6 0.1\n", "unit_ball"),
+    "nan-feature": (_HEAD + _WSTAR + "+1 nan 0\n-1 -0.6 0.1\n", "unit_ball"),
+    "certificate-not-unit": (_HEAD + "wstar: 2 0\n" + _ROWS, "certificate_unit"),
+    "margin-below-gamma": (_HEAD + "wstar: 0 1\n" + _ROWS, "certificate_margin"),
+    "zero-weight": (_HEAD_W + _WSTAR + "+1 0 0.6 0\n-1 3 -0.6 0.1\n",
+                    "weights_positive_integer"),
+}
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -345,6 +375,28 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "bad dataset file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,why", list(BAD_DATASET_FILES.values()),
+                             ids=list(BAD_DATASET_FILES))
+    def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, body, why):
+        bad = tmp_path / "ds.txt"
+        bad.write_text(body)
+        text = RUN_CFG.replace(
+            "random:d=10,n=100,gamma=0.1,seed=7", f"file:{bad}")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad dataset file" in err and why in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_well_formed_files_of_every_generator_load(self, tmp_path):
+        for source in ("random:d=4,n=9,gamma=0.2", "two-point:gamma=0.05",
+                       "batch-hard:gamma=0.1,n=64", "online-hard:gamma=0.4,n=10",
+                       "chain-hard:gamma=0.01,n=20"):
+            cfg = write_cfg(tmp_path, f"dataset = {source}\n")
+            assert main(["gen", "--config", cfg, "--out", str(tmp_path)]) == 0
+            load_dataset(tmp_path / "dataset.txt")
+
 
 class TestRunNNCommand:
     def test_trajectory_csv_shape(self, tmp_path):
@@ -461,24 +513,54 @@ class TestBenchCommand:
         assert row[2] == "40"
         assert row[3] != ">2000"  # cyclic passes separate gamma=0.2, n=40
 
-    def test_threads_change_nothing_but_wall_time(self, tmp_path, monkeypatch):
-        text = (
-            "gammas = 0.05,0.1\nepsilons = 1e-2\n"
-            "methods = small-adaptive,perceptron\nmax_steps = 400\n"
-        )
-        cfg = write_cfg(tmp_path, text)
-        out1, out4 = tmp_path / "t1", tmp_path / "t4"
-        main(["bench", "--config", cfg, "--out", str(out1)])
-        monkeypatch.setenv("MARGIN_LAB_THREADS", "4")
-        main(["bench", "--config", cfg, "--out", str(out4)])
-        rows1 = (out1 / "bench.csv").read_text().splitlines()
-        rows4 = (out4 / "bench.csv").read_text().splitlines()
-        assert len(rows1) == len(rows4)
+    def test_gammas_share_nothing_but_the_config(self, tmp_path):
+        # one dataset and one shared run per (method, gamma): a two-gamma grid
+        # gives the rows of its two one-gamma grids, apart from wall_time
+        base = "epsilons = 1e-2\nmethods = small-adaptive,perceptron\nmax_steps = 400\n"
         strip = lambda r: r.rsplit(",", 1)[0]  # noqa: E731
-        assert [strip(r) for r in rows1] == [strip(r) for r in rows4]
+        rows = {}
+        for name, gammas in (("both", "0.05,0.1"), ("g1", "0.05"), ("g2", "0.1")):
+            cfg = write_cfg(tmp_path, f"gammas = {gammas}\n" + base, f"{name}.cfg")
+            assert main(["bench", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            lines = (tmp_path / name / "bench.csv").read_text().splitlines()[2:]
+            rows[name] = [strip(r) for r in lines]
+        assert len(rows["both"]) == 4
+        assert sorted(rows["both"]) == sorted(rows["g1"] + rows["g2"])
 
-    def test_bad_thread_env_is_a_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MARGIN_LAB_THREADS", "zero")
-        cfg = write_cfg(tmp_path, "methods = perceptron\nmax_steps = 10\n")
-        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "MARGIN_LAB_THREADS" in capsys.readouterr().err
+    def test_rows_match_a_full_run_per_cell(self, tmp_path):
+        # the old rule: a full max_steps run per (method, gamma, epsilon) cell,
+        # then a scan for the first t >= 1 with log avg risk <= ln epsilon
+        gammas, epsilons, max_steps, d, n = (0.1, 0.3), (0.3, 1e-3, 1e-9), 300, 5, 30
+        text = (f"gammas = {gammas[0]},{gammas[1]}\n"
+                f"epsilons = {','.join(map(repr, epsilons))}\n"
+                f"max_steps = {max_steps}\nd = {d}\nn = {n}\nloss = log\n"
+                "eta_constant = 2\neta_small = 3\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path), "--seed", "4"]) == 0
+        lines = (tmp_path / "bench.csv").read_text().splitlines()[2:]
+        got = [r.rsplit(",", 1)[0] for r in lines]
+
+        want = []
+        loss = LOG.with_n(n)
+        for gamma in gammas:
+            ds = gen_random_separable(d, n, gamma, seed=4)
+            run = run_perceptron(ds, cyclic_order(ds.n_rows, max_steps))
+            sep = run.separated_at
+            want.append(("perceptron", gamma, float(n), str(n),
+                         f">{max_steps}" if sep is None else str(sep)))
+            for eps in epsilons:
+                for method, mode, eta in (
+                        ("constant", "constant", 2.0),
+                        ("small-adaptive", "adaptive", 3.0),
+                        ("large-adaptive", "adaptive",
+                         4.0 * math.log(1.0 / eps) / gamma**2 + 4.0)):
+                    traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=max_steps,
+                                               mode=mode))
+                    hit = next((p.t for p in traj.points if p.t >= 1
+                                and p.avg_risk.log_value <= math.log(eps)), None)
+                    want.append((method, gamma, eps, f"{eps:.17g}",
+                                 f">{max_steps}" if hit is None else str(hit)))
+        want.sort(key=lambda r: r[:3])
+        assert got == [f"{m},{g:.17g},{e},{s}" for m, g, _, e, s in want]
+        steps = {r.split(",")[-1] for r in got}
+        assert f">{max_steps}" in steps and len(steps) > 4  # hits and misses

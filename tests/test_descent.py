@@ -1,6 +1,7 @@
 """Tests for risk evaluation, transformed-objective gradients, the GD loop,
 and the averaged-iterate bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -331,6 +332,72 @@ class TestRunGD:
         # hinge risk hits exactly zero once separated
         assert traj.final.risk.value == 0.0
         assert traj.final.min_margin > 0.0
+
+
+def assert_same_point(a, b):
+    """Every field of two trajectory points agrees bit for bit."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y or (x != x and y != y), f.name
+
+
+def first_passage(traj, target):
+    return next(p.t for p in traj.points
+                if p.t >= 1 and p.avg_risk.log_value <= target)
+
+
+class TestTargetStop:
+    @pytest.mark.parametrize("mode,eta", [("adaptive", 50.0), ("constant", 1.0)])
+    @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
+    def test_stopped_run_is_a_prefix_ending_at_first_passage(self, loss, mode, eta):
+        ds = small_ds()
+        full = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=80, mode=mode))
+        target = full.points[40].avg_risk.log_value
+        hit = first_passage(full, target)
+        stopped = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=80, mode=mode,
+                                      target_log_avg_risk=target))
+        assert [p.t for p in stopped.points] == list(range(hit + 1))
+        for a, b in zip(stopped.points, full.points):
+            assert_same_point(a, b)
+        assert stopped.final.avg_risk.log_value <= target
+        assert all(p.avg_risk.log_value > target for p in stopped.points[1:-1])
+        assert stopped.diverged_at is None
+
+    def test_unreached_target_changes_nothing(self):
+        ds = small_ds()
+        full = run_gd(ds, GDConfig(loss=LOG, eta=50.0, steps=60))
+        stopped = run_gd(ds, GDConfig(loss=LOG, eta=50.0, steps=60,
+                                      target_log_avg_risk=-1e9))
+        assert len(stopped.points) == len(full.points) == 61
+        for a, b in zip(stopped.points, full.points):
+            assert_same_point(a, b)
+
+    def test_stop_point_is_recorded_off_the_grid(self):
+        ds = small_ds()
+        full = run_gd(ds, GDConfig(loss=EXP, eta=50.0, steps=200))
+        target = full.points[33].avg_risk.log_value
+        hit = first_passage(full, target)
+        assert hit % 7 != 0
+        stopped = run_gd(ds, GDConfig(loss=EXP, eta=50.0, steps=200, record_every=7,
+                                      target_log_avg_risk=target))
+        want = list(range(0, hit, 7)) + [hit]
+        assert [p.t for p in stopped.points] == want
+        for p in stopped.points:
+            assert_same_point(p, full.points[p.t])
+
+    def test_t0_never_stops(self):
+        # the averaged iterate at t = 0 is w_0 itself; the first step counts
+        ds = small_ds()
+        traj = run_gd(ds, GDConfig(loss=EXP, eta=0.5, steps=10,
+                                   target_log_avg_risk=math.inf))
+        assert [p.t for p in traj.points] == [0, 1]
+
+    def test_nan_target_is_refused(self):
+        with pytest.raises(ValueError):
+            GDConfig(loss=EXP, eta=1.0, steps=5, target_log_avg_risk=math.nan)
 
 
 class TestBounds:
