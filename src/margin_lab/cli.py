@@ -376,7 +376,8 @@ def make_dataset(spec: DatasetSpec, default_seed: int) -> Dataset:
         try:
             return load_dataset(p["path"])
         except ValueError as exc:
-            raise ConfigError([(0, f"bad dataset file {p['path']}: {exc}")]) from None
+            # load_dataset's messages already start with the path
+            raise ConfigError([(0, f"bad dataset file {exc}")]) from None
     if spec.kind == "random":
         seed = p.get("seed", default_seed)
         return gen_random_separable(p["d"], p["n"], p["gamma"], seed=seed)
@@ -453,8 +454,8 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         },
     }
     if ds.d * steps <= 10**6:
-        payload["iterates"] = [[float(v) for v in p.w] for p in traj.points]
-        payload["avg_iterates"] = [[float(v) for v in p.avg_w] for p in traj.points]
+        payload["iterates"] = [p.w.tolist() for p in traj.points]
+        payload["avg_iterates"] = [p.avg_w.tolist() for p in traj.points]
     (out / "trajectory.json").write_text(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -484,8 +485,17 @@ def cmd_run_nn(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     return 0
 
 
+def _read_text(path, what: str) -> str:
+    """A UTF-8 text file the user named; any other bytes are a config error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([(0, f"{what} {path} is not UTF-8 text "
+                               f"(byte {exc.start}: {exc.reason})")]) from None
+
+
 def _read_order_file(path: str, n_rows: int) -> np.ndarray:
-    tokens = Path(path).read_text().split()
+    tokens = _read_text(path, "order file").split()
     try:
         idx = np.array([int(t) for t in tokens], dtype=np.int64)
     except ValueError:
@@ -651,7 +661,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             if not args.config.is_file():
                 raise ConfigError([(0, f"config file not found: {args.config}")])
-            text = args.config.read_text()
+            text = _read_text(args.config, "config file")
         elif args.command in _NEEDS_CONFIG:
             raise ConfigError([(0, f"{args.command} requires --config")])
         else:

@@ -379,14 +379,18 @@ def _floats(tokens, path, what: str) -> list:
 def load_dataset(path) -> Dataset:
     """Read a dataset file and check it against the dataset contract.
 
-    Every malformed or contract-breaking file raises ValueError.
+    Every malformed or contract-breaking file raises ValueError, whose
+    message starts with the path.
     """
-    with open(path) as fh:
-        lines = [
-            ln.rstrip("\n")
-            for ln in fh
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [
+                ln.rstrip("\n")
+                for ln in fh
+                if ln.strip() and not ln.lstrip().startswith("#")
+            ]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     m = _HEADER_RE.match(lines[0])

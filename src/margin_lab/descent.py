@@ -25,12 +25,19 @@ assembled as integer_weight * exp(log terms), never exp(log terms + log
 weight): keeping multiplicity weights outside the exponential preserves
 exact factor-of-two ratios between repeated rows, which the hard-instance
 span checks rely on down to the last bit.
+
+Passes over the data: the risk, the phi coefficients and the smallest
+margin are all functions of the margin vector z = y * (X w), so run_gd
+computes z = ds.margins(w) once per iterate and reads all three off it;
+the gradient c @ X is the second pass. An unrecorded step
+makes 2 passes. A recorded step, or one that checks the target, makes a
+third, ds.margins(avg_w), for both the averaged risk and its smallest margin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,11 +75,14 @@ def _weighted_lse(a: np.ndarray, weights: np.ndarray | None) -> float:
     return m + math.log(float(np.sum(e)))
 
 
+def _risk_at(z: np.ndarray, ds: Dataset, loss: LossSpec) -> RiskValue:
+    """Weighted mean loss at the margins z = ds.margins(w)."""
+    return _risk_from_log(_weighted_lse(loss.log_value(z), ds.weights) - math.log(ds.n))
+
+
 def risk(w: np.ndarray, ds: Dataset, loss: LossSpec) -> RiskValue:
     """Weighted mean loss over the dataset at parameter w."""
-    z = ds.margins(w)
-    log_value = _weighted_lse(loss.log_value(z), ds.weights) - math.log(ds.n)
-    return _risk_from_log(log_value)
+    return _risk_at(ds.margins(w), ds, loss)
 
 
 def grad_risk(w: np.ndarray, ds: Dataset, loss: LossSpec) -> np.ndarray:
@@ -86,6 +96,24 @@ def grad_risk(w: np.ndarray, ds: Dataset, loss: LossSpec) -> np.ndarray:
     if ds.weights is not None:
         coef = ds.weights * coef
     return (coef @ ds.features) / ds.n
+
+
+class _KnownMargins(Dataset):
+    """ds with the margins z of one iterate w already computed.
+
+    margins(w) returns z for that very array and makes the pass over the
+    data for any other. run_gd hands this to grad_phi and grad_risk, which
+    keep their (w, ds, loss) form, so that the gradient reuses the margins
+    the step has already read its risk from.
+    """
+
+    def __init__(self, ds: Dataset):
+        super().__init__(**{f.name: getattr(ds, f.name) for f in fields(ds)})
+        self.w: np.ndarray | None = None
+        self.z: np.ndarray | None = None
+
+    def margins(self, w: np.ndarray) -> np.ndarray:
+        return self.z if w is self.w else super().margins(w)
 
 
 def _check_sum_n(loss: LossSpec, ds: Dataset):
@@ -273,6 +301,11 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     the run without a target. The check evaluates the averaged risk at every
     step, recorded or not.
 
+    Each iterate costs one pass over the data for its margins, from which
+    the risk, min_margin and the gradient coefficients are all read, and one
+    for the gradient. The averaged iterate costs one more, for both its risk
+    and its min_margin, at recorded points and target checks only.
+
     In constant mode a non-finite iterate stops the run and stamps
     diverged_at with the offending step index; adaptive mode cannot diverge
     (its step length is capped by eta times the loss's lipschitz_const).
@@ -287,30 +320,30 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     wsum = w.copy()
     prev_log_risk = math.inf
     target = config.target_log_avg_risk
+    known = _KnownMargins(ds)
 
     for t in range(config.steps + 1):
-        r = risk(w, ds, loss)
+        z = ds.margins(w)
+        r = _risk_at(z, ds, loss)
         # log_value of -inf means exactly zero risk (possible for hinge only),
         # which is success; +inf or nan means true blow-up
         if r.log_value == math.inf or math.isnan(r.log_value):
             traj.diverged_at = t
             break
-        avg_r = None
-        passed = False
-        if target is not None and t >= 1:
+        check = target is not None and t >= 1
+        record = t % config.record_every == 0 or t == config.steps
+        if check or record:
             avg_w = wsum / (t + 1)
-            avg_r = risk(avg_w, ds, loss)
-            passed = avg_r.log_value <= target
-        if passed or t % config.record_every == 0 or t == config.steps:
+            avg_z = ds.margins(avg_w)
+            avg_r = _risk_at(avg_z, ds, loss)
+        passed = check and avg_r.log_value <= target
+        if passed or record:
             if loss.kind == "hinge":
                 log_eta_t = math.log(config.eta)
             elif config.mode == "adaptive":
                 log_eta_t = log_adaptive_stepsize(loss, r, config.eta)
             else:
                 log_eta_t = math.log(config.eta)
-            if avg_r is None:
-                avg_w = wsum / (t + 1)
-                avg_r = risk(avg_w, ds, loss)
             traj.points.append(
                 TrajectoryPoint(
                     t=t,
@@ -319,10 +352,10 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
                     phi=phi_from_risk(loss, r) if loss.kind != "hinge" else math.nan,
                     stepsize=math.inf if log_eta_t > 709.0 else math.exp(log_eta_t),
                     log_stepsize=log_eta_t,
-                    min_margin=ds.min_margin(w),
+                    min_margin=float(z.min()),
                     avg_w=avg_w,
                     avg_risk=avg_r,
-                    avg_min_margin=ds.min_margin(avg_w),
+                    avg_min_margin=float(avg_z.min()),
                     descent_violated=bool(r.log_value > prev_log_risk),
                 )
             )
@@ -330,11 +363,12 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
         if passed or t == config.steps:
             break
 
+        known.w, known.z = w, z
         if config.mode == "adaptive":
-            w = w - config.eta * grad_phi(w, ds, loss)
+            w = w - config.eta * grad_phi(w, known, loss)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                w = w - config.eta * grad_risk(w, ds, loss)
+                w = w - config.eta * grad_risk(w, known, loss)
         if not np.all(np.isfinite(w)):
             traj.diverged_at = t + 1
             break

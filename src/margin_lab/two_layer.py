@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 from .datasets import Dataset
-from .descent import RiskValue, _risk_from_log, _weighted_lse, phi_coefficients
+from .descent import RiskValue, _risk_at, phi_coefficients
 from .losses import LossSpec
 
 _GRID = None
@@ -169,8 +169,16 @@ def forward(net: TwoLayerNet, features: np.ndarray) -> np.ndarray:
     return net.activation.value(s) @ (net.signs / net.m)
 
 
+def _forward_pass(net: TwoLayerNet, ds: Dataset):
+    """Hidden pre-activations s = X W^T, shape (R, m), and the margins
+    z = y * f(X) they give: the one pass over the data that the risk, the
+    smallest margin and the gradient of an iterate share."""
+    s = ds.features @ net.weights.T
+    return s, ds.labels * (net.activation.value(s) @ (net.signs / net.m))
+
+
 def nn_margins(net: TwoLayerNet, ds: Dataset) -> np.ndarray:
-    return ds.labels * forward(net, ds.features)
+    return _forward_pass(net, ds)[1]
 
 
 def _check_nn_loss(loss: LossSpec):
@@ -182,19 +190,21 @@ def _check_nn_loss(loss: LossSpec):
 
 def nn_risk(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> RiskValue:
     _check_nn_loss(loss)
-    z = nn_margins(net, ds)
-    return _risk_from_log(_weighted_lse(loss.log_value(z), ds.weights) - math.log(ds.n))
+    return _risk_at(nn_margins(net, ds), ds, loss)
+
+
+def _grad_blocks(net: TwoLayerNet, ds: Dataset, s: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """d phi / d w_j from the pre-activations s and the phi coefficients."""
+    slopes = net.activation.deriv(s)  # (R, m)
+    signed = coef * ds.labels  # (R,)
+    return -(net.signs[:, None] / net.m) * ((slopes * signed[:, None]).T @ ds.features)
 
 
 def nn_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> np.ndarray:
     """Blocks d phi / d w_j, shape (m, d); each satisfies |m * block| <= 1."""
     _check_nn_loss(loss)
-    s = ds.features @ net.weights.T
-    z = ds.labels * (net.activation.value(s) @ (net.signs / net.m))
-    coef = phi_coefficients(z, ds, loss)
-    slopes = net.activation.deriv(s)  # (R, m)
-    signed = coef * ds.labels  # (R,)
-    return -(net.signs[:, None] / net.m) * ((slopes * signed[:, None]).T @ ds.features)
+    s, z = _forward_pass(net, ds)
+    return _grad_blocks(net, ds, s, phi_coefficients(z, ds, loss))
 
 
 @dataclass(frozen=True)
@@ -233,7 +243,8 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> NNTrajectory:
     The update applies stepsize eta * m to the gradient blocks (which carry
     a 1/m factor), so a width-1 net reproduces the linear algorithm exactly.
     Tracks the running best (minimum) log-risk, which is what the guarantee
-    controls.
+    controls. Each iterate makes one forward pass X W^T, from which its
+    risk, smallest margin and gradient are all read, and one gradient pass.
     """
     from .descent import phi_from_risk  # local import to avoid cycle noise
 
@@ -250,7 +261,8 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> NNTrajectory:
     best_log, best_t = math.inf, 0
     prev_log = math.inf
     for t in range(config.steps + 1):
-        r = nn_risk(work, ds, loss)
+        s, z = _forward_pass(work, ds)
+        r = _risk_at(z, ds, loss)
         if r.log_value < best_log:
             best_log, best_t = r.log_value, t
         if t % config.record_every == 0 or t == config.steps:
@@ -263,7 +275,7 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> NNTrajectory:
                     phi=phi_from_risk(loss, r),
                     stepsize=math.inf if log_eta_t > 709.0 else math.exp(log_eta_t),
                     log_stepsize=log_eta_t,
-                    min_margin=float(nn_margins(work, ds).min()),
+                    min_margin=float(z.min()),
                     min_log_risk=best_log,
                     min_risk_t=best_t,
                     descent_violated=bool(r.log_value > prev_log),
@@ -272,7 +284,7 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> NNTrajectory:
         prev_log = r.log_value
         if t == config.steps:
             break
-        g = nn_grad_phi(work, ds, loss)
+        g = _grad_blocks(work, ds, s, phi_coefficients(z, ds, loss))
         W -= (config.eta * work.m) * g
     return traj
 

@@ -23,7 +23,7 @@ from margin_lab.cli import (
 )
 from margin_lab.datasets import gen_random_separable
 from margin_lab.descent import GDConfig, run_gd
-from margin_lab.losses import LOG
+from margin_lab.losses import EXP, LOG
 from margin_lab.online import cyclic_order, run_perceptron
 
 RUN_CFG = (
@@ -33,6 +33,9 @@ RUN_CFG = (
     "steps = 200\n"
     "dataset = random:d=10,n=100,gamma=0.1,seed=7\n"
 )
+
+# 300 seeded random bytes, which are not UTF-8 text
+NOT_UTF8 = np.random.default_rng(0).integers(0, 256, 300, dtype=np.uint8).tobytes()
 
 PROVENANCE_RE = re.compile(
     rf"^# margin-lab v{re.escape(__version__)} config_sha256=[0-9a-f]{{12}} seed=-?\d+$"
@@ -228,6 +231,16 @@ class TestExitCodes:
         assert "config error: line 1: eta must be positive" in err
         assert "missing required key" in err
 
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(NOT_UTF8)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "not UTF-8" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 _HEAD = "margin-lab-dataset v1 n=2 d=2 gamma=0.5\n"
 _HEAD_W = "margin-lab-dataset v1w n=3 d=2 gamma=0.5\n"
@@ -252,6 +265,7 @@ BAD_DATASET_FILES = {
     "margin-below-gamma": (_HEAD + "wstar: 0 1\n" + _ROWS, "certificate_margin"),
     "zero-weight": (_HEAD_W + _WSTAR + "+1 0 0.6 0\n-1 3 -0.6 0.1\n",
                     "weights_positive_integer"),
+    "not-utf8": (NOT_UTF8, "not UTF-8"),
 }
 
 
@@ -310,6 +324,19 @@ class TestRunCommand:
         assert len(data["iterates"]) == 201
         assert len(data["iterates"][0]) == 10
         assert data["diverged_at"] is None
+
+    def test_iterates_keep_the_per_element_float_encoding(self, tmp_path):
+        # trajectory.json must stay byte-identical to the encoding that
+        # wrote each coordinate as float(v)
+        cfg = write_cfg(tmp_path, RUN_CFG)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "trajectory.json").read_text()
+        ds = gen_random_separable(10, 100, 0.1, seed=7)
+        traj = run_gd(ds, GDConfig(loss=EXP.with_n(ds.n), eta=100.0, steps=200))
+        data = json.loads(text)
+        data["iterates"] = [[float(v) for v in p.w] for p in traj.points]
+        data["avg_iterates"] = [[float(v) for v in p.avg_w] for p in traj.points]
+        assert json.dumps(data, sort_keys=True) == text
 
     def test_large_state_json_omits_iterates(self, tmp_path):
         text = (
@@ -379,13 +406,14 @@ class TestRunCommand:
                              ids=list(BAD_DATASET_FILES))
     def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, body, why):
         bad = tmp_path / "ds.txt"
-        bad.write_text(body)
+        bad.write_bytes(body if isinstance(body, bytes) else body.encode())
         text = RUN_CFG.replace(
             "random:d=10,n=100,gamma=0.1,seed=7", f"file:{bad}")
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "bad dataset file" in err and why in err
+        assert err.startswith(f"config error: bad dataset file {bad}: ") and why in err
+        assert err.count(str(bad)) == 1
         assert "Traceback" not in err
         assert not (tmp_path / "trajectory.csv").exists()
 
@@ -463,6 +491,21 @@ class TestPerceptronCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["perceptron", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "indices outside" in capsys.readouterr().err
+
+    def test_non_utf8_order_file_is_a_config_error(self, tmp_path, capsys):
+        order_path = tmp_path / "order.txt"
+        order_path.write_bytes(NOT_UTF8)
+        text = (
+            "dataset = online-hard:gamma=0.4,n=10\n"
+            f"order = file:{order_path}\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["perceptron", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: order file {order_path} is not UTF-8")
+        assert "Traceback" not in err
+        assert not (out / "mistakes.csv").exists()
 
 
 class TestVerifyCommand:

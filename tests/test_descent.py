@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from margin_lab import descent
 from margin_lab.datasets import (
+    Dataset,
     gen_batch_hard,
     gen_random_separable,
     gen_two_point,
@@ -16,6 +18,8 @@ from margin_lab.datasets import (
 from margin_lab.descent import (
     GDConfig,
     RiskValue,
+    Trajectory,
+    TrajectoryPoint,
     adaptive_stepsize,
     averaged_risk_log_bound,
     general_loss_risk_bound,
@@ -398,6 +402,156 @@ class TestTargetStop:
     def test_nan_target_is_refused(self):
         with pytest.raises(ValueError):
             GDConfig(loss=EXP, eta=1.0, steps=5, target_log_avg_risk=math.nan)
+
+
+def reference_run_gd(ds, config):
+    """run_gd written out from the public per-quantity functions, each of
+    which makes its own pass over the data: the loop the fused step must
+    reproduce bit for bit."""
+    loss = config.loss
+    w = np.zeros(ds.d) if config.init is None else np.array(config.init, dtype=float)
+    traj = Trajectory(config=config)
+    wsum = w.copy()
+    prev_log_risk = math.inf
+    target = config.target_log_avg_risk
+    for t in range(config.steps + 1):
+        r = risk(w, ds, loss)
+        if r.log_value == math.inf or math.isnan(r.log_value):
+            traj.diverged_at = t
+            break
+        avg_r = None
+        passed = False
+        if target is not None and t >= 1:
+            avg_w = wsum / (t + 1)
+            avg_r = risk(avg_w, ds, loss)
+            passed = avg_r.log_value <= target
+        if passed or t % config.record_every == 0 or t == config.steps:
+            if config.mode == "adaptive":
+                log_eta_t = log_adaptive_stepsize(loss, r, config.eta)
+            else:
+                log_eta_t = math.log(config.eta)
+            if avg_r is None:
+                avg_w = wsum / (t + 1)
+                avg_r = risk(avg_w, ds, loss)
+            traj.points.append(TrajectoryPoint(
+                t=t, w=w.copy(), risk=r,
+                phi=phi_from_risk(loss, r) if loss.kind != "hinge" else math.nan,
+                stepsize=math.inf if log_eta_t > 709.0 else math.exp(log_eta_t),
+                log_stepsize=log_eta_t, min_margin=ds.min_margin(w), avg_w=avg_w,
+                avg_risk=avg_r, avg_min_margin=ds.min_margin(avg_w),
+                descent_violated=bool(r.log_value > prev_log_risk)))
+        prev_log_risk = r.log_value
+        if passed or t == config.steps:
+            break
+        if config.mode == "adaptive":
+            w = w - config.eta * grad_phi(w, ds, loss)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = w - config.eta * grad_risk(w, ds, loss)
+        if not np.all(np.isfinite(w)):
+            traj.diverged_at = t + 1
+            break
+        wsum += w
+    return traj
+
+
+FUSED_DATASETS = {
+    "batch-hard-weighted": lambda: gen_batch_hard(0.1, 64, weighted=True),
+    "batch-hard-materialized": lambda: gen_batch_hard(0.1, 64, weighted=False),
+    "two-point": lambda: gen_two_point(0.05),
+    "random": lambda: gen_random_separable(10, 100, 0.1, seed=3),
+}
+
+# (loss, aggregation, mode, etas); hinge has no sum transform and no
+# adaptive mode. eta 400 in constant mode makes some runs diverge.
+FUSED_GRID = [
+    (loss, agg, mode, (50.0,) if mode == "adaptive" else (1.0, 400.0))
+    for loss in SMOOTH for agg in ("mean", "sum") for mode in ("adaptive", "constant")
+] + [(HINGE, "mean", "constant", (1.0, 400.0))]
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("loss,agg,mode,etas", FUSED_GRID,
+                             ids=[f"{c[0].name}-{c[1]}-{c[2]}" for c in FUSED_GRID])
+    def test_bit_identical_to_the_unfused_loop(self, loss, agg, mode, etas):
+        for ds_name, make in FUSED_DATASETS.items():
+            ds = make()
+            spec = loss.with_aggregation(agg).with_n(ds.n)
+            for eta in etas:
+                base = GDConfig(loss=spec, eta=eta, steps=30, mode=mode)
+                full = reference_run_gd(ds, base)
+                # a target the run passes, unless it diverges first
+                target = full.points[len(full.points) // 2].avg_risk.log_value
+                for tgt in (None, target):
+                    for every in (1, 7):
+                        cfg = dataclasses.replace(base, record_every=every,
+                                                  target_log_avg_risk=tgt)
+                        case = f"{ds_name} eta={eta} target={tgt} record_every={every}"
+                        with np.errstate(all="ignore"):
+                            want = reference_run_gd(ds, cfg)
+                            got = run_gd(ds, cfg)
+                        assert got.diverged_at == want.diverged_at, case
+                        assert len(got.points) == len(want.points), case
+                        for a, b in zip(got.points, want.points):
+                            assert_same_point(a, b)
+
+    @pytest.mark.parametrize("mode,loss", [("adaptive", LOG), ("constant", EXP)])
+    @pytest.mark.parametrize("target", [False, True])
+    def test_one_margins_pass_per_iterate(self, monkeypatch, mode, loss, target):
+        """ds.margins runs once per iterate, plus once for the averaged
+        iterate at each recorded point or target check; the gradient
+        function runs once per step made."""
+        ds = small_ds()
+        cfg = GDConfig(loss=loss, eta=50.0 if mode == "adaptive" else 1.0, steps=40,
+                       mode=mode, record_every=7)
+        if target:
+            full = run_gd(ds, dataclasses.replace(cfg, record_every=1))
+            cfg = dataclasses.replace(cfg, target_log_avg_risk=full.points[20].avg_risk.log_value)
+        counts = {"margins": 0, "grad": 0}
+        margins = Dataset.margins
+        grad_name = "grad_phi" if mode == "adaptive" else "grad_risk"
+        grad = getattr(descent, grad_name)
+
+        def counting_margins(self, w):
+            counts["margins"] += 1
+            return margins(self, w)
+
+        def counting_grad(*args, **kwargs):
+            counts["grad"] += 1
+            return grad(*args, **kwargs)
+
+        monkeypatch.setattr(Dataset, "margins", counting_margins)
+        monkeypatch.setattr(descent, grad_name, counting_grad)
+        traj = run_gd(ds, cfg)
+        made = traj.final.t
+        assert traj.diverged_at is None
+        if target:
+            assert made < cfg.steps
+            avg_passes = 1 + made  # t = 0 is recorded, t >= 1 is checked
+        else:
+            avg_passes = len(traj.points)
+        assert counts["margins"] == (made + 1) + avg_passes
+        assert counts["grad"] == made
+
+    @pytest.mark.parametrize("mode,grad_name", [("adaptive", "grad_phi"),
+                                                ("constant", "grad_risk")])
+    def test_steps_go_through_the_public_gradient(self, monkeypatch, mode, grad_name):
+        """run_gd takes each step from descent.grad_phi / grad_risk called
+        as (w, ds, loss), so a stand-in with that signature sees every step
+        and its result is the step taken."""
+        ds = small_ds()
+        cfg = GDConfig(loss=LOG, eta=50.0 if mode == "adaptive" else 1.0, steps=20, mode=mode)
+        clean = run_gd(ds, cfg)
+        grad, calls = getattr(descent, grad_name), []
+
+        def scaled(w, ds, loss):
+            calls.append(None)
+            return 0.99 * grad(w, ds, loss)
+
+        monkeypatch.setattr(descent, grad_name, scaled)
+        faulty = run_gd(ds, cfg)
+        assert len(calls) == cfg.steps
+        assert not np.array_equal(faulty.final.w, clean.final.w)
 
 
 class TestBounds:

@@ -1,14 +1,18 @@
 """Tests for two-layer nets: activations, gradients, training, the bound."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from margin_lab.datasets import gen_random_separable, mean_signed_feature
-from margin_lab.descent import GDConfig, run_gd
+from margin_lab.datasets import gen_batch_hard, gen_random_separable, mean_signed_feature
+from margin_lab.descent import GDConfig, phi_from_risk, run_gd
 from margin_lab.losses import EXP, LOG, poly
 from margin_lab.two_layer import (
+    Activation,
+    NNTrajectory,
+    NNTrajectoryPoint,
     TwoLayerNet,
     forward,
     leaky_blend,
@@ -16,6 +20,7 @@ from margin_lab.two_layer import (
     make_net,
     network_min_risk_log_bound,
     nn_grad_phi,
+    nn_margins,
     nn_risk,
     parse_activation,
     run_gd_nn,
@@ -218,6 +223,85 @@ class TestTraining:
     def test_sign_validation(self):
         with pytest.raises(ValueError):
             TwoLayerNet(np.zeros((2, 3)), np.array([1.0, 0.5]), leaky_relu(0.5))
+
+
+def reference_run_gd_nn(ds, net, config):
+    """run_gd_nn written out from nn_risk, nn_margins and nn_grad_phi, each
+    of which makes its own forward pass: the loop the fused step must
+    reproduce bit for bit."""
+    loss = config.loss
+    W = net.weights.copy()
+    work = TwoLayerNet(W, net.signs, net.activation)
+    traj = NNTrajectory(config=config)
+    best_log, best_t = math.inf, 0
+    prev_log = math.inf
+    for t in range(config.steps + 1):
+        r = nn_risk(work, ds, loss)
+        if r.log_value < best_log:
+            best_log, best_t = r.log_value, t
+        if t % config.record_every == 0 or t == config.steps:
+            log_eta_t = math.log(config.eta) + loss.log_neg_inv_deriv(r.value, r.log_value)
+            traj.points.append(NNTrajectoryPoint(
+                t=t, weights=W.copy(), risk=r, phi=phi_from_risk(loss, r),
+                stepsize=math.inf if log_eta_t > 709.0 else math.exp(log_eta_t),
+                log_stepsize=log_eta_t, min_margin=float(nn_margins(work, ds).min()),
+                min_log_risk=best_log, min_risk_t=best_t,
+                descent_violated=bool(r.log_value > prev_log)))
+        prev_log = r.log_value
+        if t == config.steps:
+            break
+        W -= (config.eta * work.m) * nn_grad_phi(work, ds, loss)
+    return traj
+
+
+NN_DATASETS = {
+    "batch-hard-weighted": lambda: gen_batch_hard(0.1, 64, weighted=True),
+    "batch-hard-materialized": lambda: gen_batch_hard(0.1, 64, weighted=False),
+    "random": lambda: gen_random_separable(10, 100, 0.1, seed=3),
+}
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("act", ["leakyrelu:0.5", "leaky-gelu:0.9"])
+    @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
+    def test_bit_identical_to_the_unfused_loop(self, loss, act):
+        for ds_name, make in NN_DATASETS.items():
+            ds = make()
+            net = make_net(ds.d, 4, parse_activation(act))
+            for every in (1, 7):
+                cfg = GDConfig(loss=loss, eta=8.0, steps=30, record_every=every)
+                want = reference_run_gd_nn(ds, net, cfg)
+                got = run_gd_nn(ds, net, cfg)
+                assert len(got.points) == len(want.points), ds_name
+                for a, b in zip(got.points, want.points):
+                    for f in dataclasses.fields(a):
+                        x, y = getattr(a, f.name), getattr(b, f.name)
+                        if isinstance(x, np.ndarray):
+                            assert x.tobytes() == y.tobytes(), (ds_name, every, f.name)
+                        else:
+                            assert x == y, (ds_name, every, f.name)
+
+    def test_one_forward_pass_per_iterate(self, monkeypatch):
+        """The activation runs on the hidden pre-activations once per iterate
+        (the forward pass) and its slope once per step (the gradient)."""
+        counts = {"value": 0, "deriv": 0}
+        value, deriv = Activation.value, Activation.deriv
+
+        def counting_value(self, z):
+            counts["value"] += 1
+            return value(self, z)
+
+        def counting_deriv(self, z):
+            counts["deriv"] += 1
+            return deriv(self, z)
+
+        ds = gen_random_separable(10, 100, 0.2, seed=0)
+        net = make_net(ds.d, 4, leaky_relu(0.5))
+        monkeypatch.setattr(Activation, "value", counting_value)
+        monkeypatch.setattr(Activation, "deriv", counting_deriv)
+        traj = run_gd_nn(ds, net, GDConfig(loss=LOG, eta=8.0, steps=40, record_every=7))
+        assert traj.final.t == 40
+        assert counts == {"value": 41, "deriv": 40}
 
 
 class TestBound:
