@@ -142,6 +142,15 @@ def _take(params: dict, spec_kind: str, required: dict, optional: dict) -> dict:
     return typed
 
 
+def _is_file(path) -> bool:
+    """Whether path names an existing file; a path the OS refuses to look
+    up (a name too long, say) names none."""
+    try:
+        return Path(path).is_file()
+    except OSError:
+        return False
+
+
 def parse_dataset_source(value: str) -> DatasetSpec:
     """Parse a dataset source string into a validated DatasetSpec.
 
@@ -156,7 +165,7 @@ def parse_dataset_source(value: str) -> DatasetSpec:
     if kind == "file":
         if not sep or not rest:
             raise ValueError("file source needs a path: file:<path>")
-        if not Path(rest).is_file():
+        if not _is_file(rest):
             raise ValueError(f"dataset file not found: {rest}")
         return DatasetSpec(kind, {"path": rest})
     params = _split_params(rest)
@@ -200,7 +209,7 @@ def parse_order_spec(value: str) -> tuple[str, object]:
         return ("random", _parse_int(value[len("random:"):], "order seed"))
     if value.startswith("file:"):
         path = value[len("file:"):]
-        if not Path(path).is_file():
+        if not _is_file(path):
             raise ValueError(f"order file not found: {path}")
         return ("file", path)
     raise ValueError(
@@ -422,9 +431,11 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=steps, mode=mode,
                                record_every=record_every))
 
-    rows = [_provenance_line(cfg, seed),
-            "t,log_eta_t,log_risk,log_avg_risk,phi,min_margin,avg_min_margin,"
-            "descent_violated"]
+    rows = [_provenance_line(cfg, seed)]
+    if traj.diverged_at is not None:
+        rows.append(f"# diverged_at={traj.diverged_at}")
+    rows.append("t,log_eta_t,log_risk,log_avg_risk,phi,min_margin,avg_min_margin,"
+                "descent_violated")
     for p in traj.points:
         rows.append(",".join([
             str(p.t), _fmt(p.log_stepsize), _fmt(p.risk.log_value),
@@ -659,7 +670,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            if not args.config.is_file():
+            if not _is_file(args.config):
                 raise ConfigError([(0, f"config file not found: {args.config}")])
             text = _read_text(args.config, "config file")
         elif args.command in _NEEDS_CONFIG:

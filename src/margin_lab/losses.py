@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit, log_expit
 
 KINDS = ("exp", "log", "poly", "semicircle", "hinge")
@@ -291,8 +290,81 @@ def _require_smooth(spec: LossSpec, what: str):
         raise ValueError(f"{what} is undefined for the {spec.kind} loss")
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Brent's method, ported line for line from scipy's
+    scipy/optimize/Zeros/brentq.c (BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc., 2003 SciPy Developers), so that on the same f, bracket
+    and tolerances it returns the same bits as scipy.optimize.brentq. Like
+    scipy it raises ValueError when f returns NaN or the signs do not differ;
+    where scipy raises RuntimeError after maxiter iterations, this raises
+    ValueError, the one error type of the inverse.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN; solver cannot continue")
+    raise ValueError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _inverse(spec: LossSpec, u: float) -> float:
-    """Solve l(z) = u for z. Domain error for u <= 0; hinge unsupported."""
+    """Solve l(z) = u for z. Domain error for u <= 0; hinge unsupported.
+
+    Closed forms everywhere except poly's left branch (u > 1), which is
+    solved by Brent's method (_brentq, a port of scipy's brentq) on the
+    bracket [-(u/(2k)) - 1, 0], its lower end moved out by a few ulps where
+    rounding has cost it its sign change.
+    """
     _require_smooth(spec, "inverse")
     u = float(u)
     if not (u > 0.0) or math.isnan(u):
@@ -308,8 +380,22 @@ def _inverse(spec: LossSpec, u: float) -> float:
     k = spec.k
     if u <= 1.0:
         return u ** (-1.0 / k) - 1.0
+
+    def gap(t: float) -> float:
+        # _value(spec, t) - u in plain floats, the same operations in the
+        # same order, without a 0-d array per call
+        if t < 0.0:
+            return -2.0 * k * t + (1.0 - t) ** (-k) - u
+        return (1.0 + t) ** (-k) - u
+
     lo = -(u / (2.0 * k)) - 1.0  # l(lo) >= -2k*lo > u, brackets the root with 0
-    return float(brentq(lambda t: _value(spec, t) - u, lo, 0.0, xtol=1e-15, rtol=8.9e-16))
+    if lo == -math.inf:
+        return -math.inf  # u = inf, or a root beyond the float range
+    while gap(lo) < 0.0:
+        # once |lo| >= 2^53 the -1 is lost and -2k*lo can round below u;
+        # the root then lies a few ulps further out
+        lo = math.nextafter(lo, -math.inf)
+    return _brentq(gap, lo, 0.0, xtol=1e-15, rtol=8.9e-16)
 
 
 def _neg_inv_deriv(spec: LossSpec, u: float) -> float:
@@ -327,7 +413,11 @@ def _neg_inv_deriv(spec: LossSpec, u: float) -> float:
     k = spec.k
     if u <= 1.0:
         return (1.0 / k) * u ** (-(k + 1.0) / k)
-    return -1.0 / float(_deriv(spec, _inverse(spec, u)))
+    z = _inverse(spec, u)
+    # l'(z) in plain floats, the same operations in the same order as _deriv
+    if z < 0.0:
+        return -1.0 / (-2.0 * k + k * (1.0 - z) ** (-k - 1.0))
+    return -1.0 / (-k * (1.0 + z) ** (-k - 1.0))
 
 
 def _log_neg_inv_deriv(spec: LossSpec, value: float, log_value: float) -> float:

@@ -41,7 +41,7 @@ def bisect_inverse(kind: str, u: float, k: float = float("nan")) -> float:
     lo, hi = -1.0, 1.0
     while naive_loss(kind, lo, k) <= u:
         lo *= 2.0
-        if lo < -1e12:
+        if lo < -1e307:
             raise RuntimeError("no lower bracket")
     while naive_loss(kind, hi, k) > u:
         hi *= 2.0

@@ -10,10 +10,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from margin_lab import __version__, load_dataset
 from margin_lab.cli import (
+    _SCHEMAS,
     ConfigError,
+    ExperimentConfig,
     main,
     make_dataset,
     parse_config,
@@ -212,6 +216,61 @@ class TestBenchConfig:
                    for _, m in errors_of("loss = hinge\n", "bench"))
 
 
+# One accepted config per command; the fuzz below permutes, drops and
+# appends lines to these, so that some texts parse and most do not.
+_VALID_LINES = {
+    "gen": ["command = gen", "dataset = two-point:gamma=0.5", "seed = 3"],
+    "run": ["command = run", "dataset = random:d=10,n=100,gamma=0.1", "loss = poly:2",
+            "stepsize = adaptive:400", "steps = 20", "record_every = 5"],
+    "run-nn": ["command = run-nn", "dataset = batch-hard:gamma=0.1,n=8,weighted=false",
+               "loss = exp", "stepsize = adaptive:1", "steps = 5", "width = 4",
+               "activation = leakyrelu:0.5"],
+    "perceptron": ["command = perceptron", "dataset = online-hard:gamma=0.1,n=4",
+                   "order = random:3", "steps = 10"],
+    "verify": ["command = verify", "seed = 1"],
+    "bench": ["command = bench", "gammas = 0.1, 0.2", "epsilons = 1e-2", "d = 5",
+              "methods = constant,perceptron", "n = 20", "loss = log", "max_steps = 9",
+              "eta_constant = 1", "eta_small = 0.5"],
+}
+_ODD_VALUES = [
+    "", "0", "-1", "nan", "inf", "1e400", "9" * 5000, "x", ",", "0.1,,nan",
+    "poly:0", "poly:nan", "hinge", "constant:-1", "adaptive:inf", "file:", "file:.",
+    "file:" + "x" * 4000, "random:", "random:d=0,n=1,gamma=1", "chain-hard:gamma=nan,n=4",
+    "batch-hard:gamma=0.1,n=8,weighted=maybe", "leaky-silu:x", "relu", "perceptron,bogus",
+]
+_KEYS = sorted(set().union(*(required | optional for required, optional in _SCHEMAS.values())))
+_odd_line = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_KEYS),
+              st.one_of(st.sampled_from(_ODD_VALUES), st.text(max_size=20))),
+    st.sampled_from(["# comment", "=", "= x", "key", "command = gen"]),
+    st.text(max_size=30),
+)
+
+
+def _config_texts(command):
+    mutated = st.builds(
+        lambda lines, drop, extra: "\n".join(list(lines[drop:]) + extra),
+        st.permutations(_VALID_LINES[command]),
+        st.integers(0, len(_VALID_LINES[command])),
+        st.lists(_odd_line, max_size=3),
+    )
+    return st.one_of(mutated, st.text())
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", sorted(_SCHEMAS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_text_parses_or_is_a_config_error(self, command, data):
+        text = data.draw(_config_texts(command), label="text")
+        try:
+            cfg = parse_config(text, command)
+        except ConfigError as exc:
+            assert exc.errors
+        else:
+            assert isinstance(cfg, ExperimentConfig) and cfg.command == command
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.cfg")])
@@ -230,6 +289,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: line 1: eta must be positive" in err
         assert "missing required key" in err
+
+    def test_overlong_paths_are_config_errors(self, tmp_path, capsys):
+        # a name longer than the OS allows is a missing file, not an OSError
+        name = "x" * 4000
+        assert main(["run", "--config", str(tmp_path / name)]) == 2
+        assert "config file not found" in capsys.readouterr().err
+        errors = errors_of(f"dataset = file:{name}\n", "gen")
+        assert errors == [(1, f"dataset file not found: {name}")]
+        errors = errors_of(f"dataset = two-point:gamma=0.5\norder = file:{name}\n",
+                           "perceptron")
+        assert errors == [(2, f"order file not found: {name}")]
 
     def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -313,6 +383,36 @@ class TestRunCommand:
         last = lines[-1].split(",")
         assert last[0] == "200"
         assert last[7] in ("0", "1")
+
+    def test_diverged_run_names_the_step_in_the_csv(self, tmp_path):
+        cfg = write_cfg(tmp_path, RUN_CFG.replace("adaptive:100", "constant:1e300"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "trajectory.json").read_text())
+        assert data["diverged_at"] == 2
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert PROVENANCE_RE.match(lines[0])
+        assert lines[1] == "# diverged_at=2"
+        assert lines[2].startswith("t,log_eta_t,")
+        assert [row.split(",")[0] for row in lines[3:]] == ["0", "1"]
+
+    def test_run_that_does_not_diverge_has_no_diverged_line(self, tmp_path):
+        cfg = write_cfg(tmp_path, RUN_CFG.replace("adaptive:100", "constant:1"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "trajectory.json").read_text())["diverged_at"] is None
+        text = (tmp_path / "trajectory.csv").read_text()
+        assert "diverged_at" not in text
+        assert [ln for ln in text.splitlines() if ln.startswith("#")] == \
+            [text.splitlines()[0]]
+
+    def test_poly_run_with_risk_past_2_to_the_53(self, tmp_path):
+        # the risk reaches about 1.4e17 after one step, where the inverse's
+        # first bracket for poly:1.5 loses its sign change to rounding
+        cfg = write_cfg(tmp_path, RUN_CFG.replace("loss = exp", "loss = poly:1.5")
+                        .replace("adaptive:100", "constant:2.0068781676649623e21")
+                        .replace("steps = 200", "steps = 3"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        phis = json.loads((tmp_path / "trajectory.json").read_text())["columns"]["phi"]
+        assert len(phis) == 4 and all(math.isfinite(p) for p in phis)
 
     def test_json_carries_iterates_when_small(self, tmp_path):
         cfg = write_cfg(tmp_path, RUN_CFG)

@@ -6,18 +6,27 @@ then pinned as constants.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import margin_lab
+from margin_lab.descent import RiskValue, phi_from_risk
 from margin_lab.losses import (
     EXP,
     HINGE,
     LOG,
     SEMICIRCLE,
     LossSpec,
+    _brentq,
+    _deriv,
+    _value,
     log1mexp,
     parse_loss,
     poly,
@@ -129,6 +138,105 @@ class TestPinnedValues:
                 spec.inverse(-1.0)
             with pytest.raises(ValueError):
                 spec.neg_inv_deriv(0.0)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0, 7.5])
+    def test_poly_limits_at_infinite_u(self, k):
+        # the limits of l^{-1} and of -1/l'(z) as z -> -inf, where l' -> -2k
+        spec = poly(k)
+        assert spec.inverse(math.inf) == -math.inf
+        assert spec.neg_inv_deriv(math.inf) == 1.0 / (2.0 * k)
+        assert spec.log_neg_inv_deriv(math.inf, math.inf) == pytest.approx(
+            -math.log(2.0 * k), rel=1e-15, abs=1e-15)
+        overflowed = RiskValue(math.inf, 800.0)
+        assert phi_from_risk(spec.with_n(3), overflowed) == math.inf
+
+    def test_other_kinds_limits_at_infinite_u(self):
+        assert EXP.inverse(math.inf) == -math.inf
+        assert LOG.inverse(math.inf) == -math.inf
+        assert SEMICIRCLE.inverse(math.inf) == -math.inf
+        assert LOG.neg_inv_deriv(math.inf) == 1.0
+        assert SEMICIRCLE.neg_inv_deriv(math.inf) == 1.0
+
+
+# (k, u) on poly's left branch: u just above 1, moderate, and >= 1e300
+SOLVER_GRID = [
+    (k, u)
+    for k in (0.5, 1.0, 2.0, 3.0, 7.5)
+    for u in (math.nextafter(1.0, 2.0), 1.0 + 1e-12, 1.0 + 1e-6, 1.001, 1.5, 2.5, 9.0,
+              1e3, 1e8, 1e12, 1e300, 1e305)
+]
+
+# Points where |lo| >= 2^53 swallows the -1 of the bracket lo = -(u/(2k)) - 1
+# and l(lo) rounds below u, so the bracket [lo, 0] has no sign change: scipy's
+# brentq refuses it, and _inverse widens lo by a few ulps first.
+ROUNDED_BRACKETS = [
+    (1.5, 8.076795365522423e18),
+    (3.0, 1.1311278765939214e24),
+    (3.5, 2.5511965247533405e17),
+    (10.0, 4.0439887303682963e17),
+]
+
+
+def _scipy_left_branch(spec, u, lo):
+    from scipy.optimize import brentq
+
+    return brentq(lambda t: _value(spec, t) - u, lo, 0.0, xtol=1e-15, rtol=8.9e-16)
+
+
+class TestPolyLeftBranchSolver:
+    """poly's inverse for u > 1 runs margin_lab's own Brent solver."""
+
+    @pytest.mark.parametrize("k,u", SOLVER_GRID)
+    def test_bit_identical_to_scipy_brentq(self, k, u):
+        spec = poly(k)
+        want = _scipy_left_branch(spec, u, -(u / (2.0 * k)) - 1.0)
+        got = spec.inverse(u)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("k,u", SOLVER_GRID + ROUNDED_BRACKETS)
+    def test_agrees_with_bisection(self, k, u):
+        # rel 1e-12, or 1e-14 absolute near z = 0: there l(z) is computed to
+        # about 1e-16 absolute, which fixes z only to about 1e-16 / k, and
+        # the bisection stops at a bracket width of 1e-14
+        want = bisect_inverse("poly", u, k=k)
+        assert poly(k).inverse(u) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("k,u", ROUNDED_BRACKETS)
+    def test_widens_a_bracket_lost_to_rounding(self, k, u):
+        spec = poly(k)
+        with pytest.raises(ValueError, match="different signs"):
+            _scipy_left_branch(spec, u, -(u / (2.0 * k)) - 1.0)
+        z = spec.inverse(u)
+        assert z < -(u / (2.0 * k)) - 1.0
+        assert _value(spec, z) == pytest.approx(u, rel=1e-15)
+
+    @pytest.mark.parametrize("k,u", SOLVER_GRID)
+    def test_neg_inv_deriv_matches_the_array_slope(self, k, u):
+        spec = poly(k)
+        assert spec.neg_inv_deriv(u) == -1.0 / float(_deriv(spec, spec.inverse(u)))
+
+    def test_solver_errors(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda t: math.nan if t < 0.5 else t - 0.75, 0.0, 1.0, 1e-15, 8.9e-16)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda t: math.nan if 0.0 < t < 1.0 else t - 0.5, 0.0, 1.0, 1e-15, 8.9e-16)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda t: t + 1.0, 0.0, 1.0, 1e-15, 8.9e-16)
+        with pytest.raises(ValueError, match="converge"):
+            _brentq(lambda t: t ** 3 - 2.0, 0.0, 5.0, 1e-15, 8.9e-16, maxiter=2)
+        assert _brentq(lambda t: t - 0.25, 0.25, 1.0, 1e-15, 8.9e-16) == 0.25
+
+    @pytest.mark.parametrize("module", ["margin_lab", "margin_lab.cli"])
+    def test_import_leaves_out_scipy_optimize(self, module):
+        src = str(Path(margin_lab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestOracleRoutes:
