@@ -380,23 +380,26 @@ def _fmt(x: float) -> str:
 
 
 def make_dataset(spec: DatasetSpec, default_seed: int) -> Dataset:
+    """The dataset a source names; a file that breaks the dataset contract,
+    or parameters outside the generator's range, are a config error."""
     p = spec.params
-    if spec.kind == "file":
-        try:
+    try:
+        if spec.kind == "file":
             return load_dataset(p["path"])
-        except ValueError as exc:
-            # load_dataset's messages already start with the path
-            raise ConfigError([(0, f"bad dataset file {exc}")]) from None
-    if spec.kind == "random":
-        seed = p.get("seed", default_seed)
-        return gen_random_separable(p["d"], p["n"], p["gamma"], seed=seed)
-    if spec.kind == "two-point":
-        return gen_two_point(p["gamma"])
-    if spec.kind == "batch-hard":
-        return gen_batch_hard(p["gamma"], p["n"], weighted=p.get("weighted", True))
-    if spec.kind == "online-hard":
-        return gen_online_hard(p["gamma"], p["n"])
-    return gen_chain_hard(p["gamma"], p["n"])
+        if spec.kind == "random":
+            seed = p.get("seed", default_seed)
+            return gen_random_separable(p["d"], p["n"], p["gamma"], seed=seed)
+        if spec.kind == "two-point":
+            return gen_two_point(p["gamma"])
+        if spec.kind == "batch-hard":
+            return gen_batch_hard(p["gamma"], p["n"], weighted=p.get("weighted", True))
+        if spec.kind == "online-hard":
+            return gen_online_hard(p["gamma"], p["n"])
+        return gen_chain_hard(p["gamma"], p["n"])
+    except ValueError as exc:
+        # load_dataset's messages already start with the path
+        where = " " if spec.kind == "file" else " source: "
+        raise ConfigError([(0, f"bad dataset {spec.kind}{where}{exc}")]) from None
 
 
 def _provenance_line(cfg: ExperimentConfig, seed: int) -> str:
@@ -409,6 +412,19 @@ def _provenance_obj(cfg: ExperimentConfig, seed: int) -> dict:
 
 def _write_text(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
+
+
+def _columns(traj, header: str) -> dict:
+    """The trajectory columns a CSV header names (log_eta_t is the
+    trajectory's log_stepsize), with flags as 0/1."""
+    return {h: [int(v) if isinstance(v, bool) else v
+                for v in traj.columns.get("log_stepsize" if h == "log_eta_t" else h, [])]
+            for h in header.split(",")}
+
+
+def _csv(header: str, columns: dict) -> list:
+    return [header] + [",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row)
+                       for row in zip(*columns.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +447,13 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=steps, mode=mode,
                                record_every=record_every))
 
+    header = ("t,log_eta_t,log_risk,log_avg_risk,phi,min_margin,avg_min_margin,"
+              "descent_violated")
+    columns = _columns(traj, header)
     rows = [_provenance_line(cfg, seed)]
     if traj.diverged_at is not None:
         rows.append(f"# diverged_at={traj.diverged_at}")
-    rows.append("t,log_eta_t,log_risk,log_avg_risk,phi,min_margin,avg_min_margin,"
-                "descent_violated")
-    for p in traj.points:
-        rows.append(",".join([
-            str(p.t), _fmt(p.log_stepsize), _fmt(p.risk.log_value),
-            _fmt(p.avg_risk.log_value), _fmt(p.phi), _fmt(p.min_margin),
-            _fmt(p.avg_min_margin), str(int(p.descent_violated)),
-        ]))
-    _write_text(out / "trajectory.csv", rows)
+    _write_text(out / "trajectory.csv", rows + _csv(header, columns))
 
     payload = {
         "provenance": _provenance_obj(cfg, seed),
@@ -453,20 +464,11 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         "steps": steps,
         "record_every": record_every,
         "diverged_at": traj.diverged_at,
-        "columns": {
-            "t": [p.t for p in traj.points],
-            "log_eta_t": [p.log_stepsize for p in traj.points],
-            "log_risk": [p.risk.log_value for p in traj.points],
-            "log_avg_risk": [p.avg_risk.log_value for p in traj.points],
-            "phi": [p.phi for p in traj.points],
-            "min_margin": [p.min_margin for p in traj.points],
-            "avg_min_margin": [p.avg_min_margin for p in traj.points],
-            "descent_violated": [int(p.descent_violated) for p in traj.points],
-        },
+        "columns": columns,
     }
     if ds.d * steps <= 10**6:
-        payload["iterates"] = [p.w.tolist() for p in traj.points]
-        payload["avg_iterates"] = [p.avg_w.tolist() for p in traj.points]
+        payload["iterates"] = traj.column("w").tolist()
+        payload["avg_iterates"] = traj.column("avg_w").tolist()
     (out / "trajectory.json").write_text(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -481,18 +483,11 @@ def cmd_run_nn(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     traj = run_gd_nn(ds, net, GDConfig(loss=loss, eta=eta, steps=steps,
                                        record_every=record_every))
 
+    header = "t,log_eta_t,log_risk,min_log_risk,min_risk_t,phi,min_margin,descent_violated"
     rows = [_provenance_line(cfg, seed),
             f"# activation={net.activation.name} alpha={_fmt(net.activation.alpha)}"
-            f" kappa={_fmt(net.activation.kappa)} width={net.m}",
-            "t,log_eta_t,log_risk,min_log_risk,min_risk_t,phi,min_margin,"
-            "descent_violated"]
-    for p in traj.points:
-        rows.append(",".join([
-            str(p.t), _fmt(p.log_stepsize), _fmt(p.risk.log_value),
-            _fmt(p.min_log_risk), str(p.min_risk_t), _fmt(p.phi),
-            _fmt(p.min_margin), str(int(p.descent_violated)),
-        ]))
-    _write_text(out / "trajectory_nn.csv", rows)
+            f" kappa={_fmt(net.activation.kappa)} width={net.m}"]
+    _write_text(out / "trajectory_nn.csv", rows + _csv(header, _columns(traj, header)))
     return 0
 
 
@@ -563,8 +558,8 @@ def _bench_gd(ds: Dataset, method: str, gamma: float, epsilons: tuple,
     traj = run_gd(ds, GDConfig(loss=loss.with_n(ds.n), eta=eta, steps=max_steps,
                                mode=mode,
                                target_log_avg_risk=math.log(min(epsilons))))
-    hits = [next((p.t for p in traj.points
-                  if p.t >= 1 and p.avg_risk.log_value <= math.log(eps)), None)
+    steps, logs = traj.columns["t"], traj.columns["log_avg_risk"]
+    hits = [next((t for t, log in zip(steps, logs) if t >= 1 and log <= math.log(eps)), None)
             for eps in epsilons]
     wall_time = time.perf_counter() - start
     return [{"method": method, "gamma": gamma, "epsilon": eps,
@@ -597,7 +592,7 @@ def cmd_bench(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     # derives its eta from epsilon and runs once per target.
     results = []
     for gamma in gammas:
-        ds = gen_random_separable(d, n, gamma, seed=seed)
+        ds = make_dataset(DatasetSpec("random", {"d": d, "n": n, "gamma": gamma}), seed)
         for method in methods:
             if method == "perceptron":
                 results.append(_bench_perceptron(ds, gamma, max_steps))
@@ -679,7 +674,10 @@ def main(argv=None) -> int:
             text = ""
         cfg = parse_config(text, args.command)
         seed = args.seed if args.seed is not None else cfg.values.get("seed", 0)
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([(0, f"cannot use --out {args.out}: {exc.strerror}")]) from None
         return _DISPATCH[args.command](cfg, args.out, seed)
     except ConfigError as exc:
         for line, msg in exc.errors:

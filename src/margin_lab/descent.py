@@ -26,18 +26,26 @@ weight): keeping multiplicity weights outside the exponential preserves
 exact factor-of-two ratios between repeated rows, which the hard-instance
 span checks rely on down to the last bit.
 
-Passes over the data: the risk, the phi coefficients and the smallest
-margin are all functions of the margin vector z = y * (X w), so run_gd
-computes z = ds.margins(w) once per iterate and reads all three off it;
-the gradient c @ X is the second pass. An unrecorded step
-makes 2 passes. A recorded step, or one that checks the target, makes a
-third, ds.margins(avg_w), for both the averaged risk and its smallest margin.
+One loop, _descend, runs both the linear model (run_gd) and the two-layer
+network (two_layer.run_gd_nn). A model is a forward pass (current
+parameters -> a cache and the margins z) and a backward pass (cache, margin
+state -> gradient); the linear backward is the module attribute grad_phi
+(grad_risk in constant mode), looked up at every step. Each iterate builds
+one MarginState from z: the log loss kernel and its weighted log-sum-exp run
+once, and the risk, the smallest margin and the gradient coefficients are
+all read off it. Passes over the data: the margins and the gradient c @ X,
+so an unrecorded linear step makes 2. A recorded step, or one that checks
+the target, makes a third, ds.margins(avg_w), for both the averaged risk and
+its smallest margin. The run is stored as a columnar Trajectory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Sequence
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,63 +65,59 @@ class RiskValue:
     log_value: float
 
 
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or inf once x is past the float range."""
+    return math.inf if x > 709.0 else math.exp(x)
+
+
 def _risk_from_log(log_value: float) -> RiskValue:
-    if log_value > 709.0:
-        return RiskValue(math.inf, log_value)
-    return RiskValue(math.exp(log_value), log_value)
+    return RiskValue(_exp_or_inf(log_value), log_value)
 
 
-def _weighted_lse(a: np.ndarray, weights: np.ndarray | None) -> float:
-    """log(sum_i w_i e^{a_i}) with the usual max shift; weights stay outside
-    the exponential."""
-    m = float(np.max(a))
-    if not math.isfinite(m):
-        return m
-    e = np.exp(a - m)
-    if weights is not None:
-        e = weights * e
-    return m + math.log(float(np.sum(e)))
+class MarginState:
+    """The margins z of one iterate and what its risk and its gradient
+    coefficients share.
 
+    lse = ln sum_i m_i l(z_i) is computed as max + ln total, where total sums
+    the shifted exponentials e_i = m_i exp(ln l(z_i) - max); for exp these
+    are the numerators of the softmax coefficients. The multiplicities m_i
+    stay outside the exponential. risk is the weighted mean loss, lse - ln n.
+    """
 
-def _risk_at(z: np.ndarray, ds: Dataset, loss: LossSpec) -> RiskValue:
-    """Weighted mean loss at the margins z = ds.margins(w)."""
-    return _risk_from_log(_weighted_lse(loss.log_value(z), ds.weights) - math.log(ds.n))
+    __slots__ = ("z", "e", "total", "lse", "risk")
+
+    def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec):
+        a = loss.log_value(z)
+        m = float(np.max(a))
+        if math.isfinite(m):
+            e = np.exp(a - m)
+            if ds.weights is not None:
+                e = ds.weights * e
+            total = float(np.sum(e))
+            lse = m + math.log(total)
+        else:  # some l(z_i) = inf, every l(z_i) = 0 (hinge), or a nan margin
+            e, total, lse = np.full(np.shape(a), math.nan), math.nan, m
+        self.z, self.e, self.total, self.lse = z, e, total, lse
+        self.risk = _risk_from_log(lse - math.log(ds.n))
 
 
 def risk(w: np.ndarray, ds: Dataset, loss: LossSpec) -> RiskValue:
     """Weighted mean loss over the dataset at parameter w."""
-    return _risk_at(ds.margins(w), ds, loss)
+    return MarginState(ds.margins(w), ds, loss).risk
 
 
-def grad_risk(w: np.ndarray, ds: Dataset, loss: LossSpec) -> np.ndarray:
-    """Raw-domain gradient (1/n) sum_i w_i l'(z_i) y_i x_i.
+def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
+    """Raw-domain gradient (1/n) sum_i w_i l'(z_i) y_i x_i at parameter w,
+    or at the margins of a MarginState passed in its place.
 
     May overflow for losses with exploding derivatives at very negative
     margins; that is intentional in constant-stepsize mode.
     """
-    z = ds.margins(w)
+    z = w.z if isinstance(w, MarginState) else ds.margins(w)
     coef = loss.deriv(z) * ds.labels
     if ds.weights is not None:
         coef = ds.weights * coef
     return (coef @ ds.features) / ds.n
-
-
-class _KnownMargins(Dataset):
-    """ds with the margins z of one iterate w already computed.
-
-    margins(w) returns z for that very array and makes the pass over the
-    data for any other. run_gd hands this to grad_phi and grad_risk, which
-    keep their (w, ds, loss) form, so that the gradient reuses the margins
-    the step has already read its risk from.
-    """
-
-    def __init__(self, ds: Dataset):
-        super().__init__(**{f.name: getattr(ds, f.name) for f in fields(ds)})
-        self.w: np.ndarray | None = None
-        self.z: np.ndarray | None = None
-
-    def margins(self, w: np.ndarray) -> np.ndarray:
-        return self.z if w is self.w else super().margins(w)
 
 
 def _check_sum_n(loss: LossSpec, ds: Dataset):
@@ -131,8 +135,9 @@ def _transform_argument(loss: LossSpec, r: RiskValue) -> RiskValue:
     return r
 
 
-def phi_coefficients(z: np.ndarray, ds: Dataset, loss: LossSpec) -> np.ndarray:
-    """Per-row weights c_i >= 0 of grad phi = -sum_i c_i y_i x_i at margins z.
+def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
+    """Per-row weights c_i >= 0 of grad phi = -sum_i c_i y_i x_i at margins z
+    (an array, or the MarginState built from it).
 
     c_i = m_i (-l^{-1})'(u) |l'(z_i)| / n under the mean (u = L) and the
     same without the 1/n under the sum (u = n L); for exp both are the
@@ -142,36 +147,33 @@ def phi_coefficients(z: np.ndarray, ds: Dataset, loss: LossSpec) -> np.ndarray:
     than entering them as ln m_i: a power-of-two m_i scales its row's
     coefficient exactly.
     """
+    state = z if isinstance(z, MarginState) else MarginState(z, ds, loss)
     if loss.kind == "exp":
         # softmax of -z with multiplicities; exact ratio preservation matters
-        s = -z
-        m = float(np.max(s))
-        e = np.exp(s - m)
-        if ds.weights is not None:
-            e = ds.weights * e
-        return e / float(np.sum(e))
-    lse = _weighted_lse(loss.log_value(z), ds.weights)
+        return state.e / state.total
     if loss.aggregation == "sum":
         _check_sum_n(loss, ds)
-        u = _risk_from_log(lse)
-        coef = np.exp(loss.log_neg_inv_deriv(u.value, u.log_value) + loss.log_abs_deriv(z))
+        u = _risk_from_log(state.lse)
+        coef = np.exp(loss.log_neg_inv_deriv(u.value, u.log_value) + loss.log_abs_deriv(state.z))
     else:
-        r = _risk_from_log(lse - math.log(ds.n))
+        r = state.risk
         lnid = loss.log_neg_inv_deriv(r.value, r.log_value)
-        coef = np.exp(lnid + loss.log_abs_deriv(z) - math.log(ds.n))
+        coef = np.exp(lnid + loss.log_abs_deriv(state.z) - math.log(ds.n))
     if ds.weights is not None:
         coef = ds.weights * coef
     return coef
 
 
-def grad_phi(w: np.ndarray, ds: Dataset, loss: LossSpec) -> np.ndarray:
-    """Gradient of the transformed objective phi = -l^{-1}(u).
+def grad_phi(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
+    """Gradient of the transformed objective phi = -l^{-1}(u) at parameter
+    w, or at the margins of a MarginState passed in its place (how the
+    descent loop calls it, so the step reuses the iterate's margins).
 
     The exp gradient is a softmax under either aggregation (ln of n L and
     of L differ by the constant ln n). See phi_coefficients.
     """
-    z = ds.margins(w)
-    return -((phi_coefficients(z, ds, loss) * ds.labels) @ ds.features)
+    state = w if isinstance(w, MarginState) else MarginState(ds.margins(w), ds, loss)
+    return -((phi_coefficients(state, ds, loss) * ds.labels) @ ds.features)
 
 
 def phi_from_risk(loss: LossSpec, r: RiskValue) -> float:
@@ -225,10 +227,7 @@ def adaptive_stepsize(loss: LossSpec, r: RiskValue, eta: float) -> float:
     Callers that need the always-finite representation should use
     log_adaptive_stepsize; trajectories record both.
     """
-    ls = log_adaptive_stepsize(loss, r, eta)
-    if ls > 709.0:
-        return math.inf
-    return math.exp(ls)
+    return _exp_or_inf(log_adaptive_stepsize(loss, r, eta))
 
 
 @dataclass(frozen=True)
@@ -256,37 +255,124 @@ class GDConfig:
             raise ValueError("target_log_avg_risk must be a number or None, got nan")
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: int
-    w: np.ndarray
-    risk: RiskValue
-    phi: float
-    stepsize: float  # eta_t about to be applied at this iterate
-    log_stepsize: float
-    min_margin: float
-    avg_w: np.ndarray  # running average of w_0 .. w_t
-    avg_risk: RiskValue
-    avg_min_margin: float
-    descent_violated: bool  # risk went up relative to the previous iterate
-
-
-@dataclass
 class Trajectory:
-    config: GDConfig
-    points: list[TrajectoryPoint] = field(default_factory=list)
-    diverged_at: int | None = None
+    """The recorded steps of one run, stored as columns.
+
+    columns maps each name to one value per recorded step: t, the
+    parameters (w for the linear model, weights for a network), log_risk,
+    phi, log_stepsize (ln eta_t about to be applied), min_margin and
+    descent_violated (the risk went up from the previous iterate); then
+    avg_w, log_avg_risk and avg_min_margin of the running average of
+    w_0 .. w_t (linear), or min_log_risk and min_risk_t of the best iterate
+    so far (network).
+
+    points, final and column(name) are views. A point has one attribute per
+    column, plus risk and avg_risk rebuilt from their log columns (every
+    recorded risk is exp of its log, clipped) and stepsize = exp(log_stepsize).
+    """
+
+    def __init__(self, config: GDConfig):
+        self.config = config
+        self.columns: dict[str, list] = {}
+        self.diverged_at: int | None = None
+
+    def append(self, **row) -> None:
+        if not self.columns:
+            self.columns = {name: [] for name in row}
+        for name, value in row.items():
+            self.columns[name].append(value)
 
     @property
-    def final(self) -> TrajectoryPoint:
+    def points(self) -> "_Points":
+        return _Points(self.columns)
+
+    @property
+    def final(self) -> SimpleNamespace:
         return self.points[-1]
 
     def column(self, name: str) -> np.ndarray:
-        if name == "log_risk":
-            return np.array([p.risk.log_value for p in self.points])
-        if name == "log_avg_risk":
-            return np.array([p.avg_risk.log_value for p in self.points])
-        return np.array([getattr(p, name) for p in self.points])
+        values = self.columns.get(name)
+        return np.array(values if values is not None else [getattr(p, name) for p in self.points])
+
+
+class _Points(Sequence):
+    """The rows of a Trajectory, each built when it is read."""
+
+    def __init__(self, columns: dict):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns["t"]) if self._columns else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if not -len(self) <= i < len(self):
+            raise IndexError("trajectory point index out of range")
+        p = SimpleNamespace(**{name: values[i] for name, values in self._columns.items()})
+        p.risk = _risk_from_log(p.log_risk)
+        p.stepsize = _exp_or_inf(p.log_stepsize)
+        if hasattr(p, "log_avg_risk"):
+            p.avg_risk = _risk_from_log(p.log_avg_risk)
+        return p
+
+
+def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backward, *,
+             name: str = "w", scale: float = 1, average=None) -> Trajectory:
+    """The descent loop of every model.
+
+    forward() returns (cache, z) at the current params; backward(cache,
+    state) returns the gradient, and params -= eta * scale * gradient steps
+    them in place. With average (the margins function of a parameter
+    vector) the rows carry the running average of the iterates and the run
+    honours config.target_log_avg_risk; without it they carry the best
+    iterate so far and the target is not checked.
+    """
+    loss, eta = config.loss, config.eta
+    target = config.target_log_avg_risk if average is not None else None
+    traj = Trajectory(config)
+    total = params.copy()
+    prev_log = best_log = math.inf
+    best_t = 0
+    for t in range(config.steps + 1):
+        cache, z = forward()
+        state = MarginState(z, ds, loss)
+        r = state.risk
+        # log_value of -inf means exactly zero risk (possible for hinge only),
+        # which is success; +inf or nan means true blow-up
+        if r.log_value == math.inf or math.isnan(r.log_value):
+            traj.diverged_at = t
+            break
+        if r.log_value < best_log:
+            best_log, best_t = r.log_value, t
+        check = target is not None and t >= 1
+        record = t % config.record_every == 0 or t == config.steps
+        if average is not None and (check or record):
+            avg = total / (t + 1)
+            avg_z = average(avg)
+            avg_r = MarginState(avg_z, ds, loss).risk
+        passed = check and avg_r.log_value <= target
+        if passed or record:
+            row = {"t": t, name: params.copy(), "log_risk": r.log_value,
+                   "phi": phi_from_risk(loss, r) if loss.kind != "hinge" else math.nan,
+                   "log_stepsize": (log_adaptive_stepsize(loss, r, eta)
+                                    if config.mode == "adaptive" else math.log(eta)),
+                   "min_margin": float(z.min()), "descent_violated": r.log_value > prev_log}
+            if average is not None:
+                row.update(avg_w=avg, log_avg_risk=avg_r.log_value,
+                           avg_min_margin=float(avg_z.min()))
+            else:
+                row.update(min_log_risk=best_log, min_risk_t=best_t)
+            traj.append(**row)
+        prev_log = r.log_value
+        if passed or t == config.steps:
+            break
+        params -= (eta * scale) * backward(cache, state)
+        if not np.all(np.isfinite(params)):
+            traj.diverged_at = t + 1
+            break
+        total += params
+    return traj
 
 
 def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
@@ -301,10 +387,8 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     the run without a target. The check evaluates the averaged risk at every
     step, recorded or not.
 
-    Each iterate costs one pass over the data for its margins, from which
-    the risk, min_margin and the gradient coefficients are all read, and one
-    for the gradient. The averaged iterate costs one more, for both its risk
-    and its min_margin, at recorded points and target checks only.
+    Each step calls descent.grad_phi (grad_risk in constant mode) as
+    (state, ds, loss), with the iterate's MarginState in the w slot.
 
     In constant mode a non-finite iterate stops the run and stamps
     diverged_at with the offending step index; adaptive mode cannot diverge
@@ -315,66 +399,15 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     w = np.zeros(ds.d) if config.init is None else np.array(config.init, dtype=float)
     if w.shape != (ds.d,):
         raise ValueError(f"init has shape {w.shape}, dataset needs ({ds.d},)")
-
-    traj = Trajectory(config=config)
-    wsum = w.copy()
-    prev_log_risk = math.inf
-    target = config.target_log_avg_risk
-    known = _KnownMargins(ds)
-
-    for t in range(config.steps + 1):
-        z = ds.margins(w)
-        r = _risk_at(z, ds, loss)
-        # log_value of -inf means exactly zero risk (possible for hinge only),
-        # which is success; +inf or nan means true blow-up
-        if r.log_value == math.inf or math.isnan(r.log_value):
-            traj.diverged_at = t
-            break
-        check = target is not None and t >= 1
-        record = t % config.record_every == 0 or t == config.steps
-        if check or record:
-            avg_w = wsum / (t + 1)
-            avg_z = ds.margins(avg_w)
-            avg_r = _risk_at(avg_z, ds, loss)
-        passed = check and avg_r.log_value <= target
-        if passed or record:
-            if loss.kind == "hinge":
-                log_eta_t = math.log(config.eta)
-            elif config.mode == "adaptive":
-                log_eta_t = log_adaptive_stepsize(loss, r, config.eta)
-            else:
-                log_eta_t = math.log(config.eta)
-            traj.points.append(
-                TrajectoryPoint(
-                    t=t,
-                    w=w.copy(),
-                    risk=r,
-                    phi=phi_from_risk(loss, r) if loss.kind != "hinge" else math.nan,
-                    stepsize=math.inf if log_eta_t > 709.0 else math.exp(log_eta_t),
-                    log_stepsize=log_eta_t,
-                    min_margin=float(z.min()),
-                    avg_w=avg_w,
-                    avg_risk=avg_r,
-                    avg_min_margin=float(avg_z.min()),
-                    descent_violated=bool(r.log_value > prev_log_risk),
-                )
-            )
-        prev_log_risk = r.log_value
-        if passed or t == config.steps:
-            break
-
-        known.w, known.z = w, z
-        if config.mode == "adaptive":
-            w = w - config.eta * grad_phi(w, known, loss)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = w - config.eta * grad_risk(w, known, loss)
-        if not np.all(np.isfinite(w)):
-            traj.diverged_at = t + 1
-            break
-        wsum += w
-
-    return traj
+    if config.mode == "adaptive":
+        quiet = contextlib.nullcontext()
+        backward = lambda _, state: grad_phi(state, ds, loss)  # noqa: E731
+    else:  # the raw-risk baseline may overflow on its way to diverging
+        quiet = np.errstate(over="ignore", invalid="ignore")
+        backward = lambda _, state: grad_risk(state, ds, loss)  # noqa: E731
+    with quiet:
+        return _descend(ds, config, w, lambda: (None, ds.margins(w)), backward,
+                        average=ds.margins)
 
 
 def averaged_risk_log_bound(gamma: float, eta: float, t: int) -> float:
@@ -470,7 +503,4 @@ def general_loss_risk_bound(loss: LossSpec, gamma: float, eta: float, t: int) ->
       * log, poly, semicircle, sum: not derived. phi_sum is convex, but its
         C is n, so at n = 100 the bound is above l(0) on the acceptance grids.
     """
-    lb = general_loss_risk_log_bound(loss, gamma, eta, t)
-    if lb > 709.0:
-        return math.inf
-    return math.exp(lb)
+    return _exp_or_inf(general_loss_risk_log_bound(loss, gamma, eta, t))

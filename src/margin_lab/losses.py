@@ -446,8 +446,13 @@ def _log_neg_inv_deriv(spec: LossSpec, value: float, log_value: float) -> float:
 def _lipschitz_const(spec: LossSpec) -> float:
     """Uniform bound C on the transformed-objective gradient norm.
 
-    Mean aggregation: exp and log give C = 1 regardless of n; poly gives
-    n^{1/k}; semicircle gives n + 1.
+    Mean aggregation: exp and log give C = 1 regardless of n, derived: the
+    coefficients c_i = mult_i |l'(z_i)| / (n |l'(l^{-1}(L))|) sum to 1 for
+    exp (a softmax), and for log |l'(z)| = 1 - e^{-l(z)} is concave in l, so
+    Jensen gives sum_i c_i <= 1. poly's n^{1/k} and semicircle's n + 1 are
+    measured on probes, not derived: check_gradient_inequalities finds the
+    gradient norm below them (its grad-norm and step-align rows), and
+    nothing more is claimed.
 
     Sum aggregation: exp gives C = 1 (its gradient is the same softmax as
     under the mean); the others give C = n. Derivation: grad phi is

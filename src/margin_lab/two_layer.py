@@ -26,6 +26,11 @@ initialization, and gamma-margin data,
     min_{k <= t} ln L(net_k) <= kappa - ((A^2 - 1) / (4 gamma^2 (t+1))) * eta,
 
 with A = alpha gamma^2 (t+1), valid for t >= 1.
+
+run_gd_nn runs descent's one descent loop with the network as its model:
+the forward pass is X W^T and the margins it gives, the backward pass
+_grad_blocks, and the rows record the weights and the best iterate so far
+in a descent.Trajectory.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 from .datasets import Dataset
-from .descent import RiskValue, _risk_at, phi_coefficients
+from .descent import MarginState, RiskValue, Trajectory, _descend, phi_coefficients
 from .losses import LossSpec
 
 _GRID = None
@@ -190,7 +195,7 @@ def _check_nn_loss(loss: LossSpec):
 
 def nn_risk(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> RiskValue:
     _check_nn_loss(loss)
-    return _risk_at(nn_margins(net, ds), ds, loss)
+    return MarginState(nn_margins(net, ds), ds, loss).risk
 
 
 def _grad_blocks(net: TwoLayerNet, ds: Dataset, s: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -207,86 +212,29 @@ def nn_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> np.ndarray:
     return _grad_blocks(net, ds, s, phi_coefficients(z, ds, loss))
 
 
-@dataclass(frozen=True)
-class NNTrajectoryPoint:
-    t: int
-    weights: np.ndarray  # (m, d) snapshot
-    risk: RiskValue
-    phi: float
-    stepsize: float
-    log_stepsize: float
-    min_margin: float
-    min_log_risk: float  # best log-risk among iterates 0..t
-    min_risk_t: int  # step at which the best was achieved
-    descent_violated: bool
-
-
-@dataclass
-class NNTrajectory:
-    config: "object"
-    points: list = field(default_factory=list)
-
-    @property
-    def final(self) -> NNTrajectoryPoint:
-        return self.points[-1]
-
-    def column(self, name: str) -> np.ndarray:
-        if name == "log_risk":
-            return np.array([p.risk.log_value for p in self.points])
-        return np.array([getattr(p, name) for p in self.points])
-
-
-def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> NNTrajectory:
+def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
     """Adaptive-stepsize GD on the first layer of a two-layer net.
 
-    config is a descent.GDConfig with mode="adaptive" and exp or log loss.
-    The update applies stepsize eta * m to the gradient blocks (which carry
-    a 1/m factor), so a width-1 net reproduces the linear algorithm exactly.
-    Tracks the running best (minimum) log-risk, which is what the guarantee
-    controls. Each iterate makes one forward pass X W^T, from which its
-    risk, smallest margin and gradient are all read, and one gradient pass.
+    config is a descent.GDConfig with mode="adaptive" and exp or log loss;
+    its target_log_avg_risk is not used. The update applies stepsize eta * m
+    to the gradient blocks (which carry a 1/m factor), so a width-1 net
+    reproduces the linear algorithm exactly. The rows carry the weights and
+    the running best (minimum) log-risk, which is what the guarantee
+    controls. The loop is descent's: each iterate makes one forward pass
+    X W^T, from which its risk, smallest margin and gradient are all read,
+    and _grad_blocks makes one gradient pass.
     """
-    from .descent import phi_from_risk  # local import to avoid cycle noise
-
     _check_nn_loss(config.loss)
     if config.mode != "adaptive":
         raise ValueError("network training is defined for adaptive mode only")
     if net.d != ds.d:
         raise ValueError(f"net dimension {net.d} does not match dataset {ds.d}")
     loss = config.loss
-    W = net.weights.copy()
-    work = TwoLayerNet(W, net.signs, net.activation)
-
-    traj = NNTrajectory(config=config)
-    best_log, best_t = math.inf, 0
-    prev_log = math.inf
-    for t in range(config.steps + 1):
-        s, z = _forward_pass(work, ds)
-        r = _risk_at(z, ds, loss)
-        if r.log_value < best_log:
-            best_log, best_t = r.log_value, t
-        if t % config.record_every == 0 or t == config.steps:
-            log_eta_t = math.log(config.eta) + loss.log_neg_inv_deriv(r.value, r.log_value)
-            traj.points.append(
-                NNTrajectoryPoint(
-                    t=t,
-                    weights=W.copy(),
-                    risk=r,
-                    phi=phi_from_risk(loss, r),
-                    stepsize=math.inf if log_eta_t > 709.0 else math.exp(log_eta_t),
-                    log_stepsize=log_eta_t,
-                    min_margin=float(z.min()),
-                    min_log_risk=best_log,
-                    min_risk_t=best_t,
-                    descent_violated=bool(r.log_value > prev_log),
-                )
-            )
-        prev_log = r.log_value
-        if t == config.steps:
-            break
-        g = _grad_blocks(work, ds, s, phi_coefficients(z, ds, loss))
-        W -= (config.eta * work.m) * g
-    return traj
+    work = TwoLayerNet(net.weights.copy(), net.signs, net.activation)
+    return _descend(
+        ds, config, work.weights, lambda: _forward_pass(work, ds),
+        lambda s, state: _grad_blocks(work, ds, s, phi_coefficients(state, ds, loss)),
+        name="weights", scale=work.m)
 
 
 def network_min_risk_log_bound(

@@ -442,9 +442,9 @@ def check_gradient_inequalities(
 
     The transform follows the loss's aggregation, with C from
     LossSpec.lipschitz_const. What each row rests on:
-      * grad-norm: derived for exp and for every sum form (lipschitz_const);
-        for the mean forms of log, poly and semicircle C is stated there and
-        measured here.
+      * grad-norm: derived for exp, the log mean and every sum form
+        (lipschitz_const); for the mean forms of poly and semicircle C is
+        stated there and measured here.
       * step-align: follows from the grad-norm argument. With s = sum of
         the gradient coefficients <= C, <grad, w*> <= -gamma s and
         |grad| <= s give 2<grad, u2> + eta |grad|^2 <= eta (s^2 - C s) <= 0.

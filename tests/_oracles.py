@@ -8,6 +8,7 @@ dual-route computations, or against constants frozen from them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -78,3 +79,21 @@ def fd_grad_matrix(f, W: np.ndarray, h: float = 1e-6) -> np.ndarray:
         E[idx] = h
         G[idx] = (f(W + E) - f(W - E)) / (2.0 * h)
     return G
+
+
+def permute_rows(ds, seed: int = 0):
+    """The same dataset with its rows (and their weights) in a seeded random
+    order."""
+    perm = np.random.default_rng(seed).permutation(ds.n_rows)
+    return dataclasses.replace(ds, features=ds.features[perm], labels=ds.labels[perm],
+                               weights=None if ds.weights is None else ds.weights[perm])
+
+
+def max_relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest ||a_t - b_t|| / ||a_t|| over the iterates stacked along axis 0;
+    an iterate that is zero in a must be zero in b."""
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    scale = np.linalg.norm(a, axis=1)
+    gap = np.linalg.norm(a - b, axis=1)
+    assert np.all(gap[scale == 0.0] == 0.0)
+    return float(np.max(gap[scale > 0.0] / scale[scale > 0.0], initial=0.0))

@@ -311,6 +311,47 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # sources that parse but fall outside their generator's range
+    @pytest.mark.parametrize("source", [
+        "random:d=1,n=10,gamma=0.1",
+        "two-point:gamma=0.1",
+        "batch-hard:gamma=0.16666666666666666,n=8",
+        "batch-hard:gamma=0.1,n=1",
+        "online-hard:gamma=0.5,n=4",
+        "chain-hard:gamma=0.125,n=4",
+    ])
+    def test_dataset_outside_the_generator_range_is_a_config_error(self, source, tmp_path,
+                                                                   capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"dataset = {source}\nloss = exp\nstepsize = adaptive:1\nsteps = 5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad dataset ") and "need" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_bench_with_d_1_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("d = 1\n")
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "need d >= 2" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_that_is_or_lies_under_a_file_is_a_config_error(self, under, tmp_path,
+                                                                capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if under else blocker
+        assert main(["verify", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot use --out {out}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "keep\n"
+
 
 _HEAD = "margin-lab-dataset v1 n=2 d=2 gamma=0.5\n"
 _HEAD_W = "margin-lab-dataset v1w n=3 d=2 gamma=0.5\n"

@@ -19,7 +19,6 @@ from margin_lab.descent import (
     GDConfig,
     RiskValue,
     Trajectory,
-    TrajectoryPoint,
     adaptive_stepsize,
     averaged_risk_log_bound,
     general_loss_risk_bound,
@@ -33,9 +32,9 @@ from margin_lab.descent import (
     risk,
     run_gd,
 )
-from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, poly
+from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, LossSpec, poly
 
-from _oracles import fd_grad
+from _oracles import fd_grad, max_relative_gap, permute_rows
 
 SMOOTH = [EXP, LOG, poly(2.0), SEMICIRCLE]
 
@@ -340,12 +339,13 @@ class TestRunGD:
 
 def assert_same_point(a, b):
     """Every field of two trajectory points agrees bit for bit."""
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
+    assert vars(a).keys() == vars(b).keys()
+    for name, x in vars(a).items():
+        y = getattr(b, name)
         if isinstance(x, np.ndarray):
-            assert x.tobytes() == y.tobytes(), f.name
+            assert x.tobytes() == y.tobytes(), name
         else:
-            assert x == y or (x != x and y != y), f.name
+            assert x == y or (x != x and y != y), name
 
 
 def first_passage(traj, target):
@@ -433,13 +433,12 @@ def reference_run_gd(ds, config):
             if avg_r is None:
                 avg_w = wsum / (t + 1)
                 avg_r = risk(avg_w, ds, loss)
-            traj.points.append(TrajectoryPoint(
-                t=t, w=w.copy(), risk=r,
+            traj.append(
+                t=t, w=w.copy(), log_risk=r.log_value,
                 phi=phi_from_risk(loss, r) if loss.kind != "hinge" else math.nan,
-                stepsize=math.inf if log_eta_t > 709.0 else math.exp(log_eta_t),
                 log_stepsize=log_eta_t, min_margin=ds.min_margin(w), avg_w=avg_w,
-                avg_risk=avg_r, avg_min_margin=ds.min_margin(avg_w),
-                descent_violated=bool(r.log_value > prev_log_risk)))
+                log_avg_risk=avg_r.log_value, avg_min_margin=ds.min_margin(avg_w),
+                descent_violated=bool(r.log_value > prev_log_risk))
         prev_log_risk = r.log_value
         if passed or t == config.steps:
             break
@@ -537,7 +536,8 @@ class TestFusedStep:
                                                 ("constant", "grad_risk")])
     def test_steps_go_through_the_public_gradient(self, monkeypatch, mode, grad_name):
         """run_gd takes each step from descent.grad_phi / grad_risk called
-        as (w, ds, loss), so a stand-in with that signature sees every step
+        with three positional arguments, the iterate's margin state in the w
+        slot, so a stand-in with the (w, ds, loss) signature sees every step
         and its result is the step taken."""
         ds = small_ds()
         cfg = GDConfig(loss=LOG, eta=50.0 if mode == "adaptive" else 1.0, steps=20, mode=mode)
@@ -552,6 +552,36 @@ class TestFusedStep:
         faulty = run_gd(ds, cfg)
         assert len(calls) == cfg.steps
         assert not np.array_equal(faulty.final.w, clean.final.w)
+
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
+    def test_one_log_kernel_call_per_iterate(self, monkeypatch, loss, agg):
+        """The risk and the gradient coefficients of an iterate read one
+        margin state, so loss.log_value runs once per iterate, plus once per
+        averaged-iterate evaluation."""
+        ds = small_ds()
+        cfg = GDConfig(loss=loss.with_aggregation(agg).with_n(ds.n), eta=50.0, steps=40,
+                       record_every=7)
+        calls = []
+        log_value = LossSpec.log_value
+
+        def counting(self, z):
+            calls.append(None)
+            return log_value(self, z)
+
+        monkeypatch.setattr(LossSpec, "log_value", counting)
+        traj = run_gd(ds, cfg)
+        assert len(calls) == (cfg.steps + 1) + len(traj.points)
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
+    def test_row_permutation_leaves_the_iterates(self, loss):
+        ds = gen_random_separable(10, 100, 0.1, seed=3)
+        cfg = GDConfig(loss=loss.with_n(ds.n), eta=8.0, steps=30)
+        a, b = run_gd(ds, cfg), run_gd(permute_rows(ds), cfg)
+        for name in ("w", "avg_w"):
+            assert max_relative_gap(a.column(name), b.column(name)) <= 1e-12, name
 
 
 class TestBounds:
