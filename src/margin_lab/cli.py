@@ -423,8 +423,10 @@ def _columns(traj, header: str) -> dict:
 
 
 def _csv(header: str, columns: dict) -> list:
-    return [header] + [",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row)
-                       for row in zip(*columns.values())]
+    """One format per row: %d (as str) for int columns, %.17g (as _fmt) else."""
+    fmt = ",".join("%d" if values and isinstance(values[0], int) else "%.17g"
+                   for values in columns.values())
+    return [header] + [fmt % row for row in zip(*columns.values())]
 
 
 # ---------------------------------------------------------------------------

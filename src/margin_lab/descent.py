@@ -17,8 +17,10 @@ bounds and everything recorded as a risk stay the mean L. All adaptive
 iterations here step along grad phi directly: it is the numerically stable
 route, exact in log space even when the risk itself underflows float64.
 Constant-stepsize mode keeps raw-risk arithmetic on purpose (it is the
-baseline being compared against) and reports divergence instead of switching
-representations.
+baseline being compared against). A run diverges at the first iterate with
+log risk +inf or nan (diverged_at = t), or once the running sum of the
+iterates is not finite (diverged_at = t + 1), which a non-finite iterate
+causes too; in adaptive mode only an eta near the float maximum gets there.
 
 Risks are carried as (value, log_value) pairs. Gradient coefficients are
 assembled as integer_weight * exp(log terms), never exp(log terms + log
@@ -84,26 +86,26 @@ class MarginState:
     stay outside the exponential. risk is the weighted mean loss, lse - ln n.
     """
 
-    __slots__ = ("z", "e", "total", "lse", "risk")
+    __slots__ = ("z", "e", "total", "lse", "risk", "n")
 
-    def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec):
+    def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec, n: int):
         a = loss.log_value(z)
-        m = float(np.max(a))
+        m = float(a.max())
         if math.isfinite(m):
             e = np.exp(a - m)
             if ds.weights is not None:
                 e = ds.weights * e
-            total = float(np.sum(e))
+            total = float(e.sum())
             lse = m + math.log(total)
         else:  # some l(z_i) = inf, every l(z_i) = 0 (hinge), or a nan margin
             e, total, lse = np.full(np.shape(a), math.nan), math.nan, m
-        self.z, self.e, self.total, self.lse = z, e, total, lse
-        self.risk = _risk_from_log(lse - math.log(ds.n))
+        self.z, self.e, self.total, self.lse, self.n = z, e, total, lse, n
+        self.risk = _risk_from_log(lse - math.log(n))
 
 
 def risk(w: np.ndarray, ds: Dataset, loss: LossSpec) -> RiskValue:
     """Weighted mean loss over the dataset at parameter w."""
-    return MarginState(ds.margins(w), ds, loss).risk
+    return MarginState(ds.margins(w), ds, loss, ds.n).risk
 
 
 def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
@@ -113,11 +115,11 @@ def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     May overflow for losses with exploding derivatives at very negative
     margins; that is intentional in constant-stepsize mode.
     """
-    z = w.z if isinstance(w, MarginState) else ds.margins(w)
+    z, n = (w.z, w.n) if isinstance(w, MarginState) else (ds.margins(w), ds.n)
     coef = loss.deriv(z) * ds.labels
     if ds.weights is not None:
         coef = ds.weights * coef
-    return (coef @ ds.features) / ds.n
+    return (coef @ ds.features) / n
 
 
 def _check_sum_n(loss: LossSpec, ds: Dataset):
@@ -147,7 +149,7 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     than entering them as ln m_i: a power-of-two m_i scales its row's
     coefficient exactly.
     """
-    state = z if isinstance(z, MarginState) else MarginState(z, ds, loss)
+    state = z if isinstance(z, MarginState) else MarginState(z, ds, loss, ds.n)
     if loss.kind == "exp":
         # softmax of -z with multiplicities; exact ratio preservation matters
         return state.e / state.total
@@ -158,7 +160,7 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     else:
         r = state.risk
         lnid = loss.log_neg_inv_deriv(r.value, r.log_value)
-        coef = np.exp(lnid + loss.log_abs_deriv(state.z) - math.log(ds.n))
+        coef = np.exp(lnid + loss.log_abs_deriv(state.z) - math.log(state.n))
     if ds.weights is not None:
         coef = ds.weights * coef
     return coef
@@ -172,7 +174,7 @@ def grad_phi(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     The exp gradient is a softmax under either aggregation (ln of n L and
     of L differ by the constant ln n). See phi_coefficients.
     """
-    state = w if isinstance(w, MarginState) else MarginState(ds.margins(w), ds, loss)
+    state = w if isinstance(w, MarginState) else MarginState(ds.margins(w), ds, loss, ds.n)
     return -((phi_coefficients(state, ds, loss) * ds.labels) @ ds.features)
 
 
@@ -186,7 +188,7 @@ def phi_from_risk(loss: LossSpec, r: RiskValue) -> float:
     if loss.kind == "log":
         # ln(e^u - 1) = u + ln(1 - e^{-u}); for tiny u this is ln u + u/2 + ...
         if u > 1e-8:
-            return u + float(log1mexp(u))
+            return u + log1mexp(u)
         return lu + u / 2.0
     if loss.kind == "semicircle":
         if u > 1e-150:
@@ -276,11 +278,11 @@ class Trajectory:
         self.columns: dict[str, list] = {}
         self.diverged_at: int | None = None
 
-    def append(self, **row) -> None:
+    def append(self, row: dict) -> None:
         if not self.columns:
             self.columns = {name: [] for name in row}
-        for name, value in row.items():
-            self.columns[name].append(value)
+        for name in row:
+            self.columns[name].append(row[name])
 
     @property
     def points(self) -> "_Points":
@@ -328,7 +330,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     honours config.target_log_avg_risk; without it they carry the best
     iterate so far and the target is not checked.
     """
-    loss, eta = config.loss, config.eta
+    loss, eta, n = config.loss, config.eta, ds.n
     target = config.target_log_avg_risk if average is not None else None
     traj = Trajectory(config)
     total = params.copy()
@@ -336,7 +338,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     best_t = 0
     for t in range(config.steps + 1):
         cache, z = forward()
-        state = MarginState(z, ds, loss)
+        state = MarginState(z, ds, loss, n)
         r = state.risk
         # log_value of -inf means exactly zero risk (possible for hinge only),
         # which is success; +inf or nan means true blow-up
@@ -350,7 +352,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
         if average is not None and (check or record):
             avg = total / (t + 1)
             avg_z = average(avg)
-            avg_r = MarginState(avg_z, ds, loss).risk
+            avg_r = MarginState(avg_z, ds, loss, n).risk
         passed = check and avg_r.log_value <= target
         if passed or record:
             row = {"t": t, name: params.copy(), "log_risk": r.log_value,
@@ -363,15 +365,15 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
                            avg_min_margin=float(avg_z.min()))
             else:
                 row.update(min_log_risk=best_log, min_risk_t=best_t)
-            traj.append(**row)
+            traj.append(row)
         prev_log = r.log_value
         if passed or t == config.steps:
             break
         params -= (eta * scale) * backward(cache, state)
-        if not np.all(np.isfinite(params)):
+        total += params
+        if not np.isfinite(total).all():
             traj.diverged_at = t + 1
             break
-        total += params
     return traj
 
 
@@ -390,9 +392,9 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     Each step calls descent.grad_phi (grad_risk in constant mode) as
     (state, ds, loss), with the iterate's MarginState in the w slot.
 
-    In constant mode a non-finite iterate stops the run and stamps
-    diverged_at with the offending step index; adaptive mode cannot diverge
-    (its step length is capped by eta times the loss's lipschitz_const).
+    A diverged run (see the module docstring) stamps diverged_at. Adaptive
+    mode diverges only by overflow, with eta near the float range: its step
+    length is capped by eta times the loss's lipschitz_const.
     """
     loss = config.loss
     _check_sum_n(loss, ds)
@@ -408,6 +410,15 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     with quiet:
         return _descend(ds, config, w, lambda: (None, ds.margins(w)), backward,
                         average=ds.margins)
+
+
+def _check_bound_args(gamma: float, eta: float, t: int) -> None:
+    if not (0.0 < gamma < 1.0):
+        raise ValueError(f"need 0 < gamma < 1, got {gamma}")
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if not (isinstance(t, (int, np.integer)) and t >= 1):
+        raise ValueError(f"the bound needs an integer t >= 1, got {t!r}")
 
 
 def averaged_risk_log_bound(gamma: float, eta: float, t: int) -> float:
@@ -442,12 +453,7 @@ def averaged_risk_log_bound(gamma: float, eta: float, t: int) -> float:
         n, not 1 (LossSpec.lipschitz_const); the C = 1 bound holds on the
         45 log cells of acceptance item 1's grid, worst slack -2.51.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"need 0 < gamma < 1, got {gamma}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
-        raise ValueError(f"the bound needs an integer t >= 1, got {t!r}")
+    _check_bound_args(gamma, eta, t)
     g = gamma * gamma * (t + 1.0)
     return -((g * g - 1.0) / (4.0 * g)) * eta
 
@@ -460,12 +466,7 @@ def general_loss_risk_log_bound(loss: LossSpec, gamma: float, eta: float, t: int
     """
     if loss.kind not in ("exp", "log", "poly", "semicircle"):
         raise ValueError(f"no risk bound for the {loss.kind} loss")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"need 0 < gamma < 1, got {gamma}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
-        raise ValueError(f"the bound needs an integer t >= 1, got {t!r}")
+    _check_bound_args(gamma, eta, t)
     g = gamma * gamma * (t + 1.0)
     c = loss.lipschitz_const()
     x = ((g * g - c) / (4.0 * g)) * eta

@@ -41,25 +41,23 @@ KINDS = ("exp", "log", "poly", "semicircle", "hinge")
 SMOOTH_KINDS = ("exp", "log", "poly", "semicircle")
 
 AGGREGATIONS = ("mean", "sum")
+_LN2 = math.log(2.0)
 
 
-def log1mexp(u):
-    """Compute log(1 - e^{-u}) for u > 0 without cancellation.
+def log1mexp(u: float) -> float:
+    """Compute log(1 - e^{-u}) for a float u > 0 without cancellation.
 
     Splits at u = ln 2: below it, 1 - e^{-u} is small and expm1 keeps the
-    digits; above it, e^{-u} is small and log1p does.
+    digits; above it, e^{-u} is small and log1p does. The numpy ufuncs run
+    on the float itself (the same loops, so the same bits, as on an array);
+    math.log, math.exp and math.expm1 can round differently. Gives -inf at
+    u = 0 and nan for u < 0 or nan.
     """
-    u = np.asarray(u, dtype=float)
-    small = u < math.log(2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            small,
-            np.log(-np.expm1(-np.where(small, u, 1.0))),
-            np.log1p(-np.exp(-np.where(small, 1.0, u))),
-        )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if not u > 0.0:
+        return -math.inf if u == 0.0 else math.nan
+    if u < _LN2:
+        return float(np.log(-np.expm1(-u)))
+    return float(np.log1p(-np.exp(-u)))
 
 
 @dataclass(frozen=True)
@@ -230,10 +228,8 @@ def _log_value(spec: LossSpec, z):
         out = -z
     elif spec.kind == "log":
         # ln softplus(-z); for z beyond exp underflow, softplus(-z) ~ e^{-z}.
-        big = z > 700.0
-        with np.errstate(divide="ignore"):
-            plain = np.log(np.logaddexp(0.0, -np.where(big, 0.0, z)))
-        out = np.where(big, -z, plain)
+        # The cap keeps softplus above 0, so the log never sees 0.
+        out = np.where(z > 700.0, -z, np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))
     elif spec.kind == "poly":
         k = spec.k
         neg = z < 0
@@ -251,9 +247,8 @@ def _log_value(spec: LossSpec, z):
             math.log(2.0) - np.log(h + np.abs(z)),
             np.log((np.hypot(zneg, 2.0) - zneg) / 2.0),
         )
-    else:  # hinge: log of max(0,-z), -inf where the loss vanishes
-        with np.errstate(divide="ignore"):
-            out = np.where(z < 0, np.log(np.maximum(-z, 1e-300)), -np.inf)
+    else:  # hinge: log of max(0,-z), -inf where the loss vanishes; the log never sees 0
+        out = np.where(z < 0, np.log(np.maximum(-z, 1e-300)), -np.inf)
     return _ret(out, scalar)
 
 
@@ -373,7 +368,7 @@ def _inverse(spec: LossSpec, u: float) -> float:
         return -math.log(u)
     if spec.kind == "log":
         # -ln(e^u - 1) = -(u + log(1 - e^{-u})), stable for u tiny and huge
-        return -(u + float(log1mexp(u)))
+        return -(u + log1mexp(u))
     if spec.kind == "semicircle":
         return 1.0 / u - u
     # poly: right branch closed-form for u <= 1, numeric on the left branch
@@ -432,7 +427,7 @@ def _log_neg_inv_deriv(spec: LossSpec, value: float, log_value: float) -> float:
     if spec.kind == "log":
         # -ln(1 - e^{-u}); for u below ~1e-8, ln(1-e^{-u}) = ln u - u/2 + O(u^2)
         if value > 1e-8:
-            return -float(log1mexp(value))
+            return -log1mexp(value)
         return -(log_value + math.log1p(-value / 2.0))
     if spec.kind == "semicircle":
         # ln(1 + 1/u^2) = ln(1 + e^{-2 ln u})

@@ -42,7 +42,8 @@ import numpy as np
 from scipy.special import erf, expit
 
 from .datasets import Dataset
-from .descent import MarginState, RiskValue, Trajectory, _descend, phi_coefficients
+from .descent import (MarginState, RiskValue, Trajectory, _check_bound_args, _descend,
+                      phi_coefficients)
 from .losses import LossSpec
 
 _GRID = None
@@ -174,16 +175,16 @@ def forward(net: TwoLayerNet, features: np.ndarray) -> np.ndarray:
     return net.activation.value(s) @ (net.signs / net.m)
 
 
-def _forward_pass(net: TwoLayerNet, ds: Dataset):
+def _forward_pass(net: TwoLayerNet, ds: Dataset, head: np.ndarray):
     """Hidden pre-activations s = X W^T, shape (R, m), and the margins
-    z = y * f(X) they give: the one pass over the data that the risk, the
-    smallest margin and the gradient of an iterate share."""
+    z = y * (sigma(s) @ head), head = net.signs / net.m: the one pass over the
+    data that the risk, the smallest margin and the gradient share."""
     s = ds.features @ net.weights.T
-    return s, ds.labels * (net.activation.value(s) @ (net.signs / net.m))
+    return s, ds.labels * (net.activation.value(s) @ head)
 
 
 def nn_margins(net: TwoLayerNet, ds: Dataset) -> np.ndarray:
-    return _forward_pass(net, ds)[1]
+    return _forward_pass(net, ds, net.signs / net.m)[1]
 
 
 def _check_nn_loss(loss: LossSpec):
@@ -195,31 +196,33 @@ def _check_nn_loss(loss: LossSpec):
 
 def nn_risk(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> RiskValue:
     _check_nn_loss(loss)
-    return MarginState(nn_margins(net, ds), ds, loss).risk
+    return MarginState(nn_margins(net, ds), ds, loss, ds.n).risk
 
 
-def _grad_blocks(net: TwoLayerNet, ds: Dataset, s: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """d phi / d w_j from the pre-activations s and the phi coefficients."""
+def _grad_blocks(net: TwoLayerNet, ds: Dataset, s, coef, head) -> np.ndarray:
+    """d phi / d w_j from pre-activations s, phi coefficients coef, head = signs / m."""
     slopes = net.activation.deriv(s)  # (R, m)
     signed = coef * ds.labels  # (R,)
-    return -(net.signs[:, None] / net.m) * ((slopes * signed[:, None]).T @ ds.features)
+    return -head[:, None] * ((slopes * signed[:, None]).T @ ds.features)
 
 
 def nn_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> np.ndarray:
     """Blocks d phi / d w_j, shape (m, d); each satisfies |m * block| <= 1."""
     _check_nn_loss(loss)
-    s, z = _forward_pass(net, ds)
-    return _grad_blocks(net, ds, s, phi_coefficients(z, ds, loss))
+    head = net.signs / net.m
+    s, z = _forward_pass(net, ds, head)
+    return _grad_blocks(net, ds, s, phi_coefficients(z, ds, loss), head)
 
 
 def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
     """Adaptive-stepsize GD on the first layer of a two-layer net.
 
     config is a descent.GDConfig with mode="adaptive" and exp or log loss;
-    its target_log_avg_risk is not used. The update applies stepsize eta * m
-    to the gradient blocks (which carry a 1/m factor), so a width-1 net
-    reproduces the linear algorithm exactly. The rows carry the weights and
-    the running best (minimum) log-risk, which is what the guarantee
+    the run starts at net.weights and makes every step, so a config.init or
+    target_log_avg_risk that is set raises ValueError. The update applies
+    stepsize eta * m to the gradient blocks (which carry a 1/m factor), so a
+    width-1 net reproduces the linear algorithm exactly. The rows carry the
+    weights and the running best (minimum) log-risk, which the guarantee
     controls. The loop is descent's: each iterate makes one forward pass
     X W^T, from which its risk, smallest margin and gradient are all read,
     and _grad_blocks makes one gradient pass.
@@ -227,13 +230,17 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
     _check_nn_loss(config.loss)
     if config.mode != "adaptive":
         raise ValueError("network training is defined for adaptive mode only")
+    for field_name in ("init", "target_log_avg_risk"):
+        if getattr(config, field_name) is not None:
+            raise ValueError(f"network training does not use GDConfig.{field_name}; leave it None")
     if net.d != ds.d:
         raise ValueError(f"net dimension {net.d} does not match dataset {ds.d}")
     loss = config.loss
     work = TwoLayerNet(net.weights.copy(), net.signs, net.activation)
+    head = work.signs / work.m
     return _descend(
-        ds, config, work.weights, lambda: _forward_pass(work, ds),
-        lambda s, state: _grad_blocks(work, ds, s, phi_coefficients(state, ds, loss)),
+        ds, config, work.weights, lambda: _forward_pass(work, ds, head),
+        lambda s, state: _grad_blocks(work, ds, s, phi_coefficients(state, ds, loss), head),
         name="weights", scale=work.m)
 
 
@@ -252,11 +259,6 @@ def network_min_risk_log_bound(
         raise ValueError(f"need slope floor alpha in (0, 1], got {alpha}")
     if kappa < 0.0:
         raise ValueError(f"need kappa >= 0, got {kappa}")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"need 0 < gamma < 1, got {gamma}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
-        raise ValueError(f"the bound needs an integer t >= 1, got {t!r}")
+    _check_bound_args(gamma, eta, t)
     a = alpha * gamma * gamma * (t + 1.0)
     return kappa - ((a * a - 1.0) / (4.0 * gamma * gamma * (t + 1.0))) * eta

@@ -81,10 +81,15 @@ def fd_grad_matrix(f, W: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return G
 
 
+def row_permutation(n_rows: int, seed: int = 0) -> np.ndarray:
+    """The seeded order of permute_rows: its row j is the old row perm[j]."""
+    return np.random.default_rng(seed).permutation(n_rows)
+
+
 def permute_rows(ds, seed: int = 0):
     """The same dataset with its rows (and their weights) in a seeded random
     order."""
-    perm = np.random.default_rng(seed).permutation(ds.n_rows)
+    perm = row_permutation(ds.n_rows, seed)
     return dataclasses.replace(ds, features=ds.features[perm], labels=ds.labels[perm],
                                weights=None if ds.weights is None else ds.weights[perm])
 
@@ -97,3 +102,30 @@ def max_relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     gap = np.linalg.norm(a - b, axis=1)
     assert np.all(gap[scale == 0.0] == 0.0)
     return float(np.max(gap[scale > 0.0] / scale[scale > 0.0], initial=0.0))
+
+
+def array_log1mexp(u):
+    """log(1 - e^{-u}) in the array form margin_lab.losses.log1mexp had
+    before it took floats only: both branches through np.where, warnings
+    off. The scalar function must return the same bits."""
+    u = np.asarray(u, dtype=float)
+    small = u < math.log(2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(
+            small,
+            np.log(-np.expm1(-np.where(small, u, 1.0))),
+            np.log1p(-np.exp(-np.where(small, 1.0, u))),
+        )
+    return float(out) if out.ndim == 0 else out
+
+
+def log_loss_log_value(z):
+    """ln softplus(-z), the log loss's log_value, in the form it had with a
+    zeroed argument past z = 700 and the divide warning off; past 700 it is
+    -z. The capped kernel must return the same bits."""
+    z = np.asarray(z, dtype=float)
+    big = z > 700.0
+    with np.errstate(divide="ignore"):
+        plain = np.log(np.logaddexp(0.0, -np.where(big, 0.0, z)))
+    out = np.where(big, -z, plain)
+    return float(out) if out.ndim == 0 else out

@@ -436,6 +436,18 @@ class TestRunCommand:
         assert lines[2].startswith("t,log_eta_t,")
         assert [row.split(",")[0] for row in lines[3:]] == ["0", "1"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+    def test_adaptive_run_near_the_float_range_reports_its_overflow(self, tmp_path):
+        cfg = write_cfg(tmp_path, "command = run\nloss = exp\nstepsize = adaptive:1e308\n"
+                                  "steps = 5\ndataset = random:d=10,n=100,gamma=0.1\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "trajectory.json").read_text())["diverged_at"] == 4
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert lines[1] == "# diverged_at=4"
+        rows = [row.split(",") for row in lines[3:]]
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+        assert all(math.isfinite(float(row[3])) for row in rows)  # log_avg_risk
+
     def test_run_that_does_not_diverge_has_no_diverged_line(self, tmp_path):
         cfg = write_cfg(tmp_path, RUN_CFG.replace("adaptive:100", "constant:1"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -304,6 +304,17 @@ class TestRunGD:
         assert traj.diverged_at is not None
         assert len(traj.points) <= traj.diverged_at + 1
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+    def test_adaptive_mode_diverges_when_the_sum_of_iterates_overflows(self):
+        # each step has length up to eta = 1e308; the running sum of the
+        # iterates overflows in the step to t = 4, while the iterate stays finite
+        ds = gen_random_separable(10, 100, 0.1, seed=0)
+        traj = run_gd(ds, GDConfig(loss=EXP, eta=1e308, steps=5))
+        assert traj.diverged_at == 4
+        assert [p.t for p in traj.points] == [0, 1, 2, 3]
+        assert np.all(np.isfinite(traj.column("log_avg_risk")))
+        assert np.all(np.isfinite(traj.column("avg_min_margin")))
+
     def test_constant_mode_moderate_converges(self):
         ds = small_ds()
         traj = run_gd(ds, GDConfig(loss=LOG, eta=1.0, steps=200, mode="constant"))
@@ -433,12 +444,12 @@ def reference_run_gd(ds, config):
             if avg_r is None:
                 avg_w = wsum / (t + 1)
                 avg_r = risk(avg_w, ds, loss)
-            traj.append(
+            traj.append(dict(
                 t=t, w=w.copy(), log_risk=r.log_value,
                 phi=phi_from_risk(loss, r) if loss.kind != "hinge" else math.nan,
                 log_stepsize=log_eta_t, min_margin=ds.min_margin(w), avg_w=avg_w,
                 log_avg_risk=avg_r.log_value, avg_min_margin=ds.min_margin(avg_w),
-                descent_violated=bool(r.log_value > prev_log_risk))
+                descent_violated=bool(r.log_value > prev_log_risk)))
         prev_log_risk = r.log_value
         if passed or t == config.steps:
             break
@@ -447,10 +458,10 @@ def reference_run_gd(ds, config):
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 w = w - config.eta * grad_risk(w, ds, loss)
-        if not np.all(np.isfinite(w)):
+        wsum += w
+        if not np.all(np.isfinite(wsum)):  # a non-finite w or an overflowed sum
             traj.diverged_at = t + 1
             break
-        wsum += w
     return traj
 
 

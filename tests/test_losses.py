@@ -32,7 +32,7 @@ from margin_lab.losses import (
     poly,
 )
 
-from _oracles import bisect_inverse, fd_deriv
+from _oracles import array_log1mexp, bisect_inverse, fd_deriv, log_loss_log_value
 
 SMOOTH = [EXP, LOG, poly(1.0), poly(2.0), poly(3.5), SEMICIRCLE]
 ALL = SMOOTH + [HINGE]
@@ -353,6 +353,39 @@ class TestDeepTails:
             want = float(mp.log(1 - mp.exp(-mp.mpf(u))))
             assert log1mexp(u) == pytest.approx(want, rel=1e-13)
         assert log1mexp(1e-300) == pytest.approx(math.log(1e-300), rel=1e-12)
+
+    def test_log1mexp_matches_the_array_form_bit_for_bit(self):
+        ln2 = math.log(2.0)
+        special = [ln2, math.nextafter(ln2, 0.0), math.nextafter(ln2, math.inf),
+                   5e-324, 2.2250738585072014e-309, 1e-300, 745.0, math.inf]
+        rng = np.random.default_rng(0)
+        sweep = np.exp(rng.uniform(math.log(1e-310), math.log(800.0), 20000))
+        for u in special + sweep.tolist():
+            got = log1mexp(u)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(array_log1mexp(u)).tobytes(), u
+
+    def test_log1mexp_off_its_domain_is_quiet(self):
+        with np.errstate(all="raise", under="ignore"):
+            assert log1mexp(0.0) == -math.inf
+            assert log1mexp(-0.0) == -math.inf
+            assert math.isnan(log1mexp(-1.0))
+            assert math.isnan(log1mexp(math.nan))
+        assert math.isnan(array_log1mexp(-1.0)) and math.isnan(array_log1mexp(math.nan))
+        assert array_log1mexp(0.0) == -math.inf
+
+    def test_log_value_of_log_matches_the_uncapped_kernel(self):
+        edge = [700.0, math.nextafter(700.0, math.inf), 745.0, 1e308, math.inf,
+                -math.inf, math.nan, -745.0, 0.0, -0.0, 36.0, -1e308]
+        z = np.array(edge + np.linspace(-800.0, 800.0, 4001).tolist())
+        # the old form silenced divide; the cap must make that unneeded. A nan
+        # margin warns "invalid" in logaddexp in both forms.
+        with np.errstate(divide="raise", over="raise", invalid="ignore"):
+            assert LOG.log_value(z).tobytes() == log_loss_log_value(z).tobytes()
+            for x in edge:  # a 0-d input gives a float
+                got = LOG.log_value(np.array(x))
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(log_loss_log_value(x)).tobytes(), x
 
     def test_semicircle_no_overflow(self):
         z = 1e200  # z*z would overflow; hypot must keep this finite

@@ -17,6 +17,8 @@ from margin_lab.online import (
     run_perceptron,
 )
 
+from _oracles import permute_rows, row_permutation
+
 
 class TestStep:
     def test_pinned(self):
@@ -87,6 +89,23 @@ class TestPerceptron:
             run_perceptron(ds, [-1])
         with pytest.raises(ValueError):
             run_perceptron(ds, [0], w0=np.zeros(5))
+
+
+    @pytest.mark.parametrize("make", [lambda: gen_random_separable(10, 100, 0.1, seed=4),
+                                      lambda: gen_online_hard(0.1, 9)],
+                             ids=["random", "online-hard"])
+    def test_row_permutation_with_the_order_mapped(self, make):
+        # permute_rows puts old row i at position inv[i]; presenting inv[order]
+        # shows the permuted set the same rows in the same sequence
+        ds = make()
+        order = random_order(ds.n_rows, 5 * ds.n_rows, seed=1)
+        inv = np.argsort(row_permutation(ds.n_rows, seed=2))
+        a = run_perceptron(ds, order)
+        b = run_perceptron(permute_rows(ds, seed=2), inv[order])
+        assert a.total_mistakes > 0
+        np.testing.assert_array_equal(a.mistakes, b.mistakes)
+        assert a.iterates.tobytes() == b.iterates.tobytes()
+        assert a.separated_at == b.separated_at
 
 
 class TestOnlineSgd:

@@ -217,6 +217,15 @@ class TestTraining:
         with pytest.raises(ValueError):
             run_gd_nn(ds, bad, GDConfig(loss=EXP, eta=1.0, steps=2))
 
+    @pytest.mark.parametrize("field, value", [("init", np.ones(5)),
+                                              ("target_log_avg_risk", 10.0)])
+    def test_unused_config_fields_are_refused(self, field, value):
+        ds = gen_random_separable(5, 10, 0.2, seed=12)
+        net = make_net(ds.d, 2, leaky_relu(0.5))
+        config = GDConfig(loss=EXP, eta=1.0, steps=3, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            run_gd_nn(ds, net, config)
+
     def test_sign_validation(self):
         with pytest.raises(ValueError):
             TwoLayerNet(np.zeros((2, 3)), np.array([1.0, 0.5]), leaky_relu(0.5))
@@ -238,11 +247,11 @@ def reference_run_gd_nn(ds, net, config):
             best_log, best_t = r.log_value, t
         if t % config.record_every == 0 or t == config.steps:
             log_eta_t = math.log(config.eta) + loss.log_neg_inv_deriv(r.value, r.log_value)
-            traj.append(
+            traj.append(dict(
                 t=t, weights=W.copy(), log_risk=r.log_value, phi=phi_from_risk(loss, r),
                 log_stepsize=log_eta_t, min_margin=float(nn_margins(work, ds).min()),
                 min_log_risk=best_log, min_risk_t=best_t,
-                descent_violated=bool(r.log_value > prev_log))
+                descent_violated=bool(r.log_value > prev_log)))
         prev_log = r.log_value
         if t == config.steps:
             break
