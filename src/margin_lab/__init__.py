@@ -22,9 +22,7 @@ from .datasets import (
 from .descent import (
     GDConfig,
     Trajectory,
-    adaptive_stepsize,
     averaged_risk_log_bound,
-    general_loss_risk_bound,
     general_loss_risk_log_bound,
     grad_phi,
     grad_risk,

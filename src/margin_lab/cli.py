@@ -37,7 +37,7 @@ from .datasets import (
 from .descent import GDConfig, run_gd
 from .losses import EXP, LossSpec, parse_loss
 from .online import cyclic_order, random_order, run_perceptron
-from .two_layer import make_net, parse_activation, run_gd_nn
+from .two_layer import NN_LOSS_KINDS, make_net, parse_activation, run_gd_nn
 from .verify import dataset_fingerprint, default_suite, render_table
 
 COMMANDS = ("gen", "run", "run-nn", "perceptron", "verify", "bench")
@@ -307,14 +307,14 @@ def _cross_checks(command: str, values: dict, lines: dict) -> list:
     loss = values.get("loss")
     stepsize = values.get("stepsize")
     if command == "run" and loss is not None and stepsize is not None:
-        if loss.kind == "hinge" and stepsize[0] == "adaptive":
+        if not loss.ops.smooth and stepsize[0] == "adaptive":
             errors.append((line_of("loss"),
-                           "hinge loss has no inverse; use stepsize = constant:<eta>"))
+                           f"{loss.kind} loss has no inverse; use stepsize = constant:<eta>"))
     if command == "run-nn":
         if stepsize is not None and stepsize[0] != "adaptive":
             errors.append((line_of("stepsize"),
                            "run-nn trains with adaptive stepsizes only"))
-        if loss is not None and loss.kind not in ("exp", "log"):
+        if loss is not None and loss.kind not in NN_LOSS_KINDS:
             errors.append((line_of("loss"),
                            f"run-nn supports exp or log loss, got {loss.name}"))
     if command == "perceptron":
@@ -322,7 +322,7 @@ def _cross_checks(command: str, values: dict, lines: dict) -> list:
         if order[0] != "file" and "steps" not in values:
             errors.append((0, "steps is required unless order = file:<path>"))
     if command == "bench":
-        if loss is not None and loss.kind == "hinge":
+        if loss is not None and not loss.ops.smooth:
             errors.append((line_of("loss"), "bench GD methods need a smooth loss"))
     return errors
 
@@ -554,14 +554,15 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 def _bench_gd(ds: Dataset, method: str, gamma: float, epsilons: tuple,
               loss: LossSpec, max_steps: int, mode: str, eta: float) -> list:
     """One GD run that stops at the first passage below the smallest epsilon,
-    and a row per epsilon read off it; each row's wall_time is the time of
-    that run."""
+    and a row per epsilon read off it, with the run's time as wall_time. An
+    epsilon never reached reads None, or diverged_at=<t> if the run diverged."""
     start = time.perf_counter()
     traj = run_gd(ds, GDConfig(loss=loss.with_n(ds.n), eta=eta, steps=max_steps,
                                mode=mode,
                                target_log_avg_risk=math.log(min(epsilons))))
     steps, logs = traj.columns["t"], traj.columns["log_avg_risk"]
-    hits = [next((t for t, log in zip(steps, logs) if t >= 1 and log <= math.log(eps)), None)
+    miss = None if traj.diverged_at is None else f"diverged_at={traj.diverged_at}"
+    hits = [next((t for t, log in zip(steps, logs) if t >= 1 and log <= math.log(eps)), miss)
             for eps in epsilons]
     wall_time = time.perf_counter() - start
     return [{"method": method, "gamma": gamma, "epsilon": eps,

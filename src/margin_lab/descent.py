@@ -52,7 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .datasets import Dataset
-from .losses import LossSpec, log1mexp
+from .losses import LossSpec
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     coefficient exactly.
     """
     state = z if isinstance(z, MarginState) else MarginState(z, ds, loss, ds.n)
-    if loss.kind == "exp":
+    if loss.ops.softmax:
         # softmax of -z with multiplicities; exact ratio preservation matters
         return state.e / state.total
     if loss.aggregation == "sum":
@@ -182,25 +182,7 @@ def phi_from_risk(loss: LossSpec, r: RiskValue) -> float:
     """phi = -l^{-1}(u) from the (value, log_value) pair of the mean risk;
     u is the mean risk, or n times it under sum aggregation."""
     r = _transform_argument(loss, r)
-    u, lu = r.value, r.log_value
-    if loss.kind == "exp":
-        return lu
-    if loss.kind == "log":
-        # ln(e^u - 1) = u + ln(1 - e^{-u}); for tiny u this is ln u + u/2 + ...
-        if u > 1e-8:
-            return u + log1mexp(u)
-        return lu + u / 2.0
-    if loss.kind == "semicircle":
-        if u > 1e-150:
-            return u - 1.0 / u
-        with np.errstate(over="ignore"):
-            return float(-np.exp(-lu))
-    if loss.kind == "poly":
-        if u > 1.0:
-            return -loss.inverse(u)
-        with np.errstate(over="ignore"):
-            return float(1.0 - np.exp(-lu / loss.k))
-    raise ValueError(f"phi is undefined for the {loss.kind} loss")
+    return loss.ops.phi(loss, r.value, r.log_value)
 
 
 def phi(w: np.ndarray, ds: Dataset, loss: LossSpec) -> float:
@@ -212,24 +194,16 @@ def log_adaptive_stepsize(loss: LossSpec, r: RiskValue, eta: float) -> float:
     """ln eta_t = ln eta + ln (-l^{-1})'(risk); always finite.
 
     Under sum aggregation eta_t = eta * n * (-l^{-1})'(n * risk), so that
-    eta_t * grad L = eta * grad phi_sum. For exp the factor n cancels
-    exactly and the mean formula is used.
+    eta_t * grad L = eta * grad phi_sum. For exp (a softmax kind) the factor
+    n cancels exactly and the mean formula is used.
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if loss.aggregation == "sum" and loss.kind != "exp":
+    if loss.aggregation == "sum" and not loss.ops.softmax:
         u = _transform_argument(loss, r)
         return (math.log(eta) + math.log(loss.n)
                 + loss.log_neg_inv_deriv(u.value, u.log_value))
     return math.log(eta) + loss.log_neg_inv_deriv(r.value, r.log_value)
-
-def adaptive_stepsize(loss: LossSpec, r: RiskValue, eta: float) -> float:
-    """eta_t = eta * (-l^{-1})'(risk), inf when it exceeds the float range.
-
-    Callers that need the always-finite representation should use
-    log_adaptive_stepsize; trajectories record both.
-    """
-    return _exp_or_inf(log_adaptive_stepsize(loss, r, eta))
 
 
 @dataclass(frozen=True)
@@ -245,8 +219,8 @@ class GDConfig:
     def __post_init__(self):
         if self.mode not in ("adaptive", "constant"):
             raise ValueError(f"mode must be adaptive or constant, got {self.mode!r}")
-        if self.mode == "adaptive" and self.loss.kind == "hinge":
-            raise ValueError("adaptive mode needs an invertible loss; hinge has none")
+        if self.mode == "adaptive" and not self.loss.ops.smooth:
+            raise ValueError(f"adaptive mode needs an invertible loss; {self.loss.kind} has none")
         if not self.eta > 0.0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if not (isinstance(self.steps, int) and self.steps >= 0):
@@ -330,7 +304,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     honours config.target_log_avg_risk; without it they carry the best
     iterate so far and the target is not checked.
     """
-    loss, eta, n = config.loss, config.eta, ds.n
+    loss, eta, n, smooth = config.loss, config.eta, ds.n, config.loss.ops.smooth
     target = config.target_log_avg_risk if average is not None else None
     traj = Trajectory(config)
     total = params.copy()
@@ -356,7 +330,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
         passed = check and avg_r.log_value <= target
         if passed or record:
             row = {"t": t, name: params.copy(), "log_risk": r.log_value,
-                   "phi": phi_from_risk(loss, r) if loss.kind != "hinge" else math.nan,
+                   "phi": phi_from_risk(loss, r) if smooth else math.nan,
                    "log_stepsize": (log_adaptive_stepsize(loss, r, eta)
                                     if config.mode == "adaptive" else math.log(eta)),
                    "min_margin": float(z.min()), "descent_violated": r.log_value > prev_log}
@@ -459,30 +433,15 @@ def averaged_risk_log_bound(gamma: float, eta: float, t: int) -> float:
 
 
 def general_loss_risk_log_bound(loss: LossSpec, gamma: float, eta: float, t: int) -> float:
-    """Log of general_loss_risk_bound, safe when the bound value underflows.
+    """Closed-form averaged-iterate bound for a smooth loss, in the log
+    domain (safe when the bound value underflows):
 
-    The status of the claim per (loss, aggregation) is listed in
-    general_loss_risk_bound.
-    """
-    if loss.kind not in ("exp", "log", "poly", "semicircle"):
-        raise ValueError(f"no risk bound for the {loss.kind} loss")
-    _check_bound_args(gamma, eta, t)
-    g = gamma * gamma * (t + 1.0)
-    c = loss.lipschitz_const()
-    x = ((g * g - c) / (4.0 * g)) * eta
-    return float(loss.log_value(x))
-
-
-def general_loss_risk_bound(loss: LossSpec, gamma: float, eta: float, t: int) -> float:
-    """Closed-form averaged-iterate bound for a smooth loss, in the loss's
-    value domain:
-
-        L(avg w_t) <= l(((g^2 - C) / (4 g)) * eta),   g = gamma^2 (t + 1),
+        ln L(avg w_t) <= ln l(((g^2 - C) / (4 g)) * eta),   g = gamma^2 (t + 1),
 
     where C = loss.lipschitz_const() (which depends on loss.n; bind it to the
-    dataset size first). For the exp loss, C = 1, this is exactly the
-    exponential of averaged_risk_log_bound. The bound is weaker than l(0)
-    while g < sqrt(C) and informative after.
+    dataset size first). For the exp loss, C = 1, this is exactly
+    averaged_risk_log_bound. The bound is weaker than l(0) while
+    g < sqrt(C) and informative after.
 
     The averaging argument in averaged_risk_log_bound needs phi convex and
     gives phi(avg w_t) <= eta * ((mu + C/2)^2 / (2 g) - mu) for mu >= 0. For
@@ -504,4 +463,10 @@ def general_loss_risk_bound(loss: LossSpec, gamma: float, eta: float, t: int) ->
       * log, poly, semicircle, sum: not derived. phi_sum is convex, but its
         C is n, so at n = 100 the bound is above l(0) on the acceptance grids.
     """
-    return _exp_or_inf(general_loss_risk_log_bound(loss, gamma, eta, t))
+    if not loss.ops.smooth:
+        raise ValueError(f"no risk bound for the {loss.kind} loss")
+    _check_bound_args(gamma, eta, t)
+    g = gamma * gamma * (t + 1.0)
+    c = loss.lipschitz_const()
+    x = ((g * g - c) / (4.0 * g)) * eta
+    return float(loss.log_value(x))

@@ -35,11 +35,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit, log_expit
 
-KINDS = ("exp", "log", "poly", "semicircle", "hinge")
-
-# Smooth kinds support inverse / neg_inv_deriv / lipschitz_const; hinge does not.
-SMOOTH_KINDS = ("exp", "log", "poly", "semicircle")
-
 AGGREGATIONS = ("mean", "sum")
 _LN2 = math.log(2.0)
 
@@ -58,231 +53,6 @@ def log1mexp(u: float) -> float:
     if u < _LN2:
         return float(np.log(-np.expm1(-u)))
     return float(np.log1p(-np.exp(-u)))
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """A loss kind plus its parameters.
-
-    k is only meaningful for kind="poly" (exponent, k >= 1). n is the sample
-    count and enters through lipschitz_const and the sum aggregation; it
-    defaults to 1 and can be rebound with with_n once the dataset size is
-    known. aggregation picks the argument of the transform phi = -l^{-1}(u):
-    "mean" takes u = L, "sum" takes u = n L (see descent.phi_from_risk).
-    """
-
-    kind: str
-    k: float = math.nan
-    n: int = 1
-    aggregation: str = "mean"
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {KINDS}")
-        if self.kind == "poly":
-            if not (math.isfinite(self.k) and self.k > 0.0):
-                raise ValueError(f"poly loss: k must be > 0 (finite), got {self.k}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"sample count n must be a positive integer, got {self.n!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(
-                f"unknown aggregation {self.aggregation!r}, expected one of {AGGREGATIONS}")
-        if self.aggregation == "sum" and self.kind not in SMOOTH_KINDS:
-            raise ValueError(f"the {self.kind} loss has no transform to aggregate")
-
-    @property
-    def name(self) -> str:
-        base = f"poly:{self.k:g}" if self.kind == "poly" else self.kind
-        if self.aggregation == "sum":
-            return f"{base}/sum"
-        return base
-
-    def with_n(self, n: int) -> "LossSpec":
-        return replace(self, n=int(n))
-
-    def with_aggregation(self, aggregation: str) -> "LossSpec":
-        return replace(self, aggregation=aggregation)
-
-    # Thin method wrappers so call sites read loss.value(z) etc.
-    def value(self, z):
-        return _value(self, z)
-
-    def deriv(self, z):
-        return _deriv(self, z)
-
-    def second_deriv(self, z):
-        return _second_deriv(self, z)
-
-    def log_value(self, z):
-        return _log_value(self, z)
-
-    def log_abs_deriv(self, z):
-        return _log_abs_deriv(self, z)
-
-    def inverse(self, u: float) -> float:
-        return _inverse(self, u)
-
-    def neg_inv_deriv(self, u: float) -> float:
-        return _neg_inv_deriv(self, u)
-
-    def log_neg_inv_deriv(self, value: float, log_value: float) -> float:
-        return _log_neg_inv_deriv(self, value, log_value)
-
-    def lipschitz_const(self) -> float:
-        return _lipschitz_const(self)
-
-
-def parse_loss(name: str) -> LossSpec:
-    """Parse a CLI-style loss name: exp | log | poly:<k> | semicircle | hinge."""
-    name = name.strip()
-    if name.startswith("poly:"):
-        raw = name[len("poly:"):]
-        try:
-            k = float(raw)
-        except ValueError:
-            raise ValueError(f"bad poly exponent {raw!r} in loss name {name!r}") from None
-        return LossSpec("poly", k=k)
-    if name in ("exp", "log", "semicircle", "hinge"):
-        return LossSpec(name)
-    raise ValueError(f"unknown loss name {name!r}")
-
-
-def _shape(z):
-    arr = np.asarray(z, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
-
-
-def _value(spec: LossSpec, z):
-    z, scalar = _shape(z)
-    if spec.kind == "exp":
-        out = np.exp(-z)
-    elif spec.kind == "log":
-        out = np.logaddexp(0.0, -z)
-    elif spec.kind == "poly":
-        k = spec.k
-        neg = z < 0
-        out = np.where(
-            neg,
-            -2.0 * k * z + (1.0 - np.where(neg, z, 0.0)) ** (-k),
-            (1.0 + np.where(neg, 0.0, z)) ** (-k),
-        )
-    elif spec.kind == "semicircle":
-        h = np.hypot(z, 2.0)
-        # (h - z)/2 cancels for large positive z; 2/(h+z) does not.
-        out = np.where(z >= 0, 2.0 / (h + np.abs(z)), (h - z) / 2.0)
-    else:  # hinge
-        out = np.maximum(0.0, -z)
-    return _ret(out, scalar)
-
-
-def _deriv(spec: LossSpec, z):
-    z, scalar = _shape(z)
-    if spec.kind == "exp":
-        out = -np.exp(-z)
-    elif spec.kind == "log":
-        # l'(z) = -sigmoid(-z)
-        out = -expit(-z)
-    elif spec.kind == "poly":
-        k = spec.k
-        neg = z < 0
-        out = np.where(
-            neg,
-            -2.0 * k + k * (1.0 - np.where(neg, z, 0.0)) ** (-k - 1.0),
-            -k * (1.0 + np.where(neg, 0.0, z)) ** (-k - 1.0),
-        )
-    elif spec.kind == "semicircle":
-        h = np.hypot(z, 2.0)
-        # (z/h - 1)/2 cancels for large positive z; -2/(h(h+z)) is exact there
-        out = np.where(z >= 0, -2.0 / (h * (h + np.abs(z))), (z / h - 1.0) / 2.0)
-    else:  # hinge, subgradient with l'(0) := -1
-        out = np.where(z <= 0, -1.0, 0.0)
-    return _ret(out, scalar)
-
-
-def _second_deriv(spec: LossSpec, z):
-    z, scalar = _shape(z)
-    if spec.kind == "exp":
-        out = np.exp(-z)
-    elif spec.kind == "log":
-        # sigmoid(z) * sigmoid(-z), assembled in log space to avoid underflow
-        out = np.exp(log_expit(z) + log_expit(-z))
-    elif spec.kind == "poly":
-        k = spec.k
-        base = np.where(z < 0, 1.0 - z, 1.0 + z)
-        out = k * (k + 1.0) * base ** (-k - 2.0)
-    elif spec.kind == "semicircle":
-        h = np.hypot(z, 2.0)
-        out = 2.0 / h**3
-    else:  # hinge
-        out = np.zeros_like(z)
-    return _ret(out, scalar)
-
-
-def _log_value(spec: LossSpec, z):
-    z, scalar = _shape(z)
-    if spec.kind == "exp":
-        out = -z
-    elif spec.kind == "log":
-        # ln softplus(-z); for z beyond exp underflow, softplus(-z) ~ e^{-z}.
-        # The cap keeps softplus above 0, so the log never sees 0.
-        out = np.where(z > 700.0, -z, np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))
-    elif spec.kind == "poly":
-        k = spec.k
-        neg = z < 0
-        zneg = np.where(neg, z, 0.0)
-        out = np.where(
-            neg,
-            np.log(-2.0 * k * zneg + (1.0 - zneg) ** (-k)),
-            -k * np.log1p(np.where(neg, 0.0, z)),
-        )
-    elif spec.kind == "semicircle":
-        h = np.hypot(z, 2.0)
-        zneg = np.where(z < 0, z, -1.0)
-        out = np.where(
-            z >= 0,
-            math.log(2.0) - np.log(h + np.abs(z)),
-            np.log((np.hypot(zneg, 2.0) - zneg) / 2.0),
-        )
-    else:  # hinge: log of max(0,-z), -inf where the loss vanishes; the log never sees 0
-        out = np.where(z < 0, np.log(np.maximum(-z, 1e-300)), -np.inf)
-    return _ret(out, scalar)
-
-
-def _log_abs_deriv(spec: LossSpec, z):
-    z, scalar = _shape(z)
-    if spec.kind == "exp":
-        out = -z
-    elif spec.kind == "log":
-        out = log_expit(-z)
-    elif spec.kind == "poly":
-        k = spec.k
-        neg = z < 0
-        zneg = np.where(neg, z, 0.0)
-        out = np.where(
-            neg,
-            math.log(k) + np.log(2.0 - (1.0 - zneg) ** (-k - 1.0)),
-            math.log(k) - (k + 1.0) * np.log1p(np.where(neg, 0.0, z)),
-        )
-    elif spec.kind == "semicircle":
-        h = np.hypot(z, 2.0)
-        zneg = np.where(z < 0, z, -1.0)
-        out = np.where(
-            z >= 0,
-            math.log(2.0) - np.log(h) - np.log(h + np.abs(z)),
-            np.log((1.0 - zneg / np.hypot(zneg, 2.0)) / 2.0),
-        )
-    else:  # hinge
-        out = np.where(z <= 0, 0.0, -np.inf)
-    return _ret(out, scalar)
-
-
-def _require_smooth(spec: LossSpec, what: str):
-    if spec.kind not in SMOOTH_KINDS:
-        raise ValueError(f"{what} is undefined for the {spec.kind} loss")
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -352,124 +122,421 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
     raise ValueError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _inverse(spec: LossSpec, u: float) -> float:
-    """Solve l(z) = u for z. Domain error for u <= 0; hinge unsupported.
-
-    Closed forms everywhere except poly's left branch (u > 1), which is
-    solved by Brent's method (_brentq, a port of scipy's brentq) on the
-    bracket [-(u/(2k)) - 1, 0], its lower end moved out by a few ulps where
-    rounding has cost it its sign change.
-    """
-    _require_smooth(spec, "inverse")
+def _positive(u, what: str) -> float:
     u = float(u)
     if not (u > 0.0) or math.isnan(u):
-        raise ValueError(f"inverse needs u > 0, got {u}")
-    if spec.kind == "exp":
+        raise ValueError(f"{what} needs u > 0, got {u}")
+    return u
+
+
+def _refusal(what: str):
+    def refuse(spec, *args):
+        raise ValueError(f"{what} is undefined for the {spec.kind} loss")
+    return refuse
+
+
+class _Kind:
+    """One loss kind's record: plain functions, each taking the LossSpec
+    first, that LossSpec's methods of the same names call; records are never
+    instantiated. Kernels get z as a float array, inverse and neg_inv_deriv
+    a float u > 0. phi(spec, u, log_u) is -l^{-1}(u) from u's pair, finite
+    where u underflows; mpmath(spec, mp) is (l, l', -l^{-1}) in the caller's
+    mpmath context. softmax: the phi coefficients are the softmax of
+    ln l(z_i) under either aggregation. The smooth operations refuse here,
+    and hinge keeps the refusals (smooth is False for it).
+    """
+
+    softmax = False
+    inverse = _refusal("inverse")
+    neg_inv_deriv = _refusal("neg_inv_deriv")
+    log_neg_inv_deriv = _refusal("log_neg_inv_deriv")
+    phi = _refusal("phi")
+    lipschitz_const = _refusal("lipschitz_const")
+    mpmath = _refusal("the mpmath form")
+
+    def __init_subclass__(cls):
+        cls.smooth = cls.inverse is not _Kind.inverse
+
+
+class _Exp(_Kind):
+    softmax = True
+
+    def value(spec, z):
+        return np.exp(-z)
+    second_deriv = value  # l'' = l
+
+    def deriv(spec, z):
+        return -np.exp(-z)
+
+    def log_value(spec, z):
+        return -z
+    log_abs_deriv = log_value  # ln |l'| = ln l
+
+    def inverse(spec, u):
         return -math.log(u)
-    if spec.kind == "log":
+
+    def neg_inv_deriv(spec, u):
+        return 1.0 / u
+
+    def log_neg_inv_deriv(spec, value, log_value):
+        return -log_value
+
+    def phi(spec, u, log_u):
+        return log_u
+
+    def lipschitz_const(spec):
+        return 1.0
+
+    def mpmath(spec, mp):
+        return (lambda z: mp.exp(-z)), (lambda z: -mp.exp(-z)), mp.log
+
+
+class _Log(_Kind):
+    def value(spec, z):
+        return np.logaddexp(0.0, -z)
+
+    def deriv(spec, z):
+        return -expit(-z)  # -sigmoid(-z)
+
+    def second_deriv(spec, z):
+        # sigmoid(z) * sigmoid(-z), assembled in log space to avoid underflow
+        return np.exp(log_expit(z) + log_expit(-z))
+
+    def log_value(spec, z):
+        # ln softplus(-z); for z beyond exp underflow, softplus(-z) ~ e^{-z}.
+        # The cap keeps softplus above 0, so the log never sees 0.
+        return np.where(z > 700.0, -z, np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))
+
+    def log_abs_deriv(spec, z):
+        return log_expit(-z)
+
+    def inverse(spec, u):
         # -ln(e^u - 1) = -(u + log(1 - e^{-u})), stable for u tiny and huge
         return -(u + log1mexp(u))
-    if spec.kind == "semicircle":
-        return 1.0 / u - u
-    # poly: right branch closed-form for u <= 1, numeric on the left branch
-    k = spec.k
-    if u <= 1.0:
-        return u ** (-1.0 / k) - 1.0
 
-    def gap(t: float) -> float:
-        # _value(spec, t) - u in plain floats, the same operations in the
-        # same order, without a 0-d array per call
-        if t < 0.0:
-            return -2.0 * k * t + (1.0 - t) ** (-k) - u
-        return (1.0 + t) ** (-k) - u
-
-    lo = -(u / (2.0 * k)) - 1.0  # l(lo) >= -2k*lo > u, brackets the root with 0
-    if lo == -math.inf:
-        return -math.inf  # u = inf, or a root beyond the float range
-    while gap(lo) < 0.0:
-        # once |lo| >= 2^53 the -1 is lost and -2k*lo can round below u;
-        # the root then lies a few ulps further out
-        lo = math.nextafter(lo, -math.inf)
-    return _brentq(gap, lo, 0.0, xtol=1e-15, rtol=8.9e-16)
-
-
-def _neg_inv_deriv(spec: LossSpec, u: float) -> float:
-    """(-l^{-1})'(u): the derivative of the negated inverse, always positive."""
-    _require_smooth(spec, "neg_inv_deriv")
-    u = float(u)
-    if not (u > 0.0) or math.isnan(u):
-        raise ValueError(f"neg_inv_deriv needs u > 0, got {u}")
-    if spec.kind == "exp":
-        return 1.0 / u
-    if spec.kind == "log":
+    def neg_inv_deriv(spec, u):
         return 1.0 / (-math.expm1(-u))
-    if spec.kind == "semicircle":
-        return 1.0 + 1.0 / (u * u)
-    k = spec.k
-    if u <= 1.0:
-        return (1.0 / k) * u ** (-(k + 1.0) / k)
-    z = _inverse(spec, u)
-    # l'(z) in plain floats, the same operations in the same order as _deriv
-    if z < 0.0:
-        return -1.0 / (-2.0 * k + k * (1.0 - z) ** (-k - 1.0))
-    return -1.0 / (-k * (1.0 + z) ** (-k - 1.0))
 
-
-def _log_neg_inv_deriv(spec: LossSpec, value: float, log_value: float) -> float:
-    """ln((-l^{-1})'(u)) from the (value, log_value) pair of u.
-
-    Works even when value has underflowed to 0.0; log_value is then the
-    authoritative representation of u.
-    """
-    _require_smooth(spec, "log_neg_inv_deriv")
-    if spec.kind == "exp":
-        return -log_value
-    if spec.kind == "log":
+    def log_neg_inv_deriv(spec, value, log_value):
         # -ln(1 - e^{-u}); for u below ~1e-8, ln(1-e^{-u}) = ln u - u/2 + O(u^2)
         if value > 1e-8:
             return -log1mexp(value)
         return -(log_value + math.log1p(-value / 2.0))
-    if spec.kind == "semicircle":
+
+    def phi(spec, u, log_u):
+        # ln(e^u - 1) = u + ln(1 - e^{-u}); for tiny u this is ln u + u/2 + ...
+        if u > 1e-8:
+            return u + log1mexp(u)
+        return log_u + u / 2.0
+
+    def lipschitz_const(spec):
+        return float(spec.n) if spec.aggregation == "sum" else 1.0
+
+    def mpmath(spec, mp):
+        return ((lambda z: mp.log1p(mp.exp(-z))), (lambda z: -1 / (1 + mp.exp(z))),
+                (lambda u: mp.log(mp.expm1(u))))
+
+
+class _Poly(_Kind):
+    def value(spec, z):
+        k = spec.k
+        neg = z < 0
+        return np.where(neg, -2.0 * k * z + (1.0 - np.where(neg, z, 0.0)) ** (-k),
+                        (1.0 + np.where(neg, 0.0, z)) ** (-k))
+
+    def deriv(spec, z):
+        k = spec.k
+        neg = z < 0
+        return np.where(neg, -2.0 * k + k * (1.0 - np.where(neg, z, 0.0)) ** (-k - 1.0),
+                        -k * (1.0 + np.where(neg, 0.0, z)) ** (-k - 1.0))
+
+    def second_deriv(spec, z):
+        k = spec.k
+        base = np.where(z < 0, 1.0 - z, 1.0 + z)
+        return k * (k + 1.0) * base ** (-k - 2.0)
+
+    def log_value(spec, z):
+        k = spec.k
+        neg = z < 0
+        zneg = np.where(neg, z, 0.0)
+        return np.where(neg, np.log(-2.0 * k * zneg + (1.0 - zneg) ** (-k)),
+                        -k * np.log1p(np.where(neg, 0.0, z)))
+
+    def log_abs_deriv(spec, z):
+        k = spec.k
+        neg = z < 0
+        zneg = np.where(neg, z, 0.0)
+        return np.where(neg, math.log(k) + np.log(2.0 - (1.0 - zneg) ** (-k - 1.0)),
+                        math.log(k) - (k + 1.0) * np.log1p(np.where(neg, 0.0, z)))
+
+    def inverse(spec, u):
+        """Closed form on the right branch (u <= 1). The left branch is
+        solved by Brent's method (_brentq, a port of scipy's brentq) on the
+        bracket [-(u/(2k)) - 1, 0], its lower end moved out by a few ulps
+        where rounding has cost it its sign change."""
+        k = spec.k
+        if u <= 1.0:
+            try:
+                return u ** (-1.0 / k) - 1.0
+            except OverflowError:  # k < 1.05 and u tiny: z is past the float range
+                return math.inf
+
+        def gap(t: float) -> float:
+            # value(spec, t) - u in plain floats, the same operations in the
+            # same order, without a 0-d array per call
+            if t < 0.0:
+                return -2.0 * k * t + (1.0 - t) ** (-k) - u
+            return (1.0 + t) ** (-k) - u
+
+        lo = -(u / (2.0 * k)) - 1.0  # l(lo) >= -2k*lo > u, brackets the root with 0
+        if lo == -math.inf:
+            return -math.inf  # u = inf, or a root beyond the float range
+        while gap(lo) < 0.0:
+            # once |lo| >= 2^53 the -1 is lost and -2k*lo can round below u;
+            # the root then lies a few ulps further out
+            lo = math.nextafter(lo, -math.inf)
+        return _brentq(gap, lo, 0.0, xtol=1e-15, rtol=8.9e-16)
+
+    def neg_inv_deriv(spec, u):
+        k = spec.k
+        if u <= 1.0:
+            try:
+                return (1.0 / k) * u ** (-(k + 1.0) / k)
+            except OverflowError:  # u tiny: past the float range
+                return math.inf
+        z = _Poly.inverse(spec, u)
+        # l'(z) in plain floats, the same operations in the same order as deriv
+        if z < 0.0:
+            return -1.0 / (-2.0 * k + k * (1.0 - z) ** (-k - 1.0))
+        return -1.0 / (-k * (1.0 + z) ** (-k - 1.0))
+
+    def log_neg_inv_deriv(spec, value, log_value):
+        k = spec.k
+        if value > 1.0:
+            return math.log(_Poly.neg_inv_deriv(spec, float(value)))
+        return -math.log(k) - ((k + 1.0) / k) * log_value
+
+    def phi(spec, u, log_u):
+        if u > 1.0:
+            return -spec.inverse(u)
+        with np.errstate(over="ignore"):
+            return float(1.0 - np.exp(-log_u / spec.k))
+
+    def lipschitz_const(spec):
+        n = float(spec.n)
+        return n if spec.aggregation == "sum" else n ** (1.0 / spec.k)
+
+    def mpmath(spec, mp):
+        k = mp.mpf(spec.k)
+
+        def value(z):
+            return (1 + z) ** -k if z >= 0 else -2 * k * z + (1 - z) ** -k
+
+        def deriv(z):
+            return -k * (1 + z) ** (-k - 1) if z >= 0 else -2 * k + k * (1 - z) ** (-k - 1)
+
+        def neg_inverse(u):
+            if u <= 1:
+                return 1 - u ** (-1 / k)
+            lo = -u / (2 * k) - 1  # l(lo) > u > l(0): the root lies in (lo, 0)
+            return -mp.findroot(lambda t: value(t) - u, (lo, mp.mpf(0)), solver="anderson")
+
+        return value, deriv, neg_inverse
+
+
+class _Semicircle(_Kind):
+    def value(spec, z):
+        h = np.hypot(z, 2.0)
+        # (h - z)/2 cancels for large positive z; 2/(h+z) does not.
+        return np.where(z >= 0, 2.0 / (h + np.abs(z)), (h - z) / 2.0)
+
+    def deriv(spec, z):
+        h = np.hypot(z, 2.0)
+        # (z/h - 1)/2 cancels for large positive z; -2/(h(h+z)) is exact there
+        return np.where(z >= 0, -2.0 / (h * (h + np.abs(z))), (z / h - 1.0) / 2.0)
+
+    def second_deriv(spec, z):
+        return 2.0 / np.hypot(z, 2.0)**3
+
+    def log_value(spec, z):
+        h = np.hypot(z, 2.0)
+        zneg = np.where(z < 0, z, -1.0)
+        return np.where(z >= 0, _LN2 - np.log(h + np.abs(z)),
+                        np.log((np.hypot(zneg, 2.0) - zneg) / 2.0))
+
+    def log_abs_deriv(spec, z):
+        h = np.hypot(z, 2.0)
+        zneg = np.where(z < 0, z, -1.0)
+        return np.where(z >= 0, _LN2 - np.log(h) - np.log(h + np.abs(z)),
+                        np.log((1.0 - zneg / np.hypot(zneg, 2.0)) / 2.0))
+
+    def inverse(spec, u):
+        return 1.0 / u - u
+
+    def neg_inv_deriv(spec, u):
+        uu = u * u  # 0.0 below u = 1.6e-162, where 1 + 1/u^2 is far past the float range
+        return 1.0 + 1.0 / uu if uu else math.inf
+
+    def log_neg_inv_deriv(spec, value, log_value):
         # ln(1 + 1/u^2) = ln(1 + e^{-2 ln u})
         return float(np.logaddexp(0.0, -2.0 * log_value))
-    k = spec.k
-    if value > 1.0:
-        return math.log(_neg_inv_deriv(spec, value))
-    return -math.log(k) - ((k + 1.0) / k) * log_value
+
+    def phi(spec, u, log_u):
+        if u > 1e-150:
+            return u - 1.0 / u
+        with np.errstate(over="ignore"):
+            return float(-np.exp(-log_u))
+
+    def lipschitz_const(spec):
+        n = float(spec.n)
+        return n if spec.aggregation == "sum" else n + 1.0
+
+    def mpmath(spec, mp):
+        return ((lambda z: (mp.sqrt(z * z + 4) - z) / 2),
+                (lambda z: (z / mp.sqrt(z * z + 4) - 1) / 2), (lambda u: u - 1 / u))
 
 
-def _lipschitz_const(spec: LossSpec) -> float:
-    """Uniform bound C on the transformed-objective gradient norm.
+class _Hinge(_Kind):
+    def value(spec, z):
+        return np.maximum(0.0, -z)
 
-    Mean aggregation: exp and log give C = 1 regardless of n, derived: the
-    coefficients c_i = mult_i |l'(z_i)| / (n |l'(l^{-1}(L))|) sum to 1 for
-    exp (a softmax), and for log |l'(z)| = 1 - e^{-l(z)} is concave in l, so
-    Jensen gives sum_i c_i <= 1. poly's n^{1/k} and semicircle's n + 1 are
-    measured on probes, not derived: check_gradient_inequalities finds the
-    gradient norm below them (its grad-norm and step-align rows), and
-    nothing more is claimed.
+    def deriv(spec, z):
+        return np.where(z <= 0, -1.0, 0.0)  # the subgradient with l'(0) := -1
 
-    Sum aggregation: exp gives C = 1 (its gradient is the same softmax as
-    under the mean); the others give C = n. Derivation: grad phi is
-    sum_i c_i y_i x_i with c_i = mult_i l'(z_i) / l'(l^{-1}(S)), S = n L.
-    Every l(z_i) <= S, so l^{-1}(S) <= z_i, and a convex decreasing loss has
-    |l'(l^{-1}(S))| >= |l'(z_i)|; each c_i <= mult_i, and unit-ball rows give
-    |grad phi| <= n. The log loss comes close to it (c_i -> 1 as every
-    z_i -> -inf).
+    def second_deriv(spec, z):
+        return np.zeros_like(z)
 
-    Scales with the sample count set via with_n.
+    def log_value(spec, z):
+        # -inf where the loss vanishes; the log never sees 0
+        return np.where(z < 0, np.log(np.maximum(-z, 1e-300)), -np.inf)
+
+    def log_abs_deriv(spec, z):
+        return np.where(z <= 0, 0.0, -np.inf)
+
+
+_KINDS = {"exp": _Exp, "log": _Log, "poly": _Poly, "semicircle": _Semicircle, "hinge": _Hinge}
+
+
+def _elementwise(kernel, spec, z):
+    """kernel(spec, z) on z as a float array; a float z gives a float back."""
+    z = np.asarray(z, dtype=float)
+    out = kernel(spec, z)
+    return float(out) if z.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class LossSpec:
+    """A loss kind plus its parameters.
+
+    k is only meaningful for kind="poly" (exponent, k >= 1). n is the sample
+    count and enters through lipschitz_const and the sum aggregation; it
+    defaults to 1 and can be rebound with with_n once the dataset size is
+    known. aggregation picks the argument of the transform phi = -l^{-1}(u):
+    "mean" takes u = L, "sum" takes u = n L (see descent.phi_from_risk).
     """
-    _require_smooth(spec, "lipschitz_const")
-    n = float(spec.n)
-    if spec.kind == "exp":
-        return 1.0
-    if spec.aggregation == "sum":
-        return n
-    if spec.kind == "log":
-        return 1.0
-    if spec.kind == "poly":
-        return n ** (1.0 / spec.k)
-    return n + 1.0
+
+    kind: str
+    k: float = math.nan
+    n: int = 1
+    aggregation: str = "mean"
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {tuple(_KINDS)}")
+        if self.kind == "poly" and not (math.isfinite(self.k) and self.k > 0.0):
+            raise ValueError(f"poly loss: k must be > 0 (finite), got {self.k}")
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise ValueError(f"sample count n must be a positive integer, got {self.n!r}")
+        if self.aggregation not in AGGREGATIONS:
+            raise ValueError(
+                f"unknown aggregation {self.aggregation!r}, expected one of {AGGREGATIONS}")
+        if self.aggregation == "sum" and not self.ops.smooth:
+            raise ValueError(f"the {self.kind} loss has no transform to aggregate")
+
+    @property
+    def name(self) -> str:
+        base = f"poly:{self.k:g}" if self.kind == "poly" else self.kind
+        return f"{base}/sum" if self.aggregation == "sum" else base
+
+    @property
+    def ops(self) -> type[_Kind]:
+        """The record of the kind's operations, which the methods below call."""
+        return _KINDS[self.kind]
+
+    def with_n(self, n: int) -> "LossSpec":
+        return replace(self, n=int(n))
+
+    def with_aggregation(self, aggregation: str) -> "LossSpec":
+        return replace(self, aggregation=aggregation)
+
+    def value(self, z):
+        return _elementwise(_KINDS[self.kind].value, self, z)
+
+    def deriv(self, z):
+        return _elementwise(_KINDS[self.kind].deriv, self, z)
+
+    def second_deriv(self, z):
+        return _elementwise(_KINDS[self.kind].second_deriv, self, z)
+
+    def log_value(self, z):
+        return _elementwise(_KINDS[self.kind].log_value, self, z)
+
+    def log_abs_deriv(self, z):
+        return _elementwise(_KINDS[self.kind].log_abs_deriv, self, z)
+
+    def inverse(self, u: float) -> float:
+        """Solve l(z) = u for z; ValueError for u <= 0."""
+        return _KINDS[self.kind].inverse(self, _positive(u, "inverse"))
+
+    def neg_inv_deriv(self, u: float) -> float:
+        """(-l^{-1})'(u): the derivative of the negated inverse, always positive."""
+        return _KINDS[self.kind].neg_inv_deriv(self, _positive(u, "neg_inv_deriv"))
+
+    def log_neg_inv_deriv(self, value: float, log_value: float) -> float:
+        """ln((-l^{-1})'(u)) from the (value, log_value) pair of u.
+
+        Works even when value has underflowed to 0.0; log_value is then the
+        authoritative representation of u.
+        """
+        return _KINDS[self.kind].log_neg_inv_deriv(self, value, log_value)
+
+    def lipschitz_const(self) -> float:
+        """Uniform bound C on the transformed-objective gradient norm.
+
+        Mean aggregation: exp and log give C = 1 regardless of n, derived:
+        the coefficients c_i = mult_i |l'(z_i)| / (n |l'(l^{-1}(L))|) sum to
+        1 for exp (a softmax), and for log |l'(z)| = 1 - e^{-l(z)} is
+        concave in l, so Jensen gives sum_i c_i <= 1. poly's n^{1/k} and
+        semicircle's n + 1 are measured on probes, not derived:
+        check_gradient_inequalities finds the gradient norm below them (its
+        grad-norm and step-align rows), and nothing more is claimed.
+
+        Sum aggregation: exp gives C = 1 (its gradient is the same softmax
+        as under the mean); the others give C = n. Derivation: grad phi is
+        sum_i c_i y_i x_i with c_i = mult_i l'(z_i) / l'(l^{-1}(S)), S = n L.
+        Every l(z_i) <= S, so l^{-1}(S) <= z_i, and a convex decreasing loss
+        has |l'(l^{-1}(S))| >= |l'(z_i)|; each c_i <= mult_i, and unit-ball
+        rows give |grad phi| <= n. The log loss comes close to it (c_i -> 1
+        as every z_i -> -inf).
+
+        Scales with the sample count set via with_n.
+        """
+        return _KINDS[self.kind].lipschitz_const(self)
+
+
+def parse_loss(name: str) -> LossSpec:
+    """Parse a CLI-style loss name: exp | log | poly:<k> | semicircle | hinge."""
+    name = name.strip()
+    if name.startswith("poly:"):
+        raw = name[len("poly:"):]
+        try:
+            k = float(raw)
+        except ValueError:
+            raise ValueError(f"bad poly exponent {raw!r} in loss name {name!r}") from None
+        return LossSpec("poly", k=k)
+    if name in _KINDS and name != "poly":
+        return LossSpec(name)
+    raise ValueError(f"unknown loss name {name!r}")
 
 
 EXP = LossSpec("exp")

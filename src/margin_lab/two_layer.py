@@ -46,6 +46,9 @@ from .descent import (MarginState, RiskValue, Trajectory, _check_bound_args, _de
                       phi_coefficients)
 from .losses import LossSpec
 
+# The loss kinds a network trains with and the network checks accept.
+NN_LOSS_KINDS = ("exp", "log")
+
 _GRID = None
 
 
@@ -169,12 +172,6 @@ def make_net(d: int, m: int, activation: Activation, signs=None) -> TwoLayerNet:
     return TwoLayerNet(np.zeros((m, d)), np.asarray(signs, dtype=float), activation)
 
 
-def forward(net: TwoLayerNet, features: np.ndarray) -> np.ndarray:
-    """Network outputs for a batch of rows."""
-    s = features @ net.weights.T  # (R, m)
-    return net.activation.value(s) @ (net.signs / net.m)
-
-
 def _forward_pass(net: TwoLayerNet, ds: Dataset, head: np.ndarray):
     """Hidden pre-activations s = X W^T, shape (R, m), and the margins
     z = y * (sigma(s) @ head), head = net.signs / net.m: the one pass over the
@@ -188,7 +185,7 @@ def nn_margins(net: TwoLayerNet, ds: Dataset) -> np.ndarray:
 
 
 def _check_nn_loss(loss: LossSpec):
-    if loss.kind not in ("exp", "log"):
+    if loss.kind not in NN_LOSS_KINDS:
         raise ValueError(f"network training supports exp or log loss, got {loss.kind}")
     if loss.aggregation != "mean":
         raise ValueError(f"network training supports mean aggregation only, got {loss.name}")

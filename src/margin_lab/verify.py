@@ -48,6 +48,7 @@ from .descent import (
 )
 from .losses import EXP, LOG, LossSpec
 from .two_layer import (
+    NN_LOSS_KINDS,
     Activation,
     TwoLayerNet,
     leaky_blend,
@@ -465,7 +466,7 @@ def check_gradient_inequalities(
         branch (r = k / (k + 1)); poly's left branch is only measured, on
         this row's z-grid.
     """
-    if loss.kind not in ("exp", "log", "poly", "semicircle"):
+    if not loss.ops.smooth:
         raise ValueError(f"refused: need a smooth loss, got {loss.name}")
     loss = loss.with_n(ds.n)
     c_lip = loss.lipschitz_const()
@@ -549,7 +550,7 @@ def check_network_inequalities(
     of phi that the mean log transform lacks (exact witness: the log pair
     in check_transform_convexity_exact).
     """
-    if loss.kind not in ("exp", "log"):
+    if loss.kind not in NN_LOSS_KINDS:
         raise ValueError(f"refused: network checks support exp/log, got {loss.name}")
     if loss.aggregation != "mean":
         raise ValueError(f"refused: network checks support mean aggregation, got {loss.name}")
@@ -629,7 +630,7 @@ def check_general_loss_bound(
 ) -> BoundReport:
     """Adaptive GD under a general smooth loss: log avg-risk under the
     general closed-form bound at every recorded t >= 1."""
-    if loss.kind not in ("exp", "log", "poly", "semicircle"):
+    if not loss.ops.smooth:
         raise ValueError(f"refused: need a smooth loss, got {loss.name}")
     loss = loss.with_n(ds.n)
     traj = run_gd(
@@ -659,37 +660,6 @@ def check_general_loss_bound(
 # Exact-arithmetic witnesses (not in the default suite; needs mpmath)
 # ---------------------------------------------------------------------------
 
-def _mp_loss(mp, loss: LossSpec):
-    """(l, l', u -> -l^{-1}(u)) of a smooth loss in mpmath arithmetic."""
-    if loss.kind == "exp":
-        return (lambda z: mp.exp(-z)), (lambda z: -mp.exp(-z)), mp.log
-    if loss.kind == "log":
-        return ((lambda z: mp.log1p(mp.exp(-z))),
-                (lambda z: -1 / (1 + mp.exp(z))),
-                (lambda u: mp.log(mp.expm1(u))))
-    if loss.kind == "semicircle":
-        return ((lambda z: (mp.sqrt(z * z + 4) - z) / 2),
-                (lambda z: (z / mp.sqrt(z * z + 4) - 1) / 2),
-                (lambda u: u - 1 / u))
-    if loss.kind != "poly":
-        raise ValueError(f"refused: need a smooth loss, got {loss.name}")
-    k = mp.mpf(loss.k)
-
-    def value(z):
-        return (1 + z) ** -k if z >= 0 else -2 * k * z + (1 - z) ** -k
-
-    def deriv(z):
-        return -k * (1 + z) ** (-k - 1) if z >= 0 else -2 * k + k * (1 - z) ** (-k - 1)
-
-    def neg_inverse(u):
-        if u <= 1:
-            return 1 - u ** (-1 / k)
-        lo = -u / (2 * k) - 1  # l(lo) > u > l(0): the root lies in (lo, 0)
-        return -mp.findroot(lambda t: value(t) - u, (lo, mp.mpf(0)), solver="anderson")
-
-    return value, deriv, neg_inverse
-
-
 class _ExactObjective:
     """phi(w) = -l^{-1}(u) and its gradient on a dataset, in mpmath.
 
@@ -699,7 +669,7 @@ class _ExactObjective:
 
     def __init__(self, mp, ds: Dataset, loss: LossSpec):
         self.mp = mp
-        self.value, self.deriv, self.neg_inverse = _mp_loss(mp, loss)
+        self.value, self.deriv, self.neg_inverse = loss.ops.mpmath(loss, mp)
         mult = np.ones(ds.n_rows) if ds.weights is None else ds.weights
         scale = mp.mpf(1) if loss.aggregation == "sum" else mp.mpf(1) / ds.n
         self.c = [mp.mpf(float(m)) * scale for m in mult]

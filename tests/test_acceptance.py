@@ -385,7 +385,7 @@ def test_07_general_loss_bound_and_transform_identities():
         f"poly:2 pair {POLY_WITNESS.pair}, gap {POLY_WITNESS.gap:.12g} at 50 "
         f"digits (tests/test_witnesses.py), and with C = sqrt(n) = 10 the "
         f"closed form is derived only for g >= 19.5, beyond this grid "
-        f"(general_loss_risk_bound); the cell gamma=0.2 seed=0 eta=400 is "
+        f"(general_loss_risk_log_bound); the cell gamma=0.2 seed=0 eta=400 is "
         f"pinned failing by test_verify.py::TestGeneralLossBound::"
         f"test_poly_large_eta_fails_honestly"
     )

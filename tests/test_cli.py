@@ -700,6 +700,20 @@ class TestBenchCommand:
         for r in rows:
             float(r[4])  # wall_time column parses
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_diverged_run_is_not_a_run_out_of_steps(self, tmp_path):
+        # eta_small = 1e308 overflows the running sum of the iterates within a
+        # few steps: its rows name the divergence, not the step budget
+        text = "methods = small-adaptive,constant\neta_small = 1e308\nmax_steps = 50\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = [r.split(",") for r in (tmp_path / "bench.csv").read_text().splitlines()[2:]]
+        ds = gen_random_separable(10, 100, 0.1, seed=0)
+        t = run_gd(ds, GDConfig(loss=EXP.with_n(ds.n), eta=1e308, steps=50)).diverged_at
+        assert t is not None and t < 50
+        assert [r[3] for r in rows if r[0] == "small-adaptive"] == [f"diverged_at={t}"] * 3
+        assert [r[3] for r in rows if r[0] == "constant"] == [">50"] * 3
+
     def test_perceptron_rows_carry_n(self, tmp_path):
         text = "gammas = 0.2\nmethods = perceptron\nmax_steps = 2000\nn = 40\n"
         cfg = write_cfg(tmp_path, text)

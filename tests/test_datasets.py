@@ -1,6 +1,9 @@
 """Tests for dataset generators, validation, and serialization."""
 
+import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +249,57 @@ class TestSerialization:
         assert not report.ok
         failed = [name for name, passed, _ in report.checks if not passed]
         assert "unit_ball" in failed
+
+
+# Pieces of the file format, numbers at and past the float range, and a
+# byte that is not UTF-8, spliced into saved files by the fuzz below
+_FORMAT_TOKENS = [b" ", b"\n", b"#", b"-", b"+", b".", b"0", b"1", b"2", b"e", b"9" * 20,
+                  b"nan", b"inf", b"-inf", b"1e309", b"1e-400", b"-0", b"0.5", b"+1", b"-1",
+                  b"v1", b"v1w", b"n=", b"d=", b"gamma=", b"wstar: ", b"\xff"]
+
+
+@functools.cache
+def _saved_files() -> tuple:
+    """The bytes of two saved valid files: plain (v1) and weighted (v1w)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = []
+        for name, ds in (("plain", gen_random_separable(3, 6, 0.2, seed=1)),
+                         ("weighted", gen_batch_hard(0.1, 16, weighted=True))):
+            path = Path(tmp) / name
+            save_dataset(ds, path)
+            out.append(path.read_bytes())
+    return tuple(out)
+
+
+def _loads_valid_or_raises_value_error(data: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.txt"
+        path.write_bytes(data)
+        try:
+            ds = load_dataset(path)
+        except ValueError:
+            return
+    assert isinstance(ds, Dataset) and validate(ds).ok
+
+
+class TestLoadFuzz:
+    """Whatever the bytes, load_dataset gives a Dataset that passes validate
+    or raises ValueError. Numbers past the float range print numpy
+    RuntimeWarnings on their way to being refused."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=300), st.text(max_size=300).map(str.encode)))
+    def test_any_bytes(self, data):
+        _loads_valid_or_raises_value_error(data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_mutation_of_a_saved_file(self, data):
+        text = data.draw(st.sampled_from(_saved_files()), label="file")
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            i = data.draw(st.integers(0, len(text)), label="at")
+            j = data.draw(st.integers(i, min(len(text), i + 12)), label="to")
+            piece = data.draw(st.one_of(st.sampled_from(_FORMAT_TOKENS), st.binary(max_size=6)),
+                              label="insert")
+            text = text[:i] + piece + text[j:]
+        _loads_valid_or_raises_value_error(text)

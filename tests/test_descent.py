@@ -19,9 +19,7 @@ from margin_lab.descent import (
     GDConfig,
     RiskValue,
     Trajectory,
-    adaptive_stepsize,
     averaged_risk_log_bound,
-    general_loss_risk_bound,
     general_loss_risk_log_bound,
     grad_phi,
     grad_risk,
@@ -156,7 +154,8 @@ class TestSumTransform:
             # eta_t * grad L = eta * grad phi_sum
             r = risk(w, ds, loss)
             np.testing.assert_allclose(
-                adaptive_stepsize(loss, r, 3.7) * grad_risk(w, ds, loss), 3.7 * g, rtol=1e-8)
+                math.exp(log_adaptive_stepsize(loss, r, 3.7)) * grad_risk(w, ds, loss), 3.7 * g,
+                rtol=1e-8)
 
     def test_log_sum_phi_closed_form(self):
         # phi_sum = ln(prod_i (1 + e^{-z_i}) - 1) for the log loss
@@ -216,7 +215,7 @@ class TestGradients:
             assert r.value > 1e-200
             eta = 3.7
             a = eta * grad_phi(w, ds, loss)
-            b = adaptive_stepsize(loss, r, eta) * grad_risk(w, ds, loss)
+            b = math.exp(log_adaptive_stepsize(loss, r, eta)) * grad_risk(w, ds, loss)
             np.testing.assert_allclose(a, b, rtol=1e-8)
 
     @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
@@ -231,19 +230,19 @@ class TestGradients:
 
 class TestAdaptiveStepsize:
     def test_pinned(self):
-        assert adaptive_stepsize(EXP, RiskValue(0.5, math.log(0.5)), 1.0) == pytest.approx(2.0, rel=1e-14)
         u = math.log(2.0)
-        assert adaptive_stepsize(LOG, RiskValue(u, math.log(u)), 1.0) == pytest.approx(2.0, rel=1e-14)
-        assert adaptive_stepsize(SEMICIRCLE, RiskValue(1.0, 0.0), 1.0) == pytest.approx(2.0, rel=1e-14)
+        for loss, r in ((EXP, RiskValue(0.5, math.log(0.5))), (LOG, RiskValue(u, math.log(u))),
+                        (SEMICIRCLE, RiskValue(1.0, 0.0))):
+            assert math.exp(log_adaptive_stepsize(loss, r, 1.0)) == pytest.approx(2.0, rel=1e-14)
 
     def test_log_domain_overflow(self):
+        # eta_t = e^800 is past the float range; its log is not
         r = RiskValue(0.0, -800.0)
-        assert adaptive_stepsize(EXP, r, 1.0) == math.inf
         assert log_adaptive_stepsize(EXP, r, 1.0) == pytest.approx(800.0, rel=1e-15)
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):
-            adaptive_stepsize(EXP, RiskValue(1.0, 0.0), 0.0)
+            log_adaptive_stepsize(EXP, RiskValue(1.0, 0.0), 0.0)
 
 
 class TestRunGD:
@@ -607,9 +606,9 @@ class TestBounds:
                 assert averaged_risk_log_bound(gamma, eta, t) <= -(gamma**2) * eta / 4.0
 
     def test_general_bound_pinned(self):
-        # g = 2 with C = 4 zeroes the argument: bound = l(0) = 1
+        # g = 2 with C = 4 zeroes the argument: bound = ln l(0) = 0
         loss = poly(2.0).with_n(16)
-        assert general_loss_risk_bound(loss, 0.1, 8.0, 199) == pytest.approx(1.0, rel=1e-10)
+        assert general_loss_risk_log_bound(loss, 0.1, 8.0, 199) == pytest.approx(0.0, abs=1e-10)
 
     def test_general_bound_reduces_to_exp(self):
         loss = EXP.with_n(100)
@@ -626,7 +625,7 @@ class TestBounds:
         with pytest.raises(ValueError):
             averaged_risk_log_bound(0.1, 0.0, 10)
         with pytest.raises(ValueError):
-            general_loss_risk_bound(HINGE, 0.1, 8.0, 10)
+            general_loss_risk_log_bound(HINGE, 0.1, 8.0, 10)
 
     def test_phi_from_risk_deep_tails(self):
         # log loss: phi tracks log risk when the risk underflows

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import margin_lab
-from margin_lab.descent import RiskValue, phi_from_risk
+from margin_lab.cli import ConfigError, parse_config
+from margin_lab.descent import GDConfig, RiskValue, general_loss_risk_log_bound, phi_from_risk
 from margin_lab.losses import (
     EXP,
     HINGE,
@@ -25,8 +26,6 @@ from margin_lab.losses import (
     SEMICIRCLE,
     LossSpec,
     _brentq,
-    _deriv,
-    _value,
     log1mexp,
     parse_loss,
     poly,
@@ -122,13 +121,36 @@ class TestPinnedValues:
             assert spec.with_n(16).with_aggregation("sum").lipschitz_const() == 16.0
 
     def test_unsupported_for_hinge(self):
-        for call in (
-            lambda: HINGE.inverse(0.5),
-            lambda: HINGE.neg_inv_deriv(0.5),
-            lambda: HINGE.lipschitz_const(),
+        # every operation the hinge record lacks refuses, each with its own text
+        r = RiskValue(0.5, math.log(0.5))
+        for call, message in (
+            (lambda: HINGE.inverse(0.5), "inverse is undefined for the hinge loss"),
+            (lambda: HINGE.neg_inv_deriv(0.5), "neg_inv_deriv is undefined for the hinge loss"),
+            (lambda: HINGE.log_neg_inv_deriv(0.5, math.log(0.5)),
+             "log_neg_inv_deriv is undefined for the hinge loss"),
+            (lambda: HINGE.lipschitz_const(), "lipschitz_const is undefined for the hinge loss"),
+            (lambda: phi_from_risk(HINGE, r), "phi is undefined for the hinge loss"),
+            (lambda: HINGE.ops.mpmath(HINGE, None),
+             "the mpmath form is undefined for the hinge loss"),
+            (lambda: general_loss_risk_log_bound(HINGE, 0.1, 8.0, 10),
+             "no risk bound for the hinge loss"),
+            (lambda: GDConfig(loss=HINGE, eta=1.0, steps=3),
+             "adaptive mode needs an invertible loss; hinge has none"),
+            (lambda: HINGE.with_aggregation("sum"), "the hinge loss has no transform to aggregate"),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as info:
                 call()
+            assert str(info.value) == message
+        assert not HINGE.ops.smooth and all(spec.ops.smooth for spec in SMOOTH)
+        # the CLI refuses what needs them: adaptive hinge runs, hinge benches
+        run = "dataset = two-point:gamma=0.05\nloss = hinge\nstepsize = adaptive:1\nsteps = 3\n"
+        for text, command, error in (
+            (run, "run", (2, "hinge loss has no inverse; use stepsize = constant:<eta>")),
+            ("loss = hinge\n", "bench", (1, "bench GD methods need a smooth loss")),
+        ):
+            with pytest.raises(ConfigError) as info:
+                parse_config(text, command)
+            assert info.value.errors == [error]
 
     def test_inverse_domain_errors(self):
         for spec in SMOOTH:
@@ -149,6 +171,20 @@ class TestPinnedValues:
             -math.log(2.0 * k), rel=1e-15, abs=1e-15)
         overflowed = RiskValue(math.inf, 800.0)
         assert phi_from_risk(spec.with_n(3), overflowed) == math.inf
+
+    @pytest.mark.parametrize("spec", SMOOTH + [poly(0.5)], ids=lambda s: s.name)
+    def test_tiny_u_past_the_float_range_gives_inf(self, spec):
+        # (-l^{-1})'(u) and poly's l^{-1}(u) grow past the float range as
+        # u -> 0: inf there, and the log forms stay finite
+        for u in (1e-8, 1e-200, 1e-300, 5e-324):
+            lnid = spec.log_neg_inv_deriv(u, math.log(u))
+            assert math.isfinite(lnid)
+            if lnid > math.log(sys.float_info.max):
+                assert spec.neg_inv_deriv(u) == math.inf
+            else:
+                assert spec.neg_inv_deriv(u) == pytest.approx(math.exp(lnid), rel=1e-12)
+        assert poly(0.5).inverse(1e-200) == math.inf
+        assert poly(1.0).inverse(5e-324) == math.inf
 
     def test_other_kinds_limits_at_infinite_u(self):
         assert EXP.inverse(math.inf) == -math.inf
@@ -180,7 +216,7 @@ ROUNDED_BRACKETS = [
 def _scipy_left_branch(spec, u, lo):
     from scipy.optimize import brentq
 
-    return brentq(lambda t: _value(spec, t) - u, lo, 0.0, xtol=1e-15, rtol=8.9e-16)
+    return brentq(lambda t: spec.value(t) - u, lo, 0.0, xtol=1e-15, rtol=8.9e-16)
 
 
 class TestPolyLeftBranchSolver:
@@ -208,12 +244,12 @@ class TestPolyLeftBranchSolver:
             _scipy_left_branch(spec, u, -(u / (2.0 * k)) - 1.0)
         z = spec.inverse(u)
         assert z < -(u / (2.0 * k)) - 1.0
-        assert _value(spec, z) == pytest.approx(u, rel=1e-15)
+        assert spec.value(z) == pytest.approx(u, rel=1e-15)
 
     @pytest.mark.parametrize("k,u", SOLVER_GRID)
     def test_neg_inv_deriv_matches_the_array_slope(self, k, u):
         spec = poly(k)
-        assert spec.neg_inv_deriv(u) == -1.0 / float(_deriv(spec, spec.inverse(u)))
+        assert spec.neg_inv_deriv(u) == -1.0 / spec.deriv(spec.inverse(u))
 
     def test_solver_errors(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -399,3 +435,40 @@ class TestDeepTails:
             assert isinstance(vec, np.ndarray)
             for i, z in enumerate(zs):
                 assert vec[i] == spec.value(float(z))
+
+
+# Margins and risks on both sides of 0 and of l(0) = 1, out to where the
+# values leave the float range
+MP_SPECS = [EXP, LOG, poly(2.0), poly(0.5), SEMICIRCLE]
+MP_Z = [0.0] + [s * x for s in (-1.0, 1.0)
+                for x in (1e-12, 1e-6, 0.01, 0.3, 1.0, 2.5, 10.0, 40.0, 300.0)]
+MP_U = [1e-300, 1e-30, 1e-8, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.1,
+        2.0, 10.0, 1e3, 1e8, 1e300]
+
+
+class TestMpmathForm:
+    """Each kind's mpmath form, the arithmetic of verify's exact checks,
+    against its float kernels at 50 digits.
+
+    Measured worst gaps on this grid: 3.5e-16 relative for l and l'
+    (semicircle's l' at z = 40), 1.2e-16 relative for -l^{-1}(u) away from
+    u = 1, and 2.2e-16 absolute next to it, where -l^{-1}(u) is near 0 and
+    its float forms cancel. The tolerances are 1e-15 relative (4.5 ulp) and
+    1e-15 absolute.
+    """
+
+    @pytest.mark.parametrize("spec", MP_SPECS, ids=lambda s: s.name)
+    def test_agrees_with_the_float_kernels(self, spec):
+        import mpmath
+
+        with mpmath.workdps(50):
+            value, deriv, neg_inverse = spec.ops.mpmath(spec, mpmath.mp)
+            for z in MP_Z:
+                assert spec.value(z) == pytest.approx(float(value(mpmath.mpf(z))), rel=1e-15), z
+                assert spec.deriv(z) == pytest.approx(float(deriv(mpmath.mpf(z))), rel=1e-15), z
+            for u in MP_U:
+                want, got = neg_inverse(mpmath.mpf(u)), -spec.inverse(u)
+                if abs(want) > sys.float_info.max:  # poly:0.5 at u = 1e-300
+                    assert got == -math.inf, u
+                else:
+                    assert got == pytest.approx(float(want), rel=1e-15, abs=1e-15), u

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from margin_lab.datasets import gen_batch_hard, gen_random_separable, mean_signed_feature
+from margin_lab.datasets import (Dataset, gen_batch_hard, gen_random_separable,
+                                 mean_signed_feature)
 from margin_lab.descent import GDConfig, Trajectory, phi_from_risk, run_gd
 from margin_lab.losses import EXP, LOG, LossSpec, poly
 from margin_lab.two_layer import (
     Activation,
     TwoLayerNet,
-    forward,
     leaky_blend,
     leaky_relu,
     make_net,
@@ -87,9 +87,10 @@ class TestForwardAndGrad:
             signs=np.array([1.0, -1.0]),
             activation=leaky_relu(0.5),
         )
-        out = forward(net, np.array([[2.0, -2.0]]))
-        # s = (2, -2), sigma = (2, -1), f = (2*1 + (-1)*(-1)) / 2 = 1.5
-        assert out[0] == pytest.approx(1.5, rel=1e-15)
+        ds = Dataset(features=np.array([[2.0, -2.0], [2.0, -2.0]]), labels=np.array([1.0, -1.0]),
+                     gamma=0.5, w_star=np.array([1.0, 0.0]))
+        # s = (2, -2), sigma = (2, -1), f = (2*1 + (-1)*(-1)) / 2 = 1.5; z = y f
+        assert nn_margins(net, ds).tolist() == pytest.approx([1.5, -1.5], rel=1e-15)
 
     def test_zero_net_risk(self):
         ds = gen_random_separable(6, 30, 0.2, seed=1)
