@@ -59,8 +59,17 @@ class Dataset:
         return self.features.shape[1]
 
     def margins(self, w: np.ndarray) -> np.ndarray:
-        """Signed margins y_i <x_i, w> per distinct row."""
-        return self.labels * (self.features @ np.asarray(w, dtype=float))
+        """Signed margins y_i <x_i, w> per distinct row.
+
+        A (k, d) stack of parameter vectors gives a (k, R) array, one row per
+        vector. The stack goes through np.matmul(X, W[:, :, None]), one gemv
+        per vector, so row j has the bits of margins(W[j]); the gemm
+        X @ W.T rounds differently.
+        """
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 2:
+            return self.labels * np.matmul(self.features, w[:, :, None])[..., 0]
+        return self.labels * (self.features @ w)
 
     def min_margin(self, w: np.ndarray) -> float:
         return float(self.margins(w).min())

@@ -36,14 +36,25 @@ state -> gradient); the linear backward is the module attribute grad_phi
 one MarginState from z: the log loss kernel and its weighted log-sum-exp run
 once, and the risk, the smallest margin and the gradient coefficients are
 all read off it. Passes over the data: the margins and the gradient c @ X,
-so an unrecorded linear step makes 2. A recorded step, or one that checks
-the target, makes a third, ds.margins(avg_w), for both the averaged risk and
-its smallest margin. The run is stored as a columnar Trajectory.
+so an unrecorded linear step makes 2. The run is stored as a columnar
+Trajectory.
+
+A linear step that is recorded, or that checks the target, also needs its
+averaged iterate. Those steps are queued and evaluated a block at a time:
+one stacked pass ds.margins on the (k, d) stack of averages, one
+loss.log_value call and one log-sum-exp give every queued averaged risk and
+smallest margin, bit for bit as one evaluation per step would. A block holds
+B = block_size(n_rows) = max(1, min(64, 65 536 // n_rows)) steps (64 at
+n_rows = 100, 6 at 10 000), and is flushed when full and when the run ends.
+With a target, the loop runs to the end of the block that holds the first
+passage, keeps the rows up to it and drops the up to B - 1 steps behind it,
+with a diverged_at they may have stamped. A dropped step still went through
+grad_phi, so a stand-in for it sees those steps too; run_gd keeps overflow
+quiet, so they leave no warning either.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -76,29 +87,54 @@ def _risk_from_log(log_value: float) -> RiskValue:
     return RiskValue(_exp_or_inf(log_value), log_value)
 
 
+def _log_sum_exp(a: np.ndarray, weights: np.ndarray | None) -> tuple:
+    """lse = ln sum_i m_i exp(a_i), a = ln l(z), for one iterate (a 1-D a)
+    or for each row of a stack of iterates (a 2-D a).
+
+    lse is max + ln total, where total sums the shifted exponentials
+    e_i = m_i exp(a_i - max); the multiplicities m_i stay outside the
+    exponential. A row whose max is not finite (some l(z_i) = inf, every
+    l(z_i) = 0 as for a separated hinge, or a nan margin) has e and total
+    nan and lse = max. Returns (e, total, lse): total and lse are floats for
+    one iterate and lists with a float per row for a stack. Both shapes run
+    the same numpy operations and math.log on each row's total, so a row of
+    a stack has the bits of its iterate on its own; one iterate, the
+    per-step case, takes scalar reductions and skips the masking.
+    """
+    if a.ndim == 1:
+        top = float(a.max())
+        if not math.isfinite(top):
+            return np.full(a.shape, math.nan), math.nan, top
+        e = np.exp(a - top)
+        if weights is not None:
+            e = weights * e
+        total = float(e.sum())
+        return e, total, top + math.log(total)
+    top = a.max(axis=1, keepdims=True)
+    finite = np.isfinite(top)
+    shifted = np.where(finite, a - np.where(finite, top, 0.0), 0.0)
+    e = np.where(finite, np.exp(shifted), math.nan)
+    if weights is not None:
+        e = weights * e
+    totals = e.sum(axis=1).tolist()
+    lses = [m + math.log(s) if math.isfinite(m) else m
+            for m, s in zip(top.ravel().tolist(), totals)]
+    return e, totals, lses
+
+
 class MarginState:
     """The margins z of one iterate and what its risk and its gradient
     coefficients share.
 
-    lse = ln sum_i m_i l(z_i) is computed as max + ln total, where total sums
-    the shifted exponentials e_i = m_i exp(ln l(z_i) - max); for exp these
-    are the numerators of the softmax coefficients. The multiplicities m_i
-    stay outside the exponential. risk is the weighted mean loss, lse - ln n.
+    e, total and lse = ln sum_i m_i l(z_i) come from _log_sum_exp; for exp
+    the e_i are the numerators of the softmax coefficients. risk is the
+    weighted mean loss, lse - ln n.
     """
 
     __slots__ = ("z", "e", "total", "lse", "risk", "n")
 
     def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec, n: int):
-        a = loss.log_value(z)
-        m = float(a.max())
-        if math.isfinite(m):
-            e = np.exp(a - m)
-            if ds.weights is not None:
-                e = ds.weights * e
-            total = float(e.sum())
-            lse = m + math.log(total)
-        else:  # some l(z_i) = inf, every l(z_i) = 0 (hinge), or a nan margin
-            e, total, lse = np.full(np.shape(a), math.nan), math.nan, m
+        e, total, lse = _log_sum_exp(loss.log_value(z), ds.weights)
         self.z, self.e, self.total, self.lse, self.n = z, e, total, lse, n
         self.risk = _risk_from_log(lse - math.log(n))
 
@@ -293,6 +329,60 @@ class _Points(Sequence):
         return p
 
 
+_BLOCK_MAX = 64
+_BLOCK_ELEMENTS = 65_536
+
+
+def block_size(n_rows: int) -> int:
+    """B = max(1, min(64, 65 536 // n_rows)): how many averaged iterates
+    _descend evaluates together. A block's (B, n_rows) margins stay within
+    65 536 floats (512 KiB) unless one row of them is longer."""
+    return max(1, min(_BLOCK_MAX, _BLOCK_ELEMENTS // n_rows))
+
+
+class _AveragedBlock:
+    """Steps queued until their averaged iterates are evaluated together.
+
+    push queues step t with its running average; flush makes one stacked
+    margins pass over the queued averages, one loss.log_value call and one
+    _log_sum_exp, then appends the rows that are kept.
+    """
+
+    def __init__(self, ds: Dataset, average, loss: LossSpec, target, d: int):
+        self.ds, self.average, self.loss, self.target = ds, average, loss, target
+        self.log_n = math.log(ds.n)
+        self.queued: list = []
+        self.avg = np.empty((block_size(ds.n_rows), d))  # the rows are kept as avg_w
+
+    def push(self, t: int, params: np.ndarray, total: np.ndarray, z, r, violated, record) -> bool:
+        """Queue step t; True once the block is full."""
+        np.divide(total, t + 1, out=self.avg[len(self.queued)])
+        self.queued.append((t, params.copy(), z, r, violated, record))
+        return len(self.queued) == len(self.avg)
+
+    def flush(self, traj: Trajectory, row) -> bool:
+        """Append the queued rows that are recorded or at the first passage
+        below the target, and drop the steps queued behind that passage.
+        True if the passage was found."""
+        if not self.queued:
+            return False
+        queued, avg = self.queued, self.avg[:len(self.queued)]
+        self.queued, self.avg = [], np.empty_like(self.avg)
+        avg_z = self.average(avg)
+        _, _, lses = _log_sum_exp(self.loss.log_value(avg_z), self.ds.weights)
+        mins = avg_z.min(axis=1).tolist()
+        for j, (t, iterate, z, r, violated, record) in enumerate(queued):
+            log_avg = lses[j] - self.log_n
+            passed = self.target is not None and t >= 1 and log_avg <= self.target
+            if passed or record:
+                traj.append(row(t, iterate, z, r, violated)
+                            | {"avg_w": avg[j], "log_avg_risk": log_avg,
+                               "avg_min_margin": mins[j]})
+            if passed:
+                return True
+        return False
+
+
 def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backward, *,
              name: str = "w", scale: float = 1, average=None) -> Trajectory:
     """The descent loop of every model.
@@ -300,16 +390,27 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     forward() returns (cache, z) at the current params; backward(cache,
     state) returns the gradient, and params -= eta * scale * gradient steps
     them in place. With average (the margins function of a parameter
-    vector) the rows carry the running average of the iterates and the run
-    honours config.target_log_avg_risk; without it they carry the best
-    iterate so far and the target is not checked.
+    vector, and of a stack of them) the rows carry the running average of
+    the iterates, evaluated a block of steps at a time, and the run honours
+    config.target_log_avg_risk; without it they carry the best iterate so
+    far and the target is not checked. The module docstring says how a
+    block ends a run at a first passage.
     """
     loss, eta, n, smooth = config.loss, config.eta, ds.n, config.loss.ops.smooth
+    adaptive = config.mode == "adaptive"
     target = config.target_log_avg_risk if average is not None else None
     traj = Trajectory(config)
     total = params.copy()
     prev_log = best_log = math.inf
     best_t = 0
+    block = _AveragedBlock(ds, average, loss, target, params.size) if average is not None else None
+
+    def row(t, iterate, z, r, violated):
+        return {"t": t, name: iterate, "log_risk": r.log_value,
+                "phi": phi_from_risk(loss, r) if smooth else math.nan,
+                "log_stepsize": log_adaptive_stepsize(loss, r, eta) if adaptive else math.log(eta),
+                "min_margin": float(z.min()), "descent_violated": violated}
+
     for t in range(config.steps + 1):
         cache, z = forward()
         state = MarginState(z, ds, loss, n)
@@ -319,35 +420,27 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
         if r.log_value == math.inf or math.isnan(r.log_value):
             traj.diverged_at = t
             break
-        if r.log_value < best_log:
-            best_log, best_t = r.log_value, t
-        check = target is not None and t >= 1
+        violated = r.log_value > prev_log
         record = t % config.record_every == 0 or t == config.steps
-        if average is not None and (check or record):
-            avg = total / (t + 1)
-            avg_z = average(avg)
-            avg_r = MarginState(avg_z, ds, loss, n).risk
-        passed = check and avg_r.log_value <= target
-        if passed or record:
-            row = {"t": t, name: params.copy(), "log_risk": r.log_value,
-                   "phi": phi_from_risk(loss, r) if smooth else math.nan,
-                   "log_stepsize": (log_adaptive_stepsize(loss, r, eta)
-                                    if config.mode == "adaptive" else math.log(eta)),
-                   "min_margin": float(z.min()), "descent_violated": r.log_value > prev_log}
-            if average is not None:
-                row.update(avg_w=avg, log_avg_risk=avg_r.log_value,
-                           avg_min_margin=float(avg_z.min()))
-            else:
-                row.update(min_log_risk=best_log, min_risk_t=best_t)
-            traj.append(row)
+        if block is None:
+            if r.log_value < best_log:
+                best_log, best_t = r.log_value, t
+            if record:
+                traj.append(row(t, params.copy(), z, r, violated)
+                            | {"min_log_risk": best_log, "min_risk_t": best_t})
+        elif record or (target is not None and t >= 1):
+            if block.push(t, params, total, z, r, violated, record) and block.flush(traj, row):
+                return traj  # at the first passage
         prev_log = r.log_value
-        if passed or t == config.steps:
+        if t == config.steps:
             break
         params -= (eta * scale) * backward(cache, state)
         total += params
         if not np.isfinite(total).all():
             traj.diverged_at = t + 1
             break
+    if block is not None and block.flush(traj, row):
+        traj.diverged_at = None  # stamped after the first passage
     return traj
 
 
@@ -363,12 +456,18 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     the run without a target. The check evaluates the averaged risk at every
     step, recorded or not.
 
+    Averaged iterates are evaluated B = block_size(ds.n_rows) steps at a
+    time (see the module docstring). A run with a target therefore computes
+    up to B - 1 steps past its first passage and drops them: they leave no
+    row, no diverged_at and no warning, but each went through the gradient.
+
     Each step calls descent.grad_phi (grad_risk in constant mode) as
     (state, ds, loss), with the iterate's MarginState in the w slot.
 
-    A diverged run (see the module docstring) stamps diverged_at. Adaptive
-    mode diverges only by overflow, with eta near the float range: its step
-    length is capped by eta times the loss's lipschitz_const.
+    A diverged run (see the module docstring) stamps diverged_at; run_gd
+    does not warn on the overflow that gets there. Adaptive mode diverges
+    only by overflow, with eta near the float range: its step length is
+    capped by eta times the loss's lipschitz_const.
     """
     loss = config.loss
     _check_sum_n(loss, ds)
@@ -376,12 +475,11 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     if w.shape != (ds.d,):
         raise ValueError(f"init has shape {w.shape}, dataset needs ({ds.d},)")
     if config.mode == "adaptive":
-        quiet = contextlib.nullcontext()
         backward = lambda _, state: grad_phi(state, ds, loss)  # noqa: E731
-    else:  # the raw-risk baseline may overflow on its way to diverging
-        quiet = np.errstate(over="ignore", invalid="ignore")
+    else:
         backward = lambda _, state: grad_risk(state, ds, loss)  # noqa: E731
-    with quiet:
+    # diverged_at reports an overflow, here and in the dropped steps
+    with np.errstate(over="ignore", invalid="ignore"):
         return _descend(ds, config, w, lambda: (None, ds.margins(w)), backward,
                         average=ds.margins)
 

@@ -94,6 +94,23 @@ def permute_rows(ds, seed: int = 0):
                                weights=None if ds.weights is None else ds.weights[perm])
 
 
+def negate_rows(ds):
+    """The same dataset with every (x, y) replaced by (-x, -y): each margin
+    y <x, w> and each gradient term y x is the same float."""
+    return dataclasses.replace(ds, features=-ds.features, labels=-ds.labels)
+
+
+def random_rotation(d: int, seed: int = 0) -> np.ndarray:
+    """A seeded random d x d orthogonal matrix."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def rotate(ds, q: np.ndarray):
+    """The dataset with every row x and the certificate w_star mapped to q x."""
+    return dataclasses.replace(ds, features=ds.features @ q.T, w_star=q @ ds.w_star)
+
+
 def max_relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Largest ||a_t - b_t|| / ||a_t|| over the iterates stacked along axis 0;
     an iterate that is zero in a must be zero in b."""

@@ -3,6 +3,7 @@ and the averaged-iterate bounds."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from margin_lab.descent import (
 )
 from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, LossSpec, poly
 
-from _oracles import fd_grad, max_relative_gap, permute_rows
+from _oracles import (fd_grad, max_relative_gap, negate_rows, permute_rows,
+                      random_rotation, rotate)
 
 SMOOTH = [EXP, LOG, poly(2.0), SEMICIRCLE]
 
@@ -507,15 +509,17 @@ class TestFusedStep:
     @pytest.mark.parametrize("mode,loss", [("adaptive", LOG), ("constant", EXP)])
     @pytest.mark.parametrize("target", [False, True])
     def test_one_margins_pass_per_iterate(self, monkeypatch, mode, loss, target):
-        """ds.margins runs once per iterate, plus once for the averaged
-        iterate at each recorded point or target check; the gradient
-        function runs once per step made."""
+        """ds.margins runs once per iterate computed, plus once per block of
+        averaged iterates flushed (one stacked pass each). The gradient runs
+        once per step made; with a target, also once per step computed past
+        the first passage and dropped, fewer than B of them."""
         ds = small_ds()
-        cfg = GDConfig(loss=loss, eta=50.0 if mode == "adaptive" else 1.0, steps=40,
+        size = descent.block_size(ds.n_rows)
+        cfg = GDConfig(loss=loss, eta=50.0 if mode == "adaptive" else 1.0, steps=500,
                        mode=mode, record_every=7)
         if target:
             full = run_gd(ds, dataclasses.replace(cfg, record_every=1))
-            cfg = dataclasses.replace(cfg, target_log_avg_risk=full.points[20].avg_risk.log_value)
+            cfg = dataclasses.replace(cfg, target_log_avg_risk=full.points[100].avg_risk.log_value)
         counts = {"margins": 0, "grad": 0}
         margins = Dataset.margins
         grad_name = "grad_phi" if mode == "adaptive" else "grad_risk"
@@ -536,11 +540,14 @@ class TestFusedStep:
         assert traj.diverged_at is None
         if target:
             assert made < cfg.steps
-            avg_passes = 1 + made  # t = 0 is recorded, t >= 1 is checked
+            assert made <= counts["grad"] < made + size
+            queued = 1 + counts["grad"]  # t = 0 is recorded, t >= 1 is checked
         else:
-            avg_passes = len(traj.points)
-        assert counts["margins"] == (made + 1) + avg_passes
-        assert counts["grad"] == made
+            assert counts["grad"] == made
+            queued = len(traj.points)
+        blocks = -(-queued // size)
+        assert blocks >= 2
+        assert counts["margins"] == (counts["grad"] + 1) + blocks
 
     @pytest.mark.parametrize("mode,grad_name", [("adaptive", "grad_phi"),
                                                 ("constant", "grad_risk")])
@@ -568,9 +575,9 @@ class TestFusedStep:
     def test_one_log_kernel_call_per_iterate(self, monkeypatch, loss, agg):
         """The risk and the gradient coefficients of an iterate read one
         margin state, so loss.log_value runs once per iterate, plus once per
-        averaged-iterate evaluation."""
+        block of averaged iterates (one 2-D call each)."""
         ds = small_ds()
-        cfg = GDConfig(loss=loss.with_aggregation(agg).with_n(ds.n), eta=50.0, steps=40,
+        cfg = GDConfig(loss=loss.with_aggregation(agg).with_n(ds.n), eta=50.0, steps=500,
                        record_every=7)
         calls = []
         log_value = LossSpec.log_value
@@ -581,7 +588,95 @@ class TestFusedStep:
 
         monkeypatch.setattr(LossSpec, "log_value", counting)
         traj = run_gd(ds, cfg)
-        assert len(calls) == (cfg.steps + 1) + len(traj.points)
+        blocks = -(-len(traj.points) // descent.block_size(ds.n_rows))
+        assert blocks >= 2
+        assert len(calls) == (cfg.steps + 1) + blocks
+
+
+def assert_same_run(got, want, case=""):
+    """Two trajectories agree row for row, bit for bit, and in diverged_at."""
+    assert got.diverged_at == want.diverged_at, case
+    assert [p.t for p in got.points] == [p.t for p in want.points], case
+    for a, b in zip(got.points, want.points):
+        assert_same_point(a, b)
+
+
+def _unit_ball_dataset(n_rows, d, seed=0):
+    """Random rows on the unit sphere with random labels: only the shape
+    matters to the margins pass."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_rows, d))
+    x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    w_star = np.zeros(d)
+    w_star[0] = 1.0
+    return Dataset(x, np.where(rng.random(n_rows) < 0.5, -1.0, 1.0), 0.1, w_star)
+
+
+class TestAveragedBlocks:
+    """Averaged iterates are evaluated a block of B = block_size(n_rows)
+    steps at a time; rows, diverged_at and warnings are those of the loop
+    that evaluates them one step at a time (reference_run_gd)."""
+
+    def test_block_size(self):
+        assert [descent.block_size(r) for r in (1, 20, 100, 1024, 1025, 10_000, 65_536,
+                                                 10**6)] == [64, 64, 64, 64, 63, 6, 1, 1]
+
+    @pytest.mark.parametrize("name", list(FUSED_DATASETS))
+    def test_stacked_margins_equal_one_pass_per_iterate(self, name):
+        ds = FUSED_DATASETS[name]()
+        rng = np.random.default_rng(0)
+        size = descent.block_size(ds.n_rows)
+        stack = rng.standard_normal((size, ds.d)) * 10.0 ** rng.uniform(-3, 3, (size, 1))
+        stacked = ds.margins(stack)
+        assert stacked.shape == (size, ds.n_rows)
+        for j in range(size):
+            assert stacked[j].tobytes() == ds.margins(stack[j]).tobytes(), j
+        assert ds.margins(stack[:1])[0].tobytes() == ds.margins(stack[0]).tobytes()
+
+    def test_stacked_margins_at_the_run_large_shape(self):
+        ds = _unit_ball_dataset(10_000, 1000)
+        size = descent.block_size(ds.n_rows)
+        assert size == 6
+        stack = np.random.default_rng(1).standard_normal((size, ds.d))
+        stacked = ds.margins(stack)
+        for j in range(size):
+            assert stacked[j].tobytes() == ds.margins(stack[j]).tobytes(), j
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("make", [small_ds, lambda: gen_random_separable(5, 16384, 0.2, 11)],
+                             ids=["B=64", "B=4"])
+    @pytest.mark.parametrize("loss,mode,eta", [(EXP, "adaptive", 50.0), (LOG, "constant", 1.0)],
+                             ids=["exp-adaptive", "log-constant"])
+    def test_first_passage_at_the_block_edge(self, loss, mode, eta, make, offset, every):
+        ds = make()
+        size = descent.block_size(ds.n_rows)
+        hit = size + offset
+        base = GDConfig(loss=loss, eta=eta, steps=size + 40, mode=mode)
+        target = reference_run_gd(ds, base).points[hit].avg_risk.log_value
+        cfg = dataclasses.replace(base, record_every=every, target_log_avg_risk=target)
+        want = reference_run_gd(ds, cfg)
+        assert want.final.t == hit
+        assert_same_run(run_gd(ds, cfg), want)
+
+    def test_passage_then_divergence_in_one_block(self):
+        """The steps after the passage overflow (eta = 1e308); they are
+        dropped with their diverged_at and leave no warning."""
+        ds = gen_random_separable(10, 100, 0.1, seed=0)
+        base = GDConfig(loss=EXP, eta=1e308, steps=10)
+        with np.errstate(all="ignore"):
+            target = reference_run_gd(ds, base).points[1].avg_risk.log_value
+            want = reference_run_gd(ds, dataclasses.replace(base, target_log_avg_risk=target))
+        cfg = dataclasses.replace(base, target_log_avg_risk=target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_gd(ds, cfg)
+        assert [p.t for p in got.points] == [0, 1]
+        assert got.diverged_at is None
+        assert_same_run(got, want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_gd(ds, base).diverged_at == 4  # the run without a target
 
 
 class TestMetamorphic:
@@ -592,6 +687,31 @@ class TestMetamorphic:
         a, b = run_gd(ds, cfg), run_gd(permute_rows(ds), cfg)
         for name in ("w", "avg_w"):
             assert max_relative_gap(a.column(name), b.column(name)) <= 1e-12, name
+
+    @pytest.mark.parametrize("mode,eta", [("adaptive", 50.0), ("constant", 1.0)])
+    @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
+    def test_negated_rows_leave_every_column(self, loss, mode, eta):
+        """(x, y) -> (-x, -y) gives the same margins and gradient terms, so
+        every row is bit-identical, with the target on. (The margins of
+        w = 0 are zeros whose signs follow the labels, so min_margin at
+        t = 0 is compared as a float: 0.0 == -0.0.)"""
+        for ds in (gen_random_separable(10, 100, 0.1, seed=3), gen_batch_hard(0.1, 64)):
+            base = GDConfig(loss=loss.with_n(ds.n), eta=eta, steps=30, mode=mode)
+            target = run_gd(ds, base).points[15].avg_risk.log_value
+            cfg = dataclasses.replace(base, record_every=7, target_log_avg_risk=target)
+            a = run_gd(ds, cfg)
+            assert a.final.t < base.steps
+            assert_same_run(run_gd(negate_rows(ds), cfg), a)
+
+    @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
+    def test_joint_rotation_rotates_the_iterates(self, loss):
+        ds = gen_random_separable(10, 100, 0.1, seed=3)
+        q = random_rotation(ds.d, seed=5)
+        cfg = GDConfig(loss=loss.with_n(ds.n), eta=8.0, steps=30)
+        a, b = run_gd(ds, cfg), run_gd(rotate(ds, q), cfg)
+        for name in ("w", "avg_w"):
+            assert max_relative_gap(a.column(name), b.column(name) @ q) <= 1e-12, name
+        assert np.max(np.abs(a.column("log_risk") - b.column("log_risk"))) <= 1e-12
 
 
 class TestBounds:

@@ -17,7 +17,7 @@ from margin_lab.online import (
     run_perceptron,
 )
 
-from _oracles import permute_rows, row_permutation
+from _oracles import negate_rows, permute_rows, row_permutation
 
 
 class TestStep:
@@ -102,6 +102,20 @@ class TestPerceptron:
         inv = np.argsort(row_permutation(ds.n_rows, seed=2))
         a = run_perceptron(ds, order)
         b = run_perceptron(permute_rows(ds, seed=2), inv[order])
+        assert a.total_mistakes > 0
+        np.testing.assert_array_equal(a.mistakes, b.mistakes)
+        assert a.iterates.tobytes() == b.iterates.tobytes()
+        assert a.separated_at == b.separated_at
+
+    @pytest.mark.parametrize("make", [lambda: gen_random_separable(10, 100, 0.1, seed=4),
+                                      lambda: gen_online_hard(0.1, 9)],
+                             ids=["random", "online-hard"])
+    def test_negated_rows_leave_the_run(self, make):
+        # (x, y) -> (-x, -y): the same margin y <x, w> and update y x, bit for bit
+        ds = make()
+        order = random_order(ds.n_rows, 5 * ds.n_rows, seed=1)
+        a = run_perceptron(ds, order)
+        b = run_perceptron(negate_rows(ds), order)
         assert a.total_mistakes > 0
         np.testing.assert_array_equal(a.mistakes, b.mistakes)
         assert a.iterates.tobytes() == b.iterates.tobytes()
