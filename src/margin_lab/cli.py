@@ -381,7 +381,8 @@ def _fmt(x: float) -> str:
 
 def make_dataset(spec: DatasetSpec, default_seed: int) -> Dataset:
     """The dataset a source names; a file that breaks the dataset contract,
-    or parameters outside the generator's range, are a config error."""
+    parameters outside the generator's range, or a dataset that cannot be
+    allocated are a config error."""
     p = spec.params
     try:
         if spec.kind == "file":
@@ -400,6 +401,12 @@ def make_dataset(spec: DatasetSpec, default_seed: int) -> Dataset:
         # load_dataset's messages already start with the path
         where = " " if spec.kind == "file" else " source: "
         raise ConfigError([(0, f"bad dataset {spec.kind}{where}{exc}")]) from None
+    except MemoryError as exc:
+        shape = getattr(exc, "shape", None)  # numpy names the array it could not allocate
+        what = "" if shape is None else f" (an array of shape {tuple(shape)})"
+        where = f" {p['path']}: " if spec.kind == "file" else " source: "
+        raise ConfigError(
+            [(0, f"bad dataset {spec.kind}{where}does not fit in memory{what}")]) from None
 
 
 def _provenance_line(cfg: ExperimentConfig, seed: int) -> str:

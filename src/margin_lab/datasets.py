@@ -19,6 +19,14 @@ File format (text, one dataset per file):
 Weighted datasets use the `v1w` header variant and insert a weight column
 after the label. Floats are written with 17 significant digits, so a
 save/load round trip is bit-exact.
+
+Memory: the passes over a whole feature matrix that need temporaries work
+in row blocks of block_rows(d) = max(1, BLOCK_ELEMENTS // d) rows, so a
+temporary holds at most 65 536 floats (512 KiB), or one row when d is
+larger. Generation peaks at the feature matrix plus about one block;
+validate holds one block beyond the dataset, save_dataset one formatted
+row; loading peaks at about twice the feature matrix (the parsed blocks and
+the array they are joined into).
 """
 
 from __future__ import annotations
@@ -32,6 +40,22 @@ import numpy as np
 _HEADER_RE = re.compile(
     r"^margin-lab-dataset (v1w?) n=(\d+) d=(\d+) gamma=([^ ]+)$"
 )
+
+# The element budget of one block, shared by the row blocks below and the
+# stacked averaged iterates of descent.block_size.
+BLOCK_ELEMENTS = 65_536
+
+
+def block_rows(d: int) -> int:
+    """Rows per block for d columns: max(1, BLOCK_ELEMENTS // d)."""
+    return max(1, BLOCK_ELEMENTS // max(d, 1))
+
+
+def row_blocks(n_rows: int, d: int):
+    """Consecutive row slices of block_rows(d) rows covering n_rows rows;
+    the last one may be shorter."""
+    step = block_rows(d)
+    return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
 
 
 @dataclass
@@ -83,13 +107,18 @@ class ValidationReport:
 
 
 def validate(ds: Dataset, tol: float = 1e-12) -> ValidationReport:
-    """Check the dataset contract: labels, norms, certificate, weights."""
+    """Check the dataset contract: labels, norms, certificate, weights.
+
+    The row norms are taken one row block at a time, so beyond the dataset
+    it holds one block and a few vectors of length n_rows."""
     checks = []
 
     labels_ok = bool(np.all(np.isin(ds.labels, (-1.0, 1.0))))
     checks.append(("labels_pm1", labels_ok, "labels must be exactly +-1"))
 
-    norms = np.linalg.norm(ds.features, axis=1)
+    norms = np.empty(ds.n_rows)
+    for rows in row_blocks(ds.n_rows, ds.d):
+        norms[rows] = np.linalg.norm(ds.features[rows], axis=1)
     norm_ok = bool(np.all(norms <= 1.0 + tol))
     checks.append(("unit_ball", norm_ok, f"max row norm {norms.max():.17g}"))
 
@@ -149,6 +178,11 @@ def gen_random_separable(d: int, n: int, gamma: float, seed: int) -> Dataset:
     alignment with w_star, and any point with margin below gamma is projected
     onto the margin boundary (rescaling the orthogonal component so the norm
     stays <= 1, which leaves its realized margin exactly gamma).
+
+    The (n, d) draw of directions becomes the features in place: rows are
+    normalised, scaled and projected one block of block_rows(d) rows at a
+    time, element by element as on the whole matrix, so the result is the
+    same to the bit and the peak is the features plus about one block.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -161,25 +195,31 @@ def gen_random_separable(d: int, n: int, gamma: float, seed: int) -> Dataset:
     w_star = rng.standard_normal(d)
     w_star /= np.linalg.norm(w_star)
 
-    dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    x = rng.standard_normal((n, d))  # the directions, made the features in place
     radii = rng.random(n) ** (1.0 / d)
-    x = dirs * radii[:, None]
+    for rows in row_blocks(n, d):
+        block = x[rows]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        block *= radii[rows, None]
 
     align = x @ w_star
     y = np.where(align >= 0.0, 1.0, -1.0)
     m = y * align  # nonnegative margins
 
-    low = m < gamma
-    if np.any(low):
-        x_par = m[:, None] * (y[:, None] * w_star[None, :])
-        x_perp = x - x_par
+    low = np.flatnonzero(m < gamma)
+    cap = math.sqrt(max(0.0, 1.0 - gamma * gamma))
+    for part in row_blocks(low.size, d):
+        i = low[part]
+        yw = w_star * y[i, None]
+        x_perp = x[i]
+        x_perp -= m[i, None] * yw
         perp_norm = np.linalg.norm(x_perp, axis=1)
-        cap = math.sqrt(max(0.0, 1.0 - gamma * gamma))
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(perp_norm > 0, np.minimum(1.0, cap / perp_norm), 0.0)
-        projected = scale[:, None] * x_perp + gamma * (y[:, None] * w_star[None, :])
-        x = np.where(low[:, None], projected, x)
+        x_perp *= scale[:, None]
+        yw *= gamma
+        x_perp += yw
+        x[i] = x_perp  # the projection onto the margin boundary
 
     return Dataset(
         features=x,
@@ -362,20 +402,22 @@ def _fmt(x: float) -> str:
 
 
 def save_dataset(ds: Dataset, path, comments: tuple = ()) -> None:
+    """Write ds in the text format, one row at a time: beyond the dataset
+    the writer holds one formatted row. Each row is one %-format (%.17g,
+    the bytes of _fmt, per feature)."""
     weighted = ds.weights is not None
     version = "v1w" if weighted else "v1"
-    lines = [f"# {c}" if not c.startswith("#") else c for c in comments]
-    lines.append(f"margin-lab-dataset {version} n={ds.n} d={ds.d} gamma={_fmt(ds.gamma)}")
-    lines.append("wstar: " + " ".join(_fmt(v) for v in ds.w_star))
-    for i in range(ds.n_rows):
-        label = "+1" if ds.labels[i] > 0 else "-1"
-        cols = [label]
-        if weighted:
-            cols.append(str(int(ds.weights[i])))
-        cols.extend(_fmt(v) for v in ds.features[i])
-        lines.append(" ".join(cols))
+    # formatted before the file is opened: a weight int() refuses writes nothing
+    weights = [str(int(w)) for w in ds.weights] if weighted else None
+    row_fmt = " ".join(["%s"] * (2 if weighted else 1) + ["%.17g"] * ds.d) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for c in comments:
+            fh.write((c if c.startswith("#") else f"# {c}") + "\n")
+        fh.write(f"margin-lab-dataset {version} n={ds.n} d={ds.d} gamma={_fmt(ds.gamma)}\n")
+        fh.write("wstar: " + " ".join(_fmt(v) for v in ds.w_star) + "\n")
+        for i in range(ds.n_rows):
+            head = ("+1" if ds.labels[i] > 0 else "-1",) + ((weights[i],) if weighted else ())
+            fh.write(row_fmt % (*head, *ds.features[i].tolist()))
 
 
 def _floats(tokens, path, what: str) -> list:
@@ -385,45 +427,71 @@ def _floats(tokens, path, what: str) -> list:
         raise ValueError(f"{path}: non-numeric token in {what}") from None
 
 
+def _content_lines(fh):
+    """The lines of fh that are neither blank nor comments, without newline."""
+    for ln in fh:
+        if ln.strip() and not ln.lstrip().startswith("#"):
+            yield ln.rstrip("\n")
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset file and check it against the dataset contract.
 
     Every malformed or contract-breaking file raises ValueError, whose
-    message starts with the path.
+    message starts with the path. A byte that is not UTF-8 anywhere in the
+    file outranks every other fault.
+
+    The file is read line by line, each row parsed straight into float64
+    blocks of block_rows(d) rows that are joined at the end: the peak is
+    twice the feature matrix plus at most one block (the unfilled rows of
+    the last one).
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [
-                ln.rstrip("\n")
-                for ln in fh
-                if ln.strip() and not ln.lstrip().startswith("#")
-            ]
+            try:
+                return _parse(path, _content_lines(fh))
+            except UnicodeDecodeError:  # a ValueError too: reported as it stands
+                raise
+            except ValueError:
+                for _ in fh:  # decode the rest: a later non-UTF-8 byte outranks this
+                    pass
+                raise
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-    if not lines:
+
+
+def _parse(path, lines) -> Dataset:
+    """The dataset in the content lines of a file, checked as load_dataset says."""
+    first = next(lines, None)
+    if first is None:
         raise ValueError(f"{path}: empty dataset file")
-    m = _HEADER_RE.match(lines[0])
+    m = _HEADER_RE.match(first)
     if not m:
-        raise ValueError(f"{path}: bad header line {lines[0]!r}")
+        raise ValueError(f"{path}: bad header line {first!r}")
     version, n, d = m.group(1), int(m.group(2)), int(m.group(3))
     gamma = _floats([m.group(4)], path, "the header gamma")[0]
     weighted = version == "v1w"
-    if len(lines) < 2 or not lines[1].startswith("wstar: "):
+    wline = next(lines, None)
+    if wline is None or not wline.startswith("wstar: "):
         raise ValueError(f"{path}: missing wstar line")
-    w_star = np.array(_floats(lines[1][len("wstar: "):].split(), path, "wstar"))
+    w_star = np.array(_floats(wline[len("wstar: "):].split(), path, "wstar"))
     if w_star.size != d:
         raise ValueError(f"{path}: wstar has {w_star.size} coords, header says d={d}")
-    if len(lines) < 3:
-        raise ValueError(f"{path}: no data rows")
 
-    rows, labels, weights = [], [], []
+    step = block_rows(d)
+    blocks = []  # (features, labels, weights) of block_rows(d) rows each
     head = 2 if weighted else 1
-    for i, ln in enumerate(lines[2:], start=1):
+    i = 0
+    for i, ln in enumerate(lines, start=1):
+        j = (i - 1) % step
+        if j == 0:
+            blocks.append((np.empty((step, d)), np.empty(step), np.empty(step)))
+        feats, labels, weights = blocks[-1]
         parts = ln.split()
         if len(parts) != head + d:
             raise ValueError(
                 f"{path}: row {i} has {len(parts)} fields, expected {head + d}")
-        labels.append(_floats(parts[:1], path, f"row {i}")[0])
+        labels[j] = _floats(parts[:1], path, f"row {i}")[0]
         if weighted:
             try:
                 weight = int(parts[1])
@@ -431,15 +499,20 @@ def load_dataset(path) -> Dataset:
                 raise ValueError(f"{path}: row {i} weight must be an integer") from None
             if abs(weight) > 2**53:  # beyond it float sums lose integers
                 raise ValueError(f"{path}: row {i} weight exceeds 2^53")
-            weights.append(float(weight))
-        rows.append(_floats(parts[head:], path, f"row {i}"))
+            weights[j] = float(weight)
+        feats[j] = _floats(parts[head:], path, f"row {i}")
+    if i == 0:
+        raise ValueError(f"{path}: no data rows")
 
+    blocks[-1] = tuple(a[:j + 1] for a in blocks[-1])
+    features, labels, weights = (np.concatenate(arrays) for arrays in zip(*blocks))
+    del blocks  # a feature matrix's worth, freed before validate
     ds = Dataset(
-        features=np.asarray(rows, dtype=float).reshape(len(rows), d),
-        labels=np.asarray(labels, dtype=float),
+        features=features,
+        labels=labels,
         gamma=gamma,
         w_star=w_star,
-        weights=np.asarray(weights) if weighted else None,
+        weights=weights if weighted else None,
         metadata={"generator": "file", "path": str(path)},
     )
     report = validate(ds)

@@ -62,7 +62,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import BLOCK_ELEMENTS, Dataset
 from .losses import LossSpec
 
 
@@ -330,14 +330,14 @@ class _Points(Sequence):
 
 
 _BLOCK_MAX = 64
-_BLOCK_ELEMENTS = 65_536
 
 
 def block_size(n_rows: int) -> int:
     """B = max(1, min(64, 65 536 // n_rows)): how many averaged iterates
     _descend evaluates together. A block's (B, n_rows) margins stay within
-    65 536 floats (512 KiB) unless one row of them is longer."""
-    return max(1, min(_BLOCK_MAX, _BLOCK_ELEMENTS // n_rows))
+    datasets.BLOCK_ELEMENTS = 65 536 floats (512 KiB), the budget of the
+    dataset passes' row blocks too, unless one row of them is longer."""
+    return max(1, min(_BLOCK_MAX, BLOCK_ELEMENTS // n_rows))
 
 
 class _AveragedBlock:

@@ -36,6 +36,7 @@ from .datasets import (
     gen_random_separable,
     gen_two_point,
     mean_signed_feature,
+    row_blocks,
 )
 from .descent import (
     GDConfig,
@@ -140,14 +141,27 @@ def make_report(
     )
 
 
+def _hash_array(h, a: np.ndarray) -> None:
+    """Feed h the bytes of a.tobytes(): a C-contiguous array's own buffer, or
+    C-ordered copies of one row block at a time."""
+    if a.flags.c_contiguous:
+        h.update(memoryview(a))
+        return
+    rows = a.reshape(len(a), -1)
+    for part in row_blocks(*rows.shape):
+        h.update(np.ascontiguousarray(rows[part]))
+
+
 def dataset_fingerprint(ds: Dataset) -> dict:
-    """Small reproducibility stamp: shape, margin, and a content hash."""
+    """Small reproducibility stamp: shape, margin, and a content hash.
+
+    The hash is sha256 over the tobytes() of the features, labels, w_star
+    and weights, taken without those copies: beyond the dataset it holds at
+    most one row block (datasets.row_blocks) of a non-C-ordered array."""
     h = hashlib.sha256()
-    h.update(ds.features.tobytes())
-    h.update(ds.labels.tobytes())
-    h.update(ds.w_star.tobytes())
-    if ds.weights is not None:
-        h.update(ds.weights.tobytes())
+    for a in (ds.features, ds.labels, ds.w_star, ds.weights):
+        if a is not None:
+            _hash_array(h, a)
     info = {
         "n": ds.n,
         "rows": ds.n_rows,

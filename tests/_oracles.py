@@ -146,3 +146,53 @@ def log_loss_log_value(z):
         plain = np.log(np.logaddexp(0.0, -np.where(big, 0.0, z)))
     out = np.where(big, -z, plain)
     return float(out) if out.ndim == 0 else out
+
+
+def whole_matrix_random_separable(d: int, n: int, gamma: float, seed: int):
+    """(features, labels, w_star) of margin_lab's random separable generator
+    as it was before it worked in row blocks: every step on the whole
+    (n, d) matrix, with its n x d temporaries. The block form must return
+    the same bits."""
+    rng = np.random.default_rng(seed)
+    w_star = rng.standard_normal(d)
+    w_star /= np.linalg.norm(w_star)
+
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = rng.random(n) ** (1.0 / d)
+    x = dirs * radii[:, None]
+
+    align = x @ w_star
+    y = np.where(align >= 0.0, 1.0, -1.0)
+    m = y * align
+    low = m < gamma
+    if np.any(low):
+        x_par = m[:, None] * (y[:, None] * w_star[None, :])
+        x_perp = x - x_par
+        perp_norm = np.linalg.norm(x_perp, axis=1)
+        cap = math.sqrt(max(0.0, 1.0 - gamma * gamma))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(perp_norm > 0, np.minimum(1.0, cap / perp_norm), 0.0)
+        projected = scale[:, None] * x_perp + gamma * (y[:, None] * w_star[None, :])
+        x = np.where(low[:, None], projected, x)
+    return x, y, w_star
+
+
+def joined_dataset_text(features, labels, w_star, gamma: float, n: int, weights=None,
+                        comments: tuple = ()) -> str:
+    """The text of a dataset file as the writer built it before it streamed
+    rows: every line formatted with f"{v:.17g}", then all joined."""
+    def fmt(v) -> str:
+        return f"{v:.17g}"
+
+    version = "v1" if weights is None else "v1w"
+    lines = [f"# {c}" if not c.startswith("#") else c for c in comments]
+    lines.append(f"margin-lab-dataset {version} n={n} d={len(w_star)} gamma={fmt(gamma)}")
+    lines.append("wstar: " + " ".join(fmt(v) for v in w_star))
+    for i in range(len(labels)):
+        cols = ["+1" if labels[i] > 0 else "-1"]
+        if weights is not None:
+            cols.append(str(int(weights[i])))
+        cols.extend(fmt(v) for v in features[i])
+        lines.append(" ".join(cols))
+    return "\n".join(lines) + "\n"

@@ -331,6 +331,35 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    def test_dataset_that_cannot_be_allocated_is_a_config_error(self, tmp_path, capsys):
+        # d = 1/gamma^2 = 111 111 111 111 columns: 0.8 PiB of features, past
+        # any 64-bit host's address space whatever its overcommit setting
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("dataset = online-hard:gamma=0.000003,n=1000\nloss = exp\n"
+                       "stepsize = adaptive:1\nsteps = 5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad dataset online-hard source: "
+                              "does not fit in memory (an array of shape (1000, 111111111111))")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_dataset_file_that_cannot_be_loaded_is_a_config_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        data = tmp_path / "ds.txt"
+        data.write_text(_HEAD + _WSTAR + _ROWS)
+
+        def out_of_memory(path):
+            raise MemoryError
+
+        monkeypatch.setattr("margin_lab.cli.load_dataset", out_of_memory)
+        cfg = write_cfg(tmp_path, f"dataset = file:{data}\n")
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad dataset file {data}: does not fit in memory")
+        assert "Traceback" not in err
+
     def test_bench_with_d_1_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("d = 1\n")

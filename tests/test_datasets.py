@@ -3,6 +3,7 @@
 import functools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margin_lab.datasets import (
+    BLOCK_ELEMENTS,
     Dataset,
+    block_rows,
     gen_batch_hard,
     gen_chain_hard,
     gen_online_hard,
@@ -19,10 +22,14 @@ from margin_lab.datasets import (
     gen_two_point,
     load_dataset,
     mean_signed_feature,
+    row_blocks,
     save_dataset,
     stepsize_cap_fraction,
     validate,
 )
+from margin_lab.verify import dataset_fingerprint
+
+from _oracles import joined_dataset_text, whole_matrix_random_separable
 
 
 class TestTwoPoint:
@@ -219,6 +226,49 @@ class TestSerialization:
         np.testing.assert_array_equal(ds.weights, back.weights)
         assert back.n == 2**20
 
+    @pytest.mark.parametrize("n, d", [(7000, 20), (3, 70_000)])
+    def test_round_trip_across_row_blocks(self, n, d, tmp_path):
+        """Several row blocks, the last one short (7000 rows of d = 20 are
+        three blocks of 3276), and one row per block past 65 536 columns."""
+        ds = gen_random_separable(d, n, 0.1, seed=3)
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        np.testing.assert_array_equal(ds.features, back.features)
+        np.testing.assert_array_equal(ds.labels, back.labels)
+        assert back.features.flags.c_contiguous and back.n == n
+
+    def test_files_match_the_joined_writer_byte_for_byte(self, tmp_path):
+        plain = gen_random_separable(20, 7000, 0.1, seed=1000)
+        odd = Dataset(features=np.array([[-0.0, 5e-324], [np.nan, -np.inf], [0.1, 1.0 / 3.0]]),
+                      labels=np.array([1.0, -1.0, 0.0]), gamma=0.5,
+                      w_star=np.array([1.0, -0.0]))
+        weighted = gen_batch_hard(0.05, 2**20, weighted=True)
+        comments = ("margin-lab v0 config_sha256=abc seed=3", "# kept as written")
+        for ds in (plain, odd, weighted):
+            path = tmp_path / "ds.txt"
+            save_dataset(ds, path, comments=comments)
+            assert path.read_text() == joined_dataset_text(
+                ds.features, ds.labels, ds.w_star, ds.gamma, ds.n, ds.weights, comments)
+
+    def test_a_weight_int_refuses_writes_no_file(self, tmp_path):
+        ds = gen_batch_hard(0.1, 16, weighted=True)
+        ds.weights[-1] = np.nan
+        path = tmp_path / "ds.txt"
+        with pytest.raises(ValueError):
+            save_dataset(ds, path)
+        assert not path.exists()
+
+    def test_non_utf8_byte_outranks_an_earlier_format_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        body = "margin-lab-dataset v1 n=2 d=2 gamma=0.5\nwstar: 1 0\n+1 abc 0\n"
+        path.write_bytes(body.encode() + b"-1 -0.6 0.1\n" * 2000 + b"\xff\n")
+        with pytest.raises(ValueError, match="not UTF-8"):
+            load_dataset(path)
+        path.write_bytes(body.encode() + b"-1 -0.6 0.1\n" * 2000)
+        with pytest.raises(ValueError, match="non-numeric token in row 1"):
+            load_dataset(path)
+
     def test_header_format(self, tmp_path):
         ds = gen_batch_hard(0.1, 32)
         path = tmp_path / "ds.txt"
@@ -249,6 +299,70 @@ class TestSerialization:
         assert not report.ok
         failed = [name for name, passed, _ in report.checks if not passed]
         assert "unit_ball" in failed
+
+
+class TestRowBlocks:
+    """The passes over a whole feature matrix work in blocks of
+    block_rows(d) = max(1, BLOCK_ELEMENTS // d) rows."""
+
+    def test_block_rows_and_slices(self):
+        assert [block_rows(d) for d in (0, 1, 20, 500, 65_536, 70_000)] == [
+            65_536, 65_536, 3276, 131, 1, 1]
+        parts = list(row_blocks(7000, 20))
+        assert [(p.start, p.stop) for p in parts] == [(0, 3276), (3276, 6552), (6552, 7000)]
+        assert list(row_blocks(0, 20)) == []
+
+    # (n, d, gamma): several blocks with a short last one, and of the rows
+    # below the margin; one row per block past 65 536 columns; one block
+    @pytest.mark.parametrize("n, d, gamma", [(7000, 20, 0.5), (1000, 500, 0.1),
+                                             (3, 70_000, 0.1), (5, 2, 0.3)])
+    @pytest.mark.parametrize("seed", [0, 3, 1000])
+    def test_generator_matches_the_whole_matrix_oracle(self, n, d, gamma, seed):
+        ds = gen_random_separable(d, n, gamma, seed)
+        x, y, w_star = whole_matrix_random_separable(d, n, gamma, seed)
+        assert ds.features.tobytes() == x.tobytes()
+        assert ds.labels.tobytes() == y.tobytes()
+        assert ds.w_star.tobytes() == w_star.tobytes()
+
+
+def _traced_peak(fn) -> int:
+    """Bytes fn allocates at its peak, above what is allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """tracemalloc peaks (numpy reports its buffers to it). One block is
+    BLOCK_ELEMENTS floats; "a vector" is one float per row. The writer and
+    loader run at a smaller shape: tracemalloc slows their Python objects."""
+
+    BLOCK = BLOCK_ELEMENTS * 8
+
+    def test_generation_peaks_near_the_features(self):
+        made = []
+        peak = _traced_peak(lambda: made.append(gen_random_separable(500, 4000, 0.1, seed=0)))
+        assert peak <= 1.25 * made[0].features.nbytes
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_validate_and_fingerprint_hold_one_block(self, order):
+        ds = gen_random_separable(500, 4000, 0.1, seed=0)
+        ds.features = np.asarray(ds.features, order=order)
+        bound = self.BLOCK + 8 * (8 * ds.n_rows)  # one block and eight vectors
+        assert _traced_peak(lambda: validate(ds)) <= bound
+        assert _traced_peak(lambda: dataset_fingerprint(ds)) <= bound
+
+    def test_save_holds_a_row_and_load_about_twice_the_features(self, tmp_path):
+        ds = gen_random_separable(100, 1000, 0.1, seed=0)
+        path = tmp_path / "ds.txt"
+        assert _traced_peak(lambda: save_dataset(ds, path)) <= 0.25 * ds.features.nbytes
+        # the parsed blocks, the last one partly filled, and the joined copy
+        bound = 2 * ds.features.nbytes + self.BLOCK + 8 * (8 * ds.n_rows)
+        assert _traced_peak(lambda: load_dataset(path)) <= bound
 
 
 # Pieces of the file format, numbers at and past the float range, and a

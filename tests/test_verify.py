@@ -1,5 +1,6 @@
 """Tests for the verification suite (report mechanics plus each check)."""
 
+import hashlib
 import json
 import math
 import os
@@ -95,6 +96,18 @@ class TestFingerprint:
         fp = dataset_fingerprint(ds)
         assert fp["n"] == 2**20
         assert fp["rows"] < 30
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_hash_is_sha256_of_the_tobytes_copies(self, order, weighted):
+        """Three row blocks of d = 20 for the plain set, so an F-ordered one
+        is hashed a block at a time."""
+        ds = (gen_batch_hard(0.05, 2**20, weighted=True) if weighted
+              else gen_random_separable(20, 7000, 0.1, seed=0))
+        ds.features = np.asarray(ds.features, order=order)
+        arrays = [ds.features, ds.labels, ds.w_star] + ([ds.weights] if weighted else [])
+        want = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:12]
+        assert dataset_fingerprint(ds)["sha256"] == want
 
 
 class TestAveragedRiskBound:
