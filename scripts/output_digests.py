@@ -3,7 +3,12 @@
     python scripts/output_digests.py > digests.txt
 
 Run it on two checkouts and diff the outputs: an empty diff means the two
-trees give bit-identical trajectories and byte-identical CLI outputs.
+trees give bit-identical trajectories and byte-identical CLI outputs. The
+script digests the tree it sits in (`src` and `tests` next to its
+`scripts` directory), so a copy placed in another checkout's `scripts`
+directory digests that checkout with this script's cases. CI runs the base
+commit's script and the head's script each on both trees and diffs each
+pair, so a change may add cases without dropping any of the base's.
 
 One line per run or file:
 
@@ -13,8 +18,13 @@ One line per run or file:
   network grid (two activations, exp and log, `NN_DATASETS`, `record_every`
   1/7);
 - the CLI outputs of `run`, `run-nn`, `verify` (`reports.json` and stdout)
-  and `bench` (`bench.csv` without its `wall_time` column) on seeds 0, 3
-  and 1000, with each command's exit code.
+  and `bench` (`bench.csv` without its `wall_time` column), `gen` for all
+  six dataset sources and `perceptron` for the cyclic, `random:<seed>` and
+  `file:` orders, on seeds 0, 3 and 1000, with each command's exit code;
+- the stderr of configs the CLI refuses (exit 2). Only those: warnings on
+  stderr carry file paths. The CLI runs with the work directory as its
+  current directory and every path relative, so no message names a
+  temporary directory.
 
 Trajectories are read only through `points` and `column(name)`, with the
 attribute and column names both the row-object and the columnar forms of
@@ -27,6 +37,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import os
 import struct
 import sys
 import tempfile
@@ -38,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from margin_lab import cli  # noqa: E402
+from margin_lab.datasets import gen_random_separable, save_dataset  # noqa: E402
 from margin_lab.descent import GDConfig, run_gd  # noqa: E402
 from margin_lab.losses import EXP, LOG  # noqa: E402
 from margin_lab.two_layer import make_net, parse_activation, run_gd_nn  # noqa: E402
@@ -78,6 +90,39 @@ CLI_CONFIGS = {
                                    "activation = leaky-gelu:0.9"]),
     "verify": ("verify", []),
     "bench": ("bench", []),
+    "gen-random": ("gen", ["dataset = random:d=6,n=40,gamma=0.15"]),
+    "gen-random-seeded": ("gen", ["dataset = random:d=3,n=9,gamma=0.3,seed=7"]),
+    "gen-two-point": ("gen", ["dataset = two-point:gamma=0.05"]),
+    "gen-batch-hard": ("gen", ["dataset = batch-hard:gamma=0.1,n=64"]),
+    "gen-batch-hard-materialized": ("gen", ["dataset = batch-hard:gamma=0.1,n=16,weighted=false"]),
+    "gen-online-hard": ("gen", ["dataset = online-hard:gamma=0.25,n=20"]),
+    "gen-chain-hard": ("gen", ["dataset = chain-hard:gamma=0.05,n=30"]),
+    "gen-file": ("gen", ["dataset = file:source.txt"]),
+    "perceptron-cyclic": ("perceptron", ["dataset = random:d=10,n=100,gamma=0.1",
+                                         "steps = 3000"]),
+    "perceptron-random": ("perceptron", ["dataset = online-hard:gamma=0.2,n=30",
+                                         "order = random:5", "steps = 500"]),
+    "perceptron-file": ("perceptron", ["dataset = file:source.txt", "order = file:order.txt"]),
+    # refused configs: exit 2, stderr digested
+    "refused-no-config": ("run", None),
+    "refused-missing-keys": ("run", ["loss = exp"]),
+    "refused-lines": ("bench", ["methods = sgd", "epsilons = 0", "color = blue", "no pair",
+                                "gammas = 0.1", "gammas = 0.2", "command = run"]),
+    "refused-cross-keys": ("run-nn", ["dataset = two-point:gamma=0.05", "loss = poly:2",
+                                      "stepsize = constant:1", "steps = 5", "width = 4",
+                                      "activation = leakyrelu:0.5"]),
+    "refused-perceptron-steps": ("perceptron", ["dataset = two-point:gamma=0.05"]),
+    "refused-generator-range": ("gen", ["dataset = two-point:gamma=0.2"]),
+    "refused-source-params": ("gen", ["dataset = random:d=3,gamma=0.1,k=2"]),
+    "refused-bad-file": ("gen", ["dataset = file:malformed.txt"]),
+    "refused-order-range": ("perceptron", ["dataset = two-point:gamma=0.05",
+                                           "order = file:order.txt"]),
+}
+
+# Input files the configs above name, written into the work directory.
+INPUTS = {
+    "order.txt": "0 1 2 3 4 5 6 7 8\n3 3 1 0\n",
+    "malformed.txt": "margin-lab-dataset v1 n=2 d=2 gamma=0.5\nwstar: 1 0\n+1 abc 0\n",
 }
 
 
@@ -146,22 +191,31 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def cli_lines(work: Path):
+def cli_lines():
+    """The CLI cases, run in the current directory."""
+    save_dataset(gen_random_separable(5, 30, 0.2, seed=11), "source.txt")
+    for name, text in INPUTS.items():
+        Path(name).write_text(text)
     for name, (command, lines) in CLI_CONFIGS.items():
         for seed in SEEDS:
-            out = work / f"{name}-{seed}"
-            config = work / f"{name}-{seed}.cfg"
-            config.write_text("\n".join(lines) + "\n")
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli.main([command, "--config", str(config), "--out", str(out),
-                                 "--seed", str(seed)])
+            out = Path(f"{name}-{seed}")
+            argv = [command, "--out", str(out), "--seed", str(seed)]
+            if lines is not None:
+                config = Path(f"{name}-{seed}.cfg")
+                config.write_text("\n".join(lines) + "\n")
+                argv += ["--config", str(config)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
             yield f"cli {name} seed={seed} exit={code}"
-            for path in sorted(out.iterdir()):
+            for path in sorted(out.iterdir()) if out.is_dir() else ():
                 yield f"cli {name} seed={seed} {path.name} {_file_digest(path)}"
             if stdout.getvalue():
                 digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
                 yield f"cli {name} seed={seed} stdout {digest}"
+            if code == 2:
+                digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
+                yield f"cli {name} seed={seed} stderr {digest}"
 
 
 def main() -> int:
@@ -170,9 +224,14 @@ def main() -> int:
             print(line)
         for line in nn_lines():
             print(line)
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for line in cli_lines(Path(tmp)):
-            print(line)
+        os.chdir(tmp)
+        try:
+            for line in cli_lines():
+                print(line)
+        finally:
+            os.chdir(cwd)
     return 0
 
 

@@ -34,7 +34,6 @@ from .losses import EXP, HINGE, LOG, SEMICIRCLE, LossSpec, parse_loss, poly
 from .online import (
     OnlineRun,
     cyclic_order,
-    perceptron_step,
     random_order,
     run_online_sgd,
     run_perceptron,

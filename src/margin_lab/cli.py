@@ -7,6 +7,11 @@ Output is data-only CSV/JSON. Every output file carries a provenance header
 (library version, config hash, effective seed); identical config + seed give
 byte-identical outputs, except for the wall_time column of bench.
 
+Three tables hold what the harness knows: COMMANDS (one record per
+subcommand), CONFIG_KEYS (one parser per config key) and DATASET_SOURCES
+(one record per dataset source). A subcommand needs ``--config`` exactly
+when it has a required key.
+
 Exit codes: 0 success, 1 verification failure, 2 config error.
 """
 
@@ -18,14 +23,16 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .datasets import (
     Dataset,
+    _fmt,
     gen_batch_hard,
     gen_chain_hard,
     gen_online_hard,
@@ -35,15 +42,15 @@ from .datasets import (
     save_dataset,
 )
 from .descent import GDConfig, run_gd
-from .losses import EXP, LossSpec, parse_loss
+from .losses import EXP, parse_loss
 from .online import cyclic_order, random_order, run_perceptron
 from .two_layer import NN_LOSS_KINDS, make_net, parse_activation, run_gd_nn
 from .verify import dataset_fingerprint, default_suite, render_table
 
-COMMANDS = ("gen", "run", "run-nn", "perceptron", "verify", "bench")
 BENCH_METHODS = ("constant", "small-adaptive", "large-adaptive", "perceptron")
 
-DATASET_KINDS = ("random", "two-point", "batch-hard", "online-hard", "chain-hard", "file")
+# Marks a config key a command cannot run without.
+REQUIRED = object()
 
 
 class ConfigError(Exception):
@@ -65,6 +72,9 @@ class DatasetSpec:
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config: values holds only what the text set; cfg[key] is that
+    value, else the command's default."""
+
     command: str
     values: dict
     text: str = ""
@@ -72,6 +82,9 @@ class ExperimentConfig:
     @property
     def sha(self) -> str:
         return hashlib.sha256(self.text.encode()).hexdigest()[:12]
+
+    def __getitem__(self, key: str):
+        return self.values[key] if key in self.values else COMMANDS[self.command].keys[key]
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +111,10 @@ def _parse_float(raw: str, name: str) -> float:
     return v
 
 
-def _parse_gamma(raw: str, name: str = "gamma") -> float:
-    v = _parse_float(raw, name)
+def _parse_gamma(raw: str) -> float:
+    v = _parse_float(raw, "gamma")
     if not (0.0 < v < 1.0):
-        raise ValueError(f"{name} must be in (0, 1), got {v}")
+        raise ValueError(f"gamma must be in (0, 1), got {v}")
     return v
 
 
@@ -112,34 +125,9 @@ def _parse_bool(raw: str, name: str) -> bool:
     raise ValueError(f"{name} must be true or false, got {raw!r}")
 
 
-def _split_params(rest: str) -> dict:
-    params = {}
-    if not rest:
-        return params
-    for item in rest.split(","):
-        key, eq, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not eq or not key:
-            raise ValueError(f"bad dataset parameter {item!r} (expected key=value)")
-        if key in params:
-            raise ValueError(f"duplicate dataset parameter {key!r}")
-        params[key] = value
-    return params
-
-
-def _take(params: dict, spec_kind: str, required: dict, optional: dict) -> dict:
-    typed = {}
-    for key, parser in required.items():
-        if key not in params:
-            raise ValueError(f"{spec_kind} source needs {key}=<value>")
-        typed[key] = parser(params.pop(key))
-    for key, parser in optional.items():
-        if key in params:
-            typed[key] = parser(params.pop(key))
-    if params:
-        bad = ", ".join(sorted(params))
-        raise ValueError(f"unknown parameter(s) for {spec_kind} source: {bad}")
-    return typed
+def _count(name: str):
+    """Parser of an integer >= 1 named name."""
+    return lambda raw: _parse_int(raw, name, minimum=1)
 
 
 def _is_file(path) -> bool:
@@ -149,42 +137,6 @@ def _is_file(path) -> bool:
         return Path(path).is_file()
     except OSError:
         return False
-
-
-def parse_dataset_source(value: str) -> DatasetSpec:
-    """Parse a dataset source string into a validated DatasetSpec.
-
-    Forms: random:d=..,n=..,gamma=..[,seed=..] | two-point:gamma=.. |
-    batch-hard:gamma=..,n=..[,weighted=true|false] | online-hard:gamma=..,n=..
-    | chain-hard:gamma=..,n=.. | file:<path>. Referenced files must exist.
-    """
-    kind, sep, rest = value.partition(":")
-    if kind not in DATASET_KINDS:
-        known = ", ".join(DATASET_KINDS)
-        raise ValueError(f"unknown dataset source {kind!r} (known: {known})")
-    if kind == "file":
-        if not sep or not rest:
-            raise ValueError("file source needs a path: file:<path>")
-        if not _is_file(rest):
-            raise ValueError(f"dataset file not found: {rest}")
-        return DatasetSpec(kind, {"path": rest})
-    params = _split_params(rest)
-    count = lambda raw: _parse_int(raw, "n", minimum=1)  # noqa: E731
-    if kind == "random":
-        typed = _take(params, kind,
-                      required={"d": lambda r: _parse_int(r, "d", minimum=1),
-                                "n": count, "gamma": _parse_gamma},
-                      optional={"seed": lambda r: _parse_int(r, "seed")})
-    elif kind == "two-point":
-        typed = _take(params, kind, required={"gamma": _parse_gamma}, optional={})
-    elif kind == "batch-hard":
-        typed = _take(params, kind,
-                      required={"gamma": _parse_gamma, "n": count},
-                      optional={"weighted": lambda r: _parse_bool(r, "weighted")})
-    else:  # online-hard | chain-hard
-        typed = _take(params, kind,
-                      required={"gamma": _parse_gamma, "n": count}, optional={})
-    return DatasetSpec(kind, typed)
 
 
 def parse_stepsize(value: str) -> tuple[str, float]:
@@ -233,13 +185,6 @@ def _parse_methods(raw: str) -> tuple:
     return methods
 
 
-def _parse_epsilon(raw: str) -> float:
-    v = _parse_float(raw, "epsilon")
-    if v <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {v}")
-    return v
-
-
 def _parse_positive_float(raw: str, name: str) -> float:
     v = _parse_float(raw, name)
     if v <= 0.0:
@@ -248,93 +193,143 @@ def _parse_positive_float(raw: str, name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Dataset sources and config keys
 # ---------------------------------------------------------------------------
 
-_SCHEMAS = {
-    "gen": ({"dataset"}, {"command", "seed"}),
-    "run": ({"dataset", "loss", "stepsize", "steps"},
-            {"command", "seed", "record_every"}),
-    "run-nn": ({"dataset", "loss", "stepsize", "steps", "width", "activation"},
-               {"command", "seed", "record_every"}),
-    "perceptron": ({"dataset"}, {"command", "seed", "order", "steps"}),
-    "verify": (set(), {"command", "seed"}),
-    "bench": (set(), {"command", "seed", "gammas", "epsilons", "methods",
-                      "d", "n", "loss", "max_steps", "eta_constant",
-                      "eta_small"}),
+@dataclass(frozen=True)
+class Source:
+    """A dataset source ``kind:rest``: parse(kind, rest) -> typed params;
+    build(params, CLI seed) -> Dataset, calling its generator by this
+    module's name at call time (so a wrapper installed there sees it); and
+    the prefixes, formatted with kind and the params, of the messages of a
+    ValueError and of a MemoryError from build."""
+
+    parse: Callable[[str, str], dict]
+    build: Callable[[dict, int], Dataset]
+    prefix: str = "{kind} source: "
+    memory_prefix: str = "{kind} source: "
+
+
+def _params(required: dict, optional: dict | None = None):
+    """parse for a ``key=value,...`` source: the parsers of its required and
+    optional parameters."""
+
+    def parse(kind: str, rest: str) -> dict:
+        given, typed = {}, {}
+        for item in rest.split(",") if rest else ():
+            key, eq, value = item.partition("=")
+            key, value = key.strip(), value.strip()
+            if not eq or not key:
+                raise ValueError(f"bad dataset parameter {item!r} (expected key=value)")
+            if key in given:
+                raise ValueError(f"duplicate dataset parameter {key!r}")
+            given[key] = value
+        for key, parser in required.items():
+            if key not in given:
+                raise ValueError(f"{kind} source needs {key}=<value>")
+            typed[key] = parser(given.pop(key))
+        for key, parser in (optional or {}).items():
+            if key in given:
+                typed[key] = parser(given.pop(key))
+        if given:
+            bad = ", ".join(sorted(given))
+            raise ValueError(f"unknown parameter(s) for {kind} source: {bad}")
+        return typed
+
+    return parse
+
+
+def _path(kind: str, rest: str) -> dict:
+    """parse for ``file:<path>``; the file must exist."""
+    if not rest:
+        raise ValueError("file source needs a path: file:<path>")
+    if not _is_file(rest):
+        raise ValueError(f"dataset file not found: {rest}")
+    return {"path": rest}
+
+
+_HARD = {"gamma": _parse_gamma, "n": _count("n")}
+
+DATASET_SOURCES = {
+    "random": Source(
+        _params({"d": _count("d"), "n": _count("n"), "gamma": _parse_gamma},
+                {"seed": lambda raw: _parse_int(raw, "seed")}),
+        lambda p, seed: gen_random_separable(p["d"], p["n"], p["gamma"],
+                                             seed=p.get("seed", seed))),
+    "two-point": Source(_params({"gamma": _parse_gamma}),
+                        lambda p, seed: gen_two_point(p["gamma"])),
+    # weighted by default here; gen_batch_hard's own default is weighted=False
+    "batch-hard": Source(
+        _params(_HARD, {"weighted": lambda raw: _parse_bool(raw, "weighted")}),
+        lambda p, seed: gen_batch_hard(p["gamma"], p["n"], weighted=p.get("weighted", True))),
+    "online-hard": Source(_params(_HARD), lambda p, seed: gen_online_hard(p["gamma"], p["n"])),
+    "chain-hard": Source(_params(_HARD), lambda p, seed: gen_chain_hard(p["gamma"], p["n"])),
+    # load_dataset's messages start with the path
+    "file": Source(_path, lambda p, seed: load_dataset(p["path"]), "file ", "file {path}: "),
 }
 
-
-def _typed_value(command: str, key: str, raw: str):
-    if key == "command":
-        if raw != command:
-            raise ValueError(f"config says command = {raw}, but {command} was invoked")
-        return raw
-    if key == "dataset":
-        return parse_dataset_source(raw)
-    if key == "loss":
-        return parse_loss(raw)
-    if key == "stepsize":
-        return parse_stepsize(raw)
-    if key == "activation":
-        return parse_activation(raw)
-    if key == "order":
-        return parse_order_spec(raw)
-    if key in ("steps", "max_steps"):
-        return _parse_int(raw, key, minimum=1)
-    if key in ("width", "record_every", "d", "n"):
-        return _parse_int(raw, key, minimum=1)
-    if key == "seed":
-        return _parse_int(raw, "seed")
-    if key == "gammas":
-        return _parse_list(raw, "gammas", lambda s: _parse_gamma(s, "gamma"))
-    if key == "epsilons":
-        return _parse_list(raw, "epsilons", _parse_epsilon)
-    if key == "methods":
-        return _parse_methods(raw)
-    if key in ("eta_constant", "eta_small"):
-        return _parse_positive_float(raw, key)
-    raise AssertionError(f"no parser for key {key}")
+DATASET_KINDS = tuple(DATASET_SOURCES)
 
 
-def _cross_checks(command: str, values: dict, lines: dict) -> list:
-    """Validation that spans several keys; returns (line, message) errors."""
-    errors = []
+def parse_dataset_source(value: str) -> DatasetSpec:
+    """Parse ``kind:rest``, a source of DATASET_SOURCES, into a validated
+    DatasetSpec; a file it names must exist."""
+    kind, _, rest = value.partition(":")
+    if kind not in DATASET_SOURCES:
+        known = ", ".join(DATASET_KINDS)
+        raise ValueError(f"unknown dataset source {kind!r} (known: {known})")
+    return DatasetSpec(kind, DATASET_SOURCES[kind].parse(kind, rest))
 
-    def line_of(key):
-        return lines.get(key, 0)
 
-    loss = values.get("loss")
-    stepsize = values.get("stepsize")
-    if command == "run" and loss is not None and stepsize is not None:
-        if not loss.ops.smooth and stepsize[0] == "adaptive":
-            errors.append((line_of("loss"),
-                           f"{loss.kind} loss has no inverse; use stepsize = constant:<eta>"))
-    if command == "run-nn":
-        if stepsize is not None and stepsize[0] != "adaptive":
-            errors.append((line_of("stepsize"),
-                           "run-nn trains with adaptive stepsizes only"))
-        if loss is not None and loss.kind not in NN_LOSS_KINDS:
-            errors.append((line_of("loss"),
-                           f"run-nn supports exp or log loss, got {loss.name}"))
-    if command == "perceptron":
-        order = values.get("order", ("cyclic", None))
-        if order[0] != "file" and "steps" not in values:
-            errors.append((0, "steps is required unless order = file:<path>"))
-    if command == "bench":
-        if loss is not None and not loss.ops.smooth:
-            errors.append((line_of("loss"), "bench GD methods need a smooth loss"))
-    return errors
+def make_dataset(spec: DatasetSpec, default_seed: int) -> Dataset:
+    """The dataset a source names; a file that breaks the dataset contract,
+    parameters outside the generator's range, or a dataset that cannot be
+    allocated are a config error."""
+    source = DATASET_SOURCES[spec.kind]
+    try:
+        return source.build(spec.params, default_seed)
+    except ValueError as exc:
+        prefix, detail = source.prefix, str(exc)
+    except MemoryError as exc:
+        shape = getattr(exc, "shape", None)  # numpy names the array it could not allocate
+        what = "" if shape is None else f" (an array of shape {tuple(shape)})"
+        prefix, detail = source.memory_prefix, f"does not fit in memory{what}"
+    prefix = prefix.format(kind=spec.kind, **spec.params)
+    raise ConfigError([(0, f"bad dataset {prefix}{detail}")])
+
+
+CONFIG_KEYS = {
+    "command": str,  # checked against the invoked command in parse_config
+    "seed": lambda raw: _parse_int(raw, "seed"),
+    "dataset": parse_dataset_source,
+    "loss": parse_loss,
+    "stepsize": parse_stepsize,
+    "steps": _count("steps"),
+    "record_every": _count("record_every"),
+    "width": _count("width"),
+    "activation": parse_activation,
+    "order": parse_order_spec,
+    "gammas": lambda raw: _parse_list(raw, "gammas", _parse_gamma),
+    "epsilons": lambda raw: _parse_list(
+        raw, "epsilons", lambda s: _parse_positive_float(s, "epsilon")),
+    "methods": _parse_methods,
+    "d": _count("d"),
+    "n": _count("n"),
+    "max_steps": _count("max_steps"),
+    "eta_constant": lambda raw: _parse_positive_float(raw, "eta_constant"),
+    "eta_small": lambda raw: _parse_positive_float(raw, "eta_small"),
+}
 
 
 def parse_config(text: str, command: str) -> ExperimentConfig:
     """Parse and fully validate a config; raises ConfigError with line numbers."""
-    if command not in _SCHEMAS:
+    if command not in COMMANDS:
         raise ConfigError([(0, f"unknown command {command!r}")])
-    required, optional = _SCHEMAS[command]
-    allowed = required | optional
+    keys = COMMANDS[command].keys
 
-    pairs: dict[str, tuple[str, int]] = {}
+    seen: set[str] = set()
+    values: dict = {}
+    lines: dict[str, int] = {}  # line of each known key
     errors: list[tuple[int, str]] = []
     for i, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -345,69 +340,35 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
         if not eq or not key:
             errors.append((i, f"expected 'key = value', got {line!r}"))
             continue
-        if key in pairs:
+        if key in seen:
             errors.append((i, f"duplicate key {key!r}"))
             continue
-        pairs[key] = (value, i)
-
-    values: dict = {}
-    lines: dict[str, int] = {}
-    for key, (raw, line) in pairs.items():
-        if key not in allowed:
-            errors.append((line, f"unknown key {key!r} for command {command}"))
+        seen.add(key)
+        if key not in keys:
+            errors.append((i, f"unknown key {key!r} for command {command}"))
             continue
-        lines[key] = line
+        lines[key] = i
         try:
-            values[key] = _typed_value(command, key, raw)
+            values[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
-            errors.append((line, str(exc)))
-    for key in sorted(required):
-        if key not in pairs:
+            errors.append((i, str(exc)))
+    if values.get("command", command) != command:
+        errors.append((lines["command"],
+                       f"config says command = {values['command']}, but {command} was invoked"))
+    for key in sorted(k for k, default in keys.items() if default is REQUIRED):
+        if key not in lines:
             errors.append((0, f"missing required key {key!r}"))
+    cfg = ExperimentConfig(command=command, values=values, text=text)
     if not errors:
-        errors.extend(_cross_checks(command, values, lines))
+        errors.extend(COMMANDS[command].check(cfg, lines))
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(command=command, values=values, text=text)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # Execution helpers
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def make_dataset(spec: DatasetSpec, default_seed: int) -> Dataset:
-    """The dataset a source names; a file that breaks the dataset contract,
-    parameters outside the generator's range, or a dataset that cannot be
-    allocated are a config error."""
-    p = spec.params
-    try:
-        if spec.kind == "file":
-            return load_dataset(p["path"])
-        if spec.kind == "random":
-            seed = p.get("seed", default_seed)
-            return gen_random_separable(p["d"], p["n"], p["gamma"], seed=seed)
-        if spec.kind == "two-point":
-            return gen_two_point(p["gamma"])
-        if spec.kind == "batch-hard":
-            return gen_batch_hard(p["gamma"], p["n"], weighted=p.get("weighted", True))
-        if spec.kind == "online-hard":
-            return gen_online_hard(p["gamma"], p["n"])
-        return gen_chain_hard(p["gamma"], p["n"])
-    except ValueError as exc:
-        # load_dataset's messages already start with the path
-        where = " " if spec.kind == "file" else " source: "
-        raise ConfigError([(0, f"bad dataset {spec.kind}{where}{exc}")]) from None
-    except MemoryError as exc:
-        shape = getattr(exc, "shape", None)  # numpy names the array it could not allocate
-        what = "" if shape is None else f" (an array of shape {tuple(shape)})"
-        where = f" {p['path']}: " if spec.kind == "file" else " source: "
-        raise ConfigError(
-            [(0, f"bad dataset {spec.kind}{where}does not fit in memory{what}")]) from None
-
 
 def _provenance_line(cfg: ExperimentConfig, seed: int) -> str:
     return f"# margin-lab v{__version__} config_sha256={cfg.sha} seed={seed}"
@@ -441,20 +402,22 @@ def _csv(header: str, columns: dict) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    ds = make_dataset(cfg.values["dataset"], seed)
+    ds = make_dataset(cfg["dataset"], seed)
     save_dataset(ds, out / "dataset.txt",
                  comments=(_provenance_line(cfg, seed),))
     return 0
 
 
+def _gd_config(cfg: ExperimentConfig, ds: Dataset) -> GDConfig:
+    mode, eta = cfg["stepsize"]
+    return GDConfig(loss=cfg["loss"].with_n(ds.n), eta=eta, steps=cfg["steps"], mode=mode,
+                    record_every=cfg["record_every"])
+
+
 def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    ds = make_dataset(cfg.values["dataset"], seed)
-    mode, eta = cfg.values["stepsize"]
-    steps = cfg.values["steps"]
-    record_every = cfg.values.get("record_every", 1)
-    loss = cfg.values["loss"].with_n(ds.n)
-    traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=steps, mode=mode,
-                               record_every=record_every))
+    ds = make_dataset(cfg["dataset"], seed)
+    gd = _gd_config(cfg, ds)
+    traj = run_gd(ds, gd)
 
     header = ("t,log_eta_t,log_risk,log_avg_risk,phi,min_margin,avg_min_margin,"
               "descent_violated")
@@ -467,15 +430,15 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     payload = {
         "provenance": _provenance_obj(cfg, seed),
         "dataset": dataset_fingerprint(ds),
-        "loss": loss.name,
-        "mode": mode,
-        "eta": eta,
-        "steps": steps,
-        "record_every": record_every,
+        "loss": gd.loss.name,
+        "mode": gd.mode,
+        "eta": gd.eta,
+        "steps": gd.steps,
+        "record_every": gd.record_every,
         "diverged_at": traj.diverged_at,
         "columns": columns,
     }
-    if ds.d * steps <= 10**6:
+    if ds.d * gd.steps <= 10**6:
         payload["iterates"] = traj.column("w").tolist()
         payload["avg_iterates"] = traj.column("avg_w").tolist()
     (out / "trajectory.json").write_text(json.dumps(payload, sort_keys=True))
@@ -483,14 +446,9 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def cmd_run_nn(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    ds = make_dataset(cfg.values["dataset"], seed)
-    _, eta = cfg.values["stepsize"]
-    steps = cfg.values["steps"]
-    record_every = cfg.values.get("record_every", 1)
-    loss = cfg.values["loss"].with_n(ds.n)
-    net = make_net(ds.d, cfg.values["width"], cfg.values["activation"])
-    traj = run_gd_nn(ds, net, GDConfig(loss=loss, eta=eta, steps=steps,
-                                       record_every=record_every))
+    ds = make_dataset(cfg["dataset"], seed)
+    net = make_net(ds.d, cfg["width"], cfg["activation"])
+    traj = run_gd_nn(ds, net, _gd_config(cfg, ds))
 
     header = "t,log_eta_t,log_risk,min_log_risk,min_risk_t,phi,min_margin,descent_violated"
     rows = [_provenance_line(cfg, seed),
@@ -525,12 +483,12 @@ def _read_order_file(path: str, n_rows: int) -> np.ndarray:
 
 
 def cmd_perceptron(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    ds = make_dataset(cfg.values["dataset"], seed)
-    kind, param = cfg.values.get("order", ("cyclic", None))
+    ds = make_dataset(cfg["dataset"], seed)
+    kind, param = cfg["order"]
     if kind == "cyclic":
-        order = cyclic_order(ds.n_rows, cfg.values["steps"])
+        order = cyclic_order(ds.n_rows, cfg["steps"])
     elif kind == "random":
-        order = random_order(ds.n_rows, cfg.values["steps"], seed=param)
+        order = random_order(ds.n_rows, cfg["steps"], seed=param)
     else:
         order = _read_order_file(param, ds.n_rows)
     run = run_perceptron(ds, order)
@@ -558,14 +516,14 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     return 1 if any(r.verdict != "pass" for r in reports) else 0
 
 
-def _bench_gd(ds: Dataset, method: str, gamma: float, epsilons: tuple,
-              loss: LossSpec, max_steps: int, mode: str, eta: float) -> list:
+def _bench_gd(cfg: ExperimentConfig, ds: Dataset, method: str, gamma: float,
+              epsilons: tuple, mode: str, eta: float) -> list:
     """One GD run that stops at the first passage below the smallest epsilon,
     and a row per epsilon read off it, with the run's time as wall_time. An
     epsilon never reached reads None, or diverged_at=<t> if the run diverged."""
     start = time.perf_counter()
-    traj = run_gd(ds, GDConfig(loss=loss.with_n(ds.n), eta=eta, steps=max_steps,
-                               mode=mode,
+    traj = run_gd(ds, GDConfig(loss=cfg["loss"].with_n(ds.n), eta=eta,
+                               steps=cfg["max_steps"], mode=mode,
                                target_log_avg_risk=math.log(min(epsilons))))
     steps, logs = traj.columns["t"], traj.columns["log_avg_risk"]
     miss = None if traj.diverged_at is None else f"diverged_at={traj.diverged_at}"
@@ -586,36 +544,25 @@ def _bench_perceptron(ds: Dataset, gamma: float, max_steps: int) -> dict:
 
 
 def cmd_bench(cfg: ExperimentConfig, out: Path, seed: int) -> int:
-    v = cfg.values
-    gammas = v.get("gammas", (0.1,))
-    epsilons = v.get("epsilons", (1e-2, 1e-6, 1e-12))
-    methods = v.get("methods", BENCH_METHODS)
-    d = v.get("d", 10)
-    n = v.get("n", 100)
-    loss = v.get("loss", EXP)
-    max_steps = v.get("max_steps", 20000)
-    eta_constant = v.get("eta_constant", 1.0)
-    eta_small = v.get("eta_small", 1.0)
-
+    epsilons, max_steps = cfg["epsilons"], cfg["max_steps"]
     # The constant and small-adaptive trajectories do not depend on epsilon,
     # so one run per (method, gamma) serves every target. large-adaptive
     # derives its eta from epsilon and runs once per target.
     results = []
-    for gamma in gammas:
-        ds = make_dataset(DatasetSpec("random", {"d": d, "n": n, "gamma": gamma}), seed)
-        for method in methods:
+    for gamma in cfg["gammas"]:
+        spec = DatasetSpec("random", {"d": cfg["d"], "n": cfg["n"], "gamma": gamma})
+        ds = make_dataset(spec, seed)
+        for method in cfg["methods"]:
             if method == "perceptron":
                 results.append(_bench_perceptron(ds, gamma, max_steps))
             elif method == "large-adaptive":
                 for eps in epsilons:
                     eta = 4.0 * math.log(1.0 / eps) / gamma**2 + 4.0
-                    results += _bench_gd(ds, method, gamma, (eps,), loss,
-                                         max_steps, "adaptive", eta)
+                    results += _bench_gd(cfg, ds, method, gamma, (eps,), "adaptive", eta)
             else:
-                mode, eta = (("constant", eta_constant) if method == "constant"
-                             else ("adaptive", eta_small))
-                results += _bench_gd(ds, method, gamma, epsilons, loss,
-                                     max_steps, mode, eta)
+                mode, eta = (("constant", cfg["eta_constant"]) if method == "constant"
+                             else ("adaptive", cfg["eta_small"]))
+                results += _bench_gd(cfg, ds, method, gamma, epsilons, mode, eta)
 
     results.sort(key=lambda r: (r["method"], r["gamma"], r["epsilon"]))
     rows = [_provenance_line(cfg, seed), "method,gamma,epsilon,steps,wall_time"]
@@ -634,16 +581,73 @@ def cmd_bench(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-_DISPATCH = {
-    "gen": cmd_gen,
-    "run": cmd_run,
-    "run-nn": cmd_run_nn,
-    "perceptron": cmd_perceptron,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-}
+def _check_run(cfg: ExperimentConfig, lines: dict):
+    loss = cfg["loss"]
+    if not loss.ops.smooth and cfg["stepsize"][0] == "adaptive":
+        yield lines["loss"], f"{loss.kind} loss has no inverse; use stepsize = constant:<eta>"
 
-_NEEDS_CONFIG = ("gen", "run", "run-nn", "perceptron")
+
+def _check_run_nn(cfg: ExperimentConfig, lines: dict):
+    if cfg["stepsize"][0] != "adaptive":
+        yield lines["stepsize"], "run-nn trains with adaptive stepsizes only"
+    if cfg["loss"].kind not in NN_LOSS_KINDS:
+        yield lines["loss"], f"run-nn supports exp or log loss, got {cfg['loss'].name}"
+
+
+def _check_perceptron(cfg: ExperimentConfig, lines: dict):
+    if cfg["order"][0] != "file" and cfg["steps"] is None:
+        yield 0, "steps is required unless order = file:<path>"
+
+
+def _check_bench(cfg: ExperimentConfig, lines: dict):
+    if not cfg["loss"].ops.smooth:
+        yield lines["loss"], "bench GD methods need a smooth loss"
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: help text; handler run(cfg, out, seed) -> exit code; its
+    config keys besides command and seed, each REQUIRED or the default
+    cfg[key] reads; and check(cfg, lines), yielding (line, message) for the
+    rules that span keys once every key has parsed."""
+
+    help: str
+    run: Callable[[ExperimentConfig, Path, int], int]
+    own_keys: dict
+    check: Callable = lambda cfg, lines: ()
+
+    @property
+    def keys(self) -> dict:
+        return {"command": None, "seed": 0, **self.own_keys}
+
+    @property
+    def needs_config(self) -> bool:
+        return any(default is REQUIRED for default in self.own_keys.values())
+
+
+_GD_KEYS = {"dataset": REQUIRED, "loss": REQUIRED, "stepsize": REQUIRED, "steps": REQUIRED,
+            "record_every": 1}
+
+COMMANDS = {
+    "gen": Command("write a dataset file from a generator spec", cmd_gen,
+                   {"dataset": REQUIRED}),
+    "run": Command("GD on a linear model; trajectory to CSV/JSON", cmd_run, _GD_KEYS,
+                   _check_run),
+    "run-nn": Command("adaptive GD on a two-layer net; trajectory to CSV", cmd_run_nn,
+                      {**_GD_KEYS, "width": REQUIRED, "activation": REQUIRED},
+                      _check_run_nn),
+    # steps has no default: it is required unless an order file fixes the length
+    "perceptron": Command("online run; cumulative mistakes to CSV", cmd_perceptron,
+                          {"dataset": REQUIRED, "order": ("cyclic", None), "steps": None},
+                          _check_perceptron),
+    "verify": Command("run the check suite; table to stdout, reports to JSON", cmd_verify,
+                      {}),
+    "bench": Command("step-complexity benchmark grid to CSV", cmd_bench,
+                     {"gammas": (0.1,), "epsilons": (1e-2, 1e-6, 1e-12),
+                      "methods": BENCH_METHODS, "d": 10, "n": 100, "loss": EXP,
+                      "max_steps": 20000, "eta_constant": 1.0, "eta_small": 1.0},
+                     _check_bench),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -652,16 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive-stepsize GD on separable data: runs, checks, benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "gen": "write a dataset file from a generator spec",
-        "run": "GD on a linear model; trajectory to CSV/JSON",
-        "run-nn": "adaptive GD on a two-layer net; trajectory to CSV",
-        "perceptron": "online run; cumulative mistakes to CSV",
-        "verify": "run the check suite; table to stdout, reports to JSON",
-        "bench": "step-complexity benchmark grid to CSV",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", type=Path, default=None,
                        help="key = value config file")
         p.add_argument("--out", type=Path, default=Path("."),
@@ -678,17 +674,17 @@ def main(argv=None) -> int:
             if not _is_file(args.config):
                 raise ConfigError([(0, f"config file not found: {args.config}")])
             text = _read_text(args.config, "config file")
-        elif args.command in _NEEDS_CONFIG:
+        elif COMMANDS[args.command].needs_config:
             raise ConfigError([(0, f"{args.command} requires --config")])
         else:
             text = ""
         cfg = parse_config(text, args.command)
-        seed = args.seed if args.seed is not None else cfg.values.get("seed", 0)
+        seed = args.seed if args.seed is not None else cfg["seed"]
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError([(0, f"cannot use --out {args.out}: {exc.strerror}")]) from None
-        return _DISPATCH[args.command](cfg, args.out, seed)
+        return COMMANDS[args.command].run(cfg, args.out, seed)
     except ConfigError as exc:
         for line, msg in exc.errors:
             where = f"line {line}: " if line else ""

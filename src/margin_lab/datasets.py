@@ -427,11 +427,27 @@ def _floats(tokens, path, what: str) -> list:
         raise ValueError(f"{path}: non-numeric token in {what}") from None
 
 
-def _content_lines(fh):
-    """The lines of fh that are neither blank nor comments, without newline."""
-    for ln in fh:
+def _content_lines(lines):
+    """The lines that are neither blank nor comments, without newline."""
+    for ln in lines:
         if ln.strip() and not ln.lstrip().startswith("#"):
-            yield ln.rstrip("\n")
+            yield ln
+
+
+def _text_lines(fh):
+    """The lines of a binary file as UTF-8 text, split where text mode
+    splits them (\\n, \\r\\n and \\r), without their newlines. A byte that
+    is not UTF-8 raises UnicodeDecodeError with start counted from the
+    start of the file."""
+    offset = 0
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            exc.start, exc.end = exc.start + offset, exc.end + offset
+            raise
+        offset += len(raw)
+        yield from text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def load_dataset(path) -> Dataset:
@@ -439,7 +455,8 @@ def load_dataset(path) -> Dataset:
 
     Every malformed or contract-breaking file raises ValueError, whose
     message starts with the path. A byte that is not UTF-8 anywhere in the
-    file outranks every other fault.
+    file outranks every other fault; the message gives its offset from the
+    start of the file.
 
     The file is read line by line, each row parsed straight into float64
     blocks of block_rows(d) rows that are joined at the end: the peak is
@@ -447,13 +464,14 @@ def load_dataset(path) -> Dataset:
     the last one).
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
+            lines = _text_lines(fh)
             try:
-                return _parse(path, _content_lines(fh))
+                return _parse(path, _content_lines(lines))
             except UnicodeDecodeError:  # a ValueError too: reported as it stands
                 raise
             except ValueError:
-                for _ in fh:  # decode the rest: a later non-UTF-8 byte outranks this
+                for _ in lines:  # decode the rest: a later non-UTF-8 byte outranks this
                     pass
                 raise
     except UnicodeDecodeError as exc:

@@ -54,24 +54,6 @@ class OnlineRun:
         return int(self.mistakes[-1])
 
 
-def perceptron_step(
-    w: np.ndarray, x: np.ndarray, y: float
-) -> tuple[np.ndarray, bool]:
-    """One Perceptron update; returns the new vector and the mistake flag.
-
-    A zero margin counts as a mistake and triggers the update.
-    """
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if w.shape != x.shape or w.ndim != 1:
-        raise ValueError(f"shape mismatch: w {w.shape} vs x {x.shape}")
-    if y not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"label must be +/-1, got {y!r}")
-    if y * float(x @ w) <= 0.0:
-        return w + y * x, True
-    return w.copy(), False
-
-
 def _prepare(
     ds: Dataset, order: Union[Sequence[int], np.ndarray], w0: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:

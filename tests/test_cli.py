@@ -3,6 +3,7 @@ provenance headers, byte-identity, exit codes."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from margin_lab import __version__, load_dataset
 from margin_lab.cli import (
-    _SCHEMAS,
+    COMMANDS,
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     main,
@@ -238,7 +240,7 @@ _ODD_VALUES = [
     "file:" + "x" * 4000, "random:", "random:d=0,n=1,gamma=1", "chain-hard:gamma=nan,n=4",
     "batch-hard:gamma=0.1,n=8,weighted=maybe", "leaky-silu:x", "relu", "perceptron,bogus",
 ]
-_KEYS = sorted(set().union(*(required | optional for required, optional in _SCHEMAS.values())))
+_KEYS = sorted(CONFIG_KEYS)
 _odd_line = st.one_of(
     st.builds("{} = {}".format, st.sampled_from(_KEYS),
               st.one_of(st.sampled_from(_ODD_VALUES), st.text(max_size=20))),
@@ -258,7 +260,7 @@ def _config_texts(command):
 
 
 class TestConfigFuzz:
-    @pytest.mark.parametrize("command", sorted(_SCHEMAS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_text_parses_or_is_a_config_error(self, command, data):
@@ -277,9 +279,23 @@ class TestExitCodes:
         assert rc == 2
         assert "config file not found" in capsys.readouterr().err
 
-    def test_run_requires_config(self, capsys):
-        assert main(["run"]) == 2
-        assert "run requires --config" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["gen", "run", "run-nn", "perceptron"])
+    def test_run_requires_config(self, command, capsys):
+        assert main([command]) == 2
+        assert f"{command} requires --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_verify_and_bench_run_without_config(self, command, tmp_path, capsys,
+                                                 monkeypatch):
+        # no required key, so no --config; the handler is stubbed to keep it quick
+        seen = []
+        stub = dataclasses.replace(COMMANDS[command],
+                                   run=lambda cfg, out, seed: seen.append((cfg, seed)) or 0)
+        monkeypatch.setitem(COMMANDS, command, stub)
+        assert main([command, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        (cfg, seed), = seen
+        assert (cfg.command, cfg.values, cfg.text, seed) == (command, {}, "", 0)
 
     def test_parse_errors_reach_stderr_with_line_numbers(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

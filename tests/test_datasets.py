@@ -269,6 +269,32 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-numeric token in row 1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("tail, at, reason", [
+        (b"\xff\n", 20011, "invalid start byte"),
+        (b"\xe2\x82\n", 20011, "invalid continuation byte"),
+        (b"\xe2\x82", 20011, "unexpected end of data"),
+    ])
+    def test_non_utf8_byte_offset_counts_from_the_start_of_the_file(self, tmp_path,
+                                                                    tail, at, reason):
+        head = b"margin-lab-dataset v1 n=2 d=2 gamma=0.5\nwstar: 1 0\n"
+        data = head + b"# " + b"x" * (at - len(head) - 3) + b"\n" + tail
+        assert data.index(tail[:1]) == at
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte {at}: {reason})"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_line_ends_load_as_newlines(self, tmp_path, newline):
+        ds = gen_batch_hard(0.1, 16, weighted=True)
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path, comments=("# a comment",))
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        back = load_dataset(path)
+        for name in ("features", "labels", "weights", "w_star"):
+            assert np.array_equal(getattr(back, name), getattr(ds, name))
+
     def test_header_format(self, tmp_path):
         ds = gen_batch_hard(0.1, 32)
         path = tmp_path / "ds.txt"

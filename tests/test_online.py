@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margin_lab.datasets import gen_online_hard, gen_random_separable
+from margin_lab.datasets import Dataset, gen_online_hard, gen_random_separable
 from margin_lab.losses import EXP, HINGE, LOG
 from margin_lab.online import (
     cyclic_order,
-    perceptron_step,
     random_order,
     run_online_sgd,
     run_perceptron,
@@ -20,24 +19,39 @@ from margin_lab.online import (
 from _oracles import negate_rows, permute_rows, row_permutation
 
 
+def _one_row(x, y):
+    x = np.asarray(x, dtype=float)
+    return Dataset(features=x[None, :], labels=np.array([y]), gamma=0.5,
+                   w_star=y * x / np.linalg.norm(x))
+
+
+def _step(w0, x, y):
+    """One Perceptron update as run_perceptron makes it: (new w, mistake)."""
+    run = run_perceptron(_one_row(x, y), [0], w0=np.asarray(w0, dtype=float))
+    return run.iterates[1], bool(run.mistakes[1])
+
+
 class TestStep:
+    """Single updates: run_perceptron over a one-row order."""
+
     def test_pinned(self):
-        w, hit = perceptron_step(np.zeros(2), np.array([1.0, 0.0]), 1.0)
+        w, hit = _step([0.0, 0.0], [1.0, 0.0], 1.0)
         assert hit and np.array_equal(w, [1.0, 0.0])
-        w, hit = perceptron_step(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
+        w, hit = _step([1.0, 0.0], [1.0, 0.0], 1.0)
         assert not hit and np.array_equal(w, [1.0, 0.0])
-        w, hit = perceptron_step(np.array([1.0, 0.0]), np.array([1.0, 0.0]), -1.0)
+        w, hit = _step([1.0, 0.0], [1.0, 0.0], -1.0)
         assert hit and np.array_equal(w, [0.0, 0.0])
 
     def test_zero_margin_is_mistake(self):
-        _, hit = perceptron_step(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0)
-        assert hit
+        w, hit = _step([0.0, 1.0], [1.0, 0.0], 1.0)
+        assert hit and np.array_equal(w, [1.0, 1.0])
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            perceptron_step(np.zeros(2), np.zeros(3), 1.0)
-        with pytest.raises(ValueError):
-            perceptron_step(np.zeros(2), np.zeros(2), 0.5)
+        ds = _one_row([1.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="w0 must have shape"):
+            run_perceptron(ds, [0], w0=np.zeros(3))
+        with pytest.raises(ValueError, match="1-d index sequence"):
+            run_perceptron(ds, [[0]])
 
 
 class TestPerceptron:
