@@ -1,0 +1,248 @@
+"""Measure a change against its parent: one named case, in alternating pairs.
+
+    python scripts/bench_pair.py CASE BEFORE_SRC AFTER_SRC OUT.json [PAIRS]
+
+BEFORE_SRC and AFTER_SRC are the `src` directories of two checkouts. A
+sample runs the case's child programs in fresh interpreters, the tree on
+PYTHONPATH. The trees alternate, the one that goes first flipping from pair
+to pair (PAIRS pairs, at least 2, default 10). Values are raw: the host's
+speed drifts, so only the alternating pairs are comparable.
+
+Each case replaces the script named with it; a `BENCH_*.json` that says
+"regenerate with" that script is regenerated by the case, same arguments:
+
+- `import-path` (was `scripts/bench_import_path.py`): `import margin_lab`
+  and `import margin_lab.cli`, each the seconds of the import statement,
+  the peak RSS after it and whether it loaded `scipy.optimize`; seconds per
+  `poly(2).inverse(u)` call on u > 1 (median of 5 sweeps over 2000 u); wall
+  seconds of `python -m margin_lab.cli verify`, interpreter start included.
+- `averaged-blocks` (was `scripts/bench_averaged_blocks.py`): microseconds
+  per `run_gd` step on `gen_random_separable(10, 100, 0.1, seed=0)`, the
+  median of 5 runs, and the steps the run reports, for log loss, adaptive
+  eta = 400, 2000 steps, every step recorded; exp loss, constant eta = 1 to
+  `margin-lab bench`'s target ln 1e-12 within 20000 steps (steps computed
+  past the first passage and dropped count against it); log loss as the
+  first, recording only t = 0 and the last step.
+- `lean-datasets` (was `scripts/bench_lean_datasets.py`): on
+  `gen_random_separable(1000, 10_000, 0.1, seed=0)` (80 MB of features),
+  which AFTER_SRC writes once as .npy arrays and as a dataset file, one
+  interpreter per phase: `gen`; `validate`, `verify.dataset_fingerprint`
+  and `save_dataset` on the arrays read back; `load_dataset` on the file.
+  Each gives the phase's seconds and the rise of `ru_maxrss` over it (MB).
+
+OUT.json holds, per key of the samples: for a key whose samples are all
+integers, each side's distinct values; for any other key, each side's
+median, quartiles and runs, the after/before ratio of the medians and the
+pairs the change won (lower is better for every key). It also holds the
+machine (perfbench's provenance) and each side's git commit.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from provenance import git_commit, provenance  # noqa: E402
+
+DEFAULT_PAIRS = 10
+
+# Every child prints one JSON object; its last argument is the inputs directory.
+IMPORT_CHILD = """
+import resource, sys, time
+t = time.perf_counter()
+import {module}
+dt = time.perf_counter() - t
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+optimize = int("scipy.optimize" in sys.modules)
+import json  # not before the import timed: json loads re, which margin_lab imports too
+print(json.dumps({{"{key}_s": dt, "{key}_rss_mb": rss_mb,
+                  "{key}_loads_scipy_optimize": optimize}}))
+"""
+
+INVERSE_CHILD = """
+import json, statistics, time
+from margin_lab.losses import poly
+spec = poly(2.0)
+us = [1.01 + 499.0 * i / 1999 for i in range(2000)]
+sweeps = []
+for _ in range(5):
+    t = time.perf_counter()
+    for u in us:
+        spec.inverse(u)
+    sweeps.append((time.perf_counter() - t) / len(us))
+print(json.dumps({"poly_inverse_us_per_call": statistics.median(sweeps) * 1e6}))
+"""
+
+VERIFY_CHILD = """
+import json, subprocess, sys, tempfile, time
+with tempfile.TemporaryDirectory() as out:
+    t = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "margin_lab.cli", "verify", "--out", out],
+                          capture_output=True)
+    wall = time.perf_counter() - t
+if proc.returncode not in (0, 1):  # 1: a check failed, which is expected
+    sys.exit(proc.stderr.decode()[-2000:])
+print(json.dumps({"verify_wall_s": wall}))
+"""
+
+AVERAGED_CHILD = """
+import json, math, statistics, time
+from margin_lab.datasets import gen_random_separable
+from margin_lab.descent import GDConfig, run_gd
+from margin_lab.losses import EXP, LOG
+
+ds = gen_random_separable(10, 100, 0.1, seed=0)
+cases = {
+    "log adaptive recorded": GDConfig(loss=LOG, eta=400.0, steps=2000, record_every=1),
+    "exp constant target": GDConfig(loss=EXP, eta=1.0, steps=20000, mode="constant",
+                                    target_log_avg_risk=math.log(1e-12)),
+    "log unrecorded": GDConfig(loss=LOG, eta=400.0, steps=2000, record_every=2000),
+}
+out = {}
+for name, cfg in cases.items():
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        traj = run_gd(ds, cfg)
+        runs.append((time.perf_counter() - start) / traj.points[-1].t * 1e6)
+    out[name + " us_per_step"] = statistics.median(runs)
+    out[name + " steps"] = traj.points[-1].t
+print(json.dumps(out))
+"""
+
+D, N, GAMMA, SEED = 1000, 10_000, 0.1, 0
+
+LEAN_INPUTS = f"""
+import sys
+import numpy as np
+from margin_lab.datasets import gen_random_separable, save_dataset
+ds = gen_random_separable({D}, {N}, {GAMMA}, seed={SEED})
+for name in ("features", "labels", "w_star"):
+    np.save(f"{{sys.argv[1]}}/{{name}}.npy", getattr(ds, name))
+save_dataset(ds, f"{{sys.argv[1]}}/dataset.txt")
+"""
+
+LEAN_CHILD = f"""
+import json, resource, sys, time
+import numpy as np
+from margin_lab.datasets import Dataset, gen_random_separable, load_dataset, save_dataset, validate
+from margin_lab.verify import dataset_fingerprint
+
+phase, inputs = sys.argv[1], sys.argv[2]
+if phase in ("validate", "fingerprint", "save"):
+    ds = Dataset(*(np.load(f"{{inputs}}/{{name}}.npy") for name in ("features", "labels")),
+                 gamma={GAMMA}, w_star=np.load(f"{{inputs}}/w_star.npy"))
+run = {{
+    "gen": lambda: gen_random_separable({D}, {N}, {GAMMA}, seed={SEED}),
+    "validate": lambda: validate(ds),
+    "fingerprint": lambda: dataset_fingerprint(ds),
+    "save": lambda: save_dataset(ds, f"{{inputs}}/saved.txt"),
+    "load": lambda: load_dataset(f"{{inputs}}/dataset.txt"),
+}}[phase]
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+run()
+seconds = time.perf_counter() - start
+rise_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb) / 1024.0
+print(json.dumps({{f"{{phase}} s": seconds, f"{{phase}} rss_rise_mb": rise_mb}}))
+"""
+
+
+class Case(NamedTuple):
+    children: tuple  # (code, *args) of each child, run in this order per sample
+    inputs: str | None = None  # run once by AFTER_SRC, given the inputs directory
+
+
+CASES = {
+    "import-path": Case(((IMPORT_CHILD.format(module="margin_lab", key="import"),),
+                         (IMPORT_CHILD.format(module="margin_lab.cli", key="import_cli"),),
+                         (INVERSE_CHILD,), (VERIFY_CHILD,))),
+    "averaged-blocks": Case(((AVERAGED_CHILD,),)),
+    "lean-datasets": Case(tuple((LEAN_CHILD, phase)
+                                for phase in ("gen", "validate", "fingerprint", "save", "load")),
+                          LEAN_INPUTS),
+}
+
+
+def _python(src: str, code: str, *args: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=900)
+    if proc.returncode:
+        raise RuntimeError(f"a child on {src} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return proc.stdout
+
+
+def _sample(case: Case, src: str, inputs: str) -> dict:
+    """One sample of every key of the case on one tree."""
+    row = {}
+    for code, *args in case.children:
+        row.update(json.loads(_python(src, code, *args, inputs)))
+    return row
+
+
+def _summary(runs: list) -> dict:
+    q1, med, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "n": len(runs), "runs": runs}
+
+
+def compare(before: list[dict], after: list[dict]) -> dict:
+    """The metrics of paired samples, before[i] and after[i] from pair i."""
+    metrics = {}
+    for key in before[0]:
+        b = [row[key] for row in before]
+        a = [row[key] for row in after]
+        if all(isinstance(x, int) for x in b + a):
+            metrics[key] = {"before": sorted(set(b)), "after": sorted(set(a))}
+            continue
+        sb, sa = _summary(b), _summary(a)
+        metrics[key] = {
+            "before": sb, "after": sa,
+            "after_over_before": sa["median"] / sb["median"] if sb["median"] else None,
+            "after_lower_in_pairs": sum(x < y for x, y in zip(a, b))}
+    return metrics
+
+
+def main(argv: list[str]) -> int:
+    pairs_ok = len(argv) == 4 or (len(argv) == 5 and argv[4].isdigit() and int(argv[4]) >= 2)
+    if not pairs_ok or argv[0] not in CASES:
+        print(__doc__, file=sys.stderr)
+        return 2
+    name, out = argv[0], argv[3]
+    case = CASES[name]
+    trees = {"before": str(Path(argv[1]).resolve()), "after": str(Path(argv[2]).resolve())}
+    pairs = int(argv[4]) if len(argv) == 5 else DEFAULT_PAIRS
+    rows = {"before": [], "after": []}
+    with tempfile.TemporaryDirectory() as inputs:
+        if case.inputs is not None:
+            _python(trees["after"], case.inputs, inputs)
+        for i in range(pairs):
+            for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
+                rows[side].append(_sample(case, trees[side], inputs))
+            print(f"pair {i + 1}/{pairs}", file=sys.stderr)
+
+    machine = provenance(ROOT)
+    del machine["git_commit"]  # the commits measured are each side's, below
+    result = {
+        "case": name,
+        "method": (f"{pairs} alternating pairs of fresh interpreters, the tree that goes "
+                   f"first flipping each pair; raw values; regenerate with: python "
+                   f"scripts/bench_pair.py {name} <parent>/src <change>/src OUT.json {pairs}"),
+        "machine": machine,
+        "commits": {side: git_commit(Path(src).parent) for side, src in trees.items()},
+        "metrics": compare(rows["before"], rows["after"]),
+    }
+    Path(out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

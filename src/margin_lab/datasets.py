@@ -38,12 +38,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _HEADER_RE = re.compile(
-    r"^margin-lab-dataset (v1w?) n=(\d+) d=(\d+) gamma=([^ ]+)$"
+    r"^margin-lab-dataset (v1w?) n=(?P<n>\d+) d=(?P<d>\d+) gamma=([^ ]+)$"
 )
 
 # The element budget of one block, shared by the row blocks below and the
 # stacked averaged iterates of descent.block_size.
 BLOCK_ELEMENTS = 65_536
+
+# The largest row weight, and so the largest weighted n: beyond it float
+# sums lose integers.
+MAX_WEIGHT = 2**53
 
 
 def block_rows(d: int) -> int:
@@ -275,12 +279,14 @@ def gen_batch_hard(gamma: float, n: int, weighted: bool = False) -> Dataset:
     minimum margin before min(ln n / (8 ln 2), 1/(30 gamma^2)) steps.
 
     weighted=True emits the k+1 distinct rows with multiplicity weights
-    instead of materializing all n rows.
+    instead of materializing all n rows. n is at most MAX_WEIGHT = 2^53.
     """
     if not (0.0 < gamma < 1.0 / 6.0):
         raise ValueError(f"need 0 < gamma < 1/6, got {gamma}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if n > MAX_WEIGHT:
+        raise ValueError(f"need n <= 2^53, got {n}")
     d = int(1.0 / (5.0 * gamma * gamma))
     k = min(int(math.log2(n)), d - 2)
     f = 1.0 / math.sqrt(5.0)
@@ -478,6 +484,14 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
+def _header_int(m, key: str, path) -> int:
+    try:
+        return int(m.group(key))
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"{path}: header {key}= has {len(m.group(key))} digits, "
+                         "too many to read") from None
+
+
 def _parse(path, lines) -> Dataset:
     """The dataset in the content lines of a file, checked as load_dataset says."""
     first = next(lines, None)
@@ -486,7 +500,7 @@ def _parse(path, lines) -> Dataset:
     m = _HEADER_RE.match(first)
     if not m:
         raise ValueError(f"{path}: bad header line {first!r}")
-    version, n, d = m.group(1), int(m.group(2)), int(m.group(3))
+    version, n, d = m.group(1), _header_int(m, "n", path), _header_int(m, "d", path)
     gamma = _floats([m.group(4)], path, "the header gamma")[0]
     weighted = version == "v1w"
     wline = next(lines, None)
@@ -515,7 +529,7 @@ def _parse(path, lines) -> Dataset:
                 weight = int(parts[1])
             except ValueError:
                 raise ValueError(f"{path}: row {i} weight must be an integer") from None
-            if abs(weight) > 2**53:  # beyond it float sums lose integers
+            if abs(weight) > MAX_WEIGHT:
                 raise ValueError(f"{path}: row {i} weight exceeds 2^53")
             weights[j] = float(weight)
         feats[j] = _floats(parts[head:], path, f"row {i}")

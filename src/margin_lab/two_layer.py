@@ -59,20 +59,24 @@ def _probe_grid() -> np.ndarray:
     return _GRID
 
 
-def _base_pair(base: str, z: np.ndarray):
-    """Value and derivative of the blend bases."""
-    if base == "gelu":
-        cdf = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
-        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return z * cdf, cdf + z * pdf
-    if base == "softplus":
-        return np.logaddexp(0.0, z), expit(z)
-    if base == "silu":
-        s = expit(z)
-        return z * s, s * (1.0 + z * (1.0 - s))
-    if base == "relu":
-        return np.maximum(z, 0.0), np.where(z >= 0, 1.0, 0.0)
-    raise ValueError(f"unknown blend base {base!r}")
+def _gelu(z):
+    cdf = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return z * cdf, cdf + z * pdf
+
+
+def _silu(z):
+    s = expit(z)
+    return z * s, s * (1.0 + z * (1.0 - s))
+
+
+# Each blend base: its CLI label and its (value, derivative) pair.
+_BASES = {
+    "gelu": ("leaky-gelu", _gelu),
+    "softplus": ("leaky-softplus", lambda z: (np.logaddexp(0.0, z), expit(z))),
+    "silu": ("leaky-silu", _silu),
+    "relu": ("leaky-relu-variant", lambda z: (np.maximum(z, 0.0), np.where(z >= 0, 1.0, 0.0))),
+}
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class Activation:
         if self._tag == "leakyrelu":
             out = np.where(z >= 0, z, self.alpha * z)
         else:
-            base_v, _ = _base_pair(self._tag, z)
+            base_v, _ = _BASES[self._tag][1](z)
             out = self._c * z + ((1.0 - self._c) / 4.0) * base_v
         return float(out) if out.ndim == 0 else out
 
@@ -98,7 +102,7 @@ class Activation:
             # the kink derivative is fixed from the right: sigma'(0) = 1
             out = np.where(z >= 0, 1.0, self.alpha)
         else:
-            _, base_d = _base_pair(self._tag, z)
+            _, base_d = _BASES[self._tag][1](z)
             out = self._c + ((1.0 - self._c) / 4.0) * base_d
         return float(out) if out.ndim == 0 else out
 
@@ -114,13 +118,15 @@ def leaky_blend(base: str, c: float) -> Activation:
     """Blend c*z + ((1-c)/4)*base(z); alpha and kappa measured on the grid."""
     if not (0.5 < c < 1.0):
         raise ValueError(f"blend coefficient must be in (0.5, 1), got {c}")
+    if base not in _BASES:
+        raise ValueError(f"unknown blend base {base!r}")
+    label, pair = _BASES[base]
     z = _probe_grid()
-    base_v, base_d = _base_pair(base, z)
+    base_v, base_d = pair(z)
     slope = c + ((1.0 - c) / 4.0) * base_d
     defect = np.abs((c * z + ((1.0 - c) / 4.0) * base_v) - slope * z)
     alpha = float(slope.min())
     kappa = 1.1 * float(defect.max())  # headroom for off-grid points
-    label = "leaky-relu-variant" if base == "relu" else f"leaky-{base}"
     return Activation(name=f"{label}:{c:g}", alpha=alpha, kappa=kappa, _tag=base, _c=float(c))
 
 
@@ -135,8 +141,7 @@ def parse_activation(name: str) -> Activation:
         raise ValueError(f"bad activation parameter {raw!r} in {name!r}") from None
     if head == "leakyrelu":
         return leaky_relu(param)
-    bases = {"leaky-gelu": "gelu", "leaky-softplus": "softplus",
-             "leaky-silu": "silu", "leaky-relu-variant": "relu"}
+    bases = {label: base for base, (label, _) in _BASES.items()}
     if head in bases:
         return leaky_blend(bases[head], param)
     raise ValueError(f"unknown activation {name!r}")

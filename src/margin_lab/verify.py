@@ -201,27 +201,25 @@ def check_averaged_risk_bound(
         )
     if init is not None and np.any(np.asarray(init) != 0.0):
         raise ValueError("refused: averaged-risk bound requires starting from zero")
-    traj = run_gd(
-        ds,
-        GDConfig(loss=loss, eta=eta, steps=steps, record_every=record_every),
-    )
-    rows = []
-    for p in traj.points:
-        if p.t >= 1:
-            bound = averaged_risk_log_bound(ds.gamma, eta, p.t)
-            rows.append((p.t, p.avg_risk.log_value, bound))
+    return _check_averaged_bound(
+        ds, GDConfig(loss=loss, eta=eta, steps=steps, record_every=record_every),
+        lambda t: averaged_risk_log_bound(ds.gamma, eta, t),
+        "averaged-iterate log risk stays under the closed-form decay bound",
+        {"loss": loss.name, "eta": eta, "steps": steps})
+
+
+def _check_averaged_bound(ds: Dataset, config: GDConfig, bound, claim: str,
+                          context: dict) -> BoundReport:
+    """Run config on ds and report log avg-risk <= bound(t) at every recorded
+    t >= 1; the context follows the dataset's fingerprint, diverged_at ends it."""
+    traj = run_gd(ds, config)
+    cols = traj.columns
+    rows = [(t, log_avg, bound(t))
+            for t, log_avg in zip(cols["t"], cols["log_avg_risk"]) if t >= 1]
     return make_report(
-        claim="averaged-iterate log risk stays under the closed-form decay bound",
-        rows=rows,
-        tolerance=LOG_TOL,
-        context={
-            "dataset": dataset_fingerprint(ds),
-            "loss": loss.name,
-            "eta": eta,
-            "steps": steps,
-            "diverged_at": traj.diverged_at,
-        },
-    )
+        claim=claim, rows=rows, tolerance=LOG_TOL,
+        context={"dataset": dataset_fingerprint(ds), **context,
+                 "diverged_at": traj.diverged_at})
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +260,14 @@ def check_stepsize_cap(
         if np.all(np.diff(logs) <= 0.0):
             monotone_etas.append(eta)
             rows.append((f"cap|eta={eta:g}", eta, cap))
-        for p in traj.points:
-            if p.t >= 1:
-                floor = loss.log_value(eta * p.t) - ln_n
-                rows.append(
-                    (f"floor|eta={eta:g}|t={p.t}", -p.risk.log_value, -floor + SLACK_TOL)
-                )
-                norm_cap = eta * p.t * (1.0 + 1e-12) + 1e-15
-                rows.append(
-                    (f"norm|eta={eta:g}|t={p.t}", float(np.linalg.norm(p.w)), norm_cap)
-                )
-        w1 = traj.points[1].w if len(traj.points) > 1 else traj.final.w
+        ts, ws = traj.columns["t"], traj.columns["w"]
+        for t, log_risk, w in zip(ts, traj.columns["log_risk"], ws):
+            if t >= 1:
+                floor = loss.log_value(eta * t) - ln_n
+                rows.append((f"floor|eta={eta:g}|t={t}", -log_risk, -floor + SLACK_TOL))
+                norm_cap = eta * t * (1.0 + 1e-12) + 1e-15
+                rows.append((f"norm|eta={eta:g}|t={t}", float(np.linalg.norm(w)), norm_cap))
+        w1 = ws[1] if len(ws) > 1 else ws[-1]
         dev = float(np.max(np.abs(w1 - eta * xbar)))
         rows.append((f"first-step|eta={eta:g}", dev, 1e-12 * max(1.0, eta)))
 
@@ -330,13 +325,14 @@ def _check_hard_instance(ds: Dataset, config: GDConfig, claim: str) -> BoundRepo
     traj = run_gd(ds, replace(config, init=w0, steps=steps, record_every=1))
 
     rows = []
-    for p in traj.points:
-        if p.t <= span_max:
-            mask = _allowed_coords(p.t, k, ds.d)
-            out = float(np.max(np.abs(p.w[~mask]))) if np.any(~mask) else 0.0
-            rows.append((f"span|t={p.t}", out, ZERO_TOL))
-        if p.t <= margin_max:
-            rows.append((f"margin|t={p.t}", p.min_margin, 0.0))
+    cols = traj.columns
+    for t, w, min_margin in zip(cols["t"], cols["w"], cols["min_margin"]):
+        if t <= span_max:
+            mask = _allowed_coords(t, k, ds.d)
+            out = float(np.max(np.abs(w[~mask]))) if np.any(~mask) else 0.0
+            rows.append((f"span|t={t}", out, ZERO_TOL))
+        if t <= margin_max:
+            rows.append((f"margin|t={t}", min_margin, 0.0))
     return make_report(
         claim=claim,
         rows=rows,
@@ -647,27 +643,12 @@ def check_general_loss_bound(
     if not loss.ops.smooth:
         raise ValueError(f"refused: need a smooth loss, got {loss.name}")
     loss = loss.with_n(ds.n)
-    traj = run_gd(
-        ds, GDConfig(loss=loss, eta=eta, steps=steps, record_every=record_every)
-    )
-    rows = []
-    for p in traj.points:
-        if p.t >= 1:
-            bound = general_loss_risk_log_bound(loss, ds.gamma, eta, p.t)
-            rows.append((p.t, p.avg_risk.log_value, bound))
-    return make_report(
-        claim="general-loss averaged risk stays under its closed-form bound",
-        rows=rows,
-        tolerance=LOG_TOL,
-        context={
-            "dataset": dataset_fingerprint(ds),
-            "loss": loss.name,
-            "lipschitz_const": loss.lipschitz_const(),
-            "eta": eta,
-            "steps": steps,
-            "diverged_at": traj.diverged_at,
-        },
-    )
+    return _check_averaged_bound(
+        ds, GDConfig(loss=loss, eta=eta, steps=steps, record_every=record_every),
+        lambda t: general_loss_risk_log_bound(loss, ds.gamma, eta, t),
+        "general-loss averaged risk stays under its closed-form bound",
+        {"loss": loss.name, "lipschitz_const": loss.lipschitz_const(), "eta": eta,
+         "steps": steps})
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +802,7 @@ def default_suite(seed: int = 0) -> list[BoundReport]:
     )
 
     traj = run_gd(ds, GDConfig(loss=EXP, eta=4.0, steps=200))
-    iterates = np.array([p.w for p in traj.points])
+    iterates = np.array(traj.columns["w"])
     reports.append(check_risk_implies_separation(ds, EXP, iterates))
 
     from .losses import SEMICIRCLE, poly

@@ -347,6 +347,21 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("weighted", ["true", "false"])
+    @pytest.mark.parametrize("n", [2**60 + 1, 10**400], ids=["2^60+1", "401-digits"])
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    def test_batch_hard_n_beyond_2_53_is_a_config_error(self, command, n, weighted, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"dataset = batch-hard:gamma=0.05,n={n},weighted={weighted}\n"
+                       + ("loss = exp\nstepsize = adaptive:1\nsteps = 5\n" if command == "run"
+                          else ""))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: bad dataset batch-hard source: need n <= 2^53, got {n}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_dataset_that_cannot_be_allocated_is_a_config_error(self, tmp_path, capsys):
         # d = 1/gamma^2 = 111 111 111 111 columns: 0.8 PiB of features, past
         # any 64-bit host's address space whatever its overcommit setting
@@ -422,6 +437,8 @@ BAD_DATASET_FILES = {
     "zero-weight": (_HEAD_W + _WSTAR + "+1 0 0.6 0\n-1 3 -0.6 0.1\n",
                     "weights_positive_integer"),
     "not-utf8": (NOT_UTF8, "not UTF-8"),
+    "header-n-5000-digits": ("margin-lab-dataset v1 n=" + "1" * 5000 + " d=2 gamma=0.5\n"
+                             + _WSTAR + _ROWS, "header n= has 5000 digits"),
 }
 
 

@@ -109,6 +109,14 @@ class TestBatchHard:
         with pytest.raises(ValueError):
             gen_batch_hard(0.1, 1)
 
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_n_beyond_2_53_is_refused(self, weighted):
+        # the weight load_dataset would refuse, and past float sums' integers
+        assert gen_batch_hard(0.05, 2**53, weighted=True).n == 2**53
+        for n in (2**53 + 1, 2**60 + 1, 10**400):
+            with pytest.raises(ValueError, match=r"need n <= 2\^53"):
+                gen_batch_hard(0.05, n, weighted=weighted)
+
 
 class TestOnlineHard:
     def test_pinned_shape(self):
@@ -313,6 +321,16 @@ class TestSerialization:
         p.write_text("margin-lab-dataset v1 n=5 d=2 gamma=0.1\nwstar: 1 0\n+1 1 0\n")
         with pytest.raises(ValueError):
             load_dataset(p)  # header n disagrees with rows
+
+    @pytest.mark.parametrize("key", ["n", "d"])
+    def test_header_count_past_int_digit_limit_names_the_file(self, key, tmp_path):
+        counts = {"n": "2", "d": "2", key: "1" * 5000}
+        p = tmp_path / "long.txt"
+        p.write_text(f"margin-lab-dataset v1 n={counts['n']} d={counts['d']} gamma=0.5\n"
+                     "wstar: 1 0\n+1 0.6 0\n-1 -0.6 0.1\n")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(p)
+        assert str(exc.value) == f"{p}: header {key}= has 5000 digits, too many to read"
 
     def test_validate_flags_bad_data(self):
         ds = Dataset(
