@@ -19,10 +19,13 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
 - `averaged-blocks` (was `scripts/bench_averaged_blocks.py`): microseconds
   per `run_gd` step on `gen_random_separable(10, 100, 0.1, seed=0)`, the
   median of 5 runs, and the steps the run reports, for log loss, adaptive
-  eta = 400, 2000 steps, every step recorded; exp loss, constant eta = 1 to
-  `margin-lab bench`'s target ln 1e-12 within 20000 steps (steps computed
-  past the first passage and dropped count against it); log loss as the
-  first, recording only t = 0 and the last step.
+  eta = 400, 2000 steps, every step recorded; exp loss, adaptive eta = 1 to
+  `margin-lab bench`'s target ln 1e-12 within 20000 steps, passed mid-block
+  at t = 5007 (steps computed past the first passage and dropped count
+  against it); log loss as the first, recording only t = 0 and the last
+  step. The committed `BENCH_averaged_blocks.json` predates the target run's
+  switch from constant to adaptive eta: its key `exp constant target` names
+  a run that never reached the target.
 - `lean-datasets` (was `scripts/bench_lean_datasets.py`): on
   `gen_random_separable(1000, 10_000, 0.1, seed=0)` (80 MB of features),
   which AFTER_SRC writes once as .npy arrays and as a dataset file, one
@@ -93,8 +96,9 @@ if proc.returncode not in (0, 1):  # 1: a check failed, which is expected
 print(json.dumps({"verify_wall_s": wall}))
 """
 
-AVERAGED_CHILD = """
-import json, math, statistics, time
+# The runs of the averaged-blocks case: ds and cases, name -> GDConfig.
+AVERAGED_RUNS = """
+import math
 from margin_lab.datasets import gen_random_separable
 from margin_lab.descent import GDConfig, run_gd
 from margin_lab.losses import EXP, LOG
@@ -102,10 +106,14 @@ from margin_lab.losses import EXP, LOG
 ds = gen_random_separable(10, 100, 0.1, seed=0)
 cases = {
     "log adaptive recorded": GDConfig(loss=LOG, eta=400.0, steps=2000, record_every=1),
-    "exp constant target": GDConfig(loss=EXP, eta=1.0, steps=20000, mode="constant",
+    "exp adaptive target": GDConfig(loss=EXP, eta=1.0, steps=20000,
                                     target_log_avg_risk=math.log(1e-12)),
     "log unrecorded": GDConfig(loss=LOG, eta=400.0, steps=2000, record_every=2000),
 }
+"""
+
+AVERAGED_CHILD = AVERAGED_RUNS + """
+import json, statistics, time
 out = {}
 for name, cfg in cases.items():
     runs = []

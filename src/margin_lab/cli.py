@@ -291,11 +291,15 @@ def make_dataset(spec: DatasetSpec, default_seed: int) -> Dataset:
     except ValueError as exc:
         prefix, detail = source.prefix, str(exc)
     except MemoryError as exc:
-        shape = getattr(exc, "shape", None)  # numpy names the array it could not allocate
-        what = "" if shape is None else f" (an array of shape {tuple(shape)})"
-        prefix, detail = source.memory_prefix, f"does not fit in memory{what}"
+        prefix, detail = source.memory_prefix, _does_not_fit(exc)
     prefix = prefix.format(kind=spec.kind, **spec.params)
     raise ConfigError([(0, f"bad dataset {prefix}{detail}")])
+
+
+def _does_not_fit(exc: MemoryError) -> str:
+    shape = getattr(exc, "shape", None)  # numpy names the array it could not allocate
+    what = "" if shape is None else f" (an array of shape {tuple(shape)})"
+    return f"does not fit in memory{what}"
 
 
 CONFIG_KEYS = {
@@ -485,13 +489,16 @@ def _read_order_file(path: str, n_rows: int) -> np.ndarray:
 def cmd_perceptron(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     ds = make_dataset(cfg["dataset"], seed)
     kind, param = cfg["order"]
-    if kind == "cyclic":
-        order = cyclic_order(ds.n_rows, cfg["steps"])
-    elif kind == "random":
-        order = random_order(ds.n_rows, cfg["steps"], seed=param)
-    else:
-        order = _read_order_file(param, ds.n_rows)
-    run = run_perceptron(ds, order)
+    try:
+        if kind == "cyclic":
+            order = cyclic_order(ds.n_rows, cfg["steps"])
+        elif kind == "random":
+            order = random_order(ds.n_rows, cfg["steps"], seed=param)
+        else:
+            order = _read_order_file(param, ds.n_rows)
+        run = run_perceptron(ds, order)
+    except MemoryError as exc:
+        raise ConfigError([(0, f"perceptron run {_does_not_fit(exc)}")]) from None
 
     sep = "none" if run.separated_at is None else str(run.separated_at)
     rows = [_provenance_line(cfg, seed),

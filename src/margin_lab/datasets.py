@@ -110,11 +110,13 @@ class ValidationReport:
     checks: list  # (name, passed, detail) triples
 
 
-def validate(ds: Dataset, tol: float = 1e-12) -> ValidationReport:
-    """Check the dataset contract: labels, norms, certificate, weights.
+def validate(ds: Dataset) -> ValidationReport:
+    """Check the dataset contract: labels, norms, certificate, weights, the
+    norms and the margin to within 1e-12.
 
     The row norms are taken one row block at a time, so beyond the dataset
     it holds one block and a few vectors of length n_rows."""
+    tol = 1e-12
     checks = []
 
     labels_ok = bool(np.all(np.isin(ds.labels, (-1.0, 1.0))))

@@ -156,7 +156,7 @@ def check_online_hard_instance(
     dataset, starting from 0 and from e_1 (a direction no example touches),
     and checks that after every step t the cumulative mistake count is at
     least min(1/(2 gamma^2), t) and that full separation takes at least
-    min(1/(2 gamma^2), n) steps.
+    min(1/(2 gamma^2), n) steps, the generator's separation_floor.
     """
     from .verify import make_report
 
@@ -164,7 +164,7 @@ def check_online_hard_instance(
         method = run_perceptron
     ds = gen_online_hard(gamma, n)
     order = np.arange(n, dtype=np.int64)
-    floor = min(1.0 / (2.0 * gamma * gamma), float(n))
+    floor = ds.metadata["separation_floor"]
 
     rows: list[tuple[str, float, float]] = []
     context: dict = {"gamma": gamma, "n": n, "separation_floor": floor}
@@ -173,8 +173,8 @@ def check_online_hard_instance(
         w0[0] = scale
         run = method(ds, order, w0)
         for t in range(1, n + 1):
-            bound = min(1.0 / (2.0 * gamma * gamma), float(t))
-            rows.append((f"mistakes|{tag}|t={t}", float(run.mistakes[t]), bound))
+            # min(floor, t) = min(1/(2 gamma^2), t), as t <= n
+            rows.append((f"mistakes|{tag}|t={t}", float(run.mistakes[t]), min(floor, float(t))))
         sep = math.inf if run.separated_at is None else float(run.separated_at)
         rows.append((f"separated-at|{tag}", sep, floor))
         context[tag] = {

@@ -170,11 +170,9 @@ class TwoLayerNet:
         return self.weights.shape[1]
 
 
-def make_net(d: int, m: int, activation: Activation, signs=None) -> TwoLayerNet:
-    """Zero-initialized net; signs default to alternating +1, -1, ..."""
-    if signs is None:
-        signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    return TwoLayerNet(np.zeros((m, d)), np.asarray(signs, dtype=float), activation)
+def make_net(d: int, m: int, activation: Activation) -> TwoLayerNet:
+    """Zero-initialized net with alternating signs +1, -1, ..."""
+    return TwoLayerNet(np.zeros((m, d)), np.where(np.arange(m) % 2 == 0, 1.0, -1.0), activation)
 
 
 def _forward_pass(net: TwoLayerNet, ds: Dataset, head: np.ndarray):

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .descent import (
     averaged_risk_log_bound,
     general_loss_risk_log_bound,
     grad_phi,
+    phi,
     phi_from_risk,
     risk,
     run_gd,
@@ -63,6 +64,7 @@ ZERO_TOL = 1e-14      # algebraic zero patterns
 SLACK_TOL = 1e-12     # inequality slacks
 MIDPOINT_TOL = 1e-10  # convexity midpoint slack
 FD_TOL = 1e-5         # relative error of finite-difference gradient checks
+EXACT_DPS = 50        # decimal digits of the exact-arithmetic witnesses
 
 
 @dataclass(frozen=True)
@@ -179,30 +181,21 @@ def dataset_fingerprint(ds: Dataset) -> dict:
 # Averaged-iterate risk bound
 # ---------------------------------------------------------------------------
 
-def check_averaged_risk_bound(
-    ds: Dataset,
-    loss: LossSpec,
-    eta: float,
-    steps: int,
-    init: Optional[np.ndarray] = None,
-    record_every: int = 1,
-) -> BoundReport:
+def check_averaged_risk_bound(ds: Dataset, loss: LossSpec, eta: float, steps: int) -> BoundReport:
     """Adaptive GD from zero: log avg-risk <= closed-form bound at every t >= 1.
 
-    Only exp/log losses qualify, under either aggregation, and the start
-    must be the zero vector (the bound's derivation anchors there); anything
-    else is refused with a ValueError. The bound is derived for exp, refuted
-    for log under the mean, and only measured for log under the sum; see
+    The run starts at the zero vector, where the bound's derivation anchors.
+    Only exp/log losses qualify, under either aggregation; any other is
+    refused with a ValueError. The bound is derived for exp, refuted for log
+    under the mean, and only measured for log under the sum; see
     descent.averaged_risk_log_bound.
     """
     if loss.kind not in ("exp", "log"):
         raise ValueError(
             f"refused: averaged-risk bound is stated for exp/log losses, got {loss.name}"
         )
-    if init is not None and np.any(np.asarray(init) != 0.0):
-        raise ValueError("refused: averaged-risk bound requires starting from zero")
     return _check_averaged_bound(
-        ds, GDConfig(loss=loss, eta=eta, steps=steps, record_every=record_every),
+        ds, GDConfig(loss=loss, eta=eta, steps=steps),
         lambda t: averaged_risk_log_bound(ds.gamma, eta, t),
         "averaged-iterate log risk stays under the closed-form decay bound",
         {"loss": loss.name, "eta": eta, "steps": steps})
@@ -210,8 +203,8 @@ def check_averaged_risk_bound(
 
 def _check_averaged_bound(ds: Dataset, config: GDConfig, bound, claim: str,
                           context: dict) -> BoundReport:
-    """Run config on ds and report log avg-risk <= bound(t) at every recorded
-    t >= 1; the context follows the dataset's fingerprint, diverged_at ends it."""
+    """Run config on ds and report log avg-risk <= bound(t) at every t >= 1;
+    the context follows the dataset's fingerprint, diverged_at ends it."""
     traj = run_gd(ds, config)
     cols = traj.columns
     rows = [(t, log_avg, bound(t))
@@ -236,7 +229,9 @@ def check_stepsize_cap(
 
     For each eta in the grid, runs adaptive GD and records:
       * if the risk never increases, the row (eta, eta, cap) with
-        cap = l(0)/(q*r), r=0.1, q=0.5 (monotone descent implies the cap);
+        cap = l(0)/(q*r), the alignment level r and the fraction q below it
+        read from gen_two_point's metadata (0.1 and 0.5; monotone descent
+        implies the cap);
       * unconditional floor rows: log-risk at t can be no smaller than
         log l(eta*t) - log n (norm growth is at most eta per step), stored
         negated to fit the "<=" direction;
@@ -247,8 +242,7 @@ def check_stepsize_cap(
     if loss.kind not in ("exp", "log"):
         raise ValueError(f"refused: stable-regime check expects exp/log, got {loss.name}")
     ds = gen_two_point(gamma)
-    r_frac, q_frac = 0.1, 0.5
-    cap = loss.value(0.0) / (q_frac * r_frac)
+    cap = loss.value(0.0) / (ds.metadata["cap_fraction_q"] * ds.metadata["cap_fraction_r"])
     ln_n = math.log(ds.n)
     xbar = mean_signed_feature(ds)
 
@@ -314,7 +308,8 @@ def _allowed_coords(t: int, k: int, d: int) -> np.ndarray:
     return mask
 
 
-def _check_hard_instance(ds: Dataset, config: GDConfig, claim: str) -> BoundReport:
+def _check_hard_instance(ds: Dataset, loss: LossSpec, eta: float, mode: str,
+                         claim: str) -> BoundReport:
     k = int(ds.metadata["k"])
     span_max = max(1, int(ds.metadata["span_horizon"]) - 2)
     threshold = float(ds.metadata["no_separation_before"])
@@ -322,7 +317,7 @@ def _check_hard_instance(ds: Dataset, config: GDConfig, claim: str) -> BoundRepo
     steps = max(span_max, margin_max, 1)
     w0 = np.zeros(ds.d)
     w0[0] = 1.0
-    traj = run_gd(ds, replace(config, init=w0, steps=steps, record_every=1))
+    traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=steps, mode=mode, init=w0))
 
     rows = []
     cols = traj.columns
@@ -339,9 +334,9 @@ def _check_hard_instance(ds: Dataset, config: GDConfig, claim: str) -> BoundRepo
         tolerance=0.0,
         context={
             "dataset": dataset_fingerprint(ds),
-            "loss": config.loss.name,
-            "mode": config.mode,
-            "eta": config.eta,
+            "loss": loss.name,
+            "mode": mode,
+            "eta": eta,
             "k": k,
             "span_checked_to": span_max,
             "separation_threshold": threshold,
@@ -350,34 +345,21 @@ def _check_hard_instance(ds: Dataset, config: GDConfig, claim: str) -> BoundRepo
     )
 
 
-def check_batch_hard_instance(
-    gamma: float,
-    n: int,
-    config: Optional[GDConfig] = None,
-    weighted: bool = True,
-) -> BoundReport:
-    """Doubling-block instance: GD stays in the proven span and cannot
-    separate before the step threshold."""
-    if config is None:
-        config = GDConfig(loss=EXP, eta=1.0, steps=1)
-    ds = gen_batch_hard(gamma, n, weighted=weighted)
+def check_batch_hard_instance(gamma: float, n: int, loss: LossSpec = EXP, eta: float = 1.0,
+                              mode: str = "adaptive") -> BoundReport:
+    """Doubling-block instance (weighted rows): GD stays in the proven span
+    and cannot separate before the step threshold."""
     return _check_hard_instance(
-        ds, config, "doubling-block instance pins GD spans and delays separation"
-    )
+        gen_batch_hard(gamma, n, weighted=True), loss, eta, mode,
+        "doubling-block instance pins GD spans and delays separation")
 
 
-def check_chain_hard_instance(
-    gamma: float,
-    n: int,
-    config: Optional[GDConfig] = None,
-) -> BoundReport:
+def check_chain_hard_instance(gamma: float, n: int, loss: LossSpec = EXP, eta: float = 1.0,
+                              mode: str = "adaptive") -> BoundReport:
     """Chain instance: same span confinement and separation delay."""
-    if config is None:
-        config = GDConfig(loss=EXP, eta=1.0, steps=1)
-    ds = gen_chain_hard(gamma, n)
     return _check_hard_instance(
-        ds, config, "chain instance pins GD spans and delays separation"
-    )
+        gen_chain_hard(gamma, n), loss, eta, mode,
+        "chain instance pins GD spans and delays separation")
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +421,13 @@ def check_gradient_inequalities(
     loss: LossSpec,
     probes: int = 200,
     seed: int = 0,
-    etas: Sequence[float] = (0.5, 4.0, 400.0),
 ) -> BoundReport:
     """Pointwise inequalities behind the descent analysis, on random probes.
 
     Rows (each aggregated over all probes, worst case kept):
       * gradient norm of the transformed objective <= C + 1e-9;
-      * step alignment 2<grad, u2> + eta*||grad||^2 <= 0 for each eta, with
-        u2 = (C*eta/(2*gamma)) w*;
+      * step alignment 2<grad, u2> + eta*||grad||^2 <= 0 for each eta in
+        0.5, 4 and 400, with u2 = (C*eta/(2*gamma)) w*;
       * midpoint convexity of the transformed objective;
       * the curvature ratio r = l'^2/(l*l'') never increases along a z-grid;
       * finite-difference agreement of the gradient (relative error).
@@ -482,6 +463,7 @@ def check_gradient_inequalities(
     c_lip = loss.lipschitz_const()
     rng = np.random.default_rng(seed)
     pts = _probe_points(rng, ds, probes)
+    etas = (0.5, 4.0, 400.0)
 
     grads = np.array([grad_phi(w, ds, loss) for w in pts])
     norms = np.linalg.norm(grads, axis=1)
@@ -492,12 +474,12 @@ def check_gradient_inequalities(
         align = 2.0 * grads @ u2 + eta * norms**2
         rows.append((f"step-align|eta={eta:g}", float(align.max()), SLACK_TOL))
 
-    phis = np.array([phi_from_risk(loss, risk(w, ds, loss)) for w in pts])
+    phis = np.array([phi(w, ds, loss) for w in pts])
     half = len(pts) // 2
     mids = []
     for i in range(half):
         wa, wb = pts[i], pts[i + half]
-        mid = phi_from_risk(loss, risk(0.5 * (wa + wb), ds, loss))
+        mid = phi(0.5 * (wa + wb), ds, loss)
         mids.append(mid - 0.5 * (phis[i] + phis[i + half]))
     rows.append(("midpoint-convexity", float(np.max(mids)), MIDPOINT_TOL))
 
@@ -513,8 +495,8 @@ def check_gradient_inequalities(
         for j in range(ds.d):
             e = np.zeros(ds.d)
             e[j] = h
-            fp = phi_from_risk(loss, risk(w + e, ds, loss))
-            fm = phi_from_risk(loss, risk(w - e, ds, loss))
+            fp = phi(w + e, ds, loss)
+            fm = phi(w - e, ds, loss)
             fd[j] = (fp - fm) / (2.0 * h)
         denom = max(float(np.linalg.norm(g)), 1e-12)
         fd_worst = max(fd_worst, float(np.linalg.norm(fd - g)) / denom)
@@ -538,18 +520,17 @@ def check_gradient_inequalities(
 def check_network_inequalities(
     ds: Dataset,
     activation: Activation,
-    m: int = 4,
     probes: int = 100,
     seed: int = 0,
-    etas: Sequence[float] = (8.0, 80.0),
     loss: LossSpec = EXP,
 ) -> BoundReport:
-    """Network analogs of the alignment inequalities, on random probe nets.
+    """Network analogs of the alignment inequalities, on random probe nets of
+    width m = 4.
 
     Rows:
       * per-block gradient norm ||m * grad_j|| <= 1 + 1e-9;
-      * 2<m*grad, U2> + eta*||m*grad||_F^2 <= 0 with U2 blocks
-        (a_j*eta/(2*gamma)) w*;
+      * 2<m*grad, U2> + eta*||m*grad||_F^2 <= 0 for eta in 8 and 80, with U2
+        blocks (a_j*eta/(2*gamma)) w*;
       * <grad, U1 - W> <= kappa - (alpha*gamma/m) * sum_j ||u1_j|| - phi(W)
         for U1 blocks c_j*a_j*w*, c_j >= 0;
       * finite-difference agreement of the block gradient on a smooth
@@ -565,6 +546,7 @@ def check_network_inequalities(
     if loss.aggregation != "mean":
         raise ValueError(f"refused: network checks support mean aggregation, got {loss.name}")
     rng = np.random.default_rng(seed)
+    m, etas = 4, (8.0, 80.0)
     net = make_net(ds.d, m, activation)
     alpha, kappa = activation.alpha, activation.kappa
 
@@ -631,20 +613,14 @@ def check_network_inequalities(
 # General-loss bound
 # ---------------------------------------------------------------------------
 
-def check_general_loss_bound(
-    ds: Dataset,
-    loss: LossSpec,
-    eta: float,
-    steps: int,
-    record_every: int = 1,
-) -> BoundReport:
+def check_general_loss_bound(ds: Dataset, loss: LossSpec, eta: float, steps: int) -> BoundReport:
     """Adaptive GD under a general smooth loss: log avg-risk under the
-    general closed-form bound at every recorded t >= 1."""
+    general closed-form bound at every t >= 1."""
     if not loss.ops.smooth:
         raise ValueError(f"refused: need a smooth loss, got {loss.name}")
     loss = loss.with_n(ds.n)
     return _check_averaged_bound(
-        ds, GDConfig(loss=loss, eta=eta, steps=steps, record_every=record_every),
+        ds, GDConfig(loss=loss, eta=eta, steps=steps),
         lambda t: general_loss_risk_log_bound(loss, ds.gamma, eta, t),
         "general-loss averaged risk stays under its closed-form bound",
         {"loss": loss.name, "lipschitz_const": loss.lipschitz_const(), "eta": eta,
@@ -699,9 +675,10 @@ def witness_dataset() -> Dataset:
     return gen_random_separable(spec["d"], spec["n"], spec["gamma"], seed=spec["seed"])
 
 
-def check_transform_convexity_exact(loss: LossSpec, dps: int = 50) -> BoundReport:
+def check_transform_convexity_exact(loss: LossSpec) -> BoundReport:
     """Midpoint convexity of the transformed objective at the committed
-    witness pairs (witnesses.MIDPOINT_WITNESSES), in dps-digit arithmetic.
+    witness pairs (witnesses.MIDPOINT_WITNESSES), in EXACT_DPS-digit
+    arithmetic.
 
     One row per pair: phi((a + b)/2) - (phi(a) + phi(b))/2 against 0, with
     the exact midpoint. Verdicts at 50 digits:
@@ -722,7 +699,7 @@ def check_transform_convexity_exact(loss: LossSpec, dps: int = 50) -> BoundRepor
         raise ValueError(f"witness dataset regenerated differently: {fp['sha256']}")
     loss = loss.with_n(ds.n)
     rows = []
-    with mpmath.workdps(dps):
+    with mpmath.workdps(EXACT_DPS):
         obj = _ExactObjective(mpmath.mp, ds, loss)
         for wit in MIDPOINT_WITNESSES:
             a = [mpmath.mpf(x) for x in wit.a]
@@ -734,15 +711,15 @@ def check_transform_convexity_exact(loss: LossSpec, dps: int = 50) -> BoundRepor
         claim="transformed objective is midpoint convex at the exact witnesses",
         rows=rows,
         tolerance=0.0,
-        context={"dataset": fp, "loss": loss.name, "dps": dps},
+        context={"dataset": fp, "loss": loss.name, "dps": EXACT_DPS},
     )
 
 
 def replay_averaged_log_risk_exact(
-    ds: Dataset, loss: LossSpec, eta: float, steps: int, dps: int = 50
+    ds: Dataset, loss: LossSpec, eta: float, steps: int
 ) -> list[float]:
     """Adaptive GD from zero, w_{t+1} = w_t - eta * grad phi(w_t), replayed
-    in dps-digit arithmetic; returns ln L(avg of w_0..w_t) for t = 0..steps.
+    in EXACT_DPS-digit arithmetic; returns ln L(avg of w_0..w_t) for t = 0..steps.
 
     Compared with run_gd's log_avg_risk column, it tells float error apart
     from what the method itself does. mpmath is imported here.
@@ -752,7 +729,7 @@ def replay_averaged_log_risk_exact(
     loss = loss.with_n(ds.n)
     mean = loss.with_aggregation("mean")
     out = []
-    with mpmath.workdps(dps):
+    with mpmath.workdps(EXACT_DPS):
         mp = mpmath.mp
         obj = _ExactObjective(mp, ds, loss)
         risk_of = _ExactObjective(mp, ds, mean).aggregate
@@ -790,9 +767,8 @@ def default_suite(seed: int = 0) -> list[BoundReport]:
         )
 
     for mode in ("adaptive", "constant"):
-        cfg = GDConfig(loss=EXP, eta=1.0, steps=1, mode=mode)
-        reports.append(check_batch_hard_instance(0.05, 2**20, config=cfg))
-        reports.append(check_chain_hard_instance(0.001, 100, config=cfg))
+        reports.append(check_batch_hard_instance(0.05, 2**20, mode=mode))
+        reports.append(check_chain_hard_instance(0.001, 100, mode=mode))
 
     reports.append(check_online_hard_instance(0.4, 10))
     reports.append(

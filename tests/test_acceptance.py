@@ -156,9 +156,10 @@ def passage_runs():
                 traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=budget))
                 seconds = time.perf_counter() - run_start
                 target = math.log(eps)
+                cols = traj.columns
                 first = next(
-                    (p.t for p in traj.points
-                     if p.t >= 1 and p.avg_risk.log_value <= target),
+                    (t for t, log_avg in zip(cols["t"], cols["log_avg_risk"])
+                     if t >= 1 and log_avg <= target),
                     None,
                 )
                 runs.append(
@@ -181,17 +182,16 @@ def test_01_averaged_iterate_decay_bound_on_the_grid(exp_log_grid, log_sum_grid)
     for r in runs:
         cells_by_loss[r.loss.kind] += 1
         worst = -math.inf
-        for p in r.traj.points:
-            if p.t < 1:
+        ts, log_avgs = r.traj.columns["t"], r.traj.columns["log_avg_risk"]
+        for t, log_avg in zip(ts, log_avgs):
+            if t < 1:
                 continue
-            slack = p.avg_risk.log_value - averaged_risk_log_bound(
-                r.gamma, r.eta, p.t)
+            slack = log_avg - averaged_risk_log_bound(r.gamma, r.eta, t)
             worst = max(worst, slack)
         # spot value at the burn-in step: bound tightens to -gamma^2 eta / 4
         t_star = math.ceil(1.0 / r.gamma**2)
-        p_star = r.traj.points[t_star]
-        assert p_star.t == t_star
-        star_slack = p_star.avg_risk.log_value - (-r.gamma**2 * r.eta / 4.0)
+        assert ts[t_star] == t_star
+        star_slack = log_avgs[t_star] - (-r.gamma**2 * r.eta / 4.0)
         worst = max(worst, star_slack)
         if worst > LOG_TOL:
             bad_cells_by_loss[r.loss.kind] += 1
@@ -234,9 +234,7 @@ def test_04_doubling_block_instance_confines_and_delays_gd():
     start = time.perf_counter()
     reports = [
         check_batch_hard_instance(0.05, 2**20),
-        check_batch_hard_instance(
-            0.05, 2**20,
-            GDConfig(loss=EXP, eta=1.0, steps=1, mode="constant")),
+        check_batch_hard_instance(0.05, 2**20, mode="constant"),
     ]
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s, cap is 10s"
@@ -365,11 +363,11 @@ def test_07_general_loss_bound_and_transform_identities():
     for r in runs:
         cells[r.loss.name] += 1
         worst = -math.inf
-        for p in r.traj.points:
-            if p.t < 1:
+        cols = r.traj.columns
+        for t, log_avg in zip(cols["t"], cols["log_avg_risk"]):
+            if t < 1:
                 continue
-            slack = p.avg_risk.log_value - general_loss_risk_log_bound(
-                r.loss, r.gamma, r.eta, p.t)
+            slack = log_avg - general_loss_risk_log_bound(r.loss, r.gamma, r.eta, t)
             worst = max(worst, slack)
         if worst > LOG_TOL:
             bad[r.loss.name] += 1

@@ -53,6 +53,17 @@ def test_the_three_cases():
     assert sorted(bench_pair.CASES) == ["averaged-blocks", "import-path", "lean-datasets"]
 
 
+def test_the_averaged_blocks_target_run_stops_at_its_first_passage():
+    """The target run charges the steps dropped past a first passage only if
+    it passes its target within the budget."""
+    runs = {}
+    exec(bench_pair.AVERAGED_RUNS, runs)
+    cfg = runs["cases"]["exp adaptive target"]
+    traj = runs["run_gd"](runs["ds"], cfg)
+    assert traj.columns["t"][-1] < cfg.steps
+    assert traj.columns["log_avg_risk"][-1] <= cfg.target_log_avg_risk
+
+
 @pytest.mark.parametrize("argv", [
     ["no-such-case", "a/src", "b/src", "out.json"],
     ["import-path", "a/src", "b/src"],

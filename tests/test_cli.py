@@ -722,6 +722,20 @@ class TestPerceptronCommand:
         assert "Traceback" not in err
         assert not (out / "mistakes.csv").exists()
 
+    @pytest.mark.parametrize("order", ["cyclic", "random:3"])
+    def test_order_that_cannot_be_allocated_is_a_config_error(self, order, tmp_path, capsys):
+        # 10^15 int64 indices are 7.1 PiB, past any 64-bit host's address
+        # space whatever its overcommit setting
+        steps = 10**15
+        text = f"dataset = online-hard:gamma=0.1,n=10\norder = {order}\nsteps = {steps}\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["perceptron", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: perceptron run does not fit in memory "
+                       f"(an array of shape ({steps},))\n")
+        assert list(out.iterdir()) == []
+
 
 class TestVerifyCommand:
     def test_exit_one_table_and_reports(self, tmp_path, capsys):
