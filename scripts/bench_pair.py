@@ -32,6 +32,12 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   interpreter per phase: `gen`; `validate`, `verify.dataset_fingerprint`
   and `save_dataset` on the arrays read back; `load_dataset` on the file.
   Each gives the phase's seconds and the rise of `ru_maxrss` over it (MB).
+- `stacked-probes`: the milliseconds of each probe check as `default_suite`
+  calls it on seed 0 (`check_gradient_inequalities` on exp, log, poly:2 and
+  semicircle with 300 probes; `check_network_inequalities` on leakyrelu:0.5
+  with exp and leaky-gelu:0.9 with log; `check_risk_implies_separation` on
+  the 201 iterates of an exp run), each the median of 5 calls; wall seconds
+  of `python -m margin_lab.cli verify`, as in `import-path`.
 
 OUT.json holds, per key of the samples: for a key whose samples are all
 integers, each side's distinct values; for any other key, each side's
@@ -126,6 +132,40 @@ for name, cfg in cases.items():
 print(json.dumps(out))
 """
 
+PROBES_CHILD = """
+import json, statistics, time
+import numpy as np
+from margin_lab.datasets import gen_random_separable
+from margin_lab.descent import GDConfig, run_gd
+from margin_lab.losses import EXP, LOG, SEMICIRCLE, poly
+from margin_lab.two_layer import leaky_blend, leaky_relu
+from margin_lab.verify import (check_gradient_inequalities, check_network_inequalities,
+                               check_risk_implies_separation)
+
+ds = gen_random_separable(10, 100, 0.1, seed=0)
+ds_nn = gen_random_separable(10, 100, 0.2, seed=0)
+losses = (EXP, LOG, poly(2.0), SEMICIRCLE)
+relu, gelu = leaky_relu(0.5), leaky_blend("gelu", 0.9)
+iterates = np.array(run_gd(ds, GDConfig(loss=EXP, eta=4.0, steps=200)).columns["w"])
+checks = {
+    "check_gradient_inequalities": lambda: [
+        check_gradient_inequalities(ds, loss, probes=300, seed=0) for loss in losses],
+    "check_network_inequalities": lambda: (
+        check_network_inequalities(ds_nn, relu, seed=0),
+        check_network_inequalities(ds_nn, gelu, seed=0, loss=LOG)),
+    "check_risk_implies_separation": lambda: check_risk_implies_separation(ds, EXP, iterates),
+}
+out = {}
+for name, run in checks.items():
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        run()
+        runs.append(time.perf_counter() - start)
+    out[name + " ms"] = statistics.median(runs) * 1e3
+print(json.dumps(out))
+"""
+
 D, N, GAMMA, SEED = 1000, 10_000, 0.1, 0
 
 LEAN_INPUTS = f"""
@@ -177,6 +217,7 @@ CASES = {
     "lean-datasets": Case(tuple((LEAN_CHILD, phase)
                                 for phase in ("gen", "validate", "fingerprint", "save", "load")),
                           LEAN_INPUTS),
+    "stacked-probes": Case(((PROBES_CHILD,), (VERIFY_CHILD,))),
 }
 
 

@@ -17,6 +17,11 @@ One line per run or file:
 - `run_gd_nn` on the 24 configurations of `tests/test_two_layer.py`'s
   network grid (two activations, exp and log, `NN_DATASETS`, `record_every`
   1/7);
+- the JSON reports of the probe checks on shapes beyond `default_suite`'s,
+  on seeds 0, 3 and 1000: `check_gradient_inequalities` on log with sum
+  aggregation, on a weighted batch-hard set and on a random set with
+  n = 101; `check_network_inequalities` with leaky-silu and leaky-softplus;
+  `check_risk_implies_separation` on a stack of 300 iterates;
 - the CLI outputs of `run`, `run-nn`, `verify` (`reports.json` and stdout)
   and `bench` (`bench.csv` without its `wall_time` column), `gen` for all
   six dataset sources and `perceptron` for the cyclic, `random:<seed>` and
@@ -37,6 +42,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import struct
 import sys
@@ -49,10 +55,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from margin_lab import cli  # noqa: E402
-from margin_lab.datasets import gen_random_separable, save_dataset  # noqa: E402
+from margin_lab.datasets import gen_batch_hard, gen_random_separable, save_dataset  # noqa: E402
 from margin_lab.descent import GDConfig, run_gd  # noqa: E402
-from margin_lab.losses import EXP, LOG  # noqa: E402
+from margin_lab.losses import EXP, LOG, poly  # noqa: E402
 from margin_lab.two_layer import make_net, parse_activation, run_gd_nn  # noqa: E402
+from margin_lab.verify import (check_gradient_inequalities,  # noqa: E402
+                               check_network_inequalities, check_risk_implies_separation)
 
 from test_descent import FUSED_DATASETS, FUSED_GRID  # noqa: E402
 from test_two_layer import NN_DATASETS  # noqa: E402
@@ -182,6 +190,29 @@ def nn_lines():
                     yield f"run_gd_nn {case} {trajectory_digest(traj, NN_COLUMNS, NN_FIELDS)}"
 
 
+def check_lines():
+    for seed in SEEDS:
+        ds = gen_random_separable(10, 100, 0.1, seed=seed)
+        ds_nn = gen_random_separable(10, 100, 0.2, seed=seed)
+        iterates = run_gd(ds, GDConfig(loss=EXP, eta=4.0, steps=299)).column("w")
+        reports = {
+            "gradient log/sum random": check_gradient_inequalities(
+                ds, LOG.with_aggregation("sum"), probes=300, seed=seed),
+            "gradient log batch-hard-weighted": check_gradient_inequalities(
+                gen_batch_hard(0.1, 64, weighted=True), LOG, probes=300, seed=seed),
+            "gradient poly:2 random-n101": check_gradient_inequalities(
+                gen_random_separable(10, 101, 0.1, seed=seed), poly(2.0), probes=300, seed=seed),
+            "network exp leaky-silu": check_network_inequalities(
+                ds_nn, parse_activation("leaky-silu:0.9"), seed=seed),
+            "network log leaky-softplus": check_network_inequalities(
+                ds_nn, parse_activation("leaky-softplus:0.9"), seed=seed, loss=LOG),
+            "separation exp 300-iterates": check_risk_implies_separation(ds, EXP, iterates),
+        }
+        for name, report in reports.items():
+            text = json.dumps(report.to_dict(), sort_keys=True)
+            yield f"check {name} seed={seed} {hashlib.sha256(text.encode()).hexdigest()}"
+
+
 def _file_digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "bench.csv":  # wall_time is the last column, and not reproducible
@@ -223,6 +254,8 @@ def main() -> int:
         for line in gd_lines():
             print(line)
         for line in nn_lines():
+            print(line)
+        for line in check_lines():
             print(line)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

@@ -543,8 +543,13 @@ def _bench_gd(cfg: ExperimentConfig, ds: Dataset, method: str, gamma: float,
 
 
 def _bench_perceptron(ds: Dataset, gamma: float, max_steps: int) -> dict:
+    """One cyclic Perceptron run of max_steps presentations; a run that
+    cannot be allocated is a config error, as in cmd_perceptron."""
     start = time.perf_counter()
-    run = run_perceptron(ds, cyclic_order(ds.n_rows, max_steps))
+    try:
+        run = run_perceptron(ds, cyclic_order(ds.n_rows, max_steps))
+    except MemoryError as exc:
+        raise ConfigError([(0, f"perceptron run {_does_not_fit(exc)}")]) from None
     return {"method": "perceptron", "gamma": gamma, "epsilon": float(ds.n),
             "epsilon_col": str(ds.n), "steps": run.separated_at,
             "wall_time": time.perf_counter() - start}

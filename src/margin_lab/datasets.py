@@ -87,17 +87,33 @@ class Dataset:
         return self.features.shape[1]
 
     def margins(self, w: np.ndarray) -> np.ndarray:
-        """Signed margins y_i <x_i, w> per distinct row.
+        """Signed margins y_i <x_i, w> per distinct row: the first of the
+        two passes over the data, signed_sum being the second.
 
         A (k, d) stack of parameter vectors gives a (k, R) array, one row per
         vector. The stack goes through np.matmul(X, W[:, :, None]), one gemv
         per vector, so row j has the bits of margins(W[j]); the gemm
-        X @ W.T rounds differently.
+        X @ W.T rounds differently. descent's risk, phi, phi_coefficients
+        and grad_phi take such stacks through this pass and signed_sum.
         """
         w = np.asarray(w, dtype=float)
         if w.ndim == 2:
             return self.labels * np.matmul(self.features, w[:, :, None])[..., 0]
         return self.labels * (self.features @ w)
+
+    def signed_sum(self, c: np.ndarray) -> np.ndarray:
+        """sum_i c_i y_i x_i over the distinct rows, for per-row
+        coefficients c: the gradient pass, (c * y) @ X.
+
+        A (k, R) stack of coefficient rows gives a (k, d) array through
+        np.matmul(C[:, None, :], X), one gemv per row as margins makes, so
+        row j has the bits of signed_sum(C[j]). The labels are +-1, so
+        multiplying by them is exact in any order.
+        """
+        c = c * self.labels
+        if c.ndim == 2:
+            return np.matmul(c[:, None, :], self.features)[:, 0]
+        return c @ self.features
 
     def min_margin(self, w: np.ndarray) -> float:
         return float(self.margins(w).min())

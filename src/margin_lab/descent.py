@@ -35,9 +35,9 @@ state -> gradient); the linear backward is the module attribute grad_phi
 (grad_risk in constant mode), looked up at every step. Each iterate builds
 one MarginState from z: the log loss kernel and its weighted log-sum-exp run
 once, and the risk, the smallest margin and the gradient coefficients are
-all read off it. Passes over the data: the margins and the gradient c @ X,
-so an unrecorded linear step makes 2. The run is stored as a columnar
-Trajectory.
+all read off it. Passes over the data: the margins and the gradient c @ X
+(Dataset.margins and Dataset.signed_sum), so an unrecorded linear step
+makes 2. The run is stored as a columnar Trajectory.
 
 A linear step that is recorded, or that checks the target, also needs its
 averaged iterate. Those steps are queued and evaluated a block at a time:
@@ -51,6 +51,30 @@ passage, keeps the rows up to it and drops the up to B - 1 steps behind it,
 with a diverged_at they may have stamped. A dropped step still went through
 grad_phi, so a stand-in for it sees those steps too; run_gd keeps overflow
 quiet, so they leave no warning either.
+
+Stacks. risk, phi, phi_coefficients, grad_phi and grad_risk take a (k, d)
+stack of parameter vectors as well as one vector, and MarginState the
+(k, R) margins of such a stack, with one body for both shapes: the passes
+over the data are Dataset.margins and Dataset.signed_sum, one gemv per
+row; the elementwise kernels and _log_sum_exp run once on the (k, R)
+array; the scalar tail (the risk from its log, ln (-l^{-1})' of it, phi
+with poly's _brentq) runs row by row. Row j of every stacked result has
+the bits of the call on row j alone, which the checks of verify rely on to
+score a whole probe set in one call. A stack's risk is a list of
+RiskValue, its phi a list of floats.
+
+What stays scalar: loss kernels called on a float go through a 0-d array
+and numpy's scalar math, which can round differently from the array loop.
+Measured with numpy 2.4: poly's log_value on 45 000 floats (+-1e-3 ..
++-1e3, log-spaced) differs from the same values in one array on 303 of
+them for poly:2 and on 376 for poly:0.5, and on 19 of the 10 500 bound
+arguments of acceptance item 7's grid for poly:2 (numpy's scalar **
+against the array loop); exp, log and semicircle showed no
+difference on any of these sets. So a loop that calls a kernel on one
+float per row (general_loss_risk_log_bound per recorded row, as
+verify.check_general_loss_bound and acceptance item 7 call it, and the
+floor rows of verify.check_stepsize_cap) keeps doing so: vectorising it
+would change bits.
 """
 
 from __future__ import annotations
@@ -95,11 +119,13 @@ def _log_sum_exp(a: np.ndarray, weights: np.ndarray | None) -> tuple:
     e_i = m_i exp(a_i - max); the multiplicities m_i stay outside the
     exponential. A row whose max is not finite (some l(z_i) = inf, every
     l(z_i) = 0 as for a separated hinge, or a nan margin) has e and total
-    nan and lse = max. Returns (e, total, lse): total and lse are floats for
-    one iterate and lists with a float per row for a stack. Both shapes run
-    the same numpy operations and math.log on each row's total, so a row of
-    a stack has the bits of its iterate on its own; one iterate, the
-    per-step case, takes scalar reductions and skips the masking.
+    nan and lse = max. Returns (e, total, lse): for one iterate total and
+    lse are floats; for a stack total is a (k, 1) column, so that e / total
+    divides each row by its own, and lse a list with a float per row. Both
+    shapes run the same numpy operations and math.log on each row's total,
+    so a row of a stack has the bits of its iterate on its own; one
+    iterate, the per-step case, takes scalar reductions and skips the
+    masking.
     """
     if a.ndim == 1:
         top = float(a.max())
@@ -116,19 +142,19 @@ def _log_sum_exp(a: np.ndarray, weights: np.ndarray | None) -> tuple:
     e = np.where(finite, np.exp(shifted), math.nan)
     if weights is not None:
         e = weights * e
-    totals = e.sum(axis=1).tolist()
+    totals = e.sum(axis=1, keepdims=True)
     lses = [m + math.log(s) if math.isfinite(m) else m
-            for m, s in zip(top.ravel().tolist(), totals)]
+            for m, s in zip(top.ravel().tolist(), totals.ravel().tolist())]
     return e, totals, lses
 
 
 class MarginState:
-    """The margins z of one iterate and what its risk and its gradient
-    coefficients share.
+    """The margins z of one iterate, or the (k, R) margins of a stack of
+    iterates, and what their risk and their gradient coefficients share.
 
     e, total and lse = ln sum_i m_i l(z_i) come from _log_sum_exp; for exp
     the e_i are the numerators of the softmax coefficients. risk is the
-    weighted mean loss, lse - ln n.
+    weighted mean loss, lse - ln n: a RiskValue, or a list of one per row.
     """
 
     __slots__ = ("z", "e", "total", "lse", "risk", "n")
@@ -136,26 +162,30 @@ class MarginState:
     def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec, n: int):
         e, total, lse = _log_sum_exp(loss.log_value(z), ds.weights)
         self.z, self.e, self.total, self.lse, self.n = z, e, total, lse, n
-        self.risk = _risk_from_log(lse - math.log(n))
+        log_n = math.log(n)
+        self.risk = (_risk_from_log(lse - log_n) if z.ndim == 1
+                     else [_risk_from_log(v - log_n) for v in lse])
 
 
-def risk(w: np.ndarray, ds: Dataset, loss: LossSpec) -> RiskValue:
-    """Weighted mean loss over the dataset at parameter w."""
+def risk(w: np.ndarray, ds: Dataset, loss: LossSpec):
+    """Weighted mean loss over the dataset at parameter w, a RiskValue; at
+    a (k, d) stack, a list of one per row."""
     return MarginState(ds.margins(w), ds, loss, ds.n).risk
 
 
 def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
-    """Raw-domain gradient (1/n) sum_i w_i l'(z_i) y_i x_i at parameter w,
-    or at the margins of a MarginState passed in its place.
+    """Raw-domain gradient (1/n) sum_i w_i l'(z_i) y_i x_i at parameter w
+    (or a (k, d) stack, giving (k, d)), or at the margins of a MarginState
+    passed in its place.
 
     May overflow for losses with exploding derivatives at very negative
     margins; that is intentional in constant-stepsize mode.
     """
     z, n = (w.z, w.n) if isinstance(w, MarginState) else (ds.margins(w), ds.n)
-    coef = loss.deriv(z) * ds.labels
+    coef = loss.deriv(z)
     if ds.weights is not None:
         coef = ds.weights * coef
-    return (coef @ ds.features) / n
+    return ds.signed_sum(coef) / n
 
 
 def _check_sum_n(loss: LossSpec, ds: Dataset):
@@ -173,9 +203,18 @@ def _transform_argument(loss: LossSpec, r: RiskValue) -> RiskValue:
     return r
 
 
+def _log_neg_inv_deriv(loss: LossSpec, u) -> float | np.ndarray:
+    """ln (-l^{-1})'(u) at a RiskValue u; at a stack's list of them, a
+    (k, 1) column with a row each, taken row by row."""
+    if isinstance(u, list):
+        return np.array([loss.log_neg_inv_deriv(v.value, v.log_value) for v in u])[:, None]
+    return loss.log_neg_inv_deriv(u.value, u.log_value)
+
+
 def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     """Per-row weights c_i >= 0 of grad phi = -sum_i c_i y_i x_i at margins z
-    (an array, or the MarginState built from it).
+    (an array, or the MarginState built from it); (k, R) margins of a stack
+    give a (k, R) array, one row of coefficients per iterate.
 
     c_i = m_i (-l^{-1})'(u) |l'(z_i)| / n under the mean (u = L) and the
     same without the 1/n under the sum (u = n L); for exp both are the
@@ -191,11 +230,12 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
         return state.e / state.total
     if loss.aggregation == "sum":
         _check_sum_n(loss, ds)
-        u = _risk_from_log(state.lse)
-        coef = np.exp(loss.log_neg_inv_deriv(u.value, u.log_value) + loss.log_abs_deriv(state.z))
+        lse = state.lse
+        u = [_risk_from_log(v) for v in lse] if isinstance(lse, list) else _risk_from_log(lse)
+        lnid = _log_neg_inv_deriv(loss, u)
+        coef = np.exp(lnid + loss.log_abs_deriv(state.z))
     else:
-        r = state.risk
-        lnid = loss.log_neg_inv_deriv(r.value, r.log_value)
+        lnid = _log_neg_inv_deriv(loss, state.risk)
         coef = np.exp(lnid + loss.log_abs_deriv(state.z) - math.log(state.n))
     if ds.weights is not None:
         coef = ds.weights * coef
@@ -204,24 +244,34 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
 
 def grad_phi(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     """Gradient of the transformed objective phi = -l^{-1}(u) at parameter
-    w, or at the margins of a MarginState passed in its place (how the
-    descent loop calls it, so the step reuses the iterate's margins).
+    w (or a (k, d) stack, giving (k, d)), or at the margins of a
+    MarginState passed in its place (how the descent loop calls it, so the
+    step reuses the iterate's margins).
 
     The exp gradient is a softmax under either aggregation (ln of n L and
     of L differ by the constant ln n). See phi_coefficients.
     """
     state = w if isinstance(w, MarginState) else MarginState(ds.margins(w), ds, loss, ds.n)
-    return -((phi_coefficients(state, ds, loss) * ds.labels) @ ds.features)
+    return -ds.signed_sum(phi_coefficients(state, ds, loss))
 
 
-def phi_from_risk(loss: LossSpec, r: RiskValue) -> float:
-    """phi = -l^{-1}(u) from the (value, log_value) pair of the mean risk;
-    u is the mean risk, or n times it under sum aggregation."""
+def _phi(loss: LossSpec, r: RiskValue) -> float:
     r = _transform_argument(loss, r)
     return loss.ops.phi(loss, r.value, r.log_value)
 
 
-def phi(w: np.ndarray, ds: Dataset, loss: LossSpec) -> float:
+def phi_from_risk(loss: LossSpec, r):
+    """phi = -l^{-1}(u) from the (value, log_value) pair of the mean risk,
+    or a list of phi from a stack's list of them; u is the mean risk, or n
+    times it under sum aggregation."""
+    if isinstance(r, list):
+        return [_phi(loss, v) for v in r]
+    return _phi(loss, r)
+
+
+def phi(w: np.ndarray, ds: Dataset, loss: LossSpec):
+    """phi at parameter w, a float; at a (k, d) stack, a list of one per
+    row."""
     _check_sum_n(loss, ds)
     return phi_from_risk(loss, risk(w, ds, loss))
 

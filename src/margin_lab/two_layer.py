@@ -31,6 +31,13 @@ run_gd_nn runs descent's one descent loop with the network as its model:
 the forward pass is X W^T and the margins it gives, the backward pass
 _grad_blocks, and the rows record the weights and the best iterate so far
 in a descent.Trajectory.
+
+A TwoLayerNet may hold a (k, m, d) stack of first layers sharing its signs
+and activation: k nets. nn_margins, nn_risk, nn_grad_phi and
+nn_risk_and_grad_phi take such a stack with the same body as one net,
+matmul batching the forward and gradient gemms one net at a time, so
+every net of a stack gets the bits of its call on its own (the descent
+stacks, see descent's docstring). run_gd_nn trains one net.
 """
 
 from __future__ import annotations
@@ -149,25 +156,25 @@ def parse_activation(name: str) -> Activation:
 
 @dataclass
 class TwoLayerNet:
-    weights: np.ndarray  # (m, d) first-layer rows
+    weights: np.ndarray  # (m, d) first-layer rows, or a (k, m, d) stack of k nets
     signs: np.ndarray  # (m,) fixed second layer, entries +-1
     activation: Activation
 
     def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be an (m, d) matrix")
-        if self.signs.shape != (self.weights.shape[0],):
+        if self.weights.ndim not in (2, 3):
+            raise ValueError("weights must be an (m, d) matrix or a (k, m, d) stack")
+        if self.signs.shape != (self.weights.shape[-2],):
             raise ValueError("signs must have one entry per hidden unit")
         if not np.all(np.isin(self.signs, (-1.0, 1.0))):
             raise ValueError("signs must be exactly +-1")
 
     @property
     def m(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 def make_net(d: int, m: int, activation: Activation) -> TwoLayerNet:
@@ -178,8 +185,9 @@ def make_net(d: int, m: int, activation: Activation) -> TwoLayerNet:
 def _forward_pass(net: TwoLayerNet, ds: Dataset, head: np.ndarray):
     """Hidden pre-activations s = X W^T, shape (R, m), and the margins
     z = y * (sigma(s) @ head), head = net.signs / net.m: the one pass over the
-    data that the risk, the smallest margin and the gradient share."""
-    s = ds.features @ net.weights.T
+    data that the risk, the smallest margin and the gradient share. A stack
+    of k nets gives (k, R, m) and (k, R)."""
+    s = ds.features @ net.weights.swapaxes(-1, -2)
     return s, ds.labels * (net.activation.value(s) @ head)
 
 
@@ -194,24 +202,33 @@ def _check_nn_loss(loss: LossSpec):
         raise ValueError(f"network training supports mean aggregation only, got {loss.name}")
 
 
-def nn_risk(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> RiskValue:
+def nn_risk(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> RiskValue | list:
+    """Weighted mean loss of the net, a RiskValue; a list of one per net
+    for a stack."""
     _check_nn_loss(loss)
     return MarginState(nn_margins(net, ds), ds, loss, ds.n).risk
 
 
 def _grad_blocks(net: TwoLayerNet, ds: Dataset, s, coef, head) -> np.ndarray:
     """d phi / d w_j from pre-activations s, phi coefficients coef, head = signs / m."""
-    slopes = net.activation.deriv(s)  # (R, m)
-    signed = coef * ds.labels  # (R,)
-    return -head[:, None] * ((slopes * signed[:, None]).T @ ds.features)
+    slopes = net.activation.deriv(s)  # (R, m), or (k, R, m)
+    signed = coef * ds.labels  # (R,), or (k, R)
+    return -head[:, None] * ((slopes * signed[..., None]).swapaxes(-1, -2) @ ds.features)
 
 
-def nn_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> np.ndarray:
-    """Blocks d phi / d w_j, shape (m, d); each satisfies |m * block| <= 1."""
+def nn_risk_and_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> tuple:
+    """(nn_risk, nn_grad_phi) of the net from one forward pass."""
     _check_nn_loss(loss)
     head = net.signs / net.m
     s, z = _forward_pass(net, ds, head)
-    return _grad_blocks(net, ds, s, phi_coefficients(z, ds, loss), head)
+    state = MarginState(z, ds, loss, ds.n)
+    return state.risk, _grad_blocks(net, ds, s, phi_coefficients(state, ds, loss), head)
+
+
+def nn_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> np.ndarray:
+    """Blocks d phi / d w_j, shape (m, d), or (k, m, d) for a stack; each
+    satisfies |m * block| <= 1."""
+    return nn_risk_and_grad_phi(net, ds, loss)[1]
 
 
 def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
@@ -228,6 +245,8 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
     and _grad_blocks makes one gradient pass.
     """
     _check_nn_loss(config.loss)
+    if net.weights.ndim != 2:
+        raise ValueError("run_gd_nn trains one net, not a stack of weights")
     if config.mode != "adaptive":
         raise ValueError("network training is defined for adaptive mode only")
     for field_name in ("init", "target_log_avg_risk"):

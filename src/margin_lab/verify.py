@@ -18,6 +18,13 @@ Comparison conventions:
 Default tolerances follow the library-wide conventions: 1e-6 for log-domain
 bound comparisons, 1e-14 for algebraic zero patterns, 1e-12 for inequality
 slacks, 1e-10 for convexity midpoints, 1e-5 relative for finite differences.
+
+The probe checks (check_gradient_inequalities, check_network_inequalities,
+check_risk_implies_separation) draw every probe first, in the order a
+probe-at-a-time loop would draw them, then score each probe set with one
+stacked call (descent's and two_layer's stacks), whose rows have the bits
+of one call per probe. A probe set of k vectors holds its (k, n_rows)
+margins at once.
 """
 
 from __future__ import annotations
@@ -40,12 +47,12 @@ from .datasets import (
 )
 from .descent import (
     GDConfig,
+    MarginState,
     averaged_risk_log_bound,
     general_loss_risk_log_bound,
     grad_phi,
     phi,
     phi_from_risk,
-    risk,
     run_gd,
 )
 from .losses import EXP, LOG, LossSpec
@@ -57,6 +64,7 @@ from .two_layer import (
     make_net,
     nn_grad_phi,
     nn_risk,
+    nn_risk_and_grad_phi,
 )
 
 LOG_TOL = 1e-6        # log-domain bound comparisons
@@ -379,14 +387,11 @@ def check_risk_implies_separation(
     if w.shape[1] != ds.d:
         raise ValueError(f"iterates must have {ds.d} columns, got {w.shape[1]}")
     log_threshold = loss.log_value(0.0) - math.log(ds.n)
-    rows = []
-    above = 0
-    for i, wi in enumerate(w):
-        r = risk(wi, ds, loss)
-        if r.log_value < log_threshold:
-            rows.append((i, -float(ds.min_margin(wi)), 0.0))
-        else:
-            above += 1
+    state = MarginState(ds.margins(w), ds, loss, ds.n)
+    rows = [(i, -min_margin, 0.0)
+            for i, (r, min_margin) in enumerate(zip(state.risk, state.z.min(axis=1).tolist()))
+            if r.log_value < log_threshold]
+    above = len(w) - len(rows)
     return make_report(
         claim="risk below l(0)/n certifies a strict separator",
         rows=rows,
@@ -414,6 +419,19 @@ def _probe_points(rng: np.random.Generator, ds: Dataset, count: int) -> np.ndarr
     pts = dirs * scales[:, None]
     aligned = np.outer(np.array([1.0, -1.0, 10.0, -10.0]), ds.w_star)
     return np.vstack([pts, aligned, np.zeros((1, ds.d))])
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a (k, d) array as a call on the row
+    alone gives it: the square root of the row's dot product with itself.
+    norm(a, axis=1) sums squares instead and can round differently."""
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+
+
+def _running_max(values: np.ndarray, start: float) -> float:
+    """max(start, v_1, v_2, ...) as a Python running max takes it: a nan
+    value never replaces the maximum so far."""
+    return float(np.fmax.reduce(values, initial=start))
 
 
 def check_gradient_inequalities(
@@ -463,9 +481,10 @@ def check_gradient_inequalities(
     c_lip = loss.lipschitz_const()
     rng = np.random.default_rng(seed)
     pts = _probe_points(rng, ds, probes)
+    picked = rng.choice(len(pts), size=min(5, len(pts)), replace=False)  # finite differences
     etas = (0.5, 4.0, 400.0)
 
-    grads = np.array([grad_phi(w, ds, loss) for w in pts])
+    grads = grad_phi(pts, ds, loss)
     norms = np.linalg.norm(grads, axis=1)
     rows = [("grad-norm", float(norms.max()), c_lip + 1e-9)]
 
@@ -474,33 +493,26 @@ def check_gradient_inequalities(
         align = 2.0 * grads @ u2 + eta * norms**2
         rows.append((f"step-align|eta={eta:g}", float(align.max()), SLACK_TOL))
 
-    phis = np.array([phi(w, ds, loss) for w in pts])
+    phis = np.array(phi(pts, ds, loss))
     half = len(pts) // 2
-    mids = []
-    for i in range(half):
-        wa, wb = pts[i], pts[i + half]
-        mid = phi(0.5 * (wa + wb), ds, loss)
-        mids.append(mid - 0.5 * (phis[i] + phis[i + half]))
+    mids = (np.array(phi(0.5 * (pts[:half] + pts[half:2 * half]), ds, loss))
+            - 0.5 * (phis[:half] + phis[half:2 * half]))
     rows.append(("midpoint-convexity", float(np.max(mids)), MIDPOINT_TOL))
 
     zgrid = np.linspace(-40.0, 40.0, 4001)
     ratio = loss.deriv(zgrid) ** 2 / (loss.value(zgrid) * loss.second_deriv(zgrid))
     rows.append(("curvature-ratio-increase", float(np.max(np.diff(ratio))), SLACK_TOL))
 
-    fd_worst = 0.0
-    for w in pts[rng.choice(len(pts), size=min(5, len(pts)), replace=False)]:
-        g = grad_phi(w, ds, loss)
-        fd = np.empty_like(g)
-        h = 1e-6 * max(1.0, float(np.linalg.norm(w)))
-        for j in range(ds.d):
-            e = np.zeros(ds.d)
-            e[j] = h
-            fp = phi(w + e, ds, loss)
-            fm = phi(w - e, ds, loss)
-            fd[j] = (fp - fm) / (2.0 * h)
-        denom = max(float(np.linalg.norm(g)), 1e-12)
-        fd_worst = max(fd_worst, float(np.linalg.norm(fd - g)) / denom)
-    rows.append(("fd-gradient-rel-err", fd_worst, FD_TOL))
+    # central differences at the picked probes: row j of a probe's block of
+    # steps is h e_j, h = 1e-6 max(1, |w|)
+    w, g = pts[picked], grads[picked]
+    h = 1e-6 * np.maximum(1.0, _row_norms(w))
+    steps = h[:, None, None] * np.eye(ds.d)
+    shifted = np.concatenate([w[:, None, :] + steps, w[:, None, :] - steps])
+    fp, fm = np.array(phi(shifted.reshape(-1, ds.d), ds, loss)).reshape(2, len(w), ds.d)
+    fd = (fp - fm) / (2.0 * h[:, None])
+    rel = _row_norms(fd - g) / np.maximum(_row_norms(g), 1e-12)
+    rows.append(("fd-gradient-rel-err", _running_max(rel, 0.0), FD_TOL))
 
     return make_report(
         claim="transformed-objective inequalities hold at random probes",
@@ -547,47 +559,49 @@ def check_network_inequalities(
         raise ValueError(f"refused: network checks support mean aggregation, got {loss.name}")
     rng = np.random.default_rng(seed)
     m, etas = 4, (8.0, 80.0)
-    net = make_net(ds.d, m, activation)
+    signs = make_net(ds.d, m, activation).signs
     alpha, kappa = activation.alpha, activation.kappa
 
-    block_worst = -math.inf
-    align_worst = {eta: -math.inf for eta in etas}
-    value_worst = -math.inf
-    for _ in range(probes):
-        net.weights[:] = rng.standard_normal((m, ds.d)) * 10.0 ** rng.uniform(-1.5, 1.5)
-        g = nn_grad_phi(net, ds, loss)
-        norms = np.linalg.norm(m * g, axis=1)
-        block_worst = max(block_worst, float(norms.max()))
-        for eta in etas:
-            u2 = (eta / (2.0 * ds.gamma)) * net.signs[:, None] * ds.w_star[None, :]
-            i2 = 2.0 * float(np.sum((m * g) * u2)) + eta * float(np.sum((m * g) ** 2))
-            align_worst[eta] = max(align_worst[eta], i2)
-        coefs = rng.uniform(0.0, 10.0, size=m)
-        u1 = coefs[:, None] * net.signs[:, None] * ds.w_star[None, :]
-        lhs = float(np.sum(g * (u1 - net.weights)))
-        phi_w = phi_from_risk(loss, nn_risk(net, ds, loss))
-        rhs = kappa - (alpha * ds.gamma / m) * float(np.sum(np.linalg.norm(u1, axis=1))) - phi_w
-        value_worst = max(value_worst, lhs - rhs)
-
-    rows = [("block-grad-norm", block_worst, 1.0 + 1e-9)]
-    for eta in etas:
-        rows.append((f"step-align|eta={eta:g}", align_worst[eta], SLACK_TOL))
-    rows.append(("alignment-to-value", value_worst, SLACK_TOL))
-
+    # each probe draws its weights, its scale, then its u1 coefficients
+    weights, coefs = np.empty((probes, m, ds.d)), np.empty((probes, m))
+    for i in range(probes):
+        weights[i] = rng.standard_normal((m, ds.d)) * 10.0 ** rng.uniform(-1.5, 1.5)
+        coefs[i] = rng.uniform(0.0, 10.0, size=m)
     smooth = leaky_blend("gelu", 0.8)
     probe = TwoLayerNet(rng.standard_normal((3, ds.d)) * 0.5,
                         np.array([1.0, -1.0, 1.0]), smooth)
+
+    risks, grads = nn_risk_and_grad_phi(TwoLayerNet(weights, signs, activation), ds, loss)
+
+    def total(blocks):  # per probe, the sum np.sum takes over its (m, d) blocks
+        return blocks.reshape(probes, m * ds.d).sum(axis=1)
+
+    mg = m * grads
+    rows = [("block-grad-norm", _running_max(np.linalg.norm(mg, axis=2).max(axis=1), -math.inf),
+             1.0 + 1e-9)]
+    for eta in etas:
+        u2 = (eta / (2.0 * ds.gamma)) * signs[:, None] * ds.w_star[None, :]
+        i2 = 2.0 * total(mg * u2) + eta * total(mg ** 2)
+        rows.append((f"step-align|eta={eta:g}", _running_max(i2, -math.inf), SLACK_TOL))
+    u1 = coefs[:, :, None] * signs[:, None] * ds.w_star
+    lhs = total(grads * (u1 - weights))
+    rhs = (kappa - (alpha * ds.gamma / m) * np.linalg.norm(u1, axis=2).sum(axis=1)
+           - np.array(phi_from_risk(loss, risks)))
+    rows.append(("alignment-to-value", _running_max(lhs - rhs, -math.inf), SLACK_TOL))
+
+    # central differences of the probe net: net j * d + c of each stack moves
+    # weight (j, c) by +h, then by -2h
     g = nn_grad_phi(probe, ds, loss)
-    fd = np.empty_like(g)
     h = 1e-6
-    for j in range(probe.m):
-        for c in range(ds.d):
-            wp = probe.weights.copy()
-            wp[j, c] += h
-            fp = phi_from_risk(loss, nn_risk(TwoLayerNet(wp, probe.signs, smooth), ds, loss))
-            wp[j, c] -= 2.0 * h
-            fm = phi_from_risk(loss, nn_risk(TwoLayerNet(wp, probe.signs, smooth), ds, loss))
-            fd[j, c] = (fp - fm) / (2.0 * h)
+    moved = np.repeat(probe.weights[None], probe.m * ds.d, axis=0)
+    net_index = np.arange(len(moved))
+    unit, coord = np.divmod(net_index, ds.d)
+    moved[net_index, unit, coord] += h
+    minus = moved.copy()
+    minus[net_index, unit, coord] -= 2.0 * h
+    shifted = TwoLayerNet(np.concatenate([moved, minus]), probe.signs, smooth)
+    fp, fm = np.array(phi_from_risk(loss, nn_risk(shifted, ds, loss))).reshape(2, probe.m, ds.d)
+    fd = (fp - fm) / (2.0 * h)
     denom = max(float(np.linalg.norm(g)), 1e-12)
     rows.append(("fd-block-gradient-rel-err", float(np.linalg.norm(fd - g)) / denom, FD_TOL))
 

@@ -4,6 +4,11 @@ Everything here is written from the loss definitions directly, in the most
 naive way that is numerically adequate on the probe ranges, and deliberately
 avoids importing margin_lab. Tests compare package outputs against these
 dual-route computations, or against constants frozen from them.
+
+The one exception is at the end: the probe checks of margin_lab.verify as
+they were written before they scored each probe set in one stacked call,
+one solo call per probe. They import margin_lab when called, and the
+stacked checks must give the same reports to the bit.
 """
 
 from __future__ import annotations
@@ -196,3 +201,154 @@ def joined_dataset_text(features, labels, w_star, gamma: float, n: int, weights=
         cols.extend(fmt(v) for v in features[i])
         lines.append(" ".join(cols))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The probe checks, one solo call per probe
+# ---------------------------------------------------------------------------
+
+def per_probe_gradient_inequalities(ds, loss, probes: int = 200, seed: int = 0):
+    """margin_lab.verify.check_gradient_inequalities with one grad_phi and
+    one phi call per probe, midpoint and finite-difference step."""
+    from margin_lab import verify
+    from margin_lab.descent import grad_phi, phi
+
+    loss = loss.with_n(ds.n)
+    c_lip = loss.lipschitz_const()
+    rng = np.random.default_rng(seed)
+    pts = verify._probe_points(rng, ds, probes)
+    etas = (0.5, 4.0, 400.0)
+
+    grads = np.array([grad_phi(w, ds, loss) for w in pts])
+    norms = np.linalg.norm(grads, axis=1)
+    rows = [("grad-norm", float(norms.max()), c_lip + 1e-9)]
+
+    for eta in etas:
+        u2 = (c_lip * eta / (2.0 * ds.gamma)) * ds.w_star
+        align = 2.0 * grads @ u2 + eta * norms**2
+        rows.append((f"step-align|eta={eta:g}", float(align.max()), verify.SLACK_TOL))
+
+    phis = np.array([phi(w, ds, loss) for w in pts])
+    half = len(pts) // 2
+    mids = []
+    for i in range(half):
+        wa, wb = pts[i], pts[i + half]
+        mid = phi(0.5 * (wa + wb), ds, loss)
+        mids.append(mid - 0.5 * (phis[i] + phis[i + half]))
+    rows.append(("midpoint-convexity", float(np.max(mids)), verify.MIDPOINT_TOL))
+
+    zgrid = np.linspace(-40.0, 40.0, 4001)
+    ratio = loss.deriv(zgrid) ** 2 / (loss.value(zgrid) * loss.second_deriv(zgrid))
+    rows.append(("curvature-ratio-increase", float(np.max(np.diff(ratio))), verify.SLACK_TOL))
+
+    fd_worst = 0.0
+    for w in pts[rng.choice(len(pts), size=min(5, len(pts)), replace=False)]:
+        g = grad_phi(w, ds, loss)
+        fd = np.empty_like(g)
+        h = 1e-6 * max(1.0, float(np.linalg.norm(w)))
+        for j in range(ds.d):
+            e = np.zeros(ds.d)
+            e[j] = h
+            fp = phi(w + e, ds, loss)
+            fm = phi(w - e, ds, loss)
+            fd[j] = (fp - fm) / (2.0 * h)
+        denom = max(float(np.linalg.norm(g)), 1e-12)
+        fd_worst = max(fd_worst, float(np.linalg.norm(fd - g)) / denom)
+    rows.append(("fd-gradient-rel-err", fd_worst, verify.FD_TOL))
+
+    return verify.make_report(
+        claim="transformed-objective inequalities hold at random probes",
+        rows=rows, tolerance=0.0,
+        context={"dataset": verify.dataset_fingerprint(ds), "loss": loss.name,
+                 "lipschitz_const": c_lip, "probes": int(len(pts)), "seed": seed,
+                 "etas": list(etas)})
+
+
+def per_probe_network_inequalities(ds, activation, probes: int = 100, seed: int = 0,
+                                   loss=None):
+    """margin_lab.verify.check_network_inequalities with one nn_grad_phi
+    and one nn_risk call per probe net and per finite-difference net."""
+    from margin_lab import verify
+    from margin_lab.descent import phi_from_risk
+    from margin_lab.losses import EXP
+    from margin_lab.two_layer import TwoLayerNet, leaky_blend, make_net, nn_grad_phi, nn_risk
+
+    loss = EXP if loss is None else loss
+    rng = np.random.default_rng(seed)
+    m, etas = 4, (8.0, 80.0)
+    net = make_net(ds.d, m, activation)
+    alpha, kappa = activation.alpha, activation.kappa
+
+    block_worst = -math.inf
+    align_worst = {eta: -math.inf for eta in etas}
+    value_worst = -math.inf
+    for _ in range(probes):
+        net.weights[:] = rng.standard_normal((m, ds.d)) * 10.0 ** rng.uniform(-1.5, 1.5)
+        g = nn_grad_phi(net, ds, loss)
+        norms = np.linalg.norm(m * g, axis=1)
+        block_worst = max(block_worst, float(norms.max()))
+        for eta in etas:
+            u2 = (eta / (2.0 * ds.gamma)) * net.signs[:, None] * ds.w_star[None, :]
+            i2 = 2.0 * float(np.sum((m * g) * u2)) + eta * float(np.sum((m * g) ** 2))
+            align_worst[eta] = max(align_worst[eta], i2)
+        coefs = rng.uniform(0.0, 10.0, size=m)
+        u1 = coefs[:, None] * net.signs[:, None] * ds.w_star[None, :]
+        lhs = float(np.sum(g * (u1 - net.weights)))
+        phi_w = phi_from_risk(loss, nn_risk(net, ds, loss))
+        rhs = kappa - (alpha * ds.gamma / m) * float(np.sum(np.linalg.norm(u1, axis=1))) - phi_w
+        value_worst = max(value_worst, lhs - rhs)
+
+    rows = [("block-grad-norm", block_worst, 1.0 + 1e-9)]
+    for eta in etas:
+        rows.append((f"step-align|eta={eta:g}", align_worst[eta], verify.SLACK_TOL))
+    rows.append(("alignment-to-value", value_worst, verify.SLACK_TOL))
+
+    smooth = leaky_blend("gelu", 0.8)
+    probe = TwoLayerNet(rng.standard_normal((3, ds.d)) * 0.5,
+                        np.array([1.0, -1.0, 1.0]), smooth)
+    g = nn_grad_phi(probe, ds, loss)
+    fd = np.empty_like(g)
+    h = 1e-6
+    for j in range(probe.m):
+        for c in range(ds.d):
+            wp = probe.weights.copy()
+            wp[j, c] += h
+            fp = phi_from_risk(loss, nn_risk(TwoLayerNet(wp, probe.signs, smooth), ds, loss))
+            wp[j, c] -= 2.0 * h
+            fm = phi_from_risk(loss, nn_risk(TwoLayerNet(wp, probe.signs, smooth), ds, loss))
+            fd[j, c] = (fp - fm) / (2.0 * h)
+    denom = max(float(np.linalg.norm(g)), 1e-12)
+    rows.append(("fd-block-gradient-rel-err", float(np.linalg.norm(fd - g)) / denom,
+                 verify.FD_TOL))
+
+    return verify.make_report(
+        claim="network-block inequalities hold at random probe nets",
+        rows=rows, tolerance=0.0,
+        context={"dataset": verify.dataset_fingerprint(ds), "loss": loss.name,
+                 "activation": activation.name, "alpha": alpha, "kappa": kappa, "m": m,
+                 "probes": probes, "seed": seed, "etas": list(etas)})
+
+
+def per_probe_risk_implies_separation(ds, loss, w):
+    """margin_lab.verify.check_risk_implies_separation with one risk and
+    one min_margin call per vector."""
+    from margin_lab import verify
+    from margin_lab.descent import risk
+
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    log_threshold = loss.log_value(0.0) - math.log(ds.n)
+    rows = []
+    above = 0
+    for i, wi in enumerate(w):
+        r = risk(wi, ds, loss)
+        if r.log_value < log_threshold:
+            rows.append((i, -float(ds.min_margin(wi)), 0.0))
+        else:
+            above += 1
+    return verify.make_report(
+        claim="risk below l(0)/n certifies a strict separator",
+        rows=rows, tolerance=0.0,
+        context={"dataset": verify.dataset_fingerprint(ds), "loss": loss.name,
+                 "log_threshold": log_threshold, "vectors_checked": int(w.shape[0]),
+                 "vectors_above_threshold": above,
+                 "note": "rows store negated min-margins; strict positivity required"})

@@ -49,8 +49,9 @@ def test_a_key_with_one_float_sample_is_summarised():
     assert metrics["x"]["after_lower_in_pairs"] == 0
 
 
-def test_the_three_cases():
-    assert sorted(bench_pair.CASES) == ["averaged-blocks", "import-path", "lean-datasets"]
+def test_the_cases():
+    assert sorted(bench_pair.CASES) == ["averaged-blocks", "import-path", "lean-datasets",
+                                        "stacked-probes"]
 
 
 def test_the_averaged_blocks_target_run_stops_at_its_first_passage():

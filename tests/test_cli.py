@@ -799,6 +799,19 @@ class TestBenchCommand:
         assert row[2] == "40"
         assert row[3] != ">2000"  # cyclic passes separate gamma=0.2, n=40
 
+    def test_perceptron_order_that_cannot_be_allocated_is_a_config_error(self, tmp_path,
+                                                                         capsys):
+        # 10^15 int64 indices are 7.1 PiB, past any 64-bit host's address
+        # space whatever its overcommit setting
+        steps = 10**15
+        cfg = write_cfg(tmp_path, f"methods = perceptron\nmax_steps = {steps}\n")
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: perceptron run does not fit in memory "
+                       f"(an array of shape ({steps},))\n")
+        assert list(out.iterdir()) == []
+
     def test_gammas_share_nothing_but_the_config(self, tmp_path):
         # one dataset and one shared run per (method, gamma): a two-gamma grid
         # gives the rows of its two one-gamma grids, apart from wall_time

@@ -679,6 +679,96 @@ class TestAveragedBlocks:
             assert run_gd(ds, base).diverged_at == 4  # the run without a target
 
 
+def _weighted(ds, seed=0):
+    """ds with integer multiplicities 1..8 on its rows."""
+    weights = np.random.default_rng(seed).integers(1, 9, ds.n_rows).astype(float)
+    return dataclasses.replace(ds, weights=weights)
+
+
+# n_rows 7, 100 and 101, so that stacked rows do not always start on a SIMD
+# lane boundary, each plain and weighted, and the weighted batch-hard set
+STACK_DATASETS = {
+    **{f"random-{n}": (lambda n=n: gen_random_separable(10, n, 0.1, seed=n))
+       for n in (7, 100, 101)},
+    **{f"random-{n}-weighted": (lambda n=n: _weighted(gen_random_separable(10, n, 0.1, seed=n)))
+       for n in (7, 100, 101)},
+    "batch-hard-weighted": lambda: gen_batch_hard(0.1, 64, weighted=True),
+}
+STACK_LOSSES = [EXP, LOG, poly(2.0), poly(0.5), SEMICIRCLE]
+
+
+def _bits(x) -> bytes:
+    """The bytes of a float, an array, a RiskValue or a list of them."""
+    if isinstance(x, RiskValue):
+        x = (x.value, x.log_value)
+    elif isinstance(x, list) and x and isinstance(x[0], RiskValue):
+        x = [(r.value, r.log_value) for r in x]
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _probe_stack(d: int, seed: int = 0) -> np.ndarray:
+    """Vectors at scales 1e-3 .. 10^2.5, so that poly's risk passes 1 (its
+    left branch and _brentq), plus the zero vector."""
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((23, d)) * 10.0 ** rng.uniform(-3.0, 2.5, (23, 1))
+    return np.vstack([stack, np.zeros((1, d))])
+
+
+class TestStacks:
+    """risk, phi, phi_coefficients, grad_phi, grad_risk and the Dataset
+    passes take a (k, d) stack with one body for both shapes; every stacked
+    row has the bits of the call on that row alone."""
+
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("base", STACK_LOSSES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("name", list(STACK_DATASETS))
+    def test_each_row_has_its_solo_bits(self, name, base, agg):
+        ds = STACK_DATASETS[name]()
+        loss = base.with_aggregation(agg).with_n(ds.n)
+        stack = _probe_stack(ds.d)
+        z = ds.margins(stack)
+        with np.errstate(over="ignore"):
+            stacked = {"risk": risk(stack, ds, loss), "phi": phi(stack, ds, loss),
+                       "grad_phi": grad_phi(stack, ds, loss),
+                       "grad_risk": grad_risk(stack, ds, loss),
+                       "phi_coefficients": phi_coefficients(z, ds, loss)}
+            assert isinstance(stacked["risk"], list) and isinstance(stacked["phi"], list)
+            assert stacked["grad_phi"].shape == stacked["grad_risk"].shape == stack.shape
+            assert stacked["phi_coefficients"].shape == z.shape
+            for j, w in enumerate(stack):
+                solo = {"risk": risk(w, ds, loss), "phi": phi(w, ds, loss),
+                        "grad_phi": grad_phi(w, ds, loss), "grad_risk": grad_risk(w, ds, loss),
+                        "phi_coefficients": phi_coefficients(ds.margins(w), ds, loss)}
+                for fn, value in solo.items():
+                    assert _bits(stacked[fn][j]) == _bits(value), (fn, j)
+        if base.kind == "poly":  # the stack reaches the left branch
+            assert max(r.value for r in stacked["risk"]) > 1.0
+
+    @pytest.mark.parametrize("name", list(STACK_DATASETS))
+    def test_signed_sum_rows_have_their_solo_bits(self, name):
+        ds = STACK_DATASETS[name]()
+        coef = np.random.default_rng(1).standard_normal((13, ds.n_rows))
+        stacked = ds.signed_sum(coef)
+        assert stacked.shape == (13, ds.d)
+        for j in range(len(coef)):
+            assert stacked[j].tobytes() == ds.signed_sum(coef[j]).tobytes(), j
+
+    def test_signed_sum_is_the_gradient_pass(self):
+        ds = _weighted(gen_random_separable(10, 101, 0.1, seed=2))
+        coef = np.random.default_rng(2).random(ds.n_rows)
+        assert ds.signed_sum(coef).tobytes() == ((coef * ds.labels) @ ds.features).tobytes()
+        w = _probe_stack(ds.d)[5]
+        want = -((phi_coefficients(ds.margins(w), ds, LOG) * ds.labels) @ ds.features)
+        assert grad_phi(w, ds, LOG).tobytes() == want.tobytes()
+
+    def test_a_stack_of_one_is_the_solo_call(self):
+        ds = gen_random_separable(10, 101, 0.1, seed=4)
+        w = _probe_stack(ds.d)[3]
+        for loss in (EXP, LOG, poly(2.0)):
+            assert _bits(risk(w[None], ds, loss)) == _bits([risk(w, ds, loss)])
+            assert _bits(grad_phi(w[None], ds, loss)[0]) == _bits(grad_phi(w, ds, loss))
+
+
 class TestMetamorphic:
     @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
     def test_row_permutation_leaves_the_iterates(self, loss):

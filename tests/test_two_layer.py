@@ -19,6 +19,7 @@ from margin_lab.two_layer import (
     nn_grad_phi,
     nn_margins,
     nn_risk,
+    nn_risk_and_grad_phi,
     parse_activation,
     run_gd_nn,
     _probe_grid,
@@ -327,6 +328,45 @@ class TestFusedStep:
         monkeypatch.setattr(LossSpec, "log_value", counting)
         run_gd_nn(ds, net, GDConfig(loss=loss, eta=8.0, steps=40, record_every=7))
         assert len(calls) == 41
+
+
+STACK_ACTIVATIONS = ["leakyrelu:0.5"] + [f"leaky-{b}:0.8" for b in
+                                          ("gelu", "softplus", "silu", "relu-variant")]
+
+
+class TestStacks:
+    """A net holding a (k, m, d) stack of first layers is k nets: each net's
+    risk, margins and gradient blocks have the bits of its call alone."""
+
+    @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
+    @pytest.mark.parametrize("act", STACK_ACTIVATIONS)
+    def test_each_net_has_its_solo_bits(self, act, loss):
+        activation = parse_activation(act)
+        rng = np.random.default_rng(0)
+        for ds_name, make in NN_DATASETS.items():
+            ds = make()
+            signs = make_net(ds.d, 4, activation).signs
+            weights = rng.standard_normal((9, 4, ds.d)) * 10.0 ** rng.uniform(-1.5, 1.5, (9, 1, 1))
+            nets = TwoLayerNet(weights, signs, activation)
+            assert (nets.m, nets.d) == (4, ds.d)
+            risks, grads = nn_risk_and_grad_phi(nets, ds, loss)
+            margins, alone = nn_margins(nets, ds), nn_risk(nets, ds, loss)
+            assert grads.shape == weights.shape and len(risks) == len(alone) == 9
+            assert nn_grad_phi(nets, ds, loss).tobytes() == grads.tobytes()
+            for j in range(len(weights)):
+                net = TwoLayerNet(weights[j], signs, activation)
+                r = nn_risk(net, ds, loss)
+                for got in (risks[j], alone[j]):
+                    assert (got.value, got.log_value) == (r.value, r.log_value), (ds_name, j)
+                assert margins[j].tobytes() == nn_margins(net, ds).tobytes(), (ds_name, j)
+                assert grads[j].tobytes() == nn_grad_phi(net, ds, loss).tobytes(), (ds_name, j)
+
+    def test_run_gd_nn_refuses_a_stack(self):
+        ds = gen_random_separable(10, 100, 0.1, seed=3)
+        nets = TwoLayerNet(np.zeros((2, 4, ds.d)), np.array([1.0, -1.0, 1.0, -1.0]),
+                           leaky_relu(0.5))
+        with pytest.raises(ValueError, match="one net"):
+            run_gd_nn(ds, nets, GDConfig(loss=EXP, eta=8.0, steps=3))
 
 
 class TestMetamorphic:

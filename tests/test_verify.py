@@ -15,7 +15,7 @@ import margin_lab
 from margin_lab.datasets import gen_batch_hard, gen_random_separable, gen_two_point
 from margin_lab.descent import GDConfig, run_gd
 from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, poly
-from margin_lab.two_layer import leaky_blend, leaky_relu
+from margin_lab.two_layer import leaky_blend, leaky_relu, parse_activation
 from margin_lab.verify import (
     BoundReport,
     check_averaged_risk_bound,
@@ -31,6 +31,9 @@ from margin_lab.verify import (
     make_report,
     render_table,
 )
+
+from _oracles import (per_probe_gradient_inequalities, per_probe_network_inequalities,
+                      per_probe_risk_implies_separation)
 
 
 class TestMakeReport:
@@ -298,6 +301,63 @@ class TestNetworkInequalities:
         with pytest.raises(ValueError, match="mean aggregation"):
             check_network_inequalities(
                 ds, leaky_relu(0.5), loss=LOG.with_aggregation("sum"))
+
+
+def _json(report: BoundReport) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+SEEDS = (0, 3, 1000)
+PROBE_DATASETS = {
+    "random": lambda seed: gen_random_separable(10, 100, 0.1, seed=seed),
+    "random-101": lambda seed: gen_random_separable(7, 101, 0.15, seed=seed),
+    "batch-hard-weighted": lambda seed: gen_batch_hard(0.1, 64, weighted=True),
+}
+
+
+class TestStackedChecksMatchPerProbe:
+    """The probe checks score each probe set in one stacked call; their
+    reports are those of one solo call per probe (tests/_oracles.py), to
+    the byte of their JSON."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", list(PROBE_DATASETS))
+    @pytest.mark.parametrize("loss", [EXP, LOG, poly(2.0), poly(0.5), SEMICIRCLE,
+                                      LOG.with_aggregation("sum")], ids=lambda s: s.name)
+    def test_gradient_inequalities(self, loss, name, seed):
+        ds = PROBE_DATASETS[name](seed)
+        want = per_probe_gradient_inequalities(ds, loss, probes=120, seed=seed)
+        assert _json(check_gradient_inequalities(ds, loss, probes=120, seed=seed)) == _json(want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
+    @pytest.mark.parametrize("act", ["leakyrelu:0.5", "leaky-gelu:0.9", "leaky-silu:0.7",
+                                     "leaky-softplus:0.8", "leaky-relu-variant:0.6"])
+    def test_network_inequalities(self, act, loss, seed):
+        ds = gen_random_separable(10, 100, 0.2, seed=seed)
+        activation = parse_activation(act)
+        want = per_probe_network_inequalities(ds, activation, seed=seed, loss=loss)
+        assert _json(check_network_inequalities(ds, activation, seed=seed, loss=loss)) == _json(want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("loss", [EXP, LOG, poly(2.0)], ids=lambda s: s.name)
+    def test_risk_implies_separation(self, loss, seed):
+        ds = gen_random_separable(10, 100, 0.1, seed=seed)
+        iterates = np.array(run_gd(ds, GDConfig(loss=loss, eta=4.0, steps=300)).columns["w"])
+        want = per_probe_risk_implies_separation(ds, loss, iterates)
+        assert len(want.steps) > 0 and want.context["vectors_above_threshold"] > 0
+        assert _json(check_risk_implies_separation(ds, loss, iterates)) == _json(want)
+        single = iterates[-1]
+        assert (_json(check_risk_implies_separation(ds, loss, single))
+                == _json(per_probe_risk_implies_separation(ds, loss, single)))
+
+    def test_empty_probe_sets(self):
+        ds = gen_random_separable(10, 100, 0.2, seed=0)
+        assert (_json(check_network_inequalities(ds, leaky_relu(0.5), probes=0))
+                == _json(per_probe_network_inequalities(ds, leaky_relu(0.5), probes=0)))
+        none = np.zeros((0, ds.d))
+        assert (_json(check_risk_implies_separation(ds, EXP, none))
+                == _json(per_probe_risk_implies_separation(ds, EXP, none)))
 
 
 class TestGeneralLossBound:
