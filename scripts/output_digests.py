@@ -14,9 +14,9 @@ One line per run or file:
 
 - `run_gd` on the 416 configurations of `tests/test_descent.py`
   (`FUSED_GRID` x `FUSED_DATASETS` x target on/off x `record_every` 1/7);
-- `run_gd_nn` on the 24 configurations of `tests/test_two_layer.py`'s
-  network grid (two activations, exp and log, `NN_DATASETS`, `record_every`
-  1/7);
+- `run_gd_nn` on the 60 configurations of `tests/test_two_layer.py`'s
+  network grid widened to every activation record (leakyrelu and the four
+  leaky blends, exp and log, `NN_DATASETS`, `record_every` 1/7);
 - the JSON reports of the probe checks on shapes beyond `default_suite`'s,
   on seeds 0, 3 and 1000: `check_gradient_inequalities` on log with sum
   aggregation, on a weighted batch-hard set and on a random set with
@@ -73,7 +73,8 @@ NN_COLUMNS = ("t", "weights", "log_risk", "phi", "stepsize", "log_stepsize",
               "min_margin", "min_log_risk", "min_risk_t", "descent_violated")
 NN_FIELDS = ("t", "weights", "risk", "phi", "stepsize", "log_stepsize", "min_margin",
              "min_log_risk", "min_risk_t", "descent_violated")
-NN_ACTIVATIONS = ("leakyrelu:0.5", "leaky-gelu:0.9")
+NN_ACTIVATIONS = ("leakyrelu:0.5", "leaky-gelu:0.9", "leaky-softplus:0.9", "leaky-silu:0.9",
+                  "leaky-relu-variant:0.7")
 
 SEEDS = (0, 3, 1000)
 CLI_CONFIGS = {
@@ -96,6 +97,10 @@ CLI_CONFIGS = {
     "run-nn-log-gelu": ("run-nn", ["dataset = batch-hard:gamma=0.1,n=64", "loss = log",
                                    "stepsize = adaptive:8", "steps = 200", "width = 4",
                                    "activation = leaky-gelu:0.9"]),
+    # the CSV header carries the blend's measured alpha and kappa
+    "run-nn-exp-silu": ("run-nn", ["dataset = random:d=6,n=40,gamma=0.15", "loss = exp",
+                                   "stepsize = adaptive:20", "steps = 100", "width = 8",
+                                   "activation = leaky-silu:0.7", "record_every = 5"]),
     "verify": ("verify", []),
     "bench": ("bench", []),
     "gen-random": ("gen", ["dataset = random:d=6,n=40,gamma=0.15"]),

@@ -158,7 +158,7 @@ def parse_order_spec(value: str) -> tuple[str, object]:
     if value == "cyclic":
         return ("cyclic", None)
     if value.startswith("random:"):
-        return ("random", _parse_int(value[len("random:"):], "order seed"))
+        return ("random", _parse_int(value[len("random:"):], "order seed", minimum=0))
     if value.startswith("file:"):
         path = value[len("file:"):]
         if not _is_file(path):
@@ -451,8 +451,11 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 def cmd_run_nn(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     ds = make_dataset(cfg["dataset"], seed)
-    net = make_net(ds.d, cfg["width"], cfg["activation"])
-    traj = run_gd_nn(ds, net, _gd_config(cfg, ds))
+    try:
+        net = make_net(ds.d, cfg["width"], cfg["activation"])
+        traj = run_gd_nn(ds, net, _gd_config(cfg, ds))
+    except MemoryError as exc:
+        raise ConfigError([(0, f"network run {_does_not_fit(exc)}")]) from None
 
     header = "t,log_eta_t,log_risk,min_log_risk,min_risk_t,phi,min_margin,descent_violated"
     rows = [_provenance_line(cfg, seed),
@@ -511,6 +514,8 @@ def cmd_perceptron(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
+    if seed < 0:  # the suite draws its probes from the seed
+        raise ConfigError([(0, f"seed must be >= 0 for verify, got {seed}")])
     reports = default_suite(seed=seed)
     payload = {
         "provenance": _provenance_obj(cfg, seed),

@@ -7,10 +7,11 @@ satisfy two properties on the probe grid:
     slope window:      sigma'(z) in [alpha, 1]
     curvature defect:  |sigma(z) - sigma'(z) z| <= kappa
 
-LeakyReLU has kappa = 0 exactly. The "leaky blend" family
-sigma(z) = c z + ((1-c)/4) sigma*(z) for a base sigma* (gelu, softplus,
-silu, relu) and 0.5 < c < 1 gets alpha and kappa measured on the grid (with
-10% headroom on kappa for off-grid points).
+Each activation is one Activation record: name, alpha, kappa and one
+function pair(z) -> (sigma(z), sigma'(z)). LeakyReLU has kappa = 0 exactly.
+The "leaky blend" family sigma(z) = c z + ((1-c)/4) sigma*(z) for a base
+sigma* (gelu, softplus, silu, relu) and 0.5 < c < 1 gets alpha and kappa
+measured on the grid once per (base, c) in a process (10% headroom on kappa).
 
 Training steps the rows along the transformed-objective gradient with a
 width-normalized stepsize:
@@ -28,9 +29,9 @@ initialization, and gamma-margin data,
 with A = alpha gamma^2 (t+1), valid for t >= 1.
 
 run_gd_nn runs descent's one descent loop with the network as its model:
-the forward pass is X W^T and the margins it gives, the backward pass
-_grad_blocks, and the rows record the weights and the best iterate so far
-in a descent.Trajectory.
+the forward pass is one pair call on X W^T per iterate, giving the margins
+and the slopes the backward pass _grad_blocks reads. The rows record the
+weights and the best iterate so far in a descent.Trajectory.
 
 A TwoLayerNet may hold a (k, m, d) stack of first layers sharing its signs
 and activation: k nets. nn_margins, nn_risk, nn_grad_phi and
@@ -42,8 +43,10 @@ stacks, see descent's docstring). run_gd_nn trains one net.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf, expit
@@ -56,14 +59,9 @@ from .losses import LossSpec
 # The loss kinds a network trains with and the network checks accept.
 NN_LOSS_KINDS = ("exp", "log")
 
-_GRID = None
-
 
 def _probe_grid() -> np.ndarray:
-    global _GRID
-    if _GRID is None:
-        _GRID = np.linspace(-1000.0, 1000.0, 200001)
-    return _GRID
+    return np.linspace(-1000.0, 1000.0, 200001)
 
 
 def _gelu(z):
@@ -91,34 +89,42 @@ class Activation:
     name: str
     alpha: float  # infimum of the slope on the probe grid
     kappa: float  # bound on |sigma(z) - sigma'(z) z|
-    _tag: str = field(repr=False, default="leakyrelu")
-    _c: float = field(repr=False, default=math.nan)
+    pair: Callable = field(compare=False, repr=False)  # z -> (sigma(z), sigma'(z))
 
     def value(self, z):
-        z = np.asarray(z, dtype=float)
-        if self._tag == "leakyrelu":
-            out = np.where(z >= 0, z, self.alpha * z)
-        else:
-            base_v, _ = _BASES[self._tag][1](z)
-            out = self._c * z + ((1.0 - self._c) / 4.0) * base_v
+        out = self.pair(np.asarray(z, dtype=float))[0]
         return float(out) if out.ndim == 0 else out
 
     def deriv(self, z):
-        z = np.asarray(z, dtype=float)
-        if self._tag == "leakyrelu":
-            # the kink derivative is fixed from the right: sigma'(0) = 1
-            out = np.where(z >= 0, 1.0, self.alpha)
-        else:
-            _, base_d = _BASES[self._tag][1](z)
-            out = self._c + ((1.0 - self._c) / 4.0) * base_d
+        out = self.pair(np.asarray(z, dtype=float))[1]
         return float(out) if out.ndim == 0 else out
 
 
 def leaky_relu(alpha: float) -> Activation:
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"leakyrelu slope must be in (0, 1], got {alpha}")
-    return Activation(name=f"leakyrelu:{alpha:g}", alpha=float(alpha), kappa=0.0,
-                      _tag="leakyrelu", _c=math.nan)
+    alpha = float(alpha)
+
+    def pair(z):
+        # the kink derivative is fixed from the right: sigma'(0) = 1
+        return np.where(z >= 0, z, alpha * z), np.where(z >= 0, 1.0, alpha)
+
+    return Activation(name=f"leakyrelu:{alpha:g}", alpha=alpha, kappa=0.0, pair=pair)
+
+
+def _blend_pair(base: str, c: float, z):
+    """The pair of c*z + ((1-c)/4)*base(z)."""
+    base_v, base_d = _BASES[base][1](z)
+    return c * z + ((1.0 - c) / 4.0) * base_v, c + ((1.0 - c) / 4.0) * base_d
+
+
+@functools.cache
+def _measured(base: str, c: float) -> tuple[float, float]:
+    """alpha and kappa of a blend on the probe grid, computed once per
+    (base, c); kappa has 10% headroom for off-grid points."""
+    z = _probe_grid()
+    value, slope = _blend_pair(base, c, z)
+    return float(slope.min()), 1.1 * float(np.abs(value - slope * z).max())
 
 
 def leaky_blend(base: str, c: float) -> Activation:
@@ -127,14 +133,9 @@ def leaky_blend(base: str, c: float) -> Activation:
         raise ValueError(f"blend coefficient must be in (0.5, 1), got {c}")
     if base not in _BASES:
         raise ValueError(f"unknown blend base {base!r}")
-    label, pair = _BASES[base]
-    z = _probe_grid()
-    base_v, base_d = pair(z)
-    slope = c + ((1.0 - c) / 4.0) * base_d
-    defect = np.abs((c * z + ((1.0 - c) / 4.0) * base_v) - slope * z)
-    alpha = float(slope.min())
-    kappa = 1.1 * float(defect.max())  # headroom for off-grid points
-    return Activation(name=f"{label}:{c:g}", alpha=alpha, kappa=kappa, _tag=base, _c=float(c))
+    alpha, kappa = _measured(base, c)
+    return Activation(name=f"{_BASES[base][0]}:{c:g}", alpha=alpha, kappa=kappa,
+                      pair=functools.partial(_blend_pair, base, c))
 
 
 def parse_activation(name: str) -> Activation:
@@ -182,17 +183,17 @@ def make_net(d: int, m: int, activation: Activation) -> TwoLayerNet:
     return TwoLayerNet(np.zeros((m, d)), np.where(np.arange(m) % 2 == 0, 1.0, -1.0), activation)
 
 
-def _forward_pass(net: TwoLayerNet, ds: Dataset, head: np.ndarray):
-    """Hidden pre-activations s = X W^T, shape (R, m), and the margins
-    z = y * (sigma(s) @ head), head = net.signs / net.m: the one pass over the
-    data that the risk, the smallest margin and the gradient share. A stack
-    of k nets gives (k, R, m) and (k, R)."""
-    s = ds.features @ net.weights.swapaxes(-1, -2)
-    return s, ds.labels * (net.activation.value(s) @ head)
+def _forward_pass(net: TwoLayerNet, ds: Dataset):
+    """The slopes sigma'(s) at the hidden pre-activations s = X W^T, shape
+    (R, m), and the margins z = y * (sigma(s) @ signs / m), from one pair
+    call: the one pass over the data that the risk, the smallest margin and
+    the gradient share. A stack of k nets gives (k, R, m) and (k, R)."""
+    values, slopes = net.activation.pair(ds.features @ net.weights.swapaxes(-1, -2))
+    return slopes, ds.labels * (values @ (net.signs / net.m))
 
 
 def nn_margins(net: TwoLayerNet, ds: Dataset) -> np.ndarray:
-    return _forward_pass(net, ds, net.signs / net.m)[1]
+    return _forward_pass(net, ds)[1]
 
 
 def _check_nn_loss(loss: LossSpec):
@@ -209,20 +210,19 @@ def nn_risk(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> RiskValue | list:
     return MarginState(nn_margins(net, ds), ds, loss, ds.n).risk
 
 
-def _grad_blocks(net: TwoLayerNet, ds: Dataset, s, coef, head) -> np.ndarray:
-    """d phi / d w_j from pre-activations s, phi coefficients coef, head = signs / m."""
-    slopes = net.activation.deriv(s)  # (R, m), or (k, R, m)
-    signed = coef * ds.labels  # (R,), or (k, R)
-    return -head[:, None] * ((slopes * signed[..., None]).swapaxes(-1, -2) @ ds.features)
+def _grad_blocks(net: TwoLayerNet, ds: Dataset, slopes, coef) -> np.ndarray:
+    """d phi / d w_j from the forward pass's slopes, (R, m) or (k, R, m),
+    and the phi coefficients coef."""
+    grad = (slopes * (coef * ds.labels)[..., None]).swapaxes(-1, -2) @ ds.features
+    return -(net.signs / net.m)[:, None] * grad
 
 
 def nn_risk_and_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> tuple:
     """(nn_risk, nn_grad_phi) of the net from one forward pass."""
     _check_nn_loss(loss)
-    head = net.signs / net.m
-    s, z = _forward_pass(net, ds, head)
+    slopes, z = _forward_pass(net, ds)
     state = MarginState(z, ds, loss, ds.n)
-    return state.risk, _grad_blocks(net, ds, s, phi_coefficients(state, ds, loss), head)
+    return state.risk, _grad_blocks(net, ds, slopes, phi_coefficients(state, ds, loss))
 
 
 def nn_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> np.ndarray:
@@ -241,8 +241,8 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
     width-1 net reproduces the linear algorithm exactly. The rows carry the
     weights and the running best (minimum) log-risk, which the guarantee
     controls. The loop is descent's: each iterate makes one forward pass
-    X W^T, from which its risk, smallest margin and gradient are all read,
-    and _grad_blocks makes one gradient pass.
+    X W^T with one pair call, from which its risk, smallest margin and
+    gradient are all read, and _grad_blocks makes one gradient pass.
     """
     _check_nn_loss(config.loss)
     if net.weights.ndim != 2:
@@ -256,10 +256,9 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
         raise ValueError(f"net dimension {net.d} does not match dataset {ds.d}")
     loss = config.loss
     work = TwoLayerNet(net.weights.copy(), net.signs, net.activation)
-    head = work.signs / work.m
     return _descend(
-        ds, config, work.weights, lambda: _forward_pass(work, ds, head),
-        lambda s, state: _grad_blocks(work, ds, s, phi_coefficients(state, ds, loss), head),
+        ds, config, work.weights, lambda: _forward_pass(work, ds),
+        lambda slopes, state: _grad_blocks(work, ds, slopes, phi_coefficients(state, ds, loss)),
         name="weights", scale=work.m)
 
 

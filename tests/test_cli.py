@@ -195,6 +195,9 @@ class TestStepsizeAndOrder:
     def test_order_forms(self, tmp_path):
         assert parse_order_spec("cyclic") == ("cyclic", None)
         assert parse_order_spec("random:9") == ("random", 9)
+        assert parse_order_spec("random:0") == ("random", 0)
+        with pytest.raises(ValueError, match="order seed must be >= 0, got -1"):
+            parse_order_spec("random:-1")
         with pytest.raises(ValueError, match="order file not found"):
             parse_order_spec(f"file:{tmp_path/'no.txt'}")
 
@@ -660,6 +663,28 @@ class TestRunNNCommand:
         mins = [float(r.split(",")[3]) for r in lines[3:]]
         assert all(b <= a + 1e-15 for a, b in zip(mins, mins[1:]))
 
+    def test_width_that_cannot_be_allocated_is_a_config_error(self, tmp_path, capsys):
+        # 10^15 x 5 float64 weights are 36 PiB, past any 64-bit host's
+        # address space whatever its overcommit setting
+        width = 10**15
+        text = ("dataset = random:d=5,n=20,gamma=0.1\nloss = exp\nstepsize = adaptive:1\n"
+                f"steps = 3\nwidth = {width}\nactivation = leakyrelu:0.5\n")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run-nn", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: network run does not fit in memory "
+                       f"(an array of shape ({width}, 5))\n")
+        assert list(out.iterdir()) == []
+
+    def test_negative_seed_runs_where_nothing_is_drawn(self, tmp_path):
+        text = ("dataset = two-point:gamma=0.05\nloss = exp\nstepsize = adaptive:1\n"
+                "steps = 3\nwidth = 2\nactivation = leakyrelu:0.5\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run-nn", "--config", cfg, "--out", str(tmp_path), "--seed", "-5"]) == 0
+        first = (tmp_path / "trajectory_nn.csv").read_text().splitlines()[0]
+        assert PROVENANCE_RE.match(first) and first.endswith(" seed=-5")
+
 
 class TestPerceptronCommand:
     def test_cyclic_matches_library_run(self, tmp_path):
@@ -736,6 +761,15 @@ class TestPerceptronCommand:
                        f"(an array of shape ({steps},))\n")
         assert list(out.iterdir()) == []
 
+    def test_negative_order_seed_is_a_config_error(self, tmp_path, capsys):
+        text = "dataset = online-hard:gamma=0.4,n=10\norder = random:-1\nsteps = 10\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["perceptron", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: line 2: order seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_exit_one_table_and_reports(self, tmp_path, capsys):
@@ -749,6 +783,21 @@ class TestVerifyCommand:
         assert len(data["reports"]) == 21
         verdicts = {r["verdict"] for r in data["reports"]}
         assert verdicts == {"pass", "fail"}
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_seed_is_a_config_error(self, how, tmp_path, capsys):
+        """The suite draws its probes from the seed: a negative one is
+        refused before any check runs."""
+        args = ["verify", "--out", str(tmp_path)]
+        if how == "flag":
+            args += ["--seed", "-1"]
+        else:
+            args += ["--config", write_cfg(tmp_path, "seed = -1\n")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: seed must be >= 0 for verify, got -1\n"
+        assert captured.out == ""
+        assert not (tmp_path / "reports.json").exists()
 
 
 class TestBenchCommand:

@@ -1,16 +1,19 @@
 """Tests for two-layer nets: activations, gradients, training, the bound."""
 
+import dataclasses
+import inspect
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from margin_lab import two_layer
 from margin_lab.datasets import (Dataset, gen_batch_hard, gen_random_separable,
                                  mean_signed_feature)
 from margin_lab.descent import GDConfig, Trajectory, phi_from_risk, run_gd
 from margin_lab.losses import EXP, LOG, LossSpec, poly
 from margin_lab.two_layer import (
-    Activation,
     TwoLayerNet,
     leaky_blend,
     leaky_relu,
@@ -63,6 +66,23 @@ class TestActivations:
         act = leaky_blend("gelu", 0.6)
         want = 1.1 * 0.1 * (2.0 * math.exp(-1.0) / math.sqrt(2.0 * math.pi))
         assert act.kappa == pytest.approx(want, rel=1e-3)
+
+    @pytest.mark.parametrize("base", BLENDS)
+    def test_blend_measured_once_per_process(self, monkeypatch, base):
+        """A repeated leaky_blend(base, c) reads the measurement of the first
+        call, bit for bit, without measuring the grid again; leaky_blend
+        itself stays a plain function, which a tracer can wrap."""
+        grids = []
+        probe_grid = two_layer._probe_grid
+        monkeypatch.setattr(two_layer, "_probe_grid", lambda: grids.append(1) or probe_grid())
+        two_layer._measured.cache_clear()
+        first = leaky_blend(base, 0.77)
+        again = leaky_blend(base, 0.77)
+        assert len(grids) == 1
+        assert (struct.pack("<dd", first.alpha, first.kappa)
+                == struct.pack("<dd", again.alpha, again.kappa))
+        assert first == again
+        assert inspect.isfunction(two_layer.leaky_blend)
 
     def test_parse_round_trip(self):
         for name in [
@@ -289,27 +309,21 @@ class TestFusedStep:
                         else:
                             assert x == y, (ds_name, every, name)
 
-    def test_one_forward_pass_per_iterate(self, monkeypatch):
-        """The activation runs on the hidden pre-activations once per iterate
-        (the forward pass) and its slope once per step (the gradient)."""
-        counts = {"value": 0, "deriv": 0}
-        value, deriv = Activation.value, Activation.deriv
+    def test_one_forward_pass_per_iterate(self):
+        """The activation's pair runs on the hidden pre-activations once per
+        iterate: the gradient reads the slopes of the forward pass."""
+        calls = []
+        act = leaky_relu(0.5)
 
-        def counting_value(self, z):
-            counts["value"] += 1
-            return value(self, z)
-
-        def counting_deriv(self, z):
-            counts["deriv"] += 1
-            return deriv(self, z)
+        def counting_pair(z):
+            calls.append(z.shape)
+            return act.pair(z)
 
         ds = gen_random_separable(10, 100, 0.2, seed=0)
-        net = make_net(ds.d, 4, leaky_relu(0.5))
-        monkeypatch.setattr(Activation, "value", counting_value)
-        monkeypatch.setattr(Activation, "deriv", counting_deriv)
+        net = make_net(ds.d, 4, dataclasses.replace(act, pair=counting_pair))
         traj = run_gd_nn(ds, net, GDConfig(loss=LOG, eta=8.0, steps=40, record_every=7))
         assert traj.final.t == 40
-        assert counts == {"value": 41, "deriv": 40}
+        assert calls == [(100, 4)] * 41
 
     @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
     def test_one_log_kernel_call_per_iterate(self, monkeypatch, loss):
