@@ -13,9 +13,10 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
 
 - `import-path` (was `scripts/bench_import_path.py`): `import margin_lab`
   and `import margin_lab.cli`, each the seconds of the import statement,
-  the peak RSS after it and whether it loaded `scipy.optimize`; seconds per
-  `poly(2).inverse(u)` call on u > 1 (median of 5 sweeps over 2000 u); wall
-  seconds of `python -m margin_lab.cli verify`, interpreter start included.
+  the peak RSS after it and whether it loaded `scipy.optimize` and
+  `scipy.special`; seconds per `poly(2).inverse(u)` call on u > 1 (median
+  of 5 sweeps over 2000 u); wall seconds of `python -m margin_lab.cli
+  verify`, interpreter start included.
 - `averaged-blocks` (was `scripts/bench_averaged_blocks.py`): microseconds
   per `run_gd` step on `gen_random_separable(10, 100, 0.1, seed=0)`, the
   median of 5 runs, and the steps the run reports, for log loss, adaptive
@@ -71,9 +72,11 @@ import {module}
 dt = time.perf_counter() - t
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 optimize = int("scipy.optimize" in sys.modules)
+special = int("scipy.special" in sys.modules)
 import json  # not before the import timed: json loads re, which margin_lab imports too
 print(json.dumps({{"{key}_s": dt, "{key}_rss_mb": rss_mb,
-                  "{key}_loads_scipy_optimize": optimize}}))
+                  "{key}_loads_scipy_optimize": optimize,
+                  "{key}_loads_scipy_special": special}}))
 """
 
 INVERSE_CHILD = """

@@ -22,6 +22,10 @@ One line per run or file:
   aggregation, on a weighted batch-hard set and on a random set with
   n = 101; `check_network_inequalities` with leaky-silu and leaky-softplus;
   `check_risk_implies_separation` on a stack of 300 iterates;
+- `run_perceptron` and `run_online_sgd` (hinge at stepsizes 1 and 0.5,
+  log at 2) on a cyclic order of 20 000 and a random order of 5000 over
+  `gen_random_separable(10, 100, 0.1)` and `gen_online_hard(0.2, 30)`, on
+  seeds 0, 3 and 1000: iterates, mistakes and `separated_at`;
 - the CLI outputs of `run`, `run-nn`, `verify` (`reports.json` and stdout)
   and `bench` (`bench.csv` without its `wall_time` column), `gen` for all
   six dataset sources and `perceptron` for the cyclic, `random:<seed>` and
@@ -55,9 +59,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from margin_lab import cli  # noqa: E402
-from margin_lab.datasets import gen_batch_hard, gen_random_separable, save_dataset  # noqa: E402
+from margin_lab.datasets import (gen_batch_hard, gen_online_hard,  # noqa: E402
+                                 gen_random_separable, save_dataset)
 from margin_lab.descent import GDConfig, run_gd  # noqa: E402
-from margin_lab.losses import EXP, LOG, poly  # noqa: E402
+from margin_lab.losses import EXP, HINGE, LOG, poly  # noqa: E402
+from margin_lab.online import (cyclic_order, random_order, run_online_sgd,  # noqa: E402
+                               run_perceptron)
 from margin_lab.two_layer import make_net, parse_activation, run_gd_nn  # noqa: E402
 from margin_lab.verify import (check_gradient_inequalities,  # noqa: E402
                                check_network_inequalities, check_risk_implies_separation)
@@ -218,6 +225,27 @@ def check_lines():
             yield f"check {name} seed={seed} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
+def online_lines():
+    methods = {
+        "perceptron": run_perceptron,
+        "hinge-1": lambda ds, order: run_online_sgd(ds, order, HINGE, 1.0),
+        "hinge-0.5": lambda ds, order: run_online_sgd(ds, order, HINGE, 0.5),
+        "log-2": lambda ds, order: run_online_sgd(ds, order, LOG, 2.0),
+    }
+    for seed in SEEDS:
+        for ds_name, ds in (("random", gen_random_separable(10, 100, 0.1, seed=seed)),
+                            ("online-hard", gen_online_hard(0.2, 30))):
+            orders = {"cyclic": cyclic_order(ds.n_rows, 20_000),
+                      "random": random_order(ds.n_rows, 5_000, seed)}
+            for order_name, order in orders.items():
+                for name, method in methods.items():
+                    run = method(ds, order)
+                    data = _encode(run.iterates) + _encode(run.mistakes) + _encode(
+                        run.separated_at)
+                    yield (f"online {name} {ds_name} {order_name} seed={seed} "
+                           f"{hashlib.sha256(data).hexdigest()}")
+
+
 def _file_digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "bench.csv":  # wall_time is the last column, and not reproducible
@@ -261,6 +289,8 @@ def main() -> int:
         for line in nn_lines():
             print(line)
         for line in check_lines():
+            print(line)
+        for line in online_lines():
             print(line)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

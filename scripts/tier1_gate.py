@@ -7,7 +7,9 @@ with `src` on PYTHONPATH) and reads its JUnit report. Exits 0 only when the
 red tests are exactly the documented red acceptance items (see "Acceptance
 tests" in the README) and no test was skipped. Any other failure or error,
 any skipped test, and any documented red item that starts to pass all exit 1:
-a red item that turns green is news, and its entry here must go.
+a red item that turns green is news, and its entry here must go. It also
+prints the slowest tests with their seconds, read from the same report; they
+do not change the verdict.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ EXPECTED_RED = {
     "tests.test_acceptance::test_08_inequality_suite_has_zero_failures",
 }
 
+SLOWEST = 10  # tests whose seconds the gate prints
+
 
 def outcomes(report: Path) -> dict[str, str]:
     """Test id -> passed | failed | error | skipped, from a JUnit XML file."""
@@ -44,6 +48,13 @@ def outcomes(report: Path) -> dict[str, str]:
         else:
             result[test_id] = "passed"
     return result
+
+
+def slowest(report: Path, count: int = SLOWEST) -> list[tuple[str, float]]:
+    """The ``count`` slowest test ids and their seconds, from a JUnit XML file."""
+    times = [(f"{case.get('classname')}::{case.get('name')}", float(case.get("time", 0.0)))
+             for case in ET.parse(report).getroot().iter("testcase")]
+    return sorted(times, key=lambda item: -item[1])[:count]
 
 
 def verdict(results: dict[str, str]) -> list[str]:
@@ -76,6 +87,9 @@ def main() -> int:
             print("tier1 gate: pytest wrote no report", file=sys.stderr)
             return 1
         results = outcomes(report)
+        print(f"tier1 gate: the {SLOWEST} slowest tests")
+        for test_id, seconds in slowest(report):
+            print(f"  {seconds:7.2f} s  {test_id}")
     problems = verdict(results)
     for line in problems:
         print(f"tier1 gate: {line}", file=sys.stderr)

@@ -25,6 +25,10 @@ Scalar helpers return floats; array inputs broadcast elementwise. The
 log-domain variants (log_value, log_abs_deriv, log_neg_inv_deriv) are exact
 continuations of the plain ones into regimes where the values themselves
 underflow or overflow a float64.
+
+scipy.special (expit, log_expit) loads at the first call of a log-loss
+deriv, second_deriv or log_abs_deriv, not at import (see _special), so the
+other kinds never pay for it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, log_expit
+
+from . import _special
 
 AGGREGATIONS = ("mean", "sum")
 _LN2 = math.log(2.0)
@@ -196,11 +201,11 @@ class _Log(_Kind):
         return np.logaddexp(0.0, -z)
 
     def deriv(spec, z):
-        return -expit(-z)  # -sigmoid(-z)
+        return -_special.expit(-z)  # -sigmoid(-z)
 
     def second_deriv(spec, z):
         # sigmoid(z) * sigmoid(-z), assembled in log space to avoid underflow
-        return np.exp(log_expit(z) + log_expit(-z))
+        return np.exp(_special.log_expit(z) + _special.log_expit(-z))
 
     def log_value(spec, z):
         # ln softplus(-z); for z beyond exp underflow, softplus(-z) ~ e^{-z}.
@@ -208,7 +213,7 @@ class _Log(_Kind):
         return np.where(z > 700.0, -z, np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))
 
     def log_abs_deriv(spec, z):
-        return log_expit(-z)
+        return _special.log_expit(-z)
 
     def inverse(spec, u):
         # -ln(e^u - 1) = -(u + log(1 - e^{-u})), stable for u tiny and huge

@@ -10,6 +10,12 @@ whether the method actually moves.  Cumulative counts are tracked per step.
 
 Row orders are 0-based index sequences into the dataset; repeats are allowed
 (multi-pass training is an order that cycles).
+
+The Perceptron and hinge SGD never move on a positive margin, so a run that
+has separated, with every row left in its order at positive margin by the
+step's own arithmetic, stays where it is: the run stops there and fills the
+rest of its trace with that iterate and mistake count, the same arrays the
+remaining steps would have written. Log SGD still moves and runs every step.
 """
 
 from __future__ import annotations
@@ -74,26 +80,46 @@ def _prepare(
     return order, w0
 
 
+def _at_rest(ds: Dataset, rows: np.ndarray, w: np.ndarray) -> bool:
+    """Whether every row in ``rows`` has ``y * x.w > 0`` by the step's own
+    arithmetic (the gemv of ``min_margin`` can round differently)."""
+    return all(float(ds.labels[idx]) * float(ds.features[idx] @ w) > 0.0
+               for idx in np.unique(rows))
+
+
 def _trace(
     ds: Dataset,
     order: np.ndarray,
     w0: np.ndarray,
     step: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, bool, bool]],
+    rests: bool,
 ) -> OnlineRun:
-    """Shared run loop.  ``step`` returns (new_w, mistake, moved)."""
+    """Shared run loop.  ``step`` returns (new_w, mistake, moved).
+
+    ``rests``: the step neither moves nor counts a mistake on a row of
+    positive margin. Then once the run separates and every row left in the
+    order has positive margin, the iterate is a fixed point: the rest of
+    ``iterates`` and ``mistakes`` is filled in without running those steps.
+    """
     w = w0.copy()
     iterates = np.empty((order.size + 1, ds.d))
     iterates[0] = w
     mistakes = np.zeros(order.size + 1, dtype=np.int64)
     count = 0
     separated_at: Optional[int] = 0 if ds.min_margin(w) > 0.0 else None
-    for k, idx in enumerate(order, start=1):
-        w, mistake, moved = step(w, ds.features[idx], float(ds.labels[idx]))
-        count += mistake
-        iterates[k] = w
-        mistakes[k] = count
-        if separated_at is None and moved and ds.min_margin(w) > 0.0:
-            separated_at = k
+    k = 0
+    if not (separated_at == 0 and rests and _at_rest(ds, order, w)):
+        for k, idx in enumerate(order, start=1):
+            w, mistake, moved = step(w, ds.features[idx], float(ds.labels[idx]))
+            count += mistake
+            iterates[k] = w
+            mistakes[k] = count
+            if separated_at is None and moved and ds.min_margin(w) > 0.0:
+                separated_at = k
+                if rests and _at_rest(ds, order[k:], w):
+                    break
+    iterates[k + 1:] = w  # the fixed point's steps; empty if the loop ran out
+    mistakes[k + 1:] = count
     return OnlineRun(
         order=order, iterates=iterates, mistakes=mistakes, separated_at=separated_at
     )
@@ -112,7 +138,7 @@ def run_perceptron(
             return w + y * x, True, True
         return w, False, False
 
-    return _trace(ds, order, w0, step)
+    return _trace(ds, order, w0, step, rests=True)
 
 
 def run_online_sgd(
@@ -142,7 +168,8 @@ def run_online_sgd(
             return w - scale * (y * x), mistake, True
         return w, mistake, False
 
-    return _trace(ds, order, w0, step)
+    # the hinge derivative is 0 at a positive margin; a smooth loss still moves
+    return _trace(ds, order, w0, step, rests=loss.kind == "hinge")
 
 
 def check_online_hard_instance(

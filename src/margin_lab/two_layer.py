@@ -12,6 +12,9 @@ function pair(z) -> (sigma(z), sigma'(z)). LeakyReLU has kappa = 0 exactly.
 The "leaky blend" family sigma(z) = c z + ((1-c)/4) sigma*(z) for a base
 sigma* (gelu, softplus, silu, relu) and 0.5 < c < 1 gets alpha and kappa
 measured on the grid once per (base, c) in a process (10% headroom on kappa).
+The gelu, silu and softplus bases call scipy.special (erf, expit), which
+loads at the first such call (see _special); leakyrelu and the relu blend
+never load it.
 
 Training steps the rows along the transformed-objective gradient with a
 width-normalized stepsize:
@@ -49,8 +52,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf, expit
 
+from . import _special
 from .datasets import Dataset
 from .descent import (MarginState, RiskValue, Trajectory, _check_bound_args, _descend,
                       phi_coefficients)
@@ -65,20 +68,20 @@ def _probe_grid() -> np.ndarray:
 
 
 def _gelu(z):
-    cdf = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + _special.erf(z / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return z * cdf, cdf + z * pdf
 
 
 def _silu(z):
-    s = expit(z)
+    s = _special.expit(z)
     return z * s, s * (1.0 + z * (1.0 - s))
 
 
 # Each blend base: its CLI label and its (value, derivative) pair.
 _BASES = {
     "gelu": ("leaky-gelu", _gelu),
-    "softplus": ("leaky-softplus", lambda z: (np.logaddexp(0.0, z), expit(z))),
+    "softplus": ("leaky-softplus", lambda z: (np.logaddexp(0.0, z), _special.expit(z))),
     "silu": ("leaky-silu", _silu),
     "relu": ("leaky-relu-variant", lambda z: (np.maximum(z, 0.0), np.where(z >= 0, 1.0, 0.0))),
 }

@@ -207,6 +207,40 @@ def joined_dataset_text(features, labels, w_star, gamma: float, n: int, weights=
 # The probe checks, one solo call per probe
 # ---------------------------------------------------------------------------
 
+def full_loop_online(features, labels, order, w0, hinge_eta=None):
+    """Every presentation of ``order`` run, fixed point or not: the
+    Perceptron (``hinge_eta`` None) or single-example SGD on the hinge loss
+    with l'(0) := -1 at stepsize ``hinge_eta``, with the online steps'
+    arithmetic. Returns (iterates, mistakes, separated_at) as an OnlineRun
+    holds them; separated_at is the first moved-to iterate of positive
+    minimum margin (0 for a separating start), or None.
+    """
+    w = np.array(w0, dtype=float)
+    iterates = np.empty((len(order) + 1, w.size))
+    iterates[0] = w
+    mistakes = np.zeros(len(order) + 1, dtype=np.int64)
+    count = 0
+    separated_at = 0 if float((labels * (features @ w)).min()) > 0.0 else None
+    for k, idx in enumerate(order, start=1):
+        x, y = features[idx], float(labels[idx])
+        z = y * float(x @ w)
+        if hinge_eta is None:
+            moved = z <= 0.0
+            if moved:
+                w = w + y * x
+        else:
+            scale = hinge_eta * (-1.0 if z <= 0.0 else 0.0)
+            moved = scale != 0.0
+            if moved:
+                w = w - scale * (y * x)
+        count += z <= 0.0
+        iterates[k] = w
+        mistakes[k] = count
+        if separated_at is None and moved and float((labels * (features @ w)).min()) > 0.0:
+            separated_at = k
+    return iterates, mistakes, separated_at
+
+
 def per_probe_gradient_inequalities(ds, loss, probes: int = 200, seed: int = 0):
     """margin_lab.verify.check_gradient_inequalities with one grad_phi and
     one phi call per probe, midpoint and finite-difference step."""

@@ -30,6 +30,7 @@ committed in ``margin_lab.witnesses`` and recomputed by
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -357,6 +358,8 @@ def test_07_general_loss_bound_and_transform_identities():
                 assert float(np.linalg.norm(grad_phi(w, ds, loss))) <= c + 1e-8
 
     scan_start = time.perf_counter()
+    # the bound does not depend on the seed: one call per (loss, gamma, eta, t)
+    log_bound = functools.cache(general_loss_risk_log_bound)
     violations = []
     cells = {"poly:2": 0, "semicircle": 0}
     bad = {"poly:2": 0, "semicircle": 0}
@@ -367,7 +370,7 @@ def test_07_general_loss_bound_and_transform_identities():
         for t, log_avg in zip(cols["t"], cols["log_avg_risk"]):
             if t < 1:
                 continue
-            slack = log_avg - general_loss_risk_log_bound(r.loss, r.gamma, r.eta, t)
+            slack = log_avg - log_bound(r.loss, r.gamma, r.eta, t)
             worst = max(worst, slack)
         if worst > LOG_TOL:
             bad[r.loss.name] += 1

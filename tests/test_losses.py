@@ -264,15 +264,133 @@ class TestPolyLeftBranchSolver:
 
     @pytest.mark.parametrize("module", ["margin_lab", "margin_lab.cli"])
     def test_import_leaves_out_scipy_optimize(self, module):
-        src = str(Path(margin_lab.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         code = (f"import sys, {module}; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _fresh_python(code) == "[]"
+
+    @pytest.mark.parametrize("module", ["margin_lab", "margin_lab.cli"])
+    def test_import_leaves_out_scipy_special(self, module):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+        assert _fresh_python(code) == "[]"
+
+
+def _fresh_python(code: str, cwd=None) -> str:
+    """The stdout of ``code`` run in a fresh interpreter on this margin_lab."""
+    src = str(Path(margin_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+# The kernels that call scipy.special, by name: LOG's three, and the value
+# and slope of the gelu, silu and softplus blends (c = 0.77), with the same
+# expressions written out on scipy.special's ufuncs. Run in a fresh process.
+SPECIAL_KERNELS = """
+import math, sys
+import numpy as np
+from margin_lab import _special
+from margin_lab.losses import LOG
+from margin_lab.two_layer import _blend_pair
+
+z = np.concatenate([np.linspace(-800.0, 800.0, 4001), [-0.0, 1e-300, -1e-300, np.inf, -np.inf]])
+c = 0.77
+KERNELS = {
+    "deriv": lambda: LOG.deriv(z),
+    "second_deriv": lambda: LOG.second_deriv(z),
+    "log_abs_deriv": lambda: LOG.log_abs_deriv(z),
+    **{f"{base}:{i}": (lambda base=base, i=i: _blend_pair(base, c, z)[i])
+       for base in ("gelu", "silu", "softplus") for i in (0, 1)},
+}
+
+
+def direct():
+    from scipy.special import erf, expit, log_expit
+    cdf = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    s = expit(z)
+    bases = {"gelu": (z * cdf, cdf + z * pdf), "silu": (z * s, s * (1.0 + z * (1.0 - s))),
+             "softplus": (np.logaddexp(0.0, z), expit(z))}
+    out = {"deriv": -expit(-z), "second_deriv": np.exp(log_expit(z) + log_expit(-z)),
+           "log_abs_deriv": log_expit(-z)}
+    for base, (v, d) in bases.items():
+        out[f"{base}:0"] = c * z + ((1.0 - c) / 4.0) * v
+        out[f"{base}:1"] = c + ((1.0 - c) / 4.0) * d
+    return out
+"""
+
+
+class TestScipySpecialOnFirstUse:
+    """scipy.special loads at the first kernel that calls it, and the
+    kernels give the bits of the ufuncs called directly, before that load
+    and after it."""
+
+    @pytest.mark.parametrize("first", ["deriv", "log_abs_deriv", "gelu:0"])
+    def test_kernels_equal_direct_ufunc_calls_before_and_after_the_load(self, first):
+        code = SPECIAL_KERNELS + f"""
+assert "scipy.special" not in sys.modules
+got = {{"{first}": KERNELS["{first}"]()}}
+assert "scipy.special" in sys.modules
+got.update((name, kernel()) for name, kernel in KERNELS.items() if name not in got)
+again = {{name: kernel() for name, kernel in KERNELS.items()}}
+want = direct()
+import scipy.special
+print(sorted(name for name in KERNELS if not got[name].tobytes() == again[name].tobytes()
+             == want[name].tobytes()),
+      all(vars(_special)[n] is getattr(scipy.special, n) for n in ("erf", "expit", "log_expit")))
+"""
+        assert _fresh_python(code) == "[] True"
+
+    def test_a_kernel_call_after_the_load_runs_no_other_python_function(self):
+        from margin_lab import _special
+        from margin_lab.two_layer import _BASES
+
+        z = np.linspace(-5.0, 5.0, 11)
+        kernels = [(LOG.ops.deriv, (LOG, z)), (LOG.ops.second_deriv, (LOG, z)),
+                   (LOG.ops.log_abs_deriv, (LOG, z))]
+        kernels += [(_BASES[base][1], (z,)) for base in ("gelu", "silu", "softplus")]
+        for kernel, args in kernels:
+            kernel(*args)  # loads scipy.special if this process has not yet
+        assert {"erf", "expit", "log_expit"} <= vars(_special).keys()
+        for kernel, args in kernels:
+            calls = []
+            sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code)
+                           if event == "call" else None)
+            try:
+                kernel(*args)
+            finally:
+                sys.setprofile(None)
+            assert calls == [kernel.__code__]
+
+    def test_only_its_three_ufuncs_are_read(self):
+        from margin_lab import _special
+
+        with pytest.raises(AttributeError, match="gamma"):
+            _special.gamma
+
+    def test_commands_that_call_no_such_kernel_leave_it_out(self, tmp_path):
+        configs = {
+            "bench": "max_steps = 200\n",
+            "gen": "dataset = random:d=10,n=100,gamma=0.1,seed=7\n",
+            "run": "loss = exp\nstepsize = adaptive:100\nsteps = 200\n"
+                   "dataset = random:d=10,n=100,gamma=0.1,seed=7\n",
+            "perceptron": "dataset = random:d=10,n=100,gamma=0.1,seed=7\nsteps = 2000\n",
+            "run-nn": "loss = exp\nstepsize = adaptive:100\nsteps = 50\nwidth = 4\n"
+                      "activation = leakyrelu:0.5\n"
+                      "dataset = random:d=10,n=100,gamma=0.2,seed=7\n",
+        }
+        for command, text in configs.items():
+            (tmp_path / f"{command}.cfg").write_text(text)
+        code = (
+            "import sys\nfrom margin_lab.cli import main\n"
+            f"for command in {list(configs)!r}:\n"
+            "    code = main([command, '--config', command + '.cfg', '--out', command])\n"
+            "    print(command, code, 'scipy.special' in sys.modules)\n")
+        assert _fresh_python(code, cwd=tmp_path).splitlines() == [
+            f"{command} 0 False" for command in configs]
 
 
 class TestOracleRoutes:

@@ -16,7 +16,7 @@ from margin_lab.online import (
     run_perceptron,
 )
 
-from _oracles import negate_rows, permute_rows, row_permutation
+from _oracles import full_loop_online, negate_rows, permute_rows, row_permutation
 
 
 def _one_row(x, y):
@@ -134,6 +134,70 @@ class TestPerceptron:
         np.testing.assert_array_equal(a.mistakes, b.mistakes)
         assert a.iterates.tobytes() == b.iterates.tobytes()
         assert a.separated_at == b.separated_at
+
+
+class TestFixedPoint:
+    """A Perceptron or hinge-SGD run that reaches a fixed point stops there
+    and fills in the rest of its trace: the arrays of the full loop, bit for
+    bit, after separation too."""
+
+    CASES = [(seed, start) for seed in (0, 1, 2) for start in ("zero", "w_star")]
+
+    @staticmethod
+    def _assert_full_loop(run, ds, order, w0, hinge_eta=None):
+        iterates, mistakes, separated_at = full_loop_online(
+            ds.features, ds.labels, order, w0, hinge_eta)
+        assert run.iterates.tobytes() == iterates.tobytes()
+        np.testing.assert_array_equal(run.mistakes, mistakes)
+        assert run.separated_at == separated_at
+
+    @pytest.mark.parametrize("seed,start", CASES)
+    def test_long_cyclic_order(self, seed, start):
+        ds = gen_random_separable(10, 100, 0.1, seed=seed)
+        order = cyclic_order(ds.n_rows, 20_000)
+        w0 = np.zeros(ds.d) if start == "zero" else ds.w_star
+        perceptron = run_perceptron(ds, order, w0=w0)
+        hinge = run_online_sgd(ds, order, HINGE, 1.0, w0=w0)
+        assert perceptron.separated_at < 2_000  # most of the order is at rest
+        self._assert_full_loop(perceptron, ds, order, w0)
+        self._assert_full_loop(hinge, ds, order, w0, hinge_eta=1.0)
+        assert hinge.iterates.tobytes() == perceptron.iterates.tobytes()
+        half = run_online_sgd(ds, order, HINGE, 0.5, w0=w0)
+        self._assert_full_loop(half, ds, order, w0, hinge_eta=0.5)
+
+    def test_random_order_whose_tail_skips_rows(self):
+        ds = gen_random_separable(10, 100, 0.1, seed=3)
+        order = np.concatenate([random_order(ds.n_rows, 3_000, seed=5),
+                                np.full(500, 7, dtype=np.int64)])
+        w0 = np.zeros(ds.d)
+        self._assert_full_loop(run_perceptron(ds, order, w0=w0), ds, order, w0)
+
+    def test_a_separation_the_steps_do_not_see_keeps_looping(self, monkeypatch):
+        # min_margin says separated once w moves off 0; after the first step
+        # w = x_0, and of the rows left only the last, x_6, the steps see at
+        # a nonpositive margin: the run goes on as the full loop does
+        features = np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.9, 0.0],
+                             [0.8, 0.0], [0.6, 0.8]])
+        labels = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
+        w_star = np.array([1.0, -2.0]) / math.sqrt(5.0)
+        ds = Dataset(features=features, labels=labels, gamma=0.1, w_star=w_star)
+        order = cyclic_order(ds.n_rows, 700)
+        w0 = np.zeros(ds.d)
+        monkeypatch.setattr(Dataset, "min_margin", lambda self, w: 1.0 if w.any() else 0.0)
+        run = run_perceptron(ds, order, w0=w0)
+        monkeypatch.undo()
+        iterates, mistakes, _ = full_loop_online(ds.features, ds.labels, order, w0)
+        assert run.separated_at == 1
+        assert mistakes[-1] > 1
+        assert run.iterates.tobytes() == iterates.tobytes()
+        np.testing.assert_array_equal(run.mistakes, mistakes)
+
+    def test_log_sgd_still_moves_after_separation(self):
+        ds = gen_random_separable(10, 100, 0.1, seed=0)
+        run = run_online_sgd(ds, cyclic_order(ds.n_rows, 3_000), LOG, 2.0)
+        assert run.separated_at is not None
+        tail = run.iterates[run.separated_at:]
+        assert np.all(np.any(tail[1:] != tail[:-1], axis=1))
 
 
 class TestOnlineSgd:

@@ -52,3 +52,19 @@ def test_junit_report_is_read(tmp_path):
     assert gate.outcomes(report) == {
         "tests.a::test_ok": "passed", "tests.a::test_bad": "failed",
         "tests.a::test_err": "error", "tests.a::test_skip": "skipped"}
+
+
+def test_slowest_tests_are_read_from_the_report(tmp_path):
+    report = tmp_path / "r.xml"
+    report.write_text(
+        '<testsuites><testsuite name="pytest">'
+        '<testcase classname="tests.a" name="test_quick" time="0.010"/>'
+        '<testcase classname="tests.a" name="test_slow" time="6.500">'
+        '<failure message="x"/></testcase>'
+        '<testcase classname="tests.b" name="test_mid" time="1.250"/>'
+        '<testcase classname="tests.b" name="test_untimed"/>'
+        '</testsuite></testsuites>')
+    assert gate.slowest(report, 2) == [("tests.a::test_slow", 6.5), ("tests.b::test_mid", 1.25)]
+    assert gate.slowest(report) == [("tests.a::test_slow", 6.5), ("tests.b::test_mid", 1.25),
+                                    ("tests.a::test_quick", 0.01), ("tests.b::test_untimed", 0.0)]
+    assert gate.SLOWEST == 10
