@@ -1,13 +1,13 @@
 """The scipy.special ufuncs margin_lab calls, imported at the first read.
 
-`import scipy.special` costs about 0.3 s and 20 MB, most of a cold
-`import margin_lab`, and only the log loss's deriv, second_deriv and
-log_abs_deriv and the gelu, silu and softplus blend bases call it. The first
-read of ``erf``, ``expit`` or ``log_expit`` from this module imports
-scipy.special and binds all three here, so every later read is a plain
-module attribute lookup of the ufunc itself: no import statement and no
-Python call. The ufuncs are scipy's own objects, so every value keeps its
-bits.
+`import scipy.special` is most of a cold `import margin_lab` (0.3 s and
+22 MB of 0.48 s and 56 MB on a 2-core Xeon with scipy 1.17.1), and only
+the log loss's deriv, second_deriv and log_abs_deriv and the gelu, silu
+and softplus blend bases call it. The first read of ``erf``, ``expit`` or
+``log_expit`` from this module imports scipy.special and binds all three
+here, so every later read is a plain module attribute lookup of the ufunc
+itself: no import statement and no Python call. The ufuncs are scipy's own
+objects, so every value keeps its bits.
 """
 
 _NAMES = ("erf", "expit", "log_expit")

@@ -281,7 +281,7 @@ def _fresh_python(code: str, cwd=None) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, cwd=cwd, timeout=300)
+                          text=True, env=env, cwd=cwd, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
