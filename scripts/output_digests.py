@@ -34,10 +34,6 @@ One line per run or file:
   stderr carry file paths. The CLI runs with the work directory as its
   current directory and every path relative, so no message names a
   temporary directory.
-
-Trajectories are read only through `points` and `column(name)`, with the
-attribute and column names both the row-object and the columnar forms of
-`Trajectory` provide, so the script runs unchanged on either.
 """
 
 from __future__ import annotations

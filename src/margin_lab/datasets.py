@@ -212,6 +212,8 @@ def gen_random_separable(d: int, n: int, gamma: float, seed: int) -> Dataset:
         raise ValueError(f"need n >= 1, got {n}")
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"need 0 < gamma < 1, got {gamma}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     w_star = rng.standard_normal(d)

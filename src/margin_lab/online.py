@@ -1,8 +1,10 @@
 """Perceptron and single-example first-order updates with mistake counting.
 
-The Perceptron update is ``w += 1{y x.w <= 0} y x``.  The same trajectory is
-reachable as online SGD with the hinge loss at stepsize 1, and the module
-keeps both paths bit-identical so that equivalence can be asserted exactly.
+Every run goes through one loop, ``w -= eta * l'(y x.w) * y x`` on the
+presented example. The Perceptron is hinge SGD (l'(0) := -1) at stepsize 1
+through that loop, whose step is then exactly ``w + y x`` on a nonpositive
+margin. ``tests/_oracles.full_loop_online`` keeps the Perceptron's own rule
+``w + y x`` as the independent reference.
 
 A "mistake" at a step is defined by the presented example's margin being
 nonpositive before the update (ties count as mistakes), independent of
@@ -11,11 +13,12 @@ whether the method actually moves.  Cumulative counts are tracked per step.
 Row orders are 0-based index sequences into the dataset; repeats are allowed
 (multi-pass training is an order that cycles).
 
-The Perceptron and hinge SGD never move on a positive margin, so a run that
-has separated, with every row left in its order at positive margin by the
-step's own arithmetic, stays where it is: the run stops there and fills the
-rest of its trace with that iterate and mistake count, the same arrays the
-remaining steps would have written. Log SGD still moves and runs every step.
+The hinge loss never moves on a positive margin, so a hinge run (the
+Perceptron included) that has separated, with every row left in its order at
+positive margin by the step's own arithmetic, stays where it is: the run
+stops there and fills the rest of its trace with that iterate and mistake
+count, the same arrays the remaining steps would have written. A smooth loss
+still moves and runs every step.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .datasets import Dataset, gen_online_hard
-from .losses import LossSpec
+from .losses import HINGE, LossSpec
 
 if TYPE_CHECKING:  # import cycle: verify builds on this module
     from .verify import BoundReport
@@ -50,10 +53,6 @@ class OnlineRun:
     iterates: np.ndarray
     mistakes: np.ndarray
     separated_at: Optional[int]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
 
     @property
     def total_mistakes(self) -> int:
@@ -87,20 +86,17 @@ def _at_rest(ds: Dataset, rows: np.ndarray, w: np.ndarray) -> bool:
                for idx in np.unique(rows))
 
 
-def _trace(
-    ds: Dataset,
-    order: np.ndarray,
-    w0: np.ndarray,
-    step: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, bool, bool]],
-    rests: bool,
+def _run(
+    ds: Dataset, order: np.ndarray, w0: np.ndarray, loss: LossSpec, eta: float
 ) -> OnlineRun:
-    """Shared run loop.  ``step`` returns (new_w, mistake, moved).
+    """The online loop: ``w -= eta * l'(z) * y x`` with ``z = y x.w``.
 
-    ``rests``: the step neither moves nor counts a mistake on a row of
-    positive margin. Then once the run separates and every row left in the
-    order has positive margin, the iterate is a fixed point: the rest of
+    The hinge loss neither moves nor counts a mistake on a row of positive
+    margin. So once a hinge run separates and every row left in the order
+    has positive margin, the iterate is a fixed point: the rest of
     ``iterates`` and ``mistakes`` is filled in without running those steps.
     """
+    rests = loss.kind == "hinge"
     w = w0.copy()
     iterates = np.empty((order.size + 1, ds.d))
     iterates[0] = w
@@ -110,11 +106,15 @@ def _trace(
     k = 0
     if not (separated_at == 0 and rests and _at_rest(ds, order, w)):
         for k, idx in enumerate(order, start=1):
-            w, mistake, moved = step(w, ds.features[idx], float(ds.labels[idx]))
-            count += mistake
+            x, y = ds.features[idx], float(ds.labels[idx])
+            z = y * float(x @ w)
+            count += z <= 0.0
+            scale = eta * float(loss.deriv(z))
+            if scale != 0.0:
+                w = w - scale * (y * x)
             iterates[k] = w
             mistakes[k] = count
-            if separated_at is None and moved and ds.min_margin(w) > 0.0:
+            if separated_at is None and scale != 0.0 and ds.min_margin(w) > 0.0:
                 separated_at = k
                 if rests and _at_rest(ds, order[k:], w):
                     break
@@ -130,15 +130,12 @@ def run_perceptron(
     order: Union[Sequence[int], np.ndarray],
     w0: Optional[np.ndarray] = None,
 ) -> OnlineRun:
-    """Run the Perceptron over ``order`` (0-based row indices, repeats ok)."""
-    order, w0 = _prepare(ds, order, w0)
+    """Run the Perceptron over ``order`` (0-based row indices, repeats ok).
 
-    def step(w, x, y):
-        if y * float(x @ w) <= 0.0:
-            return w + y * x, True, True
-        return w, False, False
-
-    return _trace(ds, order, w0, step, rests=True)
+    The Perceptron is hinge SGD at stepsize 1 through the one online loop,
+    so it shares :func:`run_online_sgd`'s arithmetic bit for bit.
+    """
+    return _run(ds, *_prepare(ds, order, w0), HINGE, 1.0)
 
 
 def run_online_sgd(
@@ -150,26 +147,13 @@ def run_online_sgd(
 ) -> OnlineRun:
     """Single-example gradient steps ``w -= eta * l'(y x.w) * y x``.
 
-    With the hinge loss and ``eta == 1`` the iterate sequence is bit-identical
-    to :func:`run_perceptron` on the same order.  Mistakes are counted by the
-    presented margin's sign, exactly as for the Perceptron, whether or not the
-    step moves.
+    With the hinge loss and ``eta == 1`` this is :func:`run_perceptron`: both
+    run the same loop.  Mistakes are counted by the presented margin's sign,
+    whether or not the step moves.
     """
     if not (eta >= 0.0) or not math.isfinite(eta):
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
-    order, w0 = _prepare(ds, order, w0)
-
-    def step(w, x, y):
-        z = y * float(x @ w)
-        mistake = z <= 0.0
-        d = float(loss.deriv(z))
-        scale = eta * d
-        if scale != 0.0:
-            return w - scale * (y * x), mistake, True
-        return w, mistake, False
-
-    # the hinge derivative is 0 at a positive margin; a smooth loss still moves
-    return _trace(ds, order, w0, step, rests=loss.kind == "hinge")
+    return _run(ds, *_prepare(ds, order, w0), loss, eta)
 
 
 def check_online_hard_instance(

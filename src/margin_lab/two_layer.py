@@ -94,14 +94,6 @@ class Activation:
     kappa: float  # bound on |sigma(z) - sigma'(z) z|
     pair: Callable = field(compare=False, repr=False)  # z -> (sigma(z), sigma'(z))
 
-    def value(self, z):
-        out = self.pair(np.asarray(z, dtype=float))[0]
-        return float(out) if out.ndim == 0 else out
-
-    def deriv(self, z):
-        out = self.pair(np.asarray(z, dtype=float))[1]
-        return float(out) if out.ndim == 0 else out
-
 
 def leaky_relu(alpha: float) -> Activation:
     if not (0.0 < alpha <= 1.0):

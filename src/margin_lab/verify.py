@@ -55,12 +55,14 @@ from .descent import (
     phi_from_risk,
     run_gd,
 )
-from .losses import EXP, LOG, LossSpec
+from .losses import EXP, LOG, SEMICIRCLE, LossSpec, poly
+from .online import check_online_hard_instance, run_online_sgd
 from .two_layer import (
     NN_LOSS_KINDS,
     Activation,
     TwoLayerNet,
     leaky_blend,
+    leaky_relu,
     make_net,
     nn_grad_phi,
     nn_risk,
@@ -765,9 +767,6 @@ def replay_averaged_log_risk_exact(
 
 def default_suite(seed: int = 0) -> list[BoundReport]:
     """The standard grid of checks; deterministic given the seed."""
-    from .online import check_online_hard_instance, run_online_sgd
-    from .two_layer import leaky_relu
-
     reports: list[BoundReport] = []
     ds = gen_random_separable(10, 100, 0.1, seed=seed)
 
@@ -794,8 +793,6 @@ def default_suite(seed: int = 0) -> list[BoundReport]:
     traj = run_gd(ds, GDConfig(loss=EXP, eta=4.0, steps=200))
     iterates = np.array(traj.columns["w"])
     reports.append(check_risk_implies_separation(ds, EXP, iterates))
-
-    from .losses import SEMICIRCLE, poly
 
     for loss in (EXP, LOG, poly(2.0), SEMICIRCLE):
         reports.append(check_gradient_inequalities(ds, loss, probes=300, seed=seed))

@@ -326,8 +326,8 @@ def test_06_two_layer_min_risk_bound_and_activation_grid():
                  "leaky-silu:0.9", "leaky-relu-variant:0.7"):
         a = parse_activation(name)
         assert 0.0 < a.alpha <= 1.0 and a.kappa >= 0.0
-        slope = a.deriv(fresh)
-        defect = np.abs(a.value(fresh) - slope * fresh)
+        value, slope = a.pair(fresh)
+        defect = np.abs(value - slope * fresh)
         assert float(slope.min()) >= a.alpha - 1e-6, name
         assert float(defect.max()) <= a.kappa + 1e-9, name
     elapsed = time.perf_counter() - start

@@ -469,6 +469,19 @@ class TestGenCommand:
         sha = hashlib.sha256(text.encode()).hexdigest()[:12]
         assert first == f"# margin-lab v{__version__} config_sha256={sha} seed=3"
 
+    @pytest.mark.parametrize("form", ["flag", "source"])
+    def test_negative_seed_for_a_random_source_is_a_config_error(self, form, tmp_path,
+                                                                 capsys):
+        source = "random:d=3,n=5,gamma=0.1" + (",seed=-3" if form == "source" else "")
+        cfg = write_cfg(tmp_path, f"dataset = {source}\n")
+        out = tmp_path / "out"
+        args = ["gen", "--config", cfg, "--out", str(out)]
+        assert main(args + (["--seed", "-2"] if form == "flag" else [])) == 2
+        seed = -2 if form == "flag" else -3
+        assert capsys.readouterr().err == (
+            f"config error: bad dataset random source: need seed >= 0, got {seed}\n")
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestRunCommand:
     def test_outputs_and_byte_identity(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from margin_lab import online
 from margin_lab.datasets import Dataset, gen_online_hard, gen_random_separable
 from margin_lab.losses import EXP, HINGE, LOG
 from margin_lab.online import (
@@ -79,7 +80,7 @@ class TestPerceptron:
         run = run_perceptron(ds, cyclic_order(30, 200), w0=5.0 * ds.w_star)
         assert run.total_mistakes == 0
         assert run.separated_at == 0
-        assert np.array_equal(run.final, 5.0 * ds.w_star)
+        assert np.array_equal(run.iterates[-1], 5.0 * ds.w_star)
 
     def test_hard_instance_mistake_floor(self):
         ds = gen_online_hard(0.4, 10)
@@ -217,6 +218,22 @@ class TestOnlineSgd:
         a = run_perceptron(ds, order)
         b = run_online_sgd(ds, order, HINGE, eta=1.0)
         assert np.array_equal(a.iterates, b.iterates)
+
+    def test_perceptron_does_not_call_run_online_sgd(self, monkeypatch):
+        # a tracer that wraps both public names would count each
+        # presentation twice if one called the other
+        ds = gen_random_separable(6, 40, 0.2, seed=1)
+        order = random_order(40, 2_000, seed=11)
+        want = run_perceptron(ds, order)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_perceptron went through run_online_sgd")
+
+        monkeypatch.setattr(online, "run_online_sgd", refuse)
+        got = online.run_perceptron(ds, order)
+        assert got.iterates.tobytes() == want.iterates.tobytes()
+        assert got.mistakes.tobytes() == want.mistakes.tobytes()
+        assert got.separated_at == want.separated_at
 
     def test_zero_eta_freezes(self):
         ds = gen_random_separable(4, 20, 0.2, seed=8)

@@ -36,10 +36,10 @@ BLENDS = ["gelu", "softplus", "silu", "relu"]
 class TestActivations:
     def test_leaky_relu_pinned(self):
         act = leaky_relu(0.5)
-        assert act.value(2.0) == 2.0
-        assert act.value(-2.0) == -1.0
-        assert act.deriv(-1.0) == 0.5
-        assert act.deriv(0.0) == 1.0  # kink fixed from the right
+        assert act.pair(2.0)[0] == 2.0
+        assert act.pair(-2.0)[0] == -1.0
+        assert act.pair(-1.0)[1] == 0.5
+        assert act.pair(0.0)[1] == 1.0  # kink fixed from the right
         assert act.alpha == 0.5 and act.kappa == 0.0
         assert act.name == "leakyrelu:0.5"
 
@@ -48,13 +48,13 @@ class TestActivations:
     def test_blend_grid_properties(self, base, c):
         act = leaky_blend(base, c)
         z = _probe_grid()
-        slopes = act.deriv(z)
+        values, slopes = act.pair(z)
         assert 0.0 < act.alpha < 1.0
         assert slopes.min() >= act.alpha
         assert slopes.max() <= 1.0
-        defect = np.abs(act.value(z) - slopes * z)
+        defect = np.abs(values - slopes * z)
         assert defect.max() <= act.kappa + 1e-15
-        assert np.all(np.isfinite(act.value(z)))
+        assert np.all(np.isfinite(values))
 
     def test_blend_kappa_pinned(self):
         # softplus defect peaks at z = 0 with value ln 2, scaled by (1-c)/4
