@@ -28,8 +28,10 @@ One line per run or file:
   seeds 0, 3 and 1000: iterates, mistakes and `separated_at`;
 - the CLI outputs of `run`, `run-nn`, `verify` (`reports.json` and stdout)
   and `bench` (`bench.csv` without its `wall_time` column), `gen` for all
-  six dataset sources and `perceptron` for the cyclic, `random:<seed>` and
-  `file:` orders, on seeds 0, 3 and 1000, with each command's exit code;
+  six dataset sources (`file:` on a saved file, a saved weighted file and a
+  copy of the first with CRLF line ends, comment lines and blank lines) and
+  `perceptron` for the cyclic, `random:<seed>` and `file:` orders, on seeds
+  0, 3 and 1000, with each command's exit code;
 - the stderr of configs the CLI refuses (exit 2). Only those: warnings on
   stderr carry file paths. The CLI runs with the work directory as its
   current directory and every path relative, so no message names a
@@ -114,6 +116,8 @@ CLI_CONFIGS = {
     "gen-online-hard": ("gen", ["dataset = online-hard:gamma=0.25,n=20"]),
     "gen-chain-hard": ("gen", ["dataset = chain-hard:gamma=0.05,n=30"]),
     "gen-file": ("gen", ["dataset = file:source.txt"]),
+    "gen-file-weighted": ("gen", ["dataset = file:weighted.txt"]),
+    "gen-file-crlf-comments": ("gen", ["dataset = file:crlf.txt"]),
     "perceptron-cyclic": ("perceptron", ["dataset = random:d=10,n=100,gamma=0.1",
                                          "steps = 3000"]),
     "perceptron-random": ("perceptron", ["dataset = online-hard:gamma=0.2,n=30",
@@ -254,6 +258,10 @@ def _file_digest(path: Path) -> str:
 def cli_lines():
     """The CLI cases, run in the current directory."""
     save_dataset(gen_random_separable(5, 30, 0.2, seed=11), "source.txt")
+    save_dataset(gen_batch_hard(0.1, 64, weighted=True), "weighted.txt")
+    source = Path("source.txt").read_text().splitlines()
+    crlf = ["# a comment", ""] + source[:2] + ["  ", "\t# an indented comment"] + source[2:]
+    Path("crlf.txt").write_bytes(("\r\n".join(crlf) + "\r\n").encode())
     for name, text in INPUTS.items():
         Path(name).write_text(text)
     for name, (command, lines) in CLI_CONFIGS.items():

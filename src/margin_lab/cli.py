@@ -560,6 +560,16 @@ def _bench_perceptron(ds: Dataset, gamma: float, max_steps: int) -> dict:
             "wall_time": time.perf_counter() - start}
 
 
+def _large_adaptive_eta(gamma: float, eps: float) -> float:
+    """The eta of bench's large-adaptive method, 4 ln(1/eps)/gamma^2 + 4;
+    ValueError unless it is a positive finite float."""
+    eta = 4.0 * math.log(1.0 / eps) / gamma**2 + 4.0 if gamma**2 > 0.0 else math.nan
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError("large-adaptive eta = 4 ln(1/epsilon)/gamma^2 + 4 is not a positive "
+                         f"finite float at gamma {gamma}, epsilon {eps}")
+    return eta
+
+
 def cmd_bench(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     epsilons, max_steps = cfg["epsilons"], cfg["max_steps"]
     # The constant and small-adaptive trajectories do not depend on epsilon,
@@ -574,7 +584,7 @@ def cmd_bench(cfg: ExperimentConfig, out: Path, seed: int) -> int:
                 results.append(_bench_perceptron(ds, gamma, max_steps))
             elif method == "large-adaptive":
                 for eps in epsilons:
-                    eta = 4.0 * math.log(1.0 / eps) / gamma**2 + 4.0
+                    eta = _large_adaptive_eta(gamma, eps)
                     results += _bench_gd(cfg, ds, method, gamma, (eps,), "adaptive", eta)
             else:
                 mode, eta = (("constant", cfg["eta_constant"]) if method == "constant"
@@ -619,6 +629,14 @@ def _check_perceptron(cfg: ExperimentConfig, lines: dict):
 def _check_bench(cfg: ExperimentConfig, lines: dict):
     if not cfg["loss"].ops.smooth:
         yield lines["loss"], "bench GD methods need a smooth loss"
+    if "large-adaptive" in cfg["methods"]:
+        for gamma in cfg["gammas"]:
+            for eps in cfg["epsilons"]:
+                try:
+                    _large_adaptive_eta(gamma, eps)
+                except ValueError as exc:
+                    # an epsilon below 1 makes ln(1/epsilon) positive: only gamma can fail
+                    yield lines.get("epsilons" if eps >= 1.0 else "gammas", 0), str(exc)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ in row blocks of block_rows(d) = max(1, BLOCK_ELEMENTS // d) rows, so a
 temporary holds at most 65 536 floats (512 KiB), or one row when d is
 larger. Generation peaks at the feature matrix plus about one block;
 validate holds one block beyond the dataset, save_dataset one formatted
-row; loading peaks at about twice the feature matrix (the parsed blocks and
-the array they are joined into).
+row; load_dataset counts the rows in a first pass over the file and parses
+them into one preallocated array in a second, so it peaks at the feature
+matrix plus what validate holds.
 """
 
 from __future__ import annotations
@@ -299,7 +300,8 @@ def gen_batch_hard(gamma: float, n: int, weighted: bool = False) -> Dataset:
     minimum margin before min(ln n / (8 ln 2), 1/(30 gamma^2)) steps.
 
     weighted=True emits the k+1 distinct rows with multiplicity weights
-    instead of materializing all n rows. n is at most MAX_WEIGHT = 2^53.
+    instead of materializing all n rows. n is at most MAX_WEIGHT = 2^53,
+    and a gamma for which 1/(5 gamma^2) is no finite float is refused.
     """
     if not (0.0 < gamma < 1.0 / 6.0):
         raise ValueError(f"need 0 < gamma < 1/6, got {gamma}")
@@ -307,7 +309,10 @@ def gen_batch_hard(gamma: float, n: int, weighted: bool = False) -> Dataset:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_WEIGHT:
         raise ValueError(f"need n <= 2^53, got {n}")
-    d = int(1.0 / (5.0 * gamma * gamma))
+    square = 5.0 * gamma * gamma
+    if square == 0.0 or 1.0 / square == math.inf:
+        raise ValueError(f"need 1/(5 gamma^2) to be a finite float, got gamma {gamma}")
+    d = int(1.0 / square)
     k = min(int(math.log2(n)), d - 2)
     f = 1.0 / math.sqrt(5.0)
     f2 = 2.0 * f  # exact doubling keeps the paired cancellations exact
@@ -356,13 +361,17 @@ def gen_online_hard(gamma: float, n: int) -> Dataset:
     margin 1/sqrt(d) >= gamma. Any online first-order method started in
     span{e1} must make a mistake on each fresh coordinate, so separation
     cannot happen before min(1/(2 gamma^2), n) rounds. Coordinate 1 is never
-    touched by the data.
+    touched by the data. A gamma for which 1/gamma^2 is no finite float is
+    refused.
     """
     if not (0.0 < gamma < 0.5):
         raise ValueError(f"need 0 < gamma < 1/2, got {gamma}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    d = int(1.0 / (gamma * gamma))
+    square = gamma * gamma
+    if square == 0.0 or 1.0 / square == math.inf:
+        raise ValueError(f"need 1/gamma^2 to be a finite float, got gamma {gamma}")
+    d = int(1.0 / square)
     k = min(n, d - 1)
     feats = np.zeros((n, d))
     for i in range(n):
@@ -456,7 +465,8 @@ def _floats(tokens, path, what: str) -> list:
 def _content_lines(lines):
     """The lines that are neither blank nor comments, without newline."""
     for ln in lines:
-        if ln.strip() and not ln.lstrip().startswith("#"):
+        stripped = ln.lstrip()
+        if stripped and not stripped.startswith("#"):
             yield ln
 
 
@@ -473,7 +483,9 @@ def _text_lines(fh):
             exc.start, exc.end = exc.start + offset, exc.end + offset
             raise
         offset += len(raw)
-        yield from text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        yield from text.split("\n")
 
 
 def load_dataset(path) -> Dataset:
@@ -484,22 +496,17 @@ def load_dataset(path) -> Dataset:
     file outranks every other fault; the message gives its offset from the
     start of the file.
 
-    The file is read line by line, each row parsed straight into float64
-    blocks of block_rows(d) rows that are joined at the end: the peak is
-    twice the feature matrix plus at most one block (the unfilled rows of
-    the last one).
+    The file is read twice, line by line: the first pass decodes every
+    byte and counts the content lines, the second parses each row straight
+    into one preallocated float64 array. So the peak is the feature matrix
+    plus what validate holds (one block and a few vectors) and one line.
     """
     try:
         with open(path, "rb") as fh:
-            lines = _text_lines(fh)
-            try:
-                return _parse(path, _content_lines(lines))
-            except UnicodeDecodeError:  # a ValueError too: reported as it stands
-                raise
-            except ValueError:
-                for _ in lines:  # decode the rest: a later non-UTF-8 byte outranks this
-                    pass
-                raise
+            count = sum(1 for _ in _content_lines(_text_lines(fh)))
+            size = fh.tell()
+            fh.seek(0)
+            return _parse(path, _content_lines(_text_lines(fh)), count - 2, size)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
@@ -512,8 +519,9 @@ def _header_int(m, key: str, path) -> int:
                          "too many to read") from None
 
 
-def _parse(path, lines) -> Dataset:
-    """The dataset in the content lines of a file, checked as load_dataset says."""
+def _parse(path, lines, rows: int, size: int) -> Dataset:
+    """The dataset in the content lines of a file of size bytes, of which
+    rows follow the header and wstar lines, checked as load_dataset says."""
     first = next(lines, None)
     if first is None:
         raise ValueError(f"{path}: empty dataset file")
@@ -530,20 +538,20 @@ def _parse(path, lines) -> Dataset:
     if w_star.size != d:
         raise ValueError(f"{path}: wstar has {w_star.size} coords, header says d={d}")
 
-    step = block_rows(d)
-    blocks = []  # (features, labels, weights) of block_rows(d) rows each
     head = 2 if weighted else 1
+    # A row of head + d fields takes at least 2 (head + d) bytes with its
+    # newline, so a file of size bytes holds fewer valid rows than this cap;
+    # a file with more content lines fails at a row within it.
+    rows = min(rows, size // (2 * (head + d)) + 1)
+    features, labels = np.empty((rows, d)), np.empty(rows)
+    weights = np.empty(rows) if weighted else None
     i = 0
     for i, ln in enumerate(lines, start=1):
-        j = (i - 1) % step
-        if j == 0:
-            blocks.append((np.empty((step, d)), np.empty(step), np.empty(step)))
-        feats, labels, weights = blocks[-1]
         parts = ln.split()
         if len(parts) != head + d:
             raise ValueError(
                 f"{path}: row {i} has {len(parts)} fields, expected {head + d}")
-        labels[j] = _floats(parts[:1], path, f"row {i}")[0]
+        labels[i - 1] = _floats(parts[:1], path, f"row {i}")[0]
         if weighted:
             try:
                 weight = int(parts[1])
@@ -551,20 +559,17 @@ def _parse(path, lines) -> Dataset:
                 raise ValueError(f"{path}: row {i} weight must be an integer") from None
             if abs(weight) > MAX_WEIGHT:
                 raise ValueError(f"{path}: row {i} weight exceeds 2^53")
-            weights[j] = float(weight)
-        feats[j] = _floats(parts[head:], path, f"row {i}")
+            weights[i - 1] = float(weight)
+        features[i - 1] = _floats(parts[head:], path, f"row {i}")
     if i == 0:
         raise ValueError(f"{path}: no data rows")
 
-    blocks[-1] = tuple(a[:j + 1] for a in blocks[-1])
-    features, labels, weights = (np.concatenate(arrays) for arrays in zip(*blocks))
-    del blocks  # a feature matrix's worth, freed before validate
     ds = Dataset(
         features=features,
         labels=labels,
         gamma=gamma,
         w_star=w_star,
-        weights=weights if weighted else None,
+        weights=weights,
         metadata={"generator": "file", "path": str(path)},
     )
     report = validate(ds)

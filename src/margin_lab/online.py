@@ -109,7 +109,9 @@ def _run(
             x, y = ds.features[idx], float(ds.labels[idx])
             z = y * float(x @ w)
             count += z <= 0.0
-            scale = eta * float(loss.deriv(z))
+            # the kind's kernel on the float: the bits of LossSpec.deriv
+            # without its round trip through a 0-d array
+            scale = eta * float(loss.ops.deriv(loss, z))
             if scale != 0.0:
                 w = w - scale * (y * x)
             iterates[k] = w

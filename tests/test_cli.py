@@ -365,6 +365,27 @@ class TestExitCodes:
         assert err == f"config error: bad dataset batch-hard source: need n <= 2^53, got {n}\n"
         assert not out.exists() or list(out.iterdir()) == []
 
+    # gamma^2 underflows to 0 at 1e-200, and 1/gamma^2 overflows to inf at 1e-155
+    @pytest.mark.parametrize("source, formula", [
+        ("online-hard:gamma={gamma},n=3", "1/gamma^2"),
+        ("batch-hard:gamma={gamma},n=4", "1/(5 gamma^2)")], ids=["online-hard", "batch-hard"])
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e-155"])
+    @pytest.mark.parametrize("command", ["gen", "run", "run-nn", "perceptron"])
+    def test_a_hard_instance_gamma_whose_dimension_is_no_finite_float_is_a_config_error(
+            self, source, formula, gamma, command, tmp_path, capsys):
+        rest = {"gen": "", "perceptron": "steps = 5\n",
+                "run": "loss = exp\nstepsize = adaptive:1\nsteps = 5\n",
+                "run-nn": "loss = exp\nstepsize = adaptive:1\nsteps = 5\nwidth = 2\n"
+                          "activation = leakyrelu:0.5\n"}[command]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"dataset = {source.format(gamma=gamma)}\n" + rest)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        kind = source.partition(":")[0]
+        assert capsys.readouterr().err == (f"config error: bad dataset {kind} source: need "
+                                           f"{formula} to be a finite float, got gamma {gamma}\n")
+        assert list(out.iterdir()) == []
+
     def test_dataset_that_cannot_be_allocated_is_a_config_error(self, tmp_path, capsys):
         # d = 1/gamma^2 = 111 111 111 111 columns: 0.8 PiB of features, past
         # any 64-bit host's address space whatever its overcommit setting
@@ -873,6 +894,29 @@ class TestBenchCommand:
         assert err == ("config error: perceptron run does not fit in memory "
                        f"(an array of shape ({steps},))\n")
         assert list(out.iterdir()) == []
+
+    # epsilon >= e^{gamma^2} makes eta <= 0; gamma^2 underflowing to 0 divides
+    # by zero; 1/gamma^2 overflowing to inf makes eta inf
+    @pytest.mark.parametrize("text, line, gamma, epsilon", [
+        ("epsilons = 1.0101\n", 1, "0.1", "1.0101"),
+        ("methods = large-adaptive\ngammas = 1e-200\n", 2, "1e-200", "0.01"),
+        ("gammas = 1e-160\nmethods = large-adaptive\n", 1, "1e-160", "0.01")],
+        ids=["epsilon-above-e^gamma^2", "gamma-squared-underflows", "eta-overflows"])
+    def test_a_large_adaptive_eta_that_is_no_positive_finite_float_is_a_config_error(
+            self, text, line, gamma, epsilon, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: line {line}: large-adaptive eta = 4 ln(1/epsilon)/gamma^2 + 4 "
+            f"is not a positive finite float at gamma {gamma}, epsilon {epsilon}\n")
+        assert "Traceback" not in err
+        assert not out.exists()  # refused when the config parses
+
+    def test_methods_without_large_adaptive_take_any_epsilon(self, tmp_path):
+        cfg = write_cfg(tmp_path, "epsilons = 1.0101\nmethods = constant\nmax_steps = 5\n")
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 0
 
     def test_gammas_share_nothing_but_the_config(self, tmp_path):
         # one dataset and one shared run per (method, gamma): a two-gamma grid

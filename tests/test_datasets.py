@@ -400,13 +400,30 @@ class TestBoundedMemory:
         assert _traced_peak(lambda: validate(ds)) <= bound
         assert _traced_peak(lambda: dataset_fingerprint(ds)) <= bound
 
-    def test_save_holds_a_row_and_load_about_twice_the_features(self, tmp_path):
+    def test_save_holds_a_row_and_load_one_feature_matrix(self, tmp_path):
         ds = gen_random_separable(100, 1000, 0.1, seed=0)
         path = tmp_path / "ds.txt"
         assert _traced_peak(lambda: save_dataset(ds, path)) <= 0.25 * ds.features.nbytes
-        # the parsed blocks, the last one partly filled, and the joined copy
-        bound = 2 * ds.features.nbytes + self.BLOCK + 8 * (8 * ds.n_rows)
+        # the features, what validate holds (one block and a few vectors)
+        # and a line: its text, its fields and their floats
+        bound = ds.features.nbytes + self.BLOCK + 8 * (8 * ds.n_rows) + 64 * ds.d
         assert _traced_peak(lambda: load_dataset(path)) <= bound
+
+    def test_rows_claimed_past_the_file_size_allocate_nothing_for_them(self, tmp_path):
+        # 1.25 MB: a wstar line of d coordinates, then d one-field rows. Room
+        # for all d + 1 rows would be 466 GiB of features; a row of d + 1
+        # fields needs 2 (d + 1) bytes, so the file holds at most 3 of them.
+        d = 250_000
+        path = tmp_path / "crafted.txt"
+        path.write_text(f"margin-lab-dataset v1 n={d} d={d} gamma=0.5\n"
+                        "wstar: " + " ".join(["0"] * d) + "\n" + "+1\n" * d)
+
+        def load():
+            with pytest.raises(ValueError, match=f"row 1 has 1 fields, expected {d + 1}$"):
+                load_dataset(path)
+
+        # the wstar line's fields and floats, and 3 rows of 2 MB each
+        assert _traced_peak(load) <= 16 * path.stat().st_size
 
 
 # Pieces of the file format, numbers at and past the float range, and a

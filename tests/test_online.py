@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from margin_lab import online
 from margin_lab.datasets import Dataset, gen_online_hard, gen_random_separable
-from margin_lab.losses import EXP, HINGE, LOG
+from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, poly
 from margin_lab.online import (
     cyclic_order,
     random_order,
@@ -234,6 +234,18 @@ class TestOnlineSgd:
         assert got.iterates.tobytes() == want.iterates.tobytes()
         assert got.mistakes.tobytes() == want.mistakes.tobytes()
         assert got.separated_at == want.separated_at
+
+    @pytest.mark.parametrize("loss", [EXP, LOG, SEMICIRCLE, HINGE, poly(2.0), poly(0.5)],
+                             ids=lambda loss: loss.name)
+    def test_the_kernel_on_a_float_has_the_bits_of_deriv(self, loss):
+        # the online loop calls loss.ops.deriv on a float margin in place of
+        # LossSpec.deriv, which goes through a 0-d array
+        side = np.logspace(-3.0, 3.0, 2001)
+        margins = np.concatenate([-side[::-1], side]).tolist()
+        with np.errstate(over="ignore"):  # exp's derivative is -inf at z = -1000
+            got = np.array([float(loss.ops.deriv(loss, z)) for z in margins])
+            want = np.array([loss.deriv(z) for z in margins])
+        assert got.tobytes() == want.tobytes()
 
     def test_zero_eta_freezes(self):
         ds = gen_random_separable(4, 20, 0.2, seed=8)
