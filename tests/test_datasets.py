@@ -411,8 +411,8 @@ class TestBoundedMemory:
 
     def test_rows_claimed_past_the_file_size_allocate_nothing_for_them(self, tmp_path):
         # 1.25 MB: a wstar line of d coordinates, then d one-field rows. Room
-        # for all d + 1 rows would be 466 GiB of features; a row of d + 1
-        # fields needs 2 (d + 1) bytes, so the file holds at most 3 of them.
+        # for all d rows would be 466 GiB of features; a row of d + 1 fields
+        # needs 2 (d + 1) bytes, so the loader makes room for 3 rows.
         d = 250_000
         path = tmp_path / "crafted.txt"
         path.write_text(f"margin-lab-dataset v1 n={d} d={d} gamma=0.5\n"
