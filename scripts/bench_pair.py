@@ -32,13 +32,32 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   which AFTER_SRC writes once as .npy arrays and as a dataset file, one
   interpreter per phase: `gen`; `validate`, `verify.dataset_fingerprint`
   and `save_dataset` on the arrays read back; `load_dataset` on the file.
-  Each gives the phase's seconds and the rise of `ru_maxrss` over it (MB).
+  Each gives the phase's seconds and two memory keys, in MB:
+  - `<phase> rss_rise_mb`, the rise of the process's high-water mark
+    (`ru_maxrss`) over the phase: the phase's peak minus the highest RSS
+    before it. It reads low, down to 0, when the imports or the input load
+    peaked above what they left held, so sub-MB differences in it follow
+    the memory freed before the phase, not the phase's code.
+  - `<phase> peak_over_start_mb`, `ru_maxrss` after the phase minus the
+    current RSS before it (`/proc/self/statm`): the most the phase held
+    above its start, whenever the phase sets the high-water mark. If an
+    earlier peak stands, it reads that peak over the start, an upper bound.
+  Linux starts a child's `ru_maxrss` at the RSS of the process that spawned
+  it (about 29 MB for this script), so both keys read only what rises
+  above that.
 - `stacked-probes`: the milliseconds of each probe check as `default_suite`
   calls it on seed 0 (`check_gradient_inequalities` on exp, log, poly:2 and
   semicircle with 300 probes; `check_network_inequalities` on leakyrelu:0.5
   with exp and leaky-gelu:0.9 with log; `check_risk_implies_separation` on
   the 201 iterates of an exp run), each the median of 5 calls; wall seconds
   of `python -m margin_lab.cli verify`, as in `import-path`.
+- `separated-log`: microseconds per `run_gd` step of log loss at adaptive
+  eta = 400 on `gen_random_separable(10, 100, 0.1, seed=0)`, 20 000 steps,
+  every step recorded and only t = 0 and the last recorded (median of 3
+  runs each), with the count of recorded steps whose smallest margin, and
+  whose averaged iterate's, exceeds 700; microseconds per call of
+  `LOG.log_value` and `LOG.log_abs_deriv` on 100 margins all above 700,
+  all at or below 700 and mixed (median of 5 sweeps of 2000 calls).
 
 OUT.json holds, per key of the samples: for a key whose samples are all
 integers, each side's distinct values; for any other key, each side's
@@ -169,6 +188,43 @@ for name, run in checks.items():
 print(json.dumps(out))
 """
 
+# The runs and margins of the separated-log case: ds, runs (name -> GDConfig)
+# and margins (regime -> 100 margins).
+SEPARATED_RUNS = """
+import numpy as np
+from margin_lab.datasets import gen_random_separable
+from margin_lab.descent import GDConfig, run_gd
+from margin_lab.losses import LOG
+
+ds = gen_random_separable(10, 100, 0.1, seed=0)
+runs = {"recorded": GDConfig(loss=LOG, eta=400.0, steps=20_000, record_every=1),
+        "unrecorded": GDConfig(loss=LOG, eta=400.0, steps=20_000, record_every=20_000)}
+margins = {"above 700": np.linspace(701.0, 5000.0, 100),
+           "at or below 700": np.linspace(-5.0, 700.0, 100),
+           "mixed": np.linspace(-5.0, 1600.0, 100)}
+"""
+
+SEPARATED_CHILD = SEPARATED_RUNS + """
+import json, statistics, time, timeit
+out = {}
+for name, cfg in runs.items():
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        traj = run_gd(ds, cfg)
+        times.append((time.perf_counter() - start) / cfg.steps * 1e6)
+    out[f"log {name} us_per_step"] = statistics.median(times)
+    if name == "recorded":
+        out["steps past 700"] = int((traj.column("min_margin") > 700.0).sum())
+        out["averaged steps past 700"] = int((traj.column("avg_min_margin") > 700.0).sum())
+for regime, z in margins.items():
+    for kernel in ("log_value", "log_abs_deriv"):
+        call = getattr(LOG, kernel)
+        sweeps = timeit.repeat(lambda: call(z), number=2000, repeat=5)
+        out[f"{kernel} {regime} us_per_call"] = statistics.median(sweeps) / 2000 * 1e6
+print(json.dumps(out))
+"""
+
 D, N, GAMMA, SEED = 1000, 10_000, 0.1, 0
 
 LEAN_INPUTS = f"""
@@ -181,8 +237,29 @@ for name in ("features", "labels", "w_star"):
 save_dataset(ds, f"{{sys.argv[1]}}/dataset.txt")
 """
 
-LEAN_CHILD = f"""
-import json, resource, sys, time
+# measure(phase, run): the phase's seconds and memory keys (see the docstring).
+PHASE_MEMORY = """
+import os, resource, time
+
+
+def _rss_kb():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") // 1024
+
+
+def measure(phase, run):
+    start_kb = _rss_kb()
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    run()
+    seconds = time.perf_counter() - start
+    after_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {f"{phase} s": seconds, f"{phase} rss_rise_mb": (after_kb - peak_kb) / 1024.0,
+            f"{phase} peak_over_start_mb": (after_kb - start_kb) / 1024.0}
+"""
+
+LEAN_CHILD = PHASE_MEMORY + f"""
+import json, sys
 import numpy as np
 from margin_lab.datasets import Dataset, gen_random_separable, load_dataset, save_dataset, validate
 from margin_lab.verify import dataset_fingerprint
@@ -198,12 +275,7 @@ run = {{
     "save": lambda: save_dataset(ds, f"{{inputs}}/saved.txt"),
     "load": lambda: load_dataset(f"{{inputs}}/dataset.txt"),
 }}[phase]
-peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-start = time.perf_counter()
-run()
-seconds = time.perf_counter() - start
-rise_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb) / 1024.0
-print(json.dumps({{f"{{phase}} s": seconds, f"{{phase}} rss_rise_mb": rise_mb}}))
+print(json.dumps(measure(phase, run)))
 """
 
 
@@ -221,6 +293,7 @@ CASES = {
                                 for phase in ("gen", "validate", "fingerprint", "save", "load")),
                           LEAN_INPUTS),
     "stacked-probes": Case(((PROBES_CHILD,), (VERIFY_CHILD,))),
+    "separated-log": Case(((SEPARATED_CHILD,),)),
 }
 
 

@@ -26,7 +26,9 @@ One line per run or file:
   log at 2) on a cyclic order of 20 000 and a random order of 5000 over
   `gen_random_separable(10, 100, 0.1)` and `gen_online_hard(0.2, 30)`, on
   seeds 0, 3 and 1000: iterates, mistakes and `separated_at`;
-- the CLI outputs of `run`, `run-nn`, `verify` (`reports.json` and stdout)
+- the CLI outputs of `run`, `run-nn` (among them a log `run` and a log
+  `run-nn` whose smallest margin passes 700 mid-run), `verify`
+  (`reports.json` and stdout)
   and `bench` (`bench.csv` without its `wall_time` column), `gen` for all
   six dataset sources (`file:` on a saved file, a saved weighted file and a
   copy of the first with CRLF line ends, comment lines and blank lines) and
@@ -95,6 +97,13 @@ CLI_CONFIGS = {
     "run-semicircle-no-iterates": ("run", ["dataset = random:d=1000,n=50,gamma=0.1",
                                            "loss = semicircle", "stepsize = adaptive:50",
                                            "steps = 1001", "record_every = 10"]),
+    # log runs that pass min margin 700 mid-run: both log kernels then negate
+    "run-log-separates-weighted": ("run", ["dataset = batch-hard:gamma=0.1,n=64,weighted=true",
+                                           "loss = log", "stepsize = adaptive:400",
+                                           "steps = 300", "record_every = 7"]),
+    "run-nn-log-separates": ("run-nn", ["dataset = random:d=10,n=100,gamma=0.2", "loss = log",
+                                        "stepsize = adaptive:400", "steps = 200", "width = 4",
+                                        "activation = leakyrelu:0.5"]),
     "run-nn-exp-leakyrelu": ("run-nn", ["dataset = random:d=10,n=100,gamma=0.1",
                                         "loss = exp", "stepsize = adaptive:400",
                                         "steps = 500", "width = 16",

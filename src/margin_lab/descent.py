@@ -46,6 +46,15 @@ loss.log_value call and one log-sum-exp give every queued averaged risk and
 smallest margin, bit for bit as one evaluation per step would. A block holds
 B = block_size(n_rows) = max(1, min(64, 65 536 // n_rows)) steps (64 at
 n_rows = 100, 6 at 10 000), and is flushed when full and when the run ends.
+A queued step's iterate and margins are copied into the block's (B, d) and
+(B, R) arrays, so one exact min(axis=1) gives every smallest margin of the
+block, and the kept rows extend the trajectory's columns a column at a
+time. A recorded row's log_stepsize is ln eta + ln (-l^{-1})'(L): under the
+mean, for a kind that is not a softmax, the second term is the lnid that
+phi_coefficients left on the step's MarginState, the same call on the same
+arguments as log_adaptive_stepsize makes, so one per step is taken; a
+state the gradient never reached (the last step, the step that fills a
+block, or a grad_phi stand-in that skips phi_coefficients) takes the call.
 With a target, the loop runs to the end of the block that holds the first
 passage, keeps the rows up to it and drops the up to B - 1 steps behind it,
 with a diverged_at they may have stamped. A dropped step still went through
@@ -155,13 +164,16 @@ class MarginState:
     e, total and lse = ln sum_i m_i l(z_i) come from _log_sum_exp; for exp
     the e_i are the numerators of the softmax coefficients. risk is the
     weighted mean loss, lse - ln n: a RiskValue, or a list of one per row.
+    lnid is ln (-l^{-1})'(risk) once phi_coefficients has taken it under the
+    mean for a kind that is not a softmax, and None until then.
     """
 
-    __slots__ = ("z", "e", "total", "lse", "risk", "n")
+    __slots__ = ("z", "e", "total", "lse", "risk", "n", "lnid")
 
     def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec, n: int):
         e, total, lse = _log_sum_exp(loss.log_value(z), ds.weights)
         self.z, self.e, self.total, self.lse, self.n = z, e, total, lse, n
+        self.lnid = None
         log_n = math.log(n)
         self.risk = (_risk_from_log(lse - log_n) if z.ndim == 1
                      else [_risk_from_log(v - log_n) for v in lse])
@@ -235,7 +247,7 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
         lnid = _log_neg_inv_deriv(loss, u)
         coef = np.exp(lnid + loss.log_abs_deriv(state.z))
     else:
-        lnid = _log_neg_inv_deriv(loss, state.risk)
+        lnid = state.lnid = _log_neg_inv_deriv(loss, state.risk)
         coef = np.exp(lnid + loss.log_abs_deriv(state.z) - math.log(state.n))
     if ds.weights is not None:
         coef = ds.weights * coef
@@ -393,44 +405,75 @@ def block_size(n_rows: int) -> int:
 class _AveragedBlock:
     """Steps queued until their averaged iterates are evaluated together.
 
-    push queues step t with its running average; flush makes one stacked
-    margins pass over the queued averages, one loss.log_value call and one
-    _log_sum_exp, then appends the rows that are kept.
+    push copies step t's iterate, its margins and its running average into
+    the block's preallocated (B, d), (B, R) and (B, d) arrays; flush makes
+    one stacked margins pass over the queued averages, one loss.log_value
+    call, one _log_sum_exp and one min(axis=1) on each margin array, then
+    extends the trajectory's columns by the rows that are kept.
     """
 
-    def __init__(self, ds: Dataset, average, loss: LossSpec, target, d: int):
-        self.ds, self.average, self.loss, self.target = ds, average, loss, target
+    def __init__(self, ds: Dataset, average, loss: LossSpec, target, d: int, name: str):
+        self.ds, self.average, self.loss, self.target, self.name = ds, average, loss, target, name
         self.log_n = math.log(ds.n)
-        self.queued: list = []
-        self.avg = np.empty((block_size(ds.n_rows), d))  # the rows are kept as avg_w
+        self.steps: list = []
+        size = block_size(ds.n_rows)
+        self.iterates, self.avg = np.empty((size, d)), np.empty((size, d))
+        self.margins = np.empty((size, ds.n_rows))
 
-    def push(self, t: int, params: np.ndarray, total: np.ndarray, z, r, violated, record) -> bool:
+    def push(self, t: int, params: np.ndarray, total: np.ndarray, state: MarginState,
+             violated: bool, record: bool) -> bool:
         """Queue step t; True once the block is full."""
-        np.divide(total, t + 1, out=self.avg[len(self.queued)])
-        self.queued.append((t, params.copy(), z, r, violated, record))
-        return len(self.queued) == len(self.avg)
+        j = len(self.steps)
+        self.iterates[j] = params
+        self.margins[j] = state.z
+        np.divide(total, t + 1, out=self.avg[j])
+        self.steps.append((t, state, violated, record))
+        return j + 1 == len(self.avg)
 
-    def flush(self, traj: Trajectory, row) -> bool:
+    def flush(self, traj: Trajectory, phi, log_stepsize) -> bool:
         """Append the queued rows that are recorded or at the first passage
         below the target, and drop the steps queued behind that passage.
-        True if the passage was found."""
-        if not self.queued:
+        phi(risk) and log_stepsize(state) give those columns of a row. True
+        if the passage was found."""
+        count = len(self.steps)
+        if not count:
             return False
-        queued, avg = self.queued, self.avg[:len(self.queued)]
-        self.queued, self.avg = [], np.empty_like(self.avg)
+        steps, iterates, avg = self.steps, self.iterates[:count], self.avg[:count]
+        # the kept rows are views of these arrays, so the next block takes new ones
+        self.steps = []
+        self.iterates, self.avg = np.empty_like(self.iterates), np.empty_like(self.avg)
         avg_z = self.average(avg)
         _, _, lses = _log_sum_exp(self.loss.log_value(avg_z), self.ds.weights)
-        mins = avg_z.min(axis=1).tolist()
-        for j, (t, iterate, z, r, violated, record) in enumerate(queued):
-            log_avg = lses[j] - self.log_n
-            passed = self.target is not None and t >= 1 and log_avg <= self.target
+        log_avgs = [v - self.log_n for v in lses]
+        kept, passed = [], False
+        for j, (t, _, _, record) in enumerate(steps):
+            passed = self.target is not None and t >= 1 and log_avgs[j] <= self.target
             if passed or record:
-                traj.append(row(t, iterate, z, r, violated)
-                            | {"avg_w": avg[j], "log_avg_risk": log_avg,
-                               "avg_min_margin": mins[j]})
+                kept.append(j)
             if passed:
-                return True
-        return False
+                break
+        if not kept:
+            return False
+        if len(kept) < count:  # hold no memory for the rows that are dropped
+            iterates, avg = iterates[kept], avg[kept]
+        mins = self.margins[:count].min(axis=1).tolist()
+        avg_mins = avg_z.min(axis=1).tolist()
+        states = [steps[j][1] for j in kept]
+        columns = {
+            "t": [steps[j][0] for j in kept],
+            self.name: list(iterates),
+            "log_risk": [s.risk.log_value for s in states],
+            "phi": [phi(s.risk) for s in states],
+            "log_stepsize": [log_stepsize(s) for s in states],
+            "min_margin": [mins[j] for j in kept],
+            "descent_violated": [steps[j][2] for j in kept],
+            "avg_w": list(avg),
+            "log_avg_risk": [log_avgs[j] for j in kept],
+            "avg_min_margin": [avg_mins[j] for j in kept],
+        }
+        for key, values in columns.items():
+            traj.columns.setdefault(key, []).extend(values)
+        return passed
 
 
 def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backward, *,
@@ -448,18 +491,24 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     """
     loss, eta, n, smooth = config.loss, config.eta, ds.n, config.loss.ops.smooth
     adaptive = config.mode == "adaptive"
+    log_eta = math.log(eta)
     target = config.target_log_avg_risk if average is not None else None
     traj = Trajectory(config)
     total = params.copy()
     prev_log = best_log = math.inf
     best_t = 0
-    block = _AveragedBlock(ds, average, loss, target, params.size) if average is not None else None
+    block = (_AveragedBlock(ds, average, loss, target, params.size, name)
+             if average is not None else None)
 
-    def row(t, iterate, z, r, violated):
-        return {"t": t, name: iterate, "log_risk": r.log_value,
-                "phi": phi_from_risk(loss, r) if smooth else math.nan,
-                "log_stepsize": log_adaptive_stepsize(loss, r, eta) if adaptive else math.log(eta),
-                "min_margin": float(z.min()), "descent_violated": violated}
+    def phi(r):
+        return phi_from_risk(loss, r) if smooth else math.nan
+
+    def log_stepsize(state):
+        if not adaptive:
+            return log_eta
+        if state.lnid is not None:  # log_adaptive_stepsize's term, set by phi_coefficients
+            return log_eta + state.lnid
+        return log_adaptive_stepsize(loss, state.risk, eta)
 
     for t in range(config.steps + 1):
         cache, z = forward()
@@ -476,10 +525,13 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
             if r.log_value < best_log:
                 best_log, best_t = r.log_value, t
             if record:
-                traj.append(row(t, params.copy(), z, r, violated)
-                            | {"min_log_risk": best_log, "min_risk_t": best_t})
+                traj.append({"t": t, name: params.copy(), "log_risk": r.log_value,
+                             "phi": phi(r), "log_stepsize": log_stepsize(state),
+                             "min_margin": float(z.min()), "descent_violated": violated,
+                             "min_log_risk": best_log, "min_risk_t": best_t})
         elif record or (target is not None and t >= 1):
-            if block.push(t, params, total, z, r, violated, record) and block.flush(traj, row):
+            if (block.push(t, params, total, state, violated, record)
+                    and block.flush(traj, phi, log_stepsize)):
                 return traj  # at the first passage
         prev_log = r.log_value
         if t == config.steps:
@@ -489,7 +541,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
         if not np.isfinite(total).all():
             traj.diverged_at = t + 1
             break
-    if block is not None and block.flush(traj, row):
+    if block is not None and block.flush(traj, phi, log_stepsize):
         traj.diverged_at = None  # stamped after the first passage
     return traj
 

@@ -27,8 +27,10 @@ continuations of the plain ones into regimes where the values themselves
 underflow or overflow a float64.
 
 scipy.special (expit, log_expit) loads at the first call of a log-loss
-deriv, second_deriv or log_abs_deriv, not at import (see _special), so the
-other kinds never pay for it.
+deriv or second_deriv, or of a log-loss log_abs_deriv on a float or on an
+array with a margin <= 700, not at import (see _special), so the other kinds
+never pay for it. Past the burn-in of a large-stepsize run every margin
+exceeds 700, and both log kernels of the log loss are then one negation.
 """
 
 from __future__ import annotations
@@ -208,11 +210,27 @@ class _Log(_Kind):
         return np.exp(_special.log_expit(z) + _special.log_expit(-z))
 
     def log_value(spec, z):
-        # ln softplus(-z); for z beyond exp underflow, softplus(-z) ~ e^{-z}.
-        # The cap keeps softplus above 0, so the log never sees 0.
+        # ln softplus(-z). Past z = 700, softplus(-z) = e^{-z} (1 + O(e^{-z}))
+        # and its log is -z to the last bit, so np.where takes -z there; the
+        # cap keeps softplus above 0, so the log never sees 0. The first
+        # margin and one reduction pick a branch with the same bits: every
+        # margin > 700 gives what np.where picks, and every margin <= 700 is
+        # its own cap. A mixed, nan, empty or 0-d z takes the full expression.
+        if z.ndim and z.size:
+            if z.item(0) > 700.0:
+                if np.minimum.reduce(z, axis=None) > 700.0:
+                    return -z
+            elif np.maximum.reduce(z, axis=None) <= 700.0:
+                return np.log(np.logaddexp(0.0, -z))
         return np.where(z > 700.0, -z, np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))
 
     def log_abs_deriv(spec, z):
+        # ln sigmoid(-z). scipy's log_expit(x) is x - log1p(e^x) for x < 0;
+        # at x = -z < -700, log1p(e^x) < 1e-304 is far below half an ulp of
+        # |x| >= 700, so it returns x itself: with every margin > 700 the
+        # negation has its bits, and scipy.special is not loaded for it.
+        if z.ndim and z.size and z.item(0) > 700.0 and np.minimum.reduce(z, axis=None) > 700.0:
+            return -z
         return _special.log_expit(-z)
 
     def inverse(spec, u):

@@ -153,6 +153,21 @@ def log_loss_log_value(z):
     return float(out) if out.ndim == 0 else out
 
 
+def unbranched_log_value(spec, z):
+    """The log loss's log_value kernel as one expression on every margin:
+    -z past 700, the capped softplus log at or below it. The branched
+    kernel must return the same bits."""
+    return np.where(z > 700.0, -z, np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))
+
+
+def unbranched_log_abs_deriv(spec, z):
+    """The log loss's log_abs_deriv kernel as scipy's log_expit(-z) on
+    every margin. The branched kernel must return the same bits."""
+    from scipy.special import log_expit
+
+    return log_expit(-z)
+
+
 def whole_matrix_random_separable(d: int, n: int, gamma: float, seed: int):
     """(features, labels, w_star) of margin_lab's random separable generator
     as it was before it worked in row blocks: every step on the whole

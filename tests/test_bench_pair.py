@@ -1,7 +1,12 @@
 """The paired-measurement script: its comparison rule and its usage errors."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -51,7 +56,57 @@ def test_a_key_with_one_float_sample_is_summarised():
 
 def test_the_cases():
     assert sorted(bench_pair.CASES) == ["averaged-blocks", "import-path", "lean-datasets",
-                                        "stacked-probes"]
+                                        "separated-log", "stacked-probes"]
+
+
+def test_the_separated_log_margins_are_in_their_regimes():
+    names = {}
+    exec(bench_pair.SEPARATED_RUNS, names)
+    margins = names["margins"]
+    assert all(z.shape == (100,) for z in margins.values())
+    assert (margins["above 700"] > 700.0).all()
+    assert (margins["at or below 700"] <= 700.0).all()
+    assert (margins["mixed"] > 700.0).any() and (margins["mixed"] <= 700.0).any()
+    assert {(c.eta, c.steps, c.record_every) for c in names["runs"].values()} == {
+        (400.0, 20_000, 1), (400.0, 20_000, 20_000)}
+
+
+# Linux starts a child's ru_maxrss at the RSS of the process that spawned
+# it, so the measuring child is spawned from a small interpreter, as
+# bench_pair.py's children are, not from this test process.
+_SPAWN = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def _phase_memory(before: str, phase: str) -> dict:
+    """measure's keys for `phase`, in a fresh interpreter that runs
+    `before` first."""
+    code = bench_pair.PHASE_MEMORY + before + (
+        "\nimport json\nimport numpy as np\n"
+        f"print(json.dumps(measure('p', lambda: {phase})))\n")
+    proc = subprocess.run([sys.executable, "-c", _SPAWN, sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_phase_that_sets_the_high_water_mark_reads_its_allocation_over_its_start():
+    """peak_over_start_mb reads the 32 MB; rss_rise_mb reads less by what
+    the numpy import peaked above what it left held."""
+    got = _phase_memory("", "np.ones(4 << 20)")
+    assert sorted(got) == ["p peak_over_start_mb", "p rss_rise_mb", "p s"]
+    assert 31.0 <= got["p peak_over_start_mb"] <= 36.0
+    # the kernel's RSS counters lag by a few pages, so the two reads differ a little
+    assert got["p rss_rise_mb"] <= got["p peak_over_start_mb"] + 1.0
+
+
+def test_a_phase_under_an_earlier_peak_reads_no_rise_and_that_peak_over_its_start():
+    """rss_rise_mb misses a phase that stays under an earlier peak;
+    peak_over_start_mb reads that peak over the phase's start, an upper
+    bound on what the phase held."""
+    got = _phase_memory("import numpy as np\nnp.ones(16 << 20).sum()\n",  # 128 MB, freed
+                        "np.ones(4 << 20)")
+    assert got["p rss_rise_mb"] < 4.0
+    assert got["p peak_over_start_mb"] >= 120.0
 
 
 def test_the_averaged_blocks_target_run_stops_at_its_first_passage():

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from margin_lab import descent
+from margin_lab import descent, losses
 from margin_lab.datasets import (
     Dataset,
     gen_batch_hard,
@@ -34,7 +34,7 @@ from margin_lab.descent import (
 from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, LossSpec, poly
 
 from _oracles import (fd_grad, max_relative_gap, negate_rows, permute_rows,
-                      random_rotation, rotate)
+                      random_rotation, rotate, unbranched_log_abs_deriv, unbranched_log_value)
 
 SMOOTH = [EXP, LOG, poly(2.0), SEMICIRCLE]
 
@@ -677,6 +677,78 @@ class TestAveragedBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_gd(ds, base).diverged_at == 4  # the run without a target
+
+
+def assert_same_columns(got, want):
+    """Two trajectories have the same columns, bit for bit, and the same
+    diverged_at."""
+    assert got.diverged_at == want.diverged_at
+    assert list(got.columns) == list(want.columns)
+    for name, values in got.columns.items():
+        assert np.array(values).tobytes() == np.array(want.columns[name]).tobytes(), name
+
+
+def unbranched_log_kernels(monkeypatch):
+    """Replace the log loss's two log kernels by their unbranched bodies."""
+    monkeypatch.setattr(losses._Log, "log_value", unbranched_log_value)
+    monkeypatch.setattr(losses._Log, "log_abs_deriv", unbranched_log_abs_deriv)
+
+
+class TestSeparatedLog:
+    """Past the burn-in of a large-stepsize log run every margin exceeds
+    700, where both log kernels of the log loss are one negation and a
+    recorded row reads ln (-l^{-1})' from the step's gradient coefficients.
+    The runs keep the bits of the unbranched kernels and of the call."""
+
+    @pytest.mark.parametrize("target", [False, True])
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    def test_a_run_entering_the_regime_mid_block_keeps_its_bits(
+            self, monkeypatch, agg, every, target):
+        ds = gen_batch_hard(0.1, 64, weighted=True)
+        cfg = GDConfig(loss=LOG.with_aggregation(agg).with_n(ds.n), eta=400.0, steps=300,
+                       record_every=every)
+        full = run_gd(ds, dataclasses.replace(cfg, record_every=1))
+        margins, avg_margins = full.column("min_margin"), full.column("avg_min_margin")
+        entered = int(np.argmax(avg_margins > 700.0))
+        assert (margins[:entered] <= 700.0).any() and (margins[entered:] > 700.0).all()
+        assert entered % descent.block_size(ds.n_rows) != 0  # inside a block
+        if target:
+            cfg = dataclasses.replace(
+                cfg, target_log_avg_risk=full.columns["log_avg_risk"][entered + 20])
+        got = run_gd(ds, cfg)
+        if target:
+            assert got.final.t < cfg.steps
+        unbranched_log_kernels(monkeypatch)
+        assert_same_columns(got, run_gd(ds, cfg))
+
+    def test_a_recorded_row_reads_the_gradients_lnid(self, monkeypatch):
+        """Every state a step's gradient saw carries its lnid, except where a
+        stand-in for grad_phi never calls phi_coefficients on it: there the
+        row takes ln (-l^{-1})' from log_adaptive_stepsize, with the same
+        bits."""
+        ds = gen_batch_hard(0.1, 64, weighted=True)
+        cfg = GDConfig(loss=LOG, eta=400.0, steps=200, record_every=3)
+        grad, seen = descent.grad_phi, []
+
+        def spy(state, ds, loss):
+            seen.append(state)
+            return grad(state, ds, loss)
+
+        def stand_in(state, ds, loss):
+            seen.append(state)
+            return grad(descent.MarginState(state.z, ds, loss, ds.n), ds, loss)
+
+        monkeypatch.setattr(descent, "grad_phi", spy)
+        clean = run_gd(ds, cfg)
+        assert len(seen) == cfg.steps and all(s.lnid is not None for s in seen)
+        seen.clear()
+        monkeypatch.setattr(descent, "grad_phi", stand_in)
+        fallback = run_gd(ds, cfg)
+        assert len(seen) == cfg.steps and all(s.lnid is None for s in seen)
+        assert_same_columns(fallback, clean)
+        want = [log_adaptive_stepsize(LOG, p.risk, cfg.eta) for p in clean.points]
+        assert np.array(clean.columns["log_stepsize"]).tobytes() == np.array(want).tobytes()
 
 
 def _weighted(ds, seed=0):

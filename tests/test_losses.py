@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import margin_lab
 from margin_lab.cli import ConfigError, parse_config
@@ -31,7 +32,8 @@ from margin_lab.losses import (
     poly,
 )
 
-from _oracles import array_log1mexp, bisect_inverse, fd_deriv, log_loss_log_value
+from _oracles import (array_log1mexp, bisect_inverse, fd_deriv, log_loss_log_value,
+                      unbranched_log_abs_deriv, unbranched_log_value)
 
 SMOOTH = [EXP, LOG, poly(1.0), poly(2.0), poly(3.5), SEMICIRCLE]
 ALL = SMOOTH + [HINGE]
@@ -553,6 +555,92 @@ class TestDeepTails:
             assert isinstance(vec, np.ndarray)
             for i, z in enumerate(zs):
                 assert vec[i] == spec.value(float(z))
+
+
+_ABOVE_700 = [math.nextafter(700.0, math.inf), 700.5, 745.0, 1e4, 1e308, sys.float_info.max,
+              math.inf]
+_AT_OR_BELOW_700 = [700.0, math.nextafter(700.0, 0.0), 36.0, 1e-300, 0.0, -0.0, -745.0,
+                    -1e308, -math.inf]
+
+
+def _regime(elements, min_size=1):
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=min_size,
+                                                   max_side=70), elements=elements)
+
+
+_REGIMES = {
+    "above": _regime(st.floats(min_value=700.0, exclude_min=True)),
+    "at-or-below": _regime(st.floats(max_value=700.0)),
+    "near-700": _regime(st.floats(min_value=690.0, max_value=760.0)),
+    "any": _regime(st.floats(), min_size=0),
+}
+
+
+class TestLogKernelBranches:
+    """The log loss's log_value and log_abs_deriv pick a branch from the
+    smallest and largest margin; every branch has the bits of the unbranched
+    expressions (_oracles), shape and dtype included, and a float gives a
+    float."""
+
+    @staticmethod
+    def assert_same_bits(z):
+        z = np.asarray(z, dtype=float)
+        with np.errstate(invalid="ignore"):  # a nan margin warns in logaddexp
+            pairs = [(LOG.log_value(z), unbranched_log_value(LOG, z)),
+                     (LOG.log_abs_deriv(z), unbranched_log_abs_deriv(LOG, z))]
+        for got, want in pairs:
+            if z.ndim == 0:
+                assert type(got) is float
+                got, want = np.float64(got), np.float64(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("z", [
+        _ABOVE_700, _AT_OR_BELOW_700, _ABOVE_700 + _AT_OR_BELOW_700,
+        _AT_OR_BELOW_700[::-1] + _ABOVE_700[::-1], [700.0, 700.5, 745.0], [745.0, 700.0],
+        [math.nan], [800.0, math.nan], [0.0, math.nan], [math.nan, 800.0], [math.nan, 0.0],
+        [math.nan, math.inf, -math.inf], [], [[]],
+    ], ids=["above", "at-or-below", "straddle", "straddle-reversed", "straddle-near-700",
+            "straddle-near-700-reversed", "nan", "above-nan",
+            "below-nan", "nan-above", "nan-below", "nan-infs", "empty", "empty-2d"])
+    def test_pinned_arrays(self, z):
+        self.assert_same_bits(z)
+
+    @pytest.mark.parametrize("x", _ABOVE_700 + _AT_OR_BELOW_700 + [math.nan])
+    def test_a_float(self, x):
+        self.assert_same_bits(x)
+
+    @pytest.mark.parametrize("low,high", [(700.0, 1e6), (-50.0, 700.0), (-50.0, 1e6)],
+                             ids=["above", "at-or-below", "straddle"])
+    def test_a_block_of_64_iterates(self, low, high):
+        rng = np.random.default_rng(0)
+        z = np.nextafter(rng.uniform(low, high, (64, 100)), math.inf)
+        self.assert_same_bits(z)
+        self.assert_same_bits(z[:, ::3])  # not contiguous
+
+    def test_log_expit_is_the_negation_past_700(self):
+        from scipy.special import log_expit
+
+        z = np.concatenate([np.geomspace(700.0, 1e308, 200_001)[1:],
+                            700.0 + np.arange(1, 2001) * np.spacing(700.0),
+                            [sys.float_info.max, np.inf]])
+        assert (z > 700.0).all()
+        assert log_expit(-z).tobytes() == (-z).tobytes()
+        assert LOG.log_abs_deriv(z).tobytes() == (-z).tobytes()
+        assert LOG.log_value(z).tobytes() == (-z).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_REGIMES)).flatmap(lambda name: _REGIMES[name]))
+    def test_random_arrays(self, z):
+        self.assert_same_bits(z)
+
+    def test_margins_past_700_leave_scipy_special_unloaded(self):
+        code = ("import sys\nimport numpy as np\nfrom margin_lab.losses import LOG\n"
+                "z = np.array([[800.0, 1e308], [np.inf, 701.0]])\n"
+                "LOG.log_abs_deriv(z)\nprint('scipy.special' in sys.modules)\n"
+                "LOG.log_abs_deriv(np.array([800.0, 700.0]))\n"
+                "print('scipy.special' in sys.modules)")
+        assert _fresh_python(code).split() == ["False", "True"]
 
 
 # Margins and risks on both sides of 0 and of l(0) = 1, out to where the

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from margin_lab import two_layer
+from margin_lab import losses, two_layer
 from margin_lab.datasets import (Dataset, gen_batch_hard, gen_random_separable,
                                  mean_signed_feature)
 from margin_lab.descent import GDConfig, Trajectory, phi_from_risk, run_gd
@@ -28,7 +28,8 @@ from margin_lab.two_layer import (
     _probe_grid,
 )
 
-from _oracles import fd_grad_matrix, max_relative_gap, permute_rows
+from _oracles import (fd_grad_matrix, max_relative_gap, permute_rows, unbranched_log_abs_deriv,
+                      unbranched_log_value)
 
 BLENDS = ["gelu", "softplus", "silu", "relu"]
 
@@ -342,6 +343,27 @@ class TestFusedStep:
         monkeypatch.setattr(LossSpec, "log_value", counting)
         run_gd_nn(ds, net, GDConfig(loss=loss, eta=8.0, steps=40, record_every=7))
         assert len(calls) == 41
+
+
+class TestSeparatedLog:
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("act", ["leakyrelu:0.5", "leaky-gelu:0.9"])
+    def test_a_run_reaching_every_margin_past_700_keeps_its_bits(self, monkeypatch, act, every):
+        """Past the burn-in both log kernels of the log loss are one
+        negation; the run keeps the bits of the unbranched kernels."""
+        ds = gen_random_separable(10, 100, 0.2, seed=0)
+        net = make_net(ds.d, 4, parse_activation(act))
+        cfg = GDConfig(loss=LOG, eta=400.0, steps=200, record_every=every)
+        got = run_gd_nn(ds, net, cfg)
+        margins = got.column("min_margin")
+        assert (margins <= 700.0).any() and (margins > 700.0).any()
+        monkeypatch.setattr(losses._Log, "log_value", unbranched_log_value)
+        monkeypatch.setattr(losses._Log, "log_abs_deriv", unbranched_log_abs_deriv)
+        want = run_gd_nn(ds, net, cfg)
+        assert got.diverged_at == want.diverged_at
+        assert list(got.columns) == list(want.columns)
+        for name, values in got.columns.items():
+            assert np.array(values).tobytes() == np.array(want.columns[name]).tobytes(), name
 
 
 STACK_ACTIVATIONS = ["leakyrelu:0.5"] + [f"leaky-{b}:0.8" for b in
