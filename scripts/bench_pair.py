@@ -42,6 +42,8 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
     current RSS before it (`/proc/self/statm`): the most the phase held
     above its start, whenever the phase sets the high-water mark. If an
     earlier peak stands, it reads that peak over the start, an upper bound.
+    The two reads come from kernel RSS counters that can differ by about
+    0.1 MB, so a phase that holds nothing new can read slightly below 0.
   Linux starts a child's `ru_maxrss` at the RSS of the process that spawned
   it (about 29 MB for this script), so both keys read only what rises
   above that.

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from margin_lab import losses, two_layer
+from margin_lab import two_layer
 from margin_lab.datasets import (Dataset, gen_batch_hard, gen_random_separable,
                                  mean_signed_feature)
 from margin_lab.descent import GDConfig, Trajectory, phi_from_risk, run_gd
@@ -28,8 +28,8 @@ from margin_lab.two_layer import (
     _probe_grid,
 )
 
-from _oracles import (fd_grad_matrix, max_relative_gap, permute_rows, unbranched_log_abs_deriv,
-                      unbranched_log_value)
+from _oracles import fd_grad_matrix, max_relative_gap, permute_rows
+from test_descent import assert_same_columns, unbranched_log_kernels
 
 BLENDS = ["gelu", "softplus", "silu", "relu"]
 
@@ -357,13 +357,8 @@ class TestSeparatedLog:
         got = run_gd_nn(ds, net, cfg)
         margins = got.column("min_margin")
         assert (margins <= 700.0).any() and (margins > 700.0).any()
-        monkeypatch.setattr(losses._Log, "log_value", unbranched_log_value)
-        monkeypatch.setattr(losses._Log, "log_abs_deriv", unbranched_log_abs_deriv)
-        want = run_gd_nn(ds, net, cfg)
-        assert got.diverged_at == want.diverged_at
-        assert list(got.columns) == list(want.columns)
-        for name, values in got.columns.items():
-            assert np.array(values).tobytes() == np.array(want.columns[name]).tobytes(), name
+        unbranched_log_kernels(monkeypatch)
+        assert_same_columns(got, run_gd_nn(ds, net, cfg))
 
 
 STACK_ACTIVATIONS = ["leakyrelu:0.5"] + [f"leaky-{b}:0.8" for b in
