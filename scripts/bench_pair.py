@@ -34,19 +34,21 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   and `save_dataset` on the arrays read back; `load_dataset` on the file.
   Each gives the phase's seconds and two memory keys, in MB:
   - `<phase> rss_rise_mb`, the rise of the process's high-water mark
-    (`ru_maxrss`) over the phase: the phase's peak minus the highest RSS
-    before it. It reads low, down to 0, when the imports or the input load
-    peaked above what they left held, so sub-MB differences in it follow
-    the memory freed before the phase, not the phase's code.
-  - `<phase> peak_over_start_mb`, `ru_maxrss` after the phase minus the
+    (`VmHWM` in `/proc/self/status`) over the phase: the phase's peak
+    minus the highest RSS before it. It reads low, down to 0, when the
+    imports or the input load peaked above what they left held, so sub-MB
+    differences in it follow the memory freed before the phase, not the
+    phase's code.
+  - `<phase> peak_over_start_mb`, `VmHWM` after the phase minus the
     current RSS before it (`/proc/self/statm`): the most the phase held
     above its start, whenever the phase sets the high-water mark. If an
     earlier peak stands, it reads that peak over the start, an upper bound.
-    The two reads come from kernel RSS counters that can differ by about
-    0.1 MB, so a phase that holds nothing new can read slightly below 0.
-  Linux starts a child's `ru_maxrss` at the RSS of the process that spawned
-  it (about 29 MB for this script), so both keys read only what rises
-  above that.
+    Both reads come from the kernel's RSS counters, which lag by a few
+    pages, so a phase that holds nothing new can read slightly below 0.
+  Every memory key, `import_rss_mb` too, reads `VmHWM`, the child's own
+  peak since its exec. `ru_maxrss` would not do: Linux starts a child's
+  `ru_maxrss` at the RSS of the process that spawned it (about 29 MB for
+  this script), so it cannot read below that.
 - `stacked-probes`: the milliseconds of each probe check as `default_suite`
   calls it on seed 0 (`check_gradient_inequalities` on exp, log, poly:2 and
   semicircle with 300 probes; `check_network_inequalities` on leakyrelu:0.5
@@ -85,13 +87,21 @@ from provenance import git_commit, provenance  # noqa: E402
 
 DEFAULT_PAIRS = 10
 
+# The process's own RSS high-water mark in kB (VmHWM), which starts at its
+# exec; ru_maxrss does not (see the docstring).
+HWM = """
+def _hwm_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
 # Every child prints one JSON object; its last argument is the inputs directory.
-IMPORT_CHILD = """
-import resource, sys, time
+IMPORT_CHILD = HWM + """
+import sys, time
 t = time.perf_counter()
 import {module}
 dt = time.perf_counter() - t
-rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+rss_mb = _hwm_kb() / 1024.0
 optimize = int("scipy.optimize" in sys.modules)
 special = int("scipy.special" in sys.modules)
 import json  # not before the import timed: json loads re, which margin_lab imports too
@@ -240,8 +250,8 @@ save_dataset(ds, f"{{sys.argv[1]}}/dataset.txt")
 """
 
 # measure(phase, run): the phase's seconds and memory keys (see the docstring).
-PHASE_MEMORY = """
-import os, resource, time
+PHASE_MEMORY = HWM + """
+import os, time
 
 
 def _rss_kb():
@@ -251,11 +261,11 @@ def _rss_kb():
 
 def measure(phase, run):
     start_kb = _rss_kb()
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_kb = _hwm_kb()
     start = time.perf_counter()
     run()
     seconds = time.perf_counter() - start
-    after_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    after_kb = _hwm_kb()
     return {f"{phase} s": seconds, f"{phase} rss_rise_mb": (after_kb - peak_kb) / 1024.0,
             f"{phase} peak_over_start_mb": (after_kb - start_kb) / 1024.0}
 """

@@ -477,16 +477,16 @@ def _read_text(path, what: str) -> str:
 def _read_order_file(path: str, n_rows: int) -> np.ndarray:
     tokens = _read_text(path, "order file").split()
     try:
-        idx = np.array([int(t) for t in tokens], dtype=np.int64)
+        values = [int(t) for t in tokens]
     except ValueError:
         raise ConfigError([(0, f"order file {path} must contain integers")]) from None
-    if idx.size == 0:
+    if not values:
         raise ConfigError([(0, f"order file {path} is empty")])
-    if idx.min() < 0 or idx.max() >= n_rows:
+    if min(values) < 0 or max(values) >= n_rows:
         raise ConfigError(
             [(0, f"order file {path} has indices outside [0, {n_rows})")]
         )
-    return idx
+    return np.array(values, dtype=np.int64)
 
 
 def cmd_perceptron(cfg: ExperimentConfig, out: Path, seed: int) -> int:

@@ -49,15 +49,11 @@ n_rows = 100, 6 at 10 000), and is flushed when full and when the run ends.
 A queued step's iterate and margins are copied into the block's (B, d) and
 (B, R) arrays, so one exact min(axis=1) gives every smallest margin of the
 block, and the kept rows extend the trajectory's columns a column at a
-time. A recorded row's log_stepsize is ln eta + ln (-l^{-1})'(L): under the
-mean, for a kind that is not a softmax, the second term is the lnid that
-phi_coefficients left on the step's MarginState, the same call on the same
-arguments as log_adaptive_stepsize makes, so one per step is taken; a
-state the gradient never reached (the last step, the step that fills a
-block, or a grad_phi stand-in that skips phi_coefficients) takes the call.
-With a target, the loop runs to the end of the block that holds the first
-passage, keeps the rows up to it and drops the up to B - 1 steps behind it,
-with a diverged_at they may have stamped. A dropped step still went through
+time. A recorded row's phi and log_stepsize are read off its risk alone
+(phi_from_risk, and log_adaptive_stepsize or ln eta), for the linear model
+and the network alike. With a target, the loop runs to the end of the block
+that holds the first passage, keeps the rows up to it and drops the up to
+B - 1 steps behind it, with a diverged_at they may have stamped. A dropped step still went through
 grad_phi, so a stand-in for it sees those steps too; run_gd keeps overflow
 quiet, so they leave no warning either.
 
@@ -164,17 +160,15 @@ class MarginState:
     e, total and lse = ln sum_i m_i l(z_i) come from _log_sum_exp; for exp
     the e_i are the numerators of the softmax coefficients. risk is the
     weighted mean loss, lse - ln n: a RiskValue, or a list of one per row.
-    lnid is ln (-l^{-1})'(risk) once phi_coefficients has taken it under the
-    mean for a kind that is not a softmax, and None until then.
+    n is ds.n, read once for the risk, grad_risk and phi_coefficients.
     """
 
-    __slots__ = ("z", "e", "total", "lse", "risk", "n", "lnid")
+    __slots__ = ("z", "e", "total", "lse", "risk", "n")
 
-    def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec, n: int):
+    def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec):
         e, total, lse = _log_sum_exp(loss.log_value(z), ds.weights)
-        self.z, self.e, self.total, self.lse, self.n = z, e, total, lse, n
-        self.lnid = None
-        log_n = math.log(n)
+        self.z, self.e, self.total, self.lse, self.n = z, e, total, lse, ds.n
+        log_n = math.log(self.n)
         self.risk = (_risk_from_log(lse - log_n) if z.ndim == 1
                      else [_risk_from_log(v - log_n) for v in lse])
 
@@ -182,7 +176,7 @@ class MarginState:
 def risk(w: np.ndarray, ds: Dataset, loss: LossSpec):
     """Weighted mean loss over the dataset at parameter w, a RiskValue; at
     a (k, d) stack, a list of one per row."""
-    return MarginState(ds.margins(w), ds, loss, ds.n).risk
+    return MarginState(ds.margins(w), ds, loss).risk
 
 
 def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
@@ -236,7 +230,7 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     than entering them as ln m_i: a power-of-two m_i scales its row's
     coefficient exactly.
     """
-    state = z if isinstance(z, MarginState) else MarginState(z, ds, loss, ds.n)
+    state = z if isinstance(z, MarginState) else MarginState(z, ds, loss)
     if loss.ops.softmax:
         # softmax of -z with multiplicities; exact ratio preservation matters
         return state.e / state.total
@@ -247,7 +241,7 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
         lnid = _log_neg_inv_deriv(loss, u)
         coef = np.exp(lnid + loss.log_abs_deriv(state.z))
     else:
-        lnid = state.lnid = _log_neg_inv_deriv(loss, state.risk)
+        lnid = _log_neg_inv_deriv(loss, state.risk)
         coef = np.exp(lnid + loss.log_abs_deriv(state.z) - math.log(state.n))
     if ds.weights is not None:
         coef = ds.weights * coef
@@ -263,7 +257,7 @@ def grad_phi(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     The exp gradient is a softmax under either aggregation (ln of n L and
     of L differ by the constant ln n). See phi_coefficients.
     """
-    state = w if isinstance(w, MarginState) else MarginState(ds.margins(w), ds, loss, ds.n)
+    state = w if isinstance(w, MarginState) else MarginState(ds.margins(w), ds, loss)
     return -ds.signed_sum(phi_coefficients(state, ds, loss))
 
 
@@ -427,13 +421,13 @@ class _AveragedBlock:
         self.iterates[j] = params
         self.margins[j] = state.z
         np.divide(total, t + 1, out=self.avg[j])
-        self.steps.append((t, state, violated, record))
+        self.steps.append((t, state.risk, violated, record))
         return j + 1 == len(self.avg)
 
     def flush(self, traj: Trajectory, phi, log_stepsize) -> bool:
         """Append the queued rows that are recorded or at the first passage
         below the target, and drop the steps queued behind that passage.
-        phi(risk) and log_stepsize(state) give those columns of a row. True
+        phi(risk) and log_stepsize(risk) give those columns of a row. True
         if the passage was found."""
         count = len(self.steps)
         if not count:
@@ -458,13 +452,13 @@ class _AveragedBlock:
             iterates, avg = iterates[kept], avg[kept]
         mins = self.margins[:count].min(axis=1).tolist()
         avg_mins = avg_z.min(axis=1).tolist()
-        states = [steps[j][1] for j in kept]
+        risks = [steps[j][1] for j in kept]
         columns = {
             "t": [steps[j][0] for j in kept],
             self.name: list(iterates),
-            "log_risk": [s.risk.log_value for s in states],
-            "phi": [phi(s.risk) for s in states],
-            "log_stepsize": [log_stepsize(s) for s in states],
+            "log_risk": [r.log_value for r in risks],
+            "phi": [phi(r) for r in risks],
+            "log_stepsize": [log_stepsize(r) for r in risks],
             "min_margin": [mins[j] for j in kept],
             "descent_violated": [steps[j][2] for j in kept],
             "avg_w": list(avg),
@@ -489,7 +483,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     far and the target is not checked. The module docstring says how a
     block ends a run at a first passage.
     """
-    loss, eta, n, smooth = config.loss, config.eta, ds.n, config.loss.ops.smooth
+    loss, eta, smooth = config.loss, config.eta, config.loss.ops.smooth
     adaptive = config.mode == "adaptive"
     log_eta = math.log(eta)
     target = config.target_log_avg_risk if average is not None else None
@@ -503,16 +497,12 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     def phi(r):
         return phi_from_risk(loss, r) if smooth else math.nan
 
-    def log_stepsize(state):
-        if not adaptive:
-            return log_eta
-        if state.lnid is not None:  # log_adaptive_stepsize's term, set by phi_coefficients
-            return log_eta + state.lnid
-        return log_adaptive_stepsize(loss, state.risk, eta)
+    def log_stepsize(r):
+        return log_adaptive_stepsize(loss, r, eta) if adaptive else log_eta
 
     for t in range(config.steps + 1):
         cache, z = forward()
-        state = MarginState(z, ds, loss, n)
+        state = MarginState(z, ds, loss)
         r = state.risk
         # log_value of -inf means exactly zero risk (possible for hinge only),
         # which is success; +inf or nan means true blow-up
@@ -526,7 +516,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
                 best_log, best_t = r.log_value, t
             if record:
                 traj.append({"t": t, name: params.copy(), "log_risk": r.log_value,
-                             "phi": phi(r), "log_stepsize": log_stepsize(state),
+                             "phi": phi(r), "log_stepsize": log_stepsize(r),
                              "min_margin": float(z.min()), "descent_violated": violated,
                              "min_log_risk": best_log, "min_risk_t": best_t})
         elif record or (target is not None and t >= 1):

@@ -198,6 +198,17 @@ class _Exp(_Kind):
         return (lambda z: mp.exp(-z)), (lambda z: -mp.exp(-z)), mp.log
 
 
+def _all_past_700(z: np.ndarray):
+    """Truthy when every margin of an array z exceeds 700 (the first margin,
+    then one reduction; a nan, empty or 0-d z is not). Both log kernels of
+    the log loss are then -z to the last bit. ln l(z) = ln softplus(-z), and
+    softplus(-z) = e^{-z} (1 + O(e^{-z})) has log -z, as the capped
+    expression's np.where has it. ln |l'(z)| is scipy's log_expit(x) at
+    x = -z, x - log1p(e^x) for x < 0, and log1p(e^x) < 1e-304 is far below
+    half an ulp of |x| >= 700."""
+    return z.ndim and z.size and z.item(0) > 700.0 and np.minimum.reduce(z, axis=None) > 700.0
+
+
 class _Log(_Kind):
     def value(spec, z):
         return np.logaddexp(0.0, -z)
@@ -210,26 +221,14 @@ class _Log(_Kind):
         return np.exp(_special.log_expit(z) + _special.log_expit(-z))
 
     def log_value(spec, z):
-        # ln softplus(-z). Past z = 700, softplus(-z) = e^{-z} (1 + O(e^{-z}))
-        # and its log is -z to the last bit, so np.where takes -z there; the
-        # cap keeps softplus above 0, so the log never sees 0. The first
-        # margin and one reduction pick a branch with the same bits: every
-        # margin > 700 gives what np.where picks, and every margin <= 700 is
-        # its own cap. A mixed, nan, empty or 0-d z takes the full expression.
-        if z.ndim and z.size:
-            if z.item(0) > 700.0:
-                if np.minimum.reduce(z, axis=None) > 700.0:
-                    return -z
-            elif np.maximum.reduce(z, axis=None) <= 700.0:
-                return np.log(np.logaddexp(0.0, -z))
+        # ln softplus(-z); the cap keeps softplus above 0, so the log never sees 0
+        if _all_past_700(z):
+            return -z
         return np.where(z > 700.0, -z, np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))
 
     def log_abs_deriv(spec, z):
-        # ln sigmoid(-z). scipy's log_expit(x) is x - log1p(e^x) for x < 0;
-        # at x = -z < -700, log1p(e^x) < 1e-304 is far below half an ulp of
-        # |x| >= 700, so it returns x itself: with every margin > 700 the
-        # negation has its bits, and scipy.special is not loaded for it.
-        if z.ndim and z.size and z.item(0) > 700.0 and np.minimum.reduce(z, axis=None) > 700.0:
+        # ln sigmoid(-z), -z past 700 (_all_past_700) without loading scipy.special
+        if _all_past_700(z):
             return -z
         return _special.log_expit(-z)
 

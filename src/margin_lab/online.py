@@ -204,15 +204,22 @@ def check_online_hard_instance(
     )
 
 
-def cyclic_order(n: int, steps: int) -> np.ndarray:
-    """Row order 0,1,..,n-1,0,1,.. of the given length."""
+def _check_order(n: int, steps: int) -> None:
     if n <= 0 or steps < 0:
         raise ValueError("need n > 0 and steps >= 0")
+    # numpy's arange takes its length through a float64, exact up to 2**53;
+    # an order that long is 64 PiB of int64, more than any host can allocate
+    if steps > 2**53:
+        raise MemoryError(f"an order of {steps} steps is past numpy's exact array lengths")
+
+
+def cyclic_order(n: int, steps: int) -> np.ndarray:
+    """Row order 0,1,..,n-1,0,1,.. of the given length, or MemoryError."""
+    _check_order(n, steps)
     return np.arange(steps, dtype=np.int64) % n
 
 
 def random_order(n: int, steps: int, seed: int) -> np.ndarray:
-    """IID uniform row order of the given length."""
-    if n <= 0 or steps < 0:
-        raise ValueError("need n > 0 and steps >= 0")
+    """IID uniform row order of the given length, or MemoryError."""
+    _check_order(n, steps)
     return np.random.default_rng(seed).integers(0, n, size=steps, dtype=np.int64)

@@ -174,7 +174,10 @@ class TwoLayerNet:
 
 
 def make_net(d: int, m: int, activation: Activation) -> TwoLayerNet:
-    """Zero-initialized net with alternating signs +1, -1, ..."""
+    """Zero-initialized net with alternating signs +1, -1, ...; MemoryError
+    when numpy cannot index its (m, d) weights (it would raise ValueError)."""
+    if m * d > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{m} x {d} weights are past numpy's array size limit")
     return TwoLayerNet(np.zeros((m, d)), np.where(np.arange(m) % 2 == 0, 1.0, -1.0), activation)
 
 
@@ -202,7 +205,7 @@ def nn_risk(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> RiskValue | list:
     """Weighted mean loss of the net, a RiskValue; a list of one per net
     for a stack."""
     _check_nn_loss(loss)
-    return MarginState(nn_margins(net, ds), ds, loss, ds.n).risk
+    return MarginState(nn_margins(net, ds), ds, loss).risk
 
 
 def _grad_blocks(net: TwoLayerNet, ds: Dataset, slopes, coef) -> np.ndarray:
@@ -216,7 +219,7 @@ def nn_risk_and_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> tuple
     """(nn_risk, nn_grad_phi) of the net from one forward pass."""
     _check_nn_loss(loss)
     slopes, z = _forward_pass(net, ds)
-    state = MarginState(z, ds, loss, ds.n)
+    state = MarginState(z, ds, loss)
     return state.risk, _grad_blocks(net, ds, slopes, phi_coefficients(state, ds, loss))
 
 

@@ -389,7 +389,7 @@ def check_risk_implies_separation(
     if w.shape[1] != ds.d:
         raise ValueError(f"iterates must have {ds.d} columns, got {w.shape[1]}")
     log_threshold = loss.log_value(0.0) - math.log(ds.n)
-    state = MarginState(ds.margins(w), ds, loss, ds.n)
+    state = MarginState(ds.margins(w), ds, loss)
     rows = [(i, -min_margin, 0.0)
             for i, (r, min_margin) in enumerate(zip(state.risk, state.z.min(axis=1).tolist()))
             if r.log_value < log_threshold]

@@ -71,22 +71,26 @@ def test_the_separated_log_margins_are_in_their_regimes():
         (400.0, 20_000, 1), (400.0, 20_000, 20_000)}
 
 
-# Linux starts a child's ru_maxrss at the RSS of the process that spawned
-# it, so the measuring child is spawned from a small interpreter, as
-# bench_pair.py's children are, not from this test process.
-_SPAWN = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-
-
-def _phase_memory(before: str, phase: str) -> dict:
-    """measure's keys for `phase`, in a fresh interpreter that runs
-    `before` first."""
-    code = bench_pair.PHASE_MEMORY + before + (
-        "\nimport json\nimport numpy as np\n"
-        f"print(json.dumps(measure('p', lambda: {phase})))\n")
-    proc = subprocess.run([sys.executable, "-c", _SPAWN, sys.executable, "-c", code],
+def _child(code: str, held_mb: int = 0) -> dict:
+    """The JSON object that a fresh interpreter running `code` prints. It
+    is spawned from an interpreter holding `held_mb` MB, as bench_pair.py's
+    children are spawned from bench_pair.py: Linux starts a child's
+    ru_maxrss at its spawner's RSS, while VmHWM, which the memory keys
+    read, starts at the child's own exec."""
+    spawn = (f"import subprocess, sys; held = b'1' * ({held_mb} << 20); "
+             "sys.exit(subprocess.run(sys.argv[1:]).returncode)")
+    proc = subprocess.run([sys.executable, "-c", spawn, sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _phase_memory(before: str, phase: str, held_mb: int = 0) -> dict:
+    """measure's keys for `phase`, in a fresh interpreter that runs
+    `before` first."""
+    return _child(bench_pair.PHASE_MEMORY + before + (
+        "\nimport json\nimport numpy as np\n"
+        f"print(json.dumps(measure('p', lambda: {phase})))\n"), held_mb)
 
 
 def test_a_phase_that_sets_the_high_water_mark_reads_its_allocation_over_its_start():
@@ -107,6 +111,15 @@ def test_a_phase_under_an_earlier_peak_reads_no_rise_and_that_peak_over_its_star
                         "np.ones(4 << 20)")
     assert got["p rss_rise_mb"] < 4.0
     assert got["p peak_over_start_mb"] >= 120.0
+
+
+def test_a_child_of_a_large_spawner_reads_its_own_peak():
+    """Spawned from an interpreter holding 200 MB, a phase still reads its
+    32 MB and an import its own peak, not the spawner's 200 MB."""
+    got = _phase_memory("", "np.ones(4 << 20)", held_mb=200)
+    assert 31.0 <= got["p peak_over_start_mb"] <= 36.0
+    imported = _child(bench_pair.IMPORT_CHILD.format(module="json", key="json"), held_mb=200)
+    assert imported["json_rss_mb"] < 100.0
 
 
 def test_the_averaged_blocks_target_run_stops_at_its_first_passage():

@@ -415,6 +415,42 @@ class TestExitCodes:
         assert err.startswith(f"config error: bad dataset file {data}: does not fit in memory")
         assert "Traceback" not in err
 
+    # Sizes numpy cannot index: it refuses them with a ValueError, or its
+    # arange returns an empty array at 2**63 - 1. None of them allocates.
+    # (width = 1e23 as written is refused as not an integer; 10**23 in
+    # digits parses.)
+    @pytest.mark.parametrize("command,text,message", [
+        ("perceptron", f"order = cyclic\nsteps = {2**63 - 1}\n", "perceptron run"),
+        ("perceptron", f"order = cyclic\nsteps = {10**23}\n", "perceptron run"),
+        ("perceptron", f"order = random:3\nsteps = {2**63}\n", "perceptron run"),
+        ("bench", f"methods = perceptron\nmax_steps = {2**63 - 1}\n", "perceptron run"),
+        ("run-nn", f"width = {10**23}\n", "network run"),
+        ("run-nn", f"width = {2**63 - 1}\n", "network run"),
+    ], ids=["cyclic-2**63-1", "cyclic-10**23", "random-2**63", "bench-2**63-1",
+            "width-10**23", "width-2**63-1"])
+    def test_a_size_numpy_cannot_index_is_a_config_error(self, command, text, message,
+                                                         tmp_path, capsys):
+        dataset = {"perceptron": "dataset = online-hard:gamma=0.1,n=5\n",
+                   "bench": "",
+                   "run-nn": ("dataset = random:d=5,n=20,gamma=0.1\nloss = exp\n"
+                              "stepsize = adaptive:1\nsteps = 3\n"
+                              "activation = leakyrelu:0.5\n")}[command]
+        cfg = write_cfg(tmp_path, dataset + text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message} does not fit in memory\n"
+        assert list(out.iterdir()) == []
+
+    def test_an_order_file_index_past_int64_is_a_config_error(self, tmp_path, capsys):
+        order = tmp_path / "order.txt"
+        order.write_text("0 99999999999999999999\n")
+        cfg = write_cfg(tmp_path, f"dataset = online-hard:gamma=0.1,n=5\norder = file:{order}\n")
+        out = tmp_path / "out"
+        assert main(["perceptron", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: order file {order} has indices outside [0, 5)\n")
+        assert list(out.iterdir()) == []
+
     def test_bench_with_d_1_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("d = 1\n")

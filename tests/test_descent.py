@@ -696,9 +696,8 @@ def unbranched_log_kernels(monkeypatch):
 
 class TestSeparatedLog:
     """Past the burn-in of a large-stepsize log run every margin exceeds
-    700, where both log kernels of the log loss are one negation and a
-    recorded row reads ln (-l^{-1})' from the step's gradient coefficients.
-    The runs keep the bits of the unbranched kernels and of the call."""
+    700, where both log kernels of the log loss are one negation. The runs
+    keep the bits of the unbranched kernels."""
 
     @pytest.mark.parametrize("target", [False, True])
     @pytest.mark.parametrize("every", [1, 7])
@@ -722,33 +721,26 @@ class TestSeparatedLog:
         unbranched_log_kernels(monkeypatch)
         assert_same_columns(got, run_gd(ds, cfg))
 
-    def test_a_recorded_row_reads_the_gradients_lnid(self, monkeypatch):
-        """Every state a step's gradient saw carries its lnid, except where a
-        stand-in for grad_phi never calls phi_coefficients on it: there the
-        row takes ln (-l^{-1})' from log_adaptive_stepsize, with the same
-        bits."""
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    def test_a_recorded_rows_log_stepsize_is_read_off_its_risk(self, monkeypatch, agg):
+        """A recorded row's log_stepsize has the bits of log_adaptive_stepsize
+        at the row's risk, and a stand-in for grad_phi that builds its own
+        MarginState from the step's margins leaves every column unchanged."""
         ds = gen_batch_hard(0.1, 64, weighted=True)
-        cfg = GDConfig(loss=LOG, eta=400.0, steps=200, record_every=3)
-        grad, seen = descent.grad_phi, []
-
-        def spy(state, ds, loss):
-            seen.append(state)
-            return grad(state, ds, loss)
+        loss = LOG.with_aggregation(agg).with_n(ds.n)
+        cfg = GDConfig(loss=loss, eta=400.0, steps=200, record_every=3)
+        clean = run_gd(ds, cfg)
+        want = [log_adaptive_stepsize(loss, p.risk, cfg.eta) for p in clean.points]
+        assert np.array(clean.columns["log_stepsize"]).tobytes() == np.array(want).tobytes()
+        grad, calls = descent.grad_phi, []
 
         def stand_in(state, ds, loss):
-            seen.append(state)
-            return grad(descent.MarginState(state.z, ds, loss, ds.n), ds, loss)
+            calls.append(None)
+            return grad(descent.MarginState(state.z, ds, loss), ds, loss)
 
-        monkeypatch.setattr(descent, "grad_phi", spy)
-        clean = run_gd(ds, cfg)
-        assert len(seen) == cfg.steps and all(s.lnid is not None for s in seen)
-        seen.clear()
         monkeypatch.setattr(descent, "grad_phi", stand_in)
-        fallback = run_gd(ds, cfg)
-        assert len(seen) == cfg.steps and all(s.lnid is None for s in seen)
-        assert_same_columns(fallback, clean)
-        want = [log_adaptive_stepsize(LOG, p.risk, cfg.eta) for p in clean.points]
-        assert np.array(clean.columns["log_stepsize"]).tobytes() == np.array(want).tobytes()
+        assert_same_columns(run_gd(ds, cfg), clean)
+        assert len(calls) == cfg.steps
 
 
 def _weighted(ds, seed=0):

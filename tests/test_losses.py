@@ -26,6 +26,7 @@ from margin_lab.losses import (
     LOG,
     SEMICIRCLE,
     LossSpec,
+    _all_past_700,
     _brentq,
     log1mexp,
     parse_loss,
@@ -347,17 +348,19 @@ print(sorted(name for name in KERNELS if not got[name].tobytes() == again[name].
         assert _fresh_python(code) == "[] True"
 
     def test_a_kernel_call_after_the_load_runs_no_other_python_function(self):
+        """log_abs_deriv also calls the regime test it shares with log_value."""
         from margin_lab import _special
         from margin_lab.two_layer import _BASES
 
         z = np.linspace(-5.0, 5.0, 11)
-        kernels = [(LOG.ops.deriv, (LOG, z)), (LOG.ops.second_deriv, (LOG, z)),
-                   (LOG.ops.log_abs_deriv, (LOG, z))]
-        kernels += [(_BASES[base][1], (z,)) for base in ("gelu", "silu", "softplus")]
-        for kernel, args in kernels:
+        regime = [_all_past_700.__code__]
+        kernels = [(LOG.ops.deriv, (LOG, z), []), (LOG.ops.second_deriv, (LOG, z), []),
+                   (LOG.ops.log_abs_deriv, (LOG, z), regime)]
+        kernels += [(_BASES[base][1], (z,), []) for base in ("gelu", "silu", "softplus")]
+        for kernel, args, _ in kernels:
             kernel(*args)  # loads scipy.special if this process has not yet
         assert {"erf", "expit", "log_expit"} <= vars(_special).keys()
-        for kernel, args in kernels:
+        for kernel, args, helpers in kernels:
             calls = []
             sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code)
                            if event == "call" else None)
@@ -365,7 +368,7 @@ print(sorted(name for name in KERNELS if not got[name].tobytes() == again[name].
                 kernel(*args)
             finally:
                 sys.setprofile(None)
-            assert calls == [kernel.__code__]
+            assert calls == [kernel.__code__] + helpers
 
     def test_only_its_three_ufuncs_are_read(self):
         from margin_lab import _special
