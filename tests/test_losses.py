@@ -580,10 +580,10 @@ _REGIMES = {
 
 
 class TestLogKernelBranches:
-    """The log loss's log_value and log_abs_deriv pick a branch from the
-    smallest and largest margin; every branch has the bits of the unbranched
-    expressions (_oracles), shape and dtype included, and a float gives a
-    float."""
+    """The log loss's log_value and log_abs_deriv take -z when every margin
+    exceeds 700 (one shared test of the first and the smallest margin);
+    both branches have the bits of the unbranched expressions (_oracles),
+    shape and dtype included, and a float gives a float."""
 
     @staticmethod
     def assert_same_bits(z):

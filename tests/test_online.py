@@ -295,14 +295,6 @@ class TestOrders:
         if steps:
             assert order.max() < n
 
-    @given(st.integers(1, 20), st.integers(0, 200), st.integers(0, 2**32))
-    @settings(max_examples=30, deadline=None)
-    def test_random_contract(self, n, steps, seed):
-        order = random_order(n, steps, seed=seed)
-        assert order.size == steps
-        if steps:
-            assert order.min() >= 0 and order.max() < n
-
     # numpy's arange gives 2**53 + 1 entries as 2**53 and 2**63 - 1 as none,
     # and refuses longer orders with a ValueError; each of these is refused
     # before anything is allocated
