@@ -62,6 +62,10 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   whose averaged iterate's, exceeds 700; microseconds per call of
   `LOG.log_value` and `LOG.log_abs_deriv` on 100 margins all above 700,
   all at or below 700 and mixed (median of 5 sweeps of 2000 calls).
+- `run-constants`: microseconds per `run_gd` step of log loss at adaptive
+  eta = 400, 20 000 steps, every step recorded (median of 3 runs), on
+  `gen_random_separable(10, 100, 0.1, seed=0)` and on the weighted
+  `gen_batch_hard(0.1, 64, weighted=True)`, whose n is a sum of weights.
 
 OUT.json holds, per key of the samples: for a key whose samples are all
 integers, each side's distinct values; for any other key, each side's
@@ -237,6 +241,30 @@ for regime, z in margins.items():
 print(json.dumps(out))
 """
 
+# The runs of the run-constants case: datasets (name -> Dataset) and cfg.
+CONSTANTS_RUNS = """
+from margin_lab.datasets import gen_batch_hard, gen_random_separable
+from margin_lab.descent import GDConfig, run_gd
+from margin_lab.losses import LOG
+
+datasets = {"random": gen_random_separable(10, 100, 0.1, seed=0),
+            "batch-hard weighted": gen_batch_hard(0.1, 64, weighted=True)}
+cfg = GDConfig(loss=LOG, eta=400.0, steps=20_000, record_every=1)
+"""
+
+CONSTANTS_CHILD = CONSTANTS_RUNS + """
+import json, statistics, time
+out = {}
+for name, ds in datasets.items():
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        run_gd(ds, cfg)
+        times.append((time.perf_counter() - start) / cfg.steps * 1e6)
+    out[f"{name} us_per_step"] = statistics.median(times)
+print(json.dumps(out))
+"""
+
 D, N, GAMMA, SEED = 1000, 10_000, 0.1, 0
 
 LEAN_INPUTS = f"""
@@ -306,6 +334,7 @@ CASES = {
                           LEAN_INPUTS),
     "stacked-probes": Case(((PROBES_CHILD,), (VERIFY_CHILD,))),
     "separated-log": Case(((SEPARATED_CHILD,),)),
+    "run-constants": Case(((CONSTANTS_CHILD,),)),
 }
 
 

@@ -7,6 +7,7 @@ certify: every row satisfies y_i <x_i, w_star> >= gamma.
 Rows may carry positive integer multiplicity weights. A weighted dataset with
 R distinct rows and weights summing to n is semantically identical to the
 materialized dataset with n rows; risks and gradients are weighted means.
+A Dataset is frozen; its n is exact and fixed at construction.
 This keeps instances with huge nominal n (the batch hard instance at n = 2^20
 has only ~log2(n) distinct rows) cheap to store and exact to compute with.
 
@@ -46,8 +47,7 @@ _HEADER_RE = re.compile(
 # stacked averaged iterates of descent.block_size.
 BLOCK_ELEMENTS = 65_536
 
-# The largest row weight, and so the largest weighted n: beyond it float
-# sums lose integers.
+# The largest row weight a file or generator holds exactly.
 MAX_WEIGHT = 2**53
 
 
@@ -63,25 +63,26 @@ def row_blocks(n_rows: int, d: int):
     return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
+    """Frozen. n is exact and fixed at construction: n_rows, or the Python
+    int sum of the weights (a nan weight raises ValueError); replace() redoes it."""
+
     features: np.ndarray  # (R, d)
     labels: np.ndarray  # (R,), values in {-1.0, +1.0}
     gamma: float
     w_star: np.ndarray  # (d,), unit norm
     weights: np.ndarray | None = None  # (R,) positive integers, None = all ones
     metadata: dict = field(default_factory=dict)
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        n = self.n_rows if self.weights is None else sum(map(int, self.weights.tolist()))
+        object.__setattr__(self, "n", n)
 
     @property
     def n_rows(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def n(self) -> int:
-        """Effective sample count: sum of multiplicities."""
-        if self.weights is None:
-            return self.n_rows
-        return int(round(float(self.weights.sum())))
 
     @property
     def d(self) -> int:

@@ -160,15 +160,14 @@ class MarginState:
     e, total and lse = ln sum_i m_i l(z_i) come from _log_sum_exp; for exp
     the e_i are the numerators of the softmax coefficients. risk is the
     weighted mean loss, lse - ln n: a RiskValue, or a list of one per row.
-    n is ds.n, read once for the risk, grad_risk and phi_coefficients.
     """
 
-    __slots__ = ("z", "e", "total", "lse", "risk", "n")
+    __slots__ = ("z", "e", "total", "lse", "risk")
 
     def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec):
         e, total, lse = _log_sum_exp(loss.log_value(z), ds.weights)
-        self.z, self.e, self.total, self.lse, self.n = z, e, total, lse, ds.n
-        log_n = math.log(self.n)
+        self.z, self.e, self.total, self.lse = z, e, total, lse
+        log_n = math.log(ds.n)
         self.risk = (_risk_from_log(lse - log_n) if z.ndim == 1
                      else [_risk_from_log(v - log_n) for v in lse])
 
@@ -187,11 +186,11 @@ def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     May overflow for losses with exploding derivatives at very negative
     margins; that is intentional in constant-stepsize mode.
     """
-    z, n = (w.z, w.n) if isinstance(w, MarginState) else (ds.margins(w), ds.n)
+    z = w.z if isinstance(w, MarginState) else ds.margins(w)
     coef = loss.deriv(z)
     if ds.weights is not None:
         coef = ds.weights * coef
-    return ds.signed_sum(coef) / n
+    return ds.signed_sum(coef) / ds.n
 
 
 def _check_sum_n(loss: LossSpec, ds: Dataset):
@@ -242,7 +241,7 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
         coef = np.exp(lnid + loss.log_abs_deriv(state.z))
     else:
         lnid = _log_neg_inv_deriv(loss, state.risk)
-        coef = np.exp(lnid + loss.log_abs_deriv(state.z) - math.log(state.n))
+        coef = np.exp(lnid + loss.log_abs_deriv(state.z) - math.log(ds.n))
     if ds.weights is not None:
         coef = ds.weights * coef
     return coef

@@ -56,7 +56,7 @@ def test_a_key_with_one_float_sample_is_summarised():
 
 def test_the_cases():
     assert sorted(bench_pair.CASES) == ["averaged-blocks", "import-path", "lean-datasets",
-                                        "separated-log", "stacked-probes"]
+                                        "run-constants", "separated-log", "stacked-probes"]
 
 
 def test_the_separated_log_margins_are_in_their_regimes():
@@ -69,6 +69,17 @@ def test_the_separated_log_margins_are_in_their_regimes():
     assert (margins["mixed"] > 700.0).any() and (margins["mixed"] <= 700.0).any()
     assert {(c.eta, c.steps, c.record_every) for c in names["runs"].values()} == {
         (400.0, 20_000, 1), (400.0, 20_000, 20_000)}
+
+
+def test_the_run_constants_runs_are_recorded_log_runs_on_a_plain_and_a_weighted_set():
+    names = {}
+    exec(bench_pair.CONSTANTS_RUNS, names)
+    plain, weighted = names["datasets"].values()
+    assert plain.weights is None and (plain.n, plain.d) == (100, 10)
+    assert weighted.weights is not None and weighted.n == 64 and weighted.n_rows < 64
+    cfg = names["cfg"]
+    assert (cfg.loss.kind, cfg.mode, cfg.eta, cfg.steps, cfg.record_every) == (
+        "log", "adaptive", 400.0, 20_000, 1)
 
 
 def _child(code: str, held_mb: int = 0) -> dict:

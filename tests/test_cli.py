@@ -518,6 +518,16 @@ class TestGenCommand:
         ds = load_dataset(out)
         assert ds.n == 2 and ds.gamma == 0.05
 
+    def test_a_weighted_file_past_2_53_is_written_back_with_its_exact_n(self, tmp_path):
+        """Weights 2^53 and 1, whose float sum rounds to the header's n - 1."""
+        data = tmp_path / "ds.txt"
+        data.write_text("margin-lab-dataset v1w n=9007199254740993 d=2 gamma=0.5\n"
+                        "wstar: 1 0\n+1 9007199254740992 0.5 0\n+1 1 0.75 0.25\n")
+        cfg = write_cfg(tmp_path, f"dataset = file:{data}\n")
+        out = tmp_path / "out"
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+        assert load_dataset(out / "dataset.txt").n == 2**53 + 1
+
     def test_provenance_sha_matches_config_bytes(self, tmp_path):
         text = "dataset = two-point:gamma=0.05\n"
         cfg = write_cfg(tmp_path, text)

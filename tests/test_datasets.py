@@ -1,5 +1,6 @@
 """Tests for dataset generators, validation, and serialization."""
 
+import dataclasses
 import functools
 import math
 import tempfile
@@ -345,6 +346,54 @@ class TestSerialization:
         assert "unit_ball" in failed
 
 
+# Weights 2^53 and 1: their float sum rounds to 2^53, their exact sum does not.
+PAST_2_53 = ("margin-lab-dataset v1w n=9007199254740993 d=2 gamma=0.5\n"
+             "wstar: 1 0\n"
+             "+1 9007199254740992 0.5 0\n"
+             "+1 1 0.75 0.25\n")
+
+
+class TestExactN:
+    """n is the exact integer sum of the weights, fixed when the frozen
+    Dataset is built."""
+
+    def test_a_file_past_2_53_loads_with_its_exact_n(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text(PAST_2_53)
+        assert load_dataset(path).n == 2**53 + 1
+
+    def test_a_file_past_2_53_saves_back_byte_for_byte(self, tmp_path):
+        path, back = tmp_path / "ds.txt", tmp_path / "back.txt"
+        path.write_text(PAST_2_53)
+        save_dataset(load_dataset(path), back)
+        assert back.read_bytes() == path.read_bytes()
+
+    def test_fields_cannot_be_assigned(self):
+        ds = gen_two_point(0.05)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.features = ds.features[:1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.n = 3
+        assert ds.n == 2
+
+    def test_replace_recomputes_n(self):
+        ds = gen_batch_hard(0.05, 2**20, weighted=True)
+        assert ds.n == 2**20
+        ones = dataclasses.replace(ds, weights=np.ones(ds.n_rows))
+        assert ones.n == ds.n_rows
+        big = np.ones(ds.n_rows)
+        big[0] = 2.0**53
+        assert dataclasses.replace(ds, weights=big).n == 2**53 + ds.n_rows - 1
+        assert dataclasses.replace(ds, weights=None).n == ds.n_rows
+
+    def test_a_nan_weight_raises_at_construction(self):
+        ds = gen_batch_hard(0.05, 64, weighted=True)
+        weights = ds.weights.copy()
+        weights[-1] = np.nan
+        with pytest.raises(ValueError):
+            dataclasses.replace(ds, weights=weights)
+
+
 class TestRowBlocks:
     """The passes over a whole feature matrix work in blocks of
     block_rows(d) = max(1, BLOCK_ELEMENTS // d) rows."""
@@ -395,7 +444,7 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_validate_and_fingerprint_hold_one_block(self, order):
         ds = gen_random_separable(500, 4000, 0.1, seed=0)
-        ds.features = np.asarray(ds.features, order=order)
+        ds = dataclasses.replace(ds, features=np.asarray(ds.features, order=order))
         bound = self.BLOCK + 8 * (8 * ds.n_rows)  # one block and eight vectors
         assert _traced_peak(lambda: validate(ds)) <= bound
         assert _traced_peak(lambda: dataset_fingerprint(ds)) <= bound

@@ -287,13 +287,15 @@ class TestOrders:
         assert np.array_equal(a, b)
         assert a.min() >= 0 and a.max() < 10
 
+    @pytest.mark.parametrize("make", [cyclic_order, lambda n, steps: random_order(n, steps, 3)],
+                             ids=["cyclic", "random"])
     @given(st.integers(1, 20), st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
-    def test_cyclic_contract(self, n, steps):
-        order = cyclic_order(n, steps)
+    def test_cyclic_contract(self, make, n, steps):
+        order = make(n, steps)
         assert order.size == steps
         if steps:
-            assert order.max() < n
+            assert order.min() >= 0 and order.max() < n
 
     # numpy's arange gives 2**53 + 1 entries as 2**53 and 2**63 - 1 as none,
     # and refuses longer orders with a ValueError; each of these is refused

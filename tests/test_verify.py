@@ -1,5 +1,6 @@
 """Tests for the verification suite (report mechanics plus each check)."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -107,7 +108,7 @@ class TestFingerprint:
         is hashed a block at a time."""
         ds = (gen_batch_hard(0.05, 2**20, weighted=True) if weighted
               else gen_random_separable(20, 7000, 0.1, seed=0))
-        ds.features = np.asarray(ds.features, order=order)
+        ds = dataclasses.replace(ds, features=np.asarray(ds.features, order=order))
         arrays = [ds.features, ds.labels, ds.w_star] + ([ds.weights] if weighted else [])
         want = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:12]
         assert dataset_fingerprint(ds)["sha256"] == want
