@@ -65,8 +65,8 @@ def row_blocks(n_rows: int, d: int):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Frozen. n is exact and fixed at construction: n_rows, or the Python
-    int sum of the weights (a nan weight raises ValueError); replace() redoes it."""
+    """Frozen; n is exact and set at construction (dataclasses.replace too):
+    n_rows, or the Python-int sum of the weights, where a nan weight raises ValueError."""
 
     features: np.ndarray  # (R, d)
     labels: np.ndarray  # (R,), values in {-1.0, +1.0}
