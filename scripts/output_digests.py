@@ -61,7 +61,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from margin_lab import cli  # noqa: E402
 from margin_lab.datasets import (gen_batch_hard, gen_online_hard,  # noqa: E402
                                  gen_random_separable, save_dataset)
-from margin_lab.descent import GDConfig, run_gd  # noqa: E402
+from margin_lab.descent import GDConfig, _exp_or_inf, _risk_from_log, run_gd  # noqa: E402
 from margin_lab.losses import EXP, HINGE, LOG, poly  # noqa: E402
 from margin_lab.online import (cyclic_order, random_order, run_online_sgd,  # noqa: E402
                                run_perceptron)
@@ -80,6 +80,9 @@ NN_COLUMNS = ("t", "weights", "log_risk", "phi", "stepsize", "log_stepsize",
               "min_margin", "min_log_risk", "min_risk_t", "descent_violated")
 NN_FIELDS = ("t", "weights", "risk", "phi", "stepsize", "log_stepsize", "min_margin",
              "min_log_risk", "min_risk_t", "descent_violated")
+# A derived field: (the log column it is computed from, how).
+DERIVED = {"risk": ("log_risk", _risk_from_log), "avg_risk": ("log_avg_risk", _risk_from_log),
+           "stepsize": ("log_stepsize", _exp_or_inf)}
 NN_ACTIVATIONS = ("leakyrelu:0.5", "leaky-gelu:0.9", "leaky-softplus:0.9", "leaky-silu:0.9",
                   "leaky-relu-variant:0.7")
 
@@ -167,15 +170,25 @@ def _encode(value) -> bytes:
     return repr(value).encode()
 
 
+def _values(traj, name) -> list:
+    """The column of that name, or the one derived from its log column:
+    risk and avg_risk are RiskValues, stepsize is exp(log_stepsize)."""
+    if name in DERIVED:
+        source, derive = DERIVED[name]
+        return [derive(v) for v in traj.columns.get(source, [])]
+    return traj.columns.get(name, [])
+
+
 def trajectory_digest(traj, columns, fields) -> str:
     h = hashlib.sha256()
     h.update(repr(getattr(traj, "diverged_at", None)).encode())
     for name in columns:
-        h.update(name.encode() + _encode(traj.column(name)))
-    h.update(repr(len(traj.points)).encode())
-    for p in traj.points:
-        for name in fields:
-            h.update(name.encode() + _encode(getattr(p, name)))
+        h.update(name.encode() + _encode(np.array(_values(traj, name))))
+    rows = list(zip(*(_values(traj, name) for name in fields)))
+    h.update(repr(len(rows)).encode())
+    for row in rows:
+        for name, value in zip(fields, row):
+            h.update(name.encode() + _encode(value))
     return h.hexdigest()
 
 
@@ -187,7 +200,8 @@ def gd_lines():
             for eta in etas:
                 base = GDConfig(loss=spec, eta=eta, steps=30, mode=mode)
                 full = run_gd(ds, base)
-                target = full.points[len(full.points) // 2].avg_risk.log_value
+                logs = full.columns["log_avg_risk"]
+                target = logs[len(logs) // 2]
                 for tgt in (None, target):
                     for every in (1, 7):
                         cfg = dataclasses.replace(base, record_every=every,

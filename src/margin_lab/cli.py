@@ -622,7 +622,9 @@ def _check_run_nn(cfg: ExperimentConfig, lines: dict):
 
 
 def _check_perceptron(cfg: ExperimentConfig, lines: dict):
-    if cfg["order"][0] != "file" and cfg["steps"] is None:
+    if cfg["order"][0] == "file" and cfg["steps"] is not None:
+        yield lines["steps"], "the order file fixes the length; drop steps"
+    elif cfg["order"][0] != "file" and cfg["steps"] is None:
         yield 0, "steps is required unless order = file:<path>"
 
 

@@ -333,13 +333,15 @@ class Trajectory:
     w_0 .. w_t (linear), or min_log_risk and min_risk_t of the best iterate
     so far (network).
 
-    points, final and column(name) are views. A point has one attribute per
-    column, plus risk and avg_risk rebuilt from their log columns (every
-    recorded risk is exp of its log, clipped) and stepsize = exp(log_stepsize).
+    column(name) returns one as an array; a derived value is computed where
+    it is read (_risk_from_log or _exp_or_inf of its log column).
+    points (per-row views adding risk, avg_risk and stepsize) and column's
+    fallback to those names remain only for perfbench's tracer.py and
+    workloads.py and for output_digests.py scripts older than the columns;
+    they go once perfbench reads columns.
     """
 
-    def __init__(self, config: GDConfig):
-        self.config = config
+    def __init__(self):
         self.columns: dict[str, list] = {}
         self.diverged_at: int | None = None
 
@@ -352,10 +354,6 @@ class Trajectory:
     @property
     def points(self) -> "_Points":
         return _Points(self.columns)
-
-    @property
-    def final(self) -> SimpleNamespace:
-        return self.points[-1]
 
     def column(self, name: str) -> np.ndarray:
         values = self.columns.get(name)
@@ -371,9 +369,7 @@ class _Points(Sequence):
     def __len__(self) -> int:
         return len(self._columns["t"]) if self._columns else 0
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> SimpleNamespace:
         if not -len(self) <= i < len(self):
             raise IndexError("trajectory point index out of range")
         p = SimpleNamespace(**{name: values[i] for name, values in self._columns.items()})
@@ -486,7 +482,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     adaptive = config.mode == "adaptive"
     log_eta = math.log(eta)
     target = config.target_log_avg_risk if average is not None else None
-    traj = Trajectory(config)
+    traj = Trajectory()
     total = params.copy()
     prev_log = best_log = math.inf
     best_t = 0
@@ -542,8 +538,8 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     Recording happens every record_every steps and always at the final step.
     With config.target_log_avg_risk set, the run stops at the first t >= 1
     whose averaged iterate has log risk at or below it, and records that
-    point even off the record_every grid, so points[-1].t is the number of
-    steps made. Every point it records is bit-identical to the same point of
+    point even off the record_every grid, so columns["t"][-1] is the number
+    of steps made. Every point it records is bit-identical to the same point of
     the run without a target. The check evaluates the averaged risk at every
     step, recorded or not.
 

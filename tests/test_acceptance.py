@@ -304,15 +304,16 @@ def test_06_two_layer_min_risk_bound_and_activation_grid():
                 net = make_net(ds.d, 4, act)
                 traj = run_gd_nn(
                     ds, net, GDConfig(loss=loss, eta=eta, steps=steps))
-                for p in traj.points:
-                    if p.t < 1:
+                for t, min_log_risk in zip(traj.columns["t"],
+                                           traj.columns["min_log_risk"]):
+                    if t < 1:
                         continue
                     bound = network_min_risk_log_bound(
-                        act.alpha, act.kappa, gamma, eta, p.t)
-                    if p.min_log_risk > bound + LOG_TOL:
+                        act.alpha, act.kappa, gamma, eta, t)
+                    if min_log_risk > bound + LOG_TOL:
                         violations.append(
-                            (base.kind, seed, eta, p.t,
-                             p.min_log_risk - bound))
+                            (base.kind, seed, eta, t,
+                             min_log_risk - bound))
                         break
     assert not violations, (
         f"network bound violated in {len(violations)} cells: {violations[:4]}")
@@ -435,13 +436,16 @@ def test_09_small_risk_forces_separation_everywhere(exp_log_grid, log_sum_grid,
     points = 0
     for r in grid_runs + psg_runs:
         thr = float(r.loss.log_value(0.0)) - math.log(r.ds.n)
-        for p in r.traj.points:
+        c = r.traj.columns
+        for t, log_risk, margin, log_avg_risk, avg_margin in zip(
+                c["t"], c["log_risk"], c["min_margin"], c["log_avg_risk"],
+                c["avg_min_margin"]):
             points += 2
-            if p.risk.log_value < thr and not p.min_margin > 0.0:
-                counterexamples.append((r.loss.kind, r.gamma, r.seed, r.eta, p.t))
-            if p.avg_risk.log_value < thr and not p.avg_min_margin > 0.0:
+            if log_risk < thr and not margin > 0.0:
+                counterexamples.append((r.loss.kind, r.gamma, r.seed, r.eta, t))
+            if log_avg_risk < thr and not avg_margin > 0.0:
                 counterexamples.append(
-                    (r.loss.kind, r.gamma, r.seed, r.eta, p.t, "avg"))
+                    (r.loss.kind, r.gamma, r.seed, r.eta, t, "avg"))
     assert points > 100000  # the sweep really covered the grids
     assert not counterexamples, (
         f"{len(counterexamples)} counterexamples: {counterexamples[:5]}")

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,6 +81,29 @@ def test_the_run_constants_runs_are_recorded_log_runs_on_a_plain_and_a_weighted_
     cfg = names["cfg"]
     assert (cfg.loss.kind, cfg.mode, cfg.eta, cfg.steps, cfg.record_every) == (
         "log", "adaptive", 400.0, 20_000, 1)
+
+
+def test_a_per_step_key_is_the_fastest_of_its_runs():
+    """separated-log and run-constants time RUNS calls of a run and keep
+    the fastest, per step; the result returned is the last call's."""
+    names = {}
+    exec(bench_pair.FASTEST, names)
+    runs = names["RUNS"]
+    assert runs == 9
+    seconds = [5.0, 3.0, 4.0, 9.0, 2.5, 7.0, 3.0, 6.0, 8.0]
+    ticks = iter(t for i, d in enumerate(seconds) for t in (10.0 * i, 10.0 * i + d))
+    names["time"] = SimpleNamespace(perf_counter=lambda: next(ticks))
+    calls = []
+
+    def run():
+        calls.append(None)
+        return len(calls)
+
+    fastest, result = names["fastest_us_per_step"](run, 10**6)
+    assert fastest == pytest.approx(min(seconds))  # s per 1e6 steps = us per step
+    assert result == len(calls) == runs
+    for child in (bench_pair.SEPARATED_CHILD, bench_pair.CONSTANTS_CHILD):
+        assert bench_pair.FASTEST in child
 
 
 def _child(code: str, held_mb: int = 0) -> dict:

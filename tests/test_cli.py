@@ -632,8 +632,8 @@ class TestRunCommand:
         ds = gen_random_separable(10, 100, 0.1, seed=7)
         traj = run_gd(ds, GDConfig(loss=EXP.with_n(ds.n), eta=100.0, steps=200))
         data = json.loads(text)
-        data["iterates"] = [[float(v) for v in p.w] for p in traj.points]
-        data["avg_iterates"] = [[float(v) for v in p.avg_w] for p in traj.points]
+        data["iterates"] = [[float(v) for v in w] for w in traj.columns["w"]]
+        data["avg_iterates"] = [[float(v) for v in w] for w in traj.columns["avg_w"]]
         assert json.dumps(data, sort_keys=True) == text
 
     def test_large_state_json_omits_iterates(self, tmp_path):
@@ -800,6 +800,21 @@ class TestPerceptronCommand:
         run = run_perceptron(ds, np.array(order))
         got = [int(r.split(",")[1]) for r in lines[3:]]
         assert got == [int(c) for c in run.mistakes]
+
+    def test_steps_with_an_order_file_is_a_config_error(self, tmp_path, capsys):
+        # the 13 indices of the file fix the run's length, which steps = 3 contradicts
+        order_path = tmp_path / "order.txt"
+        order_path.write_text(" ".join(str(i % 10) for i in range(13)) + "\n")
+        text = (
+            "dataset = online-hard:gamma=0.4,n=10\n"
+            f"order = file:{order_path}\n"
+            "steps = 3\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert main(["perceptron", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: line 3: the order file fixes the length; drop steps\n"
+        assert not (tmp_path / "mistakes.csv").exists()
 
     def test_out_of_range_order_file_is_a_config_error(self, tmp_path, capsys):
         order_path = tmp_path / "order.txt"
@@ -1007,8 +1022,9 @@ class TestBenchCommand:
                          4.0 * math.log(1.0 / eps) / gamma**2 + 4.0)):
                     traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=max_steps,
                                                mode=mode))
-                    hit = next((p.t for p in traj.points if p.t >= 1
-                                and p.avg_risk.log_value <= math.log(eps)), None)
+                    hit = next((t for t, log in zip(traj.columns["t"],
+                                                    traj.columns["log_avg_risk"])
+                                if t >= 1 and log <= math.log(eps)), None)
                     want.append((method, gamma, eps, f"{eps:.17g}",
                                  f">{max_steps}" if hit is None else str(hit)))
         want.sort(key=lambda r: r[:3])

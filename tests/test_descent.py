@@ -102,15 +102,12 @@ class TestSumTransform:
         for eta in (4.0, 400.0):
             a = run_gd(ds, GDConfig(loss=mean, eta=eta, steps=200))
             b = run_gd(ds, GDConfig(loss=mean.with_aggregation("sum"), eta=eta, steps=200))
-            assert len(a.points) == len(b.points) == 201
-            for p, q in zip(a.points, b.points):
-                assert np.array_equal(p.w, q.w) and np.array_equal(p.avg_w, q.avg_w)
-                assert p.risk == q.risk and p.avg_risk == q.avg_risk
-                assert p.log_stepsize == q.log_stepsize
-                assert p.min_margin == q.min_margin
-                assert p.avg_min_margin == q.avg_min_margin
-                # phi_sum = ln(n L) = phi + ln n
-                assert q.phi == pytest.approx(p.phi + math.log(ds.n), abs=1e-12)
+            assert len(a.columns["t"]) == len(b.columns["t"]) == 201
+            for name in ("w", "avg_w", "log_risk", "log_avg_risk", "log_stepsize",
+                         "min_margin", "avg_min_margin"):
+                assert np.array_equal(a.column(name), b.column(name)), name
+            # phi_sum = ln(n L) = phi + ln n
+            assert b.column("phi") == pytest.approx(a.column("phi") + math.log(ds.n), abs=1e-12)
 
     def test_weighted_matches_materialized_bit_for_bit(self):
         # The multiplicity m multiplies the exponential, so a block of m
@@ -256,54 +253,56 @@ class TestRunGD:
         eta = 3.0
         traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=1))
         np.testing.assert_allclose(
-            traj.points[1].w, eta * mean_signed_feature(ds), rtol=1e-13, atol=1e-16
+            traj.columns["w"][1], eta * mean_signed_feature(ds), rtol=1e-13, atol=1e-16
         )
 
     def test_running_average_matches_iterates(self):
         ds = small_ds()
         traj = run_gd(ds, GDConfig(loss=EXP, eta=1.0, steps=40))
-        iters = np.stack([p.w for p in traj.points])
-        for t, p in enumerate(traj.points):
-            np.testing.assert_allclose(p.avg_w, iters[: t + 1].mean(axis=0), rtol=1e-12, atol=1e-15)
+        iters = traj.column("w")
+        for t, avg_w in enumerate(traj.columns["avg_w"]):
+            np.testing.assert_allclose(avg_w, iters[: t + 1].mean(axis=0), rtol=1e-12, atol=1e-15)
 
     def test_phi_matches_inverse(self):
         ds = small_ds()
         for loss in SMOOTH:
             traj = run_gd(ds, GDConfig(loss=loss, eta=1.0, steps=30))
-            for p in traj.points:
-                if 0.0 < p.risk.value < math.inf:
-                    want = -loss.inverse(p.risk.value)
-                    assert p.phi == pytest.approx(want, rel=1e-8, abs=1e-10)
+            for log_risk, phi_t in zip(traj.columns["log_risk"], traj.columns["phi"]):
+                value = descent._exp_or_inf(log_risk)
+                if 0.0 < value < math.inf:
+                    want = -loss.inverse(value)
+                    assert phi_t == pytest.approx(want, rel=1e-8, abs=1e-10)
 
     def test_record_every_subsamples_and_keeps_last(self):
         ds = small_ds()
         traj = run_gd(ds, GDConfig(loss=EXP, eta=1.0, steps=25, record_every=10))
-        assert [p.t for p in traj.points] == [0, 10, 20, 25]
+        assert traj.columns["t"] == [0, 10, 20, 25]
 
     def test_small_step_monotone(self):
         ds = small_ds()
         traj = run_gd(ds, GDConfig(loss=EXP, eta=0.05, steps=60))
         logs = traj.column("log_risk")
         assert np.all(np.diff(logs) < 0)
-        assert not any(p.descent_violated for p in traj.points)
+        assert not any(traj.columns["descent_violated"])
 
     def test_deep_regime_stays_finite(self):
         ds = gen_random_separable(10, 100, 0.1, seed=0)
         traj = run_gd(ds, GDConfig(loss=EXP, eta=4000.0, steps=150))
         logs = traj.column("log_risk")
         assert np.all(np.isfinite(logs))
-        assert traj.final.avg_risk.log_value < -500.0
-        assert traj.final.risk.value == 0.0  # underflowed, log-domain carries on
+        assert traj.columns["log_avg_risk"][-1] < -500.0
+        # underflowed, log-domain carries on
+        assert descent._exp_or_inf(traj.columns["log_risk"][-1]) == 0.0
         # stepsize blows past the float range but its log stays finite
-        assert traj.final.stepsize == math.inf
-        assert math.isfinite(traj.final.log_stepsize)
+        assert descent._exp_or_inf(traj.columns["log_stepsize"][-1]) == math.inf
+        assert math.isfinite(traj.columns["log_stepsize"][-1])
         assert traj.diverged_at is None
 
     def test_constant_mode_can_diverge(self):
         ds = gen_two_point(0.05)
         traj = run_gd(ds, GDConfig(loss=EXP, eta=1000.0, steps=50, mode="constant"))
         assert traj.diverged_at is not None
-        assert len(traj.points) <= traj.diverged_at + 1
+        assert len(traj.columns["t"]) <= traj.diverged_at + 1
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
     def test_adaptive_mode_diverges_when_the_sum_of_iterates_overflows(self):
@@ -312,7 +311,7 @@ class TestRunGD:
         ds = gen_random_separable(10, 100, 0.1, seed=0)
         traj = run_gd(ds, GDConfig(loss=EXP, eta=1e308, steps=5))
         assert traj.diverged_at == 4
-        assert [p.t for p in traj.points] == [0, 1, 2, 3]
+        assert traj.columns["t"] == [0, 1, 2, 3]
         assert np.all(np.isfinite(traj.column("log_avg_risk")))
         assert np.all(np.isfinite(traj.column("avg_min_margin")))
 
@@ -320,13 +319,13 @@ class TestRunGD:
         ds = small_ds()
         traj = run_gd(ds, GDConfig(loss=LOG, eta=1.0, steps=200, mode="constant"))
         assert traj.diverged_at is None
-        assert traj.final.risk.log_value < risk(np.zeros(ds.d), ds, LOG).log_value
+        assert traj.columns["log_risk"][-1] < risk(np.zeros(ds.d), ds, LOG).log_value
 
     def test_nonzero_init(self):
         ds = small_ds()
         w0 = np.full(ds.d, 0.1)
         traj = run_gd(ds, GDConfig(loss=EXP, eta=0.5, steps=3, init=w0))
-        np.testing.assert_array_equal(traj.points[0].w, w0)
+        np.testing.assert_array_equal(traj.columns["w"][0], w0)
         with pytest.raises(ValueError):
             run_gd(ds, GDConfig(loss=EXP, eta=0.5, steps=3, init=np.zeros(999)))
 
@@ -345,24 +344,30 @@ class TestRunGD:
         traj = run_gd(ds, GDConfig(loss=HINGE, eta=1.0, steps=50, mode="constant"))
         assert traj.diverged_at is None
         # hinge risk hits exactly zero once separated
-        assert traj.final.risk.value == 0.0
-        assert traj.final.min_margin > 0.0
+        assert descent._exp_or_inf(traj.columns["log_risk"][-1]) == 0.0
+        assert traj.columns["min_margin"][-1] > 0.0
 
 
-def assert_same_point(a, b):
-    """Every field of two trajectory points agrees bit for bit."""
-    assert vars(a).keys() == vars(b).keys()
-    for name, x in vars(a).items():
-        y = getattr(b, name)
-        if isinstance(x, np.ndarray):
-            assert x.tobytes() == y.tobytes(), name
-        else:
-            assert x == y or (x != x and y != y), name
+def assert_same_rows(got, want, rows=None):
+    """got's rows are want's rows at the indices rows (every row by
+    default), in every column: arrays bit for bit, scalars as floats
+    (0.0 == -0.0, nan == nan). The risk, avg_risk and stepsize derived from
+    the log columns then agree bit for bit too."""
+    rows = range(len(want.columns.get("t", ()))) if rows is None else rows
+    assert got.columns.keys() == want.columns.keys()
+    for name, values in got.columns.items():
+        theirs = [want.columns[name][i] for i in rows]
+        assert len(values) == len(theirs), name
+        for x, y in zip(values, theirs):
+            if isinstance(x, np.ndarray):
+                assert x.tobytes() == y.tobytes(), name
+            else:
+                assert x == y or (x != x and y != y), name
 
 
 def first_passage(traj, target):
-    return next(p.t for p in traj.points
-                if p.t >= 1 and p.avg_risk.log_value <= target)
+    return next(t for t, log in zip(traj.columns["t"], traj.columns["log_avg_risk"])
+                if t >= 1 and log <= target)
 
 
 class TestTargetStop:
@@ -371,15 +376,15 @@ class TestTargetStop:
     def test_stopped_run_is_a_prefix_ending_at_first_passage(self, loss, mode, eta):
         ds = small_ds()
         full = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=80, mode=mode))
-        target = full.points[40].avg_risk.log_value
+        target = full.columns["log_avg_risk"][40]
         hit = first_passage(full, target)
         stopped = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=80, mode=mode,
                                       target_log_avg_risk=target))
-        assert [p.t for p in stopped.points] == list(range(hit + 1))
-        for a, b in zip(stopped.points, full.points):
-            assert_same_point(a, b)
-        assert stopped.final.avg_risk.log_value <= target
-        assert all(p.avg_risk.log_value > target for p in stopped.points[1:-1])
+        assert stopped.columns["t"] == list(range(hit + 1))
+        assert_same_rows(stopped, full, range(hit + 1))
+        logs = stopped.columns["log_avg_risk"]
+        assert logs[-1] <= target
+        assert all(log > target for log in logs[1:-1])
         assert stopped.diverged_at is None
 
     def test_unreached_target_changes_nothing(self):
@@ -387,29 +392,27 @@ class TestTargetStop:
         full = run_gd(ds, GDConfig(loss=LOG, eta=50.0, steps=60))
         stopped = run_gd(ds, GDConfig(loss=LOG, eta=50.0, steps=60,
                                       target_log_avg_risk=-1e9))
-        assert len(stopped.points) == len(full.points) == 61
-        for a, b in zip(stopped.points, full.points):
-            assert_same_point(a, b)
+        assert len(stopped.columns["t"]) == len(full.columns["t"]) == 61
+        assert_same_rows(stopped, full)
 
     def test_stop_point_is_recorded_off_the_grid(self):
         ds = small_ds()
         full = run_gd(ds, GDConfig(loss=EXP, eta=50.0, steps=200))
-        target = full.points[33].avg_risk.log_value
+        target = full.columns["log_avg_risk"][33]
         hit = first_passage(full, target)
         assert hit % 7 != 0
         stopped = run_gd(ds, GDConfig(loss=EXP, eta=50.0, steps=200, record_every=7,
                                       target_log_avg_risk=target))
         want = list(range(0, hit, 7)) + [hit]
-        assert [p.t for p in stopped.points] == want
-        for p in stopped.points:
-            assert_same_point(p, full.points[p.t])
+        assert stopped.columns["t"] == want
+        assert_same_rows(stopped, full, want)  # full records every step: row t is step t
 
     def test_t0_never_stops(self):
         # the averaged iterate at t = 0 is w_0 itself; the first step counts
         ds = small_ds()
         traj = run_gd(ds, GDConfig(loss=EXP, eta=0.5, steps=10,
                                    target_log_avg_risk=math.inf))
-        assert [p.t for p in traj.points] == [0, 1]
+        assert traj.columns["t"] == [0, 1]
 
     def test_nan_target_is_refused(self):
         with pytest.raises(ValueError):
@@ -422,7 +425,7 @@ def reference_run_gd(ds, config):
     reproduce bit for bit."""
     loss = config.loss
     w = np.zeros(ds.d) if config.init is None else np.array(config.init, dtype=float)
-    traj = Trajectory(config=config)
+    traj = Trajectory()
     wsum = w.copy()
     prev_log_risk = math.inf
     target = config.target_log_avg_risk
@@ -492,7 +495,8 @@ class TestFusedStep:
                 base = GDConfig(loss=spec, eta=eta, steps=30, mode=mode)
                 full = reference_run_gd(ds, base)
                 # a target the run passes, unless it diverges first
-                target = full.points[len(full.points) // 2].avg_risk.log_value
+                logs = full.columns["log_avg_risk"]
+                target = logs[len(logs) // 2]
                 for tgt in (None, target):
                     for every in (1, 7):
                         cfg = dataclasses.replace(base, record_every=every,
@@ -502,9 +506,8 @@ class TestFusedStep:
                             want = reference_run_gd(ds, cfg)
                             got = run_gd(ds, cfg)
                         assert got.diverged_at == want.diverged_at, case
-                        assert len(got.points) == len(want.points), case
-                        for a, b in zip(got.points, want.points):
-                            assert_same_point(a, b)
+                        assert len(got.columns["t"]) == len(want.columns["t"]), case
+                        assert_same_rows(got, want)
 
     @pytest.mark.parametrize("mode,loss", [("adaptive", LOG), ("constant", EXP)])
     @pytest.mark.parametrize("target", [False, True])
@@ -519,7 +522,7 @@ class TestFusedStep:
                        mode=mode, record_every=7)
         if target:
             full = run_gd(ds, dataclasses.replace(cfg, record_every=1))
-            cfg = dataclasses.replace(cfg, target_log_avg_risk=full.points[100].avg_risk.log_value)
+            cfg = dataclasses.replace(cfg, target_log_avg_risk=full.columns["log_avg_risk"][100])
         counts = {"margins": 0, "grad": 0}
         margins = Dataset.margins
         grad_name = "grad_phi" if mode == "adaptive" else "grad_risk"
@@ -536,7 +539,7 @@ class TestFusedStep:
         monkeypatch.setattr(Dataset, "margins", counting_margins)
         monkeypatch.setattr(descent, grad_name, counting_grad)
         traj = run_gd(ds, cfg)
-        made = traj.final.t
+        made = traj.columns["t"][-1]
         assert traj.diverged_at is None
         if target:
             assert made < cfg.steps
@@ -544,7 +547,7 @@ class TestFusedStep:
             queued = 1 + counts["grad"]  # t = 0 is recorded, t >= 1 is checked
         else:
             assert counts["grad"] == made
-            queued = len(traj.points)
+            queued = len(traj.columns["t"])
         blocks = -(-queued // size)
         assert blocks >= 2
         assert counts["margins"] == (counts["grad"] + 1) + blocks
@@ -568,7 +571,7 @@ class TestFusedStep:
         monkeypatch.setattr(descent, grad_name, scaled)
         faulty = run_gd(ds, cfg)
         assert len(calls) == cfg.steps
-        assert not np.array_equal(faulty.final.w, clean.final.w)
+        assert not np.array_equal(faulty.columns["w"][-1], clean.columns["w"][-1])
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
@@ -588,7 +591,7 @@ class TestFusedStep:
 
         monkeypatch.setattr(LossSpec, "log_value", counting)
         traj = run_gd(ds, cfg)
-        blocks = -(-len(traj.points) // descent.block_size(ds.n_rows))
+        blocks = -(-len(traj.columns["t"]) // descent.block_size(ds.n_rows))
         assert blocks >= 2
         assert len(calls) == (cfg.steps + 1) + blocks
 
@@ -596,9 +599,8 @@ class TestFusedStep:
 def assert_same_run(got, want, case=""):
     """Two trajectories agree row for row, bit for bit, and in diverged_at."""
     assert got.diverged_at == want.diverged_at, case
-    assert [p.t for p in got.points] == [p.t for p in want.points], case
-    for a, b in zip(got.points, want.points):
-        assert_same_point(a, b)
+    assert got.columns["t"] == want.columns["t"], case
+    assert_same_rows(got, want)
 
 
 def _unit_ball_dataset(n_rows, d, seed=0):
@@ -653,10 +655,10 @@ class TestAveragedBlocks:
         size = descent.block_size(ds.n_rows)
         hit = size + offset
         base = GDConfig(loss=loss, eta=eta, steps=size + 40, mode=mode)
-        target = reference_run_gd(ds, base).points[hit].avg_risk.log_value
+        target = reference_run_gd(ds, base).columns["log_avg_risk"][hit]
         cfg = dataclasses.replace(base, record_every=every, target_log_avg_risk=target)
         want = reference_run_gd(ds, cfg)
-        assert want.final.t == hit
+        assert want.columns["t"][-1] == hit
         assert_same_run(run_gd(ds, cfg), want)
 
     def test_passage_then_divergence_in_one_block(self):
@@ -665,13 +667,13 @@ class TestAveragedBlocks:
         ds = gen_random_separable(10, 100, 0.1, seed=0)
         base = GDConfig(loss=EXP, eta=1e308, steps=10)
         with np.errstate(all="ignore"):
-            target = reference_run_gd(ds, base).points[1].avg_risk.log_value
+            target = reference_run_gd(ds, base).columns["log_avg_risk"][1]
             want = reference_run_gd(ds, dataclasses.replace(base, target_log_avg_risk=target))
         cfg = dataclasses.replace(base, target_log_avg_risk=target)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = run_gd(ds, cfg)
-        assert [p.t for p in got.points] == [0, 1]
+        assert got.columns["t"] == [0, 1]
         assert got.diverged_at is None
         assert_same_run(got, want)
         with warnings.catch_warnings():
@@ -717,7 +719,7 @@ class TestSeparatedLog:
                 cfg, target_log_avg_risk=full.columns["log_avg_risk"][entered + 20])
         got = run_gd(ds, cfg)
         if target:
-            assert got.final.t < cfg.steps
+            assert got.columns["t"][-1] < cfg.steps
         unbranched_log_kernels(monkeypatch)
         assert_same_columns(got, run_gd(ds, cfg))
 
@@ -730,7 +732,8 @@ class TestSeparatedLog:
         loss = LOG.with_aggregation(agg).with_n(ds.n)
         cfg = GDConfig(loss=loss, eta=400.0, steps=200, record_every=3)
         clean = run_gd(ds, cfg)
-        want = [log_adaptive_stepsize(loss, p.risk, cfg.eta) for p in clean.points]
+        want = [log_adaptive_stepsize(loss, descent._risk_from_log(log), cfg.eta)
+                for log in clean.columns["log_risk"]]
         assert np.array(clean.columns["log_stepsize"]).tobytes() == np.array(want).tobytes()
         grad, calls = descent.grad_phi, []
 
@@ -851,10 +854,10 @@ class TestMetamorphic:
         t = 0 is compared as a float: 0.0 == -0.0.)"""
         for ds in (gen_random_separable(10, 100, 0.1, seed=3), gen_batch_hard(0.1, 64)):
             base = GDConfig(loss=loss.with_n(ds.n), eta=eta, steps=30, mode=mode)
-            target = run_gd(ds, base).points[15].avg_risk.log_value
+            target = run_gd(ds, base).columns["log_avg_risk"][15]
             cfg = dataclasses.replace(base, record_every=7, target_log_avg_risk=target)
             a = run_gd(ds, cfg)
-            assert a.final.t < base.steps
+            assert a.columns["t"][-1] < base.steps
             assert_same_run(run_gd(negate_rows(ds), cfg), a)
 
     @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)

@@ -1,0 +1,42 @@
+"""What the repository's own code and docs read of a Trajectory, and the
+README's Quick start run as written."""
+
+import math
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# A read of the per-row views: points, final, or column() of a derived name.
+VIEW_READ = re.compile(r"""\.points\b|\.final\b|\.column\(\s*["'](risk|avg_risk|stepsize)["']\s*\)""")
+# descent.py defines the views; this file names them in VIEW_READ.
+EXEMPT = {ROOT / "src" / "margin_lab" / "descent.py", Path(__file__).resolve()}
+
+
+def test_nothing_reads_the_per_row_views():
+    """A trajectory is read through its columns: src/, scripts/, tests/ and
+    the README read no per-row view."""
+    files = [ROOT / "README.md"] + sorted(
+        path for top in ("src", "scripts", "tests") for path in (ROOT / top).rglob("*.py"))
+    reads = [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+             for path in files if path.resolve() not in EXEMPT
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if VIEW_READ.search(line)]
+    assert not reads, "\n".join(reads)
+
+
+def test_the_view_pattern_matches_each_read():
+    for line in ("traj.points[-1].t", "for p in traj.points:", "traj.final.min_margin",
+                 'traj.column("risk")', "traj.column('avg_risk')", 'traj.column("stepsize")'):
+        assert VIEW_READ.search(line), line
+    for line in ('traj.columns["t"][-1]', 'traj.column("log_risk")', 'traj.column("w")',
+                 "_probe_points(rng, ds, 3)", "self.finalize()"):
+        assert not VIEW_READ.search(line), line
+
+
+def test_the_readme_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    log_avg_risk, min_margin = map(float, capsys.readouterr().out.split())
+    assert math.isfinite(log_avg_risk) and math.isfinite(min_margin)

@@ -195,10 +195,11 @@ class TestTraining:
         ds = gen_random_separable(5, 20, 0.2, seed=10)
         net = make_net(ds.d, 4, leaky_relu(0.5))
         eta = 2.0
-        traj = run_gd_nn(ds, net, GDConfig(loss=EXP, eta=eta, steps=1))
+        cfg = GDConfig(loss=EXP, eta=eta, steps=1)
+        traj = run_gd_nn(ds, net, cfg)
         xbar = mean_signed_feature(ds)
-        want = eta * traj.config.loss.value(0.0) * net.signs[:, None] * xbar[None, :]
-        np.testing.assert_allclose(traj.points[1].weights, want, rtol=1e-13, atol=1e-16)
+        want = eta * cfg.loss.value(0.0) * net.signs[:, None] * xbar[None, :]
+        np.testing.assert_allclose(traj.columns["weights"][1], want, rtol=1e-13, atol=1e-16)
 
     def test_width_one_degenerates_to_linear(self):
         ds = gen_random_separable(8, 60, 0.2, seed=11)
@@ -207,9 +208,11 @@ class TestTraining:
         cfg = GDConfig(loss=EXP, eta=1.0, steps=40)
         nn_traj = run_gd_nn(ds, net, cfg)
         lin_traj = run_gd(ds, cfg)
-        for p_nn, p_lin in zip(nn_traj.points, lin_traj.points):
-            assert np.max(np.abs(p_nn.weights[0] - p_lin.w)) <= 1e-4
-            assert p_nn.risk.log_value == pytest.approx(p_lin.risk.log_value, abs=1e-4)
+        nn, lin = nn_traj.columns, lin_traj.columns
+        for w_nn, w_lin in zip(nn["weights"], lin["w"]):
+            assert np.max(np.abs(w_nn[0] - w_lin)) <= 1e-4
+        for log_nn, log_lin in zip(nn["log_risk"], lin["log_risk"]):
+            assert log_nn == pytest.approx(log_lin, abs=1e-4)
 
     def test_min_risk_channel_monotone(self):
         ds = gen_random_separable(10, 100, 0.2, seed=0)
@@ -226,10 +229,10 @@ class TestTraining:
         eta = 8.0
         traj = run_gd_nn(ds, net, GDConfig(loss=EXP, eta=eta, steps=100))
         act = net.activation
-        for p in traj.points:
-            if p.t >= 1:
-                bound = network_min_risk_log_bound(act.alpha, act.kappa, 0.2, eta, p.t)
-                assert p.min_log_risk <= bound + 1e-6
+        for t, min_log_risk in zip(traj.columns["t"], traj.columns["min_log_risk"]):
+            if t >= 1:
+                bound = network_min_risk_log_bound(act.alpha, act.kappa, 0.2, eta, t)
+                assert min_log_risk <= bound + 1e-6
 
     def test_mode_and_dim_validation(self):
         ds = gen_random_separable(5, 10, 0.2, seed=12)
@@ -261,7 +264,7 @@ def reference_run_gd_nn(ds, net, config):
     loss = config.loss
     W = net.weights.copy()
     work = TwoLayerNet(W, net.signs, net.activation)
-    traj = Trajectory(config=config)
+    traj = Trajectory()
     best_log, best_t = math.inf, 0
     prev_log = math.inf
     for t in range(config.steps + 1):
@@ -300,11 +303,10 @@ class TestFusedStep:
                 cfg = GDConfig(loss=loss, eta=8.0, steps=30, record_every=every)
                 want = reference_run_gd_nn(ds, net, cfg)
                 got = run_gd_nn(ds, net, cfg)
-                assert len(got.points) == len(want.points), ds_name
-                for a, b in zip(got.points, want.points):
-                    assert vars(a).keys() == vars(b).keys()
-                    for name, x in vars(a).items():
-                        y = getattr(b, name)
+                assert len(got.columns["t"]) == len(want.columns["t"]), ds_name
+                assert got.columns.keys() == want.columns.keys()
+                for name, values in got.columns.items():
+                    for x, y in zip(values, want.columns[name]):
                         if isinstance(x, np.ndarray):
                             assert x.tobytes() == y.tobytes(), (ds_name, every, name)
                         else:
@@ -323,7 +325,7 @@ class TestFusedStep:
         ds = gen_random_separable(10, 100, 0.2, seed=0)
         net = make_net(ds.d, 4, dataclasses.replace(act, pair=counting_pair))
         traj = run_gd_nn(ds, net, GDConfig(loss=LOG, eta=8.0, steps=40, record_every=7))
-        assert traj.final.t == 40
+        assert traj.columns["t"][-1] == 40
         assert calls == [(100, 4)] * 41
 
     @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)

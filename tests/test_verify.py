@@ -207,7 +207,7 @@ class TestRiskImpliesSeparation:
     def test_trajectory_iterates(self):
         ds = gen_random_separable(10, 100, 0.2, seed=1)
         traj = run_gd(ds, GDConfig(loss=EXP, eta=4.0, steps=150))
-        iterates = np.array([p.w for p in traj.points])
+        iterates = traj.column("w")
         rep = check_risk_implies_separation(ds, EXP, iterates)
         assert rep.verdict == "pass"
         assert rep.context["vectors_checked"] == len(iterates)

@@ -88,4 +88,4 @@ def test_decay_replay_refutes_the_mean_log_bound():
     assert cell.log_avg_risk - bound > 79.0
     # above ln l(0): the averaged iterate has not separated the data yet
     assert cell.log_avg_risk > math.log(float(loss.value(0.0)))
-    assert traj.final.avg_min_margin <= 0.0
+    assert traj.columns["avg_min_margin"][-1] <= 0.0
