@@ -70,8 +70,9 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
 
 The per-step keys of `separated-log` and `run-constants` take the minimum
 over 9 runs within a sample (`FASTEST`), not a median: a shared host only
-ever adds time to a run, so the fastest run is the one least disturbed,
-and its spread from sample to sample is smaller than a median's.
+ever adds time to a run, so the fastest run is the one least disturbed.
+It removes noise within a sample, not shifts of the host's speed between
+samples; the A/A runs behind this choice are in `CHANGES.md`.
 
 OUT.json holds, per key of the samples: for a key whose samples are all
 integers, each side's distinct values; for any other key, each side's

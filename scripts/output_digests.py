@@ -172,11 +172,15 @@ def _encode(value) -> bytes:
 
 def _values(traj, name) -> list:
     """The column of that name, or the one derived from its log column:
-    risk and avg_risk are RiskValues, stepsize is exp(log_stepsize)."""
+    risk and avg_risk are RiskValues, stepsize is exp(log_stepsize). A
+    trajectory without rows has no columns; any other lacking the name
+    raises KeyError."""
+    if not traj.columns:
+        return []
     if name in DERIVED:
         source, derive = DERIVED[name]
-        return [derive(v) for v in traj.columns.get(source, [])]
-    return traj.columns.get(name, [])
+        return [derive(v) for v in traj.columns[source]]
+    return traj.columns[name]
 
 
 def trajectory_digest(traj, columns, fields) -> str:
@@ -184,7 +188,7 @@ def trajectory_digest(traj, columns, fields) -> str:
     h.update(repr(getattr(traj, "diverged_at", None)).encode())
     for name in columns:
         h.update(name.encode() + _encode(np.array(_values(traj, name))))
-    rows = list(zip(*(_values(traj, name) for name in fields)))
+    rows = list(zip(*(_values(traj, name) for name in fields), strict=True))
     h.update(repr(len(rows)).encode())
     for row in rows:
         for name, value in zip(fields, row):

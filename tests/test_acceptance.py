@@ -305,7 +305,7 @@ def test_06_two_layer_min_risk_bound_and_activation_grid():
                 traj = run_gd_nn(
                     ds, net, GDConfig(loss=loss, eta=eta, steps=steps))
                 for t, min_log_risk in zip(traj.columns["t"],
-                                           traj.columns["min_log_risk"]):
+                                           traj.columns["min_log_risk"], strict=True):
                     if t < 1:
                         continue
                     bound = network_min_risk_log_bound(
@@ -439,7 +439,7 @@ def test_09_small_risk_forces_separation_everywhere(exp_log_grid, log_sum_grid,
         c = r.traj.columns
         for t, log_risk, margin, log_avg_risk, avg_margin in zip(
                 c["t"], c["log_risk"], c["min_margin"], c["log_avg_risk"],
-                c["avg_min_margin"]):
+                c["avg_min_margin"], strict=True):
             points += 2
             if log_risk < thr and not margin > 0.0:
                 counterexamples.append((r.loss.kind, r.gamma, r.seed, r.eta, t))

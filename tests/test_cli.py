@@ -1023,7 +1023,7 @@ class TestBenchCommand:
                     traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=max_steps,
                                                mode=mode))
                     hit = next((t for t, log in zip(traj.columns["t"],
-                                                    traj.columns["log_avg_risk"])
+                                                    traj.columns["log_avg_risk"], strict=True)
                                 if t >= 1 and log <= math.log(eps)), None)
                     want.append((method, gamma, eps, f"{eps:.17g}",
                                  f">{max_steps}" if hit is None else str(hit)))

@@ -267,7 +267,8 @@ class TestRunGD:
         ds = small_ds()
         for loss in SMOOTH:
             traj = run_gd(ds, GDConfig(loss=loss, eta=1.0, steps=30))
-            for log_risk, phi_t in zip(traj.columns["log_risk"], traj.columns["phi"]):
+            for log_risk, phi_t in zip(traj.columns["log_risk"], traj.columns["phi"],
+                                       strict=True):
                 value = descent._exp_or_inf(log_risk)
                 if 0.0 < value < math.inf:
                     want = -loss.inverse(value)
@@ -353,11 +354,12 @@ def assert_same_rows(got, want, rows=None):
     default), in every column: arrays bit for bit, scalars as floats
     (0.0 == -0.0, nan == nan). The risk, avg_risk and stepsize derived from
     the log columns then agree bit for bit too."""
-    rows = range(len(want.columns.get("t", ()))) if rows is None else rows
     assert got.columns.keys() == want.columns.keys()
     for name, values in got.columns.items():
-        theirs = [want.columns[name][i] for i in rows]
-        assert len(values) == len(theirs), name
+        theirs = want.columns[name]
+        if rows is not None:
+            theirs = [theirs[i] for i in rows]
+        assert len(values) == len(theirs) == len(got.columns["t"]), name
         for x, y in zip(values, theirs):
             if isinstance(x, np.ndarray):
                 assert x.tobytes() == y.tobytes(), name
@@ -366,7 +368,8 @@ def assert_same_rows(got, want, rows=None):
 
 
 def first_passage(traj, target):
-    return next(t for t, log in zip(traj.columns["t"], traj.columns["log_avg_risk"])
+    return next(t for t, log in zip(traj.columns["t"], traj.columns["log_avg_risk"],
+                                    strict=True)
                 if t >= 1 and log <= target)
 
 

@@ -29,7 +29,7 @@ from margin_lab.two_layer import (
 )
 
 from _oracles import fd_grad_matrix, max_relative_gap, permute_rows
-from test_descent import assert_same_columns, unbranched_log_kernels
+from test_descent import assert_same_columns, assert_same_rows, unbranched_log_kernels
 
 BLENDS = ["gelu", "softplus", "silu", "relu"]
 
@@ -209,9 +209,9 @@ class TestTraining:
         nn_traj = run_gd_nn(ds, net, cfg)
         lin_traj = run_gd(ds, cfg)
         nn, lin = nn_traj.columns, lin_traj.columns
-        for w_nn, w_lin in zip(nn["weights"], lin["w"]):
+        for w_nn, w_lin in zip(nn["weights"], lin["w"], strict=True):
             assert np.max(np.abs(w_nn[0] - w_lin)) <= 1e-4
-        for log_nn, log_lin in zip(nn["log_risk"], lin["log_risk"]):
+        for log_nn, log_lin in zip(nn["log_risk"], lin["log_risk"], strict=True):
             assert log_nn == pytest.approx(log_lin, abs=1e-4)
 
     def test_min_risk_channel_monotone(self):
@@ -229,7 +229,8 @@ class TestTraining:
         eta = 8.0
         traj = run_gd_nn(ds, net, GDConfig(loss=EXP, eta=eta, steps=100))
         act = net.activation
-        for t, min_log_risk in zip(traj.columns["t"], traj.columns["min_log_risk"]):
+        for t, min_log_risk in zip(traj.columns["t"], traj.columns["min_log_risk"],
+                                   strict=True):
             if t >= 1:
                 bound = network_min_risk_log_bound(act.alpha, act.kappa, 0.2, eta, t)
                 assert min_log_risk <= bound + 1e-6
@@ -303,14 +304,7 @@ class TestFusedStep:
                 cfg = GDConfig(loss=loss, eta=8.0, steps=30, record_every=every)
                 want = reference_run_gd_nn(ds, net, cfg)
                 got = run_gd_nn(ds, net, cfg)
-                assert len(got.columns["t"]) == len(want.columns["t"]), ds_name
-                assert got.columns.keys() == want.columns.keys()
-                for name, values in got.columns.items():
-                    for x, y in zip(values, want.columns[name]):
-                        if isinstance(x, np.ndarray):
-                            assert x.tobytes() == y.tobytes(), (ds_name, every, name)
-                        else:
-                            assert x == y, (ds_name, every, name)
+                assert_same_rows(got, want)
 
     def test_one_forward_pass_per_iterate(self):
         """The activation's pair runs on the hidden pre-activations once per
