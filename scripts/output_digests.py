@@ -16,7 +16,10 @@ One line per run or file:
   (`FUSED_GRID` x `FUSED_DATASETS` x target on/off x `record_every` 1/7);
 - `run_gd_nn` on the 60 configurations of `tests/test_two_layer.py`'s
   network grid widened to every activation record (leakyrelu and the four
-  leaky blends, exp and log, `NN_DATASETS`, `record_every` 1/7);
+  leaky blends, exp and log, `NN_DATASETS`, `record_every` 1/7), and on
+  24 runs of 150 steps at eta 50 whose rows cross the 64-step blocks of
+  `descent.block_size` and whose risk is not monotone (leakyrelu and
+  leaky-gelu, exp and log, `NN_DATASETS`, `record_every` 1/7);
 - the JSON reports of the probe checks on shapes beyond `default_suite`'s,
   on seeds 0, 3 and 1000: `check_gradient_inequalities` on log with sum
   aggregation, on a weighted batch-hard set and on a random set with
@@ -85,6 +88,8 @@ DERIVED = {"risk": ("log_risk", _risk_from_log), "avg_risk": ("log_avg_risk", _r
            "stepsize": ("log_stepsize", _exp_or_inf)}
 NN_ACTIVATIONS = ("leakyrelu:0.5", "leaky-gelu:0.9", "leaky-softplus:0.9", "leaky-silu:0.9",
                   "leaky-relu-variant:0.7")
+# the activations of the runs long enough to cross a block of rows
+NN_BLOCK_ACTIVATIONS = ("leakyrelu:0.5", "leaky-gelu:0.9")
 
 SEEDS = (0, 3, 1000)
 CLI_CONFIGS = {
@@ -217,15 +222,18 @@ def gd_lines():
 
 
 def nn_lines():
-    for act in NN_ACTIVATIONS:
+    runs = ([(act, 30, 8.0) for act in NN_ACTIVATIONS]
+            + [(act, 150, 50.0) for act in NN_BLOCK_ACTIVATIONS])
+    for act, steps, eta in runs:
+        length = "" if steps == 30 else f" steps={steps} eta={eta:g}"
         for loss in (EXP, LOG):
             for ds_name, make in NN_DATASETS.items():
                 ds = make()
                 net = make_net(ds.d, 4, parse_activation(act))
                 for every in (1, 7):
-                    cfg = GDConfig(loss=loss, eta=8.0, steps=30, record_every=every)
+                    cfg = GDConfig(loss=loss, eta=eta, steps=steps, record_every=every)
                     traj = run_gd_nn(ds, net, cfg)
-                    case = f"{act} {loss.name} {ds_name} every={every}"
+                    case = f"{act} {loss.name} {ds_name}{length} every={every}"
                     yield f"run_gd_nn {case} {trajectory_digest(traj, NN_COLUMNS, NN_FIELDS)}"
 
 

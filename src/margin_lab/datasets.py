@@ -66,7 +66,8 @@ def row_blocks(n_rows: int, d: int):
 @dataclass(frozen=True)
 class Dataset:
     """Frozen; n is exact and set at construction (dataclasses.replace too):
-    n_rows, or the Python-int sum of the weights, where a nan weight raises ValueError."""
+    n_rows, or the Python-int sum of the weights, where a nan weight raises ValueError.
+    weights is a read-only copy of the array passed in, so n cannot go stale."""
 
     features: np.ndarray  # (R, d)
     labels: np.ndarray  # (R,), values in {-1.0, +1.0}
@@ -77,6 +78,9 @@ class Dataset:
     n: int = field(init=False)
 
     def __post_init__(self):
+        if self.weights is not None:
+            object.__setattr__(self, "weights", self.weights.copy())
+            self.weights.setflags(write=False)
         n = self.n_rows if self.weights is None else sum(map(int, self.weights.tolist()))
         object.__setattr__(self, "n", n)
 

@@ -39,23 +39,24 @@ all read off it. Passes over the data: the margins and the gradient c @ X
 (Dataset.margins and Dataset.signed_sum), so an unrecorded linear step
 makes 2. The run is stored as a columnar Trajectory.
 
-A linear step that is recorded, or that checks the target, also needs its
-averaged iterate. Those steps are queued and evaluated a block at a time:
-one stacked pass ds.margins on the (k, d) stack of averages, one
-loss.log_value call and one log-sum-exp give every queued averaged risk and
-smallest margin, bit for bit as one evaluation per step would. A block holds
-B = block_size(n_rows) = max(1, min(64, 65 536 // n_rows)) steps (64 at
-n_rows = 100, 6 at 10 000), and is flushed when full and when the run ends.
-A queued step's iterate and margins are copied into the block's (B, d) and
-(B, R) arrays, so one exact min(axis=1) gives every smallest margin of the
-block, and the kept rows extend the trajectory's columns a column at a
-time. A recorded row's phi and log_stepsize are read off its risk alone
-(phi_from_risk, and log_adaptive_stepsize or ln eta), for the linear model
-and the network alike. With a target, the loop runs to the end of the block
-that holds the first passage, keeps the rows up to it and drops the up to
-B - 1 steps behind it, with a diverged_at they may have stamped. A dropped step still went through
-grad_phi, so a stand-in for it sees those steps too; run_gd keeps overflow
-quiet, so they leave no warning either.
+Rows reach the trajectory one way, for both models: a step that is
+recorded, or a linear step that checks the target, is queued in a block,
+its iterate and margins copied into (B, *params.shape) and (B, R) arrays.
+A block holds B = block_size(max(n_rows, params.size)) steps (64 at 100
+rows and d = 10, 6 at 10 000 rows, 1 at d = 10**6), and is flushed when
+full and when the run ends: one exact min(axis=1) gives every smallest
+margin, and the rows extend the trajectory's columns a column at a time.
+A linear row carries the running average, kept in a (B, d) array: one
+stacked pass ds.margins, one loss.log_value call and one log-sum-exp give
+every queued averaged risk and smallest margin, bit for bit as one
+evaluation per step would. A network row carries the best iterate so
+far. A row's phi and log_stepsize are read off its risk alone
+(phi_from_risk, and log_adaptive_stepsize or ln eta). B changes no bit.
+With a target, the loop runs to the end of the block that holds the first
+passage, keeps the rows up to it and drops the up to B - 1 steps behind
+it, with a diverged_at they may have stamped. A dropped step still went
+through grad_phi, so a stand-in for it sees those steps too; run_gd keeps
+overflow quiet, so they leave no warning either.
 
 Stacks. risk, phi, phi_coefficients, grad_phi and grad_risk take a (k, d)
 stack of parameter vectors as well as one vector, and MarginState the
@@ -333,31 +334,23 @@ class Trajectory:
     w_0 .. w_t (linear), or min_log_risk and min_risk_t of the best iterate
     so far (network).
 
-    column(name) returns one as an array; a derived value is computed where
-    it is read (_risk_from_log or _exp_or_inf of its log column).
-    points (per-row views adding risk, avg_risk and stepsize) and column's
-    fallback to those names remain only for perfbench's tracer.py and
-    workloads.py and for output_digests.py scripts older than the columns;
-    they go once perfbench reads columns.
+    column(name) returns one as an array, an empty one for a run without
+    rows; a derived value is computed where it is read (_risk_from_log or
+    _exp_or_inf of its log column). points, per-row views of the raw
+    columns, remain only for perfbench's tracer.py and workloads.py; they
+    go once perfbench reads columns.
     """
 
     def __init__(self):
         self.columns: dict[str, list] = {}
         self.diverged_at: int | None = None
 
-    def append(self, row: dict) -> None:
-        if not self.columns:
-            self.columns = {name: [] for name in row}
-        for name in row:
-            self.columns[name].append(row[name])
-
     @property
     def points(self) -> "_Points":
         return _Points(self.columns)
 
     def column(self, name: str) -> np.ndarray:
-        values = self.columns.get(name)
-        return np.array(values if values is not None else [getattr(p, name) for p in self.points])
+        return np.array(self.columns[name] if self.columns else [])
 
 
 class _Points(Sequence):
@@ -372,52 +365,54 @@ class _Points(Sequence):
     def __getitem__(self, i: int) -> SimpleNamespace:
         if not -len(self) <= i < len(self):
             raise IndexError("trajectory point index out of range")
-        p = SimpleNamespace(**{name: values[i] for name, values in self._columns.items()})
-        p.risk = _risk_from_log(p.log_risk)
-        p.stepsize = _exp_or_inf(p.log_stepsize)
-        if hasattr(p, "log_avg_risk"):
-            p.avg_risk = _risk_from_log(p.log_avg_risk)
-        return p
+        return SimpleNamespace(**{name: values[i] for name, values in self._columns.items()})
 
 
 _BLOCK_MAX = 64
 
 
-def block_size(n_rows: int) -> int:
-    """B = max(1, min(64, 65 536 // n_rows)): how many averaged iterates
-    _descend evaluates together. A block's (B, n_rows) margins stay within
-    datasets.BLOCK_ELEMENTS = 65 536 floats (512 KiB), the budget of the
-    dataset passes' row blocks too, unless one row of them is longer."""
-    return max(1, min(_BLOCK_MAX, BLOCK_ELEMENTS // n_rows))
+def block_size(row: int) -> int:
+    """B = max(1, min(64, 65 536 // row)): how many steps _descend queues
+    in a block. With row = max(n_rows, params.size), each of the block's
+    arrays stays within datasets.BLOCK_ELEMENTS = 65 536 floats (512 KiB),
+    the budget of the dataset passes' row blocks too, unless one row of it
+    is longer."""
+    return max(1, min(_BLOCK_MAX, BLOCK_ELEMENTS // row))
 
 
-class _AveragedBlock:
-    """Steps queued until their averaged iterates are evaluated together.
+class _Block:
+    """Steps queued until their rows are built together.
 
-    push copies step t's iterate, its margins and its running average into
-    the block's preallocated (B, d), (B, R) and (B, d) arrays; flush makes
-    one stacked margins pass over the queued averages, one loss.log_value
-    call, one _log_sum_exp and one min(axis=1) on each margin array, then
-    extends the trajectory's columns by the rows that are kept.
+    push copies step t's iterate and its margins into the block's
+    preallocated (B, *params.shape) and (B, R) arrays, and, when the rows
+    carry the running average, that average into a (B, d) array; it queues
+    the step's risk and the running best (best_log, best_t). flush takes
+    every smallest margin from one min(axis=1) on the margins, evaluates
+    the queued averages with one stacked margins pass, one loss.log_value
+    call and one _log_sum_exp, then extends the trajectory's columns by the
+    rows that are kept.
     """
 
-    def __init__(self, ds: Dataset, average, loss: LossSpec, target, d: int, name: str):
-        self.ds, self.average, self.loss, self.target, self.name = ds, average, loss, target, name
+    def __init__(self, ds: Dataset, loss: LossSpec, target, params: np.ndarray, name: str,
+                 averaged: bool):
+        self.ds, self.loss, self.target, self.name = ds, loss, target, name
         self.log_n = math.log(ds.n)
         self.steps: list = []
-        size = block_size(ds.n_rows)
-        self.iterates, self.avg = np.empty((size, d)), np.empty((size, d))
+        size = block_size(max(ds.n_rows, params.size))
+        self.iterates = np.empty((size, *params.shape))
         self.margins = np.empty((size, ds.n_rows))
+        self.avg = np.empty((size, params.size)) if averaged else None
 
     def push(self, t: int, params: np.ndarray, total: np.ndarray, state: MarginState,
-             violated: bool, record: bool) -> bool:
+             violated: bool, record: bool, best: tuple) -> bool:
         """Queue step t; True once the block is full."""
         j = len(self.steps)
         self.iterates[j] = params
         self.margins[j] = state.z
-        np.divide(total, t + 1, out=self.avg[j])
-        self.steps.append((t, state.risk, violated, record))
-        return j + 1 == len(self.avg)
+        if self.avg is not None:
+            np.divide(total, t + 1, out=self.avg[j])
+        self.steps.append((t, state.risk, violated, record, best))
+        return j + 1 == len(self.iterates)
 
     def flush(self, traj: Trajectory, phi, log_stepsize) -> bool:
         """Append the queued rows that are recorded or at the first passage
@@ -427,15 +422,17 @@ class _AveragedBlock:
         count = len(self.steps)
         if not count:
             return False
-        steps, iterates, avg = self.steps, self.iterates[:count], self.avg[:count]
+        steps, iterates, avg = self.steps, self.iterates[:count], self.avg
         # the kept rows are views of these arrays, so the next block takes new ones
         self.steps = []
-        self.iterates, self.avg = np.empty_like(self.iterates), np.empty_like(self.avg)
-        avg_z = self.average(avg)
-        _, _, lses = _log_sum_exp(self.loss.log_value(avg_z), self.ds.weights)
-        log_avgs = [v - self.log_n for v in lses]
+        self.iterates = np.empty_like(self.iterates)
+        if avg is not None:
+            avg, self.avg = avg[:count], np.empty_like(avg)
+            avg_z = self.ds.margins(avg)
+            _, _, lses = _log_sum_exp(self.loss.log_value(avg_z), self.ds.weights)
+            log_avgs = [v - self.log_n for v in lses]
         kept, passed = [], False
-        for j, (t, _, _, record) in enumerate(steps):
+        for j, (t, _, _, record, _) in enumerate(steps):
             passed = self.target is not None and t >= 1 and log_avgs[j] <= self.target
             if passed or record:
                 kept.append(j)
@@ -444,9 +441,8 @@ class _AveragedBlock:
         if not kept:
             return False
         if len(kept) < count:  # hold no memory for the rows that are dropped
-            iterates, avg = iterates[kept], avg[kept]
+            iterates, avg = iterates[kept], avg if avg is None else avg[kept]
         mins = self.margins[:count].min(axis=1).tolist()
-        avg_mins = avg_z.min(axis=1).tolist()
         risks = [steps[j][1] for j in kept]
         columns = {
             "t": [steps[j][0] for j in kept],
@@ -456,38 +452,41 @@ class _AveragedBlock:
             "log_stepsize": [log_stepsize(r) for r in risks],
             "min_margin": [mins[j] for j in kept],
             "descent_violated": [steps[j][2] for j in kept],
-            "avg_w": list(avg),
-            "log_avg_risk": [log_avgs[j] for j in kept],
-            "avg_min_margin": [avg_mins[j] for j in kept],
         }
+        if avg is None:
+            columns["min_log_risk"] = [steps[j][4][0] for j in kept]
+            columns["min_risk_t"] = [steps[j][4][1] for j in kept]
+        else:
+            avg_mins = avg_z.min(axis=1).tolist()
+            columns["avg_w"] = list(avg)
+            columns["log_avg_risk"] = [log_avgs[j] for j in kept]
+            columns["avg_min_margin"] = [avg_mins[j] for j in kept]
         for key, values in columns.items():
             traj.columns.setdefault(key, []).extend(values)
         return passed
 
 
 def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backward, *,
-             name: str = "w", scale: float = 1, average=None) -> Trajectory:
+             name: str = "w", scale: float = 1, averaged: bool = True) -> Trajectory:
     """The descent loop of every model.
 
     forward() returns (cache, z) at the current params; backward(cache,
     state) returns the gradient, and params -= eta * scale * gradient steps
-    them in place. With average (the margins function of a parameter
-    vector, and of a stack of them) the rows carry the running average of
-    the iterates, evaluated a block of steps at a time, and the run honours
-    config.target_log_avg_risk; without it they carry the best iterate so
-    far and the target is not checked. The module docstring says how a
-    block ends a run at a first passage.
+    them in place. Every row goes through a _Block. With averaged (the
+    linear model) the rows carry the running average of the iterates and
+    the run honours config.target_log_avg_risk; without it they carry the
+    best iterate so far, and the caller refuses a target. The module
+    docstring says how a block ends a run at a first passage.
     """
     loss, eta, smooth = config.loss, config.eta, config.loss.ops.smooth
     adaptive = config.mode == "adaptive"
     log_eta = math.log(eta)
-    target = config.target_log_avg_risk if average is not None else None
+    target = config.target_log_avg_risk
     traj = Trajectory()
     total = params.copy()
     prev_log = best_log = math.inf
     best_t = 0
-    block = (_AveragedBlock(ds, average, loss, target, params.size, name)
-             if average is not None else None)
+    block = _Block(ds, loss, target, params, name, averaged)
 
     def phi(r):
         return phi_from_risk(loss, r) if smooth else math.nan
@@ -505,17 +504,11 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
             traj.diverged_at = t
             break
         violated = r.log_value > prev_log
+        if r.log_value < best_log:
+            best_log, best_t = r.log_value, t
         record = t % config.record_every == 0 or t == config.steps
-        if block is None:
-            if r.log_value < best_log:
-                best_log, best_t = r.log_value, t
-            if record:
-                traj.append({"t": t, name: params.copy(), "log_risk": r.log_value,
-                             "phi": phi(r), "log_stepsize": log_stepsize(r),
-                             "min_margin": float(z.min()), "descent_violated": violated,
-                             "min_log_risk": best_log, "min_risk_t": best_t})
-        elif record or (target is not None and t >= 1):
-            if (block.push(t, params, total, state, violated, record)
+        if record or (target is not None and t >= 1):
+            if (block.push(t, params, total, state, violated, record, (best_log, best_t))
                     and block.flush(traj, phi, log_stepsize)):
                 return traj  # at the first passage
         prev_log = r.log_value
@@ -526,7 +519,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
         if not np.isfinite(total).all():
             traj.diverged_at = t + 1
             break
-    if block is not None and block.flush(traj, phi, log_stepsize):
+    if block.flush(traj, phi, log_stepsize):
         traj.diverged_at = None  # stamped after the first passage
     return traj
 
@@ -543,8 +536,8 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     the run without a target. The check evaluates the averaged risk at every
     step, recorded or not.
 
-    Averaged iterates are evaluated B = block_size(ds.n_rows) steps at a
-    time (see the module docstring). A run with a target therefore computes
+    Averaged iterates are evaluated B = block_size(max(ds.n_rows, ds.d))
+    steps at a time (see the module docstring). A run with a target therefore computes
     up to B - 1 steps past its first passage and drops them: they leave no
     row, no diverged_at and no warning, but each went through the gradient.
 
@@ -567,8 +560,7 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
         backward = lambda _, state: grad_risk(state, ds, loss)  # noqa: E731
     # diverged_at reports an overflow, here and in the dropped steps
     with np.errstate(over="ignore", invalid="ignore"):
-        return _descend(ds, config, w, lambda: (None, ds.margins(w)), backward,
-                        average=ds.margins)
+        return _descend(ds, config, w, lambda: (None, ds.margins(w)), backward)
 
 
 def _check_bound_args(gamma: float, eta: float, t: int) -> None:

@@ -33,8 +33,9 @@ with A = alpha gamma^2 (t+1), valid for t >= 1.
 
 run_gd_nn runs descent's one descent loop with the network as its model:
 the forward pass is one pair call on X W^T per iterate, giving the margins
-and the slopes the backward pass _grad_blocks reads. The rows record the
-weights and the best iterate so far in a descent.Trajectory.
+and the slopes the backward pass _grad_blocks reads. Its rows, the weights
+and the best iterate so far, go through descent's block as the linear
+model's do, into a descent.Trajectory.
 
 A TwoLayerNet may hold a (k, m, d) stack of first layers sharing its signs
 and activation: k nets. nn_margins, nn_risk, nn_grad_phi and
@@ -240,7 +241,8 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
     weights and the running best (minimum) log-risk, which the guarantee
     controls. The loop is descent's: each iterate makes one forward pass
     X W^T with one pair call, from which its risk, smallest margin and
-    gradient are all read, and _grad_blocks makes one gradient pass.
+    gradient are all read, and _grad_blocks makes one gradient pass. Rows
+    are made B = descent.block_size(max(R, m d)) recorded steps at a time.
     """
     _check_nn_loss(config.loss)
     if net.weights.ndim != 2:
@@ -257,7 +259,7 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
     return _descend(
         ds, config, work.weights, lambda: _forward_pass(work, ds),
         lambda slopes, state: _grad_blocks(work, ds, slopes, phi_coefficients(state, ds, loss)),
-        name="weights", scale=work.m)
+        name="weights", scale=work.m, averaged=False)
 
 
 def network_min_risk_log_bound(

@@ -126,6 +126,13 @@ def max_relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(gap[scale > 0.0] / scale[scale > 0.0], initial=0.0))
 
 
+def append_row(traj, row: dict) -> None:
+    """Add one recorded step to a trajectory's columns, a value per column
+    name: how the reference descent loops record their rows."""
+    for name, value in row.items():
+        traj.columns.setdefault(name, []).append(value)
+
+
 def array_log1mexp(u):
     """log(1 - e^{-u}) in the array form margin_lab.losses.log1mexp had
     before it took floats only: both branches through np.where, warnings

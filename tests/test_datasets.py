@@ -262,6 +262,7 @@ class TestSerialization:
 
     def test_a_weight_int_refuses_writes_no_file(self, tmp_path):
         ds = gen_batch_hard(0.1, 16, weighted=True)
+        ds.weights.setflags(write=True)
         ds.weights[-1] = np.nan
         path = tmp_path / "ds.txt"
         with pytest.raises(ValueError):
@@ -385,6 +386,14 @@ class TestExactN:
         big[0] = 2.0**53
         assert dataclasses.replace(ds, weights=big).n == 2**53 + ds.n_rows - 1
         assert dataclasses.replace(ds, weights=None).n == ds.n_rows
+
+    def test_weights_refuse_writes_and_n_holds(self):
+        weights = np.ones(5)
+        ds = Dataset(np.zeros((5, 2)), np.ones(5), 0.1, np.array([1.0, 0.0]), weights=weights)
+        weights[0] = 7.0  # the caller's array is not the dataset's
+        with pytest.raises(ValueError, match="read-only"):
+            ds.weights[0] = 3.0
+        assert ds.n == 5 and ds.weights.tolist() == [1.0] * 5
 
     def test_a_nan_weight_raises_at_construction(self):
         ds = gen_batch_hard(0.05, 64, weighted=True)

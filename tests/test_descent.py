@@ -3,6 +3,7 @@ and the averaged-iterate bounds."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from margin_lab import descent, losses
 from margin_lab.datasets import (
     Dataset,
     gen_batch_hard,
+    gen_online_hard,
     gen_random_separable,
     gen_two_point,
     mean_signed_feature,
@@ -32,8 +34,9 @@ from margin_lab.descent import (
     run_gd,
 )
 from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, LossSpec, poly
+from margin_lab.two_layer import leaky_relu, make_net, run_gd_nn
 
-from _oracles import (fd_grad, max_relative_gap, negate_rows, permute_rows,
+from _oracles import (append_row, fd_grad, max_relative_gap, negate_rows, permute_rows,
                       random_rotation, rotate, unbranched_log_abs_deriv, unbranched_log_value)
 
 SMOOTH = [EXP, LOG, poly(2.0), SEMICIRCLE]
@@ -451,7 +454,7 @@ def reference_run_gd(ds, config):
             if avg_r is None:
                 avg_w = wsum / (t + 1)
                 avg_r = risk(avg_w, ds, loss)
-            traj.append(dict(
+            append_row(traj, dict(
                 t=t, w=w.copy(), log_risk=r.log_value,
                 phi=phi_from_risk(loss, r) if loss.kind != "hinge" else math.nan,
                 log_stepsize=log_eta_t, min_margin=ds.min_margin(w), avg_w=avg_w,
@@ -618,13 +621,38 @@ def _unit_ball_dataset(n_rows, d, seed=0):
 
 
 class TestAveragedBlocks:
-    """Averaged iterates are evaluated a block of B = block_size(n_rows)
-    steps at a time; rows, diverged_at and warnings are those of the loop
-    that evaluates them one step at a time (reference_run_gd)."""
+    """Rows are built a block of B = block_size(max(n_rows, params.size))
+    steps at a time, averaged iterates evaluated together; rows,
+    diverged_at and warnings are those of the loop that evaluates them one
+    step at a time (reference_run_gd)."""
 
     def test_block_size(self):
         assert [descent.block_size(r) for r in (1, 20, 100, 1024, 1025, 10_000, 65_536,
                                                  10**6)] == [64, 64, 64, 64, 63, 6, 1, 1]
+
+    @pytest.mark.parametrize("model", ["linear", "network"])
+    def test_a_long_iterate_shrinks_the_block(self, model):
+        """A one-row set with d = 10**6: the block is sized by the iterate,
+        not by the one margin, so it holds one step. The linear run of 1
+        step peaks near 8 vectors of d floats (258 with a block of 64 steps); the
+        width-4 network's near 7 rows of 4 d floats."""
+        ds = gen_online_hard(0.001, 1)
+        assert (ds.n_rows, ds.d) == (1, 10**6)
+        cfg = GDConfig(loss=EXP, eta=1.0, steps=1)
+        if model == "linear":
+            row, run = ds.d, lambda: run_gd(ds, cfg)
+        else:
+            net = make_net(ds.d, 4, leaky_relu(0.5))
+            row, run = net.weights.size, lambda: run_gd_nn(ds, net, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert traj.columns["t"] == [0, 1]
+        assert peak < 10 * 8 * row
 
     @pytest.mark.parametrize("name", list(FUSED_DATASETS))
     def test_stacked_margins_equal_one_pass_per_iterate(self, name):

@@ -1,9 +1,17 @@
-"""What the repository's own code and docs read of a Trajectory, and the
-README's Quick start run as written."""
+"""What the repository's own code and docs read of a Trajectory, what a
+Trajectory still offers to read, and the README's Quick start run as
+written."""
 
 import math
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from margin_lab.datasets import gen_random_separable
+from margin_lab.descent import GDConfig, run_gd
+from margin_lab.losses import EXP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +40,30 @@ def test_the_view_pattern_matches_each_read():
     for line in ('traj.columns["t"][-1]', 'traj.column("log_risk")', 'traj.column("w")',
                  "_probe_points(rng, ds, 3)", "self.finalize()"):
         assert not VIEW_READ.search(line), line
+
+
+def test_column_reads_the_recorded_columns_only():
+    """column(name) is columns[name] as an array; the derived names are
+    neither columns nor attributes of a point."""
+    traj = run_gd(gen_random_separable(5, 20, 0.2, seed=11), GDConfig(loss=EXP, eta=1.0, steps=3))
+    for name, values in traj.columns.items():
+        assert traj.column(name).tobytes() == np.array(values).tobytes(), name
+    point = traj.points[-1]
+    assert (point.t, point.w.tobytes()) == (3, traj.columns["w"][-1].tobytes())
+    for name in ("risk", "avg_risk", "stepsize"):
+        with pytest.raises(KeyError):
+            traj.column(name)
+        assert not hasattr(point, name)
+
+
+def test_a_run_without_rows_has_empty_columns():
+    """A run that diverges at t = 0, here from an init whose margins
+    overflow, records no row: every column reads as an empty array."""
+    ds = gen_random_separable(5, 20, 0.2, seed=11)
+    traj = run_gd(ds, GDConfig(loss=EXP, eta=1.0, steps=5, init=np.full(ds.d, 1.7e308)))
+    assert traj.diverged_at == 0 and len(traj.points) == 0
+    for name in ("t", "w", "log_risk", "avg_min_margin"):
+        assert traj.column(name).shape == (0,), name
 
 
 def test_the_readme_quick_start_runs(capsys):

@@ -28,8 +28,8 @@ from margin_lab.two_layer import (
     _probe_grid,
 )
 
-from _oracles import fd_grad_matrix, max_relative_gap, permute_rows
-from test_descent import assert_same_columns, assert_same_rows, unbranched_log_kernels
+from _oracles import append_row, fd_grad_matrix, max_relative_gap, permute_rows
+from test_descent import assert_same_columns, assert_same_run, unbranched_log_kernels
 
 BLENDS = ["gelu", "softplus", "silu", "relu"]
 
@@ -274,7 +274,7 @@ def reference_run_gd_nn(ds, net, config):
             best_log, best_t = r.log_value, t
         if t % config.record_every == 0 or t == config.steps:
             log_eta_t = math.log(config.eta) + loss.log_neg_inv_deriv(r.value, r.log_value)
-            traj.append(dict(
+            append_row(traj, dict(
                 t=t, weights=W.copy(), log_risk=r.log_value, phi=phi_from_risk(loss, r),
                 log_stepsize=log_eta_t, min_margin=float(nn_margins(work, ds).min()),
                 min_log_risk=best_log, min_risk_t=best_t,
@@ -297,14 +297,18 @@ class TestFusedStep:
     @pytest.mark.parametrize("act", ["leakyrelu:0.5", "leaky-gelu:0.9"])
     @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
     def test_bit_identical_to_the_unfused_loop(self, loss, act):
+        """150 steps recorded every step fill two blocks of 64 rows and
+        part of a third. At eta 50 the risk goes up on about 60 of them, so
+        the best iterate so far is not the current one."""
         for ds_name, make in NN_DATASETS.items():
             ds = make()
             net = make_net(ds.d, 4, parse_activation(act))
-            for every in (1, 7):
-                cfg = GDConfig(loss=loss, eta=8.0, steps=30, record_every=every)
-                want = reference_run_gd_nn(ds, net, cfg)
-                got = run_gd_nn(ds, net, cfg)
-                assert_same_rows(got, want)
+            for steps, eta in ((30, 8.0), (150, 50.0)):
+                for every in (1, 7):
+                    cfg = GDConfig(loss=loss, eta=eta, steps=steps, record_every=every)
+                    want = reference_run_gd_nn(ds, net, cfg)
+                    got = run_gd_nn(ds, net, cfg)
+                    assert_same_run(got, want, f"{ds_name} steps={steps} every={every}")
 
     def test_one_forward_pass_per_iterate(self):
         """The activation's pair runs on the hidden pre-activations once per
