@@ -67,10 +67,19 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   eta = 400, 20 000 steps, every step recorded (the fastest of 9 runs), on
   `gen_random_separable(10, 100, 0.1, seed=0)` and on the weighted
   `gen_batch_hard(0.1, 64, weighted=True)`, whose n is a sum of weights.
+- `step-overhead`: microseconds per step (the fastest of 9 runs, over the
+  steps the run reports) on `gen_random_separable(10, 100, 0.1, seed=0)`,
+  every step recorded, for `margin-lab bench`'s two GD runs, exp loss at
+  constant and at adaptive eta = 1 to the target ln 1e-12 within 20 000
+  steps, and for `margin-lab run`'s and `run-nn`'s runs in perfbench's
+  run-recorded workload: log loss at adaptive eta = 400, 20 000 steps, and
+  `run_gd_nn` with exp loss, width 16, leakyrelu:0.5, adaptive eta = 400,
+  5000 steps.
 
-The per-step keys of `separated-log` and `run-constants` take the minimum
-over 9 runs within a sample (`FASTEST`), not a median: a shared host only
-ever adds time to a run, so the fastest run is the one least disturbed.
+The per-step keys of `separated-log`, `run-constants` and `step-overhead`
+take the minimum over 9 runs within a sample (`FASTEST`), not a median: a
+shared host only ever adds time to a run, so the fastest run is the one
+least disturbed.
 It removes noise within a sample, not shifts of the host's speed between
 samples; the A/A runs behind this choice are in `CHANGES.md`.
 
@@ -272,6 +281,35 @@ datasets = {"random": gen_random_separable(10, 100, 0.1, seed=0),
 cfg = GDConfig(loss=LOG, eta=400.0, steps=20_000, record_every=1)
 """
 
+# The runs of the step-overhead case: ds and runs, name -> a call that makes one.
+STEP_RUNS = """
+import math
+from margin_lab.datasets import gen_random_separable
+from margin_lab.descent import GDConfig, run_gd
+from margin_lab.losses import EXP, LOG
+from margin_lab.two_layer import leaky_relu, make_net, run_gd_nn
+
+ds = gen_random_separable(10, 100, 0.1, seed=0)
+bench = dict(loss=EXP, eta=1.0, steps=20_000, target_log_avg_risk=math.log(1e-12))
+net = make_net(ds.d, 16, leaky_relu(0.5))
+runs = {
+    "bench exp constant": lambda: run_gd(ds, GDConfig(mode="constant", **bench)),
+    "bench exp adaptive": lambda: run_gd(ds, GDConfig(**bench)),
+    "run log adaptive": lambda: run_gd(ds, GDConfig(loss=LOG, eta=400.0, steps=20_000)),
+    "run-nn exp": lambda: run_gd_nn(ds, net, GDConfig(loss=EXP, eta=400.0, steps=5000)),
+}
+"""
+
+STEP_CHILD = STEP_RUNS + FASTEST + """
+import json
+out = {}
+for name, run in runs.items():
+    steps = run().columns["t"][-1]
+    out[f"{name} us_per_step"], _ = fastest_us_per_step(run, steps)
+    out[f"{name} steps"] = steps
+print(json.dumps(out))
+"""
+
 CONSTANTS_CHILD = CONSTANTS_RUNS + FASTEST + """
 import json
 out = {}
@@ -350,6 +388,7 @@ CASES = {
     "stacked-probes": Case(((PROBES_CHILD,), (VERIFY_CHILD,))),
     "separated-log": Case(((SEPARATED_CHILD,),)),
     "run-constants": Case(((CONSTANTS_CHILD,),)),
+    "step-overhead": Case(((STEP_CHILD,),)),
 }
 
 

@@ -32,26 +32,33 @@ One loop, _descend, runs both the linear model (run_gd) and the two-layer
 network (two_layer.run_gd_nn). A model is a forward pass (current
 parameters -> a cache and the margins z) and a backward pass (cache, margin
 state -> gradient); the linear backward is the module attribute grad_phi
-(grad_risk in constant mode), looked up at every step. Each iterate builds
-one MarginState from z: the log loss kernel and its weighted log-sum-exp run
-once, and the risk, the smallest margin and the gradient coefficients are
-all read off it. Passes over the data: the margins and the gradient c @ X
-(Dataset.margins and Dataset.signed_sum), so an unrecorded linear step
-makes 2. The run is stored as a columnar Trajectory.
+(grad_risk in constant mode), looked up at every step. A step makes each
+numpy call it needs once: the margins y * (X @ w) (Dataset.margins, the
+first pass over the data); a = ln l(z) (one loss.log_value call) and its
+log-sum-exp (the ufunc reductions max and sum, a - max and exp), one
+MarginState that the risk, the smallest margin and the coefficients are
+read off; the coefficients (e / total for exp, -exp(a) for exp's raw
+gradient, the log-space assembly otherwise) and the gradient pass c y @ X
+(Dataset.signed_sum, the second pass); the update, the running sum and one
+sum of it (a finite sum has every entry finite; only a non-finite one takes
+the exact test). The run is stored as a columnar Trajectory.
 
 Rows reach the trajectory one way, for both models: a step that is
 recorded, or a linear step that checks the target, is queued in a block,
-its iterate and margins copied into (B, *params.shape) and (B, R) arrays.
-A block holds B = block_size(max(n_rows, params.size)) steps (64 at 100
-rows and d = 10, 6 at 10 000 rows, 1 at d = 10**6), and is flushed when
-full and when the run ends: one exact min(axis=1) gives every smallest
-margin, and the rows extend the trajectory's columns a column at a time.
-A linear row carries the running average, kept in a (B, d) array: one
-stacked pass ds.margins, one loss.log_value call and one log-sum-exp give
-every queued averaged risk and smallest margin, bit for bit as one
-evaluation per step would. A network row carries the best iterate so
-far. A row's phi and log_stepsize are read off its risk alone
-(phi_from_risk, and log_adaptive_stepsize or ln eta). B changes no bit.
+its iterate, margins and (linear) running sum copied into (B,
+*params.shape), (B, R) and (B, d) arrays; the first push of a block
+allocates the two that its rows are views of. A block holds B =
+block_size(max(n_rows, params.size)) steps (64 at 100 rows and d = 10, 6
+at 10 000 rows, 1 at d = 10**6), and is flushed when full and when the
+run ends: one exact min(axis=1) gives every smallest margin, and the rows
+extend the trajectory's columns a column at a time. A linear row carries
+the running average: one division by t + 1, one stacked pass ds.margins,
+one loss.log_value call and one log-sum-exp give every queued average, its
+risk and its smallest margin, bit for bit as one evaluation per step
+would. A network row carries the best iterate so far. A row's phi and
+log_stepsize are read off its log risk alone, by functions bound once per
+run (the bits of phi_from_risk, and of log_adaptive_stepsize or ln eta).
+B changes no bit.
 With a target, the loop runs to the end of the block that holds the first
 passage, keeps the rows up to it and drops the up to B - 1 steps behind
 it, with a diverged_at they may have stamped. A dropped step still went
@@ -109,8 +116,11 @@ class RiskValue:
 
 
 def _exp_or_inf(x: float) -> float:
-    """exp(x), or inf once x is past the float range."""
-    return math.inf if x > 709.0 else math.exp(x)
+    """exp(x), or inf once x is past the float range (x > 709.78)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _risk_from_log(log_value: float) -> RiskValue:
@@ -130,22 +140,25 @@ def _log_sum_exp(a: np.ndarray, weights: np.ndarray | None) -> tuple:
     divides each row by its own, and lse a list with a float per row. Both
     shapes run the same numpy operations and math.log on each row's total,
     so a row of a stack has the bits of its iterate on its own; one
-    iterate, the per-step case, takes scalar reductions and skips the
-    masking.
+    iterate, the per-step case, takes the reductions as ufunc calls (the
+    ones a.max() and a.sum() make) and skips the masking.
     """
     if a.ndim == 1:
-        top = float(a.max())
+        top = float(np.maximum.reduce(a))
         if not math.isfinite(top):
             return np.full(a.shape, math.nan), math.nan, top
         e = np.exp(a - top)
         if weights is not None:
             e = weights * e
-        total = float(e.sum())
+        total = float(np.add.reduce(e))
         return e, total, top + math.log(total)
     top = a.max(axis=1, keepdims=True)
     finite = np.isfinite(top)
-    shifted = np.where(finite, a - np.where(finite, top, 0.0), 0.0)
-    e = np.where(finite, np.exp(shifted), math.nan)
+    if finite.all():  # the masks below would select every entry
+        e = np.exp(a - top)
+    else:
+        e = np.where(finite, np.exp(np.where(finite, a - np.where(finite, top, 0.0), 0.0)),
+                     math.nan)
     if weights is not None:
         e = weights * e
     totals = e.sum(axis=1, keepdims=True)
@@ -158,19 +171,27 @@ class MarginState:
     """The margins z of one iterate, or the (k, R) margins of a stack of
     iterates, and what their risk and their gradient coefficients share.
 
-    e, total and lse = ln sum_i m_i l(z_i) come from _log_sum_exp; for exp
-    the e_i are the numerators of the softmax coefficients. risk is the
-    weighted mean loss, lse - ln n: a RiskValue, or a list of one per row.
+    a = ln l(z) is the one loss.log_value call; e, total and lse = ln sum_i
+    m_i l(z_i) come from _log_sum_exp, and for exp the e_i are the
+    numerators of the softmax coefficients. log_risk = lse - ln n is the log
+    of the weighted mean loss (a list of one per row for a stack), and risk
+    its RiskValue, built when it is read.
     """
 
-    __slots__ = ("z", "e", "total", "lse", "risk")
+    __slots__ = ("z", "a", "e", "total", "lse", "log_risk")
 
     def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec):
-        e, total, lse = _log_sum_exp(loss.log_value(z), ds.weights)
-        self.z, self.e, self.total, self.lse = z, e, total, lse
+        self.z = z
+        self.a = loss.log_value(z)
+        self.e, self.total, self.lse = _log_sum_exp(self.a, ds.weights)
         log_n = math.log(ds.n)
-        self.risk = (_risk_from_log(lse - log_n) if z.ndim == 1
-                     else [_risk_from_log(v - log_n) for v in lse])
+        self.log_risk = (self.lse - log_n if z.ndim == 1
+                         else [v - log_n for v in self.lse])
+
+    @property
+    def risk(self):
+        log = self.log_risk
+        return [_risk_from_log(v) for v in log] if isinstance(log, list) else _risk_from_log(log)
 
 
 def risk(w: np.ndarray, ds: Dataset, loss: LossSpec):
@@ -187,8 +208,12 @@ def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     May overflow for losses with exploding derivatives at very negative
     margins; that is intentional in constant-stepsize mode.
     """
-    z = w.z if isinstance(w, MarginState) else ds.margins(w)
-    coef = loss.deriv(z)
+    if not isinstance(w, MarginState):
+        coef = loss.deriv(ds.margins(w))
+    elif loss.ops.softmax:  # exp: l' = -e^{-z} = -e^a, the bits of loss.deriv
+        coef = -np.exp(w.a)
+    else:
+        coef = loss.deriv(w.z)
     if ds.weights is not None:
         coef = ds.weights * coef
     return ds.signed_sum(coef) / ds.n
@@ -199,22 +224,6 @@ def _check_sum_n(loss: LossSpec, ds: Dataset):
         raise ValueError(
             f"sum aggregation needs the loss bound to the dataset size "
             f"(loss.n = {loss.n}, dataset n = {ds.n}); use loss.with_n(ds.n)")
-
-
-def _transform_argument(loss: LossSpec, r: RiskValue) -> RiskValue:
-    """The argument u of phi = -l^{-1}(u): the mean risk r itself, or
-    loss.n * r under sum aggregation."""
-    if loss.aggregation == "sum":
-        return _risk_from_log(r.log_value + math.log(loss.n))
-    return r
-
-
-def _log_neg_inv_deriv(loss: LossSpec, u) -> float | np.ndarray:
-    """ln (-l^{-1})'(u) at a RiskValue u; at a stack's list of them, a
-    (k, 1) column with a row each, taken row by row."""
-    if isinstance(u, list):
-        return np.array([loss.log_neg_inv_deriv(v.value, v.log_value) for v in u])[:, None]
-    return loss.log_neg_inv_deriv(u.value, u.log_value)
 
 
 def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
@@ -228,21 +237,23 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     always finite for the smooth losses, and summing to at most the loss's
     lipschitz_const. The multiplicities m_i multiply the exponentials rather
     than entering them as ln m_i: a power-of-two m_i scales its row's
-    coefficient exactly.
+    coefficient exactly. ln (-l^{-1})'(u) is taken from u's pair, row by row
+    for a stack.
     """
     state = z if isinstance(z, MarginState) else MarginState(z, ds, loss)
     if loss.ops.softmax:
         # softmax of -z with multiplicities; exact ratio preservation matters
         return state.e / state.total
-    if loss.aggregation == "sum":
+    summed = loss.aggregation == "sum"
+    if summed:
         _check_sum_n(loss, ds)
-        lse = state.lse
-        u = [_risk_from_log(v) for v in lse] if isinstance(lse, list) else _risk_from_log(lse)
-        lnid = _log_neg_inv_deriv(loss, u)
-        coef = np.exp(lnid + loss.log_abs_deriv(state.z))
+    log_u = state.lse if summed else state.log_risk
+    if isinstance(log_u, list):
+        lnid = np.array([loss.log_neg_inv_deriv(_exp_or_inf(v), v) for v in log_u])[:, None]
     else:
-        lnid = _log_neg_inv_deriv(loss, state.risk)
-        coef = np.exp(lnid + loss.log_abs_deriv(state.z) - math.log(ds.n))
+        lnid = loss.log_neg_inv_deriv(_exp_or_inf(log_u), log_u)
+    coef = lnid + loss.log_abs_deriv(state.z)
+    coef = np.exp(coef if summed else coef - math.log(ds.n))
     if ds.weights is not None:
         coef = ds.weights * coef
     return coef
@@ -261,18 +272,42 @@ def grad_phi(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     return -ds.signed_sum(phi_coefficients(state, ds, loss))
 
 
-def _phi(loss: LossSpec, r: RiskValue) -> float:
-    r = _transform_argument(loss, r)
-    return loss.ops.phi(loss, r.value, r.log_value)
+def _phi_of_log(loss: LossSpec):
+    """phi as a function of the log of the mean risk, bound once: phi =
+    -l^{-1}(u) at u = L, or at u = n L under sum aggregation, from u's
+    (value, log_value) pair."""
+    phi = loss.ops.phi
+    if loss.aggregation == "sum":
+        ln_n = math.log(loss.n)
+
+        def of_log(log):
+            u = log + ln_n
+            return phi(loss, _exp_or_inf(u), u)
+        return of_log
+    return lambda log: phi(loss, _exp_or_inf(log), log)
+
+
+def _log_stepsize_of_log(loss: LossSpec, eta: float):
+    """ln eta_t as a function of the log of the mean risk, bound once (see
+    log_adaptive_stepsize)."""
+    lnid, log_eta = loss.ops.log_neg_inv_deriv, math.log(eta)
+    if loss.aggregation == "sum" and not loss.ops.softmax:
+        ln_n = math.log(loss.n)
+        log_eta_n = log_eta + ln_n
+
+        def of_log(log):
+            u = log + ln_n
+            return log_eta_n + lnid(loss, _exp_or_inf(u), u)
+        return of_log
+    return lambda log: log_eta + lnid(loss, _exp_or_inf(log), log)
 
 
 def phi_from_risk(loss: LossSpec, r):
-    """phi = -l^{-1}(u) from the (value, log_value) pair of the mean risk,
-    or a list of phi from a stack's list of them; u is the mean risk, or n
-    times it under sum aggregation."""
-    if isinstance(r, list):
-        return [_phi(loss, v) for v in r]
-    return _phi(loss, r)
+    """phi = -l^{-1}(u) from the mean risk, or a list of phi from a stack's
+    list of them; u is the mean risk, or n times it under sum aggregation.
+    Read off log_value, which a RiskValue holds authoritatively."""
+    phi = _phi_of_log(loss)
+    return [phi(v.log_value) for v in r] if isinstance(r, list) else phi(r.log_value)
 
 
 def phi(w: np.ndarray, ds: Dataset, loss: LossSpec):
@@ -291,11 +326,7 @@ def log_adaptive_stepsize(loss: LossSpec, r: RiskValue, eta: float) -> float:
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if loss.aggregation == "sum" and not loss.ops.softmax:
-        u = _transform_argument(loss, r)
-        return (math.log(eta) + math.log(loss.n)
-                + loss.log_neg_inv_deriv(u.value, u.log_value))
-    return math.log(eta) + loss.log_neg_inv_deriv(r.value, r.log_value)
+    return _log_stepsize_of_log(loss, eta)(r.log_value)
 
 
 @dataclass(frozen=True)
@@ -383,87 +414,97 @@ def block_size(row: int) -> int:
 class _Block:
     """Steps queued until their rows are built together.
 
-    push copies step t's iterate and its margins into the block's
-    preallocated (B, *params.shape) and (B, R) arrays, and, when the rows
-    carry the running average, that average into a (B, d) array; it queues
-    the step's risk and the running best (best_log, best_t). flush takes
-    every smallest margin from one min(axis=1) on the margins, evaluates
-    the queued averages with one stacked margins pass, one loss.log_value
-    call and one _log_sum_exp, then extends the trajectory's columns by the
-    rows that are kept.
+    The first push of a block allocates its (B, *params.shape) array and,
+    when the rows carry the running average, its (B, d) array; the (B, R)
+    margins array serves every block. Each push copies step t's iterate,
+    margins and running sum into them and queues the step's log risk and
+    the running best (best_log, best_t). flush divides the sums by t + 1 in
+    place, takes every smallest margin from one min(axis=1) on the margins,
+    evaluates the averages with one stacked margins pass, one
+    loss.log_value call and one _log_sum_exp, then extends the trajectory's
+    columns by the rows that are kept. Those rows are views of the block's
+    iterate and average arrays, so the next block takes new ones.
     """
 
-    def __init__(self, ds: Dataset, loss: LossSpec, target, params: np.ndarray, name: str,
+    def __init__(self, ds: Dataset, config: GDConfig, params: np.ndarray, name: str,
                  averaged: bool):
-        self.ds, self.loss, self.target, self.name = ds, loss, target, name
+        self.ds, self.loss, self.name, self.averaged = ds, config.loss, name, averaged
+        self.target = config.target_log_avg_risk
+        # a row's phi and log_stepsize are read off its own log risk
+        self.phi = _phi_of_log(self.loss) if self.loss.ops.smooth else lambda log: math.nan
+        log_eta = math.log(config.eta)
+        self.log_stepsize = (_log_stepsize_of_log(self.loss, config.eta)
+                             if config.mode == "adaptive" else lambda log: log_eta)
         self.log_n = math.log(ds.n)
+        self.size = block_size(max(ds.n_rows, params.size))
+        self.margins = np.empty((self.size, ds.n_rows))  # no row is a view of it
         self.steps: list = []
-        size = block_size(max(ds.n_rows, params.size))
-        self.iterates = np.empty((size, *params.shape))
-        self.margins = np.empty((size, ds.n_rows))
-        self.avg = np.empty((size, params.size)) if averaged else None
 
     def push(self, t: int, params: np.ndarray, total: np.ndarray, state: MarginState,
-             violated: bool, record: bool, best: tuple) -> bool:
+             violated: bool, record: bool, best_log: float, best_t: int) -> bool:
         """Queue step t; True once the block is full."""
         j = len(self.steps)
+        if not j:
+            self.iterates = np.empty((self.size, *params.shape))
+            self.sums = np.empty((self.size, params.size)) if self.averaged else None
         self.iterates[j] = params
         self.margins[j] = state.z
-        if self.avg is not None:
-            np.divide(total, t + 1, out=self.avg[j])
-        self.steps.append((t, state.risk, violated, record, best))
-        return j + 1 == len(self.iterates)
+        if self.averaged:
+            self.sums[j] = total
+        self.steps.append((t, state.log_risk, violated, record, best_log, best_t))
+        return j + 1 == self.size
 
-    def flush(self, traj: Trajectory, phi, log_stepsize) -> bool:
+    def flush(self, traj: Trajectory) -> bool:
         """Append the queued rows that are recorded or at the first passage
         below the target, and drop the steps queued behind that passage.
-        phi(risk) and log_stepsize(risk) give those columns of a row. True
-        if the passage was found."""
+        True if the passage was found."""
         count = len(self.steps)
         if not count:
             return False
-        steps, iterates, avg = self.steps, self.iterates[:count], self.avg
-        # the kept rows are views of these arrays, so the next block takes new ones
+        ts, logs, violated, records, best_logs, best_ts = zip(*self.steps)
         self.steps = []
-        self.iterates = np.empty_like(self.iterates)
-        if avg is not None:
-            avg, self.avg = avg[:count], np.empty_like(avg)
+        iterates, avg = self.iterates[:count], None
+        if self.averaged:
+            # t + 1 is exact as a float: the bits of total / (t + 1) at each step
+            avg = np.divide(self.sums[:count], np.add(ts, 1.0)[:, None], out=self.sums[:count])
             avg_z = self.ds.margins(avg)
             _, _, lses = _log_sum_exp(self.loss.log_value(avg_z), self.ds.weights)
             log_avgs = [v - self.log_n for v in lses]
-        kept, passed = [], False
-        for j, (t, _, _, record, _) in enumerate(steps):
-            passed = self.target is not None and t >= 1 and log_avgs[j] <= self.target
-            if passed or record:
-                kept.append(j)
-            if passed:
-                break
+        passage = None if self.target is None else next(
+            (j for j, (t, log) in enumerate(zip(ts, log_avgs)) if t >= 1 and log <= self.target),
+            None)
+        end = count if passage is None else passage + 1
+        kept = [j for j in range(end) if records[j] or j == passage]
         if not kept:
             return False
-        if len(kept) < count:  # hold no memory for the rows that are dropped
+        if len(kept) == count:
+            def pick(values):
+                return values
+        else:  # hold no memory for the rows that are dropped
             iterates, avg = iterates[kept], avg if avg is None else avg[kept]
-        mins = self.margins[:count].min(axis=1).tolist()
-        risks = [steps[j][1] for j in kept]
+
+            def pick(values):
+                return [values[j] for j in kept]
+        logs = pick(logs)
         columns = {
-            "t": [steps[j][0] for j in kept],
+            "t": pick(ts),
             self.name: list(iterates),
-            "log_risk": [r.log_value for r in risks],
-            "phi": [phi(r) for r in risks],
-            "log_stepsize": [log_stepsize(r) for r in risks],
-            "min_margin": [mins[j] for j in kept],
-            "descent_violated": [steps[j][2] for j in kept],
+            "log_risk": logs,
+            "phi": [self.phi(v) for v in logs],
+            "log_stepsize": [self.log_stepsize(v) for v in logs],
+            "min_margin": pick(np.minimum.reduce(self.margins[:count], axis=1).tolist()),
+            "descent_violated": pick(violated),
         }
-        if avg is None:
-            columns["min_log_risk"] = [steps[j][4][0] for j in kept]
-            columns["min_risk_t"] = [steps[j][4][1] for j in kept]
-        else:
-            avg_mins = avg_z.min(axis=1).tolist()
+        if self.averaged:
             columns["avg_w"] = list(avg)
-            columns["log_avg_risk"] = [log_avgs[j] for j in kept]
-            columns["avg_min_margin"] = [avg_mins[j] for j in kept]
+            columns["log_avg_risk"] = pick(log_avgs)
+            columns["avg_min_margin"] = pick(np.minimum.reduce(avg_z, axis=1).tolist())
+        else:
+            columns["min_log_risk"] = pick(best_logs)
+            columns["min_risk_t"] = pick(best_ts)
         for key, values in columns.items():
             traj.columns.setdefault(key, []).extend(values)
-        return passed
+        return passage is not None
 
 
 def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backward, *,
@@ -476,50 +517,43 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     linear model) the rows carry the running average of the iterates and
     the run honours config.target_log_avg_risk; without it they carry the
     best iterate so far, and the caller refuses a target. The module
-    docstring says how a block ends a run at a first passage.
+    docstring says which calls a step makes, and how a block ends a run at
+    a first passage.
     """
-    loss, eta, smooth = config.loss, config.eta, config.loss.ops.smooth
-    adaptive = config.mode == "adaptive"
-    log_eta = math.log(eta)
-    target = config.target_log_avg_risk
+    loss, last, every = config.loss, config.steps, config.record_every
+    checks = config.target_log_avg_risk is not None
+    step = config.eta * scale
     traj = Trajectory()
     total = params.copy()
     prev_log = best_log = math.inf
     best_t = 0
-    block = _Block(ds, loss, target, params, name, averaged)
-
-    def phi(r):
-        return phi_from_risk(loss, r) if smooth else math.nan
-
-    def log_stepsize(r):
-        return log_adaptive_stepsize(loss, r, eta) if adaptive else log_eta
-
-    for t in range(config.steps + 1):
+    block = _Block(ds, config, params, name, averaged)
+    for t in range(last + 1):
         cache, z = forward()
         state = MarginState(z, ds, loss)
-        r = state.risk
-        # log_value of -inf means exactly zero risk (possible for hinge only),
+        log = state.log_risk
+        # a log risk of -inf means exactly zero risk (possible for hinge only),
         # which is success; +inf or nan means true blow-up
-        if r.log_value == math.inf or math.isnan(r.log_value):
+        if not log < math.inf:
             traj.diverged_at = t
             break
-        violated = r.log_value > prev_log
-        if r.log_value < best_log:
-            best_log, best_t = r.log_value, t
-        record = t % config.record_every == 0 or t == config.steps
-        if record or (target is not None and t >= 1):
-            if (block.push(t, params, total, state, violated, record, (best_log, best_t))
-                    and block.flush(traj, phi, log_stepsize)):
-                return traj  # at the first passage
-        prev_log = r.log_value
-        if t == config.steps:
+        if log < best_log:
+            best_log, best_t = log, t
+        record = t % every == 0 or t == last
+        if ((record or checks and t)
+                and block.push(t, params, total, state, log > prev_log, record, best_log, best_t)
+                and block.flush(traj)):
+            return traj  # at the first passage
+        prev_log = log
+        if t == last:
             break
-        params -= (eta * scale) * backward(cache, state)
+        params -= step * backward(cache, state)
         total += params
-        if not np.isfinite(total).all():
+        # a finite sum has every entry finite; an overflowed one needs the exact test
+        if not math.isfinite(np.add.reduce(total, None)) and not np.isfinite(total).all():
             traj.diverged_at = t + 1
             break
-    if block.flush(traj, phi, log_stepsize):
+    if block.flush(traj):
         traj.diverged_at = None  # stamped after the first passage
     return traj
 

@@ -103,7 +103,8 @@ def leaky_relu(alpha: float) -> Activation:
 
     def pair(z):
         # the kink derivative is fixed from the right: sigma'(0) = 1
-        return np.where(z >= 0, z, alpha * z), np.where(z >= 0, 1.0, alpha)
+        right = z >= 0
+        return np.where(right, z, alpha * z), np.where(right, 1.0, alpha)
 
     return Activation(name=f"leakyrelu:{alpha:g}", alpha=alpha, kappa=0.0, pair=pair)
 

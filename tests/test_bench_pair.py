@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -57,7 +58,31 @@ def test_a_key_with_one_float_sample_is_summarised():
 
 def test_the_cases():
     assert sorted(bench_pair.CASES) == ["averaged-blocks", "import-path", "lean-datasets",
-                                        "run-constants", "separated-log", "stacked-probes"]
+                                        "run-constants", "separated-log", "stacked-probes",
+                                        "step-overhead"]
+
+
+def test_the_step_overhead_runs_are_benchs_and_run_recordeds():
+    """bench's two GD runs to its target and run-recorded's run and run-nn,
+    read off the GDConfig each run is given."""
+    names = {}
+    exec(bench_pair.STEP_RUNS, names)
+    ds = names["ds"]
+    assert ds.weights is None and (ds.n, ds.d, ds.gamma) == (100, 10, 0.1)
+    configs = {}
+    names["run_gd"] = lambda ds, cfg: configs.setdefault("gd", []).append(cfg)
+    names["run_gd_nn"] = lambda ds, net, cfg: configs.update(nn=(net, cfg))
+    for run in names["runs"].values():
+        run()
+    assert [(c.loss.kind, c.mode, c.eta, c.steps, c.record_every, c.target_log_avg_risk)
+            for c in configs["gd"]] == [
+        ("exp", "constant", 1.0, 20_000, 1, math.log(1e-12)),
+        ("exp", "adaptive", 1.0, 20_000, 1, math.log(1e-12)),
+        ("log", "adaptive", 400.0, 20_000, 1, None)]
+    net, cfg = configs["nn"]
+    assert (net.m, net.activation.name, cfg.loss.kind, cfg.eta, cfg.steps) == (
+        16, "leakyrelu:0.5", "exp", 400.0, 5000)
+    assert bench_pair.FASTEST in bench_pair.STEP_CHILD
 
 
 def test_the_separated_log_margins_are_in_their_regimes():

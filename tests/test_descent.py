@@ -73,6 +73,17 @@ class TestRisk:
         assert r.value == 0.0
         assert r.log_value == pytest.approx(-2000.0, rel=1e-12)
 
+    def test_value_is_inf_only_past_the_float_range(self):
+        # math.exp is finite up to ln(float max) = 709.78: a log risk of 709.5
+        # has a finite value, and so has phi where -l^{-1} is finite there
+        big = math.exp(709.5)
+        assert descent._exp_or_inf(709.5) == big < math.inf
+        assert descent._risk_from_log(709.5) == RiskValue(big, 709.5)
+        assert descent._exp_or_inf(709.79) == math.inf
+        assert descent._exp_or_inf(-math.inf) == 0.0 and math.isnan(descent._exp_or_inf(math.nan))
+        assert phi_from_risk(LOG, RiskValue(big, 709.5)) == big  # u + ln(1 - e^-u) = u
+        assert phi_from_risk(SEMICIRCLE, RiskValue(big, 709.5)) == big  # u - 1/u = u
+
     def test_weighted_matches_materialized(self):
         a = gen_batch_hard(0.1, 32)
         b = gen_batch_hard(0.1, 32, weighted=True)
@@ -620,6 +631,28 @@ def _unit_ball_dataset(n_rows, d, seed=0):
     return Dataset(x, np.where(rng.random(n_rows) < 0.5, -1.0, 1.0), 0.1, w_star)
 
 
+def _one_row_peak(model):
+    """A 1-step exp run, linear or a width-4 network, on a one-row set with
+    d = 10**6: its trajectory, and its tracemalloc peak in rows of its
+    parameters (vectors of d floats, or of 4 d floats)."""
+    ds = gen_online_hard(0.001, 1)
+    assert (ds.n_rows, ds.d) == (1, 10**6)
+    cfg = GDConfig(loss=EXP, eta=1.0, steps=1)
+    if model == "linear":
+        row, run = ds.d, lambda: run_gd(ds, cfg)
+    else:
+        net = make_net(ds.d, 4, leaky_relu(0.5))
+        row, run = net.weights.size, lambda: run_gd_nn(ds, net, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return traj, peak / (8 * row)
+
+
 class TestAveragedBlocks:
     """Rows are built a block of B = block_size(max(n_rows, params.size))
     steps at a time, averaged iterates evaluated together; rows,
@@ -634,25 +667,21 @@ class TestAveragedBlocks:
     def test_a_long_iterate_shrinks_the_block(self, model):
         """A one-row set with d = 10**6: the block is sized by the iterate,
         not by the one margin, so it holds one step. The linear run of 1
-        step peaks near 8 vectors of d floats (258 with a block of 64 steps); the
-        width-4 network's near 7 rows of 4 d floats."""
-        ds = gen_online_hard(0.001, 1)
-        assert (ds.n_rows, ds.d) == (1, 10**6)
-        cfg = GDConfig(loss=EXP, eta=1.0, steps=1)
-        if model == "linear":
-            row, run = ds.d, lambda: run_gd(ds, cfg)
-        else:
-            net = make_net(ds.d, 4, leaky_relu(0.5))
-            row, run = net.weights.size, lambda: run_gd_nn(ds, net, cfg)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            traj = run()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        step peaks near 6 vectors of d floats (258 with a block of 64 steps); the
+        width-4 network's near 5 rows of 4 d floats."""
+        traj, rows = _one_row_peak(model)
         assert traj.columns["t"] == [0, 1]
-        assert peak < 10 * 8 * row
+        assert rows < 10
+
+    @pytest.mark.parametrize("model,bound", [("linear", 6.5), ("network", 5.5)])
+    def test_a_block_allocates_its_arrays_at_its_first_push(self, model, bound):
+        """The runs above hold no array for a block that never starts. The
+        linear run peaks at 6 vectors: w, the running sum, and its result's
+        2 rows of w and avg_w; the network's at 5 rows: the weights, the
+        running sum, row 0, and a gradient and its scaled copy. A spare pair
+        of arrays after each flush would add 2 vectors, a spare iterate
+        array 1 row."""
+        assert _one_row_peak(model)[1] < bound
 
     @pytest.mark.parametrize("name", list(FUSED_DATASETS))
     def test_stacked_margins_equal_one_pass_per_iterate(self, name):
@@ -691,6 +720,38 @@ class TestAveragedBlocks:
         want = reference_run_gd(ds, cfg)
         assert want.columns["t"][-1] == hit
         assert_same_run(run_gd(ds, cfg), want)
+
+    @pytest.mark.parametrize("mode,eta", [("adaptive", 400.0), ("constant", 1.0)])
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("loss", [EXP, LOG, poly(2.0)], ids=lambda s: s.name)
+    def test_runs_across_full_blocks_keep_their_bits(self, loss, agg, mode, eta):
+        """Runs that fill 64-step blocks and flush again after them have the
+        rows of reference_run_gd, bit for bit, on the random and the
+        weighted batch-hard sets. A run that queues every step (record_every
+        1, or a target) makes 150 steps, and a target is first passed after
+        t = 128, two full blocks in (never, where the averaged risk grows);
+        one that queues every 7th step makes 7 * 65, a full block of rows
+        and a last flush. Each row t is row t of the reference run that
+        records every step (see TestTargetStop)."""
+        for ds_name in ("random", "batch-hard-weighted"):
+            ds = FUSED_DATASETS[ds_name]()
+            assert descent.block_size(ds.n_rows) == 64
+            base = GDConfig(loss=loss.with_aggregation(agg).with_n(ds.n), eta=eta, steps=150,
+                            mode=mode)
+            full = reference_run_gd(ds, dataclasses.replace(base, steps=7 * 65))
+            assert full.diverged_at is None
+            logs = full.columns["log_avg_risk"][:151]
+            late = min(logs[129:])
+            target = late if late < min(logs[1:129]) else min(logs) - 1.0
+            passage = next((t for t in range(1, 151) if logs[t] <= target), 150)
+            for every, steps, tgt, last in ((1, 150, None, 150), (7, 7 * 65, None, 7 * 65),
+                                            (1, 150, target, passage), (7, 150, target, passage)):
+                cfg = dataclasses.replace(base, steps=steps, record_every=every,
+                                          target_log_avg_risk=tgt)
+                rows = sorted({*range(0, last, every), last})
+                got = run_gd(ds, cfg)
+                assert got.diverged_at is None and got.columns["t"] == rows, f"{ds_name} {cfg}"
+                assert_same_rows(got, full, rows)
 
     def test_passage_then_divergence_in_one_block(self):
         """The steps after the passage overflow (eta = 1e308); they are
