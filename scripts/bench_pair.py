@@ -87,11 +87,15 @@ OUT.json holds, per key of the samples: for a key whose samples are all
 integers, each side's distinct values; for any other key, each side's
 median, quartiles and runs, the after/before ratio of the medians and the
 pairs the change won (lower is better for every key). It also holds the
-machine (perfbench's provenance) and each side's git commit.
+machine (perfbench's provenance), each side's git commit ("unknown" for a
+tree without .git, such as one unpacked from `git archive`) and each
+side's `src_sha256` (see `src_sha256`), which matches a tree to a commit
+whether or not it has .git.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import statistics
@@ -431,6 +435,23 @@ def compare(before: list[dict], after: list[dict]) -> dict:
     return metrics
 
 
+def src_sha256(src: str) -> str:
+    """sha256 of the package in a `src` directory: for each margin_lab/*.py
+    file, sorted by its path relative to src (POSIX, UTF-8), the path, a
+    NUL, the byte count in decimal, a NUL and the bytes; __pycache__ is left
+    out. The tree that `git archive <commit> src` unpacks gives the same
+    hash as a checkout of that commit."""
+    root = Path(src)
+    files = sorted((path.relative_to(root).as_posix(), path)
+                   for path in (root / "margin_lab").rglob("*.py")
+                   if "__pycache__" not in path.relative_to(root).parts)
+    digest = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(b"%s\0%d\0" % (name.encode(), len(data)) + data)
+    return digest.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     pairs_ok = len(argv) == 4 or (len(argv) == 5 and argv[4].isdigit() and int(argv[4]) >= 2)
     if not pairs_ok or argv[0] not in CASES:
@@ -458,6 +479,7 @@ def main(argv: list[str]) -> int:
                    f"scripts/bench_pair.py {name} <parent>/src <change>/src OUT.json {pairs}"),
         "machine": machine,
         "commits": {side: git_commit(Path(src).parent) for side, src in trees.items()},
+        "src_sha256": {side: src_sha256(src) for side, src in trees.items()},
         "metrics": compare(rows["before"], rows["after"]),
     }
     Path(out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")

@@ -412,15 +412,15 @@ def cmd_gen(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     return 0
 
 
-def _gd_config(cfg: ExperimentConfig, ds: Dataset) -> GDConfig:
+def _gd_config(cfg: ExperimentConfig) -> GDConfig:
     mode, eta = cfg["stepsize"]
-    return GDConfig(loss=cfg["loss"].with_n(ds.n), eta=eta, steps=cfg["steps"], mode=mode,
+    return GDConfig(loss=cfg["loss"], eta=eta, steps=cfg["steps"], mode=mode,
                     record_every=cfg["record_every"])
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     ds = make_dataset(cfg["dataset"], seed)
-    gd = _gd_config(cfg, ds)
+    gd = _gd_config(cfg)
     traj = run_gd(ds, gd)
 
     header = ("t,log_eta_t,log_risk,log_avg_risk,phi,min_margin,avg_min_margin,"
@@ -453,7 +453,7 @@ def cmd_run_nn(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     ds = make_dataset(cfg["dataset"], seed)
     try:
         net = make_net(ds.d, cfg["width"], cfg["activation"])
-        traj = run_gd_nn(ds, net, _gd_config(cfg, ds))
+        traj = run_gd_nn(ds, net, _gd_config(cfg))
     except MemoryError as exc:
         raise ConfigError([(0, f"network run {_does_not_fit(exc)}")]) from None
 
@@ -534,8 +534,7 @@ def _bench_gd(cfg: ExperimentConfig, ds: Dataset, method: str, gamma: float,
     and a row per epsilon read off it, with the run's time as wall_time. An
     epsilon never reached reads None, or diverged_at=<t> if the run diverged."""
     start = time.perf_counter()
-    traj = run_gd(ds, GDConfig(loss=cfg["loss"].with_n(ds.n), eta=eta,
-                               steps=cfg["max_steps"], mode=mode,
+    traj = run_gd(ds, GDConfig(loss=cfg["loss"], eta=eta, steps=cfg["max_steps"], mode=mode,
                                target_log_avg_risk=math.log(min(epsilons))))
     steps, logs = traj.columns["t"], traj.columns["log_avg_risk"]
     miss = None if traj.diverged_at is None else f"diverged_at={traj.diverged_at}"

@@ -52,12 +52,13 @@ block_size(max(n_rows, params.size)) steps (64 at 100 rows and d = 10, 6
 at 10 000 rows, 1 at d = 10**6), and is flushed when full and when the
 run ends: one exact min(axis=1) gives every smallest margin, and the rows
 extend the trajectory's columns a column at a time. A linear row carries
-the running average: one division by t + 1, one stacked pass ds.margins,
-one loss.log_value call and one log-sum-exp give every queued average, its
-risk and its smallest margin, bit for bit as one evaluation per step
-would. A network row carries the best iterate so far. A row's phi and
-log_stepsize are read off its log risk alone, by functions bound once per
-run (the bits of phi_from_risk, and of log_adaptive_stepsize or ln eta).
+the running average: one division by t + 1, one stacked pass ds.margins
+and one MarginState of the stack (one loss.log_value call and one
+log-sum-exp) give every queued average, its risk and its smallest margin,
+bit for bit as one evaluation per step would. A network row carries the
+best iterate so far. A row's phi and log_stepsize are read off its log
+risk alone, by functions bound once per run with the dataset's n (the
+bits of phi_from_risk, and of _log_stepsize_of_log or ln eta).
 B changes no bit.
 With a target, the loop runs to the end of the block that holds the first
 passage, keeps the rows up to it and drops the up to B - 1 steps behind
@@ -219,13 +220,6 @@ def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     return ds.signed_sum(coef) / ds.n
 
 
-def _check_sum_n(loss: LossSpec, ds: Dataset):
-    if loss.aggregation == "sum" and loss.n != ds.n:
-        raise ValueError(
-            f"sum aggregation needs the loss bound to the dataset size "
-            f"(loss.n = {loss.n}, dataset n = {ds.n}); use loss.with_n(ds.n)")
-
-
 def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     """Per-row weights c_i >= 0 of grad phi = -sum_i c_i y_i x_i at margins z
     (an array, or the MarginState built from it); (k, R) margins of a stack
@@ -245,8 +239,6 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
         # softmax of -z with multiplicities; exact ratio preservation matters
         return state.e / state.total
     summed = loss.aggregation == "sum"
-    if summed:
-        _check_sum_n(loss, ds)
     log_u = state.lse if summed else state.log_risk
     if isinstance(log_u, list):
         lnid = np.array([loss.log_neg_inv_deriv(_exp_or_inf(v), v) for v in log_u])[:, None]
@@ -272,13 +264,13 @@ def grad_phi(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     return -ds.signed_sum(phi_coefficients(state, ds, loss))
 
 
-def _phi_of_log(loss: LossSpec):
+def _phi_of_log(loss: LossSpec, n: int):
     """phi as a function of the log of the mean risk, bound once: phi =
-    -l^{-1}(u) at u = L, or at u = n L under sum aggregation, from u's
-    (value, log_value) pair."""
+    -l^{-1}(u) at u = L, or at u = n L under sum aggregation (n the
+    dataset's sample count), from u's (value, log_value) pair."""
     phi = loss.ops.phi
     if loss.aggregation == "sum":
-        ln_n = math.log(loss.n)
+        ln_n = math.log(n)
 
         def of_log(log):
             u = log + ln_n
@@ -287,12 +279,17 @@ def _phi_of_log(loss: LossSpec):
     return lambda log: phi(loss, _exp_or_inf(log), log)
 
 
-def _log_stepsize_of_log(loss: LossSpec, eta: float):
-    """ln eta_t as a function of the log of the mean risk, bound once (see
-    log_adaptive_stepsize)."""
+def _log_stepsize_of_log(loss: LossSpec, eta: float, n: int):
+    """ln eta_t = ln eta + ln (-l^{-1})'(risk) as a function of the log of
+    the mean risk, bound once; always finite.
+
+    Under sum aggregation eta_t = eta * n * (-l^{-1})'(n * risk), so that
+    eta_t * grad L = eta * grad phi_sum. For exp (a softmax kind) the factor
+    n cancels exactly and the mean formula is used.
+    """
     lnid, log_eta = loss.ops.log_neg_inv_deriv, math.log(eta)
     if loss.aggregation == "sum" and not loss.ops.softmax:
-        ln_n = math.log(loss.n)
+        ln_n = math.log(n)
         log_eta_n = log_eta + ln_n
 
         def of_log(log):
@@ -302,31 +299,19 @@ def _log_stepsize_of_log(loss: LossSpec, eta: float):
     return lambda log: log_eta + lnid(loss, _exp_or_inf(log), log)
 
 
-def phi_from_risk(loss: LossSpec, r):
-    """phi = -l^{-1}(u) from the mean risk, or a list of phi from a stack's
-    list of them; u is the mean risk, or n times it under sum aggregation.
-    Read off log_value, which a RiskValue holds authoritatively."""
-    phi = _phi_of_log(loss)
+def phi_from_risk(loss: LossSpec, r, n: int):
+    """phi = -l^{-1}(u) from the mean risk over n samples, or a list of phi
+    from a stack's list of them; u is the mean risk, or n times it under sum
+    aggregation. Read off log_value, which a RiskValue holds
+    authoritatively."""
+    phi = _phi_of_log(loss, n)
     return [phi(v.log_value) for v in r] if isinstance(r, list) else phi(r.log_value)
 
 
 def phi(w: np.ndarray, ds: Dataset, loss: LossSpec):
     """phi at parameter w, a float; at a (k, d) stack, a list of one per
     row."""
-    _check_sum_n(loss, ds)
-    return phi_from_risk(loss, risk(w, ds, loss))
-
-
-def log_adaptive_stepsize(loss: LossSpec, r: RiskValue, eta: float) -> float:
-    """ln eta_t = ln eta + ln (-l^{-1})'(risk); always finite.
-
-    Under sum aggregation eta_t = eta * n * (-l^{-1})'(n * risk), so that
-    eta_t * grad L = eta * grad phi_sum. For exp (a softmax kind) the factor
-    n cancels exactly and the mean formula is used.
-    """
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return _log_stepsize_of_log(loss, eta)(r.log_value)
+    return phi_from_risk(loss, risk(w, ds, loss), ds.n)
 
 
 @dataclass(frozen=True)
@@ -420,9 +405,9 @@ class _Block:
     margins and running sum into them and queues the step's log risk and
     the running best (best_log, best_t). flush divides the sums by t + 1 in
     place, takes every smallest margin from one min(axis=1) on the margins,
-    evaluates the averages with one stacked margins pass, one
-    loss.log_value call and one _log_sum_exp, then extends the trajectory's
-    columns by the rows that are kept. Those rows are views of the block's
+    evaluates the averages with one stacked margins pass and one MarginState
+    of the stack, then extends the trajectory's columns by the rows that
+    are kept. Those rows are views of the block's
     iterate and average arrays, so the next block takes new ones.
     """
 
@@ -431,11 +416,10 @@ class _Block:
         self.ds, self.loss, self.name, self.averaged = ds, config.loss, name, averaged
         self.target = config.target_log_avg_risk
         # a row's phi and log_stepsize are read off its own log risk
-        self.phi = _phi_of_log(self.loss) if self.loss.ops.smooth else lambda log: math.nan
+        self.phi = _phi_of_log(self.loss, ds.n) if self.loss.ops.smooth else lambda log: math.nan
         log_eta = math.log(config.eta)
-        self.log_stepsize = (_log_stepsize_of_log(self.loss, config.eta)
+        self.log_stepsize = (_log_stepsize_of_log(self.loss, config.eta, ds.n)
                              if config.mode == "adaptive" else lambda log: log_eta)
-        self.log_n = math.log(ds.n)
         self.size = block_size(max(ds.n_rows, params.size))
         self.margins = np.empty((self.size, ds.n_rows))  # no row is a view of it
         self.steps: list = []
@@ -467,9 +451,8 @@ class _Block:
         if self.averaged:
             # t + 1 is exact as a float: the bits of total / (t + 1) at each step
             avg = np.divide(self.sums[:count], np.add(ts, 1.0)[:, None], out=self.sums[:count])
-            avg_z = self.ds.margins(avg)
-            _, _, lses = _log_sum_exp(self.loss.log_value(avg_z), self.ds.weights)
-            log_avgs = [v - self.log_n for v in lses]
+            avg_state = MarginState(self.ds.margins(avg), self.ds, self.loss)
+            log_avgs = avg_state.log_risk
         passage = None if self.target is None else next(
             (j for j, (t, log) in enumerate(zip(ts, log_avgs)) if t >= 1 and log <= self.target),
             None)
@@ -498,7 +481,7 @@ class _Block:
         if self.averaged:
             columns["avg_w"] = list(avg)
             columns["log_avg_risk"] = pick(log_avgs)
-            columns["avg_min_margin"] = pick(np.minimum.reduce(avg_z, axis=1).tolist())
+            columns["avg_min_margin"] = pick(np.minimum.reduce(avg_state.z, axis=1).tolist())
         else:
             columns["min_log_risk"] = pick(best_logs)
             columns["min_risk_t"] = pick(best_ts)
@@ -584,7 +567,6 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     capped by eta times the loss's lipschitz_const.
     """
     loss = config.loss
-    _check_sum_n(loss, ds)
     w = np.zeros(ds.d) if config.init is None else np.array(config.init, dtype=float)
     if w.shape != (ds.d,):
         raise ValueError(f"init has shape {w.shape}, dataset needs ({ds.d},)")
@@ -643,14 +625,15 @@ def averaged_risk_log_bound(gamma: float, eta: float, t: int) -> float:
     return -((g * g - 1.0) / (4.0 * g)) * eta
 
 
-def general_loss_risk_log_bound(loss: LossSpec, gamma: float, eta: float, t: int) -> float:
+def general_loss_risk_log_bound(loss: LossSpec, gamma: float, eta: float, t: int,
+                                n: int) -> float:
     """Closed-form averaged-iterate bound for a smooth loss, in the log
     domain (safe when the bound value underflows):
 
         ln L(avg w_t) <= ln l(((g^2 - C) / (4 g)) * eta),   g = gamma^2 (t + 1),
 
-    where C = loss.lipschitz_const() (which depends on loss.n; bind it to the
-    dataset size first). For the exp loss, C = 1, this is exactly
+    where C = loss.lipschitz_const(n), n the sample count of the dataset the
+    run fits. For the exp loss, C = 1, this is exactly
     averaged_risk_log_bound. The bound is weaker than l(0) while
     g < sqrt(C) and informative after.
 
@@ -678,6 +661,6 @@ def general_loss_risk_log_bound(loss: LossSpec, gamma: float, eta: float, t: int
         raise ValueError(f"no risk bound for the {loss.kind} loss")
     _check_bound_args(gamma, eta, t)
     g = gamma * gamma * (t + 1.0)
-    c = loss.lipschitz_const()
+    c = loss.lipschitz_const(n)
     x = ((g * g - c) / (4.0 * g)) * eta
     return float(loss.log_value(x))

@@ -146,11 +146,14 @@ class _Kind:
     """One loss kind's record: plain functions, each taking the LossSpec
     first, that LossSpec's methods of the same names call; records are never
     instantiated. Kernels get z as a float array, inverse and neg_inv_deriv
-    a float u > 0. phi(spec, u, log_u) is -l^{-1}(u) from u's pair, finite
-    where u underflows; mpmath(spec, mp) is (l, l', -l^{-1}) in the caller's
-    mpmath context. softmax: the phi coefficients are the softmax of
-    ln l(z_i) under either aggregation. The smooth operations refuse here,
-    and hinge keeps the refusals (smooth is False for it).
+    a float u > 0. phi(spec, u, log_u) is -l^{-1}(u) from u's pair; it stays
+    finite where u underflows for exp and log, while semicircle gives -inf
+    once -ln u passes 709.78 and poly:k once -ln u / k does, since
+    -l^{-1}(u) is itself past the float range there. mpmath(spec, mp) is
+    (l, l', -l^{-1}) in the caller's mpmath context. softmax: the phi
+    coefficients are the softmax of ln l(z_i) under either aggregation. The
+    smooth operations refuse here, and hinge keeps the refusals (smooth is
+    False for it).
     """
 
     softmax = False
@@ -191,7 +194,7 @@ class _Exp(_Kind):
     def phi(spec, u, log_u):
         return log_u
 
-    def lipschitz_const(spec):
+    def lipschitz_const(spec, n):
         return 1.0
 
     def mpmath(spec, mp):
@@ -251,8 +254,8 @@ class _Log(_Kind):
             return u + log1mexp(u)
         return log_u + u / 2.0
 
-    def lipschitz_const(spec):
-        return float(spec.n) if spec.aggregation == "sum" else 1.0
+    def lipschitz_const(spec, n):
+        return float(n) if spec.aggregation == "sum" else 1.0
 
     def mpmath(spec, mp):
         return ((lambda z: mp.log1p(mp.exp(-z))), (lambda z: -1 / (1 + mp.exp(z))),
@@ -344,9 +347,8 @@ class _Poly(_Kind):
         with np.errstate(over="ignore"):
             return float(1.0 - np.exp(-log_u / spec.k))
 
-    def lipschitz_const(spec):
-        n = float(spec.n)
-        return n if spec.aggregation == "sum" else n ** (1.0 / spec.k)
+    def lipschitz_const(spec, n):
+        return float(n) if spec.aggregation == "sum" else n ** (1.0 / spec.k)
 
     def mpmath(spec, mp):
         k = mp.mpf(spec.k)
@@ -409,9 +411,8 @@ class _Semicircle(_Kind):
         with np.errstate(over="ignore"):
             return float(-np.exp(-log_u))
 
-    def lipschitz_const(spec):
-        n = float(spec.n)
-        return n if spec.aggregation == "sum" else n + 1.0
+    def lipschitz_const(spec, n):
+        return float(n) if spec.aggregation == "sum" else n + 1.0
 
     def mpmath(spec, mp):
         return ((lambda z: (mp.sqrt(z * z + 4) - z) / 2),
@@ -450,16 +451,15 @@ def _elementwise(kernel, spec, z):
 class LossSpec:
     """A loss kind plus its parameters.
 
-    k is only meaningful for kind="poly" (exponent, k >= 1). n is the sample
-    count and enters through lipschitz_const and the sum aggregation; it
-    defaults to 1 and can be rebound with with_n once the dataset size is
-    known. aggregation picks the argument of the transform phi = -l^{-1}(u):
-    "mean" takes u = L, "sum" takes u = n L (see descent.phi_from_risk).
+    k is only meaningful for kind="poly" (exponent, k >= 1). aggregation
+    picks the argument of the transform phi = -l^{-1}(u): "mean" takes
+    u = L, "sum" takes u = n L (see descent.phi_from_risk). The sample count
+    n is not a field: it is the dataset's (Dataset.n), and what needs it
+    (lipschitz_const, the sum transform) takes it as an argument.
     """
 
     kind: str
     k: float = math.nan
-    n: int = 1
     aggregation: str = "mean"
 
     def __post_init__(self):
@@ -467,8 +467,6 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {tuple(_KINDS)}")
         if self.kind == "poly" and not (math.isfinite(self.k) and self.k > 0.0):
             raise ValueError(f"poly loss: k must be > 0 (finite), got {self.k}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"sample count n must be a positive integer, got {self.n!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(
                 f"unknown aggregation {self.aggregation!r}, expected one of {AGGREGATIONS}")
@@ -486,7 +484,8 @@ class LossSpec:
         return _KINDS[self.kind]
 
     def with_n(self, n: int) -> "LossSpec":
-        return replace(self, n=int(n))
+        """This spec unchanged (n is the dataset's); kept for callers that still bind n."""
+        return self
 
     def with_aggregation(self, aggregation: str) -> "LossSpec":
         return replace(self, aggregation=aggregation)
@@ -522,8 +521,9 @@ class LossSpec:
         """
         return _KINDS[self.kind].log_neg_inv_deriv(self, value, log_value)
 
-    def lipschitz_const(self) -> float:
-        """Uniform bound C on the transformed-objective gradient norm.
+    def lipschitz_const(self, n: int) -> float:
+        """Uniform bound C on the transformed-objective gradient norm over a
+        dataset of sample count n (Dataset.n, a positive integer).
 
         Mean aggregation: exp and log give C = 1 regardless of n, derived:
         the coefficients c_i = mult_i |l'(z_i)| / (n |l'(l^{-1}(L))|) sum to
@@ -540,10 +540,10 @@ class LossSpec:
         has |l'(l^{-1}(S))| >= |l'(z_i)|; each c_i <= mult_i, and unit-ball
         rows give |grad phi| <= n. The log loss comes close to it (c_i -> 1
         as every z_i -> -inf).
-
-        Scales with the sample count set via with_n.
         """
-        return _KINDS[self.kind].lipschitz_const(self)
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"sample count n must be a positive integer, got {n!r}")
+        return _KINDS[self.kind].lipschitz_const(self, n)
 
 
 def parse_loss(name: str) -> LossSpec:

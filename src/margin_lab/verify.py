@@ -479,8 +479,7 @@ def check_gradient_inequalities(
     """
     if not loss.ops.smooth:
         raise ValueError(f"refused: need a smooth loss, got {loss.name}")
-    loss = loss.with_n(ds.n)
-    c_lip = loss.lipschitz_const()
+    c_lip = loss.lipschitz_const(ds.n)
     rng = np.random.default_rng(seed)
     pts = _probe_points(rng, ds, probes)
     picked = rng.choice(len(pts), size=min(5, len(pts)), replace=False)  # finite differences
@@ -588,7 +587,7 @@ def check_network_inequalities(
     u1 = coefs[:, :, None] * signs[:, None] * ds.w_star
     lhs = total(grads * (u1 - weights))
     rhs = (kappa - (alpha * ds.gamma / m) * np.linalg.norm(u1, axis=2).sum(axis=1)
-           - np.array(phi_from_risk(loss, risks)))
+           - np.array(phi_from_risk(loss, risks, ds.n)))
     rows.append(("alignment-to-value", _running_max(lhs - rhs, -math.inf), SLACK_TOL))
 
     # central differences of the probe net: net j * d + c of each stack moves
@@ -602,7 +601,8 @@ def check_network_inequalities(
     minus = moved.copy()
     minus[net_index, unit, coord] -= 2.0 * h
     shifted = TwoLayerNet(np.concatenate([moved, minus]), probe.signs, smooth)
-    fp, fm = np.array(phi_from_risk(loss, nn_risk(shifted, ds, loss))).reshape(2, probe.m, ds.d)
+    fp, fm = np.array(phi_from_risk(loss, nn_risk(shifted, ds, loss), ds.n)).reshape(
+        2, probe.m, ds.d)
     fd = (fp - fm) / (2.0 * h)
     denom = max(float(np.linalg.norm(g)), 1e-12)
     rows.append(("fd-block-gradient-rel-err", float(np.linalg.norm(fd - g)) / denom, FD_TOL))
@@ -634,12 +634,11 @@ def check_general_loss_bound(ds: Dataset, loss: LossSpec, eta: float, steps: int
     general closed-form bound at every t >= 1."""
     if not loss.ops.smooth:
         raise ValueError(f"refused: need a smooth loss, got {loss.name}")
-    loss = loss.with_n(ds.n)
     return _check_averaged_bound(
         ds, GDConfig(loss=loss, eta=eta, steps=steps),
-        lambda t: general_loss_risk_log_bound(loss, ds.gamma, eta, t),
+        lambda t: general_loss_risk_log_bound(loss, ds.gamma, eta, t, ds.n),
         "general-loss averaged risk stays under its closed-form bound",
-        {"loss": loss.name, "lipschitz_const": loss.lipschitz_const(), "eta": eta,
+        {"loss": loss.name, "lipschitz_const": loss.lipschitz_const(ds.n), "eta": eta,
          "steps": steps})
 
 
@@ -713,7 +712,6 @@ def check_transform_convexity_exact(loss: LossSpec) -> BoundReport:
     fp = dataset_fingerprint(ds)
     if fp["sha256"] != WITNESS_DATASET["sha256"]:
         raise ValueError(f"witness dataset regenerated differently: {fp['sha256']}")
-    loss = loss.with_n(ds.n)
     rows = []
     with mpmath.workdps(EXACT_DPS):
         obj = _ExactObjective(mpmath.mp, ds, loss)
@@ -742,7 +740,6 @@ def replay_averaged_log_risk_exact(
     """
     import mpmath
 
-    loss = loss.with_n(ds.n)
     mean = loss.with_aggregation("mean")
     out = []
     with mpmath.workdps(EXACT_DPS):

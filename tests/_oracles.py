@@ -269,8 +269,7 @@ def per_probe_gradient_inequalities(ds, loss, probes: int = 200, seed: int = 0):
     from margin_lab import verify
     from margin_lab.descent import grad_phi, phi
 
-    loss = loss.with_n(ds.n)
-    c_lip = loss.lipschitz_const()
+    c_lip = loss.lipschitz_const(ds.n)
     rng = np.random.default_rng(seed)
     pts = verify._probe_points(rng, ds, probes)
     etas = (0.5, 4.0, 400.0)
@@ -350,7 +349,7 @@ def per_probe_network_inequalities(ds, activation, probes: int = 100, seed: int 
         coefs = rng.uniform(0.0, 10.0, size=m)
         u1 = coefs[:, None] * net.signs[:, None] * ds.w_star[None, :]
         lhs = float(np.sum(g * (u1 - net.weights)))
-        phi_w = phi_from_risk(loss, nn_risk(net, ds, loss))
+        phi_w = phi_from_risk(loss, nn_risk(net, ds, loss), ds.n)
         rhs = kappa - (alpha * ds.gamma / m) * float(np.sum(np.linalg.norm(u1, axis=1))) - phi_w
         value_worst = max(value_worst, lhs - rhs)
 
@@ -369,9 +368,11 @@ def per_probe_network_inequalities(ds, activation, probes: int = 100, seed: int 
         for c in range(ds.d):
             wp = probe.weights.copy()
             wp[j, c] += h
-            fp = phi_from_risk(loss, nn_risk(TwoLayerNet(wp, probe.signs, smooth), ds, loss))
+            fp = phi_from_risk(loss, nn_risk(TwoLayerNet(wp, probe.signs, smooth), ds, loss),
+                               ds.n)
             wp[j, c] -= 2.0 * h
-            fm = phi_from_risk(loss, nn_risk(TwoLayerNet(wp, probe.signs, smooth), ds, loss))
+            fm = phi_from_risk(loss, nn_risk(TwoLayerNet(wp, probe.signs, smooth), ds, loss),
+                               ds.n)
             fd[j, c] = (fp - fm) / (2.0 * h)
     denom = max(float(np.linalg.norm(g)), 1e-12)
     rows.append(("fd-block-gradient-rel-err", float(np.linalg.norm(fd - g)) / denom,

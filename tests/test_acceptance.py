@@ -118,8 +118,7 @@ def _grid_runs(losses) -> tuple[list[GridRun], float]:
         steps = math.ceil(4.0 / gamma**2)
         for seed in SEEDS:
             ds = _dataset(gamma, seed)
-            for base in losses:
-                loss = base.with_n(ds.n)
+            for loss in losses:
                 for eta in ETAS:
                     run_start = time.perf_counter()
                     traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=steps))
@@ -147,12 +146,11 @@ def passage_runs():
     gamma, budget = 0.1, 110
     start = time.perf_counter()
     runs = []
-    for base in (EXP, LOG):
+    for loss in (EXP, LOG):
         for eps in (1e-2, 1e-6, 1e-12):
             eta = 4.0 * math.log(1.0 / eps) / gamma**2 + 4.0
             for seed in SEEDS:
                 ds = _dataset(gamma, seed)
-                loss = base.with_n(ds.n)
                 run_start = time.perf_counter()
                 traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=budget))
                 seconds = time.perf_counter() - run_start
@@ -296,10 +294,9 @@ def test_06_two_layer_min_risk_bound_and_activation_grid():
     act = leaky_relu(0.5)
     assert act.alpha == 0.5 and act.kappa == 0.0
     violations = []
-    for base in (EXP, LOG):
+    for loss in (EXP, LOG):
         for seed in SEEDS:
             ds = _dataset(gamma, seed)
-            loss = base.with_n(ds.n)
             for eta in (8.0, 80.0, 800.0):
                 net = make_net(ds.d, 4, act)
                 traj = run_gd_nn(
@@ -312,7 +309,7 @@ def test_06_two_layer_min_risk_bound_and_activation_grid():
                         act.alpha, act.kappa, gamma, eta, t)
                     if min_log_risk > bound + LOG_TOL:
                         violations.append(
-                            (base.kind, seed, eta, t,
+                            (loss.kind, seed, eta, t,
                              min_log_risk - bound))
                         break
     assert not violations, (
@@ -340,26 +337,24 @@ def test_07_general_loss_bound_and_transform_identities():
     runs, elapsed = _grid_runs((poly(2), SEMICIRCLE))
 
     # identities first: the gradient-bound constants and the inverse formulas
-    assert poly(2).with_n(N).lipschitz_const() == pytest.approx(math.sqrt(N))
-    assert SEMICIRCLE.with_n(N).lipschitz_const() == pytest.approx(N + 1)
-    for base in (poly(2), SEMICIRCLE):
-        loss = base.with_n(N)
+    assert poly(2).lipschitz_const(N) == pytest.approx(math.sqrt(N))
+    assert SEMICIRCLE.lipschitz_const(N) == pytest.approx(N + 1)
+    for loss in (poly(2), SEMICIRCLE):
         for x in np.linspace(-30.0, 30.0, 601):
             v = float(loss.value(x))
             assert abs(loss.inverse(v) - x) <= 1e-8 * max(1.0, abs(x))
 
     rng = np.random.default_rng(0)
     ds = _dataset(0.1, 0)
-    for base in (poly(2), SEMICIRCLE):
-        loss = base.with_n(ds.n)
-        c = loss.lipschitz_const()
+    for loss in (poly(2), SEMICIRCLE):
+        c = loss.lipschitz_const(ds.n)
         for scale in (0.1, 1.0, 10.0):
             for _ in range(50):
                 w = scale * rng.standard_normal(ds.d)
                 assert float(np.linalg.norm(grad_phi(w, ds, loss))) <= c + 1e-8
 
     scan_start = time.perf_counter()
-    # the bound does not depend on the seed: one call per (loss, gamma, eta, t)
+    # the bound does not depend on the seed: one call per (loss, gamma, eta, t, n)
     log_bound = functools.cache(general_loss_risk_log_bound)
     violations = []
     cells = {"poly:2": 0, "semicircle": 0}
@@ -371,7 +366,7 @@ def test_07_general_loss_bound_and_transform_identities():
         for t, log_avg in zip(cols["t"], cols["log_avg_risk"]):
             if t < 1:
                 continue
-            slack = log_avg - log_bound(r.loss, r.gamma, r.eta, t)
+            slack = log_avg - log_bound(r.loss, r.gamma, r.eta, t, r.ds.n)
             worst = max(worst, slack)
         if worst > LOG_TOL:
             bad[r.loss.name] += 1

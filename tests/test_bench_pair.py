@@ -210,3 +210,26 @@ def test_usage_errors_exit_2_before_running_anything(argv, tmp_path, capsys, mon
     assert bench_pair.main(argv) == 2
     assert "bench_pair.py CASE BEFORE_SRC AFTER_SRC OUT.json [PAIRS]" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_src_sha256_names_the_package_bytes_only(tmp_path):
+    """Two copies of one tree hash alike, one changed byte changes the
+    hash, and a __pycache__ file does not."""
+    import shutil
+
+    src = _PATH.parent.parent / "src"
+    a, b = tmp_path / "a", tmp_path / "b"
+    for copy in (a, b):
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    base = bench_pair.src_sha256(str(a))
+    assert bench_pair.src_sha256(str(b)) == base and len(base) == 64
+    losses = b / "margin_lab" / "losses.py"
+    data = bytearray(losses.read_bytes())
+    data[0] ^= 1
+    losses.write_bytes(bytes(data))
+    assert bench_pair.src_sha256(str(b)) != base
+    cache = a / "margin_lab" / "__pycache__"
+    cache.mkdir()
+    (cache / "losses.cpython-311.pyc").write_bytes(b"\0" * 16)
+    (cache / "stray.py").write_text("x = 1\n")
+    assert bench_pair.src_sha256(str(a)) == base

@@ -451,6 +451,37 @@ class TestExitCodes:
             f"config error: order file {order} has indices outside [0, 5)\n")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command,text,message", [
+        ("gen", "dataset = batch-hard:gamma=0.1,n=4,weighted=yes\n",
+         "line 1: weighted must be true or false, got 'yes'"),
+        ("run", "dataset = two-point:gamma=0.05\nloss = exp\nstepsize = adaptive:abc\nsteps = 3\n",
+         "line 3: bad eta 'abc' in stepsize 'adaptive:abc'"),
+        ("perceptron", "dataset = online-hard:gamma=0.1,n=5\norder = backwards\n",
+         "line 2: order must be cyclic, random:<seed>, or file:<path>, got 'backwards'"),
+        ("bench", "gammas = ,\n", "line 1: gammas must be a non-empty comma-separated list"),
+        ("gen", "dataset = random:d=3,n\n",
+         "line 1: bad dataset parameter 'n' (expected key=value)"),
+        ("gen", "dataset = file:\n", "line 1: file source needs a path: file:<path>"),
+        ("perceptron", "dataset = online-hard:gamma=0.1,n=5\norder = file:{order}\n",
+         "order file {order} must contain integers"),
+        ("perceptron", "dataset = online-hard:gamma=0.1,n=5\norder = file:{empty}\n",
+         "order file {empty} is empty"),
+    ], ids=["weighted-yes", "eta-abc", "order-backwards", "gammas-empty", "param-no-value",
+            "file-no-path", "order-file-not-integers", "order-file-empty"])
+    def test_a_refused_value_exits_2_with_its_message_and_writes_nothing(
+            self, command, text, message, tmp_path, capsys):
+        paths = {"order": tmp_path / "order.txt", "empty": tmp_path / "empty.txt"}
+        paths["order"].write_text("1 2 x\n")
+        paths["empty"].write_text("")
+        cfg = write_cfg(tmp_path, text.format(**paths))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(**paths)}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_an_unknown_command_is_a_config_error(self):
+        assert errors_of("", "nope") == [(0, "unknown command 'nope'")]
+
     def test_bench_with_d_1_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("d = 1\n")
@@ -630,7 +661,7 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
         text = (tmp_path / "trajectory.json").read_text()
         ds = gen_random_separable(10, 100, 0.1, seed=7)
-        traj = run_gd(ds, GDConfig(loss=EXP.with_n(ds.n), eta=100.0, steps=200))
+        traj = run_gd(ds, GDConfig(loss=EXP, eta=100.0, steps=200))
         data = json.loads(text)
         data["iterates"] = [[float(v) for v in w] for w in traj.columns["w"]]
         data["avg_iterates"] = [[float(v) for v in w] for w in traj.columns["avg_w"]]
@@ -929,7 +960,7 @@ class TestBenchCommand:
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = [r.split(",") for r in (tmp_path / "bench.csv").read_text().splitlines()[2:]]
         ds = gen_random_separable(10, 100, 0.1, seed=0)
-        t = run_gd(ds, GDConfig(loss=EXP.with_n(ds.n), eta=1e308, steps=50)).diverged_at
+        t = run_gd(ds, GDConfig(loss=EXP, eta=1e308, steps=50)).diverged_at
         assert t is not None and t < 50
         assert [r[3] for r in rows if r[0] == "small-adaptive"] == [f"diverged_at={t}"] * 3
         assert [r[3] for r in rows if r[0] == "constant"] == [">50"] * 3
@@ -1007,7 +1038,6 @@ class TestBenchCommand:
         got = [r.rsplit(",", 1)[0] for r in lines]
 
         want = []
-        loss = LOG.with_n(n)
         for gamma in gammas:
             ds = gen_random_separable(d, n, gamma, seed=4)
             run = run_perceptron(ds, cyclic_order(ds.n_rows, max_steps))
@@ -1020,8 +1050,7 @@ class TestBenchCommand:
                         ("small-adaptive", "adaptive", 3.0),
                         ("large-adaptive", "adaptive",
                          4.0 * math.log(1.0 / eps) / gamma**2 + 4.0)):
-                    traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=max_steps,
-                                               mode=mode))
+                    traj = run_gd(ds, GDConfig(loss=LOG, eta=eta, steps=max_steps, mode=mode))
                     hit = next((t for t, log in zip(traj.columns["t"],
                                                     traj.columns["log_avg_risk"], strict=True)
                                 if t >= 1 and log <= math.log(eps)), None)

@@ -26,7 +26,6 @@ from margin_lab.descent import (
     general_loss_risk_log_bound,
     grad_phi,
     grad_risk,
-    log_adaptive_stepsize,
     phi,
     phi_coefficients,
     phi_from_risk,
@@ -44,6 +43,11 @@ SMOOTH = [EXP, LOG, poly(2.0), SEMICIRCLE]
 
 def small_ds(seed=11):
     return gen_random_separable(5, 20, 0.2, seed=seed)
+
+
+def log_stepsize(loss, r, eta, n):
+    """ln eta_t at risk r on a dataset of n samples, as a run binds it."""
+    return descent._log_stepsize_of_log(loss, eta, n)(r.log_value)
 
 
 class TestRisk:
@@ -81,8 +85,8 @@ class TestRisk:
         assert descent._risk_from_log(709.5) == RiskValue(big, 709.5)
         assert descent._exp_or_inf(709.79) == math.inf
         assert descent._exp_or_inf(-math.inf) == 0.0 and math.isnan(descent._exp_or_inf(math.nan))
-        assert phi_from_risk(LOG, RiskValue(big, 709.5)) == big  # u + ln(1 - e^-u) = u
-        assert phi_from_risk(SEMICIRCLE, RiskValue(big, 709.5)) == big  # u - 1/u = u
+        assert phi_from_risk(LOG, RiskValue(big, 709.5), 1) == big  # u + ln(1 - e^-u) = u
+        assert phi_from_risk(SEMICIRCLE, RiskValue(big, 709.5), 1) == big  # u - 1/u = u
 
     def test_weighted_matches_materialized(self):
         a = gen_batch_hard(0.1, 32)
@@ -112,10 +116,9 @@ class TestSumTransform:
 
     def test_exp_trajectory_is_bit_identical_under_both_aggregations(self):
         ds = gen_random_separable(10, 100, 0.1, seed=3)
-        mean = EXP.with_n(ds.n)
         for eta in (4.0, 400.0):
-            a = run_gd(ds, GDConfig(loss=mean, eta=eta, steps=200))
-            b = run_gd(ds, GDConfig(loss=mean.with_aggregation("sum"), eta=eta, steps=200))
+            a = run_gd(ds, GDConfig(loss=EXP, eta=eta, steps=200))
+            b = run_gd(ds, GDConfig(loss=EXP.with_aggregation("sum"), eta=eta, steps=200))
             assert len(a.columns["t"]) == len(b.columns["t"]) == 201
             for name in ("w", "avg_w", "log_risk", "log_avg_risk", "log_stepsize",
                          "min_margin", "avg_min_margin"):
@@ -136,7 +139,7 @@ class TestSumTransform:
         rng = np.random.default_rng(9)
         exact = 0
         for base in SMOOTH:
-            loss = base.with_n(a.n).with_aggregation("sum")
+            loss = base.with_aggregation("sum")
             for w in rng.standard_normal((10, a.d)):
                 za, zb = a.margins(w), b.margins(w)
                 np.testing.assert_array_equal(za[starts], zb)
@@ -156,37 +159,39 @@ class TestSumTransform:
     @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
     def test_grad_fd_norm_cap_and_stepsize(self, loss):
         ds = small_ds()
-        loss = loss.with_n(ds.n).with_aggregation("sum")
+        loss = loss.with_aggregation("sum")
         rng = np.random.default_rng(6)
         for _ in range(3):
             w = rng.standard_normal(ds.d) * 0.8
             g = grad_phi(w, ds, loss)
             np.testing.assert_allclose(g, fd_grad(lambda v: phi(v, ds, loss), w),
                                        rtol=1e-5, atol=1e-8)
-            assert np.linalg.norm(g) <= loss.lipschitz_const() + 1e-9
+            assert np.linalg.norm(g) <= loss.lipschitz_const(ds.n) + 1e-9
             # eta_t * grad L = eta * grad phi_sum
             r = risk(w, ds, loss)
             np.testing.assert_allclose(
-                math.exp(log_adaptive_stepsize(loss, r, 3.7)) * grad_risk(w, ds, loss), 3.7 * g,
+                math.exp(log_stepsize(loss, r, 3.7, ds.n)) * grad_risk(w, ds, loss), 3.7 * g,
                 rtol=1e-8)
 
     def test_log_sum_phi_closed_form(self):
         # phi_sum = ln(prod_i (1 + e^{-z_i}) - 1) for the log loss
         ds = small_ds()
         w = np.full(ds.d, 0.3)
-        loss = LOG.with_n(ds.n).with_aggregation("sum")
+        loss = LOG.with_aggregation("sum")
         z = ds.margins(w)
         want = math.log(math.prod(1.0 + math.exp(-zi) for zi in z) - 1.0)
         assert phi(w, ds, loss) == pytest.approx(want, rel=1e-12)
 
-    def test_needs_loss_bound_to_dataset_size(self):
-        ds = small_ds()
-        loss = LOG.with_aggregation("sum")
-        for call in (lambda: grad_phi(np.zeros(ds.d), ds, loss),
-                     lambda: phi(np.zeros(ds.d), ds, loss),
-                     lambda: run_gd(ds, GDConfig(loss=loss, eta=1.0, steps=2))):
-            with pytest.raises(ValueError, match="with_n"):
-                call()
+    @pytest.mark.parametrize("base", SMOOTH, ids=lambda s: s.name)
+    def test_a_sum_spec_reads_n_from_the_dataset(self, base):
+        """A sum-form spec carries no sample count: one spec runs on the
+        random set (n = 100) and on the weighted batch-hard set (n = 64, in
+        fewer rows) with the bits of the reference loop on each."""
+        loss = base.with_aggregation("sum")
+        for ds_name in ("random", "batch-hard-weighted"):
+            ds = FUSED_DATASETS[ds_name]()
+            cfg = GDConfig(loss=loss, eta=50.0, steps=30)
+            assert_same_run(run_gd(ds, cfg), reference_run_gd(ds, cfg), ds_name)
 
 
 class TestGradients:
@@ -228,13 +233,13 @@ class TestGradients:
             assert r.value > 1e-200
             eta = 3.7
             a = eta * grad_phi(w, ds, loss)
-            b = math.exp(log_adaptive_stepsize(loss, r, eta)) * grad_risk(w, ds, loss)
+            b = math.exp(log_stepsize(loss, r, eta, ds.n)) * grad_risk(w, ds, loss)
             np.testing.assert_allclose(a, b, rtol=1e-8)
 
     @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
     def test_grad_phi_norm_capped(self, loss):
         ds = small_ds()
-        bound = loss.with_n(ds.n).lipschitz_const()
+        bound = loss.lipschitz_const(ds.n)
         rng = np.random.default_rng(8)
         for _ in range(20):
             w = rng.standard_normal(ds.d) * rng.uniform(0.1, 30.0)
@@ -246,16 +251,16 @@ class TestAdaptiveStepsize:
         u = math.log(2.0)
         for loss, r in ((EXP, RiskValue(0.5, math.log(0.5))), (LOG, RiskValue(u, math.log(u))),
                         (SEMICIRCLE, RiskValue(1.0, 0.0))):
-            assert math.exp(log_adaptive_stepsize(loss, r, 1.0)) == pytest.approx(2.0, rel=1e-14)
+            assert math.exp(log_stepsize(loss, r, 1.0, 1)) == pytest.approx(2.0, rel=1e-14)
 
     def test_log_domain_overflow(self):
         # eta_t = e^800 is past the float range; its log is not
         r = RiskValue(0.0, -800.0)
-        assert log_adaptive_stepsize(EXP, r, 1.0) == pytest.approx(800.0, rel=1e-15)
+        assert log_stepsize(EXP, r, 1.0, 1) == pytest.approx(800.0, rel=1e-15)
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):
-            log_adaptive_stepsize(EXP, RiskValue(1.0, 0.0), 0.0)
+            descent._log_stepsize_of_log(EXP, 0.0, 1)
 
 
 class TestRunGD:
@@ -459,7 +464,7 @@ def reference_run_gd(ds, config):
             passed = avg_r.log_value <= target
         if passed or t % config.record_every == 0 or t == config.steps:
             if config.mode == "adaptive":
-                log_eta_t = log_adaptive_stepsize(loss, r, config.eta)
+                log_eta_t = log_stepsize(loss, r, config.eta, ds.n)
             else:
                 log_eta_t = math.log(config.eta)
             if avg_r is None:
@@ -467,7 +472,7 @@ def reference_run_gd(ds, config):
                 avg_r = risk(avg_w, ds, loss)
             append_row(traj, dict(
                 t=t, w=w.copy(), log_risk=r.log_value,
-                phi=phi_from_risk(loss, r) if loss.kind != "hinge" else math.nan,
+                phi=phi_from_risk(loss, r, ds.n) if loss.kind != "hinge" else math.nan,
                 log_stepsize=log_eta_t, min_margin=ds.min_margin(w), avg_w=avg_w,
                 log_avg_risk=avg_r.log_value, avg_min_margin=ds.min_margin(avg_w),
                 descent_violated=bool(r.log_value > prev_log_risk)))
@@ -507,7 +512,7 @@ class TestFusedStep:
     def test_bit_identical_to_the_unfused_loop(self, loss, agg, mode, etas):
         for ds_name, make in FUSED_DATASETS.items():
             ds = make()
-            spec = loss.with_aggregation(agg).with_n(ds.n)
+            spec = loss.with_aggregation(agg)
             for eta in etas:
                 base = GDConfig(loss=spec, eta=eta, steps=30, mode=mode)
                 full = reference_run_gd(ds, base)
@@ -597,8 +602,7 @@ class TestFusedStep:
         margin state, so loss.log_value runs once per iterate, plus once per
         block of averaged iterates (one 2-D call each)."""
         ds = small_ds()
-        cfg = GDConfig(loss=loss.with_aggregation(agg).with_n(ds.n), eta=50.0, steps=500,
-                       record_every=7)
+        cfg = GDConfig(loss=loss.with_aggregation(agg), eta=50.0, steps=500, record_every=7)
         calls = []
         log_value = LossSpec.log_value
 
@@ -736,8 +740,7 @@ class TestAveragedBlocks:
         for ds_name in ("random", "batch-hard-weighted"):
             ds = FUSED_DATASETS[ds_name]()
             assert descent.block_size(ds.n_rows) == 64
-            base = GDConfig(loss=loss.with_aggregation(agg).with_n(ds.n), eta=eta, steps=150,
-                            mode=mode)
+            base = GDConfig(loss=loss.with_aggregation(agg), eta=eta, steps=150, mode=mode)
             full = reference_run_gd(ds, dataclasses.replace(base, steps=7 * 65))
             assert full.diverged_at is None
             logs = full.columns["log_avg_risk"][:151]
@@ -772,6 +775,25 @@ class TestAveragedBlocks:
             warnings.simplefilter("error")
             assert run_gd(ds, base).diverged_at == 4  # the run without a target
 
+    @pytest.mark.parametrize("loss,mode", [(EXP, "adaptive"), (LOG, "adaptive"),
+                                           (EXP, "constant")],
+                             ids=["exp-adaptive", "log-adaptive", "exp-constant"])
+    def test_a_block_with_no_kept_row_lets_the_run_go_on(self, loss, mode):
+        """With a target and record_every 150 > B = 64, a block such as
+        t = 64..127 queues steps for the target check alone, keeps none of
+        them and must not end the run. It ends at the passage, t = 2000,
+        with the rows of the run that records every step."""
+        ds = gen_random_separable(10, 100, 0.1, seed=0)
+        assert descent.block_size(ds.n_rows) == 64
+        base = GDConfig(loss=loss, eta=1.0, steps=3000, mode=mode)
+        full = run_gd(ds, base)
+        cfg = dataclasses.replace(base, record_every=150,
+                                  target_log_avg_risk=full.columns["log_avg_risk"][2000])
+        got = run_gd(ds, cfg)
+        rows = [*range(0, 2000, 150), 2000]
+        assert got.diverged_at is None and got.columns["t"] == rows
+        assert_same_rows(got, full, rows)
+
 
 def assert_same_columns(got, want):
     """Two trajectories have the same columns, bit for bit, and the same
@@ -799,7 +821,7 @@ class TestSeparatedLog:
     def test_a_run_entering_the_regime_mid_block_keeps_its_bits(
             self, monkeypatch, agg, every, target):
         ds = gen_batch_hard(0.1, 64, weighted=True)
-        cfg = GDConfig(loss=LOG.with_aggregation(agg).with_n(ds.n), eta=400.0, steps=300,
+        cfg = GDConfig(loss=LOG.with_aggregation(agg), eta=400.0, steps=300,
                        record_every=every)
         full = run_gd(ds, dataclasses.replace(cfg, record_every=1))
         margins, avg_margins = full.column("min_margin"), full.column("avg_min_margin")
@@ -817,14 +839,14 @@ class TestSeparatedLog:
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     def test_a_recorded_rows_log_stepsize_is_read_off_its_risk(self, monkeypatch, agg):
-        """A recorded row's log_stepsize has the bits of log_adaptive_stepsize
-        at the row's risk, and a stand-in for grad_phi that builds its own
+        """A recorded row's log_stepsize has the bits of ln eta + ln
+        (-l^{-1})' at the row's risk, and a stand-in for grad_phi that builds its own
         MarginState from the step's margins leaves every column unchanged."""
         ds = gen_batch_hard(0.1, 64, weighted=True)
-        loss = LOG.with_aggregation(agg).with_n(ds.n)
+        loss = LOG.with_aggregation(agg)
         cfg = GDConfig(loss=loss, eta=400.0, steps=200, record_every=3)
         clean = run_gd(ds, cfg)
-        want = [log_adaptive_stepsize(loss, descent._risk_from_log(log), cfg.eta)
+        want = [log_stepsize(loss, descent._risk_from_log(log), cfg.eta, ds.n)
                 for log in clean.columns["log_risk"]]
         assert np.array(clean.columns["log_stepsize"]).tobytes() == np.array(want).tobytes()
         grad, calls = descent.grad_phi, []
@@ -883,7 +905,7 @@ class TestStacks:
     @pytest.mark.parametrize("name", list(STACK_DATASETS))
     def test_each_row_has_its_solo_bits(self, name, base, agg):
         ds = STACK_DATASETS[name]()
-        loss = base.with_aggregation(agg).with_n(ds.n)
+        loss = base.with_aggregation(agg)
         stack = _probe_stack(ds.d)
         z = ds.margins(stack)
         with np.errstate(over="ignore"):
@@ -932,7 +954,7 @@ class TestMetamorphic:
     @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
     def test_row_permutation_leaves_the_iterates(self, loss):
         ds = gen_random_separable(10, 100, 0.1, seed=3)
-        cfg = GDConfig(loss=loss.with_n(ds.n), eta=8.0, steps=30)
+        cfg = GDConfig(loss=loss, eta=8.0, steps=30)
         a, b = run_gd(ds, cfg), run_gd(permute_rows(ds), cfg)
         for name in ("w", "avg_w"):
             assert max_relative_gap(a.column(name), b.column(name)) <= 1e-12, name
@@ -945,7 +967,7 @@ class TestMetamorphic:
         w = 0 are zeros whose signs follow the labels, so min_margin at
         t = 0 is compared as a float: 0.0 == -0.0.)"""
         for ds in (gen_random_separable(10, 100, 0.1, seed=3), gen_batch_hard(0.1, 64)):
-            base = GDConfig(loss=loss.with_n(ds.n), eta=eta, steps=30, mode=mode)
+            base = GDConfig(loss=loss, eta=eta, steps=30, mode=mode)
             target = run_gd(ds, base).columns["log_avg_risk"][15]
             cfg = dataclasses.replace(base, record_every=7, target_log_avg_risk=target)
             a = run_gd(ds, cfg)
@@ -956,7 +978,7 @@ class TestMetamorphic:
     def test_joint_rotation_rotates_the_iterates(self, loss):
         ds = gen_random_separable(10, 100, 0.1, seed=3)
         q = random_rotation(ds.d, seed=5)
-        cfg = GDConfig(loss=loss.with_n(ds.n), eta=8.0, steps=30)
+        cfg = GDConfig(loss=loss, eta=8.0, steps=30)
         a, b = run_gd(ds, cfg), run_gd(rotate(ds, q), cfg)
         for name in ("w", "avg_w"):
             assert max_relative_gap(a.column(name), b.column(name) @ q) <= 1e-12, name
@@ -976,13 +998,12 @@ class TestBounds:
 
     def test_general_bound_pinned(self):
         # g = 2 with C = 4 zeroes the argument: bound = ln l(0) = 0
-        loss = poly(2.0).with_n(16)
-        assert general_loss_risk_log_bound(loss, 0.1, 8.0, 199) == pytest.approx(0.0, abs=1e-10)
+        assert general_loss_risk_log_bound(poly(2.0), 0.1, 8.0, 199, 16) == pytest.approx(
+            0.0, abs=1e-10)
 
     def test_general_bound_reduces_to_exp(self):
-        loss = EXP.with_n(100)
         for t in [1, 10, 500]:
-            a = general_loss_risk_log_bound(loss, 0.1, 40.0, t)
+            a = general_loss_risk_log_bound(EXP, 0.1, 40.0, t, 100)
             b = averaged_risk_log_bound(0.1, 40.0, t)
             assert a == pytest.approx(b, rel=1e-12)
 
@@ -994,17 +1015,17 @@ class TestBounds:
         with pytest.raises(ValueError):
             averaged_risk_log_bound(0.1, 0.0, 10)
         with pytest.raises(ValueError):
-            general_loss_risk_log_bound(HINGE, 0.1, 8.0, 10)
+            general_loss_risk_log_bound(HINGE, 0.1, 8.0, 10, 1)
 
     def test_phi_from_risk_deep_tails(self):
         # log loss: phi tracks log risk when the risk underflows
-        assert phi_from_risk(LOG, RiskValue(0.0, -900.0)) == pytest.approx(-900.0, rel=1e-12)
+        assert phi_from_risk(LOG, RiskValue(0.0, -900.0), 1) == pytest.approx(-900.0, rel=1e-12)
         # exp: phi is exactly the log risk
-        assert phi_from_risk(EXP, RiskValue(0.0, -1234.5)) == -1234.5
+        assert phi_from_risk(EXP, RiskValue(0.0, -1234.5), 1) == -1234.5
         # semicircle: phi = u - 1/u
-        assert phi_from_risk(SEMICIRCLE, RiskValue(2.0, math.log(2.0))) == pytest.approx(1.5)
+        assert phi_from_risk(SEMICIRCLE, RiskValue(2.0, math.log(2.0)), 1) == pytest.approx(1.5)
         # poly above l(0) = 1 uses the numeric branch: phi = -inverse(u)
         p = poly(2.0)
-        assert phi_from_risk(p, RiskValue(5.0, math.log(5.0))) == pytest.approx(
+        assert phi_from_risk(p, RiskValue(5.0, math.log(5.0)), 1) == pytest.approx(
             -p.inverse(5.0), rel=1e-12
         )

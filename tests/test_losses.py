@@ -75,11 +75,16 @@ class TestPinnedValues:
         assert LOG.neg_inv_deriv(math.log(2.0)) == pytest.approx(2.0, rel=1e-14)
         assert SEMICIRCLE.neg_inv_deriv(1.0) == 2.0
 
+    def test_hinge_second_deriv_is_zero(self):
+        got = HINGE.second_deriv(np.array([-2.0, 0.0, 3.0]))
+        assert got.dtype == float and got.tolist() == [0.0, 0.0, 0.0]
+        assert type(HINGE.second_deriv(0.5)) is float and HINGE.second_deriv(0.5) == 0.0
+
     def test_lipschitz_const_pinned(self):
-        assert LOG.with_n(100).lipschitz_const() == 1.0
-        assert EXP.with_n(7).lipschitz_const() == 1.0
-        assert poly(2.0).with_n(16).lipschitz_const() == 4.0
-        assert SEMICIRCLE.with_n(9).lipschitz_const() == 10.0
+        assert LOG.lipschitz_const(100) == 1.0
+        assert EXP.lipschitz_const(7) == 1.0
+        assert poly(2.0).lipschitz_const(16) == 4.0
+        assert SEMICIRCLE.lipschitz_const(9) == 10.0
 
     def test_parse_loss(self):
         assert parse_loss("exp") == EXP
@@ -101,16 +106,15 @@ class TestPinnedValues:
             LossSpec("nope")
         with pytest.raises(ValueError):
             LossSpec("poly", k=0.0)
-        with pytest.raises(ValueError):
-            LossSpec("exp", n=0)
+        for n in (0, -3, 2.5):
+            with pytest.raises(ValueError, match="sample count n must be a positive integer"):
+                EXP.lipschitz_const(n)
         assert poly(2.0).name == "poly:2"
-        assert EXP.with_n(12).n == 12
 
     def test_aggregation(self):
         assert LOG.aggregation == "mean"
         summed = LOG.with_aggregation("sum")
         assert summed.name == "log/sum" and summed.kind == "log"
-        assert summed.with_n(9).aggregation == "sum"
         assert poly(2.0).with_aggregation("sum").name == "poly:2/sum"
         with pytest.raises(ValueError, match="aggregation"):
             LossSpec("log", aggregation="max")
@@ -119,9 +123,9 @@ class TestPinnedValues:
 
     def test_lipschitz_const_sum(self):
         # sum transform: C = n, except exp whose gradient is the same softmax
-        assert EXP.with_n(7).with_aggregation("sum").lipschitz_const() == 1.0
+        assert EXP.with_aggregation("sum").lipschitz_const(7) == 1.0
         for spec in (LOG, poly(2.0), SEMICIRCLE):
-            assert spec.with_n(16).with_aggregation("sum").lipschitz_const() == 16.0
+            assert spec.with_aggregation("sum").lipschitz_const(16) == 16.0
 
     def test_unsupported_for_hinge(self):
         # every operation the hinge record lacks refuses, each with its own text
@@ -131,11 +135,11 @@ class TestPinnedValues:
             (lambda: HINGE.neg_inv_deriv(0.5), "neg_inv_deriv is undefined for the hinge loss"),
             (lambda: HINGE.log_neg_inv_deriv(0.5, math.log(0.5)),
              "log_neg_inv_deriv is undefined for the hinge loss"),
-            (lambda: HINGE.lipschitz_const(), "lipschitz_const is undefined for the hinge loss"),
-            (lambda: phi_from_risk(HINGE, r), "phi is undefined for the hinge loss"),
+            (lambda: HINGE.lipschitz_const(1), "lipschitz_const is undefined for the hinge loss"),
+            (lambda: phi_from_risk(HINGE, r, 1), "phi is undefined for the hinge loss"),
             (lambda: HINGE.ops.mpmath(HINGE, None),
              "the mpmath form is undefined for the hinge loss"),
-            (lambda: general_loss_risk_log_bound(HINGE, 0.1, 8.0, 10),
+            (lambda: general_loss_risk_log_bound(HINGE, 0.1, 8.0, 10, 1),
              "no risk bound for the hinge loss"),
             (lambda: GDConfig(loss=HINGE, eta=1.0, steps=3),
              "adaptive mode needs an invertible loss; hinge has none"),
@@ -173,7 +177,7 @@ class TestPinnedValues:
         assert spec.log_neg_inv_deriv(math.inf, math.inf) == pytest.approx(
             -math.log(2.0 * k), rel=1e-15, abs=1e-15)
         overflowed = RiskValue(math.inf, 800.0)
-        assert phi_from_risk(spec.with_n(3), overflowed) == math.inf
+        assert phi_from_risk(spec, overflowed, 3) == math.inf
 
     @pytest.mark.parametrize("spec", SMOOTH + [poly(0.5)], ids=lambda s: s.name)
     def test_tiny_u_past_the_float_range_gives_inf(self, spec):
@@ -504,6 +508,18 @@ class TestDeepTails:
         # inverse decay rate explodes like 1/u as u -> 0
         got = LOG.log_neg_inv_deriv(0.0, -900.0)
         assert got == pytest.approx(900.0, rel=1e-12)
+
+    def test_semicircle_phi_below_u_1e_150(self):
+        # phi = -1/u is read off ln u there, and is -inf once -ln u passes
+        # 709.78: -l^{-1}(u) is itself past the float range
+        import mpmath
+
+        with mpmath.workdps(50):
+            _, _, neg_inverse = SEMICIRCLE.ops.mpmath(SEMICIRCLE, mpmath.mp)
+            want = float(neg_inverse(mpmath.exp(-400)))
+        got = phi_from_risk(SEMICIRCLE, RiskValue(math.exp(-400.0), -400.0), 1)
+        assert got == want == -5.221469689764144e+173
+        assert phi_from_risk(SEMICIRCLE, RiskValue(0.0, -800.0), 1) == -math.inf
 
     def test_log1mexp_branches(self):
         mp = pytest.importorskip("mpmath")

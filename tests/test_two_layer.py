@@ -135,7 +135,7 @@ class TestForwardAndGrad:
         def phi_of(W):
             probe = TwoLayerNet(W, net.signs, act)
             r = nn_risk(probe, ds, loss)
-            return phi_from_risk(loss, r)
+            return phi_from_risk(loss, r, ds.n)
 
         want = fd_grad_matrix(phi_of, net.weights, h=1e-6)
         got = nn_grad_phi(net, ds, loss)
@@ -153,7 +153,8 @@ class TestForwardAndGrad:
             if np.abs(s).min() > 1e-2:  # keep FD probes away from the kink
                 net = TwoLayerNet(W, np.array([1.0, -1.0, 1.0]), leaky_relu(0.5))
         want = fd_grad_matrix(
-            lambda W: phi_from_risk(EXP, nn_risk(TwoLayerNet(W, net.signs, net.activation), ds, EXP)),
+            lambda W: phi_from_risk(
+                EXP, nn_risk(TwoLayerNet(W, net.signs, net.activation), ds, EXP), ds.n),
             net.weights,
             h=1e-3,
         )
@@ -163,7 +164,7 @@ class TestForwardAndGrad:
     def test_refuses_sum_aggregation(self):
         ds = gen_random_separable(4, 20, 0.2, seed=0)
         net = make_net(ds.d, 2, leaky_relu(0.5))
-        loss = LOG.with_n(ds.n).with_aggregation("sum")
+        loss = LOG.with_aggregation("sum")
         with pytest.raises(ValueError, match="mean aggregation"):
             nn_grad_phi(net, ds, loss)
         with pytest.raises(ValueError, match="mean aggregation"):
@@ -275,7 +276,7 @@ def reference_run_gd_nn(ds, net, config):
         if t % config.record_every == 0 or t == config.steps:
             log_eta_t = math.log(config.eta) + loss.log_neg_inv_deriv(r.value, r.log_value)
             append_row(traj, dict(
-                t=t, weights=W.copy(), log_risk=r.log_value, phi=phi_from_risk(loss, r),
+                t=t, weights=W.copy(), log_risk=r.log_value, phi=phi_from_risk(loss, r, ds.n),
                 log_stepsize=log_eta_t, min_margin=float(nn_margins(work, ds).min()),
                 min_log_risk=best_log, min_risk_t=best_t,
                 descent_violated=bool(r.log_value > prev_log)))

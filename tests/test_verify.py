@@ -140,7 +140,7 @@ class TestAveragedRiskBound:
         # the same run as test_log_large_eta_fails_honestly, on the convex
         # sum transform (the C = 1 bound is a measured claim there)
         ds = gen_random_separable(10, 100, 0.1, seed=0)
-        loss = LOG.with_n(ds.n).with_aggregation("sum")
+        loss = LOG.with_aggregation("sum")
         rep = check_averaged_risk_bound(ds, loss, 400.0, steps=250)
         assert rep.verdict == "pass"
         assert rep.context["loss"] == "log/sum"

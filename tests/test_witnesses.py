@@ -44,7 +44,7 @@ def test_float_check_finds_the_same_pair_and_gap(wit):
     # the committed pair is the worst pair of the float check's probe set,
     # and the float gap there agrees with the 50-digit one
     ds = witness_dataset()
-    loss = parse_loss(wit.loss).with_n(ds.n)
+    loss = parse_loss(wit.loss)
     pts = _probe_points(np.random.default_rng(0), ds, wit.probes)
     half = len(pts) // 2
     np.testing.assert_array_equal(pts[wit.pair], wit.a)
@@ -53,8 +53,8 @@ def test_float_check_finds_the_same_pair_and_gap(wit):
     assert _gaps(rep)["midpoint-convexity"] == pytest.approx(wit.gap, abs=1e-10)
 
     a, b = np.array(wit.a), np.array(wit.b)
-    float_gap = phi_from_risk(loss, risk(0.5 * (a + b), ds, loss)) - 0.5 * (
-        phi_from_risk(loss, risk(a, ds, loss)) + phi_from_risk(loss, risk(b, ds, loss)))
+    float_gap = phi_from_risk(loss, risk(0.5 * (a + b), ds, loss), ds.n) - 0.5 * (
+        phi_from_risk(loss, risk(a, ds, loss), ds.n) + phi_from_risk(loss, risk(b, ds, loss), ds.n))
     assert float_gap == pytest.approx(wit.gap, abs=1e-10)
 
 
@@ -75,7 +75,7 @@ def test_sum_transform_has_no_gap(loss):
 def test_decay_replay_refutes_the_mean_log_bound():
     cell = DECAY_REPLAY
     ds = gen_random_separable(cell.d, cell.n, cell.gamma, seed=cell.seed)
-    loss = parse_loss(cell.loss).with_n(ds.n)
+    loss = parse_loss(cell.loss)
     exact = replay_averaged_log_risk_exact(ds, loss, cell.eta, cell.t)
     assert exact[cell.t] == pytest.approx(cell.log_avg_risk, abs=1e-10)
 
