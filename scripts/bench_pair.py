@@ -75,6 +75,12 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   run-recorded workload: log loss at adaptive eta = 400, 20 000 steps, and
   `run_gd_nn` with exp loss, width 16, leakyrelu:0.5, adaptive eta = 400,
   5000 steps.
+- `cold-log-run`: a cold `margin-lab run` of log loss at adaptive
+  eta = 400, 50 steps, on `random:d=10,n=100,gamma=0.1`, through `cli.main`
+  in a fresh interpreter: the seconds from before `import margin_lab.cli`
+  to the return of `main` (interpreter start left out), the peak RSS after
+  it and whether it loaded `scipy.special`. Its margins stay at or below
+  700, so the log kernels take their full branch.
 
 The per-step keys of `separated-log`, `run-constants` and `step-overhead`
 take the minimum over 9 runs within a sample (`FASTEST`), not a median: a
@@ -376,6 +382,29 @@ print(json.dumps(measure(phase, run)))
 """
 
 
+COLD_RUN_INPUTS = """
+import sys
+from pathlib import Path
+Path(sys.argv[1], "log.cfg").write_text("dataset = random:d=10,n=100,gamma=0.1\\nloss = log\\n"
+                                        "stepsize = adaptive:400\\nsteps = 50\\n")
+"""
+
+COLD_RUN_CHILD = HWM + """
+import sys, time
+t = time.perf_counter()
+from margin_lab.cli import main
+code = main(["run", "--config", sys.argv[1] + "/log.cfg", "--out", sys.argv[1] + "/out"])
+dt = time.perf_counter() - t
+rss_mb = _hwm_kb() / 1024.0
+special = int("scipy.special" in sys.modules)
+if code:
+    sys.exit(f"margin-lab run exited {code}")
+import json
+print(json.dumps({"cold_log_run_s": dt, "cold_log_run_rss_mb": rss_mb,
+                  "cold_log_run_loads_scipy_special": special}))
+"""
+
+
 class Case(NamedTuple):
     children: tuple  # (code, *args) of each child, run in this order per sample
     inputs: str | None = None  # run once by AFTER_SRC, given the inputs directory
@@ -393,6 +422,7 @@ CASES = {
     "separated-log": Case(((SEPARATED_CHILD,),)),
     "run-constants": Case(((CONSTANTS_CHILD,),)),
     "step-overhead": Case(((STEP_CHILD,),)),
+    "cold-log-run": Case(((COLD_RUN_CHILD,),), COLD_RUN_INPUTS),
 }
 
 

@@ -30,7 +30,8 @@ One line per run or file:
   `gen_random_separable(10, 100, 0.1)` and `gen_online_hard(0.2, 30)`, on
   seeds 0, 3 and 1000: iterates, mistakes and `separated_at`;
 - the CLI outputs of `run`, `run-nn` (among them a log `run` and a log
-  `run-nn` whose smallest margin passes 700 mid-run), `verify`
+  `run-nn` whose smallest margin passes 700 mid-run, and a log `run` on
+  2000 rows of 300 features whose margins all stay at or below 700), `verify`
   (`reports.json` and stdout)
   and `bench` (`bench.csv` without its `wall_time` column), `gen` for all
   six dataset sources (`file:` on a saved file, a saved weighted file and a
@@ -95,6 +96,11 @@ SEEDS = (0, 3, 1000)
 CLI_CONFIGS = {
     "run-log-adaptive": ("run", ["dataset = random:d=10,n=100,gamma=0.1", "loss = log",
                                  "stepsize = adaptive:400", "steps = 2000"]),
+    # every margin stays at or below 700 (at most 420 by t = 50): the
+    # log kernels' full branch on 2000 margins and on stacks of iterates
+    "run-log-adaptive-wide": ("run", ["dataset = random:d=300,n=2000,gamma=0.1",
+                                      "loss = log", "stepsize = adaptive:400",
+                                      "steps = 50"]),
     "run-exp-constant-diverges": ("run", ["dataset = two-point:gamma=0.05", "loss = exp",
                                           "stepsize = constant:1000", "steps = 50"]),
     "run-poly-weighted": ("run", ["dataset = batch-hard:gamma=0.1,n=64,weighted=true",
@@ -205,7 +211,7 @@ def gd_lines():
     for loss, agg, mode, etas in FUSED_GRID:
         for ds_name, make in FUSED_DATASETS.items():
             ds = make()
-            spec = loss.with_aggregation(agg).with_n(ds.n)
+            spec = loss.with_aggregation(agg)
             for eta in etas:
                 base = GDConfig(loss=spec, eta=eta, steps=30, mode=mode)
                 full = run_gd(ds, base)

@@ -2,16 +2,16 @@
 
 `import scipy.special` is most of a cold `import margin_lab` (0.3 s and
 22 MB of 0.48 s and 56 MB on a 2-core Xeon with scipy 1.17.1), and only
-the log loss's deriv, second_deriv and log_abs_deriv (this one not on
-margins that all exceed 700) and the gelu, silu and softplus blend bases
-call it. The first read of ``erf``, ``expit`` or ``log_expit`` from this
-module imports scipy.special and binds all three here, so every later read
-is a plain module attribute lookup of the ufunc itself: no import
-statement and no Python call. The ufuncs are scipy's own
-objects, so every value keeps its bits.
+the log loss's deriv and the gelu, silu and softplus blend bases call it.
+The log loss's log_abs_deriv and second_deriv run on numpy alone
+(losses._log_expit), so an adaptive log run never loads it. The first read
+of ``erf`` or ``expit`` from this module imports scipy.special and binds
+both here, so every later read is a plain module attribute lookup of the
+ufunc itself: no import statement and no Python call. The ufuncs are
+scipy's own objects, so every value keeps its bits.
 """
 
-_NAMES = ("erf", "expit", "log_expit")
+_NAMES = ("erf", "expit")
 
 
 def __getattr__(name):

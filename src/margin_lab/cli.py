@@ -382,6 +382,17 @@ def _provenance_obj(cfg: ExperimentConfig, seed: int) -> dict:
     return {"version": __version__, "config_sha256": cfg.sha, "seed": seed}
 
 
+def _out_file(out: Path, name: str) -> Path:
+    """out / name, making --out (and its missing parents) first: the
+    directory is made at the first write, so a command refused before it
+    leaves nothing on disk."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([(0, f"cannot use --out {out}: {exc.strerror}")]) from None
+    return out / name
+
+
 def _write_text(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
@@ -407,7 +418,7 @@ def _csv(header: str, columns: dict) -> list:
 
 def cmd_gen(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     ds = make_dataset(cfg["dataset"], seed)
-    save_dataset(ds, out / "dataset.txt",
+    save_dataset(ds, _out_file(out, "dataset.txt"),
                  comments=(_provenance_line(cfg, seed),))
     return 0
 
@@ -429,7 +440,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     rows = [_provenance_line(cfg, seed)]
     if traj.diverged_at is not None:
         rows.append(f"# diverged_at={traj.diverged_at}")
-    _write_text(out / "trajectory.csv", rows + _csv(header, columns))
+    _write_text(_out_file(out, "trajectory.csv"), rows + _csv(header, columns))
 
     payload = {
         "provenance": _provenance_obj(cfg, seed),
@@ -445,7 +456,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     if ds.d * gd.steps <= 10**6:
         payload["iterates"] = traj.column("w").tolist()
         payload["avg_iterates"] = traj.column("avg_w").tolist()
-    (out / "trajectory.json").write_text(json.dumps(payload, sort_keys=True))
+    _out_file(out, "trajectory.json").write_text(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -461,7 +472,7 @@ def cmd_run_nn(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     rows = [_provenance_line(cfg, seed),
             f"# activation={net.activation.name} alpha={_fmt(net.activation.alpha)}"
             f" kappa={_fmt(net.activation.kappa)} width={net.m}"]
-    _write_text(out / "trajectory_nn.csv", rows + _csv(header, _columns(traj, header)))
+    _write_text(_out_file(out, "trajectory_nn.csv"), rows + _csv(header, _columns(traj, header)))
     return 0
 
 
@@ -509,7 +520,7 @@ def cmd_perceptron(cfg: ExperimentConfig, out: Path, seed: int) -> int:
             "t,mistakes"]
     for t, count in enumerate(run.mistakes):
         rows.append(f"{t},{int(count)}")
-    _write_text(out / "mistakes.csv", rows)
+    _write_text(_out_file(out, "mistakes.csv"), rows)
     return 0
 
 
@@ -521,7 +532,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         "provenance": _provenance_obj(cfg, seed),
         "reports": [r.to_dict() for r in reports],
     }
-    (out / "reports.json").write_text(
+    _out_file(out, "reports.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n"
     )
     print(render_table(reports))
@@ -599,7 +610,7 @@ def cmd_bench(cfg: ExperimentConfig, out: Path, seed: int) -> int:
             r["method"], _fmt(r["gamma"]), r["epsilon_col"], steps_col,
             f"{r['wall_time']:.6f}",
         ]))
-    _write_text(out / "bench.csv", rows)
+    _write_text(_out_file(out, "bench.csv"), rows)
     return 0
 
 
@@ -716,10 +727,6 @@ def main(argv=None) -> int:
             text = ""
         cfg = parse_config(text, args.command)
         seed = args.seed if args.seed is not None else cfg["seed"]
-        try:
-            args.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError([(0, f"cannot use --out {args.out}: {exc.strerror}")]) from None
         return COMMANDS[args.command].run(cfg, args.out, seed)
     except ConfigError as exc:
         for line, msg in exc.errors:

@@ -26,11 +26,12 @@ log-domain variants (log_value, log_abs_deriv, log_neg_inv_deriv) are exact
 continuations of the plain ones into regimes where the values themselves
 underflow or overflow a float64.
 
-scipy.special (expit, log_expit) loads at the first call of a log-loss
-deriv or second_deriv, or of a log-loss log_abs_deriv on a float or on an
-array with a margin <= 700, not at import (see _special), so the other kinds
-never pay for it. Past the burn-in of a large-stepsize run every margin
-exceeds 700, and both log kernels of the log loss are then one negation.
+scipy.special (expit) loads at the first call of a log-loss deriv, not at
+import (see _special), so no other kernel pays for it. The log loss's
+log_value, log_abs_deriv and second_deriv run on numpy alone: ln sigmoid is
+_log_expit, which has scipy's log_expit bits. Past the burn-in of a
+large-stepsize run every margin exceeds 700, and both log kernels of the
+log loss are then one negation.
 """
 
 from __future__ import annotations
@@ -201,14 +202,39 @@ class _Exp(_Kind):
         return (lambda z: mp.exp(-z)), (lambda z: -mp.exp(-z)), mp.log
 
 
+def _log_expit(x):
+    """ln sigmoid(x) = -ln(1 + e^{-x}) on a float array, with the bits of
+    scipy.special.log_expit (scipy 1.17, xsf), which computes
+    x - log1p(exp(x)) for x < 0 and -log1p(exp(-x)) otherwise.
+
+    This is -logaddexp(0, -x). numpy's npy_logaddexp(a, b) returns
+    a + LOGE2 when a == b; otherwise, with tmp = a - b, a + log1p(exp(-tmp))
+    for tmp > 0, b + log1p(exp(tmp)) for tmp <= 0, and tmp itself for a nan.
+    At a = 0, b = -x:
+    - x > 0: tmp = x, and 0 + log1p(exp(-x)) is log1p(exp(-x)), which is
+      never -0; negated, scipy's expression.
+    - x < 0: tmp = 0 - (-x) = x exactly, giving -x + log1p(exp(x)), a sum
+      above 0. Round-to-nearest is symmetric in sign, so its negation is the
+      rounded x - log1p(exp(x)), scipy's expression.
+    - x = +-0: a == b gives 0 + LOGE2, the rounded ln 2, which is what libm's
+      log1p(1) returns; negated, scipy's -log1p(exp(-0)).
+    - x = inf gives -(0 + log1p(0)) = -0.0, and x = -inf gives -(inf + 0)
+      = -inf, as scipy does. A nan comes back as tmp, sign and payload as
+      scipy's, and logaddexp warns 'invalid' on it, as in log_value.
+    Both libraries call exp and log1p from the process's one libm, on the
+    same arguments. tests/test_losses.py compares the bytes with scipy's.
+    """
+    return -np.logaddexp(0.0, -x)
+
+
 def _all_past_700(z: np.ndarray):
     """Truthy when every margin of an array z exceeds 700 (the first margin,
     then one reduction; a nan, empty or 0-d z is not). Both log kernels of
     the log loss are then -z to the last bit. ln l(z) = ln softplus(-z), and
     softplus(-z) = e^{-z} (1 + O(e^{-z})) has log -z, as the capped
-    expression's np.where has it. ln |l'(z)| is scipy's log_expit(x) at
-    x = -z, x - log1p(e^x) for x < 0, and log1p(e^x) < 1e-304 is far below
-    half an ulp of |x| >= 700."""
+    expression's np.where has it. ln |l'(z)| is _log_expit(-z), which at
+    x = -z < 0 is x - log1p(e^x) (scipy's log_expit expression), and
+    log1p(e^x) < 1e-304 is far below half an ulp of |x| >= 700."""
     return z.ndim and z.size and z.item(0) > 700.0 and np.minimum.reduce(z, axis=None) > 700.0
 
 
@@ -221,7 +247,7 @@ class _Log(_Kind):
 
     def second_deriv(spec, z):
         # sigmoid(z) * sigmoid(-z), assembled in log space to avoid underflow
-        return np.exp(_special.log_expit(z) + _special.log_expit(-z))
+        return np.exp(_log_expit(z) + _log_expit(-z))
 
     def log_value(spec, z):
         # ln softplus(-z); the cap keeps softplus above 0, so the log never sees 0
@@ -230,10 +256,10 @@ class _Log(_Kind):
         return np.where(z > 700.0, -z, np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))
 
     def log_abs_deriv(spec, z):
-        # ln sigmoid(-z), -z past 700 (_all_past_700) without loading scipy.special
+        # ln sigmoid(-z); -z itself once every margin is past 700 (_all_past_700)
         if _all_past_700(z):
             return -z
-        return _special.log_expit(-z)
+        return _log_expit(-z)
 
     def inverse(spec, u):
         # -ln(e^u - 1) = -(u + log(1 - e^{-u})), stable for u tiny and huge

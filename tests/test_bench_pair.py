@@ -57,9 +57,22 @@ def test_a_key_with_one_float_sample_is_summarised():
 
 
 def test_the_cases():
-    assert sorted(bench_pair.CASES) == ["averaged-blocks", "import-path", "lean-datasets",
-                                        "run-constants", "separated-log", "stacked-probes",
-                                        "step-overhead"]
+    assert sorted(bench_pair.CASES) == ["averaged-blocks", "cold-log-run", "import-path",
+                                        "lean-datasets", "run-constants", "separated-log",
+                                        "stacked-probes", "step-overhead"]
+
+
+def test_the_cold_run_is_an_adaptive_log_run(tmp_path):
+    """The config the cold-log-run child runs: log, adaptive:400, 50 steps
+    on d = 10, n = 100."""
+    from margin_lab.cli import parse_config
+
+    subprocess.run([sys.executable, "-c", bench_pair.COLD_RUN_INPUTS, str(tmp_path)],
+                   check=True, timeout=60)
+    cfg = parse_config((tmp_path / "log.cfg").read_text(), "run")
+    assert (cfg["loss"].name, cfg["stepsize"], cfg["steps"], cfg["dataset"].kind,
+            cfg["dataset"].params) == ("log", ("adaptive", 400.0), 50, "random",
+                                       {"d": 10, "n": 100, "gamma": 0.1})
 
 
 def test_the_step_overhead_runs_are_benchs_and_run_recordeds():

@@ -28,6 +28,7 @@ from margin_lab.losses import (
     LossSpec,
     _all_past_700,
     _brentq,
+    _log_expit,
     log1mexp,
     parse_loss,
     poly,
@@ -293,9 +294,11 @@ def _fresh_python(code: str, cwd=None) -> str:
     return proc.stdout.strip()
 
 
-# The kernels that call scipy.special, by name: LOG's three, and the value
-# and slope of the gelu, silu and softplus blends (c = 0.77), with the same
-# expressions written out on scipy.special's ufuncs. Run in a fresh process.
+# The kernels with scipy.special's bits, by name: LOG's deriv (which calls
+# scipy.special), second_deriv and log_abs_deriv (which run on numpy alone),
+# and the value and slope of the gelu, silu and softplus blends (c = 0.77),
+# with the same expressions written out on scipy.special's ufuncs. Run in a
+# fresh process.
 SPECIAL_KERNELS = """
 import math, sys
 import numpy as np
@@ -331,39 +334,43 @@ def direct():
 
 
 class TestScipySpecialOnFirstUse:
-    """scipy.special loads at the first kernel that calls it, and the
-    kernels give the bits of the ufuncs called directly, before that load
-    and after it."""
+    """scipy.special loads at the first kernel that calls it (LOG's
+    second_deriv and log_abs_deriv do not), and the kernels give the bits of
+    the ufuncs called directly, before that load and after it."""
 
-    @pytest.mark.parametrize("first", ["deriv", "log_abs_deriv", "gelu:0"])
+    @pytest.mark.parametrize("first", ["deriv", "log_abs_deriv", "second_deriv", "gelu:0"])
     def test_kernels_equal_direct_ufunc_calls_before_and_after_the_load(self, first):
+        loads = first not in ("log_abs_deriv", "second_deriv")
         code = SPECIAL_KERNELS + f"""
 assert "scipy.special" not in sys.modules
 got = {{"{first}": KERNELS["{first}"]()}}
-assert "scipy.special" in sys.modules
+assert ("scipy.special" in sys.modules) is {loads}
 got.update((name, kernel()) for name, kernel in KERNELS.items() if name not in got)
 again = {{name: kernel() for name, kernel in KERNELS.items()}}
 want = direct()
 import scipy.special
 print(sorted(name for name in KERNELS if not got[name].tobytes() == again[name].tobytes()
              == want[name].tobytes()),
-      all(vars(_special)[n] is getattr(scipy.special, n) for n in ("erf", "expit", "log_expit")))
+      all(vars(_special)[n] is getattr(scipy.special, n) for n in ("erf", "expit")),
+      "log_expit" in vars(_special))
 """
-        assert _fresh_python(code) == "[] True"
+        assert _fresh_python(code) == "[] True False"
 
     def test_a_kernel_call_after_the_load_runs_no_other_python_function(self):
-        """log_abs_deriv also calls the regime test it shares with log_value."""
+        """log_abs_deriv also calls the regime test it shares with log_value,
+        and it and second_deriv call _log_expit."""
         from margin_lab import _special
         from margin_lab.two_layer import _BASES
 
         z = np.linspace(-5.0, 5.0, 11)
-        regime = [_all_past_700.__code__]
-        kernels = [(LOG.ops.deriv, (LOG, z), []), (LOG.ops.second_deriv, (LOG, z), []),
-                   (LOG.ops.log_abs_deriv, (LOG, z), regime)]
+        log_expit = [_log_expit.__code__]
+        kernels = [(LOG.ops.deriv, (LOG, z), []),
+                   (LOG.ops.second_deriv, (LOG, z), log_expit * 2),
+                   (LOG.ops.log_abs_deriv, (LOG, z), [_all_past_700.__code__] + log_expit)]
         kernels += [(_BASES[base][1], (z,), []) for base in ("gelu", "silu", "softplus")]
         for kernel, args, _ in kernels:
             kernel(*args)  # loads scipy.special if this process has not yet
-        assert {"erf", "expit", "log_expit"} <= vars(_special).keys()
+        assert {"erf", "expit"} <= vars(_special).keys()
         for kernel, args, helpers in kernels:
             calls = []
             sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code)
@@ -374,32 +381,55 @@ print(sorted(name for name in KERNELS if not got[name].tobytes() == again[name].
                 sys.setprofile(None)
             assert calls == [kernel.__code__] + helpers
 
-    def test_only_its_three_ufuncs_are_read(self):
+    def test_only_its_two_ufuncs_are_read(self):
         from margin_lab import _special
 
-        with pytest.raises(AttributeError, match="gamma"):
-            _special.gamma
+        for name in ("gamma", "log_expit"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(_special, name)
 
-    def test_commands_that_call_no_such_kernel_leave_it_out(self, tmp_path):
-        configs = {
-            "bench": "max_steps = 200\n",
-            "gen": "dataset = random:d=10,n=100,gamma=0.1,seed=7\n",
-            "run": "loss = exp\nstepsize = adaptive:100\nsteps = 200\n"
-                   "dataset = random:d=10,n=100,gamma=0.1,seed=7\n",
-            "perceptron": "dataset = random:d=10,n=100,gamma=0.1,seed=7\nsteps = 2000\n",
-            "run-nn": "loss = exp\nstepsize = adaptive:100\nsteps = 50\nwidth = 4\n"
-                      "activation = leakyrelu:0.5\n"
-                      "dataset = random:d=10,n=100,gamma=0.2,seed=7\n",
-        }
-        for command, text in configs.items():
-            (tmp_path / f"{command}.cfg").write_text(text)
+    @staticmethod
+    def commands_then_loaded(tmp_path, configs: dict) -> list:
+        """'<name> <exit code> <scipy.special loaded>' after each of the
+        named (command, config text) pairs, run in turn in one fresh
+        interpreter."""
+        for name, (_, text) in configs.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+        runs = [(name, command) for name, (command, _) in configs.items()]
         code = (
             "import sys\nfrom margin_lab.cli import main\n"
-            f"for command in {list(configs)!r}:\n"
-            "    code = main([command, '--config', command + '.cfg', '--out', command])\n"
-            "    print(command, code, 'scipy.special' in sys.modules)\n")
-        assert _fresh_python(code, cwd=tmp_path).splitlines() == [
-            f"{command} 0 False" for command in configs]
+            f"for name, command in {runs!r}:\n"
+            "    code = main([command, '--config', name + '.cfg', '--out', name])\n"
+            "    print(name, code, 'scipy.special' in sys.modules)\n")
+        return _fresh_python(code, cwd=tmp_path).splitlines()
+
+    def test_commands_that_call_no_such_kernel_leave_it_out(self, tmp_path):
+        """The adaptive log run's smallest margin stays at or below 700 at
+        every step here, so each step runs log_abs_deriv's full branch."""
+        data = "dataset = random:d=10,n=100,gamma=0.1,seed=7\n"
+        configs = {
+            "bench": ("bench", "max_steps = 200\n"),
+            "gen": ("gen", data),
+            "run": ("run", "loss = exp\nstepsize = adaptive:100\nsteps = 200\n" + data),
+            "run-log": ("run", "loss = log\nstepsize = adaptive:400\nsteps = 200\n" + data),
+            "perceptron": ("perceptron", data + "steps = 2000\n"),
+            "run-nn": ("run-nn", "loss = exp\nstepsize = adaptive:100\nsteps = 50\nwidth = 4\n"
+                                 "activation = leakyrelu:0.5\n"
+                                 "dataset = random:d=10,n=100,gamma=0.2,seed=7\n"),
+            "run-nn-log": ("run-nn", "loss = log\nstepsize = adaptive:100\nsteps = 50\n"
+                                     "width = 4\nactivation = leakyrelu:0.5\n"
+                                     "dataset = random:d=10,n=100,gamma=0.2,seed=7\n"),
+        }
+        assert self.commands_then_loaded(tmp_path, configs) == [
+            f"{name} 0 False" for name in configs]
+        columns = (tmp_path / "run-log" / "trajectory.csv").read_text().splitlines()[2:]
+        assert max(float(row.split(",")[5]) for row in columns) <= 700.0  # min_margin
+
+    def test_a_constant_log_run_loads_it(self, tmp_path):
+        """Constant-stepsize GD takes l', the log loss's deriv: expit."""
+        configs = {"run-log-constant": ("run", "loss = log\nstepsize = constant:1\nsteps = 20\n"
+                                               "dataset = random:d=10,n=100,gamma=0.1,seed=7\n")}
+        assert self.commands_then_loaded(tmp_path, configs) == ["run-log-constant 0 True"]
 
 
 class TestOracleRoutes:
@@ -658,8 +688,95 @@ class TestLogKernelBranches:
                 "z = np.array([[800.0, 1e308], [np.inf, 701.0]])\n"
                 "LOG.log_abs_deriv(z)\nprint('scipy.special' in sys.modules)\n"
                 "LOG.log_abs_deriv(np.array([800.0, 700.0]))\n"
+                "print('scipy.special' in sys.modules)\n"
+                "LOG.deriv(np.array([800.0, 700.0]))\n"
                 "print('scipy.special' in sys.modules)")
-        assert _fresh_python(code).split() == ["False", "True"]
+        assert _fresh_python(code).split() == ["False", "False", "True"]
+
+
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# Signed zeros, the smallest subnormal, a subnormal, exp's overflow point,
+# where e^{-x} leaves the subnormals, one past it, the float max, infinities
+# and nans of both signs, two with a payload
+_EXPIT_EDGES = [s * x for x in (0.0, 5e-324, 1e-310, 709.78, 745.13, 746.0,
+                                sys.float_info.max, math.inf, math.nan) for s in (1.0, -1.0)]
+_EXPIT_EDGES += [_nan(0x7FF8000000000123), _nan(0xFFF8000000000456), 1.0, -1.0, 33.27, -33.27]
+
+
+class TestLogExpit:
+    """_log_expit has the bits of scipy's log_expit on every float, and the
+    log loss's log_abs_deriv and second_deriv, built on it, have the bits of
+    their expressions on scipy's log_expit (scipy imported here only)."""
+
+    @staticmethod
+    def assert_same_bits(x):
+        from scipy.special import log_expit
+
+        x = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore"):  # a nan warns in logaddexp
+            pairs = [(_log_expit(x), log_expit(x)), (LOG.log_abs_deriv(x), log_expit(-x)),
+                     (LOG.second_deriv(x), np.exp(log_expit(x) + log_expit(-x)))]
+        for got, want in pairs:
+            if x.ndim == 0:
+                got, want = np.float64(got), np.float64(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_pinned_arrays(self):
+        edges = np.array(_EXPIT_EDGES)
+        self.assert_same_bits(edges)
+        self.assert_same_bits(edges[::3])  # strided
+        self.assert_same_bits(edges[:24].reshape(4, 6))
+        self.assert_same_bits(edges[:24].reshape(6, 4).T)  # 2-d, not contiguous
+        for x in edges:
+            self.assert_same_bits(np.array(x))  # 0-d
+
+    def test_nan_payloads_and_signs_pass_through(self):
+        edges = np.array(_EXPIT_EDGES)
+        with np.errstate(invalid="ignore"):
+            got = _log_expit(edges)
+        nan = np.isnan(edges)
+        assert nan.sum() == 4
+        assert got[nan].tobytes() == edges[nan].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_REGIMES)).flatmap(lambda name: _REGIMES[name]))
+    def test_random_arrays(self, x):
+        self.assert_same_bits(x)
+        self.assert_same_bits(-x)
+        self.assert_same_bits(x[..., ::2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(width=64))
+    def test_a_float(self, x):
+        self.assert_same_bits(x)
+        with np.errstate(invalid="ignore"):
+            assert type(LOG.log_abs_deriv(x)) is float
+            assert type(LOG.second_deriv(x)) is float
+
+    @pytest.mark.parametrize("z", [[math.nan], [0.0, math.nan], math.nan, [-math.nan],
+                                   [800.0, math.nan], [math.nan, 800.0],
+                                   [math.inf, -math.inf], [0.0, 1.0, -1.0], [800.0, 900.0]],
+                             ids=["nan", "below-nan", "nan-0d", "minus-nan", "above-nan",
+                                  "nan-above", "infs", "finite", "above"])
+    def test_a_nan_margin_warns_as_in_log_value(self, z):
+        """log_abs_deriv warns on a margin exactly when log_value does:
+        numpy's logaddexp warns 'invalid' on a nan, once per call."""
+        import warnings
+
+        def seen(kernel):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                kernel(np.array(z, dtype=float))
+            return [(w.category, str(w.message)) for w in caught]
+
+        assert seen(LOG.log_abs_deriv) == seen(LOG.log_value)
+        has_nan = bool(np.isnan(z).any())
+        assert seen(LOG.log_value) == (
+            [(RuntimeWarning, "invalid value encountered in logaddexp")] if has_nan else [])
 
 
 # Margins and risks on both sides of 0 and of l(0) = 1, out to where the
