@@ -69,18 +69,26 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   `gen_batch_hard(0.1, 64, weighted=True)`, whose n is a sum of weights.
 - `step-overhead`: microseconds per step (the fastest of 9 runs, over the
   steps the run reports) on `gen_random_separable(10, 100, 0.1, seed=0)`,
-  every step recorded, for `margin-lab bench`'s two GD runs, exp loss at
-  constant and at adaptive eta = 1 to the target ln 1e-12 within 20 000
-  steps, and for `margin-lab run`'s and `run-nn`'s runs in perfbench's
-  run-recorded workload: log loss at adaptive eta = 400, 20 000 steps, and
-  `run_gd_nn` with exp loss, width 16, leakyrelu:0.5, adaptive eta = 400,
-  5000 steps.
+  every step recorded, for two runs of `margin-lab bench`'s GD methods as
+  bench made them before it recorded only its first passages (exp loss at
+  constant and at adaptive eta = 1 to the one target ln 1e-12 within
+  20 000 steps, every step recorded; bench itself is timed by
+  `bench-command`), and for `margin-lab run`'s and `run-nn`'s runs in
+  perfbench's run-recorded workload: log loss at adaptive eta = 400,
+  20 000 steps, and `run_gd_nn` with exp loss, width 16, leakyrelu:0.5,
+  adaptive eta = 400, 5000 steps. The keys keep their names, so
+  `BENCH_step_overhead.json` stays comparable.
 - `cold-log-run`: a cold `margin-lab run` of log loss at adaptive
   eta = 400, 50 steps, on `random:d=10,n=100,gamma=0.1`, through `cli.main`
   in a fresh interpreter: the seconds from before `import margin_lab.cli`
   to the return of `main` (interpreter start left out), the peak RSS after
   it and whether it loaded `scipy.special`. Its margins stay at or below
   700, so the log kernels take their full branch.
+- `bench-command`: the default `margin-lab bench` through `cli.main` in a
+  fresh interpreter, after one warm run in it: the fastest and the median
+  of 9 timed runs, in wall seconds from the call of `main` to its return,
+  and the child's peak RSS (`VmHWM`) after them. It goes through the CLI
+  only, so it runs on any tree that has the command.
 
 The per-step keys of `separated-log`, `run-constants` and `step-overhead`
 take the minimum over 9 runs within a sample (`FASTEST`), not a median: a
@@ -94,9 +102,10 @@ integers, each side's distinct values; for any other key, each side's
 median, quartiles and runs, the after/before ratio of the medians and the
 pairs the change won (lower is better for every key). It also holds the
 machine (perfbench's provenance), each side's git commit ("unknown" for a
-tree without .git, such as one unpacked from `git archive`) and each
-side's `src_sha256` (see `src_sha256`), which matches a tree to a commit
-whether or not it has .git.
+tree without .git, such as one unpacked from `git archive`, and
+"<sha>+dirty" when its `src` differs from that commit; see `commit_of`)
+and each side's `src_sha256` (see `src_sha256`), which matches a tree to a
+commit whether or not it has .git.
 """
 
 from __future__ import annotations
@@ -404,6 +413,24 @@ print(json.dumps({"cold_log_run_s": dt, "cold_log_run_rss_mb": rss_mb,
                   "cold_log_run_loads_scipy_special": special}))
 """
 
+BENCH_COMMAND_CHILD = HWM + """
+import json, statistics, sys, time
+from margin_lab.cli import main
+
+argv = ["bench", "--out", sys.argv[1] + "/bench"]
+walls = []
+for run in range(10):  # one warm run, then 9 timed
+    start = time.perf_counter()
+    code = main(argv)
+    wall = time.perf_counter() - start
+    if code:
+        sys.exit(f"margin-lab bench exited {code}")
+    if run:
+        walls.append(wall)
+print(json.dumps({"bench_fastest_s": min(walls), "bench_median_s": statistics.median(walls),
+                  "bench_peak_rss_mb": _hwm_kb() / 1024.0}))
+"""
+
 
 class Case(NamedTuple):
     children: tuple  # (code, *args) of each child, run in this order per sample
@@ -423,6 +450,7 @@ CASES = {
     "run-constants": Case(((CONSTANTS_CHILD,),)),
     "step-overhead": Case(((STEP_CHILD,),)),
     "cold-log-run": Case(((COLD_RUN_CHILD,),), COLD_RUN_INPUTS),
+    "bench-command": Case(((BENCH_COMMAND_CHILD,),)),
 }
 
 
@@ -482,6 +510,19 @@ def src_sha256(src: str) -> str:
     return digest.hexdigest()
 
 
+def commit_of(src: str) -> str:
+    """The commit of the checkout that a `src` directory sits in:
+    "unknown" without .git, and "<sha>+dirty" when `git status --porcelain
+    -- src` lists anything (an edit, a deletion or an untracked file)."""
+    root = Path(src).parent
+    sha = git_commit(root)
+    if sha == "unknown":
+        return sha
+    status = subprocess.run(["git", "status", "--porcelain", "--", Path(src).name], cwd=root,
+                            capture_output=True, text=True, check=True, timeout=60)
+    return f"{sha}+dirty" if status.stdout.strip() else sha
+
+
 def main(argv: list[str]) -> int:
     pairs_ok = len(argv) == 4 or (len(argv) == 5 and argv[4].isdigit() and int(argv[4]) >= 2)
     if not pairs_ok or argv[0] not in CASES:
@@ -508,7 +549,7 @@ def main(argv: list[str]) -> int:
                    f"first flipping each pair; raw values; regenerate with: python "
                    f"scripts/bench_pair.py {name} <parent>/src <change>/src OUT.json {pairs}"),
         "machine": machine,
-        "commits": {side: git_commit(Path(src).parent) for side, src in trees.items()},
+        "commits": {side: commit_of(src) for side, src in trees.items()},
         "src_sha256": {side: src_sha256(src) for side, src in trees.items()},
         "metrics": compare(rows["before"], rows["after"]),
     }

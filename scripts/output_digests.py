@@ -33,7 +33,11 @@ One line per run or file:
   `run-nn` whose smallest margin passes 700 mid-run, and a log `run` on
   2000 rows of 300 features whose margins all stay at or below 700), `verify`
   (`reports.json` and stdout)
-  and `bench` (`bench.csv` without its `wall_time` column), `gen` for all
+  and `bench` (`bench.csv` without its `wall_time` column; the defaults,
+  and five grids that pin its first passages: four epsilons per run with
+  one that constant GD misses, unsorted and repeated epsilons, a diverging
+  run, `max_steps = 1`, and three log-loss passages inside one 64-step
+  block), `gen` for all
   six dataset sources (`file:` on a saved file, a saved weighted file and a
   copy of the first with CRLF line ends, comment lines and blank lines) and
   `perceptron` for the cyclic, `random:<seed>` and `file:` orders, on seeds
@@ -131,6 +135,20 @@ CLI_CONFIGS = {
                                    "activation = leaky-silu:0.7", "record_every = 5"]),
     "verify": ("verify", []),
     "bench": ("bench", []),
+    # bench's first passages: four per run, one of them missed by constant
+    "bench-four-passages": ("bench", ["epsilons = 0.5, 0.3, 0.1, 0.01",
+                                      "methods = constant,small-adaptive", "max_steps = 3000",
+                                      "eta_constant = 4"]),
+    "bench-unsorted-repeated": ("bench", ["epsilons = 1e-6, 1e-2, 1e-6, 0.9",
+                                          "methods = small-adaptive,large-adaptive",
+                                          "max_steps = 2000"]),
+    "bench-diverges": ("bench", ["methods = small-adaptive,constant", "eta_small = 1e308",
+                                 "max_steps = 50"]),
+    "bench-one-step": ("bench", ["max_steps = 1", "epsilons = 0.9,0.5"]),
+    # three first passages inside one 64-step block
+    "bench-log-one-block": ("bench", ["loss = log", "methods = constant",
+                                      "epsilons = 0.6,0.59,0.58,0.5", "eta_constant = 3",
+                                      "max_steps = 500"]),
     "gen-random": ("gen", ["dataset = random:d=6,n=40,gamma=0.15"]),
     "gen-random-seeded": ("gen", ["dataset = random:d=3,n=9,gamma=0.3,seed=7"]),
     "gen-two-point": ("gen", ["dataset = two-point:gamma=0.05"]),

@@ -18,9 +18,11 @@ Exit codes: 0 success, 1 verification failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -382,6 +384,18 @@ def _provenance_obj(cfg: ExperimentConfig, seed: int) -> dict:
     return {"version": __version__, "config_sha256": cfg.sha, "seed": seed}
 
 
+def _check_out(out: Path) -> None:
+    """Refuse, before the command's work and creating nothing, an --out
+    that is a file or lies under one: the error its first write would
+    raise. Errors that only a write can see stay with _out_file."""
+    for nearest in (out, *out.parents):
+        if os.path.exists(nearest):
+            if not os.path.isdir(nearest):
+                code = errno.EEXIST if nearest == out else errno.ENOTDIR
+                raise ConfigError([(0, f"cannot use --out {out}: {os.strerror(code)}")])
+            return
+
+
 def _out_file(out: Path, name: str) -> Path:
     """out / name, making --out (and its missing parents) first: the
     directory is made at the first write, so a command refused before it
@@ -541,12 +555,17 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
 
 def _bench_gd(cfg: ExperimentConfig, ds: Dataset, method: str, gamma: float,
               epsilons: tuple, mode: str, eta: float) -> list:
-    """One GD run that stops at the first passage below the smallest epsilon,
-    and a row per epsilon read off it, with the run's time as wall_time. An
-    epsilon never reached reads None, or diverged_at=<t> if the run diverged."""
+    """One GD run that keeps the first passage below each epsilon and stops
+    at the smallest one's, and a row per epsilon read off it, with the run's
+    time as wall_time. It records no other row but t = 0 and max_steps, and
+    the first t >= 1 at or below ln epsilon among its rows is the passage
+    itself: the row of a full run followed by a scan. An epsilon never
+    reached reads None, or diverged_at=<t> if the run diverged."""
     start = time.perf_counter()
-    traj = run_gd(ds, GDConfig(loss=cfg["loss"], eta=eta, steps=cfg["max_steps"], mode=mode,
-                               target_log_avg_risk=math.log(min(epsilons))))
+    max_steps = cfg["max_steps"]
+    traj = run_gd(ds, GDConfig(loss=cfg["loss"], eta=eta, steps=max_steps, mode=mode,
+                               record_every=max_steps,
+                               target_log_avg_risk=tuple(math.log(eps) for eps in epsilons)))
     steps, logs = traj.columns["t"], traj.columns["log_avg_risk"]
     miss = None if traj.diverged_at is None else f"diverged_at={traj.diverged_at}"
     hits = [next((t for t, log in zip(steps, logs) if t >= 1 and log <= math.log(eps)), miss)
@@ -727,6 +746,7 @@ def main(argv=None) -> int:
             text = ""
         cfg = parse_config(text, args.command)
         seed = args.seed if args.seed is not None else cfg["seed"]
+        _check_out(args.out)
         return COMMANDS[args.command].run(cfg, args.out, seed)
     except ConfigError as exc:
         for line, msg in exc.errors:

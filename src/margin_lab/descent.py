@@ -60,11 +60,16 @@ best iterate so far. A row's phi and log_stepsize are read off its log
 risk alone, by functions bound once per run with the dataset's n (the
 bits of phi_from_risk, and of _log_stepsize_of_log or ln eta).
 B changes no bit.
-With a target, the loop runs to the end of the block that holds the first
-passage, keeps the rows up to it and drops the up to B - 1 steps behind
-it, with a diverged_at they may have stamped. A dropped step still went
-through grad_phi, so a stand-in for it sees those steps too; run_gd keeps
-overflow quiet, so they leave no warning either.
+With a target, or several, every linear step t >= 1 is queued, and the
+flush keeps, besides the recorded rows, the row of each target's first
+passage: one pass over the block's averaged log risks, against the targets
+not yet passed, sorted once per run (a log risk at or below a target is at
+or below every higher one, so the higher targets pass first and several
+may pass in one block). The loop runs to the end of the block that holds
+the lowest target's first passage, keeps the rows up to it and drops the
+up to B - 1 steps behind it, with a diverged_at they may have stamped. A
+dropped step still went through grad_phi, so a stand-in for it sees those
+steps too; run_gd keeps overflow quiet, so they leave no warning either.
 
 Stacks. risk, phi, phi_coefficients, grad_phi and grad_risk take a (k, d)
 stack of parameter vectors as well as one vector, and MarginState the
@@ -93,6 +98,7 @@ would change bits.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -316,13 +322,23 @@ def phi(w: np.ndarray, ds: Dataset, loss: LossSpec):
 
 @dataclass(frozen=True)
 class GDConfig:
+    """One descent run: the loss, the base stepsize eta, the number of
+    steps, the mode, the initial iterate (zero if None) and the steps
+    recorded (every record_every-th and the last).
+
+    target_log_avg_risk is None, a float or a nonempty tuple of floats. The
+    run keeps each target's first passage t >= 1 (the averaged iterate's log
+    risk at or below it) as a row and stops at the lowest target's; see
+    run_gd. A nan target or an empty tuple raises ValueError.
+    """
+
     loss: LossSpec
     eta: float
     steps: int
     mode: str = "adaptive"  # "adaptive" | "constant"
     init: np.ndarray | None = None
     record_every: int = 1
-    target_log_avg_risk: float | None = None  # stop at the first t >= 1 at or below it
+    target_log_avg_risk: float | tuple | None = None
 
     def __post_init__(self):
         if self.mode not in ("adaptive", "constant"):
@@ -335,7 +351,12 @@ class GDConfig:
             raise ValueError(f"steps must be a nonnegative integer, got {self.steps!r}")
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
-        if self.target_log_avg_risk is not None and math.isnan(self.target_log_avg_risk):
+        target = self.target_log_avg_risk
+        if isinstance(target, tuple):
+            if not target or any(math.isnan(v) for v in target):
+                raise ValueError("target_log_avg_risk must be a number, a nonempty tuple of "
+                                 f"numbers or None, got {target!r}")
+        elif target is not None and math.isnan(target):
             raise ValueError("target_log_avg_risk must be a number or None, got nan")
 
 
@@ -406,15 +427,20 @@ class _Block:
     the running best (best_log, best_t). flush divides the sums by t + 1 in
     place, takes every smallest margin from one min(axis=1) on the margins,
     evaluates the averages with one stacked margins pass and one MarginState
-    of the stack, then extends the trajectory's columns by the rows that
-    are kept. Those rows are views of the block's
-    iterate and average arrays, so the next block takes new ones.
+    of the stack, finds the first passages of the targets still pending
+    (ascending; the highest goes first, and a passage drops it and every
+    target it passed), then extends the trajectory's columns by the rows
+    that are kept: the recorded ones and the passages. Those rows are views
+    of the block's iterate and average arrays, so the next block takes new
+    ones.
     """
 
     def __init__(self, ds: Dataset, config: GDConfig, params: np.ndarray, name: str,
                  averaged: bool):
         self.ds, self.loss, self.name, self.averaged = ds, config.loss, name, averaged
-        self.target = config.target_log_avg_risk
+        target = config.target_log_avg_risk
+        self.pending = ([] if target is None
+                        else sorted(target if isinstance(target, tuple) else (target,)))
         # a row's phi and log_stepsize are read off its own log risk
         self.phi = _phi_of_log(self.loss, ds.n) if self.loss.ops.smooth else lambda log: math.nan
         log_eta = math.log(config.eta)
@@ -439,9 +465,9 @@ class _Block:
         return j + 1 == self.size
 
     def flush(self, traj: Trajectory) -> bool:
-        """Append the queued rows that are recorded or at the first passage
-        below the target, and drop the steps queued behind that passage.
-        True if the passage was found."""
+        """Append the queued rows that are recorded or at a target's first
+        passage, and drop the steps queued behind the lowest target's. True
+        if that passage was found."""
         count = len(self.steps)
         if not count:
             return False
@@ -453,11 +479,17 @@ class _Block:
             avg = np.divide(self.sums[:count], np.add(ts, 1.0)[:, None], out=self.sums[:count])
             avg_state = MarginState(self.ds.margins(avg), self.ds, self.loss)
             log_avgs = avg_state.log_risk
-        passage = None if self.target is None else next(
-            (j for j, (t, log) in enumerate(zip(ts, log_avgs)) if t >= 1 and log <= self.target),
-            None)
-        end = count if passage is None else passage + 1
-        kept = [j for j in range(end) if records[j] or j == passage]
+        passages, stop, pending = set(), None, self.pending
+        if pending:
+            for j, (t, log) in enumerate(zip(ts, log_avgs)):
+                if t >= 1 and log <= pending[-1]:
+                    passages.add(j)
+                    del pending[bisect.bisect_left(pending, log):]
+                    if not pending:
+                        stop = j
+                        break
+        end = count if stop is None else stop + 1
+        kept = [j for j in range(end) if records[j] or j in passages]
         if not kept:
             return False
         if len(kept) == count:
@@ -487,7 +519,7 @@ class _Block:
             columns["min_risk_t"] = pick(best_ts)
         for key, values in columns.items():
             traj.columns.setdefault(key, []).extend(values)
-        return passage is not None
+        return stop is not None
 
 
 def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backward, *,
@@ -498,10 +530,10 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     state) returns the gradient, and params -= eta * scale * gradient steps
     them in place. Every row goes through a _Block. With averaged (the
     linear model) the rows carry the running average of the iterates and
-    the run honours config.target_log_avg_risk; without it they carry the
-    best iterate so far, and the caller refuses a target. The module
-    docstring says which calls a step makes, and how a block ends a run at
-    a first passage.
+    the run honours config.target_log_avg_risk, one target or a tuple;
+    without it they carry the best iterate so far, and the caller refuses a
+    target. The module docstring says which calls a step makes, and how a
+    block ends a run at a first passage.
     """
     loss, last, every = config.loss, config.steps, config.record_every
     checks = config.target_log_avg_risk is not None
@@ -549,9 +581,13 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     With config.target_log_avg_risk set, the run stops at the first t >= 1
     whose averaged iterate has log risk at or below it, and records that
     point even off the record_every grid, so columns["t"][-1] is the number
-    of steps made. Every point it records is bit-identical to the same point of
-    the run without a target. The check evaluates the averaged risk at every
-    step, recorded or not.
+    of steps made. A tuple of targets records each one's first passage t >=
+    1 (one row for targets that pass at the same step) and stops at the
+    lowest one's, where that target alone would stop; a target never passed
+    adds no row. Every point it records is bit-identical to the same point
+    of the run without a target. The check evaluates the averaged risk at
+    every step, recorded or not, so record_every = steps with a tuple of
+    targets gives each first passage without building the rows between.
 
     Averaged iterates are evaluated B = block_size(max(ds.n_rows, ds.d))
     steps at a time (see the module docstring). A run with a target therefore computes

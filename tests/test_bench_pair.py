@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -57,9 +58,9 @@ def test_a_key_with_one_float_sample_is_summarised():
 
 
 def test_the_cases():
-    assert sorted(bench_pair.CASES) == ["averaged-blocks", "cold-log-run", "import-path",
-                                        "lean-datasets", "run-constants", "separated-log",
-                                        "stacked-probes", "step-overhead"]
+    assert sorted(bench_pair.CASES) == ["averaged-blocks", "bench-command", "cold-log-run",
+                                        "import-path", "lean-datasets", "run-constants",
+                                        "separated-log", "stacked-probes", "step-overhead"]
 
 
 def test_the_cold_run_is_an_adaptive_log_run(tmp_path):
@@ -76,8 +77,10 @@ def test_the_cold_run_is_an_adaptive_log_run(tmp_path):
 
 
 def test_the_step_overhead_runs_are_benchs_and_run_recordeds():
-    """bench's two GD runs to its target and run-recorded's run and run-nn,
-    read off the GDConfig each run is given."""
+    """bench's two GD runs as bench made them before it recorded only its
+    first passages (every step recorded, one target: the smallest
+    epsilon's), and run-recorded's run and run-nn, read off the GDConfig
+    each run is given."""
     names = {}
     exec(bench_pair.STEP_RUNS, names)
     ds = names["ds"]
@@ -246,3 +249,60 @@ def test_src_sha256_names_the_package_bytes_only(tmp_path):
     (cache / "losses.cpython-311.pyc").write_bytes(b"\0" * 16)
     (cache / "stray.py").write_text("x = 1\n")
     assert bench_pair.src_sha256(str(a)) == base
+
+
+def test_the_bench_command_child_times_nine_runs_after_a_warm_one(tmp_path):
+    """The child calls cli.main with the default bench ten times, the first
+    untimed, and prints the fastest and the median of the other nine and
+    its peak RSS. Run here against a stand-in margin_lab.cli."""
+    fake = tmp_path / "fake" / "margin_lab"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text(
+        "calls = []\n"
+        "def main(argv):\n"
+        "    calls.append(argv)\n"
+        "    if len(calls) == 10:\n"
+        "        print(repr(calls))\n"
+        "    return 0\n")
+    proc = subprocess.run([sys.executable, "-c", bench_pair.BENCH_COMMAND_CHILD, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(fake.parent)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    calls, line = proc.stdout.splitlines()
+    assert eval(calls) == [["bench", "--out", f"{tmp_path}/bench"]] * 10
+    out = json.loads(line)
+    assert sorted(out) == ["bench_fastest_s", "bench_median_s", "bench_peak_rss_mb"]
+    assert 0.0 <= out["bench_fastest_s"] <= out["bench_median_s"]
+    assert bench_pair.CASES["bench-command"].children == ((bench_pair.BENCH_COMMAND_CHILD,),)
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                           "-c", "commit.gpgsign=false", *args], cwd=root, check=True,
+                          capture_output=True, text=True, timeout=60).stdout.strip()
+
+
+def test_a_src_that_differs_from_its_commit_is_marked_dirty(tmp_path):
+    """A clean checkout gives its HEAD, an edit or a new file under src
+    gives "<sha>+dirty", and a tree without .git gives "unknown"."""
+    src = tmp_path / "repo" / "src"
+    (src / "margin_lab").mkdir(parents=True)
+    module = src / "margin_lab" / "m.py"
+    module.write_text("x = 1\n")
+    (tmp_path / "repo" / "notes.txt").write_text("outside src\n")
+    _git(src.parent, "init", "-q")
+    _git(src.parent, "add", "-A")
+    _git(src.parent, "commit", "-q", "-m", "one")
+    sha = _git(src.parent, "rev-parse", "HEAD")
+    assert bench_pair.commit_of(str(src)) == sha
+    (tmp_path / "repo" / "notes.txt").write_text("an edit outside src\n")
+    assert bench_pair.commit_of(str(src)) == sha
+    module.write_text("x = 2\n")
+    assert bench_pair.commit_of(str(src)) == f"{sha}+dirty"
+    module.write_text("x = 1\n")
+    (src / "margin_lab" / "new.py").write_text("")
+    assert bench_pair.commit_of(str(src)) == f"{sha}+dirty"
+    bare = tmp_path / "bare" / "src"
+    bare.mkdir(parents=True)
+    assert bench_pair.commit_of(str(bare)) == "unknown"

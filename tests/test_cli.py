@@ -4,9 +4,11 @@ provenance headers, byte-identity, exit codes."""
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margin_lab import __version__, load_dataset
+from margin_lab import __version__, cli, load_dataset
 from margin_lab.cli import (
     COMMANDS,
     CONFIG_KEYS,
@@ -491,17 +493,31 @@ class TestExitCodes:
         assert "need d >= 2" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "run"])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
-    def test_out_that_is_or_lies_under_a_file_is_a_config_error(self, under, tmp_path,
-                                                                capsys):
+    def test_out_that_is_or_lies_under_a_file_is_a_config_error(self, under, command, tmp_path,
+                                                                capsys, monkeypatch):
+        """Refused once the config parses, before the command's work: the
+        suite and the run are never called. The message is the one the
+        first write would give."""
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "default_suite", never)
+        monkeypatch.setattr(cli, "run_gd", never)
         blocker = tmp_path / "blocker"
         blocker.write_text("keep\n")
         out = blocker / "sub" if under else blocker
-        assert main(["verify", "--out", str(out)]) == 2
+        argv = [command, "--out", str(out)]
+        if command == "run":
+            argv += ["--config", write_cfg(tmp_path, RUN_CFG)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: cannot use --out {out}: ")
-        assert "Traceback" not in err
+        strerror = os.strerror(errno.ENOTDIR if under else errno.EEXIST)
+        assert err == f"config error: cannot use --out {out}: {strerror}\n"
         assert blocker.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["blocker"] + (["exp.cfg"] if command == "run" else []))
 
 
 _HEAD = "margin-lab-dataset v1 n=2 d=2 gamma=0.5\n"
@@ -1024,13 +1040,16 @@ class TestBenchCommand:
         assert len(rows["both"]) == 4
         assert sorted(rows["both"]) == sorted(rows["g1"] + rows["g2"])
 
-    def test_rows_match_a_full_run_per_cell(self, tmp_path):
+    @pytest.mark.parametrize("loss,epsilons", [(LOG, (0.3, 1e-3, 1e-9)), (EXP, (0.3, 1e-3, 1e-9)),
+                                               (EXP, (1e-3, 0.3, 1e-9, 0.3, 1e-3))],
+                             ids=["log", "exp", "exp-unsorted-repeated"])
+    def test_rows_match_a_full_run_per_cell(self, loss, epsilons, tmp_path):
         # the old rule: a full max_steps run per (method, gamma, epsilon) cell,
         # then a scan for the first t >= 1 with log avg risk <= ln epsilon
-        gammas, epsilons, max_steps, d, n = (0.1, 0.3), (0.3, 1e-3, 1e-9), 300, 5, 30
+        gammas, max_steps, d, n = (0.1, 0.3), 300, 5, 30
         text = (f"gammas = {gammas[0]},{gammas[1]}\n"
                 f"epsilons = {','.join(map(repr, epsilons))}\n"
-                f"max_steps = {max_steps}\nd = {d}\nn = {n}\nloss = log\n"
+                f"max_steps = {max_steps}\nd = {d}\nn = {n}\nloss = {loss.name}\n"
                 "eta_constant = 2\neta_small = 3\n")
         cfg = write_cfg(tmp_path, text)
         assert main(["bench", "--config", cfg, "--out", str(tmp_path), "--seed", "4"]) == 0
@@ -1050,7 +1069,7 @@ class TestBenchCommand:
                         ("small-adaptive", "adaptive", 3.0),
                         ("large-adaptive", "adaptive",
                          4.0 * math.log(1.0 / eps) / gamma**2 + 4.0)):
-                    traj = run_gd(ds, GDConfig(loss=LOG, eta=eta, steps=max_steps, mode=mode))
+                    traj = run_gd(ds, GDConfig(loss=loss, eta=eta, steps=max_steps, mode=mode))
                     hit = next((t for t, log in zip(traj.columns["t"],
                                                     traj.columns["log_avg_risk"], strict=True)
                                 if t >= 1 and log <= math.log(eps)), None)

@@ -795,6 +795,106 @@ class TestAveragedBlocks:
         assert_same_rows(got, full, rows)
 
 
+def first_passages(logs, targets):
+    """{target: the first t >= 1 with logs[t] <= target} over the log
+    averaged risks of a run that records every step, for the targets it
+    passes."""
+    return {x: next(t for t in range(1, len(logs)) if logs[t] <= x)
+            for x in targets if any(log <= x for log in logs[1:])}
+
+
+class TestSeveralTargets:
+    """A tuple of targets keeps each target's first passage t >= 1 as a row,
+    off the record_every grid, and stops at the lowest target's. Every row
+    is row t of reference_run_gd recording every step."""
+
+    STEPS = 150
+
+    @pytest.mark.parametrize("every", [1, 7, STEPS])
+    @pytest.mark.parametrize("loss,mode,eta", [(EXP, "adaptive", 50.0), (LOG, "adaptive", 50.0),
+                                               (EXP, "constant", 1.0), (LOG, "constant", 1.0)],
+                             ids=["exp-adaptive", "log-adaptive", "exp-constant",
+                                  "log-constant"])
+    @pytest.mark.parametrize("ds_name", ["random", "batch-hard-weighted"])
+    def test_rows_are_the_recorded_ones_and_each_first_passage(self, ds_name, loss, mode, eta,
+                                                               every):
+        ds = FUSED_DATASETS[ds_name]()
+        base = GDConfig(loss=loss, eta=eta, steps=self.STEPS, mode=mode)
+        full = reference_run_gd(ds, base)
+        assert full.diverged_at is None
+        logs = full.columns["log_avg_risk"]
+        targets = (logs[60], logs[120], logs[3], logs[60], logs[10])  # unsorted, one repeated
+        passages = first_passages(logs, targets)
+        stop = passages[min(targets)]
+        rows = sorted({*range(0, stop, every), *passages.values()})
+        assert rows[-1] == stop and len(set(passages.values())) >= 3
+        runs = [run_gd(ds, dataclasses.replace(base, record_every=every,
+                                               target_log_avg_risk=order))
+                for order in (targets, tuple(sorted(targets)), tuple(sorted(set(targets)))[::-1])]
+        for got in runs:
+            assert got.diverged_at is None and got.columns["t"] == rows, f"{ds_name} {every}"
+            assert_same_rows(got, full, rows)
+        # the lowest target alone stops at the same step with the same last row
+        alone = run_gd(ds, dataclasses.replace(base, record_every=every,
+                                               target_log_avg_risk=min(targets)))
+        assert alone.columns["t"][-1] == stop
+        assert_same_rows(alone, full, alone.columns["t"])
+
+    @pytest.mark.parametrize("every", [1, 7, STEPS])
+    def test_a_target_never_reached_leaves_the_final_row(self, every):
+        ds = FUSED_DATASETS["random"]()
+        base = GDConfig(loss=LOG, eta=50.0, steps=self.STEPS)
+        full = reference_run_gd(ds, base)
+        logs = full.columns["log_avg_risk"]
+        passage = first_passage(full, logs[20])
+        got = run_gd(ds, dataclasses.replace(base, record_every=every,
+                                             target_log_avg_risk=(-1e9, logs[20])))
+        rows = sorted({*range(0, self.STEPS, every), passage, self.STEPS})
+        assert got.diverged_at is None and got.columns["t"] == rows
+        assert_same_rows(got, full, rows)
+
+    @pytest.mark.parametrize("every", [1, 7, STEPS])
+    @pytest.mark.parametrize("loss,mode,eta", [(EXP, "adaptive", 50.0), (LOG, "constant", 1.0)],
+                             ids=["exp-adaptive", "log-constant"])
+    def test_a_one_element_tuple_gives_the_rows_of_the_float(self, loss, mode, eta, every):
+        ds = FUSED_DATASETS["batch-hard-weighted"]()
+        base = GDConfig(loss=loss, eta=eta, steps=self.STEPS, mode=mode, record_every=every)
+        target = reference_run_gd(ds, dataclasses.replace(base, record_every=1)).columns[
+            "log_avg_risk"][90]
+        want = reference_run_gd(ds, dataclasses.replace(base, target_log_avg_risk=target))
+        for tgt in (target, (target,)):
+            assert_same_run(run_gd(ds, dataclasses.replace(base, target_log_avg_risk=tgt)), want)
+
+    def test_divergence_before_or_after_the_lowest_passage(self):
+        """eta = 1e308 overflows the running sum at t = 4. A lowest target
+        first passed at t = 1 stops the run there, and the divergence behind
+        it is dropped; one never passed leaves diverged_at = 4, and the
+        passage of the higher target stays a row."""
+        ds = gen_random_separable(10, 100, 0.1, seed=0)
+        base = GDConfig(loss=EXP, eta=1e308, steps=10)
+        with np.errstate(all="ignore"):
+            full = reference_run_gd(ds, base)
+        assert full.diverged_at == 4
+        logs = full.columns["log_avg_risk"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            passed = run_gd(ds, dataclasses.replace(
+                base, target_log_avg_risk=(logs[1] + 1.0, logs[1])))
+            for every, rows in ((1, [0, 1, 2, 3]), (10, [0, 1])):
+                missed = run_gd(ds, dataclasses.replace(base, record_every=every,
+                                                        target_log_avg_risk=(-1e9, logs[1])))
+                assert missed.diverged_at == 4 and missed.columns["t"] == rows
+                assert_same_rows(missed, full, rows)
+        assert passed.diverged_at is None and passed.columns["t"] == [0, 1]
+        assert_same_rows(passed, full, [0, 1])
+
+    @pytest.mark.parametrize("target", [(), (math.nan,), (math.nan, 0.0), (0.0, -1.0, math.nan),
+                                        (0.0, math.nan, -1.0)])
+    def test_an_empty_tuple_or_a_nan_anywhere_is_refused(self, target):
+        with pytest.raises(ValueError, match="target_log_avg_risk"):
+            GDConfig(loss=EXP, eta=1.0, steps=5, target_log_avg_risk=target)
+
+
 def assert_same_columns(got, want):
     """Two trajectories have the same columns, bit for bit, and the same
     diverged_at."""

@@ -246,7 +246,8 @@ class TestTraining:
             run_gd_nn(ds, bad, GDConfig(loss=EXP, eta=1.0, steps=2))
 
     @pytest.mark.parametrize("field, value", [("init", np.ones(5)),
-                                              ("target_log_avg_risk", 10.0)])
+                                              ("target_log_avg_risk", 10.0),
+                                              ("target_log_avg_risk", (10.0, 0.0))])
     def test_unused_config_fields_are_refused(self, field, value):
         ds = gen_random_separable(5, 10, 0.2, seed=12)
         net = make_net(ds.d, 2, leaky_relu(0.5))
