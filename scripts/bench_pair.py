@@ -78,6 +78,12 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   20 000 steps, and `run_gd_nn` with exp loss, width 16, leakyrelu:0.5,
   adaptive eta = 400, 5000 steps. The keys keep their names, so
   `BENCH_step_overhead.json` stays comparable.
+- `constant-step`: microseconds per step (the fastest of 9 runs, over the
+  20 000 steps it makes) of `margin-lab bench`'s constant cell as bench
+  makes it, on `gen_random_separable(10, 100, 0.1, seed=0)`: exp loss at
+  constant eta = 1, the targets ln 1e-2, ln 1e-6 and ln 1e-12, none of
+  which it reaches, and `record_every = 20 000`; and the same run
+  recording every step.
 - `cold-log-run`: a cold `margin-lab run` of log loss at adaptive
   eta = 400, 50 steps, on `random:d=10,n=100,gamma=0.1`, through `cli.main`
   in a fresh interpreter: the seconds from before `import margin_lab.cli`
@@ -329,6 +335,29 @@ for name, run in runs.items():
 print(json.dumps(out))
 """
 
+# The runs of the constant-step case: ds and runs, name -> GDConfig.
+CONSTANT_STEP_RUNS = """
+import math
+from margin_lab.datasets import gen_random_separable
+from margin_lab.descent import GDConfig, run_gd
+from margin_lab.losses import EXP
+
+ds = gen_random_separable(10, 100, 0.1, seed=0)
+bench = dict(loss=EXP, eta=1.0, steps=20_000, mode="constant",
+             target_log_avg_risk=tuple(math.log(eps) for eps in (1e-2, 1e-6, 1e-12)))
+runs = {"bench exp constant": GDConfig(record_every=20_000, **bench),
+        "bench exp constant recorded": GDConfig(record_every=1, **bench)}
+"""
+
+CONSTANT_STEP_CHILD = CONSTANT_STEP_RUNS + FASTEST + """
+import json
+out = {}
+for name, cfg in runs.items():
+    out[f"{name} us_per_step"], traj = fastest_us_per_step(lambda: run_gd(ds, cfg), cfg.steps)
+    out[f"{name} steps"] = traj.columns["t"][-1]
+print(json.dumps(out))
+"""
+
 CONSTANTS_CHILD = CONSTANTS_RUNS + FASTEST + """
 import json
 out = {}
@@ -449,6 +478,7 @@ CASES = {
     "separated-log": Case(((SEPARATED_CHILD,),)),
     "run-constants": Case(((CONSTANTS_CHILD,),)),
     "step-overhead": Case(((STEP_CHILD,),)),
+    "constant-step": Case(((CONSTANT_STEP_CHILD,),)),
     "cold-log-run": Case(((COLD_RUN_CHILD,),), COLD_RUN_INPUTS),
     "bench-command": Case(((BENCH_COMMAND_CHILD,),)),
 }

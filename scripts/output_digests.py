@@ -30,8 +30,12 @@ One line per run or file:
   `gen_random_separable(10, 100, 0.1)` and `gen_online_hard(0.2, 30)`, on
   seeds 0, 3 and 1000: iterates, mistakes and `separated_at`;
 - the CLI outputs of `run`, `run-nn` (among them a log `run` and a log
-  `run-nn` whose smallest margin passes 700 mid-run, and a log `run` on
-  2000 rows of 300 features whose margins all stay at or below 700), `verify`
+  `run-nn` whose smallest margin passes 700 mid-run, a log `run` on
+  2000 rows of 300 features whose margins all stay at or below 700, and
+  five constant-stepsize `run`s of 300 steps whose rows cross the 64-step
+  blocks: exp and log at `constant:1`, each recording every step and every
+  7th, and log at `constant:400` on the two-point set, whose risk rises on
+  40 steps, so `descent_violated` takes both values), `verify`
   (`reports.json` and stdout)
   and `bench` (`bench.csv` without its `wall_time` column; the defaults,
   and five grids that pin its first passages: four epsilons per run with
@@ -112,6 +116,20 @@ CLI_CONFIGS = {
                                   "record_every = 7"]),
     "run-hinge-constant": ("run", ["dataset = random:d=5,n=40,gamma=0.2", "loss = hinge",
                                    "stepsize = constant:1", "steps = 200"]),
+    # constant runs whose rows cross the 64-step blocks
+    "run-exp-constant-300": ("run", ["dataset = random:d=10,n=100,gamma=0.1", "loss = exp",
+                                     "stepsize = constant:1", "steps = 300"]),
+    "run-exp-constant-300-every7": ("run", ["dataset = random:d=10,n=100,gamma=0.1",
+                                            "loss = exp", "stepsize = constant:1",
+                                            "steps = 300", "record_every = 7"]),
+    "run-log-constant-300": ("run", ["dataset = random:d=10,n=100,gamma=0.1", "loss = log",
+                                     "stepsize = constant:1", "steps = 300"]),
+    "run-log-constant-300-every7": ("run", ["dataset = random:d=10,n=100,gamma=0.1",
+                                            "loss = log", "stepsize = constant:1",
+                                            "steps = 300", "record_every = 7"]),
+    # its risk rises on 40 of its steps, before t = 64
+    "run-log-constant-rises": ("run", ["dataset = two-point:gamma=0.05", "loss = log",
+                                       "stepsize = constant:400", "steps = 300"]),
     "run-semicircle-no-iterates": ("run", ["dataset = random:d=1000,n=50,gamma=0.1",
                                            "loss = semicircle", "stepsize = adaptive:50",
                                            "steps = 1001", "record_every = 10"]),

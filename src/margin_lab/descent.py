@@ -34,14 +34,19 @@ parameters -> a cache and the margins z) and a backward pass (cache, margin
 state -> gradient); the linear backward is the module attribute grad_phi
 (grad_risk in constant mode), looked up at every step. A step makes each
 numpy call it needs once: the margins y * (X @ w) (Dataset.margins, the
-first pass over the data); a = ln l(z) (one loss.log_value call) and its
-log-sum-exp (the ufunc reductions max and sum, a - max and exp), one
-MarginState that the risk, the smallest margin and the coefficients are
-read off; the coefficients (e / total for exp, -exp(a) for exp's raw
-gradient, the log-space assembly otherwise) and the gradient pass c y @ X
-(Dataset.signed_sum, the second pass); the update, the running sum and one
-sum of it (a finite sum has every entry finite; only a non-finite one takes
-the exact test). The run is stored as a columnar Trajectory.
+first pass over the data); a = ln l(z) (one loss.log_value call) and the
+ufunc reduction max(a), the top that tells divergence; in adaptive mode
+also the rest of a's log-sum-exp (a - max, exp and the ufunc reduction
+sum), one MarginState that the risk and the coefficients are read off; the
+coefficients (e / total for exp, the log-space assembly otherwise; in
+constant mode -exp(a) for exp, loss.deriv(z) otherwise) and the gradient
+pass c y @ X (Dataset.signed_sum, the second pass); the update, the
+running sum and one sum of it (a finite sum has every entry finite; only
+a non-finite one takes the exact test). A constant-mode step needs no
+risk, so its MarginState is deferred: the log risks of the rows a block
+keeps, and of the steps before them that descent_violated compares with,
+are computed when the block is flushed (see _Block). The run is stored as
+a columnar Trajectory.
 
 Rows reach the trajectory one way, for both models: a step that is
 recorded, or a linear step that checks the target, is queued in a block,
@@ -80,7 +85,10 @@ array; the scalar tail (the risk from its log, ln (-l^{-1})' of it, phi
 with poly's _brentq) runs row by row. Row j of every stacked result has
 the bits of the call on row j alone, which the checks of verify rely on to
 score a whole probe set in one call. A stack's risk is a list of
-RiskValue, its phi a list of floats.
+RiskValue, its phi a list of floats. risk, phi, grad_phi and grad_risk
+take a stack datasets.block_rows(n_rows) rows at a time (_blocks), so
+that no array they hold has more than BLOCK_ELEMENTS floats, unless one
+row does.
 
 What stays scalar: loss kernels called on a float go through a 0-d array
 and numpy's scalar math, which can round differently from the array loop.
@@ -106,7 +114,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .datasets import BLOCK_ELEMENTS, Dataset
+from .datasets import BLOCK_ELEMENTS, Dataset, block_rows, row_blocks
 from .losses import LossSpec
 
 
@@ -142,23 +150,23 @@ def _log_sum_exp(a: np.ndarray, weights: np.ndarray | None) -> tuple:
     e_i = m_i exp(a_i - max); the multiplicities m_i stay outside the
     exponential. A row whose max is not finite (some l(z_i) = inf, every
     l(z_i) = 0 as for a separated hinge, or a nan margin) has e and total
-    nan and lse = max. Returns (e, total, lse): for one iterate total and
-    lse are floats; for a stack total is a (k, 1) column, so that e / total
-    divides each row by its own, and lse a list with a float per row. Both
-    shapes run the same numpy operations and math.log on each row's total,
-    so a row of a stack has the bits of its iterate on its own; one
-    iterate, the per-step case, takes the reductions as ufunc calls (the
-    ones a.max() and a.sum() make) and skips the masking.
+    nan and lse = max. Returns (max, e, total, lse): for one iterate max,
+    total and lse are floats; for a stack max and total are (k, 1) columns,
+    so that e / total divides each row by its own, and lse a list with a
+    float per row. Both shapes run the same numpy operations and math.log
+    on each row's total, so a row of a stack has the bits of its iterate on
+    its own; one iterate, the per-step case, takes the reductions as ufunc
+    calls (the ones a.max() and a.sum() make) and skips the masking.
     """
     if a.ndim == 1:
         top = float(np.maximum.reduce(a))
         if not math.isfinite(top):
-            return np.full(a.shape, math.nan), math.nan, top
+            return top, np.full(a.shape, math.nan), math.nan, top
         e = np.exp(a - top)
         if weights is not None:
             e = weights * e
         total = float(np.add.reduce(e))
-        return e, total, top + math.log(total)
+        return top, e, total, top + math.log(total)
     top = a.max(axis=1, keepdims=True)
     finite = np.isfinite(top)
     if finite.all():  # the masks below would select every entry
@@ -171,29 +179,49 @@ def _log_sum_exp(a: np.ndarray, weights: np.ndarray | None) -> tuple:
     totals = e.sum(axis=1, keepdims=True)
     lses = [m + math.log(s) if math.isfinite(m) else m
             for m, s in zip(top.ravel().tolist(), totals.ravel().tolist())]
-    return e, totals, lses
+    return top, e, totals, lses
 
 
 class MarginState:
     """The margins z of one iterate, or the (k, R) margins of a stack of
     iterates, and what their risk and their gradient coefficients share.
 
-    a = ln l(z) is the one loss.log_value call; e, total and lse = ln sum_i
-    m_i l(z_i) come from _log_sum_exp, and for exp the e_i are the
-    numerators of the softmax coefficients. log_risk = lse - ln n is the log
-    of the weighted mean loss (a list of one per row for a stack), and risk
-    its RiskValue, built when it is read.
+    a = ln l(z) is the one loss.log_value call; top = max_i a_i, e, total
+    and lse = ln sum_i m_i l(z_i) come from _log_sum_exp, and for exp the
+    e_i are the numerators of the softmax coefficients. log_risk = lse -
+    ln n is the log of the weighted mean loss (a list of one per row for a
+    stack), and risk its RiskValue, built when it is read.
+
+    The risk of one iterate can be deferred (MarginState.deferred, the
+    constant-stepsize step): such a state holds z, a and top only, and its
+    log_risk is None. top tells divergence on its own: the log risk is +inf
+    or nan exactly when top is. A nan margin or an infinite loss makes top
+    nan or +inf, and the log risk is then top. With a finite top, lse adds
+    ln total to it, and total lies in [1, n]: its top term is m_i exp(0) >=
+    1, and no term exceeds its m_i. Adding at most ln n cannot overflow a
+    finite float, so the log risk is finite too. A top of -inf (every
+    l(z_i) = 0, a separated hinge) gives log risk -inf: zero risk, which is
+    success.
     """
 
-    __slots__ = ("z", "a", "e", "total", "lse", "log_risk")
+    __slots__ = ("z", "a", "top", "e", "total", "lse", "log_risk")
 
     def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec):
         self.z = z
         self.a = loss.log_value(z)
-        self.e, self.total, self.lse = _log_sum_exp(self.a, ds.weights)
+        self.top, self.e, self.total, self.lse = _log_sum_exp(self.a, ds.weights)
         log_n = math.log(ds.n)
         self.log_risk = (self.lse - log_n if z.ndim == 1
                          else [v - log_n for v in self.lse])
+
+    @classmethod
+    def deferred(cls, z: np.ndarray, ds: Dataset, loss: LossSpec) -> "MarginState":
+        """The state of one iterate without its log-sum-exp: z, a and top,
+        and log_risk None. grad_risk reads nothing else."""
+        state = cls.__new__(cls)
+        state.z, state.a, state.log_risk = z, loss.log_value(z), None
+        state.top = float(np.maximum.reduce(state.a))
+        return state
 
     @property
     def risk(self):
@@ -201,9 +229,23 @@ class MarginState:
         return [_risk_from_log(v) for v in log] if isinstance(log, list) else _risk_from_log(log)
 
 
+def _blocks(w, ds: Dataset):
+    """The row slices of a (k, d) stack w in blocks of
+    datasets.block_rows(n_rows) rows, or None for one vector and for a
+    stack that fits in one block. risk, phi, grad_phi and grad_risk take a
+    longer stack a block at a time, so that each (rows, n_rows) array they
+    hold has at most BLOCK_ELEMENTS floats (one row, if a row is longer);
+    each row keeps the bits of its solo call."""
+    rows = block_rows(ds.n_rows)
+    return row_blocks(len(w), ds.n_rows) if np.ndim(w) == 2 and len(w) > rows else None
+
+
 def risk(w: np.ndarray, ds: Dataset, loss: LossSpec):
     """Weighted mean loss over the dataset at parameter w, a RiskValue; at
     a (k, d) stack, a list of one per row."""
+    blocks = _blocks(w, ds)
+    if blocks is not None:
+        return [r for rows in blocks for r in risk(w[rows], ds, loss)]
     return MarginState(ds.margins(w), ds, loss).risk
 
 
@@ -216,6 +258,9 @@ def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     margins; that is intentional in constant-stepsize mode.
     """
     if not isinstance(w, MarginState):
+        blocks = _blocks(w, ds)
+        if blocks is not None:
+            return np.concatenate([grad_risk(w[rows], ds, loss) for rows in blocks])
         coef = loss.deriv(ds.margins(w))
     elif loss.ops.softmax:  # exp: l' = -e^{-z} = -e^a, the bits of loss.deriv
         coef = -np.exp(w.a)
@@ -266,7 +311,13 @@ def grad_phi(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     The exp gradient is a softmax under either aggregation (ln of n L and
     of L differ by the constant ln n). See phi_coefficients.
     """
-    state = w if isinstance(w, MarginState) else MarginState(ds.margins(w), ds, loss)
+    if isinstance(w, MarginState):
+        state = w
+    else:
+        blocks = _blocks(w, ds)
+        if blocks is not None:
+            return np.concatenate([grad_phi(w[rows], ds, loss) for rows in blocks])
+        state = MarginState(ds.margins(w), ds, loss)
     return -ds.signed_sum(phi_coefficients(state, ds, loss))
 
 
@@ -423,16 +474,27 @@ class _Block:
     The first push of a block allocates its (B, *params.shape) array and,
     when the rows carry the running average, its (B, d) array; the (B, R)
     margins array serves every block. Each push copies step t's iterate,
-    margins and running sum into them and queues the step's log risk and
-    the running best (best_log, best_t). flush divides the sums by t + 1 in
-    place, takes every smallest margin from one min(axis=1) on the margins,
-    evaluates the averages with one stacked margins pass and one MarginState
-    of the stack, finds the first passages of the targets still pending
-    (ascending; the highest goes first, and a passage drops it and every
-    target it passed), then extends the trajectory's columns by the rows
-    that are kept: the recorded ones and the passages. Those rows are views
-    of the block's iterate and average arrays, so the next block takes new
-    ones.
+    margins and running sum into them and queues the step's log risk, the
+    log risk of step t - 1 that descent_violated compares it with (inf at
+    t = 0), and the running best (best_log, best_t). flush divides the sums
+    by t + 1 in place, takes every smallest margin from one min(axis=1) on
+    the margins, evaluates the averages with one stacked margins pass and
+    one MarginState of the stack, finds the first passages of the targets
+    still pending (ascending; the highest goes first, and a passage drops it
+    and every target it passed), then extends the trajectory's columns by
+    the rows that are kept: the recorded ones and the passages. Those rows
+    are views of the block's iterate and average arrays, so the next block
+    takes new ones.
+
+    In constant mode the steps' states are deferred (evaluate is
+    MarginState.deferred), so a push queues no log risk. It queues its
+    predecessor's when step t - 1 is not the block's previous row: inf at
+    t = 0, otherwise the log-sum-exp of the previous state's a, the bits
+    its full state would have. That happens at the first row of a block,
+    and at each recorded row of a run that queues only those (record_every
+    > 1 and no target). flush then evaluates the kept rows and the queued
+    predecessors they compare with, and no other row, with one MarginState
+    of their margins.
     """
 
     def __init__(self, ds: Dataset, config: GDConfig, params: np.ndarray, name: str,
@@ -444,15 +506,22 @@ class _Block:
         # a row's phi and log_stepsize are read off its own log risk
         self.phi = _phi_of_log(self.loss, ds.n) if self.loss.ops.smooth else lambda log: math.nan
         log_eta = math.log(config.eta)
-        self.log_stepsize = (_log_stepsize_of_log(self.loss, config.eta, ds.n)
-                             if config.mode == "adaptive" else lambda log: log_eta)
+        self.deferred = config.mode == "constant"
+        if self.deferred:
+            self.evaluate, self.before = MarginState.deferred, self._deferred_before
+            self.log_stepsize, self.log_n = lambda log: log_eta, math.log(ds.n)
+        else:
+            self.evaluate = MarginState
+            self.before = lambda j, t, prev: math.inf if prev is None else prev.log_risk
+            self.log_stepsize = _log_stepsize_of_log(self.loss, config.eta, ds.n)
         self.size = block_size(max(ds.n_rows, params.size))
         self.margins = np.empty((self.size, ds.n_rows))  # no row is a view of it
         self.steps: list = []
 
     def push(self, t: int, params: np.ndarray, total: np.ndarray, state: MarginState,
-             violated: bool, record: bool, best_log: float, best_t: int) -> bool:
-        """Queue step t; True once the block is full."""
+             prev: MarginState | None, record: bool, best_log: float, best_t: int) -> bool:
+        """Queue step t, prev being the state of step t - 1 (None at t = 0);
+        True once the block is full."""
         j = len(self.steps)
         if not j:
             self.iterates = np.empty((self.size, *params.shape))
@@ -461,8 +530,28 @@ class _Block:
         self.margins[j] = state.z
         if self.averaged:
             self.sums[j] = total
-        self.steps.append((t, state.log_risk, violated, record, best_log, best_t))
+        self.steps.append((t, state.log_risk, self.before(j, t, prev), record, best_log, best_t))
         return j + 1 == self.size
+
+    def _deferred_before(self, j: int, t: int, prev: MarginState | None) -> float | None:
+        """The log risk of step t - 1, or None when it is row j - 1 of this
+        block, evaluated at the flush if step t is kept."""
+        if prev is None:
+            return math.inf
+        if j and self.steps[-1][0] == t - 1:
+            return None
+        return _log_sum_exp(prev.a, self.ds.weights)[3] - self.log_n
+
+    def _fill_deferred(self, kept: list, logs: tuple, befores: tuple) -> tuple:
+        """The deferred log risks of the kept rows and of the queued
+        predecessors they compare with, from one MarginState of their
+        margins, whose row j has the bits of the state of step j alone:
+        (logs, befores) with those filled in."""
+        rows = sorted({*kept, *(j - 1 for j in kept if befores[j] is None)})
+        logs = list(logs)
+        for j, log in zip(rows, MarginState(self.margins[rows], self.ds, self.loss).log_risk):
+            logs[j] = log
+        return logs, [logs[j - 1] if v is None else v for j, v in enumerate(befores)]
 
     def flush(self, traj: Trajectory) -> bool:
         """Append the queued rows that are recorded or at a target's first
@@ -471,7 +560,7 @@ class _Block:
         count = len(self.steps)
         if not count:
             return False
-        ts, logs, violated, records, best_logs, best_ts = zip(*self.steps)
+        ts, logs, befores, records, best_logs, best_ts = zip(*self.steps)
         self.steps = []
         iterates, avg = self.iterates[:count], None
         if self.averaged:
@@ -492,6 +581,8 @@ class _Block:
         kept = [j for j in range(end) if records[j] or j in passages]
         if not kept:
             return False
+        if self.deferred:
+            logs, befores = self._fill_deferred(kept, logs, befores)
         if len(kept) == count:
             def pick(values):
                 return values
@@ -508,7 +599,7 @@ class _Block:
             "phi": [self.phi(v) for v in logs],
             "log_stepsize": [self.log_stepsize(v) for v in logs],
             "min_margin": pick(np.minimum.reduce(self.margins[:count], axis=1).tolist()),
-            "descent_violated": pick(violated),
+            "descent_violated": [log > before for log, before in zip(logs, pick(befores))],
         }
         if self.averaged:
             columns["avg_w"] = list(avg)
@@ -528,38 +619,42 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
 
     forward() returns (cache, z) at the current params; backward(cache,
     state) returns the gradient, and params -= eta * scale * gradient steps
-    them in place. Every row goes through a _Block. With averaged (the
-    linear model) the rows carry the running average of the iterates and
-    the run honours config.target_log_avg_risk, one target or a tuple;
-    without it they carry the best iterate so far, and the caller refuses a
-    target. The module docstring says which calls a step makes, and how a
-    block ends a run at a first passage.
+    them in place. Every row goes through a _Block, which also binds how a
+    step's state is evaluated: in full (adaptive mode), or deferred
+    (constant mode), its log risk then computed only for the rows the
+    block keeps and their predecessors. Divergence is tested on the state's
+    top, which is +inf or nan exactly when its log risk is (see
+    MarginState). With averaged (the linear model) the rows carry the
+    running average of the iterates and the run honours
+    config.target_log_avg_risk, one target or a tuple; without it they
+    carry the best iterate so far, tracked for them alone, and the caller
+    refuses a target. The module docstring says which calls a step makes,
+    and how a block ends a run at a first passage.
     """
     loss, last, every = config.loss, config.steps, config.record_every
     checks = config.target_log_avg_risk is not None
     step = config.eta * scale
     traj = Trajectory()
     total = params.copy()
-    prev_log = best_log = math.inf
-    best_t = 0
+    best_log, best_t, prev = math.inf, 0, None
     block = _Block(ds, config, params, name, averaged)
+    evaluate = block.evaluate
     for t in range(last + 1):
         cache, z = forward()
-        state = MarginState(z, ds, loss)
-        log = state.log_risk
-        # a log risk of -inf means exactly zero risk (possible for hinge only),
-        # which is success; +inf or nan means true blow-up
-        if not log < math.inf:
+        state = evaluate(z, ds, loss)
+        # top is +inf or nan, true blow-up, exactly when the log risk is; a log
+        # risk of -inf means exactly zero risk (hinge only), which is success
+        if not state.top < math.inf:
             traj.diverged_at = t
             break
-        if log < best_log:
-            best_log, best_t = log, t
+        if not averaged and state.log_risk < best_log:
+            best_log, best_t = state.log_risk, t
         record = t % every == 0 or t == last
         if ((record or checks and t)
-                and block.push(t, params, total, state, log > prev_log, record, best_log, best_t)
+                and block.push(t, params, total, state, prev, record, best_log, best_t)
                 and block.flush(traj)):
             return traj  # at the first passage
-        prev_log = log
+        prev = state
         if t == last:
             break
         params -= step * backward(cache, state)
@@ -595,7 +690,11 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     row, no diverged_at and no warning, but each went through the gradient.
 
     Each step calls descent.grad_phi (grad_risk in constant mode) as
-    (state, ds, loss), with the iterate's MarginState in the w slot.
+    (state, ds, loss), with the iterate's MarginState in the w slot. In
+    constant mode that state is deferred (MarginState.deferred): it holds
+    z, a and max(a), and the log risk of a row, and of the step before it,
+    is computed when the row is built, with the bits one evaluation per
+    step would give.
 
     A diverged run (see the module docstring) stamps diverged_at; run_gd
     does not warn on the overflow that gets there. Adaptive mode diverges

@@ -23,8 +23,10 @@ The probe checks (check_gradient_inequalities, check_network_inequalities,
 check_risk_implies_separation) draw every probe first, in the order a
 probe-at-a-time loop would draw them, then score each probe set with one
 stacked call (descent's and two_layer's stacks), whose rows have the bits
-of one call per probe. A probe set of k vectors holds its (k, n_rows)
-margins at once.
+of one call per probe. descent's stacks, and check_risk_implies_separation,
+take a probe set a block of datasets.block_rows(n_rows) vectors at a time,
+so they hold no (k, n_rows) array for a set of k vectors; a set of
+two-layer nets still holds its margins at once.
 """
 
 from __future__ import annotations
@@ -389,10 +391,13 @@ def check_risk_implies_separation(
     if w.shape[1] != ds.d:
         raise ValueError(f"iterates must have {ds.d} columns, got {w.shape[1]}")
     log_threshold = loss.log_value(0.0) - math.log(ds.n)
-    state = MarginState(ds.margins(w), ds, loss)
-    rows = [(i, -min_margin, 0.0)
-            for i, (r, min_margin) in enumerate(zip(state.risk, state.z.min(axis=1).tolist()))
-            if r.log_value < log_threshold]
+    rows = []
+    for block in row_blocks(len(w), ds.n_rows):  # see descent._blocks
+        state = MarginState(ds.margins(w[block]), ds, loss)
+        rows += [(i, -min_margin, 0.0)
+                 for i, r, min_margin in zip(range(block.start, block.stop), state.risk,
+                                             state.z.min(axis=1).tolist())
+                 if r.log_value < log_threshold]
     above = len(w) - len(rows)
     return make_report(
         claim="risk below l(0)/n certifies a strict separator",

@@ -1,5 +1,6 @@
 """The paired-measurement script: its comparison rule and its usage errors."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -59,8 +60,31 @@ def test_a_key_with_one_float_sample_is_summarised():
 
 def test_the_cases():
     assert sorted(bench_pair.CASES) == ["averaged-blocks", "bench-command", "cold-log-run",
-                                        "import-path", "lean-datasets", "run-constants",
-                                        "separated-log", "stacked-probes", "step-overhead"]
+                                        "constant-step", "import-path", "lean-datasets",
+                                        "run-constants", "separated-log", "stacked-probes",
+                                        "step-overhead"]
+
+
+def test_the_constant_step_runs_are_benchs_constant_cell(monkeypatch):
+    """The constant-step case's first run is the GDConfig bench's constant
+    method passes to run_gd, on bench's default dataset at seed 0; its
+    second records every step."""
+    from margin_lab import cli
+
+    names = {}
+    exec(bench_pair.CONSTANT_STEP_RUNS, names)
+    cfg = cli.parse_config("", "bench")
+    (gamma,) = cfg["gammas"]
+    ds = cli.make_dataset(cli.DatasetSpec("random", {"d": cfg["d"], "n": cfg["n"],
+                                                     "gamma": gamma}), 0)
+    assert ds.features.tobytes() == names["ds"].features.tobytes()
+    given = []
+    monkeypatch.setattr(cli, "run_gd", lambda ds, config: given.append(config) or SimpleNamespace(
+        columns={"t": [], "log_avg_risk": []}, diverged_at=None))
+    cli._bench_gd(cfg, ds, "constant", gamma, cfg["epsilons"], "constant", cfg["eta_constant"])
+    bench, recorded = names["runs"].values()
+    assert given == [bench]
+    assert recorded == dataclasses.replace(bench, record_every=1)
 
 
 def test_the_cold_run_is_an_adaptive_log_run(tmp_path):

@@ -895,6 +895,106 @@ class TestSeveralTargets:
             GDConfig(loss=EXP, eta=1.0, steps=5, target_log_avg_risk=target)
 
 
+class TestDeferredRisk:
+    """A constant-stepsize step evaluates no log-sum-exp: the flush computes
+    the log risk of each kept row and of its predecessor, which
+    descent_violated compares it with. Runs of 200 steps, which cross
+    64-step blocks, keep the rows and diverged_at of reference_run_gd,
+    which evaluates every step."""
+
+    STEPS = 200
+
+    @pytest.mark.parametrize("loss,agg", [(loss, agg) for loss in SMOOTH
+                                          for agg in ("mean", "sum")] + [(HINGE, "mean")],
+                             ids=lambda x: getattr(x, "name", x))
+    def test_long_constant_runs_keep_the_reference_rows(self, loss, agg):
+        spec = loss.with_aggregation(agg)
+        for ds_name, make in FUSED_DATASETS.items():
+            ds = make()
+            for eta in (1.0, 400.0):  # 400 makes some runs diverge
+                base = GDConfig(loss=spec, eta=eta, steps=self.STEPS, mode="constant")
+                with np.errstate(all="ignore"):
+                    logs = reference_run_gd(ds, base).columns["log_avg_risk"]
+                for target in (None, logs[len(logs) * 3 // 4]):
+                    for every in (1, 7, self.STEPS):
+                        cfg = dataclasses.replace(base, record_every=every,
+                                                  target_log_avg_risk=target)
+                        with np.errstate(all="ignore"):
+                            want = reference_run_gd(ds, cfg)
+                        assert_same_run(run_gd(ds, cfg), want,
+                                        f"{ds_name} eta={eta} target={target} every={every}")
+
+    @pytest.mark.parametrize("every", [1, 7, STEPS])
+    @pytest.mark.parametrize("target", [False, True])
+    def test_a_risk_that_rises_at_block_starts(self, target, every):
+        """Log loss at constant eta 200 on 100 rows with random labels, which
+        no vector separates: the risk rises on about half the steps, among
+        them t = 64 and 128, the first rows of blocks, whose predecessor is
+        the previous block's last."""
+        ds = _unit_ball_dataset(100, 10)
+        base = GDConfig(loss=LOG, eta=200.0, steps=self.STEPS, mode="constant")
+        full = reference_run_gd(ds, base)
+        violated = full.columns["descent_violated"]
+        assert violated[64] and violated[128] and 50 < sum(violated) < 150
+        cfg = dataclasses.replace(base, record_every=every, target_log_avg_risk=(
+            full.columns["log_avg_risk"][150] if target else None))
+        got = run_gd(ds, cfg)
+        assert_same_run(got, reference_run_gd(ds, cfg))
+        if every < self.STEPS:
+            assert set(got.columns["descent_violated"]) == {True, False}
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("target", [None, -math.inf])  # the target queues every step
+    @pytest.mark.parametrize("make,loss,step,through_sum", [
+        (lambda: gen_two_point(0.05), poly(2.0), 2, False),
+        (lambda: gen_random_separable(10, 100, 0.1, seed=3), EXP, 2, True),
+        (lambda: gen_random_separable(10, 100, 0.1, seed=3), LOG, 22, True)],
+        ids=["at-t", "at-t+1-exp", "at-t+1-log"])
+    def test_divergence_at_eta_1e308(self, make, loss, step, through_sum, target, every):
+        """At eta 1e308 a run diverges at t = step: at t, when the log risk
+        of w_t is +inf (its largest ln l(z_i) is), or at t + 1, when the
+        running sum of w_0 .. w_{t+1} overflows. Both keep the reference's
+        diverged_at and rows, and warn of nothing."""
+        ds = make()
+        cfg = GDConfig(loss=loss, eta=1e308, steps=self.STEPS, mode="constant",
+                       record_every=every, target_log_avg_risk=target)
+        with np.errstate(all="ignore"):
+            full = reference_run_gd(ds, dataclasses.replace(cfg, record_every=1))
+            last = full.columns["w"][-1]
+            after = last - cfg.eta * grad_risk(last, ds, loss)
+            total = np.sum(full.columns["w"], axis=0) + after
+            log_after = risk(after, ds, loss).log_value
+            want = reference_run_gd(ds, cfg)
+        assert full.diverged_at == want.diverged_at == step
+        assert np.isfinite(total).all() != through_sum
+        assert through_sum or log_after == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_gd(ds, cfg)
+        assert_same_run(got, want)
+
+    @pytest.mark.parametrize("mode", ["constant", "adaptive"])
+    def test_log_sum_exp_runs_for_the_kept_rows(self, monkeypatch, mode):
+        """descent._log_sum_exp, one entry per call (1 for one iterate, k for
+        a stack of k): a constant run recording t = 0 and t = steps only
+        evaluates step t - 1 at the push of t = steps, then at the flush the
+        two averages and the two kept rows; an adaptive run evaluates every
+        step, then the averages."""
+        ds = small_ds()
+        steps = 150
+        cfg = GDConfig(loss=LOG, eta=1.0, steps=steps, mode=mode, record_every=steps)
+        rows, log_sum_exp = [], descent._log_sum_exp
+
+        def counting(a, weights):
+            rows.append(len(a) if a.ndim == 2 else 1)
+            return log_sum_exp(a, weights)
+
+        monkeypatch.setattr(descent, "_log_sum_exp", counting)
+        traj = run_gd(ds, cfg)
+        assert traj.columns["t"] == [0, steps]
+        assert rows == ([1, 2, 2] if mode == "constant" else [1] * (steps + 1) + [2])
+
+
 def assert_same_columns(got, want):
     """Two trajectories have the same columns, bit for bit, and the same
     diverged_at."""
@@ -1041,6 +1141,33 @@ class TestStacks:
         w = _probe_stack(ds.d)[5]
         want = -((phi_coefficients(ds.margins(w), ds, LOG) * ds.labels) @ ds.features)
         assert grad_phi(w, ds, LOG).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("loss", [EXP, LOG, poly(2.0)], ids=lambda s: s.name)
+    def test_a_stack_over_several_blocks_keeps_its_solo_bits(self, loss):
+        """20 000 rows take a stack block_rows(20 000) = 3 vectors at a time."""
+        ds = gen_random_separable(10, 20_000, 0.1, seed=5)
+        stack = _probe_stack(ds.d)
+        with np.errstate(over="ignore", invalid="ignore"):  # grad_risk of exp overflows
+            for fn in (risk, phi, grad_phi, grad_risk):
+                stacked = fn(stack, ds, loss)
+                assert len(stacked) == len(stack)
+                assert _bits(stacked) == _bits([fn(w, ds, loss) for w in stack]), fn.__name__
+
+    def test_a_long_stack_peaks_at_a_block(self):
+        """phi on 2000 vectors over 4000 rows takes them block_rows(4000) =
+        16 at a time, so its arrays of margins hold 64 000 floats each,
+        where one (2000, 4000) array would hold 8 million (64 MB)."""
+        ds = gen_random_separable(10, 4000, 0.1, seed=6)
+        stack = np.random.default_rng(6).standard_normal((2000, ds.d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stacked = phi(stack, ds, LOG)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert _bits(stacked) == _bits([phi(w, ds, LOG) for w in stack])
 
     def test_a_stack_of_one_is_the_solo_call(self):
         ds = gen_random_separable(10, 101, 0.1, seed=4)

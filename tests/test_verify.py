@@ -352,6 +352,14 @@ class TestStackedChecksMatchPerProbe:
         assert (_json(check_risk_implies_separation(ds, loss, single))
                 == _json(per_probe_risk_implies_separation(ds, loss, single)))
 
+    def test_risk_implies_separation_over_several_blocks(self):
+        """20 000 rows take the iterates block_rows(20 000) = 3 at a time."""
+        ds = gen_random_separable(10, 20_000, 0.1, seed=1)
+        iterates = np.array(run_gd(ds, GDConfig(loss=EXP, eta=50.0, steps=40)).columns["w"])
+        want = per_probe_risk_implies_separation(ds, EXP, iterates)
+        assert len(want.steps) > 0 and want.context["vectors_above_threshold"] > 0
+        assert _json(check_risk_implies_separation(ds, EXP, iterates)) == _json(want)
+
     def test_empty_probe_sets(self):
         ds = gen_random_separable(10, 100, 0.2, seed=0)
         assert (_json(check_network_inequalities(ds, leaky_relu(0.5), probes=0))
