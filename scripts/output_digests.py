@@ -31,8 +31,9 @@ One line per run or file:
   seeds 0, 3 and 1000: iterates, mistakes and `separated_at`;
 - the CLI outputs of `run`, `run-nn` (among them a log `run` and a log
   `run-nn` whose smallest margin passes 700 mid-run, a log `run` on
-  2000 rows of 300 features whose margins all stay at or below 700, and
-  five constant-stepsize `run`s of 300 steps whose rows cross the 64-step
+  2000 rows of 300 features whose margins all stay at or below 700, a log
+  `run` of 10 steps on 20 rows of 100 000 features, whose trajectory.json
+  still carries the iterates, and five constant-stepsize `run`s of 300 steps whose rows cross the 64-step
   blocks: exp and log at `constant:1`, each recording every step and every
   7th, and log at `constant:400` on the two-point set, whose risk rises on
   40 steps, so `descent_violated` takes both values), `verify`
@@ -133,6 +134,9 @@ CLI_CONFIGS = {
     "run-semicircle-no-iterates": ("run", ["dataset = random:d=1000,n=50,gamma=0.1",
                                            "loss = semicircle", "stepsize = adaptive:50",
                                            "steps = 1001", "record_every = 10"]),
+    # long rows: d * steps = 10**6, so trajectory.json still carries the iterates
+    "run-log-long-rows": ("run", ["dataset = random:d=100000,n=20,gamma=0.1", "loss = log",
+                                  "stepsize = adaptive:400", "steps = 10"]),
     # log runs that pass min margin 700 mid-run: both log kernels then negate
     "run-log-separates-weighted": ("run", ["dataset = batch-hard:gamma=0.1,n=64,weighted=true",
                                            "loss = log", "stepsize = adaptive:400",

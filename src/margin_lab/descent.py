@@ -30,23 +30,24 @@ span checks rely on down to the last bit.
 
 One loop, _descend, runs both the linear model (run_gd) and the two-layer
 network (two_layer.run_gd_nn). A model is a forward pass (current
-parameters -> a cache and the margins z) and a backward pass (cache, margin
-state -> gradient); the linear backward is the module attribute grad_phi
-(grad_risk in constant mode), looked up at every step. A step makes each
-numpy call it needs once: the margins y * (X @ w) (Dataset.margins, the
-first pass over the data); a = ln l(z) (one loss.log_value call) and the
-ufunc reduction max(a), the top that tells divergence; in adaptive mode
-also the rest of a's log-sum-exp (a - max, exp and the ufunc reduction
-sum), one MarginState that the risk and the coefficients are read off; the
-coefficients (e / total for exp, the log-space assembly otherwise; in
-constant mode -exp(a) for exp, loss.deriv(z) otherwise) and the gradient
-pass c y @ X (Dataset.signed_sum, the second pass); the update, the
-running sum and one sum of it (a finite sum has every entry finite; only
-a non-finite one takes the exact test). A constant-mode step needs no
-risk, so its MarginState is deferred: the log risks of the rows a block
-keeps, and of the steps before them that descent_violated compares with,
-are computed when the block is flushed (see _Block). The run is stored as
-a columnar Trajectory.
+parameters -> a cache and the margins z), an evaluation (margins -> a
+MarginState) and a backward pass (cache, margin state -> gradient); the
+caller binds the last two together, once per run. Adaptive mode evaluates
+MarginState in full and steps along grad_phi (run_gd, and run_gd_nn with
+its own backward); constant mode needs no risk to step, so run_gd
+evaluates MarginState.deferred (no log-sum-exp, log_risk None) and steps
+along grad_risk. The linear backward is the module attribute grad_phi or
+grad_risk, looked up at every step. A step makes each numpy call it needs
+once: the margins y * (X @ w) (Dataset.margins, the first pass over the
+data); a = ln l(z) (one loss.log_value call) and the ufunc reduction
+max(a), the top that tells divergence; in adaptive mode also the rest of
+a's log-sum-exp (a - max, exp and the ufunc reduction sum), that the risk
+and the coefficients are read off; the coefficients (e / total for exp,
+the log-space assembly otherwise; in constant mode -exp(a) for exp,
+loss.deriv(z) otherwise) and the gradient pass c y @ X
+(Dataset.signed_sum, the second pass); the update, the running sum and
+one sum of it (a finite sum has every entry finite; only a non-finite one
+takes the exact test). The run is stored as a columnar Trajectory.
 
 Rows reach the trajectory one way, for both models: a step that is
 recorded, or a linear step that checks the target, is queued in a block,
@@ -65,6 +66,19 @@ best iterate so far. A row's phi and log_stepsize are read off its log
 risk alone, by functions bound once per run with the dataset's n (the
 bits of phi_from_risk, and of _log_stepsize_of_log or ln eta).
 B changes no bit.
+
+A block keeps every row by one rule, whatever the evaluation. A push
+queues the log risk the step left (None for a deferred state) and its
+predecessor's, which descent_violated compares with: inf at t = 0; None
+when the predecessor is the block's previous row and left none; otherwise
+the predecessor's own, from the log-sum-exp of its a if it left none. A
+flush fills every None among the kept rows and their predecessors in the
+block from one stacked MarginState of their margins, whose row j has the
+bits of step j's own full state, and skips that evaluation when nothing
+is missing. So an adaptive step's risk is computed once, at the step, and
+a constant run computes only the risks of the rows it keeps and of the
+steps before them.
+
 With a target, or several, every linear step t >= 1 is queued, and the
 flush keeps, besides the recorded rows, the row of each target's first
 passage: one pass over the block's averaged log risks, against the targets
@@ -114,7 +128,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .datasets import BLOCK_ELEMENTS, Dataset, block_rows, row_blocks
+from .datasets import Dataset, block_rows, row_blocks
 from .losses import LossSpec
 
 
@@ -192,16 +206,17 @@ class MarginState:
     ln n is the log of the weighted mean loss (a list of one per row for a
     stack), and risk its RiskValue, built when it is read.
 
-    The risk of one iterate can be deferred (MarginState.deferred, the
-    constant-stepsize step): such a state holds z, a and top only, and its
-    log_risk is None. top tells divergence on its own: the log risk is +inf
-    or nan exactly when top is. A nan margin or an infinite loss makes top
-    nan or +inf, and the log risk is then top. With a finite top, lse adds
-    ln total to it, and total lies in [1, n]: its top term is m_i exp(0) >=
-    1, and no term exceeds its m_i. Adding at most ln n cannot overflow a
-    finite float, so the log risk is finite too. A top of -inf (every
-    l(z_i) = 0, a separated hinge) gives log risk -inf: zero risk, which is
-    success.
+    The risk of one iterate can be deferred (MarginState.deferred, which
+    run_gd binds with grad_risk in constant mode; the module docstring says
+    how a block fills the risks it needs): such a state holds z, a and top
+    only, and its log_risk is None. top tells divergence on its own: the
+    log risk is +inf or nan exactly when top is. A nan margin or an
+    infinite loss makes top nan or +inf, and the log risk is then top. With
+    a finite top, lse adds ln total to it, and total lies in [1, n]: its
+    top term is m_i exp(0) >= 1, and no term exceeds its m_i. Adding at
+    most ln n cannot overflow a finite float, so the log risk is finite
+    too. A top of -inf (every l(z_i) = 0, a separated hinge) gives log risk
+    -inf: zero risk, which is success.
     """
 
     __slots__ = ("z", "a", "top", "e", "total", "lse", "log_risk")
@@ -460,12 +475,11 @@ _BLOCK_MAX = 64
 
 
 def block_size(row: int) -> int:
-    """B = max(1, min(64, 65 536 // row)): how many steps _descend queues
-    in a block. With row = max(n_rows, params.size), each of the block's
-    arrays stays within datasets.BLOCK_ELEMENTS = 65 536 floats (512 KiB),
-    the budget of the dataset passes' row blocks too, unless one row of it
-    is longer."""
-    return max(1, min(_BLOCK_MAX, BLOCK_ELEMENTS // row))
+    """B = min(64, datasets.block_rows(row)): how many steps _descend
+    queues in a block. With row = max(n_rows, params.size), each of the
+    block's arrays stays within datasets.BLOCK_ELEMENTS floats, the one
+    budget of every row block, unless one row of it is longer."""
+    return min(_BLOCK_MAX, block_rows(row))
 
 
 class _Block:
@@ -474,27 +488,17 @@ class _Block:
     The first push of a block allocates its (B, *params.shape) array and,
     when the rows carry the running average, its (B, d) array; the (B, R)
     margins array serves every block. Each push copies step t's iterate,
-    margins and running sum into them and queues the step's log risk, the
-    log risk of step t - 1 that descent_violated compares it with (inf at
-    t = 0), and the running best (best_log, best_t). flush divides the sums
-    by t + 1 in place, takes every smallest margin from one min(axis=1) on
-    the margins, evaluates the averages with one stacked margins pass and
-    one MarginState of the stack, finds the first passages of the targets
-    still pending (ascending; the highest goes first, and a passage drops it
-    and every target it passed), then extends the trajectory's columns by
-    the rows that are kept: the recorded ones and the passages. Those rows
-    are views of the block's iterate and average arrays, so the next block
-    takes new ones.
-
-    In constant mode the steps' states are deferred (evaluate is
-    MarginState.deferred), so a push queues no log risk. It queues its
-    predecessor's when step t - 1 is not the block's previous row: inf at
-    t = 0, otherwise the log-sum-exp of the previous state's a, the bits
-    its full state would have. That happens at the first row of a block,
-    and at each recorded row of a run that queues only those (record_every
-    > 1 and no target). flush then evaluates the kept rows and the queued
-    predecessors they compare with, and no other row, with one MarginState
-    of their margins.
+    margins and running sum into them and queues the step's log risk, its
+    predecessor's and the running best (best_log, best_t), by the rule of
+    the module docstring. flush divides the sums by t + 1 in place, takes
+    every smallest margin from one min(axis=1) on the margins, evaluates
+    the averages with one stacked margins pass and one MarginState of the
+    stack, finds the first passages of the targets still pending
+    (ascending; the highest goes first, and a passage drops it and every
+    target it passed), fills the missing log risks the kept rows need,
+    then extends the trajectory's columns by the rows that are kept: the
+    recorded ones and the passages. Those rows are views of the block's
+    iterate and average arrays, so the next block takes new ones.
     """
 
     def __init__(self, ds: Dataset, config: GDConfig, params: np.ndarray, name: str,
@@ -506,14 +510,9 @@ class _Block:
         # a row's phi and log_stepsize are read off its own log risk
         self.phi = _phi_of_log(self.loss, ds.n) if self.loss.ops.smooth else lambda log: math.nan
         log_eta = math.log(config.eta)
-        self.deferred = config.mode == "constant"
-        if self.deferred:
-            self.evaluate, self.before = MarginState.deferred, self._deferred_before
-            self.log_stepsize, self.log_n = lambda log: log_eta, math.log(ds.n)
-        else:
-            self.evaluate = MarginState
-            self.before = lambda j, t, prev: math.inf if prev is None else prev.log_risk
-            self.log_stepsize = _log_stepsize_of_log(self.loss, config.eta, ds.n)
+        self.log_stepsize = (_log_stepsize_of_log(self.loss, config.eta, ds.n)
+                             if config.mode == "adaptive" else lambda log: log_eta)
+        self.log_n = math.log(ds.n)
         self.size = block_size(max(ds.n_rows, params.size))
         self.margins = np.empty((self.size, ds.n_rows))  # no row is a view of it
         self.steps: list = []
@@ -530,28 +529,11 @@ class _Block:
         self.margins[j] = state.z
         if self.averaged:
             self.sums[j] = total
-        self.steps.append((t, state.log_risk, self.before(j, t, prev), record, best_log, best_t))
+        before = math.inf if prev is None else prev.log_risk
+        if before is None and not (j and self.steps[-1][0] == t - 1):
+            before = _log_sum_exp(prev.a, self.ds.weights)[3] - self.log_n
+        self.steps.append((t, state.log_risk, before, record, best_log, best_t))
         return j + 1 == self.size
-
-    def _deferred_before(self, j: int, t: int, prev: MarginState | None) -> float | None:
-        """The log risk of step t - 1, or None when it is row j - 1 of this
-        block, evaluated at the flush if step t is kept."""
-        if prev is None:
-            return math.inf
-        if j and self.steps[-1][0] == t - 1:
-            return None
-        return _log_sum_exp(prev.a, self.ds.weights)[3] - self.log_n
-
-    def _fill_deferred(self, kept: list, logs: tuple, befores: tuple) -> tuple:
-        """The deferred log risks of the kept rows and of the queued
-        predecessors they compare with, from one MarginState of their
-        margins, whose row j has the bits of the state of step j alone:
-        (logs, befores) with those filled in."""
-        rows = sorted({*kept, *(j - 1 for j in kept if befores[j] is None)})
-        logs = list(logs)
-        for j, log in zip(rows, MarginState(self.margins[rows], self.ds, self.loss).log_risk):
-            logs[j] = log
-        return logs, [logs[j - 1] if v is None else v for j, v in enumerate(befores)]
 
     def flush(self, traj: Trajectory) -> bool:
         """Append the queued rows that are recorded or at a target's first
@@ -581,8 +563,13 @@ class _Block:
         kept = [j for j in range(end) if records[j] or j in passages]
         if not kept:
             return False
-        if self.deferred:
-            logs, befores = self._fill_deferred(kept, logs, befores)
+        missing = sorted({j for j in kept if logs[j] is None}
+                         | {j - 1 for j in kept if befores[j] is None})
+        if missing:  # row j of the stack has the bits of step j's own state
+            logs, filled = list(logs), MarginState(self.margins[missing], self.ds, self.loss)
+            for j, log in zip(missing, filled.log_risk):
+                logs[j] = log
+            befores = [logs[j - 1] if v is None else v for j, v in enumerate(befores)]
         if len(kept) == count:
             def pick(values):
                 return values
@@ -613,23 +600,23 @@ class _Block:
         return stop is not None
 
 
-def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backward, *,
-             name: str = "w", scale: float = 1, averaged: bool = True) -> Trajectory:
+def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, evaluate, backward,
+             *, name: str = "w", scale: float = 1, averaged: bool = True) -> Trajectory:
     """The descent loop of every model.
 
-    forward() returns (cache, z) at the current params; backward(cache,
-    state) returns the gradient, and params -= eta * scale * gradient steps
-    them in place. Every row goes through a _Block, which also binds how a
-    step's state is evaluated: in full (adaptive mode), or deferred
-    (constant mode), its log risk then computed only for the rows the
-    block keeps and their predecessors. Divergence is tested on the state's
-    top, which is +inf or nan exactly when its log risk is (see
-    MarginState). With averaged (the linear model) the rows carry the
-    running average of the iterates and the run honours
-    config.target_log_avg_risk, one target or a tuple; without it they
-    carry the best iterate so far, tracked for them alone, and the caller
-    refuses a target. The module docstring says which calls a step makes,
-    and how a block ends a run at a first passage.
+    forward() returns (cache, z) at the current params; evaluate(z, ds,
+    loss) returns the step's margin state, MarginState or
+    MarginState.deferred as the caller binds it with backward (see the
+    module docstring); backward(cache, state) returns the gradient, and
+    params -= eta * scale * gradient steps them in place. Every row goes
+    through a _Block. Divergence is tested on the state's top, which is
+    +inf or nan exactly when its log risk is (see MarginState). With
+    averaged (the linear model) the rows carry the running average of the
+    iterates and the run honours config.target_log_avg_risk, one target or
+    a tuple; without it they carry the best iterate so far, tracked for
+    them alone, and the caller refuses a target. The module docstring says
+    which calls a step makes, and how a block ends a run at a first
+    passage.
     """
     loss, last, every = config.loss, config.steps, config.record_every
     checks = config.target_log_avg_risk is not None
@@ -638,7 +625,6 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, backwar
     total = params.copy()
     best_log, best_t, prev = math.inf, 0, None
     block = _Block(ds, config, params, name, averaged)
-    evaluate = block.evaluate
     for t in range(last + 1):
         cache, z = forward()
         state = evaluate(z, ds, loss)
@@ -690,11 +676,10 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     row, no diverged_at and no warning, but each went through the gradient.
 
     Each step calls descent.grad_phi (grad_risk in constant mode) as
-    (state, ds, loss), with the iterate's MarginState in the w slot. In
-    constant mode that state is deferred (MarginState.deferred): it holds
-    z, a and max(a), and the log risk of a row, and of the step before it,
-    is computed when the row is built, with the bits one evaluation per
-    step would give.
+    (state, ds, loss), with the iterate's MarginState in the w slot; in
+    constant mode that state is MarginState.deferred, and the log risks the
+    rows need are filled when they are built, with the bits one evaluation
+    per step would give (the module docstring binds the modes).
 
     A diverged run (see the module docstring) stamps diverged_at; run_gd
     does not warn on the overflow that gets there. Adaptive mode diverges
@@ -706,12 +691,14 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     if w.shape != (ds.d,):
         raise ValueError(f"init has shape {w.shape}, dataset needs ({ds.d},)")
     if config.mode == "adaptive":
+        evaluate = MarginState
         backward = lambda _, state: grad_phi(state, ds, loss)  # noqa: E731
     else:
+        evaluate = MarginState.deferred
         backward = lambda _, state: grad_risk(state, ds, loss)  # noqa: E731
     # diverged_at reports an overflow, here and in the dropped steps
     with np.errstate(over="ignore", invalid="ignore"):
-        return _descend(ds, config, w, lambda: (None, ds.margins(w)), backward)
+        return _descend(ds, config, w, lambda: (None, ds.margins(w)), evaluate, backward)
 
 
 def _check_bound_args(gamma: float, eta: float, t: int) -> None:

@@ -258,7 +258,7 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
     loss = config.loss
     work = TwoLayerNet(net.weights.copy(), net.signs, net.activation)
     return _descend(
-        ds, config, work.weights, lambda: _forward_pass(work, ds),
+        ds, config, work.weights, lambda: _forward_pass(work, ds), MarginState,
         lambda slopes, state: _grad_blocks(work, ds, slopes, phi_coefficients(state, ds, loss)),
         name="weights", scale=work.m, averaged=False)
 

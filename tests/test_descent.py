@@ -595,26 +595,47 @@ class TestFusedStep:
         assert len(calls) == cfg.steps
         assert not np.array_equal(faulty.columns["w"][-1], clean.columns["w"][-1])
 
+    @pytest.mark.parametrize("target", [False, True])
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
-    def test_one_log_kernel_call_per_iterate(self, monkeypatch, loss, agg):
+    def test_one_log_kernel_call_per_iterate(self, monkeypatch, loss, agg, target):
         """The risk and the gradient coefficients of an iterate read one
-        margin state, so loss.log_value runs once per iterate, plus once per
-        block of averaged iterates (one 2-D call each)."""
+        margin state, so loss.log_value runs once per iterate computed, plus
+        once per block of averaged iterates (one 2-D call each). With a
+        target the iterates computed include the steps dropped behind the
+        first passage, and a block keeps the passage rows off the record
+        grid without evaluating again the risks their steps left."""
         ds = small_ds()
+        size = descent.block_size(ds.n_rows)
         cfg = GDConfig(loss=loss.with_aggregation(agg), eta=50.0, steps=500, record_every=7)
-        calls = []
-        log_value = LossSpec.log_value
+        if target:
+            full = run_gd(ds, dataclasses.replace(cfg, record_every=1))
+            cfg = dataclasses.replace(cfg, target_log_avg_risk=full.columns["log_avg_risk"][100])
+        calls, grads = [], []
+        log_value, grad = LossSpec.log_value, descent.grad_phi
 
         def counting(self, z):
             calls.append(None)
             return log_value(self, z)
 
+        def counting_grad(*args):
+            grads.append(None)
+            return grad(*args)
+
         monkeypatch.setattr(LossSpec, "log_value", counting)
+        monkeypatch.setattr(descent, "grad_phi", counting_grad)
         traj = run_gd(ds, cfg)
-        blocks = -(-len(traj.columns["t"]) // descent.block_size(ds.n_rows))
+        made, computed = traj.columns["t"][-1], len(grads) + 1
+        if target:
+            assert made < cfg.steps and made % cfg.record_every  # a passage row is kept
+            assert made < computed <= made + size
+            queued = computed  # t = 0 is recorded, t >= 1 is checked
+        else:
+            assert computed == cfg.steps + 1
+            queued = len(traj.columns["t"])
+        blocks = -(-queued // size)
         assert blocks >= 2
-        assert len(calls) == (cfg.steps + 1) + blocks
+        assert len(calls) == computed + blocks
 
 
 def assert_same_run(got, want, case=""):
