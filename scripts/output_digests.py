@@ -13,7 +13,10 @@ pair, so a change may add cases without dropping any of the base's.
 One line per run or file:
 
 - `run_gd` on the 416 configurations of `tests/test_descent.py`
-  (`FUSED_GRID` x `FUSED_DATASETS` x target on/off x `record_every` 1/7);
+  (`FUSED_GRID` x `FUSED_DATASETS` x target on/off x `record_every` 1/7),
+  and on 8 log/sum runs of 300 steps at eta 400 whose margins all pass
+  700 mid-run (the random and the weighted batch-hard set, target on/off,
+  `record_every` 1/7);
 - `run_gd_nn` on the 60 configurations of `tests/test_two_layer.py`'s
   network grid widened to every activation record (leakyrelu and the four
   leaky blends, exp and log, `NN_DATASETS`, `record_every` 1/7), and on
@@ -265,6 +268,21 @@ def gd_lines():
                         case = (f"{spec.name}-{agg} {mode} eta={eta:g} {ds_name} "
                                 f"target={'on' if tgt is not None else 'off'} every={every}")
                         yield f"run_gd {case} {trajectory_digest(traj, GD_COLUMNS, GD_FIELDS)}"
+    # every margin passes 700 mid-run (for good from t = 107 on the random
+    # set, 46 on batch-hard): the coefficients read ln |l'| off the state's
+    # a, with the dataset's weights, under the sum the CLI refuses
+    spec = LOG.with_aggregation("sum")
+    for ds_name in ("random", "batch-hard-weighted"):
+        ds = FUSED_DATASETS[ds_name]()
+        base = GDConfig(loss=spec, eta=400.0, steps=300)
+        target = run_gd(ds, base).columns["log_avg_risk"][200]
+        for tgt in (None, target):
+            for every in (1, 7):
+                traj = run_gd(ds, dataclasses.replace(base, record_every=every,
+                                                      target_log_avg_risk=tgt))
+                case = (f"{spec.name}-sum adaptive eta=400 {ds_name} steps=300 "
+                        f"target={'on' if tgt is not None else 'off'} every={every}")
+                yield f"run_gd {case} {trajectory_digest(traj, GD_COLUMNS, GD_FIELDS)}"
 
 
 def nn_lines():

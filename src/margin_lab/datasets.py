@@ -63,11 +63,34 @@ def row_blocks(n_rows: int, d: int):
     return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
 
 
+def _held(a) -> np.ndarray:
+    """a as a read-only, C-contiguous, aligned float64 array: a read-only
+    view of a when a is already such an array, else one copy of it."""
+    a = np.asarray(a)
+    if a.dtype == np.float64 and a.flags.c_contiguous and a.flags.aligned:
+        held = a.view()
+    else:
+        held = np.array(a, dtype=np.float64, order="C")
+    held.setflags(write=False)
+    return held
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Frozen; n is exact and set at construction (dataclasses.replace too):
     n_rows, or the Python-int sum of the weights, where a nan weight raises ValueError.
-    weights is a read-only copy of the array passed in, so n cannot go stale."""
+    weights is a read-only copy of the array passed in, so n cannot go stale.
+
+    features, labels and w_star are held as read-only, C-contiguous, aligned
+    float64 arrays: an input that is one already is held as a read-only view
+    of it, without a copy (the caller's own array stays writable), and any
+    other input (an F-ordered or strided array, another dtype, a list) is
+    copied once into one. A 1-D pass, margins or signed_sum, is then np.dot
+    of such a matrix and a float64 vector. np.dot and the matmul of @ both
+    hand that product to the same BLAS gemv, so np.dot gives the bits of @
+    without going through the ufunc machinery of matmul. On a strided
+    matrix the two can round differently, which the contract rules out.
+    """
 
     features: np.ndarray  # (R, d)
     labels: np.ndarray  # (R,), values in {-1.0, +1.0}
@@ -78,6 +101,8 @@ class Dataset:
     n: int = field(init=False)
 
     def __post_init__(self):
+        for name in ("features", "labels", "w_star"):
+            object.__setattr__(self, name, _held(getattr(self, name)))
         if self.weights is not None:
             object.__setattr__(self, "weights", self.weights.copy())
             self.weights.setflags(write=False)
@@ -105,7 +130,7 @@ class Dataset:
         w = np.asarray(w, dtype=float)
         if w.ndim == 2:
             return self.labels * np.matmul(self.features, w[:, :, None])[..., 0]
-        return self.labels * (self.features @ w)
+        return self.labels * np.dot(self.features, w)
 
     def signed_sum(self, c: np.ndarray) -> np.ndarray:
         """sum_i c_i y_i x_i over the distinct rows, for per-row
@@ -119,7 +144,7 @@ class Dataset:
         c = c * self.labels
         if c.ndim == 2:
             return np.matmul(c[:, None, :], self.features)[:, 0]
-        return c @ self.features
+        return np.dot(c, self.features)
 
     def min_margin(self, w: np.ndarray) -> float:
         return float(self.margins(w).min())

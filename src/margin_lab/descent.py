@@ -38,16 +38,20 @@ its own backward); constant mode needs no risk to step, so run_gd
 evaluates MarginState.deferred (no log-sum-exp, log_risk None) and steps
 along grad_risk. The linear backward is the module attribute grad_phi or
 grad_risk, looked up at every step. A step makes each numpy call it needs
-once: the margins y * (X @ w) (Dataset.margins, the first pass over the
-data); a = ln l(z) (one loss.log_value call) and the ufunc reduction
-max(a), the top that tells divergence; in adaptive mode also the rest of
-a's log-sum-exp (a - max, exp and the ufunc reduction sum), that the risk
-and the coefficients are read off; the coefficients (e / total for exp,
-the log-space assembly otherwise; in constant mode -exp(a) for exp,
-loss.deriv(z) otherwise) and the gradient pass c y @ X
-(Dataset.signed_sum, the second pass); the update, the running sum and
-one sum of it (a finite sum has every entry finite; only a non-finite one
-takes the exact test). The run is stored as a columnar Trajectory.
+once: the margins y * np.dot(X, w) (Dataset.margins, the first pass over
+the data); a = ln l(z) (one loss.log_value call, whose log loss kernel
+tests the regime past 700 once) and the ufunc reduction max(a), the top
+that tells divergence; in adaptive mode also the rest of a's log-sum-exp
+(a - max, exp and the ufunc reduction sum), that the risk and the
+coefficients are read off; the coefficients (e / total for exp, the
+log-space assembly otherwise, which takes ln |l'(z)| as a itself, with no
+second kernel call, test or negation, once top is below the kind's
+shared_logs_below: every log-loss margin past 700, see phi_coefficients;
+in constant mode -exp(a) for exp, loss.deriv(z) otherwise) and the
+gradient pass np.dot(c y, X) (Dataset.signed_sum, the second pass); the
+update, the running sum and one sum of it (a finite sum has every entry
+finite; only a non-finite one takes the exact test). The run is stored as
+a columnar Trajectory.
 
 Rows reach the trajectory one way, for both models: a step that is
 recorded, or a linear step that checks the target, is queued in a block,
@@ -299,6 +303,15 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     than entering them as ln m_i: a power-of-two m_i scales its row's
     coefficient exactly. ln (-l^{-1})'(u) is taken from u's pair, row by row
     for a stack.
+
+    ln |l'(z)| is the state's own a = ln l(z), with no log_abs_deriv call,
+    when its top is below the kind's shared_logs_below (for a stack, every
+    row's top). For the log loss that is -700, and the test is exact: a
+    margin past 700 has a = -z < -700; any other has a = ln softplus(-min(z,
+    700)), monotone in z and exactly -700.0 at z = 700.0 (log_value(700.0)),
+    so a >= -700. Hence top < -700 exactly when every margin exceeds 700,
+    where ln |l'(z)| is -z to the bit too (losses._all_past_700). A nan
+    margin makes top nan, the comparison false, and log_abs_deriv runs.
     """
     state = z if isinstance(z, MarginState) else MarginState(z, ds, loss)
     if loss.ops.softmax:
@@ -306,11 +319,14 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
         return state.e / state.total
     summed = loss.aggregation == "sum"
     log_u = state.lse if summed else state.log_risk
+    tail = loss.ops.shared_logs_below
     if isinstance(log_u, list):
         lnid = np.array([loss.log_neg_inv_deriv(_exp_or_inf(v), v) for v in log_u])[:, None]
+        shared = (state.top < tail).all()  # every row's top
     else:
         lnid = loss.log_neg_inv_deriv(_exp_or_inf(log_u), log_u)
-    coef = lnid + loss.log_abs_deriv(state.z)
+        shared = state.top < tail
+    coef = lnid + (state.a if shared else loss.log_abs_deriv(state.z))
     coef = np.exp(coef if summed else coef - math.log(ds.n))
     if ds.weights is not None:
         coef = ds.weights * coef

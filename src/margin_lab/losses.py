@@ -152,12 +152,15 @@ class _Kind:
     once -ln u passes 709.78 and poly:k once -ln u / k does, since
     -l^{-1}(u) is itself past the float range there. mpmath(spec, mp) is
     (l, l', -l^{-1}) in the caller's mpmath context. softmax: the phi
-    coefficients are the softmax of ln l(z_i) under either aggregation. The
-    smooth operations refuse here, and hinge keeps the refusals (smooth is
-    False for it).
+    coefficients are the softmax of ln l(z_i) under either aggregation.
+    shared_logs_below: on margins whose largest ln l(z_i) is below it,
+    log_abs_deriv has the bits of log_value (-inf: on none). The smooth
+    operations refuse here, and hinge keeps the refusals (smooth is False
+    for it).
     """
 
     softmax = False
+    shared_logs_below = -math.inf
     inverse = _refusal("inverse")
     neg_inv_deriv = _refusal("neg_inv_deriv")
     log_neg_inv_deriv = _refusal("log_neg_inv_deriv")
@@ -239,6 +242,8 @@ def _all_past_700(z: np.ndarray):
 
 
 class _Log(_Kind):
+    shared_logs_below = -700.0  # every margin past 700 (descent.phi_coefficients)
+
     def value(spec, z):
         return np.logaddexp(0.0, -z)
 

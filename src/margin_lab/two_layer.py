@@ -33,16 +33,20 @@ with A = alpha gamma^2 (t+1), valid for t >= 1.
 
 run_gd_nn runs descent's one descent loop with the network as its model:
 the forward pass is one pair call on X W^T per iterate, giving the margins
-and the slopes the backward pass _grad_blocks reads. Its rows, the weights
-and the best iterate so far, go through descent's block as the linear
-model's do, into a descent.Trajectory.
+and the slopes the backward pass _grad_blocks reads. The output weights
+signs / m and their negated column are computed once per run. Its rows,
+the weights and the best iterate so far, go through descent's block as the
+linear model's do, into a descent.Trajectory.
 
 A TwoLayerNet may hold a (k, m, d) stack of first layers sharing its signs
 and activation: k nets. nn_margins, nn_risk, nn_grad_phi and
 nn_risk_and_grad_phi take such a stack with the same body as one net,
 matmul batching the forward and gradient gemms one net at a time, so
 every net of a stack gets the bits of its call on its own (the descent
-stacks, see descent's docstring). run_gd_nn trains one net.
+stacks, see descent's docstring). nn_risk and nn_risk_and_grad_phi take
+a stack datasets.block_rows(R m) nets at a time (_blocks), so that no
+(nets, R, m) array they hold has more than BLOCK_ELEMENTS floats, unless
+one net's does. run_gd_nn trains one net.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from . import _special
-from .datasets import Dataset
+from .datasets import Dataset, block_rows, row_blocks
 from .descent import (MarginState, RiskValue, Trajectory, _check_bound_args, _descend,
                       phi_coefficients)
 from .losses import LossSpec
@@ -183,17 +187,24 @@ def make_net(d: int, m: int, activation: Activation) -> TwoLayerNet:
     return TwoLayerNet(np.zeros((m, d)), np.where(np.arange(m) % 2 == 0, 1.0, -1.0), activation)
 
 
-def _forward_pass(net: TwoLayerNet, ds: Dataset):
+def _forward_pass(ds: Dataset, hidden_t: np.ndarray, pair, out: np.ndarray):
     """The slopes sigma'(s) at the hidden pre-activations s = X W^T, shape
-    (R, m), and the margins z = y * (sigma(s) @ signs / m), from one pair
-    call: the one pass over the data that the risk, the smallest margin and
-    the gradient share. A stack of k nets gives (k, R, m) and (k, R)."""
-    values, slopes = net.activation.pair(ds.features @ net.weights.swapaxes(-1, -2))
-    return slopes, ds.labels * (values @ (net.signs / net.m))
+    (R, m), and the margins z = y * (sigma(s) @ out), from one pair call:
+    the one pass over the data that the risk, the smallest margin and the
+    gradient share. hidden_t is W^T (W.swapaxes(-1, -2)) and out the output
+    weights signs / m. A stack of k nets gives (k, R, m) and (k, R)."""
+    values, slopes = pair(ds.features @ hidden_t)
+    return slopes, ds.labels * (values @ out)
+
+
+def _net_forward(net: TwoLayerNet, ds: Dataset):
+    """_forward_pass of a net or a stack, and its output weights signs / m."""
+    out = net.signs / net.m
+    return (*_forward_pass(ds, net.weights.swapaxes(-1, -2), net.activation.pair, out), out)
 
 
 def nn_margins(net: TwoLayerNet, ds: Dataset) -> np.ndarray:
-    return _forward_pass(net, ds)[1]
+    return _net_forward(net, ds)[1]
 
 
 def _check_nn_loss(loss: LossSpec):
@@ -203,26 +214,48 @@ def _check_nn_loss(loss: LossSpec):
         raise ValueError(f"network training supports mean aggregation only, got {loss.name}")
 
 
+def _blocks(net: TwoLayerNet, ds: Dataset):
+    """The nets of a (k, m, d) stack in blocks of datasets.block_rows(R m)
+    nets, each block a TwoLayerNet, or None for one net and for a stack
+    that fits in one block. nn_risk and nn_risk_and_grad_phi take a longer
+    stack a block at a time, as descent._blocks does, so that each (nets,
+    R, m) array they hold has at most BLOCK_ELEMENTS floats (one net's, if
+    one net's is larger); each net keeps the bits of its solo call."""
+    size = ds.n_rows * net.m
+    if net.weights.ndim == 2 or len(net.weights) <= block_rows(size):
+        return None
+    return (TwoLayerNet(net.weights[rows], net.signs, net.activation)
+            for rows in row_blocks(len(net.weights), size))
+
+
 def nn_risk(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> RiskValue | list:
     """Weighted mean loss of the net, a RiskValue; a list of one per net
     for a stack."""
     _check_nn_loss(loss)
+    blocks = _blocks(net, ds)
+    if blocks is not None:
+        return [r for nets in blocks for r in nn_risk(nets, ds, loss)]
     return MarginState(nn_margins(net, ds), ds, loss).risk
 
 
-def _grad_blocks(net: TwoLayerNet, ds: Dataset, slopes, coef) -> np.ndarray:
+def _grad_blocks(ds: Dataset, slopes, coef, scale: np.ndarray) -> np.ndarray:
     """d phi / d w_j from the forward pass's slopes, (R, m) or (k, R, m),
-    and the phi coefficients coef."""
+    the phi coefficients coef and the column scale = -(signs / m)[:, None]."""
     grad = (slopes * (coef * ds.labels)[..., None]).swapaxes(-1, -2) @ ds.features
-    return -(net.signs / net.m)[:, None] * grad
+    return scale * grad
 
 
 def nn_risk_and_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> tuple:
     """(nn_risk, nn_grad_phi) of the net from one forward pass."""
     _check_nn_loss(loss)
-    slopes, z = _forward_pass(net, ds)
+    blocks = _blocks(net, ds)
+    if blocks is not None:
+        parts = [nn_risk_and_grad_phi(nets, ds, loss) for nets in blocks]
+        return ([r for risks, _ in parts for r in risks],
+                np.concatenate([grads for _, grads in parts]))
+    slopes, z, out = _net_forward(net, ds)
     state = MarginState(z, ds, loss)
-    return state.risk, _grad_blocks(net, ds, slopes, phi_coefficients(state, ds, loss))
+    return state.risk, _grad_blocks(ds, slopes, phi_coefficients(state, ds, loss), -out[:, None])
 
 
 def nn_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> np.ndarray:
@@ -242,8 +275,10 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
     weights and the running best (minimum) log-risk, which the guarantee
     controls. The loop is descent's: each iterate makes one forward pass
     X W^T with one pair call, from which its risk, smallest margin and
-    gradient are all read, and _grad_blocks makes one gradient pass. Rows
-    are made B = descent.block_size(max(R, m d)) recorded steps at a time.
+    gradient are all read, and _grad_blocks makes one gradient pass. The
+    output weights signs / m, their negated column and the view W^T of the
+    weights stepped in place are bound once per run. Rows are made B =
+    descent.block_size(max(R, m d)) recorded steps at a time.
     """
     _check_nn_loss(config.loss)
     if net.weights.ndim != 2:
@@ -255,12 +290,14 @@ def run_gd_nn(ds: Dataset, net: TwoLayerNet, config) -> Trajectory:
             raise ValueError(f"network training does not use GDConfig.{field_name}; leave it None")
     if net.d != ds.d:
         raise ValueError(f"net dimension {net.d} does not match dataset {ds.d}")
-    loss = config.loss
-    work = TwoLayerNet(net.weights.copy(), net.signs, net.activation)
+    loss, pair = config.loss, net.activation.pair
+    weights = net.weights.copy()
+    hidden_t, out = weights.T, net.signs / net.m
+    scale = -out[:, None]
     return _descend(
-        ds, config, work.weights, lambda: _forward_pass(work, ds), MarginState,
-        lambda slopes, state: _grad_blocks(work, ds, slopes, phi_coefficients(state, ds, loss)),
-        name="weights", scale=work.m, averaged=False)
+        ds, config, weights, lambda: _forward_pass(ds, hidden_t, pair, out), MarginState,
+        lambda slopes, state: _grad_blocks(ds, slopes, phi_coefficients(state, ds, loss), scale),
+        name="weights", scale=net.m, averaged=False)
 
 
 def network_min_risk_log_bound(

@@ -155,27 +155,16 @@ def make_report(
     )
 
 
-def _hash_array(h, a: np.ndarray) -> None:
-    """Feed h the bytes of a.tobytes(): a C-contiguous array's own buffer, or
-    C-ordered copies of one row block at a time."""
-    if a.flags.c_contiguous:
-        h.update(memoryview(a))
-        return
-    rows = a.reshape(len(a), -1)
-    for part in row_blocks(*rows.shape):
-        h.update(np.ascontiguousarray(rows[part]))
-
-
 def dataset_fingerprint(ds: Dataset) -> dict:
     """Small reproducibility stamp: shape, margin, and a content hash.
 
     The hash is sha256 over the tobytes() of the features, labels, w_star
-    and weights, taken without those copies: beyond the dataset it holds at
-    most one row block (datasets.row_blocks) of a non-C-ordered array."""
+    and weights, taken from the arrays' own buffers without those copies:
+    a Dataset holds each of them C-contiguous."""
     h = hashlib.sha256()
     for a in (ds.features, ds.labels, ds.w_star, ds.weights):
         if a is not None:
-            _hash_array(h, a)
+            h.update(memoryview(a))
     info = {
         "n": ds.n,
         "rows": ds.n_rows,

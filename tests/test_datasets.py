@@ -403,6 +403,65 @@ class TestExactN:
             dataclasses.replace(ds, weights=weights)
 
 
+GENERATORS = {
+    "random": lambda: gen_random_separable(10, 101, 0.1, seed=3),
+    "two-point": lambda: gen_two_point(0.05),
+    "batch-hard": lambda: gen_batch_hard(0.1, 64),
+    "batch-hard-weighted": lambda: gen_batch_hard(0.1, 64, weighted=True),
+    "online-hard": lambda: gen_online_hard(0.2, 30),
+    "chain-hard": lambda: gen_chain_hard(0.05, 40),
+}
+
+
+class TestHeldArrays:
+    """features, labels and w_star are held read-only, C-contiguous and
+    float64: a view of an input that is so already, one copy of any other."""
+
+    @pytest.mark.parametrize("name", ["features", "labels", "w_star"])
+    def test_writes_raise(self, name):
+        ds = gen_random_separable(5, 20, 0.2, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[...] *= 2.0
+
+    def test_a_c_contiguous_float64_input_is_not_copied(self):
+        x, y, w = np.eye(3)[:, :2].copy(), np.ones(3), np.array([1.0, 0.0])
+        ds = Dataset(x, y, 0.5, w)
+        for given, held in ((x, ds.features), (y, ds.labels), (w, ds.w_star)):
+            assert np.shares_memory(given, held)
+            assert given.flags.writeable and not held.flags.writeable
+        again = dataclasses.replace(ds, gamma=0.25)
+        assert np.shares_memory(again.features, x)
+
+    @pytest.mark.parametrize("layout", ["F", "strided", "float32"])
+    def test_any_other_input_is_copied_once(self, layout):
+        ds = gen_random_separable(200, 2000, 0.1, seed=1)
+        given = {"F": lambda: np.asfortranarray(ds.features),
+                 "strided": lambda: np.repeat(ds.features, 2, axis=0)[::2],
+                 "float32": lambda: ds.features.astype(np.float32)}[layout]()
+        made = []
+        peak = _traced_peak(lambda: made.append(dataclasses.replace(ds, features=given)))
+        held = made[0].features
+        assert not np.shares_memory(held, given)
+        assert held.flags.c_contiguous and held.dtype == np.float64
+        assert not held.flags.writeable
+        assert ds.features.nbytes <= peak <= 1.1 * ds.features.nbytes  # one copy
+        if layout != "float32":  # the same values, so the same outputs
+            assert held.tobytes() == ds.features.tobytes()
+            w = np.random.default_rng(1).standard_normal(ds.d)
+            assert made[0].margins(w).tobytes() == ds.margins(w).tobytes()
+
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    def test_the_one_vector_passes_equal_matmul(self, name):
+        ds = GENERATORS[name]()
+        rng = np.random.default_rng(7)
+        for w in (rng.standard_normal(ds.d), ds.w_star, np.zeros(ds.d)):
+            assert ds.margins(w).tobytes() == (ds.labels * (ds.features @ w)).tobytes()
+        for c in (rng.standard_normal(ds.n_rows), rng.random(ds.n_rows)):
+            assert ds.signed_sum(c).tobytes() == ((c * ds.labels) @ ds.features).tobytes()
+
+
 class TestRowBlocks:
     """The passes over a whole feature matrix work in blocks of
     block_rows(d) = max(1, BLOCK_ELEMENTS // d) rows."""

@@ -1081,6 +1081,126 @@ class TestSeparatedLog:
         assert len(calls) == cfg.steps
 
 
+def _margins_from(low, n_rows):
+    """n_rows margins falling from low + 50 to low: the first is not the
+    smallest."""
+    return low + np.linspace(50.0, 0.0, n_rows)
+
+
+REGIME_LOWS = {"700": 700.0, "above-700": np.nextafter(700.0, np.inf),
+               "below-700": np.nextafter(700.0, -np.inf)}
+
+
+class TestSharedRegime:
+    """phi_coefficients reads ln |l'| off the state's a = ln l(z) when the
+    state's top is below -700, every margin past 700, and calls
+    log_abs_deriv otherwise. Either way its coefficients, and grad_phi,
+    have the bytes of the unbranched log_abs_deriv (scipy's log_expit)."""
+
+    DATASETS = {
+        "random": lambda: gen_random_separable(10, 100, 0.1, seed=3),
+        "random-weighted": lambda: _weighted(gen_random_separable(10, 101, 0.1, seed=2)),
+        "batch-hard-weighted": lambda: gen_batch_hard(0.1, 64, weighted=True),
+    }
+
+    @staticmethod
+    def coefficients_and_grad(z, ds, loss):
+        """phi_coefficients and grad_phi at margins z, and the number of
+        log_abs_deriv calls they made."""
+        calls, log_abs_deriv = [], LossSpec.log_abs_deriv
+
+        def counting(self, margins):
+            calls.append(None)
+            return log_abs_deriv(self, margins)
+
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            mp.setattr(LossSpec, "log_abs_deriv", counting)
+            coef = phi_coefficients(z, ds, loss)
+            grad = grad_phi(descent.MarginState(z, ds, loss), ds, loss)
+        return coef, grad, len(calls)
+
+    @staticmethod
+    def oracle(z, ds, loss):
+        """The same with the unbranched kernels and no shared route."""
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            unbranched_log_kernels(mp)
+            mp.setattr(losses._Log, "shared_logs_below", -math.inf)
+            return (phi_coefficients(z, ds, loss),
+                    grad_phi(descent.MarginState(z, ds, loss), ds, loss))
+
+    def assert_oracle_bytes(self, z, ds, loss, shared):
+        coef, grad, calls = self.coefficients_and_grad(z, ds, loss)
+        want_coef, want_grad = self.oracle(z, ds, loss)
+        assert coef.tobytes() == want_coef.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert calls == (0 if shared else 2)  # one per call of phi_coefficients
+
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("low", list(REGIME_LOWS))
+    @pytest.mark.parametrize("name", list(DATASETS))
+    def test_the_smallest_margin_at_700(self, name, low, agg):
+        ds = self.DATASETS[name]()
+        z = _margins_from(REGIME_LOWS[low], ds.n_rows)
+        assert z.min() == REGIME_LOWS[low] and z[0] != z.min()
+        assert bool(LOG.log_value(z).max() < -700.0) is (low == "above-700")
+        self.assert_oracle_bytes(z, ds, LOG.with_aggregation(agg), shared=low == "above-700")
+
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("name", list(DATASETS))
+    def test_a_nan_margin_takes_the_kernel(self, name, agg):
+        ds = self.DATASETS[name]()
+        for at in (0, ds.n_rows - 1):
+            z = _margins_from(800.0, ds.n_rows)
+            z[at] = math.nan
+            self.assert_oracle_bytes(z, ds, LOG.with_aggregation(agg), shared=False)
+
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("name", list(DATASETS))
+    def test_a_stack_shares_only_when_every_row_does(self, name, agg):
+        """Rows past 700 around one at or below it: the whole stack takes
+        the kernel; without that row it takes a. Each row has the bytes of
+        its solo call."""
+        ds, loss = self.DATASETS[name](), LOG.with_aggregation(agg)
+        above = [_margins_from(low, ds.n_rows)
+                 for low in (np.nextafter(700.0, np.inf), 701.0, 2000.0)]
+        for low in (700.0, np.nextafter(700.0, -np.inf), 3.0):
+            z = np.stack([above[0], _margins_from(low, ds.n_rows), *above[1:]])
+            self.assert_oracle_bytes(z, ds, loss, shared=False)
+        z = np.stack(above)
+        self.assert_oracle_bytes(z, ds, loss, shared=True)
+        coef, grad, _ = self.coefficients_and_grad(z, ds, loss)
+        for j, row in enumerate(z):
+            solo_coef, solo_grad, calls = self.coefficients_and_grad(row, ds, loss)
+            assert calls == 0
+            assert coef[j].tobytes() == solo_coef.tobytes()
+            assert grad[j].tobytes() == solo_grad.tobytes()
+
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    def test_a_run_tests_the_regime_once_per_iterate_past_it(self, monkeypatch, agg):
+        """A run whose margins all pass 700 mid-run makes one _all_past_700
+        call per iterate past the regime (log_value's), two per iterate
+        before it (log_value's and log_abs_deriv's) and one per block of
+        averaged iterates (log_value on the stack)."""
+        ds = gen_batch_hard(0.1, 64, weighted=True)
+        cfg = GDConfig(loss=LOG.with_aggregation(agg), eta=400.0, steps=300)
+        calls, past = [], losses._all_past_700
+
+        def counting(z):
+            calls.append((z.ndim, bool(z.size) and bool(z.min() > 700.0)))
+            return past(z)
+
+        monkeypatch.setattr(losses, "_all_past_700", counting)
+        traj = run_gd(ds, cfg)
+        inside = int((traj.column("min_margin") > 700.0).sum())
+        outside = cfg.steps + 1 - inside
+        assert inside > 100 and outside > 10
+        assert traj.column("min_margin")[-1] > 700.0
+        blocks = -(-(cfg.steps + 1) // descent.block_size(ds.n_rows))
+        assert calls.count((1, True)) == inside
+        assert calls.count((1, False)) == 2 * outside
+        assert sum(ndim == 2 for ndim, _ in calls) == blocks
+
+
 def _weighted(ds, seed=0):
     """ds with integer multiplicities 1..8 on its rows."""
     weights = np.random.default_rng(seed).integers(1, 9, ds.n_rows).astype(float)

@@ -4,11 +4,12 @@ import dataclasses
 import inspect
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from margin_lab import two_layer
+from margin_lab import losses, two_layer
 from margin_lab.datasets import (Dataset, gen_batch_hard, gen_random_separable,
                                  mean_signed_feature)
 from margin_lab.descent import GDConfig, Trajectory, phi_from_risk, run_gd
@@ -363,6 +364,33 @@ class TestSeparatedLog:
         assert_same_columns(got, run_gd_nn(ds, net, cfg))
 
 
+class TestSharedRegime:
+    @pytest.mark.parametrize("act", ["leakyrelu:0.5", "leaky-gelu:0.9"])
+    def test_a_run_tests_the_regime_once_per_iterate_past_it(self, monkeypatch, act):
+        """A run whose margins all pass 700 mid-run makes one _all_past_700
+        call per iterate past the regime (log_value's) and two per iterate
+        before it (log_value's and log_abs_deriv's); its rows evaluate no
+        averaged iterate."""
+        ds = gen_random_separable(10, 100, 0.2, seed=0)
+        net = make_net(ds.d, 4, parse_activation(act))
+        cfg = GDConfig(loss=LOG, eta=400.0, steps=200)
+        calls, past = [], losses._all_past_700
+
+        def counting(z):
+            calls.append((z.ndim, bool(z.size) and bool(z.min() > 700.0)))
+            return past(z)
+
+        monkeypatch.setattr(losses, "_all_past_700", counting)
+        traj = run_gd_nn(ds, net, cfg)
+        margins = traj.column("min_margin")
+        inside = int((margins > 700.0).sum())
+        outside = cfg.steps + 1 - inside
+        assert inside > 20 and outside > 20 and margins[-1] > 700.0
+        assert calls.count((1, True)) == inside
+        assert calls.count((1, False)) == 2 * outside
+        assert len(calls) == inside + 2 * outside
+
+
 STACK_ACTIVATIONS = ["leakyrelu:0.5"] + [f"leaky-{b}:0.8" for b in
                                           ("gelu", "softplus", "silu", "relu-variant")]
 
@@ -393,6 +421,49 @@ class TestStacks:
                     assert (got.value, got.log_value) == (r.value, r.log_value), (ds_name, j)
                 assert margins[j].tobytes() == nn_margins(net, ds).tobytes(), (ds_name, j)
                 assert grads[j].tobytes() == nn_grad_phi(net, ds, loss).tobytes(), (ds_name, j)
+
+    @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
+    def test_a_stack_over_several_blocks_keeps_its_solo_bits(self, loss):
+        """20 000 rows and width 4 take a stack block_rows(80 000) = 1 net
+        at a time."""
+        ds = gen_random_separable(10, 20_000, 0.1, seed=5)
+        activation = leaky_relu(0.5)
+        signs = make_net(ds.d, 4, activation).signs
+        rng = np.random.default_rng(5)
+        weights = rng.standard_normal((3, 4, ds.d)) * 10.0 ** rng.uniform(-1.5, 1.5, (3, 1, 1))
+        risks, grads = nn_risk_and_grad_phi(TwoLayerNet(weights, signs, activation), ds, loss)
+        alone = nn_risk(TwoLayerNet(weights, signs, activation), ds, loss)
+        assert grads.shape == weights.shape and len(risks) == len(alone) == 3
+        for j, w in enumerate(weights):
+            net = TwoLayerNet(w, signs, activation)
+            r = nn_risk(net, ds, loss)
+            for got in (risks[j], alone[j]):
+                assert (got.value, got.log_value) == (r.value, r.log_value), j
+            assert grads[j].tobytes() == nn_grad_phi(net, ds, loss).tobytes(), j
+
+    def test_a_long_stack_peaks_at_a_block(self):
+        """200 nets of width 4 over 4000 rows go block_rows(16 000) = 4
+        nets at a time, so their pre-activations and slopes hold 64 000
+        floats each, where one (200, 4000, 4) array would hold 3.2 million
+        (25.6 MB)."""
+        ds = gen_random_separable(10, 4000, 0.1, seed=6)
+        activation = leaky_relu(0.5)
+        signs = make_net(ds.d, 4, activation).signs
+        weights = np.random.default_rng(6).standard_normal((200, 4, ds.d))
+        nets = TwoLayerNet(weights, signs, activation)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            risks, grads = nn_risk_and_grad_phi(nets, ds, LOG)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert [r.log_value for r in risks] == [r.log_value for r in nn_risk(nets, ds, LOG)]
+        for j in (0, 3, 4, 199):  # both ends of the first two blocks, and the last net
+            solo = nn_risk_and_grad_phi(TwoLayerNet(weights[j], signs, activation), ds, LOG)
+            assert risks[j].log_value == solo[0].log_value
+            assert grads[j].tobytes() == solo[1].tobytes()
 
     def test_run_gd_nn_refuses_a_stack(self):
         ds = gen_random_separable(10, 100, 0.1, seed=3)

@@ -104,8 +104,8 @@ class TestFingerprint:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_hash_is_sha256_of_the_tobytes_copies(self, order, weighted):
-        """Three row blocks of d = 20 for the plain set, so an F-ordered one
-        is hashed a block at a time."""
+        """A Dataset holds an F-ordered input as one C-ordered copy, so
+        every array is hashed from its own buffer."""
         ds = (gen_batch_hard(0.05, 2**20, weighted=True) if weighted
               else gen_random_separable(20, 7000, 0.1, seed=0))
         ds = dataclasses.replace(ds, features=np.asarray(ds.features, order=order))
