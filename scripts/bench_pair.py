@@ -79,11 +79,13 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   adaptive eta = 400, 5000 steps. The keys keep their names, so
   `BENCH_step_overhead.json` stays comparable.
 - `constant-step`: microseconds per step (the fastest of 9 runs, over the
-  20 000 steps it makes) of `margin-lab bench`'s constant cell as bench
+  steps the run reports) of `margin-lab bench`'s constant cell as bench
   makes it, on `gen_random_separable(10, 100, 0.1, seed=0)`: exp loss at
   constant eta = 1, the targets ln 1e-2, ln 1e-6 and ln 1e-12, none of
-  which it reaches, and `record_every = 20 000`; and the same run
-  recording every step.
+  which it reaches in its 20 000 steps, and `record_every = 20 000`; the
+  same run recording every step; and bench's small-adaptive cell as bench
+  makes it, the first run at adaptive eta = 1, which stops at ln 1e-12's
+  first passage, t = 5007.
 - `cold-log-run`: a cold `margin-lab run` of log loss at adaptive
   eta = 400, 50 steps, on `random:d=10,n=100,gamma=0.1`, through `cli.main`
   in a fresh interpreter: the seconds from before `import margin_lab.cli`
@@ -346,15 +348,18 @@ ds = gen_random_separable(10, 100, 0.1, seed=0)
 bench = dict(loss=EXP, eta=1.0, steps=20_000, mode="constant",
              target_log_avg_risk=tuple(math.log(eps) for eps in (1e-2, 1e-6, 1e-12)))
 runs = {"bench exp constant": GDConfig(record_every=20_000, **bench),
-        "bench exp constant recorded": GDConfig(record_every=1, **bench)}
+        "bench exp constant recorded": GDConfig(record_every=1, **bench),
+        "bench exp small-adaptive": GDConfig(record_every=20_000,
+                                             **dict(bench, mode="adaptive"))}
 """
 
 CONSTANT_STEP_CHILD = CONSTANT_STEP_RUNS + FASTEST + """
 import json
 out = {}
 for name, cfg in runs.items():
-    out[f"{name} us_per_step"], traj = fastest_us_per_step(lambda: run_gd(ds, cfg), cfg.steps)
-    out[f"{name} steps"] = traj.columns["t"][-1]
+    steps = run_gd(ds, cfg).columns["t"][-1]
+    out[f"{name} us_per_step"], _ = fastest_us_per_step(lambda: run_gd(ds, cfg), steps)
+    out[f"{name} steps"] = steps
 print(json.dumps(out))
 """
 

@@ -16,7 +16,11 @@ One line per run or file:
   (`FUSED_GRID` x `FUSED_DATASETS` x target on/off x `record_every` 1/7),
   and on 8 log/sum runs of 300 steps at eta 400 whose margins all pass
   700 mid-run (the random and the weighted batch-hard set, target on/off,
-  `record_every` 1/7);
+  `record_every` 1/7), and on 48 runs of 300 steps whose one target sits
+  at row 250's `log_avg_risk` or one ulp either side, where the convexity
+  screen must not clear the passage (exp and log, constant and adaptive
+  at eta 1, the random and the weighted batch-hard set, `record_every` 7
+  and 300);
 - `run_gd_nn` on the 60 configurations of `tests/test_two_layer.py`'s
   network grid widened to every activation record (leakyrelu and the four
   leaky blends, exp and log, `NN_DATASETS`, `record_every` 1/7), and on
@@ -44,8 +48,8 @@ One line per run or file:
   and `bench` (`bench.csv` without its `wall_time` column; the defaults,
   and five grids that pin its first passages: four epsilons per run with
   one that constant GD misses, unsorted and repeated epsilons, a diverging
-  run, `max_steps = 1`, and three log-loss passages inside one 64-step
-  block), `gen` for all
+  run, `max_steps = 1`, three log-loss passages inside one 64-step block,
+  and the defaults with `loss = log` over all four methods), `gen` for all
   six dataset sources (`file:` on a saved file, a saved weighted file and a
   copy of the first with CRLF line ends, comment lines and blank lines) and
   `perceptron` for the cyclic, `random:<seed>` and `file:` orders, on seeds
@@ -63,6 +67,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import sys
@@ -174,6 +179,8 @@ CLI_CONFIGS = {
     "bench-log-one-block": ("bench", ["loss = log", "methods = constant",
                                       "epsilons = 0.6,0.59,0.58,0.5", "eta_constant = 3",
                                       "max_steps = 500"]),
+    "bench-log-all-methods": ("bench", ["loss = log", "methods = constant,small-adaptive,"
+                                        "large-adaptive,perceptron"]),
     "gen-random": ("gen", ["dataset = random:d=6,n=40,gamma=0.15"]),
     "gen-random-seeded": ("gen", ["dataset = random:d=3,n=9,gamma=0.3,seed=7"]),
     "gen-two-point": ("gen", ["dataset = two-point:gamma=0.05"]),
@@ -283,6 +290,21 @@ def gd_lines():
                 case = (f"{spec.name}-sum adaptive eta=400 {ds_name} steps=300 "
                         f"target={'on' if tgt is not None else 'off'} every={every}")
                 yield f"run_gd {case} {trajectory_digest(traj, GD_COLUMNS, GD_FIELDS)}"
+    # a target at a late row's own value and one ulp either side
+    for ds_name in ("random", "batch-hard-weighted"):
+        ds = FUSED_DATASETS[ds_name]()
+        for loss in (EXP, LOG):
+            for mode in ("constant", "adaptive"):
+                base = GDConfig(loss=loss, eta=1.0, steps=300, mode=mode)
+                late = run_gd(ds, base).columns["log_avg_risk"][250]
+                for ulps, tgt in zip((-1, 0, 1), (math.nextafter(late, -math.inf), late,
+                                                  math.nextafter(late, math.inf))):
+                    for every in (7, 300):
+                        traj = run_gd(ds, dataclasses.replace(base, record_every=every,
+                                                              target_log_avg_risk=tgt))
+                        case = (f"{loss.name} {mode} eta=1 {ds_name} steps=300 "
+                                f"target=row250{ulps:+d}ulp every={every}")
+                        yield f"run_gd {case} {trajectory_digest(traj, GD_COLUMNS, GD_FIELDS)}"
 
 
 def nn_lines():

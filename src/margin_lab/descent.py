@@ -54,10 +54,11 @@ finite; only a non-finite one takes the exact test). The run is stored as
 a columnar Trajectory.
 
 Rows reach the trajectory one way, for both models: a step that is
-recorded, or a linear step that checks the target, is queued in a block,
-its iterate, margins and (linear) running sum copied into (B,
-*params.shape), (B, R) and (B, d) arrays; the first push of a block
-allocates the two that its rows are views of. A block holds B =
+recorded, or a linear step that checks the targets and that the convexity
+screen does not clear, is queued in a block, its iterate, margins and
+(linear) running sum copied into (B, *params.shape), (B, R) and (B, d)
+arrays; the first push of a block allocates the two that its rows are
+views of. A block holds B =
 block_size(max(n_rows, params.size)) steps (64 at 100 rows and d = 10, 6
 at 10 000 rows, 1 at d = 10**6), and is flushed when full and when the
 run ends: one exact min(axis=1) gives every smallest margin, and the rows
@@ -83,16 +84,76 @@ is missing. So an adaptive step's risk is computed once, at the step, and
 a constant run computes only the risks of the rows it keeps and of the
 steps before them.
 
-With a target, or several, every linear step t >= 1 is queued, and the
-flush keeps, besides the recorded rows, the row of each target's first
-passage: one pass over the block's averaged log risks, against the targets
-not yet passed, sorted once per run (a log risk at or below a target is at
-or below every higher one, so the higher targets pass first and several
-may pass in one block). The loop runs to the end of the block that holds
-the lowest target's first passage, keeps the rows up to it and drops the
-up to B - 1 steps behind it, with a diverged_at they may have stamped. A
-dropped step still went through grad_phi, so a stand-in for it sees those
-steps too; run_gd keeps overflow quiet, so they leave no warning either.
+With a target, or several, every linear step t >= 1 is checked: queued
+unless the convexity screen below clears it, and the flush keeps, besides
+the recorded rows, the row of each target's first passage: one pass over
+the block's averaged log risks, against the targets not yet passed, sorted
+once per run (a log risk at or below a target is at or below every higher
+one, so the higher targets pass first and several may pass in one block).
+The loop runs to the end of the block that holds the lowest target's
+first passage, keeps the rows up to it and drops the up to B - 1 steps
+behind it, with a diverged_at they may have stamped. A dropped step still
+went through grad_phi, so a stand-in for it sees those steps too; run_gd
+keeps overflow quiet, so they leave no warning either.
+
+The convexity screen. The risk L is convex in w, so one evaluated averaged
+row bounds every later averaged log risk from below. A linear run with
+targets of a kind whose record has unit_log_slopes (exp and log: |d ln
+l/dz| <= 1 and |d ln |l'|/dz| <= 1, hence |l'| <= l; poly, semicircle and
+hinge are not screened) keeps a reference after each flush that leaves
+targets pending, at the block's last averaged row v_s: its computed log
+risk f_s and g = grad L(v_s) / L(v_s) = -sum_i p_i y_i x_i, p_i = m_i
+|l'(z_i)| / sum_j m_j l(z_j), from one signed_sum of one coefficient row
+(e / total for exp; m_i exp(ln |l'(z_i)| - lse) for log, on numpy alone).
+A checked step t that is not recorded, met while the block is empty, is
+not queued when
+
+    |S_t|^2 <= (c (t + 1))^2 / 2   and   <g, S_t> / (t + 1) - <g, v_s> - slack > least,
+
+S_t the running sum, c = 4 |v_s| + 4, least >= expm1(T - f_s + budget)
+and T the highest pending target. One gemv of the (2, d) pair whose first
+row is g and whose second is the running sum itself gives <g, S_t> and
+|S_t|^2. Every other step is queued and flushed as before, so a block
+still holds consecutive steps from the first one the screen cannot clear,
+and a run still stops fewer than B steps past its passage.
+
+Why a cleared step t is no passage: the flush computes the log risk f'_t
+of v_t = fl(S_t / (t + 1)), and f'_t > T is to be shown. Let u = 2^-53,
+gamma_k = k u / (1 - k u), F = ln L, rho the largest row norm (rounded
+up, from one stack of row dots at the start of a screened run), R the
+rows, and take exp, log, log1p and expm1 within 1 ulp, sqrt correctly
+rounded, and the standard bound gamma_k sum |a_i b_i| on a k-term dot or
+sum in any order.
+1. Convexity: L(v_t) >= L(v_s) + <grad L(v_s), v_t - v_s> = L(v_s) (1 + q),
+   q = <g, v_t - v_s>; so F(v_t) >= F(v_s) + log1p(q) when q > -1.
+2. The flush's rounding: |f'(v) - F(v)| <= eps(v) = u ((d + 6) Z + R
+   + 6 ln n + 14), Z = rho |v|. The margins are off by gamma_d Z, and
+   with slope at most 1 each ln l(z_i) and the log-sum-exp move no more
+   (d Z); the log kernel adds 2 Z + 7 (|ln l(z_i)| <= Z + 1; exp adds
+   nothing); the shifted exponentials and their sum 2 Z + R + 5 in
+   relative terms (argument, exp, weight, underflow, R - 1 additions),
+   ln total 2 ln n, top + ln total Z + 1 + ln n, and ln n's rounding and
+   the subtraction Z + 1 + 3 ln n.
+3. g's rounding: the computed g is within rho eta_g of g, eta_g = u ((2 d
+   + 12) Z_s + 2 R + 4 ln n + 24), Z_s = rho |v_s|: each p_i is off by
+   (2 d + 12) Z_s + R + 24 + 4 ln n in relative terms (the margins move ln
+   |l'(z_i)| and the log-sum-exp by d Z_s each, the kernels, the
+   log-sum-exp, the subtraction, exp, the weight and underflow the rest),
+   sum_i p_i <= 1 since |l'| <= l, and signed_sum adds gamma_R.
+4. The dots: with |v_t| <= N and |v_s| <= a, the computed <g, S_t> / (t +
+   1) - <g, v_s> is within rho (N + a) (eta_g + (d + 3) u) of q (g's error,
+   gamma_d on each dot, and the division, the rounding of v_t and the
+   subtraction).
+5. The budgets: slack = 2 rho (eta_g + (d + 4) u) (c + a) and budget =
+   eps(v_s) + eps(v_t) + 8 u (|f_s| + |T| + 1), each first-order constant
+   doubled and taken at |v_t| <= c, which the norm test gives; least is
+   expm1's result raised by 4 u of itself. While every part stays below
+   2^-21 (the screen keeps no reference otherwise), the doubling covers the
+   second-order remainders and the few roundings of the screen's own
+   scalar arithmetic.
+So the computed left side x of the test lies at or below q, and x > least
+gives q > -1 and log1p(q) > T - f_s + budget; by 1 and 2, f'_t >= F(v_t) -
+eps(v_t) >= f'_s - eps(v_s) + log1p(q) - eps(v_t) > T.
 
 Stacks. risk, phi, phi_coefficients, grad_phi and grad_risk take a (k, d)
 stack of parameter vectors as well as one vector, and MarginState the
@@ -488,6 +549,8 @@ class _Points(Sequence):
 
 
 _BLOCK_MAX = 64
+_U = 2.0**-53  # the unit roundoff of float64
+_SCREEN_LIMIT = 2.0**-21  # the largest budget part the screen's first-order bounds take
 
 
 def block_size(row: int) -> int:
@@ -514,7 +577,10 @@ class _Block:
     target it passed), fills the missing log risks the kept rows need,
     then extends the trajectory's columns by the rows that are kept: the
     recorded ones and the passages. Those rows are views of the block's
-    iterate and average arrays, so the next block takes new ones.
+    iterate and average arrays, so the next block takes new ones. In a
+    screened run (the convexity screen of the module docstring) a flush
+    that leaves targets pending keeps its last averaged row as the basis of
+    the next reference, which clears builds at its first call.
     """
 
     def __init__(self, ds: Dataset, config: GDConfig, params: np.ndarray, name: str,
@@ -532,6 +598,73 @@ class _Block:
         self.size = block_size(max(ds.n_rows, params.size))
         self.margins = np.empty((self.size, ds.n_rows))  # no row is a view of it
         self.steps: list = []
+        # the convexity screen (module docstring), with its per-run budgets
+        self.screens = averaged and bool(self.pending) and self.loss.ops.unit_log_slopes
+        self.basis = self.reference = None
+        if self.screens:
+            d, x = ds.d, ds.features
+            self.pair = np.zeros((2, d))
+            self.norm_up = 1.0 + (d + 4) * _U
+            # |x_i|^2 as a stack of one-row dots (einsum raised bench's peak RSS 0.3 MB)
+            square = np.matmul(x[:, None, :], x[:, :, None]).max()
+            self.row_norm = math.sqrt(float(square)) * self.norm_up
+            self.eps0 = 2.0 * _U * (ds.n_rows + 6.0 * self.log_n + 14.0)
+            self.eps1 = 2.0 * _U * (d + 6) * self.row_norm
+
+    def running_sum(self, params: np.ndarray) -> np.ndarray:
+        """A copy of params, the running sum the loop adds each iterate to;
+        for a screened run, the second row of the (2, d) pair whose first
+        row is the reference's g, so that one gemv gives <g, S_t> and
+        |S_t|^2."""
+        if not self.screens:
+            return params.copy()
+        self.pair[1] = params
+        return self.pair[1]
+
+    def clears(self, t: int, total: np.ndarray) -> bool:
+        """True when the convexity screen proves that step t, met while the
+        block is empty, is no first passage (see the module docstring);
+        total is the running sum S_t, the second row of the pair."""
+        if self.steps:
+            return False
+        if self.basis is not None:
+            self._refer()
+        if self.reference is None:
+            return False
+        cap, shift, least = self.reference
+        dot, square = np.dot(self.pair, total).tolist()  # <g, S_t> and |S_t|^2
+        k = t + 1.0
+        return square <= cap * k * k and dot / k - shift > least
+
+    def _refer(self):
+        """Build the screen's reference from the basis the last flush left:
+        the block's last averaged row avg_s and its stacked state. g = grad
+        L / L at avg_s goes to the pair's first row; the reference holds
+        (cap, shift, least) of the module docstring, or is None, and the
+        screen then clears nothing, unless every budget is finite and
+        within _SCREEN_LIMIT."""
+        state, avg = self.basis  # avg_s is the stack's last row
+        self.basis = self.reference = None
+        ds, u, rho, eps1 = self.ds, _U, self.row_norm, self.eps1
+        if self.loss.ops.softmax:
+            p = state.e[-1] / state.total[-1, 0]
+        else:
+            p = np.exp(self.loss.log_abs_deriv(state.z[-1]) - state.lse[-1])
+            if ds.weights is not None:
+                p = ds.weights * p
+        g = np.negative(ds.signed_sum(p), out=self.pair[0])
+        norm = math.sqrt(float(np.dot(avg, avg))) * self.norm_up  # at least |avg_s|
+        reach = 4.0 * norm + 4.0  # the largest |avg_t| screened
+        grad_err = u * ((2 * ds.d + 12) * rho * norm + 2 * ds.n_rows + 4 * self.log_n + 24)
+        slack = 2.0 * rho * (grad_err + (ds.d + 4) * u) * (reach + norm)
+        fixed = eps1 * (norm + reach) + 2.0 * self.eps0
+        log, target = state.log_risk[-1], self.pending[-1]
+        drop = target - log + fixed + 8.0 * u * (abs(log) + abs(target) + 1.0)
+        if not (max(slack, fixed) <= _SCREEN_LIMIT and drop <= 700.0):  # also refuses a nan
+            return
+        least = math.expm1(drop)
+        self.reference = (reach * reach / 2.0, float(np.dot(g, avg)) + slack,
+                          least + 4.0 * u * abs(least))
 
     def push(self, t: int, params: np.ndarray, total: np.ndarray, state: MarginState,
              prev: MarginState | None, record: bool, best_log: float, best_t: int) -> bool:
@@ -575,6 +708,8 @@ class _Block:
                     if not pending:
                         stop = j
                         break
+            if self.screens and pending:  # the next reference: the last averaged row
+                self.basis = (avg_state, avg[-1])
         end = count if stop is None else stop + 1
         kept = [j for j in range(end) if records[j] or j in passages]
         if not kept:
@@ -638,9 +773,9 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, evaluat
     checks = config.target_log_avg_risk is not None
     step = config.eta * scale
     traj = Trajectory()
-    total = params.copy()
     best_log, best_t, prev = math.inf, 0, None
     block = _Block(ds, config, params, name, averaged)
+    total = block.running_sum(params)
     for t in range(last + 1):
         cache, z = forward()
         state = evaluate(z, ds, loss)
@@ -652,7 +787,7 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, evaluat
         if not averaged and state.log_risk < best_log:
             best_log, best_t = state.log_risk, t
         record = t % every == 0 or t == last
-        if ((record or checks and t)
+        if ((record or checks and t and not block.clears(t, total))
                 and block.push(t, params, total, state, prev, record, best_log, best_t)
                 and block.flush(traj)):
             return traj  # at the first passage
@@ -682,9 +817,14 @@ def run_gd(ds: Dataset, config: GDConfig) -> Trajectory:
     1 (one row for targets that pass at the same step) and stops at the
     lowest one's, where that target alone would stop; a target never passed
     adds no row. Every point it records is bit-identical to the same point
-    of the run without a target. The check evaluates the averaged risk at
-    every step, recorded or not, so record_every = steps with a tuple of
-    targets gives each first passage without building the rows between.
+    of the run without a target. The check covers every step, recorded or
+    not, so record_every = steps with a tuple of targets gives each first
+    passage without building the rows between. A checked step's averaged
+    risk is evaluated in its block unless, for exp and log, the convexity
+    screen clears it: from the last averaged row evaluated, the convexity
+    of L and a floating-point error budget prove its log averaged risk
+    above every pending target, at the cost of one small gemv per step (the
+    module docstring gives the screen and its proof). It changes no row.
 
     Averaged iterates are evaluated B = block_size(max(ds.n_rows, ds.d))
     steps at a time (see the module docstring). A run with a target therefore computes

@@ -154,13 +154,15 @@ class _Kind:
     (l, l', -l^{-1}) in the caller's mpmath context. softmax: the phi
     coefficients are the softmax of ln l(z_i) under either aggregation.
     shared_logs_below: on margins whose largest ln l(z_i) is below it,
-    log_abs_deriv has the bits of log_value (-inf: on none). The smooth
-    operations refuse here, and hinge keeps the refusals (smooth is False
-    for it).
+    log_abs_deriv has the bits of log_value (-inf: on none). unit_log_slopes:
+    |d ln l/dz| <= 1 and |d ln |l'|/dz| <= 1 at every z (so |l'| <= l), the
+    slope bounds of descent's convexity screen. The smooth operations refuse
+    here, and hinge keeps the refusals (smooth is False for it).
     """
 
     softmax = False
     shared_logs_below = -math.inf
+    unit_log_slopes = False
     inverse = _refusal("inverse")
     neg_inv_deriv = _refusal("neg_inv_deriv")
     log_neg_inv_deriv = _refusal("log_neg_inv_deriv")
@@ -174,6 +176,7 @@ class _Kind:
 
 class _Exp(_Kind):
     softmax = True
+    unit_log_slopes = True  # ln l = ln |l'| = -z
 
     def value(spec, z):
         return np.exp(-z)
@@ -243,6 +246,9 @@ def _all_past_700(z: np.ndarray):
 
 class _Log(_Kind):
     shared_logs_below = -700.0  # every margin past 700 (descent.phi_coefficients)
+    # d ln l/dz = -sigmoid(-z)/l(z), in [-1, 0) as sigmoid(-z) <= ln(1 + e^{-z});
+    # d ln |l'|/dz = -sigmoid(z), in (-1, 0)
+    unit_log_slopes = True
 
     def value(spec, z):
         return np.logaddexp(0.0, -z)

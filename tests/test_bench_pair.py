@@ -68,7 +68,8 @@ def test_the_cases():
 def test_the_constant_step_runs_are_benchs_constant_cell(monkeypatch):
     """The constant-step case's first run is the GDConfig bench's constant
     method passes to run_gd, on bench's default dataset at seed 0; its
-    second records every step."""
+    second records every step; its third is the GDConfig of bench's
+    small-adaptive method."""
     from margin_lab import cli
 
     names = {}
@@ -82,8 +83,10 @@ def test_the_constant_step_runs_are_benchs_constant_cell(monkeypatch):
     monkeypatch.setattr(cli, "run_gd", lambda ds, config: given.append(config) or SimpleNamespace(
         columns={"t": [], "log_avg_risk": []}, diverged_at=None))
     cli._bench_gd(cfg, ds, "constant", gamma, cfg["epsilons"], "constant", cfg["eta_constant"])
-    bench, recorded = names["runs"].values()
-    assert given == [bench]
+    cli._bench_gd(cfg, ds, "small-adaptive", gamma, cfg["epsilons"], "adaptive",
+                  cfg["eta_small"])
+    bench, recorded, small_adaptive = names["runs"].values()
+    assert given == [bench, small_adaptive]
     assert recorded == dataclasses.replace(bench, record_every=1)
 
 

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from margin_lab import descent, losses
 from margin_lab.datasets import (
@@ -506,6 +508,25 @@ FUSED_GRID = [
 ] + [(HINGE, "mean", "constant", (1.0, 400.0))]
 
 
+def count_blocks(monkeypatch):
+    """Count, from now on, the steps _Block queues ("pushes") and the
+    flushes that find rows queued ("flushes"), in the dict returned."""
+    counts = {"pushes": 0, "flushes": 0}
+    push, flush = descent._Block.push, descent._Block.flush
+
+    def counting_push(self, *args):
+        counts["pushes"] += 1
+        return push(self, *args)
+
+    def counting_flush(self, traj):
+        counts["flushes"] += bool(self.steps)
+        return flush(self, traj)
+
+    monkeypatch.setattr(descent._Block, "push", counting_push)
+    monkeypatch.setattr(descent._Block, "flush", counting_flush)
+    return counts
+
+
 class TestFusedStep:
     @pytest.mark.parametrize("loss,agg,mode,etas", FUSED_GRID,
                              ids=[f"{c[0].name}-{c[1]}-{c[2]}" for c in FUSED_GRID])
@@ -537,7 +558,9 @@ class TestFusedStep:
         """ds.margins runs once per iterate computed, plus once per block of
         averaged iterates flushed (one stacked pass each). The gradient runs
         once per step made; with a target, also once per step computed past
-        the first passage and dropped, fewer than B of them."""
+        the first passage and dropped, fewer than B of them. A block holds
+        B pushes but the last; with a target, the convexity screen decides
+        which checked steps are pushed."""
         ds = small_ds()
         size = descent.block_size(ds.n_rows)
         cfg = GDConfig(loss=loss, eta=50.0 if mode == "adaptive" else 1.0, steps=500,
@@ -560,18 +583,19 @@ class TestFusedStep:
 
         monkeypatch.setattr(Dataset, "margins", counting_margins)
         monkeypatch.setattr(descent, grad_name, counting_grad)
+        queued = count_blocks(monkeypatch)
         traj = run_gd(ds, cfg)
         made = traj.columns["t"][-1]
         assert traj.diverged_at is None
         if target:
             assert made < cfg.steps
             assert made <= counts["grad"] < made + size
-            queued = 1 + counts["grad"]  # t = 0 is recorded, t >= 1 is checked
+            assert queued["pushes"] < 1 + counts["grad"]  # the screen clears some steps
         else:
             assert counts["grad"] == made
-            queued = len(traj.columns["t"])
-        blocks = -(-queued // size)
-        assert blocks >= 2
+            assert queued["pushes"] == len(traj.columns["t"])
+        blocks = queued["flushes"]
+        assert blocks == -(-queued["pushes"] // size) and blocks >= 2
         assert counts["margins"] == (counts["grad"] + 1) + blocks
 
     @pytest.mark.parametrize("mode,grad_name", [("adaptive", "grad_phi"),
@@ -624,17 +648,20 @@ class TestFusedStep:
 
         monkeypatch.setattr(LossSpec, "log_value", counting)
         monkeypatch.setattr(descent, "grad_phi", counting_grad)
+        queued = count_blocks(monkeypatch)
         traj = run_gd(ds, cfg)
         made, computed = traj.columns["t"][-1], len(grads) + 1
         if target:
             assert made < cfg.steps and made % cfg.record_every  # a passage row is kept
             assert made < computed <= made + size
-            queued = computed  # t = 0 is recorded, t >= 1 is checked
+            # t = 0 is recorded; the screen may clear checked steps of exp and log
+            assert (queued["pushes"] <= computed if loss.ops.unit_log_slopes
+                    else queued["pushes"] == computed)
         else:
             assert computed == cfg.steps + 1
-            queued = len(traj.columns["t"])
-        blocks = -(-queued // size)
-        assert blocks >= 2
+            assert queued["pushes"] == len(traj.columns["t"])
+        blocks = queued["flushes"]
+        assert blocks == -(-queued["pushes"] // size) and blocks >= 2
         assert len(calls) == computed + blocks
 
 
@@ -914,6 +941,176 @@ class TestSeveralTargets:
     def test_an_empty_tuple_or_a_nan_anywhere_is_refused(self, target):
         with pytest.raises(ValueError, match="target_log_avg_risk"):
             GDConfig(loss=EXP, eta=1.0, steps=5, target_log_avg_risk=target)
+
+
+def bench_ds():
+    """margin-lab bench's default dataset at seed 0."""
+    return gen_random_separable(10, 100, 0.1, seed=0)
+
+
+SCREEN_DATASETS = {"bench": bench_ds,
+                   "batch-hard-weighted": lambda: gen_batch_hard(0.05, 2**20, weighted=True)}
+BENCH_TARGETS = tuple(math.log(eps) for eps in (1e-2, 1e-6, 1e-12))
+
+
+def ulps_around(x):
+    """x and the floats one ulp below and above it."""
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+class TestConvexityScreen:
+    """With targets, a linear exp or log run skips the checked steps the
+    convexity screen clears (see the descent module docstring). Its rows,
+    diverged_at and stopping step stay those of reference_run_gd, which
+    evaluates every averaged iterate, down to targets at a row's own value."""
+
+    STEPS = 200
+
+    @pytest.mark.parametrize("every", [1, 7, STEPS])
+    @pytest.mark.parametrize("mode", ["constant", "adaptive"])
+    @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
+    @pytest.mark.parametrize("ds_name", list(SCREEN_DATASETS))
+    def test_targets_at_a_rows_value_and_one_ulp_either_side(self, ds_name, loss, mode, every):
+        """Targets at the computed log_avg_risk of an early, a middle and a
+        late row (t = 70, 130, 190; the first block flushes at t = 63, so
+        the screen has a reference before each), and one ulp either side."""
+        ds = SCREEN_DATASETS[ds_name]()
+        base = GDConfig(loss=loss, eta=1.0, steps=self.STEPS, mode=mode, record_every=every)
+        logs = run_gd(ds, dataclasses.replace(base, record_every=1)).columns["log_avg_risk"]
+        for row in (70, 130, 190):
+            for target in ulps_around(logs[row]):
+                cfg = dataclasses.replace(base, target_log_avg_risk=target)
+                assert_same_run(run_gd(ds, cfg), reference_run_gd(ds, cfg), f"{row} {target}")
+
+    @pytest.mark.parametrize("mode,eta", [("constant", 1e5), ("adaptive", 1e-12)])
+    @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
+    def test_a_flat_stretch_where_only_the_budget_holds(self, loss, mode, eta):
+        """From 400 w_star every margin is past 40, and these etas move the
+        averaged log risk by about 1e-15 to 1e-14 a step: the tangent is
+        exact to far below the rounding of the flush, so only the error
+        budget keeps the screen from clearing a passage. Targets at every
+        fifth row's value from t = 70 and one ulp either side; without the
+        budget, 178 of 528 such runs (every third row) stop elsewhere."""
+        ds = bench_ds()
+        base = GDConfig(loss=loss, eta=eta, steps=self.STEPS, mode=mode,
+                        init=400.0 * ds.w_star, record_every=self.STEPS)
+        full = run_gd(ds, dataclasses.replace(base, record_every=1))
+        logs = full.columns["log_avg_risk"]
+        for row in range(70, self.STEPS, 5):
+            for target in ulps_around(logs[row]):
+                got = run_gd(ds, dataclasses.replace(base, target_log_avg_risk=target))
+                stop = first_passages(logs, [target])[target]
+                assert got.columns["t"] == [0, stop] and got.diverged_at is None, (row, target)
+                assert_same_rows(got, full, [0, stop])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gamma=st.floats(0.02, 0.5), eta=st.floats(0.1, 200.0),
+           mode=st.sampled_from(["constant", "adaptive"]), loss=st.sampled_from([EXP, LOG]),
+           every=st.sampled_from([1, 7, 150]), seed=st.integers(0, 3),
+           picks=st.lists(st.tuples(st.integers(1, 150), st.integers(-2, 2)),
+                          min_size=1, max_size=3))
+    def test_targets_near_the_runs_own_rows(self, gamma, eta, mode, loss, every, seed, picks):
+        """Targets a few ulps from the log averaged risks of rows the run
+        makes: the rows are the recorded ones and each first passage, those
+        of reference_run_gd recording every step."""
+        ds = gen_random_separable(5, 40, gamma, seed=seed)
+        base = GDConfig(loss=loss, eta=eta, steps=150, mode=mode)
+        with np.errstate(all="ignore"):
+            full = reference_run_gd(ds, base)
+        logs = full.columns["log_avg_risk"]
+        targets = []
+        for row, ulps in picks:
+            x = logs[min(row, len(logs) - 1)]
+            for _ in range(abs(ulps)):
+                x = math.nextafter(x, math.copysign(math.inf, ulps))
+            targets.append(x)
+        got = run_gd(ds, dataclasses.replace(base, record_every=every,
+                                             target_log_avg_risk=tuple(targets)))
+        passages = first_passages(logs, targets)
+        last = len(logs) - 1
+        stop = passages.get(min(targets), last)
+        rows = sorted({*range(0, stop, every), *passages.values(), stop})
+        assert got.columns["t"] == rows
+        assert got.diverged_at == (full.diverged_at if min(targets) not in passages else None)
+        assert_same_rows(got, full, rows)
+
+    @pytest.mark.parametrize("mode,pushes,flushes", [("constant", 385, 7),
+                                                      ("adaptive", 1472, 23)])
+    def test_benchs_cells_queue_few_steps(self, monkeypatch, mode, pushes, flushes):
+        """bench's constant cell (eta 1, never at a target in 20 000 steps)
+        and its small-adaptive cell (eta 1, at ln 1e-12 at t = 5007) as
+        bench runs them: the screen clears all but the steps pinned here,
+        and the rows are those of the run that records every step."""
+        ds = bench_ds()
+        cfg = GDConfig(loss=EXP, eta=1.0, steps=20_000, mode=mode, record_every=20_000,
+                       target_log_avg_risk=BENCH_TARGETS)
+        full = run_gd(ds, dataclasses.replace(cfg, record_every=1, target_log_avg_risk=None))
+        queued = count_blocks(monkeypatch)
+        got = run_gd(ds, cfg)
+        assert queued == {"pushes": pushes, "flushes": flushes}
+        logs = full.columns["log_avg_risk"]
+        passages = first_passages(logs, BENCH_TARGETS)
+        stop = passages.get(min(BENCH_TARGETS), cfg.steps)
+        rows = sorted({0, *passages.values(), stop})
+        assert got.columns["t"] == rows and got.diverged_at is None
+        assert_same_rows(got, full, rows)
+
+    @pytest.mark.parametrize("every", [7, 150])
+    @pytest.mark.parametrize("loss,mode", [(EXP, "constant"), (EXP, "adaptive"),
+                                           (LOG, "constant"), (LOG, "adaptive")],
+                             ids=["exp-constant", "exp-adaptive", "log-constant", "log-adaptive"])
+    def test_a_block_holds_consecutive_steps(self, monkeypatch, loss, mode, every):
+        """The screen clears a step only while the block is empty: each
+        block holds the consecutive steps from its first, and the run stops
+        fewer than B steps past its last passage, after clearing some."""
+        ds = bench_ds()
+        size = descent.block_size(ds.n_rows)
+        blocks, push, flush = [[]], descent._Block.push, descent._Block.flush
+
+        def recording_push(self, t, *args):
+            blocks[-1].append(t)
+            return push(self, t, *args)
+
+        def recording_flush(self, traj):
+            if blocks[-1]:
+                blocks.append([])
+            return flush(self, traj)
+
+        monkeypatch.setattr(descent._Block, "push", recording_push)
+        monkeypatch.setattr(descent._Block, "flush", recording_flush)
+        traj = run_gd(ds, GDConfig(loss=loss, eta=1.0, steps=3000, mode=mode, record_every=every,
+                                   target_log_avg_risk=BENCH_TARGETS))
+        blocks.pop()
+        assert len(blocks) >= 3
+        for ts in blocks:
+            assert ts == list(range(ts[0], ts[0] + len(ts)))
+        assert sum(map(len, blocks)) < 3001
+        assert blocks[-1][-1] < traj.columns["t"][-1] + size
+
+    @pytest.mark.parametrize("loss,mode", [(poly(2.0), "adaptive"), (poly(2.0), "constant"),
+                                           (SEMICIRCLE, "adaptive"), (SEMICIRCLE, "constant"),
+                                           (HINGE, "constant")],
+                             ids=lambda x: getattr(x, "name", x))
+    def test_other_kinds_queue_every_checked_step(self, monkeypatch, loss, mode):
+        """poly, semicircle and hinge lack the slope bounds: every iterate
+        computed is queued, t = 0 recorded and every t >= 1 checked. The
+        runs start at -w_star with eta 0.01, so that none passes the target
+        (the hinge risk would reach 0, log -inf, within 64 steps from 0)."""
+        ds = bench_ds()
+        grad_name = "grad_phi" if mode == "adaptive" else "grad_risk"
+        grad, grads = getattr(descent, grad_name), []
+
+        def counting_grad(*args):
+            grads.append(None)
+            return grad(*args)
+
+        monkeypatch.setattr(descent, grad_name, counting_grad)
+        queued = count_blocks(monkeypatch)
+        traj = run_gd(ds, GDConfig(loss=loss, eta=0.01, steps=300, mode=mode, init=-ds.w_star,
+                                   record_every=300, target_log_avg_risk=-1e9))
+        assert traj.columns["t"] == [0, 300]
+        assert queued["pushes"] == len(grads) + 1 == 301
+        assert queued["flushes"] == -(-queued["pushes"] // descent.block_size(ds.n_rows))
 
 
 class TestDeferredRisk:
