@@ -92,6 +92,16 @@ Each case replaces the script named with it; a `BENCH_*.json` that says
   to the return of `main` (interpreter start left out), the peak RSS after
   it and whether it loaded `scipy.special`. Its margins stay at or below
   700, so the log kernels take their full branch.
+- `branch-once`: microseconds per `run_gd` step (the fastest of 9 runs,
+  over the steps the run reports) of three runs whose loss kernels decide
+  their branch once per iterate: perfbench's run-large (log loss,
+  `gen_random_separable(1000, 10_000, 0.1, seed=0)`, adaptive eta = 400,
+  50 steps, `record_every = 50`), whose margins lie in (0, 700] after
+  t = 0; poly:2 and semicircle at adaptive eta = 50 on
+  `gen_random_separable(10, 100, 0.1, seed=0)`, 2000 steps recording
+  only t = 0 and the last, with the count of steps whose every margin is
+  nonnegative (the kernels' right branch), read off a run recording every
+  step.
 - `bench-command`: the default `margin-lab bench` through `cli.main` in a
   fresh interpreter, after one warm run in it: the fastest and the median
   of 9 timed runs, in wall seconds from the call of `main` to its return,
@@ -337,6 +347,34 @@ for name, run in runs.items():
 print(json.dumps(out))
 """
 
+# The runs of the branch-once case: runs, name -> (dataset, GDConfig).
+BRANCH_ONCE_RUNS = """
+from margin_lab.datasets import gen_random_separable
+from margin_lab.descent import GDConfig, run_gd
+from margin_lab.losses import LOG, SEMICIRCLE, poly
+
+small = gen_random_separable(10, 100, 0.1, seed=0)
+runs = {
+    "log run-large": (gen_random_separable(1000, 10_000, 0.1, seed=0),
+                      GDConfig(loss=LOG, eta=400.0, steps=50, record_every=50)),
+    "poly:2 adaptive": (small, GDConfig(loss=poly(2.0), eta=50.0, steps=2000,
+                                        record_every=2000)),
+    "semicircle adaptive": (small, GDConfig(loss=SEMICIRCLE, eta=50.0, steps=2000,
+                                            record_every=2000)),
+}
+"""
+
+BRANCH_ONCE_CHILD = BRANCH_ONCE_RUNS + FASTEST + """
+import dataclasses, json
+out = {}
+for name, (ds, cfg) in runs.items():
+    out[f"{name} us_per_step"], _ = fastest_us_per_step(lambda: run_gd(ds, cfg), cfg.steps)
+    if ds is small:
+        rows = run_gd(ds, dataclasses.replace(cfg, record_every=1))
+        out[f"{name} steps nonnegative"] = int((rows.column("min_margin") >= 0.0).sum())
+print(json.dumps(out))
+"""
+
 # The runs of the constant-step case: ds and runs, name -> GDConfig.
 CONSTANT_STEP_RUNS = """
 import math
@@ -484,6 +522,7 @@ CASES = {
     "run-constants": Case(((CONSTANTS_CHILD,),)),
     "step-overhead": Case(((STEP_CHILD,),)),
     "constant-step": Case(((CONSTANT_STEP_CHILD,),)),
+    "branch-once": Case(((BRANCH_ONCE_CHILD,),)),
     "cold-log-run": Case(((COLD_RUN_CHILD,),), COLD_RUN_INPUTS),
     "bench-command": Case(((BENCH_COMMAND_CHILD,),)),
 }

@@ -20,7 +20,11 @@ One line per run or file:
   at row 250's `log_avg_risk` or one ulp either side, where the convexity
   screen must not clear the passage (exp and log, constant and adaptive
   at eta 1, the random and the weighted batch-hard set, `record_every` 7
-  and 300);
+  and 300), and on 28 runs of 300 steps whose iterates change the branch
+  of their loss's kernel pair mid-run (log margins entering (0, 700] for
+  good, leaving and re-entering it, or straddling 700 above 0; poly:2
+  and semicircle margins turning all nonnegative; mean and sum,
+  `record_every` 1/7);
 - `run_gd_nn` on the 60 configurations of `tests/test_two_layer.py`'s
   network grid widened to every activation record (leakyrelu and the four
   leaky blends, exp and log, `NN_DATASETS`, `record_every` 1/7), and on
@@ -40,7 +44,10 @@ One line per run or file:
   `run-nn` whose smallest margin passes 700 mid-run, a log `run` on
   2000 rows of 300 features whose margins all stay at or below 700, a log
   `run` of 10 steps on 20 rows of 100 000 features, whose trajectory.json
-  still carries the iterates, and five constant-stepsize `run`s of 300 steps whose rows cross the 64-step
+  still carries the iterates, log `run`s whose margins stay in (0, 700]
+  (adaptive and constant, 1000 rows of 50 features) or straddle 700
+  above 0, a poly:2 and a semicircle `run` whose margins turn all
+  nonnegative mid-run, and five constant-stepsize `run`s of 300 steps whose rows cross the 64-step
   blocks: exp and log at `constant:1`, each recording every step and every
   7th, and log at `constant:400` on the two-point set, whose risk rises on
   40 steps, so `descent_violated` takes both values), `verify`
@@ -83,7 +90,7 @@ from margin_lab import cli  # noqa: E402
 from margin_lab.datasets import (gen_batch_hard, gen_online_hard,  # noqa: E402
                                  gen_random_separable, save_dataset)
 from margin_lab.descent import GDConfig, _exp_or_inf, _risk_from_log, run_gd  # noqa: E402
-from margin_lab.losses import EXP, HINGE, LOG, poly  # noqa: E402
+from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, poly  # noqa: E402
 from margin_lab.online import (cyclic_order, random_order, run_online_sgd,  # noqa: E402
                                run_perceptron)
 from margin_lab.two_layer import make_net, parse_activation, run_gd_nn  # noqa: E402
@@ -145,6 +152,24 @@ CLI_CONFIGS = {
     # long rows: d * steps = 10**6, so trajectory.json still carries the iterates
     "run-log-long-rows": ("run", ["dataset = random:d=100000,n=20,gamma=0.1", "loss = log",
                                   "stepsize = adaptive:400", "steps = 10"]),
+    # every margin in (0, 700] from t = 2 on: ln |l'| reuses ln l's softplus
+    "run-log-adaptive-positive": ("run", ["dataset = random:d=50,n=1000,gamma=0.1",
+                                          "loss = log", "stepsize = adaptive:50",
+                                          "steps = 300"]),
+    "run-log-constant-positive": ("run", ["dataset = random:d=50,n=1000,gamma=0.1",
+                                          "loss = log", "stepsize = constant:1",
+                                          "steps = 300", "record_every = 7"]),
+    # margins that straddle 700 with every one above 0 on many iterates
+    "run-log-straddles-700": ("run", ["dataset = random:d=20,n=300,gamma=0.1,seed=0",
+                                      "loss = log", "stepsize = adaptive:400",
+                                      "steps = 300"]),
+    # every margin nonnegative from t = 182 (poly) and t = 112 (semicircle) on
+    "run-poly-turns-nonnegative": ("run", ["dataset = random:d=10,n=100,gamma=0.1,seed=3",
+                                           "loss = poly:2", "stepsize = adaptive:50",
+                                           "steps = 300"]),
+    "run-semicircle-turns-nonnegative": ("run", [
+        "dataset = random:d=10,n=100,gamma=0.1,seed=3", "loss = semicircle",
+        "stepsize = constant:1", "steps = 300", "record_every = 7"]),
     # log runs that pass min margin 700 mid-run: both log kernels then negate
     "run-log-separates-weighted": ("run", ["dataset = batch-hard:gamma=0.1,n=64,weighted=true",
                                            "loss = log", "stepsize = adaptive:400",
@@ -305,6 +330,25 @@ def gd_lines():
                         case = (f"{loss.name} {mode} eta=1 {ds_name} steps=300 "
                                 f"target=row250{ulps:+d}ulp every={every}")
                         yield f"run_gd {case} {trajectory_digest(traj, GD_COLUMNS, GD_FIELDS)}"
+    # iterates that change the branch of their kernel pair mid-run: log margins
+    # entering (0, 700] for good at t = 203 (constant), leaving and re-entering
+    # it (adaptive, d = 10), straddling 700 above 0 under the sum (d = 50);
+    # poly:2 and semicircle margins turning all nonnegative
+    for loss, mode, eta, d, n, seed in ((LOG, "constant", 1.0, 10, 100, 0),
+                                        (LOG, "adaptive", 50.0, 10, 100, 0),
+                                        (LOG, "adaptive", 50.0, 50, 1000, 0),
+                                        (poly(2.0), "constant", 0.1, 10, 100, 3),
+                                        (poly(2.0), "adaptive", 50.0, 10, 100, 3),
+                                        (SEMICIRCLE, "constant", 1.0, 10, 100, 3),
+                                        (SEMICIRCLE, "adaptive", 50.0, 10, 100, 3)):
+        ds = gen_random_separable(d, n, 0.1, seed=seed)
+        for agg in ("mean", "sum"):
+            for every in (1, 7):
+                cfg = GDConfig(loss=loss.with_aggregation(agg), eta=eta, steps=300, mode=mode,
+                               record_every=every)
+                case = (f"{loss.name}-{agg} {mode} eta={eta:g} random:d={d},n={n},seed={seed} "
+                        f"steps=300 every={every}")
+                yield f"run_gd {case} {trajectory_digest(run_gd(ds, cfg), GD_COLUMNS, GD_FIELDS)}"
 
 
 def nn_lines():

@@ -467,9 +467,9 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         "diverged_at": traj.diverged_at,
         "columns": columns,
     }
-    if ds.d * gd.steps <= 10**6:
-        payload["iterates"] = traj.column("w").tolist()
-        payload["avg_iterates"] = traj.column("avg_w").tolist()
+    if ds.d * gd.steps <= 10**6:  # one list per row; a run without rows has no columns
+        payload["iterates"] = [w.tolist() for w in traj.columns.get("w", ())]
+        payload["avg_iterates"] = [w.tolist() for w in traj.columns.get("avg_w", ())]
     _out_file(out, "trajectory.json").write_text(json.dumps(payload, sort_keys=True))
     return 0
 

@@ -39,19 +39,21 @@ evaluates MarginState.deferred (no log-sum-exp, log_risk None) and steps
 along grad_risk. The linear backward is the module attribute grad_phi or
 grad_risk, looked up at every step. A step makes each numpy call it needs
 once: the margins y * np.dot(X, w) (Dataset.margins, the first pass over
-the data); a = ln l(z) (one loss.log_value call, whose log loss kernel
-tests the regime past 700 once) and the ufunc reduction max(a), the top
-that tells divergence; in adaptive mode also the rest of a's log-sum-exp
-(a - max, exp and the ufunc reduction sum), that the risk and the
-coefficients are read off; the coefficients (e / total for exp, the
-log-space assembly otherwise, which takes ln |l'(z)| as a itself, with no
-second kernel call, test or negation, once top is below the kind's
-shared_logs_below: every log-loss margin past 700, see phi_coefficients;
-in constant mode -exp(a) for exp, loss.deriv(z) otherwise) and the
-gradient pass np.dot(c y, X) (Dataset.signed_sum, the second pass); the
-update, the running sum and one sum of it (a finite sum has every entry
-finite; only a non-finite one takes the exact test). The run is stored as
-a columnar Trajectory.
+the data); a = ln l(z) from one call of the loss's kernel pair
+(loss.ops.log_pair, which for log, poly and semicircle decides the branch
+once, from the smallest margin and, when that does not decide, the
+largest) and the ufunc reduction max(a), the top that tells divergence;
+in adaptive mode also the rest of a's log-sum-exp (a - max, exp and the
+ufunc reduction sum), that the risk and the coefficients are read off;
+the coefficients (e / total for exp, the log-space assembly otherwise,
+whose ln |l'(z)| is the pair's second callable on the branch already
+taken, with no second decision: for the log loss a itself when every
+margin is past 700, and -z - s on (0, 700], s the softplus whose log is
+a, see phi_coefficients; in constant mode -exp(a) for exp, loss.deriv(z)
+otherwise) and the gradient pass np.dot(c y, X) (Dataset.signed_sum, the
+second pass); the update, the running sum and one sum of it (a finite sum
+has every entry finite; only a non-finite one takes the exact test). The
+run is stored as a columnar Trajectory.
 
 Rows reach the trajectory one way, for both models: a step that is
 recorded, or a linear step that checks the targets and that the convexity
@@ -64,9 +66,9 @@ at 10 000 rows, 1 at d = 10**6), and is flushed when full and when the
 run ends: one exact min(axis=1) gives every smallest margin, and the rows
 extend the trajectory's columns a column at a time. A linear row carries
 the running average: one division by t + 1, one stacked pass ds.margins
-and one MarginState of the stack (one loss.log_value call and one
-log-sum-exp) give every queued average, its risk and its smallest margin,
-bit for bit as one evaluation per step would. A network row carries the
+and one MarginState of the stack (one kernel pair call, deciding row by
+row, and one log-sum-exp) give every queued average, its risk and its
+smallest margin, bit for bit as one evaluation per step would. A network row carries the
 best iterate so far. A row's phi and log_stepsize are read off its log
 risk alone, by functions bound once per run with the dataset's n (the
 bits of phi_from_risk, and of _log_stepsize_of_log or ln eta).
@@ -265,16 +267,18 @@ class MarginState:
     """The margins z of one iterate, or the (k, R) margins of a stack of
     iterates, and what their risk and their gradient coefficients share.
 
-    a = ln l(z) is the one loss.log_value call; top = max_i a_i, e, total
-    and lse = ln sum_i m_i l(z_i) come from _log_sum_exp, and for exp the
-    e_i are the numerators of the softmax coefficients. log_risk = lse -
-    ln n is the log of the weighted mean loss (a list of one per row for a
-    stack), and risk its RiskValue, built when it is read.
+    a = ln l(z) comes from the one call of the loss's kernel pair
+    (loss.ops.log_pair), whose second callable, log_abs_deriv, gives ln
+    |l'(z)| on the branch a took; top = max_i a_i, e, total and lse = ln
+    sum_i m_i l(z_i) come from _log_sum_exp, and for exp the e_i are the
+    numerators of the softmax coefficients. log_risk = lse - ln n is the
+    log of the weighted mean loss (a list of one per row for a stack), and
+    risk its RiskValue, built when it is read.
 
     The risk of one iterate can be deferred (MarginState.deferred, which
     run_gd binds with grad_risk in constant mode; the module docstring says
     how a block fills the risks it needs): such a state holds z, a and top
-    only, and its log_risk is None. top tells divergence on its own: the
+    only (no log_abs_deriv), and its log_risk is None. top tells divergence on its own: the
     log risk is +inf or nan exactly when top is. A nan margin or an
     infinite loss makes top nan or +inf, and the log risk is then top. With
     a finite top, lse adds ln total to it, and total lies in [1, n]: its
@@ -284,11 +288,12 @@ class MarginState:
     -inf: zero risk, which is success.
     """
 
-    __slots__ = ("z", "a", "top", "e", "total", "lse", "log_risk")
+    __slots__ = ("z", "a", "log_abs_deriv", "top", "e", "total", "lse", "log_risk")
 
     def __init__(self, z: np.ndarray, ds: Dataset, loss: LossSpec):
         self.z = z
-        self.a = loss.log_value(z)
+        value, self.log_abs_deriv = loss.ops.log_pair(loss, z)
+        self.a = value()
         self.top, self.e, self.total, self.lse = _log_sum_exp(self.a, ds.weights)
         log_n = math.log(ds.n)
         self.log_risk = (self.lse - log_n if z.ndim == 1
@@ -299,7 +304,7 @@ class MarginState:
         """The state of one iterate without its log-sum-exp: z, a and top,
         and log_risk None. grad_risk reads nothing else."""
         state = cls.__new__(cls)
-        state.z, state.a, state.log_risk = z, loss.log_value(z), None
+        state.z, state.a, state.log_risk = z, loss.ops.log_pair(loss, z)[0](), None
         state.top = float(np.maximum.reduce(state.a))
         return state
 
@@ -365,14 +370,13 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     coefficient exactly. ln (-l^{-1})'(u) is taken from u's pair, row by row
     for a stack.
 
-    ln |l'(z)| is the state's own a = ln l(z), with no log_abs_deriv call,
-    when its top is below the kind's shared_logs_below (for a stack, every
-    row's top). For the log loss that is -700, and the test is exact: a
-    margin past 700 has a = -z < -700; any other has a = ln softplus(-min(z,
-    700)), monotone in z and exactly -700.0 at z = 700.0 (log_value(700.0)),
-    so a >= -700. Hence top < -700 exactly when every margin exceeds 700,
-    where ln |l'(z)| is -z to the bit too (losses._all_past_700). A nan
-    margin makes top nan, the comparison false, and log_abs_deriv runs.
+    ln |l'(z)| is the second callable of the state's kernel pair
+    (losses._Kind.log_pair): it evaluates the branch that a = ln l(z) took,
+    decided once when the state was built (row by row for a stack), reusing
+    what a computed, with no second decision and no log_abs_deriv call. For
+    the log loss that is a itself when every margin is past 700, and -z - s
+    on (0, 700], s the softplus whose log is a; each branch has the bits of
+    the full expression (losses._Log).
     """
     state = z if isinstance(z, MarginState) else MarginState(z, ds, loss)
     if loss.ops.softmax:
@@ -380,14 +384,11 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
         return state.e / state.total
     summed = loss.aggregation == "sum"
     log_u = state.lse if summed else state.log_risk
-    tail = loss.ops.shared_logs_below
     if isinstance(log_u, list):
         lnid = np.array([loss.log_neg_inv_deriv(_exp_or_inf(v), v) for v in log_u])[:, None]
-        shared = (state.top < tail).all()  # every row's top
     else:
         lnid = loss.log_neg_inv_deriv(_exp_or_inf(log_u), log_u)
-        shared = state.top < tail
-    coef = lnid + (state.a if shared else loss.log_abs_deriv(state.z))
+    coef = lnid + state.log_abs_deriv()
     coef = np.exp(coef if summed else coef - math.log(ds.n))
     if ds.weights is not None:
         coef = ds.weights * coef
@@ -649,7 +650,7 @@ class _Block:
         if self.loss.ops.softmax:
             p = state.e[-1] / state.total[-1, 0]
         else:
-            p = np.exp(self.loss.log_abs_deriv(state.z[-1]) - state.lse[-1])
+            p = np.exp(state.log_abs_deriv()[-1] - state.lse[-1])
             if ds.weights is not None:
                 p = ds.weights * p
         g = np.negative(ds.signed_sum(p), out=self.pair[0])

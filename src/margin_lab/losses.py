@@ -29,9 +29,17 @@ underflow or overflow a float64.
 scipy.special (expit) loads at the first call of a log-loss deriv, not at
 import (see _special), so no other kernel pays for it. The log loss's
 log_value, log_abs_deriv and second_deriv run on numpy alone: ln sigmoid is
-_log_expit, which has scipy's log_expit bits. Past the burn-in of a
-large-stepsize run every margin exceeds 700, and both log kernels of the
-log loss are then one negation.
+_log_expit, which has scipy's log_expit bits.
+
+log_value and log_abs_deriv are one kernel pair per kind (_Kind.log_pair),
+which descent.MarginState calls once per iterate: two callables, for ln
+l(z) and ln |l'(z)|, that share what both need. The log, poly and
+semicircle pairs decide their branch once, from the smallest and the
+largest margin (row by row for a stack, _branched), and evaluate only that
+branch; every branch has the bits of the kind's full np.where expressions
+on the margins it takes. Past the burn-in of a large-stepsize log run
+every margin exceeds 700, and both logs of the log loss are then one
+negation.
 """
 
 from __future__ import annotations
@@ -147,21 +155,24 @@ class _Kind:
     """One loss kind's record: plain functions, each taking the LossSpec
     first, that LossSpec's methods of the same names call; records are never
     instantiated. Kernels get z as a float array, inverse and neg_inv_deriv
-    a float u > 0. phi(spec, u, log_u) is -l^{-1}(u) from u's pair; it stays
-    finite where u underflows for exp and log, while semicircle gives -inf
-    once -ln u passes 709.78 and poly:k once -ln u / k does, since
-    -l^{-1}(u) is itself past the float range there. mpmath(spec, mp) is
-    (l, l', -l^{-1}) in the caller's mpmath context. softmax: the phi
-    coefficients are the softmax of ln l(z_i) under either aggregation.
-    shared_logs_below: on margins whose largest ln l(z_i) is below it,
-    log_abs_deriv has the bits of log_value (-inf: on none). unit_log_slopes:
-    |d ln l/dz| <= 1 and |d ln |l'|/dz| <= 1 at every z (so |l'| <= l), the
-    slope bounds of descent's convexity screen. The smooth operations refuse
-    here, and hinge keeps the refusals (smooth is False for it).
+    a float u > 0. log_pair(spec, z) is the kind's kernel pair: two
+    callables, for ln l(z) and ln |l'(z)|, that share what both need;
+    log_value and log_abs_deriv each call one. A kind with branches
+    takes _branched as its log_pair and names branch(lo, high), which picks
+    one of its branch pairs from the smallest margin lo and high(), the
+    largest, read only when lo does not decide. phi(spec, u, log_u) is
+    -l^{-1}(u) from u's pair; it stays finite where u underflows for exp and
+    log, while semicircle gives -inf once -ln u passes 709.78 and poly:k
+    once -ln u / k does, since -l^{-1}(u) is itself past the float range
+    there. mpmath(spec, mp) is (l, l', -l^{-1}) in the caller's mpmath
+    context. softmax: the phi coefficients are the softmax of ln l(z_i)
+    under either aggregation. unit_log_slopes: |d ln l/dz| <= 1 and |d ln
+    |l'|/dz| <= 1 at every z (so |l'| <= l), the slope bounds of descent's
+    convexity screen. The smooth operations refuse here, and hinge keeps
+    the refusals (smooth is False for it).
     """
 
     softmax = False
-    shared_logs_below = -math.inf
     unit_log_slopes = False
     inverse = _refusal("inverse")
     neg_inv_deriv = _refusal("neg_inv_deriv")
@@ -172,6 +183,46 @@ class _Kind:
 
     def __init_subclass__(cls):
         cls.smooth = cls.inverse is not _Kind.inverse
+
+    def log_value(spec, z):
+        return spec.ops.log_pair(spec, z)[0]()
+
+    def log_abs_deriv(spec, z):
+        return spec.ops.log_pair(spec, z)[1]()
+
+
+def _branched(kind, spec, z):
+    """The kernel pair of a kind with branches (its record's log_pair, as a
+    classmethod), from one branch decision: kind.branch(lo, high), lo the
+    smallest margin and high() the largest. A (k, R) stack is decided row
+    by row, and rows that take different branches are evaluated in groups
+    and put back in place; each branch has the bits of the full expressions
+    on the margins it takes, so every row has the bits of its solo call. A
+    nan margin makes lo and high() nan, which only the full branch takes,
+    and so does an empty z. One iterate makes one reduction when lo
+    decides, two otherwise."""
+    branch = kind.branch
+    if not z.size:
+        return branch(math.nan, lambda: math.nan)(spec, z)
+    if z.ndim != 2:
+        return branch(float(np.minimum.reduce(z, axis=None)),
+                      lambda: float(np.maximum.reduce(z, axis=None)))(spec, z)
+    highs = np.maximum.reduce(z, axis=1).tolist()
+    picks = [branch(lo, lambda hi=hi: hi)
+             for lo, hi in zip(np.minimum.reduce(z, axis=1).tolist(), highs)]
+    groups: dict = {}
+    for j, pick in enumerate(picks):
+        groups.setdefault(pick, []).append(j)
+    if len(groups) == 1:
+        return picks[0](spec, z)
+    parts = [(rows, pick(spec, z[rows])) for pick, rows in groups.items()]
+
+    def gather(which):
+        out = np.empty(z.shape)
+        for rows, pair in parts:
+            out[rows] = pair[which]()
+        return out
+    return (lambda: gather(0)), (lambda: gather(1))
 
 
 class _Exp(_Kind):
@@ -185,9 +236,10 @@ class _Exp(_Kind):
     def deriv(spec, z):
         return -np.exp(-z)
 
-    def log_value(spec, z):
-        return -z
-    log_abs_deriv = log_value  # ln |l'| = ln l
+    def log_pair(spec, z):
+        a = -z
+        value = lambda: a  # noqa: E731
+        return value, value  # ln |l'| = ln l
 
     def inverse(spec, u):
         return -math.log(u)
@@ -233,19 +285,7 @@ def _log_expit(x):
     return -np.logaddexp(0.0, -x)
 
 
-def _all_past_700(z: np.ndarray):
-    """Truthy when every margin of an array z exceeds 700 (the first margin,
-    then one reduction; a nan, empty or 0-d z is not). Both log kernels of
-    the log loss are then -z to the last bit. ln l(z) = ln softplus(-z), and
-    softplus(-z) = e^{-z} (1 + O(e^{-z})) has log -z, as the capped
-    expression's np.where has it. ln |l'(z)| is _log_expit(-z), which at
-    x = -z < 0 is x - log1p(e^x) (scipy's log_expit expression), and
-    log1p(e^x) < 1e-304 is far below half an ulp of |x| >= 700."""
-    return z.ndim and z.size and z.item(0) > 700.0 and np.minimum.reduce(z, axis=None) > 700.0
-
-
 class _Log(_Kind):
-    shared_logs_below = -700.0  # every margin past 700 (descent.phi_coefficients)
     # d ln l/dz = -sigmoid(-z)/l(z), in [-1, 0) as sigmoid(-z) <= ln(1 + e^{-z});
     # d ln |l'|/dz = -sigmoid(z), in (-1, 0)
     unit_log_slopes = True
@@ -260,17 +300,44 @@ class _Log(_Kind):
         # sigmoid(z) * sigmoid(-z), assembled in log space to avoid underflow
         return np.exp(_log_expit(z) + _log_expit(-z))
 
-    def log_value(spec, z):
-        # ln softplus(-z); the cap keeps softplus above 0, so the log never sees 0
-        if _all_past_700(z):
-            return -z
-        return np.where(z > 700.0, -z, np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))
+    log_pair = classmethod(_branched)
 
-    def log_abs_deriv(spec, z):
-        # ln sigmoid(-z); -z itself once every margin is past 700 (_all_past_700)
-        if _all_past_700(z):
-            return -z
-        return _log_expit(-z)
+    def branch(lo, high):
+        if lo > 700.0:
+            return _Log.past_700
+        if high() <= 700.0:
+            return _Log.positive if lo > 0.0 else _Log.at_or_below_700
+        return _Log.full
+
+    def past_700(spec, z):
+        """Every margin past 700: both logs are -z to the last bit. ln l(z) is
+        the full expression's -z branch. ln |l'(z)| is _log_expit(-z), which
+        at x = -z < 0 is x - log1p(e^x) (scipy's log_expit expression), and
+        log1p(e^x) < 1e-304 is far below half an ulp of |x| >= 700."""
+        a = -z
+        value = lambda: a  # noqa: E731
+        return value, value
+
+    def at_or_below_700(spec, z):
+        # every margin at or below 700: the cap of the full expression is idle
+        return (lambda: np.log(np.logaddexp(0.0, -z))), (lambda: _log_expit(-z))
+
+    def positive(spec, z):
+        """Every margin in (0, 700]: ln |l'(z)| = -z - s with s the softplus
+        logaddexp(0, -z) that ln l(z) = ln s takes, to the bit of
+        _log_expit(-z) = -logaddexp(0, z). By _log_expit's docstring, at z >
+        0 s is log1p(exp(-z)) and logaddexp(0, z) is z + log1p(exp(-z)), the
+        same log1p on the same argument; the rounded -z - s is the negated
+        rounded z + s, rounding being symmetric in sign."""
+        s = np.logaddexp(0.0, -z)
+        return (lambda: np.log(s)), (lambda: -z - s)
+
+    def full(spec, z):
+        # ln softplus(-z), -z past 700; the cap keeps softplus above 0, so the
+        # log never sees 0
+        return ((lambda: np.where(z > 700.0, -z,
+                                  np.log(np.logaddexp(0.0, -np.minimum(z, 700.0))))),
+                (lambda: _log_expit(-z)))
 
     def inverse(spec, u):
         # -ln(e^u - 1) = -(u + log(1 - e^{-u})), stable for u tiny and huge
@@ -299,7 +366,23 @@ class _Log(_Kind):
                 (lambda u: mp.log(mp.expm1(u))))
 
 
-class _Poly(_Kind):
+class _Signed(_Kind):
+    """A kind whose kernel pair branches at z = 0: right takes margins that
+    are all >= 0, left margins that are all < 0, and full any others as one
+    np.where of the two."""
+
+    log_pair = classmethod(_branched)
+
+    @classmethod
+    def branch(cls, lo, high):
+        if lo >= 0.0:
+            return cls.right
+        if high() < 0.0:
+            return cls.left
+        return cls.full
+
+
+class _Poly(_Signed):
     def value(spec, z):
         k = spec.k
         neg = z < 0
@@ -317,19 +400,26 @@ class _Poly(_Kind):
         base = np.where(z < 0, 1.0 - z, 1.0 + z)
         return k * (k + 1.0) * base ** (-k - 2.0)
 
-    def log_value(spec, z):
+    def right(spec, z):
+        # l = (1 + z)^-k: both logs read one log1p
         k = spec.k
-        neg = z < 0
-        zneg = np.where(neg, z, 0.0)
-        return np.where(neg, np.log(-2.0 * k * zneg + (1.0 - zneg) ** (-k)),
-                        -k * np.log1p(np.where(neg, 0.0, z)))
+        log1p = np.log1p(z)
+        return (lambda: -k * log1p), (lambda: math.log(k) - (k + 1.0) * log1p)
 
-    def log_abs_deriv(spec, z):
+    def left(spec, z):
+        # l = -2kz + (1 - z)^-k
         k = spec.k
+        base = 1.0 - z
+        return ((lambda: np.log(-2.0 * k * z + base ** (-k))),
+                (lambda: math.log(k) + np.log(2.0 - base ** (-k - 1.0))))
+
+    def full(spec, z):
+        # each branch on margins masked to its side, then one np.where
         neg = z < 0
-        zneg = np.where(neg, z, 0.0)
-        return np.where(neg, math.log(k) + np.log(2.0 - (1.0 - zneg) ** (-k - 1.0)),
-                        math.log(k) - (k + 1.0) * np.log1p(np.where(neg, 0.0, z)))
+        left = _Poly.left(spec, np.where(neg, z, 0.0))
+        right = _Poly.right(spec, np.where(neg, 0.0, z))
+        return ((lambda: np.where(neg, left[0](), right[0]())),
+                (lambda: np.where(neg, left[1](), right[1]())))
 
     def inverse(spec, u):
         """Closed form on the right branch (u <= 1). The left branch is
@@ -405,7 +495,7 @@ class _Poly(_Kind):
         return value, deriv, neg_inverse
 
 
-class _Semicircle(_Kind):
+class _Semicircle(_Signed):
     def value(spec, z):
         h = np.hypot(z, 2.0)
         # (h - z)/2 cancels for large positive z; 2/(h+z) does not.
@@ -419,17 +509,25 @@ class _Semicircle(_Kind):
     def second_deriv(spec, z):
         return 2.0 / np.hypot(z, 2.0)**3
 
-    def log_value(spec, z):
+    def right(spec, z):
+        # l = 2 / (h + |z|), h = hypot(z, 2): both logs read h and ln(h + |z|)
         h = np.hypot(z, 2.0)
-        zneg = np.where(z < 0, z, -1.0)
-        return np.where(z >= 0, _LN2 - np.log(h + np.abs(z)),
-                        np.log((np.hypot(zneg, 2.0) - zneg) / 2.0))
+        log_sum = np.log(h + np.abs(z))
+        return (lambda: _LN2 - log_sum), (lambda: _LN2 - np.log(h) - log_sum)
 
-    def log_abs_deriv(spec, z):
+    def left(spec, z):
+        # l = (h - z) / 2, and |l'| = (1 - z/h) / 2
         h = np.hypot(z, 2.0)
-        zneg = np.where(z < 0, z, -1.0)
-        return np.where(z >= 0, _LN2 - np.log(h) - np.log(h + np.abs(z)),
-                        np.log((1.0 - zneg / np.hypot(zneg, 2.0)) / 2.0))
+        return (lambda: np.log((h - z) / 2.0)), (lambda: np.log((1.0 - z / h) / 2.0))
+
+    def full(spec, z):
+        # the right branch on z, the left on z < 0 with -1 elsewhere (a nan
+        # margin takes the left branch's value at -1), then one np.where
+        on_right = z >= 0
+        right = _Semicircle.right(spec, z)
+        left = _Semicircle.left(spec, np.where(z < 0, z, -1.0))
+        return ((lambda: np.where(on_right, right[0](), left[0]())),
+                (lambda: np.where(on_right, right[1](), left[1]())))
 
     def inverse(spec, u):
         return 1.0 / u - u
@@ -466,12 +564,10 @@ class _Hinge(_Kind):
     def second_deriv(spec, z):
         return np.zeros_like(z)
 
-    def log_value(spec, z):
+    def log_pair(spec, z):
         # -inf where the loss vanishes; the log never sees 0
-        return np.where(z < 0, np.log(np.maximum(-z, 1e-300)), -np.inf)
-
-    def log_abs_deriv(spec, z):
-        return np.where(z <= 0, 0.0, -np.inf)
+        return ((lambda: np.where(z < 0, np.log(np.maximum(-z, 1e-300)), -np.inf)),
+                (lambda: np.where(z <= 0, 0.0, -np.inf)))
 
 
 _KINDS = {"exp": _Exp, "log": _Log, "poly": _Poly, "semicircle": _Semicircle, "hinge": _Hinge}

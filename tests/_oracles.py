@@ -175,6 +175,59 @@ def unbranched_log_abs_deriv(spec, z):
     return log_expit(-z)
 
 
+def unbranched_poly_log_value(spec, z):
+    """poly:k's log_value as one np.where over both branches, each on the
+    margins masked to its side. The branched kernel must return the same
+    bits."""
+    k = spec.k
+    neg = z < 0
+    zneg = np.where(neg, z, 0.0)
+    return np.where(neg, np.log(-2.0 * k * zneg + (1.0 - zneg) ** (-k)),
+                    -k * np.log1p(np.where(neg, 0.0, z)))
+
+
+def unbranched_poly_log_abs_deriv(spec, z):
+    """poly:k's log_abs_deriv as one np.where over both branches."""
+    k = spec.k
+    neg = z < 0
+    zneg = np.where(neg, z, 0.0)
+    return np.where(neg, math.log(k) + np.log(2.0 - (1.0 - zneg) ** (-k - 1.0)),
+                    math.log(k) - (k + 1.0) * np.log1p(np.where(neg, 0.0, z)))
+
+
+def unbranched_semicircle_log_value(spec, z):
+    """The semicircle loss's log_value as one np.where: 2 / (h + |z|) on
+    z >= 0, (h - z) / 2 on z < 0 with -1 in place of every other margin
+    (a nan margin among them)."""
+    h = np.hypot(z, 2.0)
+    zneg = np.where(z < 0, z, -1.0)
+    return np.where(z >= 0, math.log(2.0) - np.log(h + np.abs(z)),
+                    np.log((np.hypot(zneg, 2.0) - zneg) / 2.0))
+
+
+def unbranched_semicircle_log_abs_deriv(spec, z):
+    """The semicircle loss's log_abs_deriv as one np.where."""
+    h = np.hypot(z, 2.0)
+    zneg = np.where(z < 0, z, -1.0)
+    return np.where(z >= 0, math.log(2.0) - np.log(h) - np.log(h + np.abs(z)),
+                    np.log((1.0 - zneg / np.hypot(zneg, 2.0)) / 2.0))
+
+
+# kind -> (log_value, log_abs_deriv) of the kinds whose kernels branch
+UNBRANCHED = {
+    "log": (unbranched_log_value, unbranched_log_abs_deriv),
+    "poly": (unbranched_poly_log_value, unbranched_poly_log_abs_deriv),
+    "semicircle": (unbranched_semicircle_log_value, unbranched_semicircle_log_abs_deriv),
+}
+
+
+def unbranched_pair(spec, z):
+    """A kernel pair (losses._Kind.log_pair) from the unbranched kernels of
+    spec's kind: each callable evaluates its kernel on every margin."""
+    value, abs_deriv = UNBRANCHED[spec.kind]
+    return (lambda: value(spec, z)), (lambda: abs_deriv(spec, z))
+
+
 def whole_matrix_random_separable(d: int, n: int, gamma: float, seed: int):
     """(features, labels, w_star) of margin_lab's random separable generator
     as it was before it worked in row blocks: every step on the whole

@@ -59,10 +59,36 @@ def test_a_key_with_one_float_sample_is_summarised():
 
 
 def test_the_cases():
-    assert sorted(bench_pair.CASES) == ["averaged-blocks", "bench-command", "cold-log-run",
-                                        "constant-step", "import-path", "lean-datasets",
-                                        "run-constants", "separated-log", "stacked-probes",
-                                        "step-overhead"]
+    assert sorted(bench_pair.CASES) == ["averaged-blocks", "bench-command", "branch-once",
+                                        "cold-log-run", "constant-step", "import-path",
+                                        "lean-datasets", "run-constants", "separated-log",
+                                        "stacked-probes", "step-overhead"]
+
+
+def test_the_branch_once_runs_are_run_large_and_small_poly_and_semicircle_runs(monkeypatch):
+    """branch-once times perfbench run-large's unit (its dataset and
+    GDConfig at seed 0) and adaptive poly:2 and semicircle runs at d = 10,
+    n = 100, the fastest of RUNS calls each."""
+    import margin_lab.datasets
+
+    made = []
+
+    def recording(d, n, gamma, seed):
+        made.append((d, n, gamma, seed))
+        return f"random d={d} n={n}"
+
+    monkeypatch.setattr(margin_lab.datasets, "gen_random_separable", recording)
+    names = {}
+    exec(bench_pair.BRANCH_ONCE_RUNS, names)
+    assert made == [(10, 100, 0.1, 0), (1000, 10_000, 0.1, 0)]
+    assert {name: (ds, c.loss.name, c.mode, c.eta, c.steps, c.record_every)
+            for name, (ds, c) in names["runs"].items()} == {
+        "log run-large": ("random d=1000 n=10000", "log", "adaptive", 400.0, 50, 50),
+        "poly:2 adaptive": ("random d=10 n=100", "poly:2", "adaptive", 50.0, 2000, 2000),
+        "semicircle adaptive": ("random d=10 n=100", "semicircle", "adaptive", 50.0, 2000,
+                                2000)}
+    assert bench_pair.FASTEST in bench_pair.BRANCH_ONCE_CHILD
+    assert bench_pair.CASES["branch-once"].children == ((bench_pair.BRANCH_ONCE_CHILD,),)
 
 
 def test_the_constant_step_runs_are_benchs_constant_cell(monkeypatch):

@@ -30,7 +30,7 @@ from margin_lab.cli import (
     parse_stepsize,
 )
 from margin_lab.datasets import gen_random_separable
-from margin_lab.descent import GDConfig, run_gd
+from margin_lab.descent import GDConfig, Trajectory, run_gd
 from margin_lab.losses import EXP, LOG
 from margin_lab.online import cyclic_order, run_perceptron
 
@@ -682,6 +682,21 @@ class TestRunCommand:
         data["iterates"] = [[float(v) for v in w] for w in traj.columns["w"]]
         data["avg_iterates"] = [[float(v) for v in w] for w in traj.columns["avg_w"]]
         assert json.dumps(data, sort_keys=True) == text
+
+    def test_a_run_without_rows_writes_empty_iterates(self, tmp_path, monkeypatch):
+        """A run that diverges at t = 0 has no rows and no columns; its
+        trajectory.json carries empty iterate lists."""
+        def no_rows(ds, config):
+            traj = Trajectory()
+            traj.diverged_at = 0
+            return traj
+
+        monkeypatch.setattr(cli, "run_gd", no_rows)
+        cfg = write_cfg(tmp_path, RUN_CFG)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "trajectory.json").read_text())
+        assert data["iterates"] == [] and data["avg_iterates"] == []
+        assert data["diverged_at"] == 0 and data["columns"]["t"] == []
 
     def test_large_state_json_omits_iterates(self, tmp_path):
         text = (

@@ -38,7 +38,7 @@ from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, LossSpec, poly
 from margin_lab.two_layer import leaky_relu, make_net, run_gd_nn
 
 from _oracles import (append_row, fd_grad, max_relative_gap, negate_rows, permute_rows,
-                      random_rotation, rotate, unbranched_log_abs_deriv, unbranched_log_value)
+                      random_rotation, rotate, unbranched_pair)
 
 SMOOTH = [EXP, LOG, poly(2.0), SEMICIRCLE]
 
@@ -624,8 +624,9 @@ class TestFusedStep:
     @pytest.mark.parametrize("loss", SMOOTH, ids=lambda s: s.name)
     def test_one_log_kernel_call_per_iterate(self, monkeypatch, loss, agg, target):
         """The risk and the gradient coefficients of an iterate read one
-        margin state, so loss.log_value runs once per iterate computed, plus
-        once per block of averaged iterates (one 2-D call each). With a
+        margin state, so the kind's kernel pair (loss.ops.log_pair) runs once
+        per iterate computed, plus once per block of averaged iterates (one
+        2-D call each). With a
         target the iterates computed include the steps dropped behind the
         first passage, and a block keeps the passage rows off the record
         grid without evaluating again the risks their steps left."""
@@ -636,17 +637,17 @@ class TestFusedStep:
             full = run_gd(ds, dataclasses.replace(cfg, record_every=1))
             cfg = dataclasses.replace(cfg, target_log_avg_risk=full.columns["log_avg_risk"][100])
         calls, grads = [], []
-        log_value, grad = LossSpec.log_value, descent.grad_phi
+        log_pair, grad = loss.ops.log_pair, descent.grad_phi
 
-        def counting(self, z):
+        def counting(spec, z):
             calls.append(None)
-            return log_value(self, z)
+            return log_pair(spec, z)
 
         def counting_grad(*args):
             grads.append(None)
             return grad(*args)
 
-        monkeypatch.setattr(LossSpec, "log_value", counting)
+        monkeypatch.setattr(loss.ops, "log_pair", counting)
         monkeypatch.setattr(descent, "grad_phi", counting_grad)
         queued = count_blocks(monkeypatch)
         traj = run_gd(ds, cfg)
@@ -1222,10 +1223,11 @@ def assert_same_columns(got, want):
         assert np.array(values).tobytes() == np.array(want.columns[name]).tobytes(), name
 
 
-def unbranched_log_kernels(monkeypatch):
-    """Replace the log loss's two log kernels by their unbranched bodies."""
-    monkeypatch.setattr(losses._Log, "log_value", unbranched_log_value)
-    monkeypatch.setattr(losses._Log, "log_abs_deriv", unbranched_log_abs_deriv)
+def unbranched_log_kernels(monkeypatch, kinds=("log",)):
+    """Replace the kernel pair of each named kind (the log loss's by
+    default) by one from its unbranched kernels (_oracles.UNBRANCHED)."""
+    for kind in kinds:
+        monkeypatch.setattr(losses._KINDS[kind], "log_pair", unbranched_pair)
 
 
 class TestSeparatedLog:
@@ -1289,10 +1291,12 @@ REGIME_LOWS = {"700": 700.0, "above-700": np.nextafter(700.0, np.inf),
 
 
 class TestSharedRegime:
-    """phi_coefficients reads ln |l'| off the state's a = ln l(z) when the
-    state's top is below -700, every margin past 700, and calls
-    log_abs_deriv otherwise. Either way its coefficients, and grad_phi,
-    have the bytes of the unbranched log_abs_deriv (scipy's log_expit)."""
+    """phi_coefficients reads ln |l'| from the state's kernel pair, whose
+    branch is decided once, when the state builds a = ln l(z): past 700
+    (every margin, the state's top below -700) ln |l'| is a itself, and no
+    log_abs_deriv call is made on either route. Either way its
+    coefficients, and grad_phi, have the bytes of the unbranched
+    log_abs_deriv (scipy's log_expit)."""
 
     DATASETS = {
         "random": lambda: gen_random_separable(10, 100, 0.1, seed=3),
@@ -1302,35 +1306,43 @@ class TestSharedRegime:
 
     @staticmethod
     def coefficients_and_grad(z, ds, loss):
-        """phi_coefficients and grad_phi at margins z, and the number of
-        log_abs_deriv calls they made."""
-        calls, log_abs_deriv = [], LossSpec.log_abs_deriv
+        """phi_coefficients and grad_phi at margins z, the number of
+        log_abs_deriv calls they made and the branches they decided on."""
+        calls, picks = [], []
+        log_abs_deriv, branch = LossSpec.log_abs_deriv, losses._Log.branch
 
         def counting(self, margins):
             calls.append(None)
             return log_abs_deriv(self, margins)
 
+        def deciding(lo, high):
+            pick = branch(lo, high)
+            picks.append(pick.__name__)
+            return pick
+
         with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
             mp.setattr(LossSpec, "log_abs_deriv", counting)
+            mp.setattr(losses._Log, "branch", deciding)
             coef = phi_coefficients(z, ds, loss)
             grad = grad_phi(descent.MarginState(z, ds, loss), ds, loss)
-        return coef, grad, len(calls)
+        return coef, grad, len(calls), picks
 
     @staticmethod
     def oracle(z, ds, loss):
-        """The same with the unbranched kernels and no shared route."""
+        """The same with the unbranched kernels."""
         with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
             unbranched_log_kernels(mp)
-            mp.setattr(losses._Log, "shared_logs_below", -math.inf)
             return (phi_coefficients(z, ds, loss),
                     grad_phi(descent.MarginState(z, ds, loss), ds, loss))
 
-    def assert_oracle_bytes(self, z, ds, loss, shared):
-        coef, grad, calls = self.coefficients_and_grad(z, ds, loss)
+    def assert_oracle_bytes(self, z, ds, loss, branches):
+        """branches: the branch of each row (one for 1-D margins)."""
+        coef, grad, calls, picks = self.coefficients_and_grad(z, ds, loss)
         want_coef, want_grad = self.oracle(z, ds, loss)
         assert coef.tobytes() == want_coef.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
-        assert calls == (0 if shared else 2)  # one per call of phi_coefficients
+        assert calls == 0
+        assert picks == branches * 2  # one decision per row per MarginState built
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     @pytest.mark.parametrize("low", list(REGIME_LOWS))
@@ -1340,7 +1352,8 @@ class TestSharedRegime:
         z = _margins_from(REGIME_LOWS[low], ds.n_rows)
         assert z.min() == REGIME_LOWS[low] and z[0] != z.min()
         assert bool(LOG.log_value(z).max() < -700.0) is (low == "above-700")
-        self.assert_oracle_bytes(z, ds, LOG.with_aggregation(agg), shared=low == "above-700")
+        self.assert_oracle_bytes(z, ds, LOG.with_aggregation(agg),
+                                 ["past_700" if low == "above-700" else "full"])
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     @pytest.mark.parametrize("name", list(DATASETS))
@@ -1349,53 +1362,167 @@ class TestSharedRegime:
         for at in (0, ds.n_rows - 1):
             z = _margins_from(800.0, ds.n_rows)
             z[at] = math.nan
-            self.assert_oracle_bytes(z, ds, LOG.with_aggregation(agg), shared=False)
+            self.assert_oracle_bytes(z, ds, LOG.with_aggregation(agg), ["full"])
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     @pytest.mark.parametrize("name", list(DATASETS))
-    def test_a_stack_shares_only_when_every_row_does(self, name, agg):
-        """Rows past 700 around one at or below it: the whole stack takes
-        the kernel; without that row it takes a. Each row has the bytes of
-        its solo call."""
+    def test_each_row_of_a_stack_takes_its_own_branch(self, name, agg):
+        """Rows past 700 around one at or below it: each row takes its own
+        branch, and has the bytes of its solo call."""
         ds, loss = self.DATASETS[name](), LOG.with_aggregation(agg)
         above = [_margins_from(low, ds.n_rows)
                  for low in (np.nextafter(700.0, np.inf), 701.0, 2000.0)]
-        for low in (700.0, np.nextafter(700.0, -np.inf), 3.0):
+        for low, branch in ((700.0, "full"), (np.nextafter(700.0, -np.inf), "full"),
+                            (3.0, "positive")):
             z = np.stack([above[0], _margins_from(low, ds.n_rows), *above[1:]])
-            self.assert_oracle_bytes(z, ds, loss, shared=False)
-        z = np.stack(above)
-        self.assert_oracle_bytes(z, ds, loss, shared=True)
-        coef, grad, _ = self.coefficients_and_grad(z, ds, loss)
-        for j, row in enumerate(z):
-            solo_coef, solo_grad, calls = self.coefficients_and_grad(row, ds, loss)
-            assert calls == 0
-            assert coef[j].tobytes() == solo_coef.tobytes()
-            assert grad[j].tobytes() == solo_grad.tobytes()
+            self.assert_oracle_bytes(z, ds, loss, ["past_700", branch, "past_700", "past_700"])
+            coef, grad, _, _ = self.coefficients_and_grad(z, ds, loss)
+            for j, row in enumerate(z):
+                solo_coef, solo_grad, calls, picks = self.coefficients_and_grad(row, ds, loss)
+                assert calls == 0 and picks == [branch if j == 1 else "past_700"] * 2
+                assert coef[j].tobytes() == solo_coef.tobytes()
+                assert grad[j].tobytes() == solo_grad.tobytes()
+        self.assert_oracle_bytes(np.stack(above), ds, loss, ["past_700"] * 3)
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     def test_a_run_tests_the_regime_once_per_iterate_past_it(self, monkeypatch, agg):
-        """A run whose margins all pass 700 mid-run makes one _all_past_700
-        call per iterate past the regime (log_value's), two per iterate
-        before it (log_value's and log_abs_deriv's) and one per block of
-        averaged iterates (log_value on the stack)."""
+        """A run whose margins all pass 700 mid-run makes one branch decision
+        per iterate, from one reduction (its smallest margin) past the
+        regime and two before it, and one per averaged iterate, in one
+        kernel pair call per block of averaged iterates."""
         ds = gen_batch_hard(0.1, 64, weighted=True)
         cfg = GDConfig(loss=LOG.with_aggregation(agg), eta=400.0, steps=300)
-        calls, past = [], losses._all_past_700
+        calls, decisions = [], []
+        log_pair, branch = losses._Log.log_pair, losses._Log.branch
 
-        def counting(z):
-            calls.append((z.ndim, bool(z.size) and bool(z.min() > 700.0)))
-            return past(z)
+        def pairing(spec, z):
+            calls.append(z.ndim)
+            return log_pair(spec, z)
 
-        monkeypatch.setattr(losses, "_all_past_700", counting)
+        def deciding(lo, high):
+            asked = []
+
+            def counted():
+                asked.append(None)
+                return high()
+            pick = branch(lo, counted)
+            decisions.append((calls[-1], lo > 700.0, len(asked)))
+            return pick
+
+        monkeypatch.setattr(losses._Log, "log_pair", pairing)
+        monkeypatch.setattr(losses._Log, "branch", deciding)
         traj = run_gd(ds, cfg)
         inside = int((traj.column("min_margin") > 700.0).sum())
         outside = cfg.steps + 1 - inside
         assert inside > 100 and outside > 10
         assert traj.column("min_margin")[-1] > 700.0
         blocks = -(-(cfg.steps + 1) // descent.block_size(ds.n_rows))
-        assert calls.count((1, True)) == inside
-        assert calls.count((1, False)) == 2 * outside
-        assert sum(ndim == 2 for ndim, _ in calls) == blocks
+        assert calls.count(1) == cfg.steps + 1 and calls.count(2) == blocks
+        assert decisions.count((1, True, 0)) == inside
+        assert decisions.count((1, False, 1)) == outside
+        assert sum(ndim == 2 for ndim, _, _ in decisions) == cfg.steps + 1
+        assert len(decisions) == 2 * (cfg.steps + 1)
+
+
+# Runs whose iterates change branch mid-block (name -> loss, mode, eta, on
+# gen_random_separable(10, 100, 0.1) with the seed): log margins enter (0,
+# 700] for good at t = 203 (constant), or leave and re-enter it, straddling
+# 700 above 0 in between (adaptive); poly:2 and semicircle margins turn all
+# nonnegative at t = 70 and 182 (poly), 112 and 20 (semicircle) under the
+# mean, and within the first block under the sum
+BRANCH_RUNS = {
+    "log-constant": (LOG, "constant", 1.0, 0),
+    "log-adaptive": (LOG, "adaptive", 50.0, 0),
+    "poly:2-constant": (poly(2.0), "constant", 0.1, 3),
+    "poly:2-adaptive": (poly(2.0), "adaptive", 50.0, 3),
+    "semicircle-constant": (SEMICIRCLE, "constant", 1.0, 3),
+    "semicircle-adaptive": (SEMICIRCLE, "adaptive", 50.0, 3),
+}
+
+
+def branch_run(name, agg, **changes):
+    """The dataset and the GDConfig of a BRANCH_RUNS run, 300 steps."""
+    loss, mode, eta, seed = BRANCH_RUNS[name]
+    ds = gen_random_separable(10, 100, 0.1, seed=seed)
+    cfg = GDConfig(loss=loss.with_aggregation(agg), eta=eta, steps=300, mode=mode)
+    return ds, dataclasses.replace(cfg, **changes)
+
+
+def deciding(monkeypatch, kind):
+    """Record each kernel pair call of the kind's record (the shape of its
+    margins) and each branch decision (the branch's name and the ndim of the
+    call that made it)."""
+    pairs, decisions = [], []
+    log_pair, branch = kind.log_pair, kind.branch
+
+    def pairing(spec, z):
+        pairs.append(z.shape)
+        return log_pair(spec, z)
+
+    def choosing(lo, high):
+        pick = branch(lo, high)
+        decisions.append((len(pairs[-1]), pick.__name__))
+        return pick
+
+    monkeypatch.setattr(kind, "log_pair", pairing)
+    monkeypatch.setattr(kind, "branch", choosing)
+    return pairs, decisions
+
+
+class TestBranchedRuns:
+    """A run whose iterates change branch inside a block keeps the bits of
+    the unbranched kernels, for log, poly:2 and semicircle, under the mean
+    and the sum, in both modes."""
+
+    @pytest.mark.parametrize("target", [False, True])
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("name", list(BRANCH_RUNS))
+    def test_a_run_changing_branch_mid_block_keeps_its_bits(
+            self, monkeypatch, name, agg, every, target):
+        ds, cfg = branch_run(name, agg, record_every=every)
+        with pytest.MonkeyPatch.context() as mp:
+            _, decisions = deciding(mp, cfg.loss.ops)
+            full = run_gd(ds, dataclasses.replace(cfg, record_every=1))
+        picks = [pick for ndim, pick in decisions if ndim == 1]  # one per iterate
+        assert len(picks) == cfg.steps + 1 and len(set(picks)) >= 2
+        last = max(t for t in range(1, len(picks)) if picks[t] != picks[t - 1])
+        assert last % descent.block_size(ds.n_rows) != 0  # inside a block
+        if target:
+            row = min(last + 20, cfg.steps - 20)
+            cfg = dataclasses.replace(cfg, target_log_avg_risk=full.columns["log_avg_risk"][row])
+        got = run_gd(ds, cfg)
+        if target:
+            assert got.columns["t"][-1] < cfg.steps
+        unbranched_log_kernels(monkeypatch, kinds=("log", "poly", "semicircle"))
+        assert_same_columns(got, run_gd(ds, cfg))
+
+
+class TestBranchOnce:
+    """Each kernel pair call decides its branch once per row of its margins
+    (once for one iterate); the coefficients read the pair's second callable
+    and decide nothing again, and no LossSpec kernel runs in the loop. An
+    adaptive run makes one pair call on one iterate per iterate computed."""
+
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("name", list(BRANCH_RUNS))
+    def test_at_most_one_branch_decision_per_iterate_per_kernel_pair(
+            self, monkeypatch, name, agg):
+        ds, cfg = branch_run(name, agg, record_every=7)
+        public = []
+        for kernel in ("log_value", "log_abs_deriv"):
+            monkeypatch.setattr(LossSpec, kernel, lambda *args: public.append(args))
+        pairs, decisions = deciding(monkeypatch, cfg.loss.ops)
+        traj = run_gd(ds, cfg)
+        assert traj.diverged_at is None and traj.columns["t"][-1] == cfg.steps
+        assert not public
+        assert len(decisions) == sum(1 if len(shape) == 1 else shape[0] for shape in pairs)
+        iterates = [shape for shape in pairs if len(shape) == 1]
+        assert len(iterates) == cfg.steps + 1
+        blocks = -(-len(traj.columns["t"]) // descent.block_size(ds.n_rows))
+        stacks = len(pairs) - len(iterates)
+        # the averages of each block; in constant mode also the risks it fills
+        assert stacks == blocks if cfg.mode == "adaptive" else blocks <= stacks <= 2 * blocks
 
 
 def _weighted(ds, seed=0):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -26,7 +26,7 @@ from margin_lab.losses import (
     LOG,
     SEMICIRCLE,
     LossSpec,
-    _all_past_700,
+    _branched,
     _brentq,
     _log_expit,
     log1mexp,
@@ -34,7 +34,7 @@ from margin_lab.losses import (
     poly,
 )
 
-from _oracles import (array_log1mexp, bisect_inverse, fd_deriv, log_loss_log_value,
+from _oracles import (UNBRANCHED, array_log1mexp, bisect_inverse, fd_deriv, log_loss_log_value,
                       unbranched_log_abs_deriv, unbranched_log_value)
 
 SMOOTH = [EXP, LOG, poly(1.0), poly(2.0), poly(3.5), SEMICIRCLE]
@@ -357,16 +357,25 @@ print(sorted(name for name in KERNELS if not got[name].tobytes() == again[name].
         assert _fresh_python(code) == "[] True False"
 
     def test_a_kernel_call_after_the_load_runs_no_other_python_function(self):
-        """log_abs_deriv also calls the regime test it shares with log_value,
+        """log_abs_deriv goes through the kind's kernel pair and its branch
+        decision (lo = -5 reads high(), and z <= 700 takes at_or_below_700),
         and it and second_deriv call _log_expit."""
         from margin_lab import _special
         from margin_lab.two_layer import _BASES
 
+        def lambdas(fn):
+            return [c for c in fn.__code__.co_consts
+                    if isinstance(c, type(fn.__code__)) and c.co_name == "<lambda>"]
+
         z = np.linspace(-5.0, 5.0, 11)
         log_expit = [_log_expit.__code__]
+        branch = LOG.ops.at_or_below_700
+        ops = LossSpec.ops.fget.__code__
+        pair = [ops, _branched.__code__, LOG.ops.branch.__code__, lambdas(_branched)[1],
+                branch.__code__, lambdas(branch)[1]]
         kernels = [(LOG.ops.deriv, (LOG, z), []),
                    (LOG.ops.second_deriv, (LOG, z), log_expit * 2),
-                   (LOG.ops.log_abs_deriv, (LOG, z), [_all_past_700.__code__] + log_expit)]
+                   (LOG.ops.log_abs_deriv, (LOG, z), pair + log_expit)]
         kernels += [(_BASES[base][1], (z,), []) for base in ("gelu", "silu", "softplus")]
         for kernel, args, _ in kernels:
             kernel(*args)  # loads scipy.special if this process has not yet
@@ -623,6 +632,12 @@ _REGIMES = {
     "near-700": _regime(st.floats(min_value=690.0, max_value=760.0)),
     "any": _regime(st.floats(), min_size=0),
 }
+# the regimes of 700 and of the sign, each branch point of the kernel pairs
+_PAIR_REGIMES = {
+    **_REGIMES,
+    "positive": _regime(st.floats(min_value=0.0, exclude_min=True)),
+    "negative": _regime(st.floats(max_value=0.0, exclude_max=True)),
+}
 
 
 class TestLogKernelBranches:
@@ -692,6 +707,115 @@ class TestLogKernelBranches:
                 "LOG.deriv(np.array([800.0, 700.0]))\n"
                 "print('scipy.special' in sys.modules)")
         assert _fresh_python(code).split() == ["False", "False", "True"]
+
+
+_BRANCHED = [LOG, poly(2.0), poly(0.5), SEMICIRCLE]
+_TINY = 5e-324
+# Signed zeros, the subnormals next to them, 700 and its neighbours, both
+# infinities and a nan, on each side of the branch points of every kind
+_PAIR_EDGES = {
+    "positive": [_TINY, 1e-300, 0.5, 36.0, math.nextafter(700.0, 0.0), 700.0],
+    "nonnegative": [0.0, -0.0, _TINY, 3.0, 1e4, 1e308],
+    "negative": [-_TINY, -1e-300, -0.5, -36.0, -700.0, -1e308],
+    "past-700": [math.nextafter(700.0, math.inf), 745.0, 1e4, sys.float_info.max],
+    "at-or-below-700": [700.0, math.nextafter(700.0, 0.0), 0.0, -0.0, -5.0, -math.inf],
+    "straddle-700": [5.0, 700.0, math.nextafter(700.0, math.inf), 1e4],
+    "signed-zeros": [0.0, -0.0],
+    "mixed": [-0.0, 0.0, _TINY, -_TINY, 700.0, math.nextafter(700.0, math.inf),
+              math.nextafter(700.0, 0.0), -700.0, math.inf, -math.inf],
+    "inf": [math.inf],
+    "minus-inf": [-math.inf],
+    "infs": [math.inf, -math.inf],
+    "nan": [math.nan],
+    "nan-positive": [3.0, math.nan],
+    "nan-negative": [math.nan, -3.0],
+    "nan-past-700": [800.0, math.nan, 900.0],
+    "empty": [],
+}
+
+
+class TestKernelPairs:
+    """Each branched kind's kernel pair decides its branch once, from the
+    smallest and the largest margin (row by row for a stack), and both of
+    its kernels, through LossSpec and through the pair, have the bytes of
+    the unbranched np.where kernels (_oracles.UNBRANCHED), shape and dtype
+    included, in every regime."""
+
+    @staticmethod
+    def assert_same_bits(spec, z):
+        z = np.asarray(z, dtype=float)
+        value, abs_deriv = UNBRANCHED[spec.kind]
+        # a nan margin warns in logaddexp, and margins near the float max overflow
+        with np.errstate(invalid="ignore", over="ignore"):
+            pair = spec.ops.log_pair(spec, z)
+            got = [spec.log_value(z), spec.log_abs_deriv(z), pair[0](), pair[1]()]
+            want = [value(spec, z), abs_deriv(spec, z)] * 2
+        for i, (g, w) in enumerate(zip(got, want)):
+            if z.ndim == 0:
+                assert i >= 2 or type(g) is float  # LossSpec gives a float a float
+                g, w = np.float64(g), np.float64(w)
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("edges", list(_PAIR_EDGES))
+    @pytest.mark.parametrize("spec", _BRANCHED, ids=lambda s: s.name)
+    def test_pinned_arrays(self, spec, edges):
+        z = np.array(_PAIR_EDGES[edges])
+        self.assert_same_bits(spec, z)
+        self.assert_same_bits(spec, z[::-1])
+        self.assert_same_bits(spec, z[None, :])  # a stack of one row
+        for x in z:
+            self.assert_same_bits(spec, np.array(x))  # 0-d
+            self.assert_same_bits(spec, float(x))
+
+    @pytest.mark.parametrize("spec", _BRANCHED, ids=lambda s: s.name)
+    def test_empty_stacks(self, spec):
+        for shape in ((0,), (1, 0), (3, 0), (0, 5), (2, 0, 3)):
+            self.assert_same_bits(spec, np.zeros(shape))
+
+    @pytest.mark.parametrize("spec,lo,hi,branch", [
+        (LOG, 700.5, 800.0, "past_700"), (LOG, _TINY, 700.0, "positive"),
+        (LOG, 0.0, 700.0, "at_or_below_700"), (LOG, -5.0, -1.0, "at_or_below_700"),
+        (LOG, 700.0, 700.5, "full"), (LOG, 1.0, math.inf, "full"),
+        (LOG, math.nan, math.nan, "full"),
+        (poly(2.0), -0.0, 5.0, "right"), (poly(2.0), -5.0, -_TINY, "left"),
+        (poly(2.0), -5.0, 0.0, "full"), (poly(2.0), math.nan, math.nan, "full"),
+        (SEMICIRCLE, -0.0, math.inf, "right"), (SEMICIRCLE, -math.inf, -_TINY, "left"),
+        (SEMICIRCLE, -_TINY, 0.0, "full"), (SEMICIRCLE, math.nan, math.nan, "full"),
+    ])
+    def test_the_branch_of_the_smallest_and_the_largest_margin(self, spec, lo, hi, branch):
+        highs = []
+        pick = spec.ops.branch(lo, lambda: highs.append(None) or hi)
+        assert pick is getattr(spec.ops, branch)
+        # the smallest margin alone decides the branches that need no other
+        assert len(highs) == (0 if branch in ("past_700", "right") else 1)
+
+    @pytest.mark.parametrize("n_rows", [7, 100, 101])
+    @pytest.mark.parametrize("spec", _BRANCHED, ids=lambda s: s.name)
+    def test_a_stack_of_mixed_rows_has_each_rows_solo_bits(self, spec, n_rows):
+        rng = np.random.default_rng(n_rows)
+        rows = [rng.uniform(1e-3, 600.0, n_rows), rng.uniform(-50.0, -1e-3, n_rows),
+                rng.uniform(-5.0, 5.0, n_rows), rng.uniform(701.0, 2000.0, n_rows),
+                rng.uniform(600.0, 800.0, n_rows), np.zeros(n_rows),
+                rng.uniform(0.0, 1e4, n_rows)]
+        rows[-1][n_rows // 2] = math.nan
+        z = np.stack(rows + rows[::-1])
+        with np.errstate(invalid="ignore"):
+            stacked = [kernel() for kernel in spec.ops.log_pair(spec, z)]
+            for j, row in enumerate(z):
+                solo = [kernel() for kernel in spec.ops.log_pair(spec, row)]
+                for got, want in zip(stacked, solo):
+                    assert got[j].tobytes() == want.tobytes()
+        self.assert_same_bits(spec, z)
+        self.assert_same_bits(spec, z[:, ::3])  # not contiguous
+
+    @seed(15)
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_BRANCHED),
+           st.sampled_from(sorted(_PAIR_REGIMES)).flatmap(lambda name: _PAIR_REGIMES[name]))
+    def test_random_arrays(self, spec, z):
+        self.assert_same_bits(spec, z)
+        self.assert_same_bits(spec, -z)
 
 
 def _nan(bits: int) -> float:

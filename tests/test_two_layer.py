@@ -13,7 +13,7 @@ from margin_lab import losses, two_layer
 from margin_lab.datasets import (Dataset, gen_batch_hard, gen_random_separable,
                                  mean_signed_feature)
 from margin_lab.descent import GDConfig, Trajectory, phi_from_risk, run_gd
-from margin_lab.losses import EXP, LOG, LossSpec, poly
+from margin_lab.losses import EXP, LOG, poly
 from margin_lab.two_layer import (
     TwoLayerNet,
     leaky_blend,
@@ -332,18 +332,18 @@ class TestFusedStep:
     @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
     def test_one_log_kernel_call_per_iterate(self, monkeypatch, loss):
         """The risk and the gradient coefficients of an iterate read one
-        margin state, and no averaged iterate is evaluated: loss.log_value
-        runs once per iterate."""
+        margin state, and no averaged iterate is evaluated: the kind's kernel
+        pair (loss.ops.log_pair) runs once per iterate."""
         calls = []
-        log_value = LossSpec.log_value
+        log_pair = loss.ops.log_pair
 
-        def counting(self, z):
+        def counting(spec, z):
             calls.append(None)
-            return log_value(self, z)
+            return log_pair(spec, z)
 
         ds = gen_random_separable(10, 100, 0.2, seed=0)
         net = make_net(ds.d, 4, leaky_relu(0.5))
-        monkeypatch.setattr(LossSpec, "log_value", counting)
+        monkeypatch.setattr(loss.ops, "log_pair", counting)
         run_gd_nn(ds, net, GDConfig(loss=loss, eta=8.0, steps=40, record_every=7))
         assert len(calls) == 41
 
@@ -367,28 +367,33 @@ class TestSeparatedLog:
 class TestSharedRegime:
     @pytest.mark.parametrize("act", ["leakyrelu:0.5", "leaky-gelu:0.9"])
     def test_a_run_tests_the_regime_once_per_iterate_past_it(self, monkeypatch, act):
-        """A run whose margins all pass 700 mid-run makes one _all_past_700
-        call per iterate past the regime (log_value's) and two per iterate
-        before it (log_value's and log_abs_deriv's); its rows evaluate no
-        averaged iterate."""
+        """A run whose margins all pass 700 mid-run makes one branch decision
+        per iterate, from one reduction (its smallest margin) past the
+        regime and two before it; its rows evaluate no averaged iterate."""
         ds = gen_random_separable(10, 100, 0.2, seed=0)
         net = make_net(ds.d, 4, parse_activation(act))
         cfg = GDConfig(loss=LOG, eta=400.0, steps=200)
-        calls, past = [], losses._all_past_700
+        decisions, branch = [], losses._Log.branch
 
-        def counting(z):
-            calls.append((z.ndim, bool(z.size) and bool(z.min() > 700.0)))
-            return past(z)
+        def deciding(lo, high):
+            asked = []
 
-        monkeypatch.setattr(losses, "_all_past_700", counting)
+            def counted():
+                asked.append(None)
+                return high()
+            pick = branch(lo, counted)
+            decisions.append((lo > 700.0, len(asked)))
+            return pick
+
+        monkeypatch.setattr(losses._Log, "branch", deciding)
         traj = run_gd_nn(ds, net, cfg)
         margins = traj.column("min_margin")
         inside = int((margins > 700.0).sum())
         outside = cfg.steps + 1 - inside
         assert inside > 20 and outside > 20 and margins[-1] > 700.0
-        assert calls.count((1, True)) == inside
-        assert calls.count((1, False)) == 2 * outside
-        assert len(calls) == inside + 2 * outside
+        assert decisions.count((True, 0)) == inside
+        assert decisions.count((False, 1)) == outside
+        assert len(decisions) == cfg.steps + 1
 
 
 STACK_ACTIVATIONS = ["leakyrelu:0.5"] + [f"leaky-{b}:0.8" for b in
