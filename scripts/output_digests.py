@@ -36,6 +36,14 @@ One line per run or file:
   aggregation, on a weighted batch-hard set and on a random set with
   n = 101; `check_network_inequalities` with leaky-silu and leaky-softplus;
   `check_risk_implies_separation` on a stack of 300 iterates;
+- the stacked evaluators on stacks that span several blocks of
+  `descent._stacked`, over `gen_random_separable(10, 20_000, 0.1)` on
+  seeds 0, 3 and 1000, which takes 3 vectors or 1 net of width 4 at a
+  time: `risk`, `phi`, `grad_phi` and `grad_risk` (exp, log, poly:2) on 10
+  probe vectors (seven random at scales 1e-3 .. 10^2.5, and w* times 10,
+  1000 and -1000), `nn_margins`, `nn_risk` and `nn_risk_and_grad_phi` (exp
+  and log) on 3 leakyrelu nets of width 4, and the JSON report of
+  `check_risk_implies_separation` (exp and log) on the 10 vectors;
 - `run_perceptron` and `run_online_sgd` (hinge at stepsizes 1 and 0.5,
   log at 2) on a cyclic order of 20 000 and a random order of 5000 over
   `gen_random_separable(10, 100, 0.1)` and `gen_online_hard(0.2, 30)`, on
@@ -89,11 +97,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from margin_lab import cli  # noqa: E402
 from margin_lab.datasets import (gen_batch_hard, gen_online_hard,  # noqa: E402
                                  gen_random_separable, save_dataset)
-from margin_lab.descent import GDConfig, _exp_or_inf, _risk_from_log, run_gd  # noqa: E402
+from margin_lab.descent import (GDConfig, _exp_or_inf, _risk_from_log, grad_phi,  # noqa: E402
+                                grad_risk, phi, risk, run_gd)
 from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, poly  # noqa: E402
 from margin_lab.online import (cyclic_order, random_order, run_online_sgd,  # noqa: E402
                                run_perceptron)
-from margin_lab.two_layer import make_net, parse_activation, run_gd_nn  # noqa: E402
+from margin_lab.two_layer import (TwoLayerNet, leaky_relu, make_net,  # noqa: E402
+                                  nn_margins, nn_risk, nn_risk_and_grad_phi,
+                                  parse_activation, run_gd_nn)
 from margin_lab.verify import (check_gradient_inequalities,  # noqa: E402
                                check_network_inequalities, check_risk_implies_separation)
 
@@ -390,6 +401,40 @@ def check_lines():
             yield f"check {name} seed={seed} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
+def _value_digest(value) -> str:
+    """sha256 of a stacked result: an array, a list of floats or RiskValues,
+    or a tuple of them."""
+    h = hashlib.sha256()
+    for part in value if isinstance(value, tuple) else (value,):
+        for item in part if isinstance(part, list) else (part,):
+            h.update(_encode(item))
+    return h.hexdigest()
+
+
+def stack_lines():
+    for seed in SEEDS:
+        ds = gen_random_separable(10, 20_000, 0.1, seed=seed)
+        rng = np.random.default_rng(seed)
+        probes = np.vstack([rng.standard_normal((7, ds.d)) * 10.0 ** rng.uniform(-3.0, 2.5, (7, 1)),
+                            np.outer([10.0, 1000.0, -1000.0], ds.w_star)])
+        for loss in (EXP, LOG, poly(2.0)):
+            for fn in (risk, phi, grad_phi, grad_risk):
+                yield (f"stack {fn.__name__} {loss.name} seed={seed} "
+                       f"{_value_digest(fn(probes, ds, loss))}")
+        activation = leaky_relu(0.5)
+        weights = rng.standard_normal((3, 4, ds.d)) * 10.0 ** rng.uniform(-1.5, 1.5, (3, 1, 1))
+        nets = TwoLayerNet(weights, make_net(ds.d, 4, activation).signs, activation)
+        yield f"stack nn_margins seed={seed} {_value_digest(nn_margins(nets, ds))}"
+        for loss in (EXP, LOG):
+            for fn in (nn_risk, nn_risk_and_grad_phi):
+                yield (f"stack {fn.__name__} {loss.name} seed={seed} "
+                       f"{_value_digest(fn(nets, ds, loss))}")
+            text = json.dumps(check_risk_implies_separation(ds, loss, probes).to_dict(),
+                              sort_keys=True)
+            yield (f"stack check_risk_implies_separation {loss.name} seed={seed} "
+                   f"{hashlib.sha256(text.encode()).hexdigest()}")
+
+
 def online_lines():
     methods = {
         "perceptron": run_perceptron,
@@ -458,6 +503,8 @@ def main() -> int:
         for line in nn_lines():
             print(line)
         for line in check_lines():
+            print(line)
+        for line in stack_lines():
             print(line)
         for line in online_lines():
             print(line)

@@ -167,9 +167,9 @@ with poly's _brentq) runs row by row. Row j of every stacked result has
 the bits of the call on row j alone, which the checks of verify rely on to
 score a whole probe set in one call. A stack's risk is a list of
 RiskValue, its phi a list of floats. risk, phi, grad_phi and grad_risk
-take a stack datasets.block_rows(n_rows) rows at a time (_blocks), so
-that no array they hold has more than BLOCK_ELEMENTS floats, unless one
-row does.
+take a long stack a block at a time by the one rule of _stacked, which
+two_layer's stacked evaluators (nn_margins among them) and
+verify.check_risk_implies_separation follow too.
 
 What stays scalar: loss kernels called on a float go through a 0-d array
 and numpy's scalar math, which can round differently from the array loop.
@@ -314,24 +314,37 @@ class MarginState:
         return [_risk_from_log(v) for v in log] if isinstance(log, list) else _risk_from_log(log)
 
 
-def _blocks(w, ds: Dataset):
-    """The row slices of a (k, d) stack w in blocks of
-    datasets.block_rows(n_rows) rows, or None for one vector and for a
-    stack that fits in one block. risk, phi, grad_phi and grad_risk take a
-    longer stack a block at a time, so that each (rows, n_rows) array they
-    hold has at most BLOCK_ELEMENTS floats (one row, if a row is longer);
-    each row keeps the bits of its solo call."""
-    rows = block_rows(ds.n_rows)
-    return row_blocks(len(w), ds.n_rows) if np.ndim(w) == 2 and len(w) > rows else None
+def _stacked(one, params, stacked: bool, row: int):
+    """one(params), a parameter stack taken datasets.block_rows(row) entries
+    at a time: the one rule by which every stacked evaluator of descent and
+    two_layer bounds its memory.
+
+    row is the floats one entry's largest array holds: n_rows for a linear
+    vector (its margins), n_rows m for a net of width m (its
+    pre-activations). One entry (stacked false) and a stack that fits in one
+    block go to one call as they are. A longer stack goes to one call per
+    block of consecutive entries (datasets.row_blocks), and the parts are
+    joined: lists chained, arrays concatenated, a tuple part by part. So no
+    array a call holds has more than BLOCK_ELEMENTS floats, unless one
+    entry's does, and every entry keeps the bits of its solo call.
+    """
+    if not stacked or len(params) <= block_rows(row):
+        return one(params)
+
+    def joined(parts):
+        if isinstance(parts[0], tuple):
+            return tuple(map(joined, zip(*parts)))
+        if isinstance(parts[0], list):
+            return [v for part in parts for v in part]
+        return np.concatenate(parts)
+    return joined([one(params[rows]) for rows in row_blocks(len(params), row)])
 
 
 def risk(w: np.ndarray, ds: Dataset, loss: LossSpec):
     """Weighted mean loss over the dataset at parameter w, a RiskValue; at
     a (k, d) stack, a list of one per row."""
-    blocks = _blocks(w, ds)
-    if blocks is not None:
-        return [r for rows in blocks for r in risk(w[rows], ds, loss)]
-    return MarginState(ds.margins(w), ds, loss).risk
+    return _stacked(lambda v: MarginState(ds.margins(v), ds, loss).risk, w, np.ndim(w) == 2,
+                    ds.n_rows)
 
 
 def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
@@ -343,17 +356,13 @@ def grad_risk(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     margins; that is intentional in constant-stepsize mode.
     """
     if not isinstance(w, MarginState):
-        blocks = _blocks(w, ds)
-        if blocks is not None:
-            return np.concatenate([grad_risk(w[rows], ds, loss) for rows in blocks])
-        coef = loss.deriv(ds.margins(w))
-    elif loss.ops.softmax:  # exp: l' = -e^{-z} = -e^a, the bits of loss.deriv
-        coef = -np.exp(w.a)
-    else:
-        coef = loss.deriv(w.z)
-    if ds.weights is not None:
-        coef = ds.weights * coef
-    return ds.signed_sum(coef) / ds.n
+        def one(v):
+            coef = loss.deriv(ds.margins(v))
+            return ds.signed_sum(coef if ds.weights is None else ds.weights * coef) / ds.n
+        return _stacked(one, w, np.ndim(w) == 2, ds.n_rows)
+    # exp: l' = -e^{-z} = -e^a, the bits of loss.deriv
+    coef = -np.exp(w.a) if loss.ops.softmax else loss.deriv(w.z)
+    return ds.signed_sum(coef if ds.weights is None else ds.weights * coef) / ds.n
 
 
 def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
@@ -404,29 +413,30 @@ def grad_phi(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     The exp gradient is a softmax under either aggregation (ln of n L and
     of L differ by the constant ln n). See phi_coefficients.
     """
-    if isinstance(w, MarginState):
-        state = w
-    else:
-        blocks = _blocks(w, ds)
-        if blocks is not None:
-            return np.concatenate([grad_phi(w[rows], ds, loss) for rows in blocks])
-        state = MarginState(ds.margins(w), ds, loss)
-    return -ds.signed_sum(phi_coefficients(state, ds, loss))
+    if not isinstance(w, MarginState):
+        return _stacked(lambda v: -ds.signed_sum(phi_coefficients(ds.margins(v), ds, loss)), w,
+                        np.ndim(w) == 2, ds.n_rows)
+    return -ds.signed_sum(phi_coefficients(w, ds, loss))
 
 
-def _phi_of_log(loss: LossSpec, n: int):
-    """phi as a function of the log of the mean risk, bound once: phi =
-    -l^{-1}(u) at u = L, or at u = n L under sum aggregation (n the
-    dataset's sample count), from u's (value, log_value) pair."""
-    phi = loss.ops.phi
-    if loss.aggregation == "sum":
+def _of_u(fn, loss: LossSpec, n: int, summed: bool):
+    """fn(loss, u, ln u) as a function of the log of the mean risk L, bound
+    once: u = L, or u = n L when summed (n the dataset's sample count),
+    from u's (value, log_value) pair."""
+    if summed:
         ln_n = math.log(n)
 
         def of_log(log):
             u = log + ln_n
-            return phi(loss, _exp_or_inf(u), u)
+            return fn(loss, _exp_or_inf(u), u)
         return of_log
-    return lambda log: phi(loss, _exp_or_inf(log), log)
+    return lambda log: fn(loss, _exp_or_inf(log), log)
+
+
+def _phi_of_log(loss: LossSpec, n: int):
+    """phi = -l^{-1}(u) as a function of the log of the mean risk, bound
+    once: u = L, or u = n L under sum aggregation."""
+    return _of_u(loss.ops.phi, loss, n, loss.aggregation == "sum")
 
 
 def _log_stepsize_of_log(loss: LossSpec, eta: float, n: int):
@@ -437,16 +447,10 @@ def _log_stepsize_of_log(loss: LossSpec, eta: float, n: int):
     eta_t * grad L = eta * grad phi_sum. For exp (a softmax kind) the factor
     n cancels exactly and the mean formula is used.
     """
-    lnid, log_eta = loss.ops.log_neg_inv_deriv, math.log(eta)
-    if loss.aggregation == "sum" and not loss.ops.softmax:
-        ln_n = math.log(n)
-        log_eta_n = log_eta + ln_n
-
-        def of_log(log):
-            u = log + ln_n
-            return log_eta_n + lnid(loss, _exp_or_inf(u), u)
-        return of_log
-    return lambda log: log_eta + lnid(loss, _exp_or_inf(log), log)
+    summed = loss.aggregation == "sum" and not loss.ops.softmax
+    lnid = _of_u(loss.ops.log_neg_inv_deriv, loss, n, summed)
+    log_eta = math.log(eta) + math.log(n) if summed else math.log(eta)
+    return lambda log: log_eta + lnid(log)
 
 
 def phi_from_risk(loss: LossSpec, r, n: int):

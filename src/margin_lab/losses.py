@@ -521,11 +521,11 @@ class _Semicircle(_Signed):
         return (lambda: np.log((h - z) / 2.0)), (lambda: np.log((1.0 - z / h) / 2.0))
 
     def full(spec, z):
-        # the right branch on z, the left on z < 0 with -1 elsewhere (a nan
-        # margin takes the left branch's value at -1), then one np.where
+        # the right branch on z, the left on z with -1 where z >= 0 (a nan
+        # margin stays nan), then one np.where
         on_right = z >= 0
         right = _Semicircle.right(spec, z)
-        left = _Semicircle.left(spec, np.where(z < 0, z, -1.0))
+        left = _Semicircle.left(spec, np.where(on_right, -1.0, z))
         return ((lambda: np.where(on_right, right[0](), left[0]())),
                 (lambda: np.where(on_right, right[1](), left[1]())))
 

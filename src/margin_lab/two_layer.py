@@ -43,10 +43,11 @@ and activation: k nets. nn_margins, nn_risk, nn_grad_phi and
 nn_risk_and_grad_phi take such a stack with the same body as one net,
 matmul batching the forward and gradient gemms one net at a time, so
 every net of a stack gets the bits of its call on its own (the descent
-stacks, see descent's docstring). nn_risk and nn_risk_and_grad_phi take
-a stack datasets.block_rows(R m) nets at a time (_blocks), so that no
-(nets, R, m) array they hold has more than BLOCK_ELEMENTS floats, unless
-one net's does. run_gd_nn trains one net.
+stacks, see descent's docstring). All four share one forward helper,
+_on_nets, that takes a long stack a block of datasets.block_rows(R m)
+nets at a time by descent._stacked's rule, so nn_margins too holds no
+(nets, R, m) array of more than BLOCK_ELEMENTS floats, unless one net's
+is larger. run_gd_nn trains one net.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ from typing import Callable
 import numpy as np
 
 from . import _special
-from .datasets import Dataset, block_rows, row_blocks
+from .datasets import Dataset
 from .descent import (MarginState, RiskValue, Trajectory, _check_bound_args, _descend,
-                      phi_coefficients)
+                      _stacked, phi_coefficients)
 from .losses import LossSpec
 
 # The loss kinds a network trains with and the network checks accept.
@@ -197,14 +198,17 @@ def _forward_pass(ds: Dataset, hidden_t: np.ndarray, pair, out: np.ndarray):
     return slopes, ds.labels * (values @ out)
 
 
-def _net_forward(net: TwoLayerNet, ds: Dataset):
-    """_forward_pass of a net or a stack, and its output weights signs / m."""
-    out = net.signs / net.m
-    return (*_forward_pass(ds, net.weights.swapaxes(-1, -2), net.activation.pair, out), out)
+def _on_nets(net: TwoLayerNet, ds: Dataset, fn):
+    """fn(slopes, z, out) on the _forward_pass of a net or a stack, out its
+    output weights signs / m; a stack goes through descent._stacked with
+    row = R m, a block of datasets.block_rows(R m) nets at a time."""
+    out, pair = net.signs / net.m, net.activation.pair
+    return _stacked(lambda w: fn(*_forward_pass(ds, w.swapaxes(-1, -2), pair, out), out),
+                    net.weights, net.weights.ndim == 3, ds.n_rows * net.m)
 
 
 def nn_margins(net: TwoLayerNet, ds: Dataset) -> np.ndarray:
-    return _net_forward(net, ds)[1]
+    return _on_nets(net, ds, lambda slopes, z, out: z)
 
 
 def _check_nn_loss(loss: LossSpec):
@@ -214,28 +218,11 @@ def _check_nn_loss(loss: LossSpec):
         raise ValueError(f"network training supports mean aggregation only, got {loss.name}")
 
 
-def _blocks(net: TwoLayerNet, ds: Dataset):
-    """The nets of a (k, m, d) stack in blocks of datasets.block_rows(R m)
-    nets, each block a TwoLayerNet, or None for one net and for a stack
-    that fits in one block. nn_risk and nn_risk_and_grad_phi take a longer
-    stack a block at a time, as descent._blocks does, so that each (nets,
-    R, m) array they hold has at most BLOCK_ELEMENTS floats (one net's, if
-    one net's is larger); each net keeps the bits of its solo call."""
-    size = ds.n_rows * net.m
-    if net.weights.ndim == 2 or len(net.weights) <= block_rows(size):
-        return None
-    return (TwoLayerNet(net.weights[rows], net.signs, net.activation)
-            for rows in row_blocks(len(net.weights), size))
-
-
 def nn_risk(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> RiskValue | list:
     """Weighted mean loss of the net, a RiskValue; a list of one per net
     for a stack."""
     _check_nn_loss(loss)
-    blocks = _blocks(net, ds)
-    if blocks is not None:
-        return [r for nets in blocks for r in nn_risk(nets, ds, loss)]
-    return MarginState(nn_margins(net, ds), ds, loss).risk
+    return _on_nets(net, ds, lambda slopes, z, out: MarginState(z, ds, loss).risk)
 
 
 def _grad_blocks(ds: Dataset, slopes, coef, scale: np.ndarray) -> np.ndarray:
@@ -248,14 +235,12 @@ def _grad_blocks(ds: Dataset, slopes, coef, scale: np.ndarray) -> np.ndarray:
 def nn_risk_and_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> tuple:
     """(nn_risk, nn_grad_phi) of the net from one forward pass."""
     _check_nn_loss(loss)
-    blocks = _blocks(net, ds)
-    if blocks is not None:
-        parts = [nn_risk_and_grad_phi(nets, ds, loss) for nets in blocks]
-        return ([r for risks, _ in parts for r in risks],
-                np.concatenate([grads for _, grads in parts]))
-    slopes, z, out = _net_forward(net, ds)
-    state = MarginState(z, ds, loss)
-    return state.risk, _grad_blocks(ds, slopes, phi_coefficients(state, ds, loss), -out[:, None])
+
+    def one(slopes, z, out):
+        state = MarginState(z, ds, loss)
+        return (state.risk,
+                _grad_blocks(ds, slopes, phi_coefficients(state, ds, loss), -out[:, None]))
+    return _on_nets(net, ds, one)
 
 
 def nn_grad_phi(net: TwoLayerNet, ds: Dataset, loss: LossSpec) -> np.ndarray:

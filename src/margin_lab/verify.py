@@ -23,10 +23,9 @@ The probe checks (check_gradient_inequalities, check_network_inequalities,
 check_risk_implies_separation) draw every probe first, in the order a
 probe-at-a-time loop would draw them, then score each probe set with one
 stacked call (descent's and two_layer's stacks), whose rows have the bits
-of one call per probe. descent's stacks, and check_risk_implies_separation,
-take a probe set a block of datasets.block_rows(n_rows) vectors at a time,
-so they hold no (k, n_rows) array for a set of k vectors; a set of
-two-layer nets still holds its margins at once.
+of one call per probe. Those stacks, and check_risk_implies_separation,
+take a probe set a block at a time by descent._stacked's rule, so they
+hold no (k, n_rows) array for a set of k vectors.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ from .datasets import (
     gen_random_separable,
     gen_two_point,
     mean_signed_feature,
-    row_blocks,
 )
 from .descent import (
     GDConfig,
     MarginState,
+    _stacked,
     averaged_risk_log_bound,
     general_loss_risk_log_bound,
     grad_phi,
@@ -380,13 +379,13 @@ def check_risk_implies_separation(
     if w.shape[1] != ds.d:
         raise ValueError(f"iterates must have {ds.d} columns, got {w.shape[1]}")
     log_threshold = loss.log_value(0.0) - math.log(ds.n)
-    rows = []
-    for block in row_blocks(len(w), ds.n_rows):  # see descent._blocks
-        state = MarginState(ds.margins(w[block]), ds, loss)
-        rows += [(i, -min_margin, 0.0)
-                 for i, r, min_margin in zip(range(block.start, block.stop), state.risk,
-                                             state.z.min(axis=1).tolist())
-                 if r.log_value < log_threshold]
+
+    def one(v):  # each vector's log risk and smallest margin
+        state = MarginState(ds.margins(v), ds, loss)
+        return list(zip(state.log_risk, state.z.min(axis=1).tolist()))
+    scored = _stacked(one, w, True, ds.n_rows)
+    rows = [(i, -min_margin, 0.0) for i, (log, min_margin) in enumerate(scored)
+            if log < log_threshold]
     above = len(w) - len(rows)
     return make_report(
         claim="risk below l(0)/n certifies a strict separator",

@@ -197,10 +197,10 @@ def unbranched_poly_log_abs_deriv(spec, z):
 
 def unbranched_semicircle_log_value(spec, z):
     """The semicircle loss's log_value as one np.where: 2 / (h + |z|) on
-    z >= 0, (h - z) / 2 on z < 0 with -1 in place of every other margin
-    (a nan margin among them)."""
+    z >= 0, (h - z) / 2 elsewhere with -1 in place of z >= 0 (a nan
+    margin stays nan)."""
     h = np.hypot(z, 2.0)
-    zneg = np.where(z < 0, z, -1.0)
+    zneg = np.where(z >= 0, -1.0, z)
     return np.where(z >= 0, math.log(2.0) - np.log(h + np.abs(z)),
                     np.log((np.hypot(zneg, 2.0) - zneg) / 2.0))
 
@@ -208,7 +208,7 @@ def unbranched_semicircle_log_value(spec, z):
 def unbranched_semicircle_log_abs_deriv(spec, z):
     """The semicircle loss's log_abs_deriv as one np.where."""
     h = np.hypot(z, 2.0)
-    zneg = np.where(z < 0, z, -1.0)
+    zneg = np.where(z >= 0, -1.0, z)
     return np.where(z >= 0, math.log(2.0) - np.log(h) - np.log(h + np.abs(z)),
                     np.log((1.0 - zneg / np.hypot(zneg, 2.0)) / 2.0))
 

@@ -394,6 +394,34 @@ def first_passage(traj, target):
                 if t >= 1 and log <= target)
 
 
+class TestNanIterate:
+    """A nan iterate has nan risk under every smooth kind, and a run from a
+    nan init stops at diverged_at = 0 with no row (MarginState's top is nan
+    exactly when the log risk is)."""
+
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("base", SMOOTH + [poly(0.5)], ids=lambda s: s.name)
+    def test_the_risk_of_a_nan_iterate_is_nan(self, base, agg):
+        ds = small_ds()
+        loss = base.with_aggregation(agg)
+        with np.errstate(invalid="ignore"):  # a nan margin warns in logaddexp
+            r = risk(np.full(ds.d, math.nan), ds, loss)
+            kernels = (loss.log_value(math.nan), loss.log_abs_deriv(math.nan))
+        assert math.isnan(r.value) and math.isnan(r.log_value)
+        assert all(math.isnan(v) for v in kernels)
+
+    @pytest.mark.parametrize("mode", ["adaptive", "constant"])
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("base", SMOOTH + [poly(0.5)], ids=lambda s: s.name)
+    def test_a_nan_init_diverges_at_zero_with_no_rows(self, base, agg, mode):
+        ds = small_ds()
+        cfg = GDConfig(loss=base.with_aggregation(agg), eta=1.0, steps=5, mode=mode,
+                       init=np.full(ds.d, math.nan))
+        traj = run_gd(ds, cfg)
+        assert traj.diverged_at == 0
+        assert traj.columns == {}
+
+
 class TestTargetStop:
     @pytest.mark.parametrize("mode,eta", [("adaptive", 50.0), ("constant", 1.0)])
     @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
@@ -1633,6 +1661,15 @@ class TestStacks:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert _bits(stacked) == _bits([phi(w, ds, LOG) for w in stack])
+
+    @pytest.mark.parametrize("agg", ["mean", "sum"])
+    @pytest.mark.parametrize("loss", STACK_LOSSES, ids=lambda s: s.name)
+    def test_an_empty_stack(self, loss, agg):
+        ds = gen_random_separable(10, 101, 0.1, seed=4)
+        loss, stack = loss.with_aggregation(agg), np.zeros((0, ds.d))
+        assert risk(stack, ds, loss) == [] and phi(stack, ds, loss) == []
+        assert grad_phi(stack, ds, loss).shape == grad_risk(stack, ds, loss).shape == (0, ds.d)
+        assert phi_coefficients(ds.margins(stack), ds, loss).shape == (0, ds.n_rows)
 
     def test_a_stack_of_one_is_the_solo_call(self):
         ds = gen_random_separable(10, 101, 0.1, seed=4)

@@ -436,15 +436,18 @@ class TestStacks:
         signs = make_net(ds.d, 4, activation).signs
         rng = np.random.default_rng(5)
         weights = rng.standard_normal((3, 4, ds.d)) * 10.0 ** rng.uniform(-1.5, 1.5, (3, 1, 1))
-        risks, grads = nn_risk_and_grad_phi(TwoLayerNet(weights, signs, activation), ds, loss)
-        alone = nn_risk(TwoLayerNet(weights, signs, activation), ds, loss)
+        nets = TwoLayerNet(weights, signs, activation)
+        risks, grads = nn_risk_and_grad_phi(nets, ds, loss)
+        alone, margins = nn_risk(nets, ds, loss), nn_margins(nets, ds)
         assert grads.shape == weights.shape and len(risks) == len(alone) == 3
+        assert margins.shape == (3, ds.n_rows)
         for j, w in enumerate(weights):
             net = TwoLayerNet(w, signs, activation)
             r = nn_risk(net, ds, loss)
             for got in (risks[j], alone[j]):
                 assert (got.value, got.log_value) == (r.value, r.log_value), j
             assert grads[j].tobytes() == nn_grad_phi(net, ds, loss).tobytes(), j
+            assert margins[j].tobytes() == nn_margins(net, ds).tobytes(), j
 
     def test_a_long_stack_peaks_at_a_block(self):
         """200 nets of width 4 over 4000 rows go block_rows(16 000) = 4
@@ -469,6 +472,39 @@ class TestStacks:
             solo = nn_risk_and_grad_phi(TwoLayerNet(weights[j], signs, activation), ds, LOG)
             assert risks[j].log_value == solo[0].log_value
             assert grads[j].tobytes() == solo[1].tobytes()
+
+    def test_the_margins_of_a_long_stack_peak_at_a_block(self):
+        """nn_margins takes the 200 nets a block of 4 at a time too. Its
+        result is one (200, 4000) array (6.4 MB), which the blocks' parts
+        and their concatenation hold twice; beyond those two copies the call
+        holds under 4 MiB, where the whole stack's pre-activations, values
+        and slopes would be three (200, 4000, 4) arrays of 25.6 MB."""
+        ds = gen_random_separable(10, 4000, 0.1, seed=6)
+        activation = leaky_relu(0.5)
+        signs = make_net(ds.d, 4, activation).signs
+        weights = np.random.default_rng(6).standard_normal((200, 4, ds.d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            margins = nn_margins(TwoLayerNet(weights, signs, activation), ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert margins.shape == (200, ds.n_rows)
+        assert peak - 2 * margins.nbytes < 4 * 2**20
+        for j in (0, 3, 4, 199):
+            solo = nn_margins(TwoLayerNet(weights[j], signs, activation), ds)
+            assert margins[j].tobytes() == solo.tobytes(), j
+
+    @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
+    def test_an_empty_stack(self, loss):
+        ds = gen_random_separable(10, 100, 0.1, seed=3)
+        nets = TwoLayerNet(np.zeros((0, 4, ds.d)), make_net(ds.d, 4, leaky_relu(0.5)).signs,
+                           leaky_relu(0.5))
+        risks, grads = nn_risk_and_grad_phi(nets, ds, loss)
+        assert risks == [] and nn_risk(nets, ds, loss) == []
+        assert grads.shape == nn_grad_phi(nets, ds, loss).shape == (0, 4, ds.d)
+        assert nn_margins(nets, ds).shape == (0, ds.n_rows)
 
     def test_run_gd_nn_refuses_a_stack(self):
         ds = gen_random_separable(10, 100, 0.1, seed=3)
