@@ -44,6 +44,14 @@ One line per run or file:
   1000 and -1000), `nn_margins`, `nn_risk` and `nn_risk_and_grad_phi` (exp
   and log) on 3 leakyrelu nets of width 4, and the JSON report of
   `check_risk_implies_separation` (exp and log) on the 10 vectors;
+- stacks whose rows take different branches of their loss's kernel pair,
+  on seeds 0, 3 and 1000: `LossSpec.log_value` and `log_abs_deriv` (log,
+  poly:2, poly:0.5, semicircle) on seven rows of 100 margins, one per
+  regime of the pairs, and on the same with a nan margin; `risk` and
+  `grad_phi` (the same losses, mean and sum) on w* times 1000, 2, 0.5,
+  -0.5 and -2 over `gen_random_separable(10, 100, 0.1)`, and on those
+  with a nan row; hinge `risk` and `grad_risk` on w* times 1000, 2 and
+  0.5, where every loss vanishes, and on those with w* times -0.5;
 - `run_perceptron` and `run_online_sgd` (hinge at stepsizes 1 and 0.5,
   log at 2) on a cyclic order of 20 000 and a random order of 5000 over
   `gen_random_separable(10, 100, 0.1)` and `gen_online_hard(0.2, 30)`, on
@@ -435,6 +443,42 @@ def stack_lines():
                    f"{hashlib.sha256(text.encode()).hexdigest()}")
 
 
+def _regime_stack(n_rows: int, seed: int) -> np.ndarray:
+    """Seven rows of margins, one per regime of the kernel pairs: (0, 600],
+    negative, around 0, past 700, around 700, zeros and [0, 1e4]."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.uniform(1e-3, 600.0, n_rows), rng.uniform(-50.0, -1e-3, n_rows),
+                     rng.uniform(-5.0, 5.0, n_rows), rng.uniform(701.0, 2000.0, n_rows),
+                     rng.uniform(600.0, 800.0, n_rows), np.zeros(n_rows),
+                     rng.uniform(0.0, 1e4, n_rows)])
+
+
+def branch_stack_lines():
+    for seed in SEEDS:
+        regimes = _regime_stack(100, seed)
+        with_nan = regimes.copy()
+        with_nan[-1, 50] = math.nan
+        for spec in (LOG, poly(2.0), poly(0.5), SEMICIRCLE):
+            for case, z in (("regimes", regimes), ("nan-row", with_nan)):
+                for fn in (spec.log_value, spec.log_abs_deriv):
+                    yield (f"branch-stack {fn.__name__} {spec.name} {case} seed={seed} "
+                           f"{_value_digest(fn(z))}")
+        ds = gen_random_separable(10, 100, 0.1, seed=seed)
+        multiples = np.outer([1000.0, 2.0, 0.5, -0.5, -2.0], ds.w_star)
+        with_nan = np.vstack([multiples, np.full((1, ds.d), math.nan)])
+        for loss in (LOG, poly(2.0), poly(0.5), SEMICIRCLE):
+            for spec in (loss, loss.with_aggregation("sum")):
+                for case, w in (("w-star-multiples", multiples), ("nan-row", with_nan)):
+                    for fn in (risk, grad_phi):
+                        yield (f"branch-stack {fn.__name__} {spec.name} {case} seed={seed} "
+                               f"{_value_digest(fn(w, ds, spec))}")
+        # every row separating (top -inf), and the same with one that is not
+        for case, w in (("separating", multiples[:3]), ("one-not-separating", multiples[:4])):
+            for fn in (risk, grad_risk):
+                yield (f"branch-stack {fn.__name__} hinge {case} seed={seed} "
+                       f"{_value_digest(fn(w, ds, HINGE))}")
+
+
 def online_lines():
     methods = {
         "perceptron": run_perceptron,
@@ -505,6 +549,8 @@ def main() -> int:
         for line in check_lines():
             print(line)
         for line in stack_lines():
+            print(line)
+        for line in branch_stack_lines():
             print(line)
         for line in online_lines():
             print(line)

@@ -161,11 +161,12 @@ Stacks. risk, phi, phi_coefficients, grad_phi and grad_risk take a (k, d)
 stack of parameter vectors as well as one vector, and MarginState the
 (k, R) margins of such a stack, with one body for both shapes: the passes
 over the data are Dataset.margins and Dataset.signed_sum, one gemv per
-row; the elementwise kernels and _log_sum_exp run once on the (k, R)
-array; the scalar tail (the risk from its log, ln (-l^{-1})' of it, phi
-with poly's _brentq) runs row by row. Row j of every stacked result has
-the bits of the call on row j alone, which the checks of verify rely on to
-score a whole probe set in one call. A stack's risk is a list of
+row; the elementwise kernels, whose kernel pair makes one branch decision
+for the whole array, and _log_sum_exp run once on the (k, R) array; the
+scalar tail (the risk from its log, ln (-l^{-1})' of it, phi with poly's
+_brentq) runs row by row. Row j of every stacked result has the bits of
+the call on row j alone, which the checks of verify rely on to score a
+whole probe set in one call. A stack's risk is a list of
 RiskValue, its phi a list of floats. risk, phi, grad_phi and grad_risk
 take a long stack a block at a time by the one rule of _stacked, which
 two_layer's stacked evaluators (nn_margins among them) and
@@ -237,7 +238,8 @@ def _log_sum_exp(a: np.ndarray, weights: np.ndarray | None) -> tuple:
     float per row. Both shapes run the same numpy operations and math.log
     on each row's total, so a row of a stack has the bits of its iterate on
     its own; one iterate, the per-step case, takes the reductions as ufunc
-    calls (the ones a.max() and a.sum() make) and skips the masking.
+    calls (the ones a.max() and a.sum() make) and returns early on a top
+    that is not finite, where a stack sets that row to nan.
     """
     if a.ndim == 1:
         top = float(np.maximum.reduce(a))
@@ -249,12 +251,9 @@ def _log_sum_exp(a: np.ndarray, weights: np.ndarray | None) -> tuple:
         total = float(np.add.reduce(e))
         return top, e, total, top + math.log(total)
     top = a.max(axis=1, keepdims=True)
-    finite = np.isfinite(top)
-    if finite.all():  # the masks below would select every entry
+    with np.errstate(invalid="ignore"):  # inf - inf in a row whose top is not finite
         e = np.exp(a - top)
-    else:
-        e = np.where(finite, np.exp(np.where(finite, a - np.where(finite, top, 0.0), 0.0)),
-                     math.nan)
+    e[~np.isfinite(top[:, 0])] = math.nan
     if weights is not None:
         e = weights * e
     totals = e.sum(axis=1, keepdims=True)
@@ -376,12 +375,12 @@ def phi_coefficients(z, ds: Dataset, loss: LossSpec) -> np.ndarray:
     always finite for the smooth losses, and summing to at most the loss's
     lipschitz_const. The multiplicities m_i multiply the exponentials rather
     than entering them as ln m_i: a power-of-two m_i scales its row's
-    coefficient exactly. ln (-l^{-1})'(u) is taken from u's pair, row by row
-    for a stack.
+    coefficient exactly. ln (-l^{-1})'(u) is taken from u's pair, one per
+    row of a stack.
 
     ln |l'(z)| is the second callable of the state's kernel pair
     (losses._Kind.log_pair): it evaluates the branch that a = ln l(z) took,
-    decided once when the state was built (row by row for a stack), reusing
+    decided once when the state was built (once for a whole stack), reusing
     what a computed, with no second decision and no log_abs_deriv call. For
     the log loss that is a itself when every margin is past 700, and -z - s
     on (0, 700], s the softplus whose log is a; each branch has the bits of

@@ -34,12 +34,12 @@ _log_expit, which has scipy's log_expit bits.
 log_value and log_abs_deriv are one kernel pair per kind (_Kind.log_pair),
 which descent.MarginState calls once per iterate: two callables, for ln
 l(z) and ln |l'(z)|, that share what both need. The log, poly and
-semicircle pairs decide their branch once, from the smallest and the
-largest margin (row by row for a stack, _branched), and evaluate only that
-branch; every branch has the bits of the kind's full np.where expressions
-on the margins it takes. Past the burn-in of a large-stepsize log run
-every margin exceeds 700, and both logs of the log loss are then one
-negation.
+semicircle pairs decide their branch once per call, whatever the shape,
+from the smallest and the largest margin (_branched), and evaluate only
+that branch; every branch has the bits of the kind's full np.where
+expressions on the margins it takes. Past the burn-in of a large-stepsize
+log run every margin exceeds 700, and both logs of the log loss are then
+one negation.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ class _Kind:
     callables, for ln l(z) and ln |l'(z)|, that share what both need;
     log_value and log_abs_deriv each call one. A kind with branches
     takes _branched as its log_pair and names branch(lo, high), which picks
-    one of its branch pairs from the smallest margin lo and high(), the
-    largest, read only when lo does not decide. phi(spec, u, log_u) is
+    one of its branch pairs, once per call, from the smallest margin lo and
+    high(), the largest, read only when lo does not decide. phi(spec, u, log_u) is
     -l^{-1}(u) from u's pair; it stays finite where u underflows for exp and
     log, while semicircle gives -inf once -ln u passes 709.78 and poly:k
     once -ln u / k does, since -l^{-1}(u) is itself past the float range
@@ -193,36 +193,18 @@ class _Kind:
 
 def _branched(kind, spec, z):
     """The kernel pair of a kind with branches (its record's log_pair, as a
-    classmethod), from one branch decision: kind.branch(lo, high), lo the
-    smallest margin and high() the largest. A (k, R) stack is decided row
-    by row, and rows that take different branches are evaluated in groups
-    and put back in place; each branch has the bits of the full expressions
-    on the margins it takes, so every row has the bits of its solo call. A
-    nan margin makes lo and high() nan, which only the full branch takes,
-    and so does an empty z. One iterate makes one reduction when lo
-    decides, two otherwise."""
+    classmethod), from one branch decision per call, whatever z's shape:
+    kind.branch(lo, high), lo the smallest margin and high() the largest.
+    Each branch has the bits of the full expressions on the margins it
+    takes, so a stack whose rows would take different branches takes full,
+    and every row has the bits of its solo call. A nan margin makes lo and
+    high() nan, which only the full branch takes, and so does an empty z.
+    A call makes one reduction when lo decides, two otherwise."""
     branch = kind.branch
     if not z.size:
         return branch(math.nan, lambda: math.nan)(spec, z)
-    if z.ndim != 2:
-        return branch(float(np.minimum.reduce(z, axis=None)),
-                      lambda: float(np.maximum.reduce(z, axis=None)))(spec, z)
-    highs = np.maximum.reduce(z, axis=1).tolist()
-    picks = [branch(lo, lambda hi=hi: hi)
-             for lo, hi in zip(np.minimum.reduce(z, axis=1).tolist(), highs)]
-    groups: dict = {}
-    for j, pick in enumerate(picks):
-        groups.setdefault(pick, []).append(j)
-    if len(groups) == 1:
-        return picks[0](spec, z)
-    parts = [(rows, pick(spec, z[rows])) for pick, rows in groups.items()]
-
-    def gather(which):
-        out = np.empty(z.shape)
-        for rows, pair in parts:
-            out[rows] = pair[which]()
-        return out
-    return (lambda: gather(0)), (lambda: gather(1))
+    return branch(float(np.minimum.reduce(z, axis=None)),
+                  lambda: float(np.maximum.reduce(z, axis=None)))(spec, z)
 
 
 class _Exp(_Kind):
@@ -381,6 +363,16 @@ class _Signed(_Kind):
             return cls.left
         return cls.full
 
+    @classmethod
+    def full(cls, spec, z):
+        # left on z with -1 where z >= 0 (a nan margin goes left and stays
+        # nan), right on z with 0 where z < 0, then one np.where
+        on_right = z >= 0
+        left = cls.left(spec, np.where(on_right, -1.0, z))
+        right = cls.right(spec, np.where(on_right, z, 0.0))
+        return ((lambda: np.where(on_right, right[0](), left[0]())),
+                (lambda: np.where(on_right, right[1](), left[1]())))
+
 
 class _Poly(_Signed):
     def value(spec, z):
@@ -412,14 +404,6 @@ class _Poly(_Signed):
         base = 1.0 - z
         return ((lambda: np.log(-2.0 * k * z + base ** (-k))),
                 (lambda: math.log(k) + np.log(2.0 - base ** (-k - 1.0))))
-
-    def full(spec, z):
-        # each branch on margins masked to its side, then one np.where
-        neg = z < 0
-        left = _Poly.left(spec, np.where(neg, z, 0.0))
-        right = _Poly.right(spec, np.where(neg, 0.0, z))
-        return ((lambda: np.where(neg, left[0](), right[0]())),
-                (lambda: np.where(neg, left[1](), right[1]())))
 
     def inverse(spec, u):
         """Closed form on the right branch (u <= 1). The left branch is
@@ -519,15 +503,6 @@ class _Semicircle(_Signed):
         # l = (h - z) / 2, and |l'| = (1 - z/h) / 2
         h = np.hypot(z, 2.0)
         return (lambda: np.log((h - z) / 2.0)), (lambda: np.log((1.0 - z / h) / 2.0))
-
-    def full(spec, z):
-        # the right branch on z, the left on z with -1 where z >= 0 (a nan
-        # margin stays nan), then one np.where
-        on_right = z >= 0
-        right = _Semicircle.right(spec, z)
-        left = _Semicircle.left(spec, np.where(on_right, -1.0, z))
-        return ((lambda: np.where(on_right, right[0](), left[0]())),
-                (lambda: np.where(on_right, right[1](), left[1]())))
 
     def inverse(spec, u):
         return 1.0 / u - u

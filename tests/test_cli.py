@@ -10,6 +10,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,6 +597,30 @@ class TestGenCommand:
         seed = -2 if form == "flag" else -3
         assert capsys.readouterr().err == (
             f"config error: bad dataset random source: need seed >= 0, got {seed}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("wstar,row,detail", [
+        ("1 0", "+1 0.5 inf", "unit_ball (max row norm inf); certificate_margin (min margin nan"),
+        ("1 0", "+1 1e200 0", "unit_ball (max row norm inf)"),
+        ("1 1e200", "+1 0.5 0", "certificate_unit (|w*| = inf)"),
+    ], ids=["inf-feature", "overflowing-norm", "overflowing-certificate"])
+    def test_a_file_past_the_float_range_is_refused_in_one_line(self, tmp_path, wstar, row,
+                                                                detail):
+        """The refusal is the one-line message, with no numpy warning before
+        it: run in a fresh interpreter, where warnings reach stderr."""
+        data = tmp_path / "ds.txt"
+        data.write_text(f"margin-lab-dataset v1 n=1 d=2 gamma=0.1\nwstar: {wstar}\n{row}\n")
+        cfg = write_cfg(tmp_path, f"dataset = file:{data}\n")
+        out = tmp_path / "out"
+        code = "import sys; from margin_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, "gen", "--config", cfg,
+                               "--out", str(out)], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(
+            f"config error: bad dataset file {data}: breaks the dataset contract: {detail}")
+        assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
 

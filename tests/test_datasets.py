@@ -5,6 +5,7 @@ import functools
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -584,8 +585,26 @@ def _loads_valid_or_raises_value_error(data: bytes) -> None:
 
 class TestLoadFuzz:
     """Whatever the bytes, load_dataset gives a Dataset that passes validate
-    or raises ValueError. Numbers past the float range print numpy
-    RuntimeWarnings on their way to being refused."""
+    or raises ValueError."""
+
+    @pytest.mark.parametrize("w_star,row,failed", [
+        ([1.0, 0.0], [0.5, math.inf], ["unit_ball", "certificate_margin"]),
+        ([1.0, 0.0], [1e200, 0.0], ["unit_ball"]),
+        ([1.0, 1e200], [0.5, 0.0], ["certificate_unit"]),
+    ], ids=["inf-feature", "overflowing-norm", "overflowing-certificate"])
+    def test_validate_warns_nothing_past_the_float_range(self, w_star, row, failed):
+        """An inf feature, an overflowing row norm and an overflowing
+        certificate norm fail their checks, whose details report inf or
+        nan, with no numpy warning on the way."""
+        ds = Dataset(features=np.array([row]), labels=np.array([1.0]), gamma=0.1,
+                     w_star=np.array(w_star))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate(ds)
+        assert not report.ok
+        assert [name for name, passed, _ in report.checks if not passed] == failed
+        assert all("inf" in detail or "nan" in detail
+                   for _, passed, detail in report.checks if not passed)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.one_of(st.binary(max_size=300), st.text(max_size=300).map(str.encode)))

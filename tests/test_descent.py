@@ -1363,14 +1363,14 @@ class TestSharedRegime:
             return (phi_coefficients(z, ds, loss),
                     grad_phi(descent.MarginState(z, ds, loss), ds, loss))
 
-    def assert_oracle_bytes(self, z, ds, loss, branches):
-        """branches: the branch of each row (one for 1-D margins)."""
+    def assert_oracle_bytes(self, z, ds, loss, branch):
+        """branch: the one branch z takes, for 1-D margins and a stack alike."""
         coef, grad, calls, picks = self.coefficients_and_grad(z, ds, loss)
         want_coef, want_grad = self.oracle(z, ds, loss)
         assert coef.tobytes() == want_coef.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
         assert calls == 0
-        assert picks == branches * 2  # one decision per row per MarginState built
+        assert picks == [branch] * 2  # one decision per MarginState built
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     @pytest.mark.parametrize("low", list(REGIME_LOWS))
@@ -1381,7 +1381,7 @@ class TestSharedRegime:
         assert z.min() == REGIME_LOWS[low] and z[0] != z.min()
         assert bool(LOG.log_value(z).max() < -700.0) is (low == "above-700")
         self.assert_oracle_bytes(z, ds, LOG.with_aggregation(agg),
-                                 ["past_700" if low == "above-700" else "full"])
+                                 "past_700" if low == "above-700" else "full")
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     @pytest.mark.parametrize("name", list(DATASETS))
@@ -1390,34 +1390,35 @@ class TestSharedRegime:
         for at in (0, ds.n_rows - 1):
             z = _margins_from(800.0, ds.n_rows)
             z[at] = math.nan
-            self.assert_oracle_bytes(z, ds, LOG.with_aggregation(agg), ["full"])
+            self.assert_oracle_bytes(z, ds, LOG.with_aggregation(agg), "full")
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     @pytest.mark.parametrize("name", list(DATASETS))
     def test_each_row_of_a_stack_takes_its_own_branch(self, name, agg):
-        """Rows past 700 around one at or below it: each row takes its own
-        branch, and has the bytes of its solo call."""
+        """Rows past 700 around one at or below it: each row alone takes its
+        own branch, and in the stack, which makes one decision and so takes
+        full, it has the bytes of that solo call."""
         ds, loss = self.DATASETS[name](), LOG.with_aggregation(agg)
         above = [_margins_from(low, ds.n_rows)
                  for low in (np.nextafter(700.0, np.inf), 701.0, 2000.0)]
         for low, branch in ((700.0, "full"), (np.nextafter(700.0, -np.inf), "full"),
                             (3.0, "positive")):
             z = np.stack([above[0], _margins_from(low, ds.n_rows), *above[1:]])
-            self.assert_oracle_bytes(z, ds, loss, ["past_700", branch, "past_700", "past_700"])
+            self.assert_oracle_bytes(z, ds, loss, "full")
             coef, grad, _, _ = self.coefficients_and_grad(z, ds, loss)
             for j, row in enumerate(z):
                 solo_coef, solo_grad, calls, picks = self.coefficients_and_grad(row, ds, loss)
                 assert calls == 0 and picks == [branch if j == 1 else "past_700"] * 2
                 assert coef[j].tobytes() == solo_coef.tobytes()
                 assert grad[j].tobytes() == solo_grad.tobytes()
-        self.assert_oracle_bytes(np.stack(above), ds, loss, ["past_700"] * 3)
+        self.assert_oracle_bytes(np.stack(above), ds, loss, "past_700")
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     def test_a_run_tests_the_regime_once_per_iterate_past_it(self, monkeypatch, agg):
         """A run whose margins all pass 700 mid-run makes one branch decision
         per iterate, from one reduction (its smallest margin) past the
-        regime and two before it, and one per averaged iterate, in one
-        kernel pair call per block of averaged iterates."""
+        regime and two before it, and one per block of averaged iterates,
+        whose stack takes one kernel pair call."""
         ds = gen_batch_hard(0.1, 64, weighted=True)
         cfg = GDConfig(loss=LOG.with_aggregation(agg), eta=400.0, steps=300)
         calls, decisions = [], []
@@ -1448,8 +1449,8 @@ class TestSharedRegime:
         assert calls.count(1) == cfg.steps + 1 and calls.count(2) == blocks
         assert decisions.count((1, True, 0)) == inside
         assert decisions.count((1, False, 1)) == outside
-        assert sum(ndim == 2 for ndim, _, _ in decisions) == cfg.steps + 1
-        assert len(decisions) == 2 * (cfg.steps + 1)
+        assert sum(ndim == 2 for ndim, _, _ in decisions) == blocks
+        assert len(decisions) == cfg.steps + 1 + blocks
 
 
 # Runs whose iterates change branch mid-block (name -> loss, mode, eta, on
@@ -1527,8 +1528,8 @@ class TestBranchedRuns:
 
 
 class TestBranchOnce:
-    """Each kernel pair call decides its branch once per row of its margins
-    (once for one iterate); the coefficients read the pair's second callable
+    """Each kernel pair call decides its branch once, for one iterate and a
+    stack of them alike; the coefficients read the pair's second callable
     and decide nothing again, and no LossSpec kernel runs in the loop. An
     adaptive run makes one pair call on one iterate per iterate computed."""
 
@@ -1544,7 +1545,7 @@ class TestBranchOnce:
         traj = run_gd(ds, cfg)
         assert traj.diverged_at is None and traj.columns["t"][-1] == cfg.steps
         assert not public
-        assert len(decisions) == sum(1 if len(shape) == 1 else shape[0] for shape in pairs)
+        assert len(decisions) == len(pairs)
         iterates = [shape for shape in pairs if len(shape) == 1]
         assert len(iterates) == cfg.steps + 1
         blocks = -(-len(traj.columns["t"]) // descent.block_size(ds.n_rows))
@@ -1592,6 +1593,22 @@ class TestStacks:
     """risk, phi, phi_coefficients, grad_phi, grad_risk and the Dataset
     passes take a (k, d) stack with one body for both shapes; every stacked
     row has the bits of the call on that row alone."""
+
+    @pytest.mark.parametrize("weights", [None, np.array([1.0, 3.0, 2.0])],
+                             ids=["plain", "weighted"])
+    def test_log_sum_exp_rows_whose_top_is_not_finite(self, weights):
+        """Rows whose top is +inf, -inf or nan have e and total nan and lse =
+        top, as one iterate has, next to a finite row; the stack warns
+        nothing."""
+        a = np.array([[0.5, -1.0, 2.0], [0.5, math.inf, 2.0], [-math.inf] * 3,
+                      [0.5, math.nan, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top, e, totals, lses = descent._log_sum_exp(a, weights)
+        for j, row in enumerate(a):
+            solo = descent._log_sum_exp(row, weights)
+            assert _bits([top[j, 0], totals[j, 0], lses[j]]) == _bits([solo[0], solo[2], solo[3]])
+            assert e[j].tobytes() == solo[1].tobytes()
 
     @pytest.mark.parametrize("agg", ["mean", "sum"])
     @pytest.mark.parametrize("base", STACK_LOSSES, ids=lambda s: s.name)

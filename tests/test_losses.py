@@ -735,8 +735,8 @@ _PAIR_EDGES = {
 
 
 class TestKernelPairs:
-    """Each branched kind's kernel pair decides its branch once, from the
-    smallest and the largest margin (row by row for a stack), and both of
+    """Each branched kind's kernel pair decides its branch once per call,
+    from the smallest and the largest margin, and both of
     its kernels, through LossSpec and through the pair, have the bytes of
     the unbranched np.where kernels (_oracles.UNBRANCHED), shape and dtype
     included, in every regime."""
@@ -786,9 +786,46 @@ class TestKernelPairs:
     def test_the_branch_of_the_smallest_and_the_largest_margin(self, spec, lo, hi, branch):
         highs = []
         pick = spec.ops.branch(lo, lambda: highs.append(None) or hi)
-        assert pick is getattr(spec.ops, branch)
+        # ==, not is: the signed kinds' full is a classmethod, bound anew at each read
+        assert pick == getattr(spec.ops, branch)
         # the smallest margin alone decides the branches that need no other
         assert len(highs) == (0 if branch in ("past_700", "right") else 1)
+
+    @pytest.mark.parametrize("spec", _BRANCHED, ids=lambda s: s.name)
+    def test_a_stack_makes_one_reduction_when_lo_decides_and_two_otherwise(self, spec):
+        """A (k, R) stack is decided as one iterate is: np.minimum.reduce over
+        the whole array, and np.maximum.reduce only when the smallest margin
+        does not decide. A stack whose rows alone take different branches
+        takes full."""
+        rng = np.random.default_rng(0)
+        # (lo, hi) of rows that lo decides, of rows that it does not, and their branches
+        decides, does_not, branches = (((701.0, 2000.0), (1.0, 600.0), ("past_700", "positive"))
+                                       if spec.kind == "log" else
+                                       ((0.0, 50.0), (-50.0, -1.0), ("right", "left")))
+        decided, undecided = rng.uniform(*decides, (3, 50)), rng.uniform(*does_not, (3, 50))
+        mixed = np.stack([decided[0], undecided[1], decided[2]])
+        reductions = (np.minimum.reduce, np.maximum.reduce)
+        for z, branch, count in ((decided, branches[0], 1), (undecided, branches[1], 2),
+                                 (mixed, "full", 2)):
+            calls, picks, pick_branch = [], [], spec.ops.branch
+
+            def counting(frame, event, arg):
+                if event == "c_call" and arg in reductions:
+                    calls.append(arg)
+
+            def deciding(lo, high):
+                picks.append(pick_branch(lo, high))
+                return picks[-1]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spec.ops, "branch", deciding)
+                sys.setprofile(counting)
+                try:
+                    spec.ops.log_pair(spec, z)
+                finally:
+                    sys.setprofile(None)
+            assert calls == list(reductions[:count])
+            assert picks == [getattr(spec.ops, branch)]
+            self.assert_same_bits(spec, z)
 
     @pytest.mark.parametrize("n_rows", [7, 100, 101])
     @pytest.mark.parametrize("spec", _BRANCHED, ids=lambda s: s.name)
