@@ -24,13 +24,20 @@ One line per run or file:
   of their loss's kernel pair mid-run (log margins entering (0, 700] for
   good, leaving and re-entering it, or straddling 700 above 0; poly:2
   and semicircle margins turning all nonnegative; mean and sum,
+  `record_every` 1/7), and on 8 runs of 100 steps from init = 1e200 w*,
+  whose running sum and, at a constant step, whose log losses stay finite
+  while their dots with themselves overflow (exp and log, constant and
+  adaptive at eta 1, `gen_random_separable(10, 100, 0.1, seed=3)`,
   `record_every` 1/7);
 - `run_gd_nn` on the 60 configurations of `tests/test_two_layer.py`'s
   network grid widened to every activation record (leakyrelu and the four
   leaky blends, exp and log, `NN_DATASETS`, `record_every` 1/7), and on
   24 runs of 150 steps at eta 50 whose rows cross the 64-step blocks of
   `descent.block_size` and whose risk is not monotone (leakyrelu and
-  leaky-gelu, exp and log, `NN_DATASETS`, `record_every` 1/7);
+  leaky-gelu, exp and log, `NN_DATASETS`, `record_every` 1/7), and on 4
+  runs of 100 steps at eta 8 from leakyrelu:0.5 units of sign s at
+  s 1e200 w*, whose running sum stays finite while its dot with itself
+  overflows (exp and log, `record_every` 1/7);
 - the JSON reports of the probe checks on shapes beyond `default_suite`'s,
   on seeds 0, 3 and 1000: `check_gradient_inequalities` on log with sum
   aggregation, on a weighted batch-hard set and on a random set with
@@ -368,6 +375,18 @@ def gd_lines():
                 case = (f"{loss.name}-{agg} {mode} eta={eta:g} random:d={d},n={n},seed={seed} "
                         f"steps=300 every={every}")
                 yield f"run_gd {case} {trajectory_digest(run_gd(ds, cfg), GD_COLUMNS, GD_FIELDS)}"
+    # from init = 1e200 w* every margin is past 1e199: the running sum and, at
+    # a constant step, the log losses stay finite while their dots with
+    # themselves overflow, so both divergence tests take their exact fallback
+    ds = gen_random_separable(10, 100, 0.1, seed=3)
+    for loss in (EXP, LOG):
+        for mode in ("constant", "adaptive"):
+            for every in (1, 7):
+                cfg = GDConfig(loss=loss, eta=1.0, steps=100, mode=mode, record_every=every,
+                               init=1e200 * ds.w_star)
+                case = (f"{loss.name} {mode} eta=1 random:seed=3 init=1e200w* steps=100 "
+                        f"every={every}")
+                yield f"run_gd {case} {trajectory_digest(run_gd(ds, cfg), GD_COLUMNS, GD_FIELDS)}"
 
 
 def nn_lines():
@@ -384,6 +403,18 @@ def nn_lines():
                     traj = run_gd_nn(ds, net, cfg)
                     case = f"{act} {loss.name} {ds_name}{length} every={every}"
                     yield f"run_gd_nn {case} {trajectory_digest(traj, NN_COLUMNS, NN_FIELDS)}"
+    # units of sign s at s 1e200 w*: every margin is past 1e198, and the running
+    # sum of the weights stays finite while its dot with itself overflows
+    ds = gen_random_separable(10, 100, 0.1, seed=3)
+    act = leaky_relu(0.5)
+    signs = make_net(ds.d, 4, act).signs
+    net = TwoLayerNet(1e200 * signs[:, None] * ds.w_star, signs, act)
+    for loss in (EXP, LOG):
+        for every in (1, 7):
+            traj = run_gd_nn(ds, net, GDConfig(loss=loss, eta=8.0, steps=100, record_every=every))
+            case = (f"leakyrelu:0.5 {loss.name} random:seed=3 weights=1e200w* steps=100 eta=8 "
+                    f"every={every}")
+            yield f"run_gd_nn {case} {trajectory_digest(traj, NN_COLUMNS, NN_FIELDS)}"
 
 
 def check_lines():

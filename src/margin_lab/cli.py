@@ -413,10 +413,12 @@ def _write_text(path: Path, lines) -> None:
 
 def _columns(traj, header: str) -> dict:
     """The trajectory columns a CSV header names (log_eta_t is the
-    trajectory's log_stepsize), with flags as 0/1."""
-    return {h: [int(v) if isinstance(v, bool) else v
-                for v in traj.columns.get("log_stepsize" if h == "log_eta_t" else h, [])]
-            for h in header.split(",")}
+    trajectory's log_stepsize), with the flag column descent_violated as
+    0/1."""
+    columns = {h: traj.columns.get("log_stepsize" if h == "log_eta_t" else h, [])
+               for h in header.split(",")}
+    columns["descent_violated"] = list(map(int, columns["descent_violated"]))
+    return columns
 
 
 def _csv(header: str, columns: dict) -> list:

@@ -21,6 +21,13 @@ baseline being compared against). A run diverges at the first iterate with
 log risk +inf or nan (diverged_at = t), or once the running sum of the
 iterates is not finite (diverged_at = t + 1), which a non-finite iterate
 causes too; in adaptive mode only an eta near the float maximum gets there.
+The running sum's test, and in constant mode the iterate's
+(MarginState.diverged), start from one dot of a vector with itself: a
+finite x . x proves every entry of x finite, since an inf or nan entry
+makes it inf or nan. Only a dot that is not finite, a blow-up or squares
+that sum past the float maximum (one entry past about 1.34e154), takes the
+exact test (max(a), or np.isfinite of the sum), so every diverged_at is
+the exact test's.
 
 Risks are carried as (value, log_value) pairs. Gradient coefficients are
 assembled as integer_weight * exp(log terms), never exp(log terms + log
@@ -42,18 +49,18 @@ once: the margins y * np.dot(X, w) (Dataset.margins, the first pass over
 the data); a = ln l(z) from one call of the loss's kernel pair
 (loss.ops.log_pair, which for log, poly and semicircle decides the branch
 once, from the smallest margin and, when that does not decide, the
-largest) and the ufunc reduction max(a), the top that tells divergence;
-in adaptive mode also the rest of a's log-sum-exp (a - max, exp and the
-ufunc reduction sum), that the risk and the coefficients are read off;
+largest); in adaptive mode a's log-sum-exp (the ufunc reductions max and
+sum, a - max and exp), whose top tells divergence and that the risk and
+the coefficients are read off, and in constant mode the dot a . a, which
+tells it instead;
 the coefficients (e / total for exp, the log-space assembly otherwise,
 whose ln |l'(z)| is the pair's second callable on the branch already
 taken, with no second decision: for the log loss a itself when every
 margin is past 700, and -z - s on (0, 700], s the softplus whose log is
 a, see phi_coefficients; in constant mode -exp(a) for exp, loss.deriv(z)
 otherwise) and the gradient pass np.dot(c y, X) (Dataset.signed_sum, the
-second pass); the update, the running sum and one sum of it (a finite sum
-has every entry finite; only a non-finite one takes the exact test). The
-run is stored as a columnar Trajectory.
+second pass); the update, the running sum and one np.vdot of it with
+itself. The run is stored as a columnar Trajectory.
 
 Rows reach the trajectory one way, for both models: a step that is
 recorded, or a linear step that checks the targets and that the convexity
@@ -115,9 +122,10 @@ not queued when
 S_t the running sum, c = 4 |v_s| + 4, least >= expm1(T - f_s + budget)
 and T the highest pending target. One gemv of the (2, d) pair whose first
 row is g and whose second is the running sum itself gives <g, S_t> and
-|S_t|^2. Every other step is queued and flushed as before, so a block
-still holds consecutive steps from the first one the screen cannot clear,
-and a run still stops fewer than B steps past its passage.
+|S_t|^2; the divergence test's dot of the sum is a call of its own. Every
+other step is queued and flushed as before, so a block still holds
+consecutive steps from the first one the screen cannot clear, and a run
+still stops fewer than B steps past its passage.
 
 Why a cleared step t is no passage: the flush computes the log risk f'_t
 of v_t = fl(S_t / (t + 1)), and f'_t > T is to be shown. Let u = 2^-53,
@@ -276,15 +284,19 @@ class MarginState:
 
     The risk of one iterate can be deferred (MarginState.deferred, which
     run_gd binds with grad_risk in constant mode; the module docstring says
-    how a block fills the risks it needs): such a state holds z, a and top
-    only (no log_abs_deriv), and its log_risk is None. top tells divergence on its own: the
-    log risk is +inf or nan exactly when top is. A nan margin or an
-    infinite loss makes top nan or +inf, and the log risk is then top. With
-    a finite top, lse adds ln total to it, and total lies in [1, n]: its
-    top term is m_i exp(0) >= 1, and no term exceeds its m_i. Adding at
-    most ln n cannot overflow a finite float, so the log risk is finite
-    too. A top of -inf (every l(z_i) = 0, a separated hinge) gives log risk
-    -inf: zero risk, which is success.
+    how a block fills the risks it needs): such a state holds z and a only
+    (no top, no log_abs_deriv), and its log_risk is None.
+
+    diverged() tells whether the log risk of one iterate is +inf or nan,
+    which it is exactly when top is. A nan margin or an infinite loss makes
+    top nan or +inf, and the log risk is then top. With a finite top, lse
+    adds ln total to it, and total lies in [1, n]: its top term is m_i
+    exp(0) >= 1, and no term exceeds its m_i. Adding at most ln n cannot
+    overflow a finite float, so the log risk is finite too. A top of -inf
+    (every l(z_i) = 0, a separated hinge) gives log risk -inf: zero risk,
+    which is success. A full state reads its top; a deferred one computes
+    none unless it must: a finite a . a proves every a_i finite, and so
+    top, and only a dot that is not finite takes max(a).
     """
 
     __slots__ = ("z", "a", "log_abs_deriv", "top", "e", "total", "lse", "log_risk")
@@ -300,12 +312,21 @@ class MarginState:
 
     @classmethod
     def deferred(cls, z: np.ndarray, ds: Dataset, loss: LossSpec) -> "MarginState":
-        """The state of one iterate without its log-sum-exp: z, a and top,
-        and log_risk None. grad_risk reads nothing else."""
+        """The state of one iterate without its log-sum-exp: z and a, and
+        log_risk None; it has no top. grad_risk reads nothing else."""
         state = cls.__new__(cls)
         state.z, state.a, state.log_risk = z, loss.ops.log_pair(loss, z)[0](), None
-        state.top = float(np.maximum.reduce(state.a))
         return state
+
+    def diverged(self) -> bool:
+        """True when the log risk of this one iterate is +inf or nan: its
+        top is, or for a deferred state max(a), taken only when a . a is not
+        finite (see the class docstring). a.dot(a) warns of an overflow
+        unless numpy's errstate ignores it, as run_gd's does."""
+        if self.log_risk is not None:
+            return not self.top < math.inf
+        a = self.a
+        return not (math.isfinite(a.dot(a)) or np.maximum.reduce(a) < math.inf)
 
     @property
     def risk(self):
@@ -764,9 +785,9 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, evaluat
     MarginState.deferred as the caller binds it with backward (see the
     module docstring); backward(cache, state) returns the gradient, and
     params -= eta * scale * gradient steps them in place. Every row goes
-    through a _Block. Divergence is tested on the state's top, which is
-    +inf or nan exactly when its log risk is (see MarginState). With
-    averaged (the linear model) the rows carry the running average of the
+    through a _Block. Divergence is the state's verdict
+    (MarginState.diverged), then the test of the running sum. With averaged
+    (the linear model) the rows carry the running average of the
     iterates and the run honours config.target_log_avg_risk, one target or
     a tuple; without it they carry the best iterate so far, tracked for
     them alone, and the caller refuses a target. The module docstring says
@@ -783,9 +804,8 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, evaluat
     for t in range(last + 1):
         cache, z = forward()
         state = evaluate(z, ds, loss)
-        # top is +inf or nan, true blow-up, exactly when the log risk is; a log
-        # risk of -inf means exactly zero risk (hinge only), which is success
-        if not state.top < math.inf:
+        # a log risk of -inf means exactly zero risk (hinge only), which is success
+        if state.diverged():
             traj.diverged_at = t
             break
         if not averaged and state.log_risk < best_log:
@@ -800,8 +820,10 @@ def _descend(ds: Dataset, config: GDConfig, params: np.ndarray, forward, evaluat
             break
         params -= step * backward(cache, state)
         total += params
-        # a finite sum has every entry finite; an overflowed one needs the exact test
-        if not math.isfinite(np.add.reduce(total, None)) and not np.isfinite(total).all():
+        # a finite |total|^2 has every entry finite; an overflowed one needs the
+        # exact test. vdot flattens the network's (m, d) sum and, unlike dot,
+        # warns of no overflow (run_gd_nn runs outside run_gd's errstate)
+        if not math.isfinite(np.vdot(total, total)) and not np.isfinite(total).all():
             traj.diverged_at = t + 1
             break
     if block.flush(traj):

@@ -3,6 +3,7 @@ and the averaged-iterate bounds."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -1219,6 +1220,54 @@ class TestDeferredRisk:
             warnings.simplefilter("error")
             got = run_gd(ds, cfg)
         assert_same_run(got, want)
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("loss,mode", [(EXP, "constant"), (LOG, "constant"),
+                                           (EXP, "adaptive"), (LOG, "adaptive")],
+                             ids=lambda x: getattr(x, "name", x))
+    def test_finite_runs_past_the_dots_range_keep_the_reference(self, loss, mode, every):
+        """From init = 1e200 w* every margin is past 1e199: the running sum
+        and, for a constant step, the log losses a = ln l(z) are finite, but
+        their dots with themselves overflow, so each divergence test takes
+        its exact fallback. The runs keep the reference's rows and
+        diverged_at None, and warn of nothing."""
+        ds = gen_random_separable(10, 100, 0.1, seed=3)
+        cfg = GDConfig(loss=loss, eta=1.0, steps=self.STEPS, mode=mode, record_every=every,
+                       init=1e200 * ds.w_star)
+        want = reference_run_gd(ds, cfg)
+        a = loss.log_value(ds.margins(cfg.init))
+        total = np.sum(want.columns["w"], axis=0)
+        assert np.isfinite(a).all() and np.isfinite(total).all()
+        assert np.vdot(a, a) == np.vdot(total, total) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_gd(ds, cfg)
+        assert got.diverged_at is None
+        assert_same_run(got, want)
+
+    def test_a_step_that_does_not_diverge_makes_no_reduction_for_its_tests(self):
+        """A constant exp step that does not diverge settles both of its
+        divergence tests with dots: the np.maximum.reduce and np.add.reduce
+        calls of a run, counted under sys.setprofile, do not grow with its
+        steps (they come from the rows at t = 0 and at the end)."""
+        ds = small_ds()
+        reductions = (np.maximum.reduce, np.add.reduce)
+
+        def count(steps):
+            calls = []
+
+            def counting(frame, event, arg):
+                if event == "c_call" and arg in reductions:
+                    calls.append(arg)
+            cfg = GDConfig(loss=EXP, eta=1.0, steps=steps, mode="constant", record_every=steps)
+            sys.setprofile(counting)
+            try:
+                traj = run_gd(ds, cfg)
+            finally:
+                sys.setprofile(None)
+            assert traj.diverged_at is None and traj.columns["t"] == [0, steps]
+            return len(calls)
+        assert count(20) == count(40)
 
     @pytest.mark.parametrize("mode", ["constant", "adaptive"])
     def test_log_sum_exp_runs_for_the_kept_rows(self, monkeypatch, mode):

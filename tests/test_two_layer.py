@@ -5,6 +5,7 @@ import inspect
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,29 @@ class TestFusedStep:
         monkeypatch.setattr(loss.ops, "log_pair", counting)
         run_gd_nn(ds, net, GDConfig(loss=loss, eta=8.0, steps=40, record_every=7))
         assert len(calls) == 41
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("loss", [EXP, LOG], ids=lambda s: s.name)
+    def test_a_finite_sum_past_the_dots_range_keeps_the_reference(self, loss, every):
+        """Units of sign s at s 1e200 w* put every margin past 1e198: the
+        running sum of the weights stays finite while its dot with itself
+        overflows, so the divergence test takes its exact fallback. The run
+        keeps the reference's rows and diverged_at None, and warns of
+        nothing."""
+        ds = gen_random_separable(10, 100, 0.1, seed=3)
+        act = leaky_relu(0.5)
+        signs = make_net(ds.d, 4, act).signs
+        net = TwoLayerNet(1e200 * signs[:, None] * ds.w_star, signs, act)
+        cfg = GDConfig(loss=loss, eta=8.0, steps=100, record_every=every)
+        want = reference_run_gd_nn(ds, net, cfg)
+        total = np.sum(want.columns["weights"], axis=0)
+        assert np.isfinite(total).all() and np.vdot(total, total) == math.inf
+        assert min(want.columns["min_margin"]) > 1e198
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_gd_nn(ds, net, cfg)
+        assert got.diverged_at is None
+        assert_same_run(got, want)
 
 
 class TestSeparatedLog:
