@@ -59,6 +59,11 @@ One line per run or file:
   -0.5 and -2 over `gen_random_separable(10, 100, 0.1)`, and on those
   with a nan row; hinge `risk` and `grad_risk` on w* times 1000, 2 and
   0.5, where every loss vanishes, and on those with w* times -0.5;
+- the scalar tails: `phi_from_risk` and `LossSpec.log_neg_inv_deriv`
+  (exp, log, poly:2, poly:0.5 and semicircle, mean and sum, n = 100; the
+  latter at u = L and at u = n L) on 413 log risks: one to three ulps and
+  1e-9 either side of every branch threshold of the tails, for u = L and
+  for u = n L, a sweep of [-1500, 800] and the two infinities;
 - `run_perceptron` and `run_online_sgd` (hinge at stepsizes 1 and 0.5,
   log at 2) on a cyclic order of 20 000 and a random order of 5000 over
   `gen_random_separable(10, 100, 0.1)` and `gen_online_hard(0.2, 30)`, on
@@ -113,7 +118,7 @@ from margin_lab import cli  # noqa: E402
 from margin_lab.datasets import (gen_batch_hard, gen_online_hard,  # noqa: E402
                                  gen_random_separable, save_dataset)
 from margin_lab.descent import (GDConfig, _exp_or_inf, _risk_from_log, grad_phi,  # noqa: E402
-                                grad_risk, phi, risk, run_gd)
+                                grad_risk, phi, phi_from_risk, risk, run_gd)
 from margin_lab.losses import EXP, HINGE, LOG, SEMICIRCLE, poly  # noqa: E402
 from margin_lab.online import (cyclic_order, random_order, run_online_sgd,  # noqa: E402
                                run_perceptron)
@@ -510,6 +515,47 @@ def branch_stack_lines():
                        f"{_value_digest(fn(w, ds, HINGE))}")
 
 
+# ln u at every branch threshold of the scalar tails: the log loss's u = 1e-8
+# and log1mexp's ln 2, poly's u = 1, semicircle's u = 1e-150, the smallest
+# normal and subnormal u, u = e^x past the float range, and where poly:2's,
+# semicircle's and poly:0.5's phi leave it
+TAIL_THRESHOLDS = (math.log(1e-8), math.log(math.log(2.0)), 0.0, math.log(1e-150),
+                   math.log(2.2250738585072014e-308), math.log(5e-324), 709.782712893384,
+                   -1419.565425786768, -709.782712893384, -354.891356446692)
+
+
+def _tail_logs(n: int) -> list:
+    """Log risks on both sides of every tail threshold, for u = L and for
+    u = n L (one to three ulps and 1e-9 either way), then a sweep of [-1500, 800]
+    and the infinities."""
+    logs = []
+    for threshold in TAIL_THRESHOLDS:
+        for centre in (threshold, threshold - math.log(n)):
+            logs.append(centre)
+            for side in (-math.inf, math.inf):
+                x = centre
+                for _ in range(3):
+                    x = math.nextafter(x, side)
+                    logs.append(x)
+                logs.append(centre + math.copysign(1e-9 * max(1.0, abs(centre)), side))
+    return logs + np.linspace(-1500.0, 800.0, 231).tolist() + [-math.inf, math.inf]
+
+
+def tail_lines():
+    """phi_from_risk and LossSpec.log_neg_inv_deriv, each smooth kind, mean
+    and sum, at n = 100; log_neg_inv_deriv at u = L and at u = n L."""
+    n = 100
+    logs = _tail_logs(n)
+    for loss in (EXP, LOG, poly(2.0), poly(0.5), SEMICIRCLE):
+        for spec in (loss, loss.with_aggregation("sum")):
+            risks = [_risk_from_log(v) for v in logs]
+            yield (f"tail phi_from_risk {spec.name} n={n} "
+                   f"{_value_digest(phi_from_risk(spec, risks, n))}")
+            shift = math.log(n) if spec.aggregation == "sum" else 0.0
+            rates = [spec.log_neg_inv_deriv(_exp_or_inf(v + shift), v + shift) for v in logs]
+            yield f"tail log_neg_inv_deriv {spec.name} n={n} {_value_digest(rates)}"
+
+
 def online_lines():
     methods = {
         "perceptron": run_perceptron,
@@ -582,6 +628,8 @@ def main() -> int:
         for line in stack_lines():
             print(line)
         for line in branch_stack_lines():
+            print(line)
+        for line in tail_lines():
             print(line)
         for line in online_lines():
             print(line)

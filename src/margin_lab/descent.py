@@ -77,9 +77,10 @@ and one MarginState of the stack (one kernel pair call, deciding row by
 row, and one log-sum-exp) give every queued average, its risk and its
 smallest margin, bit for bit as one evaluation per step would. A network row carries the
 best iterate so far. A row's phi and log_stepsize are read off its log
-risk alone, by functions bound once per run with the dataset's n (the
-bits of phi_from_risk, and of _log_stepsize_of_log or ln eta).
-B changes no bit.
+risk alone, by one call of _row_tail, the row binder bound once per run
+with the dataset's n, which calls the kind's scalar tail once (in
+constant mode the row keeps its phi and takes ln eta as its
+log_stepsize; phi_from_risk reads the same phi). B changes no bit.
 
 A block keeps every row by one rule, whatever the evaluation. A push
 queues the log risk the step left (None for a deferred state) and its
@@ -171,11 +172,16 @@ stack of parameter vectors as well as one vector, and MarginState the
 over the data are Dataset.margins and Dataset.signed_sum, one gemv per
 row; the elementwise kernels, whose kernel pair makes one branch decision
 for the whole array, and _log_sum_exp run once on the (k, R) array; the
-scalar tail (the risk from its log, ln (-l^{-1})' of it, phi with poly's
-_brentq) runs row by row. Row j of every stacked result has the bits of
-the call on row j alone, which the checks of verify rely on to score a
-whole probe set in one call. A stack's risk is a list of
-RiskValue, its phi a list of floats. risk, phi, grad_phi and grad_risk
+scalar tail runs row by row on plain floats: ln total (math.log in
+_log_sum_exp), the risk from its log (math.exp in _exp_or_inf), and ln
+(-l^{-1})' or phi of it, each from one call of the kind's tail
+(losses._Kind.tail, which for poly past u = 1 is one _brentq solve; the
+losses docstring names its numpy and math calls). Each of these calls
+stays what it is: the math functions and numpy's ufuncs need not round
+alike, so trading one for the other changes bits. Row j of every stacked
+result has the bits of the call on row j alone, which the checks of
+verify rely on to score a whole probe set in one call. A stack's risk is
+a list of RiskValue, its phi a list of floats. risk, phi, grad_phi and grad_risk
 take a long stack a block at a time by the one rule of _stacked, which
 two_layer's stacked evaluators (nn_margins among them) and
 verify.check_risk_implies_separation follow too.
@@ -439,47 +445,37 @@ def grad_phi(w, ds: Dataset, loss: LossSpec) -> np.ndarray:
     return -ds.signed_sum(phi_coefficients(w, ds, loss))
 
 
-def _of_u(fn, loss: LossSpec, n: int, summed: bool):
-    """fn(loss, u, ln u) as a function of the log of the mean risk L, bound
-    once: u = L, or u = n L when summed (n the dataset's sample count),
-    from u's (value, log_value) pair."""
-    if summed:
-        ln_n = math.log(n)
+def _row_tail(loss: LossSpec, n: int, eta: float = 1.0):
+    """(phi, ln eta_t) of a row as a function of the log of its mean risk
+    L over n samples, bound once per run: one call of the kind's scalar
+    tail (losses._Kind.tail) at u's (value, log) pair gives phi = -l^{-1}(u)
+    and ln eta_t = ln eta + ln (-l^{-1})'(u), finite where eta_t overflows.
 
-        def of_log(log):
-            u = log + ln_n
-            return fn(loss, _exp_or_inf(u), u)
-        return of_log
-    return lambda log: fn(loss, _exp_or_inf(log), log)
-
-
-def _phi_of_log(loss: LossSpec, n: int):
-    """phi = -l^{-1}(u) as a function of the log of the mean risk, bound
-    once: u = L, or u = n L under sum aggregation."""
-    return _of_u(loss.ops.phi, loss, n, loss.aggregation == "sum")
-
-
-def _log_stepsize_of_log(loss: LossSpec, eta: float, n: int):
-    """ln eta_t = ln eta + ln (-l^{-1})'(risk) as a function of the log of
-    the mean risk, bound once; always finite.
-
-    Under sum aggregation eta_t = eta * n * (-l^{-1})'(n * risk), so that
-    eta_t * grad L = eta * grad phi_sum. For exp (a softmax kind) the factor
-    n cancels exactly and the mean formula is used.
+    The one place that knows a row's u: u = L under the mean, u = n L under
+    the sum, where eta_t = eta * n * (-l^{-1})'(n L), so that eta_t * grad L
+    = eta * grad phi_sum. For exp (the softmax kind) n cancels exactly from
+    eta_t: its tail is taken at u = L, whose ln eta_t is the mean's, and
+    phi_sum = ln(n L) is phi + ln n. A shift that does not apply is -0.0,
+    which adding leaves every float as it is, -0.0 and nan included.
     """
-    summed = loss.aggregation == "sum" and not loss.ops.softmax
-    lnid = _of_u(loss.ops.log_neg_inv_deriv, loss, n, summed)
-    log_eta = math.log(eta) + math.log(n) if summed else math.log(eta)
-    return lambda log: log_eta + lnid(log)
+    ln_n = math.log(n) if loss.aggregation == "sum" else -0.0
+    u_shift, phi_shift = (-0.0, ln_n) if loss.ops.softmax else (ln_n, -0.0)
+    tail, log_eta = loss.ops.tail, math.log(eta) + u_shift
+
+    def of_log(log):
+        u = log + u_shift
+        phi, log_rate = tail(loss, _exp_or_inf(u), u)
+        return phi + phi_shift, log_eta + log_rate
+    return of_log
 
 
 def phi_from_risk(loss: LossSpec, r, n: int):
     """phi = -l^{-1}(u) from the mean risk over n samples, or a list of phi
     from a stack's list of them; u is the mean risk, or n times it under sum
     aggregation. Read off log_value, which a RiskValue holds
-    authoritatively."""
-    phi = _phi_of_log(loss, n)
-    return [phi(v.log_value) for v in r] if isinstance(r, list) else phi(r.log_value)
+    authoritatively, by the first value of the row binder (_row_tail)."""
+    tail = _row_tail(loss, n)
+    return [tail(v.log_value)[0] for v in r] if isinstance(r, list) else tail(r.log_value)[0]
 
 
 def phi(w: np.ndarray, ds: Dataset, loss: LossSpec):
@@ -614,11 +610,11 @@ class _Block:
         target = config.target_log_avg_risk
         self.pending = ([] if target is None
                         else sorted(target if isinstance(target, tuple) else (target,)))
-        # a row's phi and log_stepsize are read off its own log risk
-        self.phi = _phi_of_log(self.loss, ds.n) if self.loss.ops.smooth else lambda log: math.nan
+        # a row's phi and log_stepsize, from one call on its own log risk
         log_eta = math.log(config.eta)
-        self.log_stepsize = (_log_stepsize_of_log(self.loss, config.eta, ds.n)
-                             if config.mode == "adaptive" else lambda log: log_eta)
+        tail = _row_tail(self.loss, ds.n, config.eta) if self.loss.ops.smooth else None
+        self.tail = (tail if config.mode == "adaptive"
+                     else lambda log: (tail(log)[0] if tail else math.nan, log_eta))
         self.log_n = math.log(ds.n)
         self.size = block_size(max(ds.n_rows, params.size))
         self.margins = np.empty((self.size, ds.n_rows))  # no row is a view of it
@@ -755,12 +751,13 @@ class _Block:
             def pick(values):
                 return [values[j] for j in kept]
         logs = pick(logs)
+        phis, log_stepsizes = zip(*map(self.tail, logs))
         columns = {
             "t": pick(ts),
             self.name: list(iterates),
             "log_risk": logs,
-            "phi": [self.phi(v) for v in logs],
-            "log_stepsize": [self.log_stepsize(v) for v in logs],
+            "phi": phis,
+            "log_stepsize": log_stepsizes,
             "min_margin": pick(np.minimum.reduce(self.margins[:count], axis=1).tolist()),
             "descent_violated": [log > before for log, before in zip(logs, pick(befores))],
         }

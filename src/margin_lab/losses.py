@@ -26,6 +26,21 @@ log-domain variants (log_value, log_abs_deriv, log_neg_inv_deriv) are exact
 continuations of the plain ones into regimes where the values themselves
 underflow or overflow a float64.
 
+The scalar tail of a smooth kind is one function, _Kind.tail(spec, u,
+log_u) -> (phi, ln (-l^{-1})'(u)): phi = -l^{-1}(u) and the log of the
+inverse decay rate, both from u's (value, log) pair and one inversion of
+l. Poly past u = l(0) = 1 solves l(z) = u once (inverse, by _brentq) and
+reads -z and ln(-1/l'(z)) off that root; the log loss reads both off one
+log1mexp(u); exp and semicircle take their closed forms.
+LossSpec.log_neg_inv_deriv returns the second value, and descent binds
+the tail once per run for the rows (descent._row_tail). The tail runs on
+plain floats and mixes numpy ufuncs (log1mexp's, poly's np.exp below u =
+1, semicircle's np.exp and np.logaddexp) with math functions (poly's
+math.log of k and of the slope, the log loss's math.log1p below u = 1e-8).
+Each call stays what it is: a ufunc on a float runs its array loop, while
+the math functions come from the C library, and the two need not round
+alike, so trading one for the other changes recorded bits.
+
 scipy.special (expit) loads at the first call of a log-loss deriv, not at
 import (see _special), so no other kernel pays for it. The log loss's
 log_value, log_abs_deriv and second_deriv run on numpy alone: ln sigmoid is
@@ -160,13 +175,15 @@ class _Kind:
     log_value and log_abs_deriv each call one. A kind with branches
     takes _branched as its log_pair and names branch(lo, high), which picks
     one of its branch pairs, once per call, from the smallest margin lo and
-    high(), the largest, read only when lo does not decide. phi(spec, u, log_u) is
-    -l^{-1}(u) from u's pair; it stays finite where u underflows for exp and
-    log, while semicircle gives -inf once -ln u passes 709.78 and poly:k
-    once -ln u / k does, since -l^{-1}(u) is itself past the float range
-    there. mpmath(spec, mp) is (l, l', -l^{-1}) in the caller's mpmath
-    context. softmax: the phi coefficients are the softmax of ln l(z_i)
-    under either aggregation. unit_log_slopes: |d ln l/dz| <= 1 and |d ln
+    high(), the largest, read only when lo does not decide. tail(spec, u,
+    log_u) is the scalar tail (phi, ln (-l^{-1})'(u)) from u's pair, with
+    one inversion of l for both (the module docstring). Its phi =
+    -l^{-1}(u) stays finite where u underflows for exp and log, while
+    semicircle gives -inf once -ln u passes 709.78 and poly:k once -ln u /
+    k does, since -l^{-1}(u) is itself past the float range there.
+    mpmath(spec, mp) is (l, l', -l^{-1}) in the caller's mpmath context.
+    softmax: the phi coefficients are the softmax of ln l(z_i) under
+    either aggregation. unit_log_slopes: |d ln l/dz| <= 1 and |d ln
     |l'|/dz| <= 1 at every z (so |l'| <= l), the slope bounds of descent's
     convexity screen. The smooth operations refuse here, and hinge keeps
     the refusals (smooth is False for it).
@@ -176,8 +193,7 @@ class _Kind:
     unit_log_slopes = False
     inverse = _refusal("inverse")
     neg_inv_deriv = _refusal("neg_inv_deriv")
-    log_neg_inv_deriv = _refusal("log_neg_inv_deriv")
-    phi = _refusal("phi")
+    tail = _refusal("phi")  # LossSpec.log_neg_inv_deriv names itself
     lipschitz_const = _refusal("lipschitz_const")
     mpmath = _refusal("the mpmath form")
 
@@ -229,11 +245,8 @@ class _Exp(_Kind):
     def neg_inv_deriv(spec, u):
         return 1.0 / u
 
-    def log_neg_inv_deriv(spec, value, log_value):
-        return -log_value
-
-    def phi(spec, u, log_u):
-        return log_u
+    def tail(spec, u, log_u):
+        return log_u, -log_u
 
     def lipschitz_const(spec, n):
         return 1.0
@@ -328,17 +341,13 @@ class _Log(_Kind):
     def neg_inv_deriv(spec, u):
         return 1.0 / (-math.expm1(-u))
 
-    def log_neg_inv_deriv(spec, value, log_value):
-        # -ln(1 - e^{-u}); for u below ~1e-8, ln(1-e^{-u}) = ln u - u/2 + O(u^2)
-        if value > 1e-8:
-            return -log1mexp(value)
-        return -(log_value + math.log1p(-value / 2.0))
-
-    def phi(spec, u, log_u):
-        # ln(e^u - 1) = u + ln(1 - e^{-u}); for tiny u this is ln u + u/2 + ...
+    def tail(spec, u, log_u):
+        # phi = ln(e^u - 1) = u + ln(1 - e^{-u}) and ln(-l^{-1})' = -ln(1 - e^{-u});
+        # below u ~ 1e-8, ln(1 - e^{-u}) = ln u - u/2 + O(u^2)
         if u > 1e-8:
-            return u + log1mexp(u)
-        return log_u + u / 2.0
+            log1m = log1mexp(u)
+            return u + log1m, -log1m
+        return log_u + u / 2.0, -(log_u + math.log1p(-u / 2.0))
 
     def lipschitz_const(spec, n):
         return float(n) if spec.aggregation == "sum" else 1.0
@@ -440,23 +449,25 @@ class _Poly(_Signed):
                 return (1.0 / k) * u ** (-(k + 1.0) / k)
             except OverflowError:  # u tiny: past the float range
                 return math.inf
-        z = _Poly.inverse(spec, u)
-        # l'(z) in plain floats, the same operations in the same order as deriv
+        return _Poly.slope(spec, _Poly.inverse(spec, u))
+
+    def slope(spec, z):
+        # -1/l'(z) in plain floats, l'(z) by the same operations in the same order as deriv
+        k = spec.k
         if z < 0.0:
             return -1.0 / (-2.0 * k + k * (1.0 - z) ** (-k - 1.0))
         return -1.0 / (-k * (1.0 + z) ** (-k - 1.0))
 
-    def log_neg_inv_deriv(spec, value, log_value):
+    def tail(spec, u, log_u):
+        if u > 1.0:  # one solve: phi = -z and ln(-l^{-1})'(u) = ln(-1/l'(z)), z = l^{-1}(u)
+            z = _Poly.inverse(spec, u)
+            return -z, math.log(_Poly.slope(spec, z))
         k = spec.k
-        if value > 1.0:
-            return math.log(_Poly.neg_inv_deriv(spec, float(value)))
-        return -math.log(k) - ((k + 1.0) / k) * log_value
-
-    def phi(spec, u, log_u):
-        if u > 1.0:
-            return -spec.inverse(u)
-        with np.errstate(over="ignore"):
-            return float(1.0 - np.exp(-log_u / spec.k))
+        x, log_rate = -log_u / k, -math.log(k) - ((k + 1.0) / k) * log_u
+        if x < 709.0:  # e^x is finite: no overflow to silence (np.errstate costs 4x np.exp)
+            return float(1.0 - np.exp(x)), log_rate
+        with np.errstate(over="ignore"):  # phi is -inf once e^x is past the float range
+            return float(1.0 - np.exp(x)), log_rate
 
     def lipschitz_const(spec, n):
         return float(n) if spec.aggregation == "sum" else n ** (1.0 / spec.k)
@@ -511,15 +522,13 @@ class _Semicircle(_Signed):
         uu = u * u  # 0.0 below u = 1.6e-162, where 1 + 1/u^2 is far past the float range
         return 1.0 + 1.0 / uu if uu else math.inf
 
-    def log_neg_inv_deriv(spec, value, log_value):
-        # ln(1 + 1/u^2) = ln(1 + e^{-2 ln u})
-        return float(np.logaddexp(0.0, -2.0 * log_value))
-
-    def phi(spec, u, log_u):
+    def tail(spec, u, log_u):
+        # ln(-l^{-1})'(u) = ln(1 + 1/u^2) = ln(1 + e^{-2 ln u})
+        log_rate = float(np.logaddexp(0.0, -2.0 * log_u))
         if u > 1e-150:
-            return u - 1.0 / u
+            return u - 1.0 / u, log_rate
         with np.errstate(over="ignore"):
-            return float(-np.exp(-log_u))
+            return float(-np.exp(-log_u)), log_rate
 
     def lipschitz_const(spec, n):
         return float(n) if spec.aggregation == "sum" else n + 1.0
@@ -622,12 +631,16 @@ class LossSpec:
         return _KINDS[self.kind].neg_inv_deriv(self, _positive(u, "neg_inv_deriv"))
 
     def log_neg_inv_deriv(self, value: float, log_value: float) -> float:
-        """ln((-l^{-1})'(u)) from the (value, log_value) pair of u.
+        """ln((-l^{-1})'(u)) from the (value, log_value) pair of u: the
+        second value of the kind's scalar tail (_Kind.tail).
 
         Works even when value has underflowed to 0.0; log_value is then the
         authoritative representation of u.
         """
-        return _KINDS[self.kind].log_neg_inv_deriv(self, value, log_value)
+        ops = _KINDS[self.kind]
+        if not ops.smooth:
+            _refusal("log_neg_inv_deriv")(self)
+        return ops.tail(self, value, log_value)[1]
 
     def lipschitz_const(self, n: int) -> float:
         """Uniform bound C on the transformed-objective gradient norm over a

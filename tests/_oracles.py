@@ -5,10 +5,13 @@ naive way that is numerically adequate on the probe ranges, and deliberately
 avoids importing margin_lab. Tests compare package outputs against these
 dual-route computations, or against constants frozen from them.
 
-The one exception is at the end: the probe checks of margin_lab.verify as
-they were written before they scored each probe set in one stacked call,
-one solo call per probe. They import margin_lab when called, and the
-stacked checks must give the same reports to the bit.
+Two exceptions import margin_lab when called. pre_tail_phi and
+pre_tail_log_neg_inv_deriv are the bodies each loss kind had before one
+scalar tail gave both values; they take log1mexp and poly's inverse from
+the library, whose bits tests of their own pin. At the end are the probe
+checks of margin_lab.verify as they were written before they scored each
+probe set in one stacked call, one solo call per probe; the stacked
+checks must give the same reports to the bit.
 """
 
 from __future__ import annotations
@@ -226,6 +229,53 @@ def unbranched_pair(spec, z):
     spec's kind: each callable evaluates its kernel on every margin."""
     value, abs_deriv = UNBRANCHED[spec.kind]
     return (lambda: value(spec, z)), (lambda: abs_deriv(spec, z))
+
+
+def pre_tail_phi(spec, u, log_u):
+    """phi = -l^{-1}(u) from u's (value, log) pair, in the body each smooth
+    kind's phi had before one scalar tail gave phi and ln (-l^{-1})'(u)
+    together. losses._Kind.tail's first value must have the same bits."""
+    from margin_lab.losses import log1mexp
+
+    if spec.kind == "exp":
+        return log_u
+    if spec.kind == "log":
+        if u > 1e-8:
+            return u + log1mexp(u)
+        return log_u + u / 2.0
+    if spec.kind == "poly":
+        if u > 1.0:
+            return -spec.inverse(u)
+        with np.errstate(over="ignore"):
+            return float(1.0 - np.exp(-log_u / spec.k))
+    if u > 1e-150:  # semicircle
+        return u - 1.0 / u
+    with np.errstate(over="ignore"):
+        return float(-np.exp(-log_u))
+
+
+def pre_tail_log_neg_inv_deriv(spec, value, log_value):
+    """ln (-l^{-1})'(u) from u's (value, log) pair, in the body each smooth
+    kind's log_neg_inv_deriv had before the scalar tail, with poly's
+    neg_inv_deriv past u = 1 written out: -1/l'(z) at z = l^{-1}(u).
+    losses._Kind.tail's second value must have the same bits."""
+    from margin_lab.losses import log1mexp
+
+    if spec.kind == "exp":
+        return -log_value
+    if spec.kind == "log":
+        if value > 1e-8:
+            return -log1mexp(value)
+        return -(log_value + math.log1p(-value / 2.0))
+    if spec.kind == "poly":
+        k = spec.k
+        if value > 1.0:
+            z = spec.inverse(float(value))
+            if z < 0.0:
+                return math.log(-1.0 / (-2.0 * k + k * (1.0 - z) ** (-k - 1.0)))
+            return math.log(-1.0 / (-k * (1.0 + z) ** (-k - 1.0)))
+        return -math.log(k) - ((k + 1.0) / k) * log_value
+    return float(np.logaddexp(0.0, -2.0 * log_value))  # semicircle
 
 
 def whole_matrix_random_separable(d: int, n: int, gamma: float, seed: int):

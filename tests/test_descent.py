@@ -50,7 +50,7 @@ def small_ds(seed=11):
 
 def log_stepsize(loss, r, eta, n):
     """ln eta_t at risk r on a dataset of n samples, as a run binds it."""
-    return descent._log_stepsize_of_log(loss, eta, n)(r.log_value)
+    return descent._row_tail(loss, n, eta)(r.log_value)[1]
 
 
 class TestRisk:
@@ -263,7 +263,27 @@ class TestAdaptiveStepsize:
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):
-            descent._log_stepsize_of_log(EXP, 0.0, 1)
+            descent._row_tail(EXP, 1, 0.0)
+
+
+class TestRowTail:
+    def test_a_recorded_poly_run_solves_once_per_row(self, monkeypatch):
+        # a row's phi and log stepsize share one solve of l(z) = u, so recording
+        # every step at most doubles the solves the steps make: 751 here
+        # against 376 at record_every 1000 (a solve for each of the two made 1127)
+        solves, brentq = [], losses._brentq
+
+        def counting_brentq(*args, **kwargs):
+            solves.append(None)
+            return brentq(*args, **kwargs)
+        monkeypatch.setattr(losses, "_brentq", counting_brentq)
+        ds = gen_random_separable(10, 100, 0.1, seed=0)
+        counts = []
+        for every in (1, 1000):
+            solves.clear()
+            run_gd(ds, GDConfig(loss=poly(2.0), eta=400.0, steps=400, record_every=every))
+            counts.append(len(solves))
+        assert 0 < counts[0] <= 2 * counts[1]
 
 
 class TestRunGD:

@@ -7,6 +7,7 @@ then pinned as constants.
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,8 @@ from hypothesis.extra import numpy as hnp
 
 import margin_lab
 from margin_lab.cli import ConfigError, parse_config
-from margin_lab.descent import GDConfig, RiskValue, general_loss_risk_log_bound, phi_from_risk
+from margin_lab.descent import (GDConfig, RiskValue, _exp_or_inf, general_loss_risk_log_bound,
+                                phi_from_risk)
 from margin_lab.losses import (
     EXP,
     HINGE,
@@ -35,7 +37,8 @@ from margin_lab.losses import (
 )
 
 from _oracles import (UNBRANCHED, array_log1mexp, bisect_inverse, fd_deriv, log_loss_log_value,
-                      unbranched_log_abs_deriv, unbranched_log_value)
+                      pre_tail_log_neg_inv_deriv, pre_tail_phi, unbranched_log_abs_deriv,
+                      unbranched_log_value)
 
 SMOOTH = [EXP, LOG, poly(1.0), poly(2.0), poly(3.5), SEMICIRCLE]
 ALL = SMOOTH + [HINGE]
@@ -638,6 +641,52 @@ _PAIR_REGIMES = {
     "positive": _regime(st.floats(min_value=0.0, exclude_min=True)),
     "negative": _regime(st.floats(max_value=0.0, exclude_max=True)),
 }
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# u on both sides of every branch of the tails: the log loss's u = 1e-8 and
+# log1mexp's ln 2, poly's u = 1, semicircle's u = 1e-150; subnormals
+_TAIL_BRANCH_U = [f(u) for u in (1e-8, math.log(2.0), 1.0, 1e-150, 2.2250738585072014e-308)
+                  for f in (lambda u: math.nextafter(u, 0.0), float,
+                            lambda u: math.nextafter(u, math.inf))] + [5e-324, 1e-310]
+
+
+class TestScalarTail:
+    """losses._Kind.tail: (phi, ln (-l^{-1})'(u)) from one call, with the bits
+    of the two functions each kind had before (tests/_oracles.py)."""
+
+    SPECS = SMOOTH + [poly(0.5)]
+
+    def assert_reference_bits(self, spec, u, log_u):
+        phi, log_rate = spec.ops.tail(spec, u, log_u)
+        assert _bits(phi) == _bits(pre_tail_phi(spec, u, log_u))
+        assert _bits(log_rate) == _bits(pre_tail_log_neg_inv_deriv(spec, u, log_u))
+        assert _bits(spec.log_neg_inv_deriv(u, log_u)) == _bits(log_rate)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+    def test_branch_sides_extremes_and_a_sweep(self, spec):
+        pairs = [(u, math.log(u)) for u in _TAIL_BRANCH_U]
+        # u = 0 with a finite log (an underflowed risk), and u = inf
+        pairs += [(0.0, log) for log in (-746.0, -800.0, -2000.0, -1e5)]
+        pairs += [(math.inf, 710.0), (math.inf, 1e5), (math.inf, math.inf)]
+        # a sweep in steps of 1, which takes in the last bits where math.exp
+        # and np.exp round apart (a few percent of arguments here)
+        pairs += [(_exp_or_inf(log_u), log_u) for log_u in np.linspace(-800.0, 800.0, 1601)]
+        for u, log_u in pairs:
+            self.assert_reference_bits(spec, u, log_u)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+    @seed(37)
+    @settings(max_examples=200, deadline=None)
+    @given(log_u=st.floats(min_value=-800.0, max_value=800.0, allow_nan=False))
+    def test_random_logs(self, spec, log_u):
+        u = _exp_or_inf(log_u)
+        self.assert_reference_bits(spec, u, log_u)
+        phi = phi_from_risk(spec, RiskValue(u, log_u), 1)
+        assert _bits(phi) == _bits(pre_tail_phi(spec, u, log_u))
 
 
 class TestLogKernelBranches:
